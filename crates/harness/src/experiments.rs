@@ -418,7 +418,10 @@ pub fn native_all(opts: &RunOptions) {
 /// closed-loop peak (SLO territory). Queue capacity covers the full
 /// offered load and no deadlines are attached, so a healthy serving
 /// plane sheds nothing — `ci.sh` greps the final `total shed:` line as
-/// its smoke gate.
+/// its smoke gate. Beside the percentiles every row carries the mean
+/// batch fill and the flush-trigger mix of its (fresh) server, which say
+/// whether a latency is the system's (idle flushes) or the timer's
+/// (delay flushes).
 ///
 /// A shard-scaling sweep closes the run: the same closed-loop drive
 /// against 1, 2, … worker shards (`--shards N` sets the top; default 2
@@ -427,7 +430,7 @@ pub fn native_all(opts: &RunOptions) {
 pub fn serve_bench(opts: &RunOptions) {
     use finbench_serve::{
         run_load, run_load_hedged, HedgePolicy, LoadMode, LoadReport, PricerConfig, ServeConfig,
-        Server,
+        ServeSnapshot, Server,
     };
     use std::time::Duration;
 
@@ -484,45 +487,57 @@ pub fn serve_bench(opts: &RunOptions) {
             ..ServeConfig::default()
         };
         let run = |mode: LoadMode, capacity: usize, seed: u64, hedge: Option<HedgePolicy>| {
-            // A fresh server per load point keeps the latency histograms
-            // and shed counters scoped to that point.
+            // A fresh server per load point keeps the latency histograms,
+            // shed counters and flush tallies scoped to that point.
             let server = Server::start(config_for(capacity));
             let report: LoadReport = run_load_hedged(&server, kernel, mode, seed, None, hedge);
-            server.shutdown();
-            report
+            (report, server.shutdown())
         };
 
         let mut rows: Vec<Vec<String>> = Vec::new();
-        let mut curve =
-            String::from("mode,offered,served,shed,throughput_rps,p50_us,p95_us,p99_us\n");
-        let push =
-            |label: String, r: &LoadReport, rows: &mut Vec<Vec<String>>, curve: &mut String| {
-                rows.push(vec![
-                    label.clone(),
-                    r.offered.to_string(),
-                    r.served.to_string(),
-                    r.total_shed().to_string(),
-                    fmt_num(r.throughput),
-                    format!("{:.0}", r.p50_us),
-                    format!("{:.0}", r.p95_us),
-                    format!("{:.0}", r.p99_us),
-                ]);
-                curve.push_str(&format!(
-                    "{label},{},{},{},{:.1},{:.1},{:.1},{:.1}\n",
-                    r.offered,
-                    r.served,
-                    r.total_shed(),
-                    r.throughput,
-                    r.p50_us,
-                    r.p95_us,
-                    r.p99_us
-                ));
-            };
+        let mut curve = String::from(
+            "mode,offered,served,shed,throughput_rps,p50_us,p95_us,p99_us,\
+             batch_fill,flush_size,flush_delay,flush_idle,flush_drain\n",
+        );
+        let push = |label: String,
+                    (r, snap): &(LoadReport, ServeSnapshot),
+                    rows: &mut Vec<Vec<String>>,
+                    curve: &mut String| {
+            let (fill, flushes) = (snap.mean_batch_fill(), snap.total_flushes());
+            rows.push(vec![
+                label.clone(),
+                r.offered.to_string(),
+                r.served.to_string(),
+                r.total_shed().to_string(),
+                fmt_num(r.throughput),
+                format!("{:.0}", r.p50_us),
+                format!("{:.0}", r.p95_us),
+                format!("{:.0}", r.p99_us),
+                format!("{fill:.1}"),
+                flushes.to_string(),
+            ]);
+            curve.push_str(&format!(
+                "{label},{},{},{},{:.1},{:.1},{:.1},{:.1},{:.2},{},{},{},{}\n",
+                r.offered,
+                r.served,
+                r.total_shed(),
+                r.throughput,
+                r.p50_us,
+                r.p95_us,
+                r.p99_us,
+                fill,
+                flushes.size,
+                flushes.delay,
+                flushes.idle,
+                flushes.drain,
+            ));
+        };
 
         let mut closed_peak = 0.0f64;
+        let mut closed_p95_us = 0.0f64;
         for (i, &clients) in client_points.iter().enumerate() {
             let total = clients * per_client;
-            let r = run(
+            let point = run(
                 LoadMode::Closed {
                     clients,
                     requests_per_client: per_client,
@@ -531,23 +546,28 @@ pub fn serve_bench(opts: &RunOptions) {
                 0xC0FFEE + i as u64,
                 None,
             );
+            let r = &point.0;
             closed_peak = closed_peak.max(r.throughput);
+            closed_p95_us = r.p95_us;
             total_shed += r.total_shed();
             total_unknown_kernel += r.rejected_unknown_kernel;
             total_unservable += r.rejected_unservable;
             total_shutdown += r.rejected_shutdown;
             total_invalid += r.invalid_input;
             total_internal += r.internal;
-            push(format!("closed x{clients}"), &r, &mut rows, &mut curve);
+            push(format!("closed x{clients}"), &point, &mut rows, &mut curve);
         }
         // One hedged closed-loop point at the largest client count: the
         // tail-at-scale tradeoff in numbers — duplicated work (hedges)
         // bought against the p99 column. Open-loop runs never hedge (no
         // per-request wait to hedge from), so this is the only hedged row.
+        // The hedge goes out once a reply is later than the unhedged run's
+        // p95 at the same client count, so about one request in twenty
+        // hedges whatever the plane's latency is.
         let hedge_line = {
             let clients = *client_points.last().unwrap();
             let total = clients * per_client;
-            let r = run(
+            let point = run(
                 LoadMode::Closed {
                     clients,
                     requests_per_client: per_client,
@@ -555,9 +575,10 @@ pub fn serve_bench(opts: &RunOptions) {
                 total.max(16),
                 0x4ED6ED,
                 Some(HedgePolicy {
-                    delay: Duration::from_micros(300),
+                    delay: Duration::from_secs_f64(closed_p95_us * 1e-6),
                 }),
             );
+            let r = &point.0;
             total_shed += r.total_shed();
             total_unknown_kernel += r.rejected_unknown_kernel;
             total_unservable += r.rejected_unservable;
@@ -566,7 +587,7 @@ pub fn serve_bench(opts: &RunOptions) {
             total_internal += r.internal;
             push(
                 format!("closed x{clients} hedged"),
-                &r,
+                &point,
                 &mut rows,
                 &mut curve,
             );
@@ -575,7 +596,7 @@ pub fn serve_bench(opts: &RunOptions) {
         for (i, &frac) in open_fractions.iter().enumerate() {
             let rate = (closed_peak * frac).max(100.0);
             let total = ((rate * open_secs) as usize).clamp(50, 20_000);
-            let r = run(
+            let point = run(
                 LoadMode::Open {
                     rate_hz: rate,
                     total,
@@ -584,18 +605,30 @@ pub fn serve_bench(opts: &RunOptions) {
                 0xFEED + i as u64,
                 None,
             );
+            let r = &point.0;
             total_shed += r.total_shed();
             total_unknown_kernel += r.rejected_unknown_kernel;
             total_unservable += r.rejected_unservable;
             total_shutdown += r.rejected_shutdown;
             total_invalid += r.invalid_input;
             total_internal += r.internal;
-            push(format!("open {:.0}/s", rate), &r, &mut rows, &mut curve);
+            push(format!("open {:.0}/s", rate), &point, &mut rows, &mut curve);
         }
         println!(
             "{}",
             table(
-                &["load", "offered", "served", "shed", "req/s", "p50 µs", "p95 µs", "p99 µs"],
+                &[
+                    "load",
+                    "offered",
+                    "served",
+                    "shed",
+                    "req/s",
+                    "p50 µs",
+                    "p95 µs",
+                    "p99 µs",
+                    "fill",
+                    "flush s/d/i/dr %"
+                ],
                 &rows
             )
         );
@@ -713,6 +746,10 @@ pub fn serve_bench(opts: &RunOptions) {
         println!("  total internal (faults absorbed): {total_internal}");
     }
     println!("  (shed = queue_full + deadline_exceeded; every shed is a typed response)");
+    println!(
+        "  (fill = mean requests per batch; flush = % of batches cut by the size / delay / \
+         idle / shutdown-drain trigger — an idle-flushed reply never waited on max_delay)"
+    );
 }
 
 /// The `chaos_bench` experiment: closed-loop load against the serving

@@ -3,8 +3,9 @@
 //!
 //! `bench-report` runs the full engine registry (all kernels × all rungs
 //! through [`Engine::run_ladder_samples`]'s interleaved trials), a quick
-//! serve + greeks load sweep (closed-loop latency percentiles plus an
-//! open-loop peak-sustainable-load search), and an allocations-per-batch
+//! serve + greeks load sweep (closed-loop latency percentiles beside the
+//! batch fill and flush-trigger mix that explain them, plus an open-loop
+//! peak-sustainable-load search), and an allocations-per-batch
 //! measurement on the hot pricing paths, then writes one schema-versioned
 //! `BENCH_<n>.json` at the repo root — the trajectory point every future
 //! PR compares against.
@@ -23,9 +24,9 @@ use crate::render::{fmt_num, section, table};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_engine::RungSamples;
 use finbench_serve::{
-    padded_batch_into, search_peak, GreeksRequest, GreeksResponse, LoadMode, PeakReport,
-    PeakSearchConfig, PeakStep, PortfolioRequest, PricerConfig, Rejected, Scratch, ServeConfig,
-    Server, ServingRung,
+    padded_batch_into, search_peak, FlushCounts, GreeksRequest, GreeksResponse, LoadMode,
+    PeakReport, PeakSearchConfig, PeakStep, PortfolioRequest, PricerConfig, Rejected, Scratch,
+    ServeConfig, Server, ServingRung,
 };
 use finbench_telemetry as telemetry;
 use std::collections::BTreeMap;
@@ -103,6 +104,10 @@ struct LaneStats {
     p50_us: f64,
     p95_us: f64,
     p99_us: f64,
+    /// Mean requests (portfolio: chunks) per batch over the closed-loop run.
+    batch_fill: f64,
+    /// The closed-loop run's batches by flush trigger.
+    flushes: FlushCounts,
     peak: PeakReport,
 }
 
@@ -184,6 +189,8 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
                 format!("{:.0}", l.p50_us),
                 format!("{:.0}", l.p95_us),
                 format!("{:.0}", l.p99_us),
+                format!("{:.1}", l.batch_fill),
+                l.flushes.to_string(),
                 fmt_num(l.peak.sustained_hz()),
             ]
         })
@@ -199,10 +206,16 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
                 "p50 µs",
                 "p95 µs",
                 "p99 µs",
+                "fill",
+                "flush s/d/i/dr %",
                 "peak req/s"
             ],
             &lane_rows
         )
+    );
+    println!(
+        "  (fill = mean requests per batch; flush = % of the closed-loop run's batches cut by \
+         the size / delay / idle / shutdown-drain trigger)"
     );
 
     // 3. Allocations per batch iteration on the hot pricing paths (all
@@ -328,7 +341,7 @@ fn price_lane(kernel: &str, pricer: PricerConfig, quick: bool) -> LaneStats {
         0xC0FFEE,
         None,
     );
-    server.shutdown();
+    let snap = server.shutdown();
     // Peak search against a realistically bounded queue: overload must
     // shed, not buffer forever.
     let peak = finbench_serve::find_peak_sustained(
@@ -347,6 +360,8 @@ fn price_lane(kernel: &str, pricer: PricerConfig, quick: bool) -> LaneStats {
         p50_us: closed.p50_us,
         p95_us: closed.p95_us,
         p99_us: closed.p99_us,
+        batch_fill: snap.mean_batch_fill(),
+        flushes: snap.total_flushes(),
         peak,
     }
 }
@@ -396,7 +411,7 @@ fn greeks_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
             .collect()
     });
     let wall = t0.elapsed();
-    server.shutdown();
+    let snap = server.shutdown();
     let mut lat_us = Vec::new();
     let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
     for (lat, s, sh, o) in per_client_results {
@@ -434,6 +449,8 @@ fn greeks_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
         p50_us,
         p95_us,
         p99_us,
+        batch_fill: snap.mean_batch_fill(),
+        flushes: snap.total_flushes(),
         peak,
     }
 }
@@ -487,7 +504,7 @@ fn portfolio_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
             .collect()
     });
     let wall = t0.elapsed();
-    server.shutdown();
+    let snap = server.shutdown();
     let mut lat_us = Vec::new();
     let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
     for (lat, s, sh, o) in per_client_results {
@@ -525,6 +542,8 @@ fn portfolio_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
         p50_us,
         p95_us,
         p99_us,
+        batch_fill: snap.mean_batch_fill(),
+        flushes: snap.total_flushes(),
         peak,
     }
 }
@@ -823,6 +842,11 @@ fn assemble_json(
                 ("p50_us".into(), Json::Num(l.p50_us)),
                 ("p95_us".into(), Json::Num(l.p95_us)),
                 ("p99_us".into(), Json::Num(l.p99_us)),
+                ("batch_fill_mean".into(), Json::Num(l.batch_fill)),
+                ("flush_size".into(), Json::Num(l.flushes.size as f64)),
+                ("flush_delay".into(), Json::Num(l.flushes.delay as f64)),
+                ("flush_idle".into(), Json::Num(l.flushes.idle as f64)),
+                ("flush_drain".into(), Json::Num(l.flushes.drain as f64)),
                 ("peak_sustained_hz".into(), Json::Num(l.peak.sustained_hz())),
                 (
                     "peak_last_attempted_hz".into(),

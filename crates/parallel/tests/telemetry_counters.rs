@@ -47,7 +47,7 @@ fn imbalance_attr_lands_on_open_span() {
     let imb = rec
         .attrs
         .iter()
-        .find(|(k, _)| k == "pool_imbalance")
+        .find(|(k, _)| *k == "pool_imbalance")
         .map(|(_, v)| match v {
             telemetry::AttrValue::Float(f) => *f,
             _ => panic!("pool_imbalance must be a float"),

@@ -1,19 +1,105 @@
 //! The dynamic micro-batcher: pure accumulation logic, no threads, no
 //! clocks of its own.
 //!
-//! The dispatcher owns one [`MicroBatcher`] per kernel and feeds it
-//! admitted requests. A batch flushes on whichever trigger fires first:
+//! Each shard worker owns one [`MicroBatcher`] per kernel and feeds it
+//! admitted requests. A batch flushes on whichever trigger fires first
+//! ([`MicroBatcher::trigger`] checks them in this order):
 //!
 //! * **size** — the pending set reaches the target batch size (chosen
-//!   from the planner's predicted rate, see
-//!   [`target_batch`]), or
-//! * **delay** — the oldest pending request has waited `max_delay`.
+//!   from the planner's predicted rate, see [`target_batch`]),
+//! * **delay** — the oldest pending request has waited `max_delay`, or
+//! * **idle** — the worker's admission queue has run dry: nothing more
+//!   can join the batch without waiting for it, so waiting only adds
+//!   latency.
 //!
-//! Every time decision takes `now` as an argument, so the flush logic is
-//! deterministic and the batching property tests can replay arbitrary
-//! interleavings without real sleeps.
+//! Idle makes the worker work-conserving: a lightly loaded lane answers
+//! in the time the work takes, not the time the timer takes. Size and
+//! delay govern the backlogged worker, whose queue never runs dry — size
+//! caps the batch, delay bounds how long a sparse lane waits beside a
+//! busy one. `max_delay` is therefore an upper bound on batching wait,
+//! reached only under backlog.
+//!
+//! Every time decision takes `now` as an argument, and the idle trigger
+//! takes the queue's state as one, so the flush logic is deterministic
+//! and the batching property tests can replay arbitrary interleavings
+//! without real sleeps.
 
 use std::time::{Duration, Instant};
+
+/// Why a micro-batch was flushed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlushReason {
+    /// The pending set reached the target batch size.
+    Size,
+    /// The oldest pending request had waited `max_delay`.
+    Delay,
+    /// The worker's admission queue ran dry.
+    Idle,
+    /// The worker was shutting down and emptied its lanes.
+    Drain,
+}
+
+/// Flushes tallied by [`FlushReason`] — the batching attribution a lane
+/// reports: mostly `idle` means the lane is answering at the system's
+/// latency, mostly `size` that it is saturated, and `delay` that requests
+/// sat out the timer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlushCounts {
+    /// Size-triggered flushes.
+    pub size: u64,
+    /// Delay-triggered flushes.
+    pub delay: u64,
+    /// Idle-triggered flushes.
+    pub idle: u64,
+    /// Shutdown drains.
+    pub drain: u64,
+}
+
+impl FlushCounts {
+    /// Tally one flush.
+    pub fn record(&mut self, reason: FlushReason) {
+        match reason {
+            FlushReason::Size => self.size += 1,
+            FlushReason::Delay => self.delay += 1,
+            FlushReason::Idle => self.idle += 1,
+            FlushReason::Drain => self.drain += 1,
+        }
+    }
+
+    /// All flushes, whatever the reason.
+    pub fn total(&self) -> u64 {
+        self.size + self.delay + self.idle + self.drain
+    }
+}
+
+impl std::ops::AddAssign for FlushCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.size += other.size;
+        self.delay += other.delay;
+        self.idle += other.idle;
+        self.drain += other.drain;
+    }
+}
+
+/// The mix as whole percentages of all flushes, `size/delay/idle/drain`
+/// (`-` before the first flush) — the column the bench tables print.
+impl std::fmt::Display for FlushCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let total = self.total();
+        if total == 0 {
+            return f.write_str("-");
+        }
+        let pct = |n: u64| (n as f64 * 100.0 / total as f64).round();
+        write!(
+            f,
+            "{}/{}/{}/{}",
+            pct(self.size),
+            pct(self.delay),
+            pct(self.idle),
+            pct(self.drain)
+        )
+    }
+}
 
 /// Size/delay policy for one kernel's batcher.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +113,10 @@ pub struct BatchPolicy {
 /// Pick the size trigger from the planner's predicted throughput: the
 /// batch a rung can chew through in one `max_delay` window, clamped to
 /// `[width, cap]` and rounded up to a multiple of the SIMD width (so a
-/// size-triggered flush needs no padding at all).
+/// size-triggered flush needs no padding at all). The window is still
+/// `max_delay` with the idle trigger in place: the size trigger only
+/// matters to a backlogged worker, and a larger batch would hold that
+/// worker's other lanes past the wait `max_delay` promises them.
 pub fn target_batch(predicted_rate: f64, max_delay: Duration, width: usize, cap: usize) -> usize {
     let width = width.max(1);
     let cap = cap.max(width);
@@ -127,12 +216,21 @@ impl<T> MicroBatcher<T> {
         }
     }
 
-    /// When the delay trigger will fire (None when empty) — the
-    /// dispatcher sleeps until the earliest of these across kernels.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.oldest
-            .filter(|_| !self.pending.is_empty())
-            .map(|t0| t0 + self.policy.max_delay)
+    /// Which trigger, if any, fires at `now`: size, then delay, then —
+    /// when the caller reports its admission queue empty (`idle`) —
+    /// idle. `None` on an empty batcher.
+    pub fn trigger(&self, now: Instant, idle: bool) -> Option<FlushReason> {
+        if self.pending.is_empty() {
+            None
+        } else if self.full() {
+            Some(FlushReason::Size)
+        } else if self.due(now) {
+            Some(FlushReason::Delay)
+        } else if idle {
+            Some(FlushReason::Idle)
+        } else {
+            None
+        }
     }
 
     /// Drain everything pending (possibly empty) into `out`, which is
@@ -177,7 +275,10 @@ mod tests {
         let batch = b.offer(req(3), now).unwrap();
         assert_eq!(batch, [1, 2, 3]);
         assert!(b.is_empty());
-        assert_eq!(b.next_deadline(), None);
+        assert!(
+            !b.due(now + Duration::from_secs(10)),
+            "nothing left to be due"
+        );
     }
 
     #[test]
@@ -189,9 +290,62 @@ mod tests {
         b.offer(req(2), t0 + Duration::from_millis(9));
         assert!(!b.due(t0 + Duration::from_millis(9)));
         assert!(b.due(t0 + Duration::from_millis(10)));
-        assert_eq!(b.next_deadline(), Some(t0 + Duration::from_millis(10)));
         assert_eq!(b.flush().len(), 2);
         assert!(!b.due(t0 + Duration::from_secs(1)));
+    }
+
+    #[test]
+    fn triggers_fire_in_size_delay_idle_order() {
+        let mut b = MicroBatcher::new(policy(2, 10));
+        let t0 = Instant::now();
+        let late = t0 + Duration::from_millis(10);
+        // Empty: nothing fires, whatever the clock or the queue say.
+        assert_eq!(b.trigger(late, true), None);
+        b.push(req(1), t0);
+        // One pending, young, queue busy: keep accumulating.
+        assert_eq!(b.trigger(t0, false), None);
+        // The queue ran dry: idle. Past max_delay: delay wins over idle.
+        assert_eq!(b.trigger(t0, true), Some(FlushReason::Idle));
+        assert_eq!(b.trigger(late, true), Some(FlushReason::Delay));
+        assert_eq!(b.trigger(late, false), Some(FlushReason::Delay));
+        // At the target: size wins over both.
+        b.push(req(2), t0);
+        assert_eq!(b.trigger(late, true), Some(FlushReason::Size));
+        b.flush();
+        assert_eq!(b.trigger(late, true), None);
+    }
+
+    #[test]
+    fn flush_counts_tally_by_reason() {
+        let mut counts = FlushCounts::default();
+        for reason in [
+            FlushReason::Idle,
+            FlushReason::Size,
+            FlushReason::Idle,
+            FlushReason::Delay,
+            FlushReason::Drain,
+            FlushReason::Idle,
+        ] {
+            counts.record(reason);
+        }
+        assert_eq!(
+            counts,
+            FlushCounts {
+                size: 1,
+                delay: 1,
+                idle: 3,
+                drain: 1
+            }
+        );
+        assert_eq!(counts.total(), 6);
+        assert_eq!(counts.to_string(), "17/17/50/17");
+        assert_eq!(FlushCounts::default().to_string(), "-");
+        let mut sum = counts;
+        sum += FlushCounts {
+            size: 4,
+            ..FlushCounts::default()
+        };
+        assert_eq!((sum.size, sum.idle, sum.total()), (5, 3, 10));
     }
 
     #[test]
@@ -208,7 +362,6 @@ mod tests {
             assert_eq!(out.len(), 10, "round {round}");
             assert_eq!(out[0], round * 10, "round {round}");
             assert!(b.is_empty());
-            assert_eq!(b.next_deadline(), None);
         }
         // Steady state: neither the pending buffer nor the flush target
         // reallocates once both have grown.

@@ -12,9 +12,12 @@
 //! 1. **Admission** ([`queue`]) — a bounded queue; overflow answers a
 //!    typed [`Rejected::QueueFull`] synchronously. Backpressure is
 //!    explicit, never a silent drop.
-//! 2. **Micro-batching** ([`batcher`]) — per-kernel accumulation with a
-//!    size trigger derived from the planner's predicted throughput and a
-//!    `max_delay` bound on added latency.
+//! 2. **Micro-batching** ([`batcher`]) — per-kernel accumulation with
+//!    three flush triggers: a size trigger derived from the planner's
+//!    predicted throughput, a `max_delay` bound on added latency, and an
+//!    idle trigger that flushes as soon as the admission queue runs dry —
+//!    so a lightly loaded server answers at the system's latency, and the
+//!    timer only ever bounds a backlogged one.
 //! 3. **Pricing** ([`pricer`]) — the most advanced *batch-safe* rung at
 //!    or below the planned one, with batches padded to the SIMD width so
 //!    every request's price is bit-identical to pricing it alone
@@ -74,7 +77,7 @@ pub mod request;
 pub mod server;
 pub mod workload;
 
-pub use batcher::{target_batch, BatchPolicy, MicroBatcher};
+pub use batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 pub use breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 pub use greeks::{greeks_ladder, GreeksRung};
 pub use loadgen::{
@@ -98,3 +101,24 @@ pub use server::{
 pub use workload::{
     GreeksWorkload, LaneCounters, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
 };
+
+/// The fault registry is process-global, so one test's plan would fire
+/// inside every other test's server. Tests that install a plan hold this
+/// lock exclusively; tests that start a server without one hold it shared
+/// — they run alongside each other, never alongside an armed plan.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static FAULTS: RwLock<()> = RwLock::new(());
+
+    /// Exclusive: for tests that arm the fault registry.
+    pub(crate) fn faults_lock() -> RwLockWriteGuard<'static, ()> {
+        FAULTS.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Shared: for fault-free tests that start a server.
+    pub(crate) fn faults_quiet() -> RwLockReadGuard<'static, ()> {
+        FAULTS.read().unwrap_or_else(|e| e.into_inner())
+    }
+}

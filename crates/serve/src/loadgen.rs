@@ -750,6 +750,7 @@ mod tests {
 
     #[test]
     fn closed_loop_serves_every_request_with_ample_capacity() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         let report = run_load(
             &server,
@@ -771,6 +772,7 @@ mod tests {
 
     #[test]
     fn load_reports_carry_per_shard_activity_deltas_not_totals() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             queue_capacity: 1024,
             max_delay: Duration::from_micros(200),
@@ -804,19 +806,23 @@ mod tests {
 
     #[test]
     fn hedged_closed_loop_dedups_to_one_response_per_request() {
-        // A long batching delay holds every response back far past the
-        // hedge delay, so every request hedges — and each logical
-        // request must still appear exactly once in the report.
+        let _quiet = crate::test_support::faults_quiet();
+        // A tree deep enough that pricing one option takes milliseconds:
+        // the work itself outlasts the hedge delay, so every request
+        // hedges — and each logical request must still appear exactly
+        // once in the report.
         let server = Server::start(ServeConfig {
             queue_capacity: 1024,
-            max_delay: Duration::from_millis(40),
-            max_batch: 256,
+            pricer: PricerConfig {
+                binomial_steps: 2048,
+                ..PricerConfig::default()
+            },
             ..ServeConfig::default()
         });
         let before_h = telemetry::counter_value("loadgen.hedges");
         let report = run_load_hedged(
             &server,
-            "black_scholes",
+            "binomial",
             LoadMode::Closed {
                 clients: 2,
                 requests_per_client: 4,
@@ -824,7 +830,7 @@ mod tests {
             21,
             None,
             Some(HedgePolicy {
-                delay: Duration::from_millis(1),
+                delay: Duration::from_micros(100),
             }),
         );
         assert_eq!(report.offered, 8, "{report:?}");
@@ -837,6 +843,7 @@ mod tests {
 
     #[test]
     fn unhedged_and_open_loop_runs_report_zero_hedges() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         let closed = run_load(
             &server,
@@ -932,8 +939,9 @@ mod tests {
 
     #[test]
     fn peak_search_stops_on_first_shedding_step() {
-        // A 1-slot queue with a long batching delay sheds almost
-        // immediately at any real rate, so the search terminates fast.
+        let _quiet = crate::test_support::faults_quiet();
+        // A 1-slot queue sheds as soon as two arrivals land inside one
+        // batch execution, so the search ends there or at `max_steps`.
         let cfg = PeakSearchConfig {
             start_hz: 2_000.0,
             growth: 2.0,
@@ -961,6 +969,7 @@ mod tests {
 
     #[test]
     fn peak_search_with_ample_capacity_sustains_every_step() {
+        let _quiet = crate::test_support::faults_quiet();
         let cfg = PeakSearchConfig {
             start_hz: 100.0,
             growth: 1.5,
@@ -976,6 +985,7 @@ mod tests {
 
     #[test]
     fn open_loop_accounts_for_every_arrival() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         let report = run_load(
             &server,
@@ -1045,6 +1055,7 @@ mod tests {
 
     #[test]
     fn hedged_submission_rejects_ids_carrying_the_reserved_bit() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         let req = PriceRequest::new(HEDGE_BIT | 3, "black_scholes", 20.0, 21.0, 1.0);
         let (mut hedges, mut wins) = (0, 0);
@@ -1110,6 +1121,7 @@ mod tests {
 
     #[test]
     fn rejection_reasons_are_reported_separately() {
+        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         // "nope" fails registry resolution; "rng" is registered but has
         // no batch-safe serving rung.

@@ -5,8 +5,11 @@
 //! *synchronously* (handing the item back) instead of blocking it or
 //! dropping the item — the server turns that into a typed
 //! [`Rejected::QueueFull`](crate::request::Rejected::QueueFull) response.
-//! The consumer side supports timed pops so the dispatcher can wake up
-//! for micro-batch flush deadlines even when no new work arrives.
+//! The consumer side pops with a timeout
+//! ([`pop_timeout`](AdmissionQueue::pop_timeout)) — a worker with batched
+//! work or siblings to steal from has a reason to wake without a push —
+//! or parks until a push or close notifies it
+//! ([`pop_wait`](AdmissionQueue::pop_wait)).
 //!
 //! ## MPMC wakeup discipline
 //!
@@ -98,7 +101,17 @@ impl<T> AdmissionQueue<T> {
     /// timeout elapsed or the queue is closed *and* drained — callers
     /// distinguish the two via [`is_closed`](Self::is_closed).
     pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = Instant::now() + timeout;
+        self.pop_by(Some(Instant::now() + timeout))
+    }
+
+    /// Pop, parking until a push or [`close`](Self::close) wakes the
+    /// caller. `None` means the queue is closed *and* drained.
+    pub fn pop_wait(&self) -> Option<T> {
+        self.pop_by(None)
+    }
+
+    /// Pop, waiting until `deadline` (forever when `None`) for an item.
+    fn pop_by(&self, deadline: Option<Instant>) -> Option<T> {
         let mut st = self.lock_state();
         loop {
             if let Some(item) = st.items.pop_front() {
@@ -113,23 +126,21 @@ impl<T> AdmissionQueue<T> {
             if st.closed {
                 return None;
             }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, res) = self
-                .not_empty
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| {
-                    // Poison from an unrelated panicked thread: take the
-                    // guard back and keep serving.
-                    let (g, r) = e.into_inner();
-                    (g, r)
-                });
-            st = next;
-            if res.timed_out() && st.items.is_empty() {
-                return None;
-            }
+            // Poison from an unrelated panicked thread: take the guard
+            // back and keep serving.
+            st = match deadline {
+                None => self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.not_empty
+                        .wait_timeout(st, deadline - now)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 
@@ -309,6 +320,31 @@ mod tests {
             "consumers only drained via timeout: {:?}",
             t0.elapsed()
         );
+    }
+
+    #[test]
+    fn pop_wait_parks_until_a_push_or_close() {
+        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
+        // The consumer signals right before it parks; whether the push
+        // lands before or after it blocks, it must come back with the item.
+        let park = |q: &Arc<AdmissionQueue<u32>>| {
+            let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+            let q = Arc::clone(q);
+            let consumer = std::thread::spawn(move || {
+                ready_tx.send(()).unwrap();
+                q.pop_wait()
+            });
+            ready_rx.recv().unwrap();
+            consumer
+        };
+        let consumer = park(&q);
+        q.try_push(7).unwrap();
+        assert_eq!(consumer.join().unwrap(), Some(7));
+        // Same for close: a parked consumer wakes with nothing.
+        let consumer = park(&q);
+        q.close();
+        assert_eq!(consumer.join().unwrap(), None);
+        assert_eq!(q.pop_wait(), None, "closed and drained: no wait");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Exporters: human-readable span tree, JSON-lines, and CSV.
 //!
-//! All exporters read the span registry and metric registries; only
-//! [`write_jsonl`] drains the span registry (so a run can be exported
-//! exactly once to a file and the in-memory state reclaimed).
+//! All exporters read the span registry (the newest
+//! [`SPAN_RING_CAPACITY`](crate::SPAN_RING_CAPACITY) finished spans) and
+//! the metric registries; only [`write_jsonl`] drains the span registry
+//! (so a run can be exported exactly once to a file and the in-memory
+//! state reclaimed).
 
 use crate::json::Json;
 use crate::metrics::{counter_snapshot, gauge_snapshot};
@@ -20,7 +22,7 @@ fn attr_json(v: &AttrValue) -> Json {
     match v {
         AttrValue::Int(i) => Json::Num(*i as f64),
         AttrValue::Float(f) => Json::Num(*f),
-        AttrValue::Str(s) => Json::Str(s.clone()),
+        AttrValue::Str(s) => Json::Str(s.to_string()),
     }
 }
 
@@ -29,7 +31,7 @@ pub fn span_to_json(rec: &SpanRecord) -> Json {
     let attrs = Json::Obj(
         rec.attrs
             .iter()
-            .map(|(k, v)| (k.clone(), attr_json(v)))
+            .map(|(k, v)| (k.to_string(), attr_json(v)))
             .collect(),
     );
     Json::Obj(vec![
@@ -122,7 +124,7 @@ fn fmt_attr(v: &AttrValue) -> String {
                 format!("{f:.3}")
             }
         }
-        AttrValue::Str(s) => s.clone(),
+        AttrValue::Str(s) => s.to_string(),
     }
 }
 
@@ -216,9 +218,9 @@ mod tests {
             start_ns: 1000,
             dur_ns: 2_500_000,
             attrs: vec![
-                ("reps".into(), AttrValue::Int(12)),
-                ("median_rate".into(), AttrValue::Float(1.5e8)),
-                ("label".into(), AttrValue::Str("Basic scalar".into())),
+                ("reps", AttrValue::Int(12)),
+                ("median_rate", AttrValue::Float(1.5e8)),
+                ("label", AttrValue::Str("Basic scalar".into())),
             ],
         }
     }

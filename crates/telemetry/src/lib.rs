@@ -10,6 +10,8 @@
 //!   `let _g = telemetry::span("experiment.fig4");` opens a span that
 //!   closes when the guard drops; nesting follows lexical scope per
 //!   thread, and key/value attributes attach to the innermost open span.
+//!   Finished spans land in a ring of [`SPAN_RING_CAPACITY`] records
+//!   (newest win, evictions counted in `telemetry.spans_dropped`).
 //! - **Counters and gauges** ([`counter_add`], [`gauge_set`]): named
 //!   process-wide atomics, safe to bump from worker threads.
 //! - **Histograms** ([`Histogram`]): streaming log-bucketed distribution
@@ -49,5 +51,8 @@ pub use metrics::{
     counter_add, counter_snapshot, counter_value, gauge_set, gauge_snapshot, gauge_value,
     reset_metrics,
 };
-pub use span::{current_name, drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord};
+pub use span::{
+    current_name, drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord,
+    SPAN_RING_CAPACITY,
+};
 pub use stats::{nearest_rank, nearest_rank_unsorted};

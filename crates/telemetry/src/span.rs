@@ -2,15 +2,33 @@
 //!
 //! A [`span`] call pushes an active span onto the calling thread's stack
 //! and returns a guard; dropping the guard pops the span, stamps its
-//! duration, and appends a finished [`SpanRecord`] to the process-wide
+//! duration, and stores a finished [`SpanRecord`] in the process-wide
 //! registry. Nesting follows lexical scope per thread; attributes attach
 //! to the innermost open span of the calling thread via [`set_attr`].
+//!
+//! ## The registry is a bounded ring
+//!
+//! The registry keeps the newest [`SPAN_RING_CAPACITY`] finished spans.
+//! Once full, each new span overwrites the oldest and bumps the
+//! `telemetry.spans_dropped` counter, so a long-lived server that opens
+//! one span per batch holds a fixed amount of span memory however long it
+//! runs. The evicted record's name and attribute buffers go back to the
+//! thread that closed the span and back its next one: with `&'static`
+//! attribute keys and non-allocating values ([`AttrValue::Int`],
+//! [`AttrValue::Float`], a shared [`AttrValue::Str`]), a thread in that
+//! steady state opens, annotates and closes spans without allocating.
 
 use crate::filter::{enabled, Kind};
+use crate::metrics::counter_add;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+/// Most finished spans the registry holds; the newest win. 4 096 records
+/// of the serving plane's per-batch span are about 2 MiB; a native
+/// ladder run over every kernel records about fifty spans.
+pub const SPAN_RING_CAPACITY: usize = 4_096;
 
 /// An attribute value attached to a span.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +37,10 @@ pub enum AttrValue {
     Int(i64),
     /// Double.
     Float(f64),
-    /// String.
-    Str(String),
+    /// String. Shared, so a caller that keeps its own `Arc<str>` (a
+    /// lane's rung slug) attaches it with a reference-count bump instead
+    /// of a copy.
+    Str(Arc<str>),
 }
 
 impl From<i64> for AttrValue {
@@ -50,14 +70,22 @@ impl From<f64> for AttrValue {
 }
 impl From<&str> for AttrValue {
     fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_string())
+        AttrValue::Str(v.into())
     }
 }
 impl From<String> for AttrValue {
     fn from(v: String) -> Self {
+        AttrValue::Str(v.into())
+    }
+}
+impl From<Arc<str>> for AttrValue {
+    fn from(v: Arc<str>) -> Self {
         AttrValue::Str(v)
     }
 }
+
+/// A span's attributes, in insertion order.
+type Attrs = Vec<(&'static str, AttrValue)>;
 
 /// A finished span.
 #[derive(Debug, Clone)]
@@ -75,7 +103,7 @@ pub struct SpanRecord {
     /// Duration in nanoseconds.
     pub dur_ns: u64,
     /// Attributes, in insertion order.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Attrs,
 }
 
 struct ActiveSpan {
@@ -84,15 +112,56 @@ struct ActiveSpan {
     name: String,
     depth: u32,
     start: Instant,
-    attrs: Vec<(String, AttrValue)>,
+    attrs: Attrs,
+}
+
+/// The finished-span registry: a ring of at most [`SPAN_RING_CAPACITY`]
+/// records in completion order, `head` indexing the oldest once full.
+struct Ring {
+    slots: Vec<SpanRecord>,
+    head: usize,
+}
+
+impl Ring {
+    /// Store `rec`; once the ring is full the oldest record is evicted
+    /// and handed back.
+    fn push(&mut self, rec: SpanRecord) -> Option<SpanRecord> {
+        if self.slots.len() < SPAN_RING_CAPACITY {
+            self.slots.push(rec);
+            return None;
+        }
+        let evicted = std::mem::replace(&mut self.slots[self.head], rec);
+        self.head = (self.head + 1) % SPAN_RING_CAPACITY;
+        Some(evicted)
+    }
+
+    /// Empty the ring, returning its records oldest first.
+    fn take(&mut self) -> Vec<SpanRecord> {
+        self.slots.rotate_left(self.head);
+        self.head = 0;
+        std::mem::take(&mut self.slots)
+    }
 }
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
-static REGISTRY: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+static REGISTRY: Mutex<Ring> = Mutex::new(Ring {
+    slots: Vec::new(),
+    head: 0,
+});
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 thread_local! {
     static STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
+    /// Name and attribute buffers of the record this thread's last span
+    /// evicted from the full ring, reused by its next span.
+    static SPARE: RefCell<Option<(String, Attrs)>> = const { RefCell::new(None) };
+}
+
+/// Lock the registry, recovering from poison: `push` and `take` leave the
+/// ring valid at every step, so a panic elsewhere on a thread holding the
+/// lock cannot corrupt it.
+fn registry() -> MutexGuard<'static, Ring> {
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn epoch() -> Instant {
@@ -102,10 +171,14 @@ fn epoch() -> Instant {
 /// Open a span; it closes (and is recorded) when the returned guard drops.
 /// When spans are filtered out the guard is inert and nothing is recorded.
 #[must_use = "the span closes when the guard is dropped"]
-pub fn span(name: impl Into<String>) -> SpanGuard {
+pub fn span(name: impl AsRef<str>) -> SpanGuard {
     if !enabled(Kind::Span) {
         return SpanGuard { active: false };
     }
+    let (mut name_buf, attrs) = SPARE
+        .with(|spare| spare.borrow_mut().take())
+        .unwrap_or_default();
+    name_buf.push_str(name.as_ref());
     let start = Instant::now();
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     STACK.with(|stack| {
@@ -117,10 +190,10 @@ pub fn span(name: impl Into<String>) -> SpanGuard {
         stack.push(ActiveSpan {
             id,
             parent,
-            name: name.into(),
+            name: name_buf,
             depth,
             start,
-            attrs: Vec::new(),
+            attrs,
         });
     });
     SpanGuard { active: true }
@@ -149,23 +222,29 @@ impl Drop for SpanGuard {
             dur_ns: done.duration_since(active.start).as_nanos() as u64,
             attrs: active.attrs,
         };
-        REGISTRY.lock().unwrap().push(record);
+        let evicted = registry().push(record);
+        if let Some(mut old) = evicted {
+            counter_add("telemetry.spans_dropped", 1);
+            old.name.clear();
+            old.attrs.clear();
+            SPARE.with(|spare| *spare.borrow_mut() = Some((old.name, old.attrs)));
+        }
     }
 }
 
 /// Upsert an attribute on the calling thread's innermost open span; a
 /// no-op when no span is open or spans are filtered out.
-pub fn set_attr(key: &str, value: impl Into<AttrValue>) {
+pub fn set_attr(key: &'static str, value: impl Into<AttrValue>) {
     if !enabled(Kind::Span) {
         return;
     }
     let value = value.into();
     STACK.with(|stack| {
         if let Some(top) = stack.borrow_mut().last_mut() {
-            if let Some(slot) = top.attrs.iter_mut().find(|(k, _)| k == key) {
+            if let Some(slot) = top.attrs.iter_mut().find(|(k, _)| *k == key) {
                 slot.1 = value;
             } else {
-                top.attrs.push((key.to_string(), value));
+                top.attrs.push((key, value));
             }
         }
     });
@@ -176,15 +255,18 @@ pub fn current_name() -> Option<String> {
     STACK.with(|stack| stack.borrow().last().map(|s| s.name.clone()))
 }
 
-/// Snapshot all finished spans (completion order: children precede their
-/// parent).
+/// Snapshot the finished spans the registry still holds (completion
+/// order: children precede their parent).
 pub fn snapshot() -> Vec<SpanRecord> {
-    REGISTRY.lock().unwrap().clone()
+    let ring = registry();
+    let (newer, older) = ring.slots.split_at(ring.head);
+    older.iter().chain(newer).cloned().collect()
 }
 
-/// Drain all finished spans, leaving the registry empty.
+/// Drain the finished spans the registry still holds (completion order),
+/// leaving it empty.
 pub fn drain() -> Vec<SpanRecord> {
-    std::mem::take(&mut *REGISTRY.lock().unwrap())
+    registry().take()
 }
 
 #[cfg(test)]
@@ -218,10 +300,10 @@ mod tests {
         let (inner, outer) = (&recs[inner_pos], &recs[outer_pos]);
         assert_eq!(inner.parent, outer.id);
         assert_eq!(inner.depth, outer.depth + 1);
-        assert_eq!(inner.attrs, vec![("x".to_string(), AttrValue::Float(2.5))]);
+        assert_eq!(inner.attrs, vec![("x", AttrValue::Float(2.5))]);
         assert_eq!(
-            outer.attrs.iter().find(|(k, _)| k == "k"),
-            Some(&("k".to_string(), AttrValue::Int(7)))
+            outer.attrs.iter().find(|(k, _)| *k == "k"),
+            Some(&("k", AttrValue::Int(7)))
         );
     }
 

@@ -2,10 +2,19 @@
 //! attachment, and the JSON-lines round trip via the built-in parser.
 
 use finbench_telemetry as telemetry;
+use std::sync::{Mutex, MutexGuard};
 use telemetry::json;
+
+/// The span registry is process-global and one of these tests drains it;
+/// each holds this lock from its first span to its last registry read.
+fn registry_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 #[test]
 fn spans_nest_export_and_round_trip() {
+    let _registry = registry_lock();
     telemetry::set_filter("all");
 
     {
@@ -77,6 +86,7 @@ fn spans_nest_export_and_round_trip() {
 
 #[test]
 fn write_jsonl_drains_registry_to_file() {
+    let _registry = registry_lock();
     telemetry::set_filter("all");
     {
         let _s = telemetry::span("it.file_span");

@@ -8,21 +8,27 @@
 //! Two layers:
 //!
 //! * a *pure* replay of the [`MicroBatcher`] flush logic with synthetic
-//!   clocks (every servable rung, arbitrary size/delay interleavings),
+//!   clocks and a synthetic queue (every servable rung, arbitrary
+//!   size/delay/idle interleavings),
 //! * an end-to-end pass through the threaded [`Server`] with real
-//!   queueing and scatter-back — over a random shard count, so router
-//!   placement, cross-shard spills, and work stealing are all exercised
-//!   under the same bit-identity contract.
+//!   queueing and scatter-back — over a random shard count and a random
+//!   client pacing (bursts that batch up, waits that leave the queue dry
+//!   so the idle trigger flushes near-empty batches), so router
+//!   placement, cross-shard spills, work stealing and every flush
+//!   trigger are exercised under the same bit-identity contract, for
+//!   prices, greeks and portfolio chunks alike.
 
 use finbench::core::engine::registry;
 use finbench::core::greeks::{greeks_batch_simd, price_and_greeks_into, GreeksBatchSoa};
+use finbench::core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig};
 use finbench::core::OptionBatchSoa;
 use finbench::engine::Engine;
 use finbench::faults::{FaultKind, FaultPlan, FaultSpec, PlanGuard};
-use finbench::serve::batcher::{BatchPolicy, MicroBatcher};
+use finbench::serve::batcher::{BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 use finbench::serve::pricer::{self, padded_batch_into, PricerConfig};
 use finbench::serve::{
-    greeks_ladder, GreeksRequest, LoadMode, PriceRequest, Scratch, ServeConfig, Server,
+    greeks_ladder, GreeksRequest, LoadMode, PortfolioRequest, PriceRequest, Scratch, ServeConfig,
+    ServeSnapshot, Server,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -68,39 +74,88 @@ fn servable_rungs() -> Vec<pricer::ServingRung> {
     out
 }
 
+/// One option contract: `(spot, strike, expiry)`.
+type Contract = (f64, f64, f64);
+
 /// Replay `opts` through a [`MicroBatcher`] under an arbitrary
 /// interleaving: `gaps[i]` is the synthetic time step before request `i`
-/// arrives, so both the size trigger and the delay trigger fire at
-/// data-dependent points. Returns the flushed batches in dispatch order.
+/// arrives and `dry[i] == 0` says the synthetic admission queue is empty
+/// once request `i` is admitted, so the size, delay and idle triggers all
+/// fire at data-dependent points. Returns the flushed batches in dispatch
+/// order and the tally of what flushed them.
 fn replay_batches(
-    opts: &[(f64, f64, f64)],
+    opts: &[Contract],
     gaps: &[u32],
+    dry: &[u32],
     max_batch: usize,
     max_delay_us: u64,
-) -> Vec<Vec<(f64, f64, f64)>> {
-    let mut batcher: MicroBatcher<(f64, f64, f64)> = MicroBatcher::new(BatchPolicy {
+) -> (Vec<Vec<Contract>>, FlushCounts) {
+    let mut batcher: MicroBatcher<Contract> = MicroBatcher::new(BatchPolicy {
         max_batch,
         max_delay: Duration::from_micros(max_delay_us),
     });
     let t0 = Instant::now();
     let mut now = t0;
     let mut batches = Vec::new();
+    let mut counts = FlushCounts::default();
     for (i, &opt) in opts.iter().enumerate() {
         now += Duration::from_micros(u64::from(gaps[i % gaps.len()]));
-        // The dispatcher checks the delay trigger before admitting new
-        // work, exactly like the server loop.
-        if batcher.due(now) {
+        // A lane that sat out `max_delay` while the (busy) worker was
+        // elsewhere flushes before the new arrival joins it.
+        if let Some(reason) = batcher.trigger(now, false) {
+            counts.record(reason);
             batches.push(batcher.flush());
         }
-        if let Some(full) = batcher.offer(opt, now) {
-            batches.push(full);
+        batcher.push(opt, now);
+        // Size fires at admission; idle once the queue has run dry.
+        if let Some(reason) = batcher.trigger(now, dry[i % dry.len()] == 0) {
+            counts.record(reason);
+            batches.push(batcher.flush());
         }
     }
     let tail = batcher.flush();
     if !tail.is_empty() {
+        counts.record(FlushReason::Drain);
         batches.push(tail);
     }
-    batches
+    (batches, counts)
+}
+
+/// Submit-side pacing for the threaded tests: with `pace > 0` the client
+/// waits for everything outstanding after every `pace`-th submit, so the
+/// workers' queues run dry mid-stream and near-empty batches flush on the
+/// idle trigger; `pace == 0` is one uninterrupted burst. Returns every
+/// response.
+fn drive_paced<R>(
+    n: usize,
+    pace: usize,
+    rx: &std::sync::mpsc::Receiver<R>,
+    mut submit: impl FnMut(usize),
+) -> Vec<R> {
+    let mut responses = Vec::with_capacity(n);
+    for i in 0..n {
+        submit(i);
+        if pace > 0 && (i + 1) % pace == 0 {
+            while responses.len() <= i {
+                responses.push(
+                    rx.recv_timeout(Duration::from_secs(30))
+                        .expect("one response per request"),
+                );
+            }
+        }
+    }
+    while responses.len() < n {
+        responses.push(
+            rx.recv_timeout(Duration::from_secs(30))
+                .expect("one response per request"),
+        );
+    }
+    responses
+}
+
+/// Every dispatched batch is attributed to exactly one flush trigger.
+fn flushes_account_for_every_batch(snap: &ServeSnapshot) -> bool {
+    snap.kernels.iter().all(|k| k.flushes.total() == k.batches)
 }
 
 proptest! {
@@ -110,11 +165,13 @@ proptest! {
     fn any_interleaving_prices_bit_identical_to_solo(
         opts in vec(contract(), 1..40usize),
         gaps in vec(0u32..200, 8usize),
+        dry in vec(0u32..3, 8usize),
         max_batch in 1usize..17,
         max_delay_us in 1u64..150,
     ) {
         for rung in servable_rungs() {
-            let batches = replay_batches(&opts, &gaps, max_batch, max_delay_us);
+            let (batches, counts) = replay_batches(&opts, &gaps, &dry, max_batch, max_delay_us);
+            prop_assert_eq!(counts.total(), batches.len() as u64);
             // Every request dispatched exactly once, order preserved
             // within the stream.
             let replayed: Vec<(f64, f64, f64)> =
@@ -150,6 +207,7 @@ proptest! {
         opts in vec(contract(), 1..60usize),
         kernel_picks in vec(0usize..2, 1..60usize),
         shards in 1usize..5,
+        pace in 0usize..5,
     ) {
         let cfg = pricer_config();
         let engine = Engine::new(registry());
@@ -168,18 +226,24 @@ proptest! {
             ..ServeConfig::default()
         });
         let (tx, rx) = std::sync::mpsc::channel();
-        for (i, &(s, x, t)) in opts.iter().enumerate() {
+        let mut responses = drive_paced(opts.len(), pace, &rx, |i| {
+            let (s, x, t) = opts[i];
             let which = kernel_picks[i % kernel_picks.len()];
             server.submit_with(
                 PriceRequest::new(i as u64, kernels[which], s, x, t),
                 &tx,
             );
-        }
-        drop(tx);
-        let mut responses: Vec<_> = rx.iter().collect();
+        });
         let snap = server.shutdown();
         prop_assert_eq!(snap.total_shed(), 0);
-        prop_assert_eq!(responses.len(), opts.len());
+        prop_assert!(flushes_account_for_every_batch(&snap), "{:?}", snap.kernels);
+        if pace == 1 && shards == 1 {
+            // One request in flight at a time on one worker: every batch
+            // is a lone request the idle trigger flushed.
+            for k in &snap.kernels {
+                prop_assert_eq!(k.flushes.idle, k.served, "{:?}", k);
+            }
+        }
         // The merged snapshot accounts for every request exactly once
         // across the shard set, however the router placed them.
         prop_assert_eq!(snap.shards.len(), shards);
@@ -218,6 +282,7 @@ proptest! {
     fn greeks_through_the_server_match_the_solo_oracle_bit_for_bit(
         opts in vec(contract(), 1..60usize),
         shards in 1usize..4,
+        pace in 0usize..5,
     ) {
         let cfg = pricer_config();
         let oracles: std::collections::BTreeMap<String, _> = greeks_ladder(cfg.market)
@@ -234,14 +299,13 @@ proptest! {
             ..ServeConfig::default()
         });
         let (tx, rx) = std::sync::mpsc::channel();
-        for (i, &(s, x, t)) in opts.iter().enumerate() {
+        let mut responses = drive_paced(opts.len(), pace, &rx, |i| {
+            let (s, x, t) = opts[i];
             server.submit_greeks_with(GreeksRequest::new(i as u64, s, x, t), &tx);
-        }
-        drop(tx);
-        let mut responses: Vec<_> = rx.iter().collect();
+        });
         let snap = server.shutdown();
         prop_assert_eq!(snap.total_shed(), 0);
-        prop_assert_eq!(responses.len(), opts.len());
+        prop_assert!(flushes_account_for_every_batch(&snap), "{:?}", snap.kernels);
         responses.sort_by_key(|r| r.id);
         for resp in responses {
             let i = resp.id as usize;
@@ -265,6 +329,61 @@ proptest! {
                     got.to_bits(), want.to_bits(),
                     "{} diverges for request {} on {} (batch of {})",
                     name, i, &out.rung, out.batch_len
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // And for the portfolio plane: one request fans scenario chunks over
+    // the shards, chunks ride whatever micro-batches the flush triggers
+    // cut (a paced client leaves lone chunks to the idle trigger, a burst
+    // of requests fills batches), and the merged P&L must equal the
+    // native single-threaded sweep bit for bit.
+    #[test]
+    fn portfolio_chunks_through_the_server_match_the_native_sweep_bit_for_bit(
+        books in vec((1usize..20, 8usize..72, 1usize..24, 0u64..1_000), 1..4usize),
+        shards in 1usize..4,
+        pace in 0usize..2,
+    ) {
+        let cfg = pricer_config();
+        let server = Server::start(ServeConfig {
+            queue_capacity: 256,
+            max_delay: Duration::from_micros(100),
+            max_batch: 8,
+            shards,
+            pricer: cfg,
+            ..ServeConfig::default()
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut responses = drive_paced(books.len(), pace, &rx, |i| {
+            let (positions, scenarios, chunk, seed) = books[i];
+            server.submit_portfolio_with(
+                PortfolioRequest::new(i as u64, seed, positions, scenarios).with_chunk(chunk),
+                &tx,
+            );
+        });
+        let snap = server.shutdown();
+        prop_assert_eq!(snap.total_shed(), 0);
+        prop_assert!(flushes_account_for_every_batch(&snap), "{:?}", snap.kernels);
+        responses.sort_by_key(|r| r.id);
+        for resp in responses {
+            let (positions, scenarios, chunk, seed) = books[resp.id as usize];
+            let out = resp.outcome.expect("nothing rejected");
+            prop_assert_eq!(out.chunks, scenarios.div_ceil(chunk.min(scenarios)));
+            let book = Book::random(positions, seed);
+            let grid = ScenarioConfig::standard(scenarios, seed).grid();
+            let mut want = Vec::new();
+            revalue_into::<1>(&book, cfg.market, &grid, &mut RevalScratch::new(), &mut want);
+            prop_assert_eq!(out.pnl.len(), want.len());
+            for (j, (got, native)) in out.pnl.iter().zip(&want).enumerate() {
+                prop_assert_eq!(
+                    got.to_bits(), native.to_bits(),
+                    "request {} scenario {} ({} chunks on {:?})",
+                    resp.id, j, out.chunks, &out.rungs
                 );
             }
         }
