@@ -30,6 +30,26 @@ echo "==> engine registry consistency"
 cargo test -q -p finbench --test engine_plane
 cargo test -q -p finbench-core --lib engine::
 
+echo "==> ISA dispatch (tiers bit-identical to portable; dispatch actually on)"
+cargo test -q -p finbench --test isa_identity
+# A host that advertises AVX2+FMA must not be running the portable
+# instantiation: that is the dispatch silently switched off, and every
+# rate below would be an SSE2 rate.
+isa_line=$(cargo run --release -q -p finbench-harness --bin finbench -- list 2>&1 >/dev/null | grep '^isa:' || true)
+echo "--> ${isa_line:-no isa: line}"
+if [ -z "$isa_line" ]; then
+  echo "finbench list printed no isa: line" >&2
+  exit 1
+fi
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
+  case "$isa_line" in
+    "isa: portable"*)
+      echo "/proc/cpuinfo advertises avx2+fma but the binary reports '$isa_line'" >&2
+      exit 1
+      ;;
+  esac
+fi
+
 echo "==> serve-bench smoke gate (zero shed + shard scaling)"
 serve_out=$(cargo run --release -q -p finbench-harness --bin finbench -- serve-bench --quick)
 echo "$serve_out" | tail -3
@@ -136,6 +156,19 @@ bench_tmp=$(mktemp -t finbench_bench_XXXXXX.json)
 trap 'rm -f "$bench_tmp"' EXIT
 bench_out=$(cargo run --release -q -p finbench-harness --bin finbench -- bench-report --quick --out "$bench_tmp")
 echo "$bench_out"
+
+# Advisory, never fatal: rungs labelled SIMD that do not beat their scalar
+# sibling by 1.5x under the active tier — ROADMAP item 3's "earns its name
+# or leaves the ladder" list.
+weak_simd=$(echo "$bench_out" | awk '/^ *simd-ratio / {
+  split($5, a, "="); if (a[2] + 0 < 1.5) print "    " $2 "." $3 " = " a[2] "x of " substr($4, 9)
+}')
+if [ -n "$weak_simd" ]; then
+  echo "--> advisory: SIMD-labelled rungs under 1.5x their scalar sibling (active tier):"
+  echo "$weak_simd"
+else
+  echo "--> every SIMD-labelled rung is >= 1.5x its scalar sibling"
+fi
 
 echo "==> zero-alloc gate (steady-state serve batch paths)"
 # Every pooled (steady-state serve) alloc lane must report exactly zero

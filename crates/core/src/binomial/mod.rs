@@ -27,8 +27,8 @@ pub mod simd;
 pub mod tiled;
 pub mod trinomial;
 
-use crate::workload::MarketParams;
-use finbench_simd::F64v;
+use crate::workload::{MarketParams, OptionBatchSoa};
+use finbench_simd::{isa_fn, F64v};
 
 /// Precomputed Cox-Ross-Rubinstein lattice parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,6 +73,7 @@ impl CrrParams {
 ///
 /// `u^j d^(n−j) = e^((2j−n)σ√Δt)` is built incrementally by repeated
 /// multiplication with `u² = u/d`.
+#[inline(always)]
 pub fn fill_leaves(out: &mut [f64], s: f64, x: f64, n: usize, crr: &CrrParams, is_call: bool) {
     assert_eq!(out.len(), n + 1, "leaf buffer must hold n+1 nodes");
     let mut price = s * crr.d.powi(n as i32);
@@ -89,6 +90,7 @@ pub fn fill_leaves(out: &mut [f64], s: f64, x: f64, n: usize, crr: &CrrParams, i
 
 /// Vector-of-options leaf fill: lane `l` of `out[j]` gets the leaf payoff
 /// of option `l`.
+#[inline(always)]
 pub fn fill_leaves_simd<const W: usize>(
     out: &mut [F64v<W>],
     s: &[f64],
@@ -109,6 +111,55 @@ pub fn fill_leaves_simd<const W: usize>(
             (xv - price).max(F64v::zero())
         };
         price *= u2;
+    }
+}
+
+/// An in-place lattice reduction over a vector-of-options leaf array:
+/// `(call, n, pu_by_df, pd_by_df) → root`, lane `l` = option `l`.
+type ReduceFn<const W: usize> = fn(&mut [F64v<W>], usize, f64, f64) -> F64v<W>;
+
+isa_fn! {
+    /// Price a full batch `W` options per pass with the given lattice
+    /// reduction — the one driver behind [`simd::price_batch_simd`] and
+    /// [`tiled::price_batch_tiled`]. All options share the expiry grid (`t`
+    /// is read per group from the first lane; the workload generators for
+    /// the binomial experiments use a uniform expiry, matching the paper's
+    /// fixed 1024/2048-step setup). The scalar reference handles any ragged
+    /// tail. `reduce` dispatches itself, so it is an ordinary call here.
+    fn price_batch_groups<const W: usize>(
+        batch: &mut OptionBatchSoa,
+        market: MarketParams,
+        n: usize,
+        is_call: bool,
+        reduce: ReduceFn<W>,
+    ) {
+        let total = batch.len();
+        let main = total - total % W;
+        let mut call: Vec<F64v<W>> = vec![F64v::zero(); n + 1];
+
+        let mut g = 0;
+        while g < main {
+            let crr = CrrParams::new(market, batch.t[g], n);
+            fill_leaves_simd(&mut call, &batch.s[g..], &batch.x[g..], n, &crr, is_call);
+            let root = reduce(&mut call, n, crr.pu_by_df, crr.pd_by_df);
+            let out = if is_call {
+                &mut batch.call
+            } else {
+                &mut batch.put
+            };
+            root.store(out, g);
+            g += W;
+        }
+        for i in main..total {
+            let price = reference::price_european(
+                batch.s[i], batch.x[i], batch.t[i], market, n, is_call,
+            );
+            if is_call {
+                batch.call[i] = price;
+            } else {
+                batch.put[i] = price;
+            }
+        }
     }
 }
 

@@ -6,12 +6,16 @@
 //! same three-flop recurrence, now on full vectors with no `Call[j+1]`
 //! misalignment and no ragged loop tail.
 
-use super::{fill_leaves_simd, CrrParams};
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::F64v;
 
 /// Reduce a vector-of-options leaf array in place; lane `l` of the result
 /// is the root value of option `l`.
+///
+/// Deliberately not ISA-dispatched: this plain recurrence is the oracle the
+/// tiled reductions are tested against, and it streams the whole lattice
+/// through memory every step, so wider ALUs buy nothing (measured on an
+/// AVX-512 host: AVX2 instantiation −29 %, AVX-512 ±0).
 pub fn reduce_simd<const W: usize>(
     call: &mut [F64v<W>],
     n: usize,
@@ -27,44 +31,15 @@ pub fn reduce_simd<const W: usize>(
     call[0]
 }
 
-/// Price a full batch, `W` options per pass. All options share the expiry
-/// grid (`t` is read per group from the first lane; the workload
-/// generators for the binomial experiments use a uniform expiry, matching
-/// the paper's fixed 1024/2048-step setup). The scalar reference handles
-/// any ragged tail.
+/// Price a full batch, `W` options per pass, with the plain recurrence
+/// (see [`super::price_batch_groups`] for the shared driver's contract).
 pub fn price_batch_simd<const W: usize>(
     batch: &mut OptionBatchSoa,
     market: MarketParams,
     n: usize,
     is_call: bool,
 ) {
-    let total = batch.len();
-    let main = total - total % W;
-    let mut call: Vec<F64v<W>> = vec![F64v::zero(); n + 1];
-
-    let mut g = 0;
-    while g < main {
-        let crr = CrrParams::new(market, batch.t[g], n);
-        fill_leaves_simd(&mut call, &batch.s[g..], &batch.x[g..], n, &crr, is_call);
-        let root = reduce_simd(&mut call, n, crr.pu_by_df, crr.pd_by_df);
-        let out = if is_call {
-            &mut batch.call
-        } else {
-            &mut batch.put
-        };
-        root.store(out, g);
-        g += W;
-    }
-    for i in main..total {
-        let price = super::reference::price_european(
-            batch.s[i], batch.x[i], batch.t[i], market, n, is_call,
-        );
-        if is_call {
-            batch.call[i] = price;
-        } else {
-            batch.put[i] = price;
-        }
-    }
+    super::price_batch_groups::<W>(batch, market, n, is_call, reduce_simd::<W>);
 }
 
 #[cfg(test)]

@@ -18,104 +18,107 @@
 //! as in Lis. 2 and the tiled result is **bit-identical** to the
 //! reference (asserted in tests).
 
-use super::{fill_leaves_simd, CrrParams};
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
-/// Tiled in-place reduction of a vector-of-options leaf array.
-///
-/// `TS` is the tile depth (the paper tunes it to the register file; 4–16
-/// are sensible for 16–32 architectural vector registers).
-pub fn reduce_tiled<const W: usize, const TS: usize>(
-    call: &mut [F64v<W>],
-    n: usize,
-    pu_by_df: f64,
-    pd_by_df: f64,
-) -> F64v<W> {
-    assert!(call.len() > n, "call buffer must hold n+1 nodes");
-    assert!(TS >= 1, "tile depth must be at least 1");
-    let pu = pu_by_df;
-    let pd = pd_by_df;
+isa_fn! {
+    /// Tiled in-place reduction of a vector-of-options leaf array.
+    ///
+    /// `TS` is the tile depth (the paper tunes it to the register file; 4–16
+    /// are sensible for 16–32 architectural vector registers).
+    pub fn reduce_tiled<const W: usize, const TS: usize>(
+        call: &mut [F64v<W>],
+        n: usize,
+        pu_by_df: f64,
+        pd_by_df: f64,
+    ) -> F64v<W> {
+        assert!(call.len() > n, "call buffer must hold n+1 nodes");
+        assert!(TS >= 1, "tile depth must be at least 1");
+        let pu = pu_by_df;
+        let pd = pd_by_df;
 
-    let mut m = n;
-    while m >= TS {
-        // Lower-triangular prologue: seed the wavefront from Call[0..TS].
-        let mut tile = [F64v::<W>::zero(); TS];
-        tile[TS - 1] = call[0];
-        for i in 1..TS {
-            let mut m1 = call[i];
-            for j in ((TS - i)..TS).rev() {
-                let m2 = m1 * pu + tile[j] * pd;
-                tile[j] = m1;
-                m1 = m2;
+        let mut m = n;
+        while m >= TS {
+            // Lower-triangular prologue: seed the wavefront from Call[0..TS].
+            let mut tile = [F64v::<W>::zero(); TS];
+            tile[TS - 1] = call[0];
+            for i in 1..TS {
+                let mut m1 = call[i];
+                for j in ((TS - i)..TS).rev() {
+                    let m2 = m1 * pu + tile[j] * pd;
+                    tile[j] = m1;
+                    m1 = m2;
+                }
+                tile[TS - 1 - i] = m1;
             }
-            tile[TS - 1 - i] = m1;
-        }
-        // Trapezoidal steady state (the paper's Lis. 3 inner loops).
-        for i in TS..=m {
-            let mut m1 = call[i];
-            for j in (0..TS).rev() {
-                let m2 = m1 * pu + tile[j] * pd;
-                tile[j] = m1;
-                m1 = m2;
+            // Trapezoidal steady state (the paper's Lis. 3 inner loops).
+            for i in TS..=m {
+                let mut m1 = call[i];
+                for j in (0..TS).rev() {
+                    let m2 = m1 * pu + tile[j] * pd;
+                    tile[j] = m1;
+                    m1 = m2;
+                }
+                call[i - TS] = m1;
             }
-            call[i - TS] = m1;
+            m -= TS;
         }
-        m -= TS;
-    }
-    // Remainder (< TS steps) with the plain recurrence.
-    for i in (1..=m).rev() {
-        for j in 0..i {
-            call[j] = call[j + 1] * pu + call[j] * pd;
+        // Remainder (< TS steps) with the plain recurrence.
+        for i in (1..=m).rev() {
+            for j in 0..i {
+                call[j] = call[j + 1] * pu + call[j] * pd;
+            }
         }
+        call[0]
     }
-    call[0]
 }
 
-/// FMA flavour of the tiled reduction: `m1.mul_add(pu, tile[j] * pd)`.
-/// Not bit-identical to the reference (the fused multiply skips one
-/// rounding), but one instruction shorter per node — the machine model
-/// charges KNC's FMA units through this variant.
-pub fn reduce_tiled_fma<const W: usize, const TS: usize>(
-    call: &mut [F64v<W>],
-    n: usize,
-    pu_by_df: f64,
-    pd_by_df: f64,
-) -> F64v<W> {
-    assert!(call.len() > n, "call buffer must hold n+1 nodes");
-    let pu = F64v::<W>::splat(pu_by_df);
-    let pd = F64v::<W>::splat(pd_by_df);
+isa_fn! {
+    /// FMA flavour of the tiled reduction: `m1.mul_add(pu, tile[j] * pd)`.
+    /// Not bit-identical to the reference (the fused multiply skips one
+    /// rounding), but one instruction shorter per node — the machine model
+    /// charges KNC's FMA units through this variant.
+    pub fn reduce_tiled_fma<const W: usize, const TS: usize>(
+        call: &mut [F64v<W>],
+        n: usize,
+        pu_by_df: f64,
+        pd_by_df: f64,
+    ) -> F64v<W> {
+        assert!(call.len() > n, "call buffer must hold n+1 nodes");
+        let pu = F64v::<W>::splat(pu_by_df);
+        let pd = F64v::<W>::splat(pd_by_df);
 
-    let mut m = n;
-    while m >= TS {
-        let mut tile = [F64v::<W>::zero(); TS];
-        tile[TS - 1] = call[0];
-        for i in 1..TS {
-            let mut m1 = call[i];
-            for j in ((TS - i)..TS).rev() {
-                let m2 = m1.mul_add(pu, tile[j] * pd);
-                tile[j] = m1;
-                m1 = m2;
+        let mut m = n;
+        while m >= TS {
+            let mut tile = [F64v::<W>::zero(); TS];
+            tile[TS - 1] = call[0];
+            for i in 1..TS {
+                let mut m1 = call[i];
+                for j in ((TS - i)..TS).rev() {
+                    let m2 = m1.mul_add(pu, tile[j] * pd);
+                    tile[j] = m1;
+                    m1 = m2;
+                }
+                tile[TS - 1 - i] = m1;
             }
-            tile[TS - 1 - i] = m1;
-        }
-        for i in TS..=m {
-            let mut m1 = call[i];
-            for j in (0..TS).rev() {
-                let m2 = m1.mul_add(pu, tile[j] * pd);
-                tile[j] = m1;
-                m1 = m2;
+            for i in TS..=m {
+                let mut m1 = call[i];
+                for j in (0..TS).rev() {
+                    let m2 = m1.mul_add(pu, tile[j] * pd);
+                    tile[j] = m1;
+                    m1 = m2;
+                }
+                call[i - TS] = m1;
             }
-            call[i - TS] = m1;
+            m -= TS;
         }
-        m -= TS;
-    }
-    for i in (1..=m).rev() {
-        for j in 0..i {
-            call[j] = call[j + 1].mul_add(pu, call[j] * pd);
+        for i in (1..=m).rev() {
+            for j in 0..i {
+                call[j] = call[j + 1].mul_add(pu, call[j] * pd);
+            }
         }
+        call[0]
     }
-    call[0]
 }
 
 /// Batch driver for the tiled kernel (same grouping contract as
@@ -126,33 +129,7 @@ pub fn price_batch_tiled<const W: usize, const TS: usize>(
     n: usize,
     is_call: bool,
 ) {
-    let total = batch.len();
-    let main = total - total % W;
-    let mut call: Vec<F64v<W>> = vec![F64v::zero(); n + 1];
-
-    let mut g = 0;
-    while g < main {
-        let crr = CrrParams::new(market, batch.t[g], n);
-        fill_leaves_simd(&mut call, &batch.s[g..], &batch.x[g..], n, &crr, is_call);
-        let root = reduce_tiled::<W, TS>(&mut call, n, crr.pu_by_df, crr.pd_by_df);
-        let out = if is_call {
-            &mut batch.call
-        } else {
-            &mut batch.put
-        };
-        root.store(out, g);
-        g += W;
-    }
-    for i in main..total {
-        let price = super::reference::price_european(
-            batch.s[i], batch.x[i], batch.t[i], market, n, is_call,
-        );
-        if is_call {
-            batch.call[i] = price;
-        } else {
-            batch.put[i] = price;
-        }
-    }
+    super::price_batch_groups::<W>(batch, market, n, is_call, reduce_tiled::<W, TS>);
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@ use super::price_single;
 use crate::workload::{MarketParams, OptionBatchAos};
 use finbench_math::Real;
 use finbench_simd::math::vnorm_cdf;
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
 /// Scalar AOS reference (the paper's Lis. 1): one record at a time,
 /// four `cnd` calls per option.
@@ -19,53 +19,55 @@ pub fn price_aos<R: Real>(batch: &mut OptionBatchAos, market: MarketParams) {
     }
 }
 
-/// SIMD directly on the AOS layout: every field access is a stride-5
-/// gather/scatter touching up to `W` cache lines — the paper's explanation
-/// for why the KNC reference is 3x *slower* than SNB-EP until the data is
-/// transposed ("more than 10x increase in the number of instructions").
-pub fn price_aos_simd_gather<const W: usize>(batch: &mut OptionBatchAos, market: MarketParams) {
-    let n = batch.opts.len();
-    let main = n - n % W;
-    let stride =
-        core::mem::size_of::<crate::workload::OptionRecord>() / core::mem::size_of::<f64>();
+isa_fn! {
+    /// SIMD directly on the AOS layout: every field access is a stride-5
+    /// gather/scatter touching up to `W` cache lines — the paper's explanation
+    /// for why the KNC reference is 3x *slower* than SNB-EP until the data is
+    /// transposed ("more than 10x increase in the number of instructions").
+    pub fn price_aos_simd_gather<const W: usize>(batch: &mut OptionBatchAos, market: MarketParams) {
+        let n = batch.opts.len();
+        let main = n - n % W;
+        let stride =
+            core::mem::size_of::<crate::workload::OptionRecord>() / core::mem::size_of::<f64>();
 
-    // View the record array as a flat f64 buffer (layout asserted below).
-    debug_assert_eq!(stride, 5);
-    let flat: &mut [f64] = unsafe {
-        // SAFETY: OptionRecord is 5 contiguous f64 fields with no padding
-        // (size checked in workload tests) and f64 has no invalid bit
-        // patterns.
-        core::slice::from_raw_parts_mut(batch.opts.as_mut_ptr() as *mut f64, n * stride)
-    };
+        // View the record array as a flat f64 buffer (layout asserted below).
+        debug_assert_eq!(stride, 5);
+        let flat: &mut [f64] = unsafe {
+            // SAFETY: OptionRecord is 5 contiguous f64 fields with no padding
+            // (size checked in workload tests) and f64 has no invalid bit
+            // patterns.
+            core::slice::from_raw_parts_mut(batch.opts.as_mut_ptr() as *mut f64, n * stride)
+        };
 
-    let r = market.r;
-    let sig = market.sigma;
-    let sig22 = sig * sig * 0.5;
+        let r = market.r;
+        let sig = market.sigma;
+        let sig22 = sig * sig * 0.5;
 
-    let mut i = 0;
-    while i < main {
-        let base = i * stride;
-        let s = F64v::<W>::gather_strided(flat, base, stride);
-        let x = F64v::<W>::gather_strided(flat, base + 1, stride);
-        let t = F64v::<W>::gather_strided(flat, base + 2, stride);
+        let mut i = 0;
+        while i < main {
+            let base = i * stride;
+            let s = F64v::<W>::gather_strided(flat, base, stride);
+            let x = F64v::<W>::gather_strided(flat, base + 1, stride);
+            let t = F64v::<W>::gather_strided(flat, base + 2, stride);
 
-        let qlog = finbench_simd::math::vln(s / x);
-        let denom = 1.0 / (t.sqrt() * sig);
-        let d1 = (qlog + t * (r + sig22)) * denom;
-        let d2 = (qlog + t * (r - sig22)) * denom;
-        let xexp = x * finbench_simd::math::vexp(-(t * r));
-        let call = s * vnorm_cdf(d1) - xexp * vnorm_cdf(d2);
-        let put = xexp * vnorm_cdf(-d2) - s * vnorm_cdf(-d1);
+            let qlog = finbench_simd::math::vln(s / x);
+            let denom = 1.0 / (t.sqrt() * sig);
+            let d1 = (qlog + t * (r + sig22)) * denom;
+            let d2 = (qlog + t * (r - sig22)) * denom;
+            let xexp = x * finbench_simd::math::vexp(-(t * r));
+            let call = s * vnorm_cdf(d1) - xexp * vnorm_cdf(d2);
+            let put = xexp * vnorm_cdf(-d2) - s * vnorm_cdf(-d1);
 
-        call.scatter_strided(flat, base + 3, stride);
-        put.scatter_strided(flat, base + 4, stride);
-        i += W;
-    }
-    // Scalar remainder.
-    for o in &mut batch.opts[main..] {
-        let (call, put) = price_single(o.s, o.x, o.t, market);
-        o.call = call;
-        o.put = put;
+            call.scatter_strided(flat, base + 3, stride);
+            put.scatter_strided(flat, base + 4, stride);
+            i += W;
+        }
+        // Scalar remainder.
+        for o in &mut batch.opts[main..] {
+            let (call, put) = price_single(o.s, o.x, o.t, market);
+            o.call = call;
+            o.put = put;
+        }
     }
 }
 

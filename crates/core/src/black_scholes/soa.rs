@@ -5,7 +5,7 @@ use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_math as fm;
 use finbench_parallel::parallel_for_chunks2;
 use finbench_simd::math::{verf, vexp, vln, vnorm_cdf};
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
@@ -21,30 +21,32 @@ fn assert_into_shape(s: &[f64], x: &[f64], t: &[f64], call: &[f64], put: &[f64])
     n
 }
 
-/// Scalar SOA sweep into caller-owned output slices — the allocation-free
-/// form of [`price_soa_scalar`]; same arithmetic as the AOS reference,
-/// unit-stride accesses.
-pub fn price_soa_scalar_into(
-    s: &[f64],
-    x: &[f64],
-    t: &[f64],
-    call: &mut [f64],
-    put: &mut [f64],
-    market: MarketParams,
-) {
-    let n = assert_into_shape(s, x, t, call, put);
-    let r = market.r;
-    let sig = market.sigma;
-    let sig22 = sig * sig * 0.5;
-    for i in 0..n {
-        let (s, x, t) = (s[i], x[i], t[i]);
-        let qlog = fm::ln(s / x);
-        let denom = 1.0 / (sig * t.sqrt());
-        let d1 = (qlog + (r + sig22) * t) * denom;
-        let d2 = (qlog + (r - sig22) * t) * denom;
-        let xexp = x * fm::exp(-(r * t));
-        call[i] = s * fm::norm_cdf(d1) - xexp * fm::norm_cdf(d2);
-        put[i] = xexp * fm::norm_cdf(-d2) - s * fm::norm_cdf(-d1);
+isa_fn! {
+    /// Scalar SOA sweep into caller-owned output slices — the allocation-free
+    /// form of [`price_soa_scalar`]; same arithmetic as the AOS reference,
+    /// unit-stride accesses.
+    pub fn price_soa_scalar_into(
+        s: &[f64],
+        x: &[f64],
+        t: &[f64],
+        call: &mut [f64],
+        put: &mut [f64],
+        market: MarketParams,
+    ) {
+        let n = assert_into_shape(s, x, t, call, put);
+        let r = market.r;
+        let sig = market.sigma;
+        let sig22 = sig * sig * 0.5;
+        for i in 0..n {
+            let (s, x, t) = (s[i], x[i], t[i]);
+            let qlog = fm::ln(s / x);
+            let denom = 1.0 / (sig * t.sqrt());
+            let d1 = (qlog + (r + sig22) * t) * denom;
+            let d2 = (qlog + (r - sig22) * t) * denom;
+            let xexp = x * fm::exp(-(r * t));
+            call[i] = s * fm::norm_cdf(d1) - xexp * fm::norm_cdf(d2);
+            put[i] = xexp * fm::norm_cdf(-d2) - s * fm::norm_cdf(-d1);
+        }
     }
 }
 
@@ -105,31 +107,33 @@ fn price_vec_erf_parity<const W: usize>(
 macro_rules! soa_simd_driver {
     ($(#[$doc_into:meta])* $name_into:ident,
      $(#[$doc:meta])* $name:ident, $body:ident) => {
-        $(#[$doc_into])*
-        pub fn $name_into<const W: usize>(
-            s: &[f64],
-            x: &[f64],
-            t: &[f64],
-            call: &mut [f64],
-            put: &mut [f64],
-            market: MarketParams,
-        ) {
-            let n = assert_into_shape(s, x, t, call, put);
-            let main = n - n % W;
-            let mut i = 0;
-            while i < main {
-                let sv = F64v::<W>::load(s, i);
-                let xv = F64v::<W>::load(x, i);
-                let tv = F64v::<W>::load(t, i);
-                let (cv, pv) = $body(sv, xv, tv, market);
-                cv.store(call, i);
-                pv.store(put, i);
-                i += W;
-            }
-            for j in main..n {
-                let (c, p) = super::price_single(s[j], x[j], t[j], market);
-                call[j] = c;
-                put[j] = p;
+        isa_fn! {
+            $(#[$doc_into])*
+            pub fn $name_into<const W: usize>(
+                s: &[f64],
+                x: &[f64],
+                t: &[f64],
+                call: &mut [f64],
+                put: &mut [f64],
+                market: MarketParams,
+            ) {
+                let n = assert_into_shape(s, x, t, call, put);
+                let main = n - n % W;
+                let mut i = 0;
+                while i < main {
+                    let sv = F64v::<W>::load(s, i);
+                    let xv = F64v::<W>::load(x, i);
+                    let tv = F64v::<W>::load(t, i);
+                    let (cv, pv) = $body(sv, xv, tv, market);
+                    cv.store(call, i);
+                    pv.store(put, i);
+                    i += W;
+                }
+                for j in main..n {
+                    let (c, p) = super::price_single(s[j], x[j], t[j], market);
+                    call[j] = c;
+                    put[j] = p;
+                }
             }
         }
 
@@ -170,17 +174,18 @@ pub fn par_price_soa<const W: usize>(
     let chunk = chunk.max(1);
     let workers = finbench_parallel::available_parallelism();
     let OptionBatchSoa { s, x, t, call, put } = batch;
+    // Each task prices straight into its disjoint `call`/`put` spans:
+    // nothing is staged, so the pooled rung allocates nothing lane-side.
     parallel_for_chunks2(call, put, chunk, workers, |base, call, put| {
-        let mut sub = OptionBatchSoa {
-            s: s[base..base + call.len()].to_vec(),
-            x: x[base..base + call.len()].to_vec(),
-            t: t[base..base + call.len()].to_vec(),
-            call: vec![0.0; call.len()],
-            put: vec![0.0; put.len()],
-        };
-        price_soa_simd_erf_parity::<W>(&mut sub, market);
-        call.copy_from_slice(&sub.call);
-        put.copy_from_slice(&sub.put);
+        let end = base + call.len();
+        price_soa_simd_erf_parity_into::<W>(
+            &s[base..end],
+            &x[base..end],
+            &t[base..end],
+            call,
+            put,
+            market,
+        );
     });
 }
 

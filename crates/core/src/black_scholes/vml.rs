@@ -10,6 +10,7 @@
 
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::batch::{vd_erf, vd_exp, vd_ln, vd_sqrt};
+use finbench_simd::isa_fn;
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
@@ -56,50 +57,52 @@ impl VmlWorkspace {
     }
 }
 
-/// Advanced-level VML-style pricing: seven array passes (`ln`, `sqrt`,
-/// `exp`, two fused arithmetic passes, two `erf` passes) plus the
-/// call/put-parity combine.
-pub fn price_soa_vml(batch: &mut OptionBatchSoa, market: MarketParams, ws: &mut VmlWorkspace) {
-    let n = batch.len();
-    ws.resize(n);
-    let r = market.r;
-    let sig = market.sigma;
-    let sig22 = sig * sig * 0.5;
+isa_fn! {
+    /// Advanced-level VML-style pricing: seven array passes (`ln`, `sqrt`,
+    /// `exp`, two fused arithmetic passes, two `erf` passes) plus the
+    /// call/put-parity combine.
+    pub fn price_soa_vml(batch: &mut OptionBatchSoa, market: MarketParams, ws: &mut VmlWorkspace) {
+        let n = batch.len();
+        ws.resize(n);
+        let r = market.r;
+        let sig = market.sigma;
+        let sig22 = sig * sig * 0.5;
 
-    // Pass 1: ratio = S/X, then qlog = ln(ratio).
-    for i in 0..n {
-        ws.ratio[i] = batch.s[i] / batch.x[i];
-    }
-    vd_ln(&ws.ratio, &mut ws.qlog);
+        // Pass 1: ratio = S/X, then qlog = ln(ratio).
+        for i in 0..n {
+            ws.ratio[i] = batch.s[i] / batch.x[i];
+        }
+        vd_ln(&ws.ratio, &mut ws.qlog);
 
-    // Pass 2: sqrt_t = sqrt(T).
-    vd_sqrt(&batch.t, &mut ws.sqrt_t);
+        // Pass 2: sqrt_t = sqrt(T).
+        vd_sqrt(&batch.t, &mut ws.sqrt_t);
 
-    // Pass 3: d1, d2 (reusing ratio as the -rT staging buffer).
-    for i in 0..n {
-        let denom = 1.0 / (sig * ws.sqrt_t[i]);
-        ws.d1[i] = (ws.qlog[i] + (r + sig22) * batch.t[i]) * denom * FRAC_1_SQRT_2;
-        ws.d2[i] = (ws.qlog[i] + (r - sig22) * batch.t[i]) * denom * FRAC_1_SQRT_2;
-        ws.ratio[i] = -(r * batch.t[i]);
-    }
+        // Pass 3: d1, d2 (reusing ratio as the -rT staging buffer).
+        for i in 0..n {
+            let denom = 1.0 / (sig * ws.sqrt_t[i]);
+            ws.d1[i] = (ws.qlog[i] + (r + sig22) * batch.t[i]) * denom * FRAC_1_SQRT_2;
+            ws.d2[i] = (ws.qlog[i] + (r - sig22) * batch.t[i]) * denom * FRAC_1_SQRT_2;
+            ws.ratio[i] = -(r * batch.t[i]);
+        }
 
-    // Pass 4: xexp = X * exp(-rT).
-    vd_exp(&ws.ratio, &mut ws.xexp);
-    for i in 0..n {
-        ws.xexp[i] *= batch.x[i];
-    }
+        // Pass 4: xexp = X * exp(-rT).
+        vd_exp(&ws.ratio, &mut ws.xexp);
+        for i in 0..n {
+            ws.xexp[i] *= batch.x[i];
+        }
 
-    // Passes 5-6: erf of the scaled d1/d2 arrays.
-    vd_erf(&ws.d1, &mut ws.nd1);
-    vd_erf(&ws.d2, &mut ws.nd2);
+        // Passes 5-6: erf of the scaled d1/d2 arrays.
+        vd_erf(&ws.d1, &mut ws.nd1);
+        vd_erf(&ws.d2, &mut ws.nd2);
 
-    // Pass 7: combine with parity.
-    for i in 0..n {
-        let nd1 = (1.0 + ws.nd1[i]) * 0.5;
-        let nd2 = (1.0 + ws.nd2[i]) * 0.5;
-        let call = batch.s[i] * nd1 - ws.xexp[i] * nd2;
-        batch.call[i] = call;
-        batch.put[i] = call - batch.s[i] + ws.xexp[i];
+        // Pass 7: combine with parity.
+        for i in 0..n {
+            let nd1 = (1.0 + ws.nd1[i]) * 0.5;
+            let nd2 = (1.0 + ws.nd2[i]) * 0.5;
+            let call = batch.s[i] * nd1 - ws.xexp[i] * nd2;
+            batch.call[i] = call;
+            batch.put[i] = call - batch.s[i] + ws.xexp[i];
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! path-major buffer into this layout (and is its own inverse).
 
 use super::BridgePlan;
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
 /// Transpose a `[path][step]` random buffer into the `[step][lane]` group
 /// layout the SIMD kernel consumes (group-by-group).
@@ -31,39 +31,41 @@ pub fn transpose_randoms<const W: usize>(randoms: &[f64], per_path: usize) -> Ve
     out
 }
 
-/// Build `W` paths at once. `randoms` is in `[step][lane]` layout (length
-/// `plan.randoms_per_path() * W`); `out` is row-major `[lane][point]`.
-pub fn build_path_group<const W: usize>(plan: &BridgePlan, randoms: &[f64], out: &mut [f64]) {
-    let points = plan.points();
-    assert_eq!(out.len(), W * points, "output must hold W paths");
-    assert!(
-        randoms.len() >= plan.randoms_per_path() * W,
-        "not enough randoms"
-    );
+isa_fn! {
+    /// Build `W` paths at once. `randoms` is in `[step][lane]` layout (length
+    /// `plan.randoms_per_path() * W`); `out` is row-major `[lane][point]`.
+    pub fn build_path_group<const W: usize>(plan: &BridgePlan, randoms: &[f64], out: &mut [f64]) {
+        let points = plan.points();
+        assert_eq!(out.len(), W * points, "output must hold W paths");
+        assert!(
+            randoms.len() >= plan.randoms_per_path() * W,
+            "not enough randoms"
+        );
 
-    let mut src: Vec<F64v<W>> = vec![F64v::zero(); points];
-    let mut dst: Vec<F64v<W>> = vec![F64v::zero(); points];
+        let mut src: Vec<F64v<W>> = vec![F64v::zero(); points];
+        let mut dst: Vec<F64v<W>> = vec![F64v::zero(); points];
 
-    let mut i = 0usize;
-    src[0] = F64v::zero();
-    src[1] = F64v::<W>::load(randoms, 0) * plan.last_sig;
-    i += W;
+        let mut i = 0usize;
+        src[0] = F64v::zero();
+        src[1] = F64v::<W>::load(randoms, 0) * plan.last_sig;
+        i += W;
 
-    for d in 0..plan.depth {
-        dst[0] = src[0];
-        for c in 0..(1usize << d) {
-            let z = F64v::<W>::load(randoms, i);
-            i += W;
-            dst[2 * c + 1] =
-                src[c] * plan.w_l[d][c] + src[c + 1] * plan.w_r[d][c] + z * plan.sig[d][c];
-            dst[2 * c + 2] = src[c + 1];
+        for d in 0..plan.depth {
+            dst[0] = src[0];
+            for c in 0..(1usize << d) {
+                let z = F64v::<W>::load(randoms, i);
+                i += W;
+                dst[2 * c + 1] =
+                    src[c] * plan.w_l[d][c] + src[c + 1] * plan.w_r[d][c] + z * plan.sig[d][c];
+                dst[2 * c + 2] = src[c + 1];
+            }
+            core::mem::swap(&mut src, &mut dst);
         }
-        core::mem::swap(&mut src, &mut dst);
-    }
 
-    for (k, v) in src.iter().enumerate() {
-        for lane in 0..W {
-            out[lane * points + k] = v[lane];
+        for (k, v) in src.iter().enumerate() {
+            for lane in 0..W {
+                out[lane * points + k] = v[lane];
+            }
         }
     }
 }

@@ -33,6 +33,15 @@
 //!   `[step][lane]` order once per solve so the hot loop is unit-stride
 //!   (the paper's final data-structure-transform bar; the transform cost
 //!   is the residual gap to ideal SIMD scaling it reports).
+//!
+//! ## Not ISA-dispatched
+//!
+//! Unlike the other kernels' sweeps these solvers do not go through
+//! `finbench_simd::isa::dispatch`: the lane loop is a serial recurrence
+//! (lane `w` consumes lane `w−1`'s previous step), so there is nothing for
+//! a wider instruction set to vectorise. Measured on an AVX-512 host the
+//! AVX2+FMA instantiation moved the two rungs by 0–3 % and the AVX-512 one
+//! lost 24–27 %, so the baseline instantiation is the only one.
 
 /// One `W`-iteration wavefront block over the interior `[lo, hi]`.
 /// Returns the summed squared update of the *last* lane (iteration

@@ -35,7 +35,7 @@
 use super::GreeksBatchSoa;
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::math::{vexp, vln, vnorm_cdf};
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
 /// One `W`-wide fused block at `offset`: prices into `batch.call/put`,
 /// all ten greeks into `out`.
@@ -92,37 +92,39 @@ fn fused_lane_block<const W: usize>(
     (-(x_disc * nmd2 * t)).store(&mut out.put.rho, offset);
 }
 
-/// Price **and** risk the whole batch in one SOA pass: call/put prices
-/// into `batch.call`/`batch.put`, all five greeks for both sides into
-/// the caller-owned `out`. Allocation-free; bit-identical to running
-/// [`price_soa_simd::<W>`] and [`greeks_batch_simd::<W>`] separately,
-/// for every `W` and every batch length.
-///
-/// Break-even: fusing pays off once the batch no longer fits in L1/L2
-/// (one input sweep instead of two); below a few thousand options the
-/// separate passes are just as fast, so the serve ladder keeps them as
-/// the degradation fallback rather than replacing them.
-///
-/// [`price_soa_simd::<W>`]: crate::black_scholes::soa::price_soa_simd
-/// [`greeks_batch_simd::<W>`]: super::greeks_batch_simd
-pub fn price_and_greeks_into<const W: usize>(
-    batch: &mut OptionBatchSoa,
-    m: MarketParams,
-    out: &mut GreeksBatchSoa,
-) {
-    let n = batch.len();
-    assert!(out.len() == n, "output sweep must match the batch");
-    let main = n - n % W;
-    let mut i = 0;
-    while i < main {
-        fused_lane_block::<W>(batch, m, out, i);
-        i += W;
-    }
-    for j in main..n {
-        let (c, p) = crate::black_scholes::price_single(batch.s[j], batch.x[j], batch.t[j], m);
-        batch.call[j] = c;
-        batch.put[j] = p;
-        super::greeks_lane_block::<1>(batch, m, out, j);
+isa_fn! {
+    /// Price **and** risk the whole batch in one SOA pass: call/put prices
+    /// into `batch.call`/`batch.put`, all five greeks for both sides into
+    /// the caller-owned `out`. Allocation-free; bit-identical to running
+    /// [`price_soa_simd::<W>`] and [`greeks_batch_simd::<W>`] separately,
+    /// for every `W` and every batch length.
+    ///
+    /// Break-even: fusing pays off once the batch no longer fits in L1/L2
+    /// (one input sweep instead of two); below a few thousand options the
+    /// separate passes are just as fast, so the serve ladder keeps them as
+    /// the degradation fallback rather than replacing them.
+    ///
+    /// [`price_soa_simd::<W>`]: crate::black_scholes::soa::price_soa_simd
+    /// [`greeks_batch_simd::<W>`]: super::greeks_batch_simd
+    pub fn price_and_greeks_into<const W: usize>(
+        batch: &mut OptionBatchSoa,
+        m: MarketParams,
+        out: &mut GreeksBatchSoa,
+    ) {
+        let n = batch.len();
+        assert!(out.len() == n, "output sweep must match the batch");
+        let main = n - n % W;
+        let mut i = 0;
+        while i < main {
+            fused_lane_block::<W>(batch, m, out, i);
+            i += W;
+        }
+        for j in main..n {
+            let (c, p) = crate::black_scholes::price_single(batch.s[j], batch.x[j], batch.t[j], m);
+            batch.call[j] = c;
+            batch.put[j] = p;
+            super::greeks_lane_block::<1>(batch, m, out, j);
+        }
     }
 }
 

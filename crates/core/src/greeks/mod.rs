@@ -21,6 +21,7 @@ pub use fused::price_and_greeks_into;
 
 use crate::workload::MarketParams;
 use finbench_math::{exp, ln, norm_cdf, norm_pdf};
+use finbench_simd::isa_fn;
 
 /// The five first-order sensitivities of a European option.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -129,53 +130,55 @@ pub fn implied_vol(kind: OptionType, price: f64, s: f64, x: f64, t: f64, r: f64)
     Some(sigma)
 }
 
-/// SOA batch greeks: delta/gamma/vega for every option in the batch, one
-/// option per SIMD lane — the vectorized risk sweep a production book
-/// runs alongside pricing. Writes into caller-provided output slices
-/// (each `batch.len()` long).
-pub fn greeks_soa_simd<const W: usize>(
-    kind: OptionType,
-    batch: &crate::workload::OptionBatchSoa,
-    m: MarketParams,
-    delta: &mut [f64],
-    gamma: &mut [f64],
-    vega: &mut [f64],
-) {
-    use finbench_simd::math::{vexp, vln, vnorm_cdf};
-    use finbench_simd::F64v;
+isa_fn! {
+    /// SOA batch greeks: delta/gamma/vega for every option in the batch, one
+    /// option per SIMD lane — the vectorized risk sweep a production book
+    /// runs alongside pricing. Writes into caller-provided output slices
+    /// (each `batch.len()` long).
+    pub fn greeks_soa_simd<const W: usize>(
+        kind: OptionType,
+        batch: &crate::workload::OptionBatchSoa,
+        m: MarketParams,
+        delta: &mut [f64],
+        gamma: &mut [f64],
+        vega: &mut [f64],
+    ) {
+        use finbench_simd::math::{vexp, vln, vnorm_cdf};
+        use finbench_simd::F64v;
 
-    let n = batch.len();
-    assert!(
-        delta.len() == n && gamma.len() == n && vega.len() == n,
-        "output slices must match the batch"
-    );
-    let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
-    let main = n - n % W;
-    let mut i = 0;
-    while i < main {
-        let s = F64v::<W>::load(&batch.s, i);
-        let x = F64v::<W>::load(&batch.x, i);
-        let t = F64v::<W>::load(&batch.t, i);
-        let sqrt_t = t.sqrt();
-        let denom = 1.0 / (sqrt_t * m.sigma);
-        let d1 = (vln(s / x) + t * (m.r + 0.5 * m.sigma * m.sigma)) * denom;
-        let pdf1 = vexp(d1 * d1 * -0.5) * inv_sqrt_2pi;
-        let nd1 = vnorm_cdf(d1);
+        let n = batch.len();
+        assert!(
+            delta.len() == n && gamma.len() == n && vega.len() == n,
+            "output slices must match the batch"
+        );
+        let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
+        let main = n - n % W;
+        let mut i = 0;
+        while i < main {
+            let s = F64v::<W>::load(&batch.s, i);
+            let x = F64v::<W>::load(&batch.x, i);
+            let t = F64v::<W>::load(&batch.t, i);
+            let sqrt_t = t.sqrt();
+            let denom = 1.0 / (sqrt_t * m.sigma);
+            let d1 = (vln(s / x) + t * (m.r + 0.5 * m.sigma * m.sigma)) * denom;
+            let pdf1 = vexp(d1 * d1 * -0.5) * inv_sqrt_2pi;
+            let nd1 = vnorm_cdf(d1);
 
-        let dv = match kind {
-            OptionType::Call => nd1,
-            OptionType::Put => nd1 - 1.0,
-        };
-        dv.store(delta, i);
-        (pdf1 / (s * (m.sigma * 1.0) * sqrt_t)).store(gamma, i);
-        (s * pdf1 * sqrt_t).store(vega, i);
-        i += W;
-    }
-    for j in main..n {
-        let g = greeks(kind, batch.s[j], batch.x[j], batch.t[j], m);
-        delta[j] = g.delta;
-        gamma[j] = g.gamma;
-        vega[j] = g.vega;
+            let dv = match kind {
+                OptionType::Call => nd1,
+                OptionType::Put => nd1 - 1.0,
+            };
+            dv.store(delta, i);
+            (pdf1 / (s * (m.sigma * 1.0) * sqrt_t)).store(gamma, i);
+            (s * pdf1 * sqrt_t).store(vega, i);
+            i += W;
+        }
+        for j in main..n {
+            let g = greeks(kind, batch.s[j], batch.x[j], batch.t[j], m);
+            delta[j] = g.delta;
+            gamma[j] = g.gamma;
+            vega[j] = g.vega;
+        }
     }
 }
 
@@ -278,6 +281,7 @@ impl GreeksBatchSoa {
 /// the main loop and the scalar tail of [`greeks_batch_simd`] run the
 /// *same* lane arithmetic: the SIMD math routines are lane-wise, so every
 /// output element is bit-identical across vector widths.
+#[inline(always)]
 fn greeks_lane_block<const W: usize>(
     batch: &crate::workload::OptionBatchSoa,
     m: MarketParams,
@@ -320,26 +324,28 @@ fn greeks_lane_block<const W: usize>(
     (-(x_disc * nmd2 * t)).store(&mut out.put.rho, offset);
 }
 
-/// Analytic greeks for every option in the batch, all five sensitivities
-/// for both contract sides, one option per SIMD lane. The tail past the
-/// last full `W`-block goes through the same lane function at width 1,
-/// so the full output is **bit-identical for every `W`** — the property
-/// the engine ladder declares as `Check::BitExact`.
-pub fn greeks_batch_simd<const W: usize>(
-    batch: &crate::workload::OptionBatchSoa,
-    m: MarketParams,
-    out: &mut GreeksBatchSoa,
-) {
-    let n = batch.len();
-    assert!(out.len() == n, "output sweep must match the batch");
-    let main = n - n % W;
-    let mut i = 0;
-    while i < main {
-        greeks_lane_block::<W>(batch, m, out, i);
-        i += W;
-    }
-    for j in main..n {
-        greeks_lane_block::<1>(batch, m, out, j);
+isa_fn! {
+    /// Analytic greeks for every option in the batch, all five sensitivities
+    /// for both contract sides, one option per SIMD lane. The tail past the
+    /// last full `W`-block goes through the same lane function at width 1,
+    /// so the full output is **bit-identical for every `W`** — the property
+    /// the engine ladder declares as `Check::BitExact`.
+    pub fn greeks_batch_simd<const W: usize>(
+        batch: &crate::workload::OptionBatchSoa,
+        m: MarketParams,
+        out: &mut GreeksBatchSoa,
+    ) {
+        let n = batch.len();
+        assert!(out.len() == n, "output sweep must match the batch");
+        let main = n - n % W;
+        let mut i = 0;
+        while i < main {
+            greeks_lane_block::<W>(batch, m, out, i);
+            i += W;
+        }
+        for j in main..n {
+            greeks_lane_block::<1>(batch, m, out, j);
+        }
     }
 }
 

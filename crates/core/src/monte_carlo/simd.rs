@@ -11,55 +11,57 @@ use super::{GbmTerminal, PathSums};
 use finbench_parallel::parallel_map_reduce;
 use finbench_rng::{normal::fill_standard_normal_icdf, StreamFamily};
 use finbench_simd::math::vexp;
-use finbench_simd::F64v;
+use finbench_simd::{isa_fn, F64v};
 
-/// Vectorized streamed-path accumulation: `W` paths per step, two
-/// accumulator pairs to expose instruction-level parallelism, scalar tail.
-pub fn paths_streamed_simd<const W: usize>(
-    s: f64,
-    x: f64,
-    g: GbmTerminal,
-    randoms: &[f64],
-) -> PathSums {
-    let sv = F64v::<W>::splat(s);
-    let xv = F64v::<W>::splat(x);
-    let zero = F64v::<W>::zero();
+isa_fn! {
+    /// Vectorized streamed-path accumulation: `W` paths per step, two
+    /// accumulator pairs to expose instruction-level parallelism, scalar tail.
+    pub fn paths_streamed_simd<const W: usize>(
+        s: f64,
+        x: f64,
+        g: GbmTerminal,
+        randoms: &[f64],
+    ) -> PathSums {
+        let sv = F64v::<W>::splat(s);
+        let xv = F64v::<W>::splat(x);
+        let zero = F64v::<W>::zero();
 
-    let n = randoms.len();
-    let main = n - n % (2 * W);
+        let n = randoms.len();
+        let main = n - n % (2 * W);
 
-    let mut v0a = F64v::<W>::zero();
-    let mut v1a = F64v::<W>::zero();
-    let mut v0b = F64v::<W>::zero();
-    let mut v1b = F64v::<W>::zero();
+        let mut v0a = F64v::<W>::zero();
+        let mut v1a = F64v::<W>::zero();
+        let mut v0b = F64v::<W>::zero();
+        let mut v1b = F64v::<W>::zero();
 
-    let mut i = 0;
-    while i < main {
-        let za = F64v::<W>::load(randoms, i);
-        let zb = F64v::<W>::load(randoms, i + W);
-        let ra = (sv * vexp(za * g.v_rt_t + g.mu_t) - xv).max(zero);
-        let rb = (sv * vexp(zb * g.v_rt_t + g.mu_t) - xv).max(zero);
-        v0a += ra;
-        v1a += ra * ra;
-        v0b += rb;
-        v1b += rb * rb;
-        i += 2 * W;
+        let mut i = 0;
+        while i < main {
+            let za = F64v::<W>::load(randoms, i);
+            let zb = F64v::<W>::load(randoms, i + W);
+            let ra = (sv * vexp(za * g.v_rt_t + g.mu_t) - xv).max(zero);
+            let rb = (sv * vexp(zb * g.v_rt_t + g.mu_t) - xv).max(zero);
+            v0a += ra;
+            v1a += ra * ra;
+            v0b += rb;
+            v1b += rb * rb;
+            i += 2 * W;
+        }
+
+        let mut acc = PathSums {
+            v0: (v0a + v0b).hsum(),
+            v1: (v1a + v1b).hsum(),
+            n: main as u64,
+        };
+        if main < n {
+            acc = acc.merge(super::reference::paths_streamed::<f64>(
+                s,
+                x,
+                g,
+                &randoms[main..],
+            ));
+        }
+        acc
     }
-
-    let mut acc = PathSums {
-        v0: (v0a + v0b).hsum(),
-        v1: (v1a + v1b).hsum(),
-        n: main as u64,
-    };
-    if main < n {
-        acc = acc.merge(super::reference::paths_streamed::<f64>(
-            s,
-            x,
-            g,
-            &randoms[main..],
-        ));
-    }
-    acc
 }
 
 /// Vectorized computed-RNG accumulation: normals are generated into a
@@ -108,50 +110,52 @@ pub fn paths_streamed_parallel<const W: usize>(
     )
 }
 
-/// Antithetic variates: each normal `z` prices the pair `{z, −z}`,
-/// and the averaged pair payoff enters the estimator. Halves the variance
-/// contribution of the (monotone) payoff's linear component.
-pub fn paths_antithetic<const W: usize>(
-    s: f64,
-    x: f64,
-    g: GbmTerminal,
-    randoms: &[f64],
-) -> PathSums {
-    let sv = F64v::<W>::splat(s);
-    let xv = F64v::<W>::splat(x);
-    let zero = F64v::<W>::zero();
-    let half = F64v::<W>::splat(0.5);
+isa_fn! {
+    /// Antithetic variates: each normal `z` prices the pair `{z, −z}`,
+    /// and the averaged pair payoff enters the estimator. Halves the variance
+    /// contribution of the (monotone) payoff's linear component.
+    pub fn paths_antithetic<const W: usize>(
+        s: f64,
+        x: f64,
+        g: GbmTerminal,
+        randoms: &[f64],
+    ) -> PathSums {
+        let sv = F64v::<W>::splat(s);
+        let xv = F64v::<W>::splat(x);
+        let zero = F64v::<W>::zero();
+        let half = F64v::<W>::splat(0.5);
 
-    let n = randoms.len();
-    let main = n - n % W;
-    let mut v0 = F64v::<W>::zero();
-    let mut v1 = F64v::<W>::zero();
+        let n = randoms.len();
+        let main = n - n % W;
+        let mut v0 = F64v::<W>::zero();
+        let mut v1 = F64v::<W>::zero();
 
-    let mut i = 0;
-    while i < main {
-        let z = F64v::<W>::load(randoms, i);
-        let up = (sv * vexp(z * g.v_rt_t + g.mu_t) - xv).max(zero);
-        let dn = (sv * vexp(-z * g.v_rt_t + g.mu_t) - xv).max(zero);
-        let pair = (up + dn) * half;
-        v0 += pair;
-        v1 += pair * pair;
-        i += W;
+        let mut i = 0;
+        while i < main {
+            let z = F64v::<W>::load(randoms, i);
+            let up = (sv * vexp(z * g.v_rt_t + g.mu_t) - xv).max(zero);
+            let dn = (sv * vexp(-z * g.v_rt_t + g.mu_t) - xv).max(zero);
+            let pair = (up + dn) * half;
+            v0 += pair;
+            v1 += pair * pair;
+            i += W;
+        }
+        let mut acc = PathSums {
+            v0: v0.hsum(),
+            v1: v1.hsum(),
+            n: main as u64,
+        };
+        for &z in &randoms[main..] {
+            let gz = g.v_rt_t * z;
+            let up = (s * finbench_math::exp(gz + g.mu_t) - x).max(0.0);
+            let dn = (s * finbench_math::exp(-gz + g.mu_t) - x).max(0.0);
+            let pair = 0.5 * (up + dn);
+            acc.v0 += pair;
+            acc.v1 += pair * pair;
+            acc.n += 1;
+        }
+        acc
     }
-    let mut acc = PathSums {
-        v0: v0.hsum(),
-        v1: v1.hsum(),
-        n: main as u64,
-    };
-    for &z in &randoms[main..] {
-        let gz = g.v_rt_t * z;
-        let up = (s * finbench_math::exp(gz + g.mu_t) - x).max(0.0);
-        let dn = (s * finbench_math::exp(-gz + g.mu_t) - x).max(0.0);
-        let pair = 0.5 * (up + dn);
-        acc.v0 += pair;
-        acc.v1 += pair * pair;
-        acc.n += 1;
-    }
-    acc
 }
 
 /// Price an option per Tab. II's "options/sec" definition: one option,

@@ -36,7 +36,9 @@ use crate::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench_parallel::{available_parallelism, parallel_for_chunks};
 use finbench_rng::uniform::{fill_uniform, fill_uniform_range};
 use finbench_rng::StreamFamily;
+use finbench_simd::isa_fn;
 use finbench_telemetry::nearest_rank;
+use std::cell::RefCell;
 
 /// Pad width for the staged book: the widest SIMD rung. Padding every
 /// rung to the same multiple keeps the revaluation tail-free at every
@@ -236,33 +238,51 @@ pub fn revalue_into<const W: usize>(
     scratch: &mut RevalScratch,
     pnl: &mut Vec<f64>,
 ) {
-    scratch.prepare(book, market);
     pnl.clear();
-    let n = book.len();
-    for j in 0..grid.len() {
-        let bump = 1.0 + grid.spot[j];
-        for i in 0..n {
-            scratch.batch.s[i] = book.opts.s[i] * bump;
+    pnl.resize(grid.len(), 0.0);
+    revalue_rows::<W>(book, market, grid, scratch, pnl);
+}
+
+isa_fn! {
+    /// [`revalue_into`] into a caller-owned span: `pnl[j]` receives scenario
+    /// `j` of `grid`. Dispatched as a whole so the spot-bump and P&L loops
+    /// are instantiated for the tier along with the pricing sweep between
+    /// them (which dispatches itself, once per scenario row).
+    fn revalue_rows<const W: usize>(
+        book: &Book,
+        market: MarketParams,
+        grid: &ScenarioGrid,
+        scratch: &mut RevalScratch,
+        pnl: &mut [f64],
+    ) {
+        assert_eq!(pnl.len(), grid.len(), "one P&L slot per scenario");
+        scratch.prepare(book, market);
+        let n = book.len();
+        for (j, slot) in pnl.iter_mut().enumerate() {
+            let bump = 1.0 + grid.spot[j];
+            for i in 0..n {
+                scratch.batch.s[i] = book.opts.s[i] * bump;
+            }
+            let shocked = MarketParams {
+                r: market.r + grid.rate[j],
+                sigma: market.sigma * (1.0 + grid.vol[j]),
+            };
+            let OptionBatchSoa { s, x, t, call, put } = &mut scratch.batch;
+            soa::price_soa_simd_into::<W>(s, x, t, call, put, shocked);
+            let mut acc = 0.0;
+            for i in 0..n {
+                acc += book.qty[i] * (scratch.batch.call[i] - scratch.base_call[i]);
+            }
+            *slot = acc;
         }
-        let shocked = MarketParams {
-            r: market.r + grid.rate[j],
-            sigma: market.sigma * (1.0 + grid.vol[j]),
-        };
-        let OptionBatchSoa { s, x, t, call, put } = &mut scratch.batch;
-        soa::price_soa_simd_into::<W>(s, x, t, call, put, shocked);
-        let mut acc = 0.0;
-        for i in 0..n {
-            acc += book.qty[i] * (scratch.batch.call[i] - scratch.base_call[i]);
-        }
-        pnl.push(acc);
     }
 }
 
 /// Thread-parallel full-grid revaluation on the workspace's own
 /// chunk-dispenser pool: scenarios are split into `chunk`-sized runs,
 /// each worker generating its own grid slice (split-invariant) and
-/// revaluing at W=8 into its disjoint span of `pnl`. Output order is
-/// scenario order, so the result matches the serial W=8 sweep.
+/// revaluing at W=8 straight into its disjoint span of `pnl`. Output
+/// order is scenario order, so the result matches the serial W=8 sweep.
 pub fn par_revalue(
     book: &Book,
     market: MarketParams,
@@ -270,16 +290,19 @@ pub fn par_revalue(
     chunk: usize,
     pnl: &mut Vec<f64>,
 ) {
+    thread_local! {
+        /// One grid slice + scratch per pool worker, reused across the
+        /// chunks that worker pulls.
+        static WORKER: RefCell<(ScenarioGrid, RevalScratch)> = RefCell::default();
+    }
     pnl.clear();
     pnl.resize(cfg.scenarios, 0.0);
     let workers = available_parallelism();
     parallel_for_chunks(pnl, chunk.max(1), workers, |start, out| {
-        let mut grid = ScenarioGrid::default();
-        cfg.fill_grid(start, start + out.len(), &mut grid);
-        let mut scratch = RevalScratch::new();
-        let mut local = Vec::with_capacity(out.len());
-        revalue_into::<PAD_WIDTH>(book, market, &grid, &mut scratch, &mut local);
-        out.copy_from_slice(&local);
+        WORKER.with_borrow_mut(|(grid, scratch)| {
+            cfg.fill_grid(start, start + out.len(), grid);
+            revalue_rows::<PAD_WIDTH>(book, market, grid, scratch, out);
+        });
     });
 }
 

@@ -392,6 +392,7 @@ pub fn audit(opts: &RunOptions) {
 /// All native ladders in one run (restricted by `--only`, when given).
 pub fn native_all(opts: &RunOptions) {
     println!("{}", section("Native host measurements (all kernels)"));
+    println!("  {}", finbench_simd::Isa::describe());
     let engine = native::engine();
     for k in engine.registry().kernels() {
         if let Some(only) = &opts.only {

@@ -33,6 +33,8 @@ fn main() {
             for id in finbench_harness::EXPERIMENTS {
                 println!("{id}");
             }
+            // On stderr: stdout stays the ids, one per line.
+            eprintln!("{}", finbench_simd::Isa::describe());
             return;
         }
         CliAction::BenchReport(opts) => {

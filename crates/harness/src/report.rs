@@ -28,6 +28,7 @@ use finbench_serve::{
     PeakReport, PeakSearchConfig, PeakStep, PortfolioRequest, PricerConfig, Rejected, Scratch,
     ServeConfig, Server, ServingRung,
 };
+use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -143,11 +144,22 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
         ))
     );
 
-    // 1. Native ladders: every kernel × every rung, interleaved trials.
+    println!("  {}", Isa::describe());
+
+    // 1. Native ladders: every kernel × every rung, interleaved trials —
+    // and once more with every sweep forced onto the portable
+    // instantiation, so the snapshot carries what the active tier bought.
+    let active = Isa::active();
     let mut kernels_json = Vec::new();
     let mut rows = Vec::new();
+    let mut simd = Vec::new();
     for kernel in engine.registry().kernels() {
         let rungs = engine.run_ladder_samples(kernel, quick, trials);
+        let portable = (active != Isa::Portable).then(|| {
+            dispatch_as(Isa::Portable, || {
+                engine.run_ladder_samples(kernel, quick, trials)
+            })
+        });
         for r in &rungs {
             rows.push(vec![
                 kernel.name().to_string(),
@@ -158,7 +170,9 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
                 fmt_num(r.samples.median_cycles_per_item()),
             ]);
         }
-        kernels_json.push(kernel_json(kernel.name(), kernel.unit(), &rungs));
+        let ratios = simd_ratios(&rungs, portable.as_deref().unwrap_or(&rungs));
+        kernels_json.push(kernel_json(kernel.name(), kernel.unit(), &rungs, &ratios));
+        simd.push((kernel.name(), ratios));
     }
     println!(
         "{}",
@@ -167,6 +181,43 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
             &rows
         )
     );
+    let simd_rows: Vec<Vec<String>> = simd
+        .iter()
+        .filter_map(|(kernel, ratios)| {
+            let best = ratios.iter().max_by(|a, b| a.rate.total_cmp(&b.rate))?;
+            Some(vec![
+                kernel.to_string(),
+                best.slug.clone(),
+                best.sibling.clone(),
+                format!("{:.2}x", best.active),
+                format!("{:.2}x", best.portable),
+            ])
+        })
+        .collect();
+    let active_col = format!("x scalar ({})", active.name());
+    println!(
+        "{}",
+        table(
+            &[
+                "kernel",
+                "best SIMD rung",
+                "scalar sibling",
+                active_col.as_str(),
+                "x scalar (portable)"
+            ],
+            &simd_rows
+        )
+    );
+    // Machine-readable, one per SIMD-labelled rung: ci.sh lists the ones
+    // that do not earn the label (advisory).
+    for (kernel, ratios) in &simd {
+        for r in ratios {
+            println!(
+                "  simd-ratio {kernel} {} sibling={} active={:.2} portable={:.2}",
+                r.slug, r.sibling, r.active, r.portable
+            );
+        }
+    }
 
     // 2. Serve + greeks lanes: closed-loop latency, open-loop peak.
     let pricer = PricerConfig {
@@ -273,7 +324,52 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
     Ok(path)
 }
 
-fn kernel_json(name: &str, unit: &str, rungs: &[RungSamples]) -> Json {
+/// One SIMD-labelled rung's median rate over its scalar sibling's, under
+/// the active ISA tier and under the portable instantiation.
+struct SimdRatio {
+    slug: String,
+    sibling: String,
+    /// The rung's own median rate under the active tier.
+    rate: f64,
+    active: f64,
+    portable: f64,
+}
+
+/// A rung is labelled SIMD when its label says `SIMD` or names a lane
+/// width (`W=`); its scalar sibling is the closest rung before it whose
+/// label says `scalar`. Thread-pool rungs measure the pool, not the lanes,
+/// and are left out. `portable` is the same ladder measured under
+/// [`Isa::Portable`].
+fn simd_ratios(active: &[RungSamples], portable: &[RungSamples]) -> Vec<SimdRatio> {
+    let mut out = Vec::new();
+    for (i, rung) in active.iter().enumerate() {
+        let simd = rung.label.contains("SIMD") || rung.label.contains("W=");
+        let sibling = active[..i].iter().rposition(|r| r.label.contains("scalar"));
+        if let (true, false, Some(s)) = (simd, rung.threaded, sibling) {
+            out.push(SimdRatio {
+                slug: rung.slug.clone(),
+                sibling: active[s].slug.clone(),
+                rate: rung.samples.median(),
+                active: rung.samples.median() / active[s].samples.median(),
+                portable: portable[i].samples.median() / portable[s].samples.median(),
+            });
+        }
+    }
+    out
+}
+
+fn kernel_json(name: &str, unit: &str, rungs: &[RungSamples], ratios: &[SimdRatio]) -> Json {
+    let ratios_json: Vec<Json> = ratios
+        .iter()
+        .map(|r| {
+            Json::Obj(vec![
+                ("slug".into(), Json::Str(r.slug.clone())),
+                ("sibling".into(), Json::Str(r.sibling.clone())),
+                ("active".into(), Json::Num(r.active)),
+                ("portable".into(), Json::Num(r.portable)),
+            ])
+        })
+        .collect();
     let rungs_json: Vec<Json> = rungs
         .iter()
         .map(|r| {
@@ -298,6 +394,7 @@ fn kernel_json(name: &str, unit: &str, rungs: &[RungSamples]) -> Json {
         ("name".into(), Json::Str(name.to_string())),
         ("unit".into(), Json::Str(unit.to_string())),
         ("rungs".into(), Json::Arr(rungs_json)),
+        ("simd_vs_scalar".into(), Json::Arr(ratios_json)),
     ])
 }
 
@@ -914,6 +1011,10 @@ pub struct HostFingerprint {
     pub logical_cores: u64,
     /// Calibrated TSC frequency, GHz.
     pub tsc_ghz: f64,
+    /// The ISA tier the sweeps were instantiated for ([`Isa::name`]).
+    /// Snapshots that predate run-time dispatch load as `"portable"`,
+    /// which is what those builds ran.
+    pub isa: String,
 }
 
 impl HostFingerprint {
@@ -925,15 +1026,21 @@ impl HostFingerprint {
                 .map(|n| n.get() as u64)
                 .unwrap_or(0),
             tsc_ghz: telemetry::cycles::tsc_ghz(),
+            isa: Isa::active().name().to_string(),
         }
     }
 
-    /// Whether two fingerprints describe different machines: model or
-    /// core count differs, or the calibrated TSC differs by more than 5%
+    /// Whether two fingerprints describe different machines: model, core
+    /// count or ISA tier differs (the same part running a different
+    /// instantiation of every sweep is a different machine as far as
+    /// rates go), or the calibrated TSC differs by more than 5%
     /// (calibration wobbles a little between boots; a different part
     /// doesn't).
     pub fn differs_from(&self, other: &Self) -> bool {
-        if self.cpu_model != other.cpu_model || self.logical_cores != other.logical_cores {
+        if self.cpu_model != other.cpu_model
+            || self.logical_cores != other.logical_cores
+            || self.isa != other.isa
+        {
             return true;
         }
         let base = self.tsc_ghz.abs().max(1e-9);
@@ -945,6 +1052,7 @@ impl HostFingerprint {
             ("cpu_model".into(), Json::Str(self.cpu_model.clone())),
             ("logical_cores".into(), Json::Num(self.logical_cores as f64)),
             ("tsc_ghz".into(), Json::Num(self.tsc_ghz)),
+            ("isa".into(), Json::Str(self.isa.clone())),
         ])
     }
 }
@@ -953,8 +1061,8 @@ impl std::fmt::Display for HostFingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} × {} @ {:.2} GHz",
-            self.logical_cores, self.cpu_model, self.tsc_ghz
+            "{} × {} @ {:.2} GHz, isa {}",
+            self.logical_cores, self.cpu_model, self.tsc_ghz, self.isa
         )
     }
 }
@@ -1126,6 +1234,11 @@ fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
             .to_string(),
         logical_cores: h.get("logical_cores").and_then(Json::as_f64).unwrap_or(0.0) as u64,
         tsc_ghz: h.get("tsc_ghz").and_then(Json::as_f64).unwrap_or(0.0),
+        isa: h
+            .get("isa")
+            .and_then(Json::as_str)
+            .unwrap_or(Isa::Portable.name())
+            .to_string(),
     });
     let mut metrics = Vec::new();
 
@@ -1807,6 +1920,52 @@ mod tests {
     }
 
     #[test]
+    fn simd_ratios_pair_each_simd_rung_with_the_scalar_rung_before_it() {
+        let rung = |label: &'static str, threaded: bool, rate: f64| RungSamples {
+            slug: finbench_engine::slug(label),
+            label,
+            level: "basic",
+            threaded,
+            items: 1,
+            samples: finbench_engine::Samples::from_rates(vec![rate]),
+        };
+        let active = [
+            rung("Basic: scalar AOS reference", false, 1.0),
+            rung("Intermediate: scalar SOA", false, 2.0),
+            rung("Intermediate: SIMD SOA (W=4)", false, 5.0),
+            rung("Advanced: VML-style batch", false, 3.0),
+            rung("Advanced: erf + parity (W=8)", false, 8.0),
+            rung("Advanced: SIMD + own-pool threads", true, 9.0),
+        ];
+        let mut portable = active.clone();
+        portable[2].samples = finbench_engine::Samples::from_rates(vec![1.0]);
+        let ratios = simd_ratios(&active, &portable);
+        let got: Vec<_> = ratios
+            .iter()
+            .map(|r| (r.slug.as_str(), r.sibling.as_str(), r.active, r.portable))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    "intermediate_simd_soa_w_4",
+                    "intermediate_scalar_soa",
+                    2.5,
+                    0.5
+                ),
+                (
+                    "advanced_erf_parity_w_8",
+                    "intermediate_scalar_soa",
+                    4.0,
+                    4.0
+                ),
+            ]
+        );
+        // A ladder with no scalar rung before its SIMD rung has no pairs.
+        assert!(simd_ratios(&active[2..3], &active[2..3]).is_empty());
+    }
+
+    #[test]
     fn host_fingerprint_round_trips_and_detects_difference() {
         let doc = json::parse(&with_host(
             &sample_doc(true, 100.0, 0.0, 2.0),
@@ -1829,6 +1988,24 @@ mod tests {
         let mut other = host.clone();
         other.cpu_model = "Xeon Phi 7120".into();
         assert!(host.differs_from(&other));
+        // A snapshot without an `isa` field predates dispatch: it ran the
+        // portable instantiation, and the same part on another tier is a
+        // different machine for rates.
+        assert_eq!(host.isa, "portable");
+        let mut dispatched = host.clone();
+        dispatched.isa = "avx2+fma".into();
+        assert!(host.differs_from(&dispatched));
+        let round_trip = flatten(
+            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0).replacen(
+                "\"quick\":",
+                &format!("\"host\": {},\n\"quick\":", dispatched.to_json().to_json()),
+                1,
+            ))
+            .unwrap(),
+            "x",
+        )
+        .unwrap();
+        assert_eq!(round_trip.host, Some(dispatched));
         // Pre-fingerprint snapshots load with no host at all.
         let legacy = flatten(
             &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),

@@ -33,7 +33,7 @@ pub fn erf_series_coeff(k: u32) -> f64 {
 }
 
 /// Maclaurin evaluation for `|x| < 0.5`, accurate to ~1 ulp *relative*.
-#[inline]
+#[inline(always)]
 fn erf_small(x: f64) -> f64 {
     let x2 = x * x;
     let mut pow = x; // x^{2k+1}
@@ -54,7 +54,7 @@ fn erf_small(x: f64) -> f64 {
 /// ```
 /// assert!((finbench_math::erf(1.0) - 0.8427007929497149).abs() < 1e-14);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn erf(x: f64) -> f64 {
     if x.is_nan() {
         return x;

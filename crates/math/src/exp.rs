@@ -55,7 +55,7 @@ pub const EXP_UNDERFLOW: f64 = -745.133_219_101_941_1;
 /// let y = finbench_math::exp(1.0);
 /// assert!((y - std::f64::consts::E).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn exp(x: f64) -> f64 {
     if x.is_nan() {
         return x;

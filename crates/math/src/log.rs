@@ -64,7 +64,7 @@ pub fn frexp_sqrt2(x: f64) -> (f64, i32) {
 /// ```
 /// assert!((finbench_math::ln(std::f64::consts::E) - 1.0).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn ln(x: f64) -> f64 {
     if x.is_nan() {
         return x;

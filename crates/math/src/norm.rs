@@ -23,7 +23,7 @@ use crate::SQRT_2PI;
 /// let top = finbench_math::norm_pdf(0.0);
 /// assert!((top - 0.3989422804014327).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn norm_pdf(x: f64) -> f64 {
     exp(-0.5 * x * x) / SQRT_2PI
 }
@@ -60,7 +60,7 @@ pub const CND_DEN: [f64; 8] = [
 /// assert!((finbench_math::norm_cdf(0.0) - 0.5).abs() < 1e-15);
 /// assert!((finbench_math::norm_cdf(1.0) - 0.8413447460685429).abs() < 1e-14);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn norm_cdf(x: f64) -> f64 {
     if x.is_nan() {
         return x;
@@ -144,7 +144,7 @@ const P_HIGH: f64 = 1.0 - P_LOW;
 /// [`inv_norm_cdf`]. Plenty for Monte-Carlo sampling, where the
 /// discretization error dwarfs 1e-9 (the statistical tests in
 /// `finbench-rng` pass with either transform).
-#[inline]
+#[inline(always)]
 pub fn inv_norm_cdf_acklam(p: f64) -> f64 {
     if p.is_nan() {
         return p;
@@ -158,7 +158,7 @@ pub fn inv_norm_cdf_acklam(p: f64) -> f64 {
     acklam_guess(p)
 }
 
-#[inline]
+#[inline(always)]
 fn acklam_guess(p: f64) -> f64 {
     if p < P_LOW {
         let q = (-2.0 * ln(p)).sqrt();
@@ -190,7 +190,7 @@ fn acklam_guess(p: f64) -> f64 {
 /// let x = finbench_math::inv_norm_cdf(0.975);
 /// assert!((x - 1.959963984540054).abs() < 1e-12);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn inv_norm_cdf(p: f64) -> f64 {
     if p.is_nan() {
         return p;

@@ -17,13 +17,16 @@
 use crate::uniform::u64_to_f64_symmetric;
 use crate::RngCore64;
 use finbench_math::{inv_norm_cdf, inv_norm_cdf_acklam, ln};
+use finbench_simd::isa_fn;
 
-/// Fill `out` with standard normal variates via the inverse-CDF transform,
-/// one at a time.
-pub fn fill_standard_normal_icdf<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
-    for slot in out {
-        *slot = inv_norm_cdf(rng.next_f64_open());
+isa_fn! {
+    /// Fill `out` with standard normal variates via the inverse-CDF transform,
+    /// one at a time.
+    pub fn fill_standard_normal_icdf<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
+        finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+        for slot in out {
+            *slot = inv_norm_cdf(rng.next_f64_open());
+        }
     }
 }
 
@@ -48,14 +51,16 @@ pub fn fill_standard_normal_icdf_batch<R: RngCore64>(
     }
 }
 
-/// Fill `out` via the *fast* inverse-CDF transform (Acklam without the
-/// Halley polish, ~1.15e-9 relative): the right choice when the normals
-/// feed a Monte-Carlo estimator whose own error is orders of magnitude
-/// larger.
-pub fn fill_standard_normal_icdf_fast<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
-    for slot in out {
-        *slot = inv_norm_cdf_acklam(rng.next_f64_open());
+isa_fn! {
+    /// Fill `out` via the *fast* inverse-CDF transform (Acklam without the
+    /// Halley polish, ~1.15e-9 relative): the right choice when the normals
+    /// feed a Monte-Carlo estimator whose own error is orders of magnitude
+    /// larger.
+    pub fn fill_standard_normal_icdf_fast<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
+        finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+        for slot in out {
+            *slot = inv_norm_cdf_acklam(rng.next_f64_open());
+        }
     }
 }
 

@@ -19,19 +19,21 @@ const W: usize = 8;
 
 macro_rules! batch_fn {
     ($(#[$doc:meta])* $name:ident, $vfn:ident, $sfn:path) => {
-        $(#[$doc])*
-        pub fn $name(src: &[f64], dst: &mut [f64]) {
-            assert_eq!(src.len(), dst.len(), "batch math length mismatch");
-            let n = src.len();
-            let main = n - n % W;
-            let mut i = 0;
-            while i < main {
-                let v = F64v::<W>::load(src, i);
-                $vfn(v).store(dst, i);
-                i += W;
-            }
-            for j in main..n {
-                dst[j] = $sfn(src[j]);
+        crate::isa_fn! {
+            $(#[$doc])*
+            pub fn $name(src: &[f64], dst: &mut [f64]) {
+                assert_eq!(src.len(), dst.len(), "batch math length mismatch");
+                let n = src.len();
+                let main = n - n % W;
+                let mut i = 0;
+                while i < main {
+                    let v = F64v::<W>::load(src, i);
+                    $vfn(v).store(dst, i);
+                    i += W;
+                }
+                for j in main..n {
+                    dst[j] = $sfn(src[j]);
+                }
             }
         }
     };
@@ -64,20 +66,24 @@ batch_fn!(
     vd_norm_cdf, vnorm_cdf, fm::norm_cdf
 );
 
-/// `dst[i] = sqrt(src[i])`.
-pub fn vd_sqrt(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len(), "batch math length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = s.sqrt();
+crate::isa_fn! {
+    /// `dst[i] = sqrt(src[i])`.
+    pub fn vd_sqrt(src: &[f64], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len(), "batch math length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = s.sqrt();
+        }
     }
 }
 
-/// `dst[i] = inv_norm_cdf(src[i])` — the batch inverse-transform used by
-/// the RNG's normal stream.
-pub fn vd_inv_norm_cdf(src: &[f64], dst: &mut [f64]) {
-    assert_eq!(src.len(), dst.len(), "batch math length mismatch");
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = fm::inv_norm_cdf(*s);
+crate::isa_fn! {
+    /// `dst[i] = inv_norm_cdf(src[i])` — the batch inverse-transform used by
+    /// the RNG's normal stream.
+    pub fn vd_inv_norm_cdf(src: &[f64], dst: &mut [f64]) {
+        assert_eq!(src.len(), dst.len(), "batch math length mismatch");
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = fm::inv_norm_cdf(*s);
+        }
     }
 }
 

@@ -10,10 +10,23 @@
 //!
 //! * [`F64v<N>`](F64v) is a `#[repr(transparent)]` wrapper over `[f64; N]`
 //!   with infix operator overloads. Every lane loop is a fixed-trip-count,
-//!   branch-free loop over `N` elements, the shape LLVM's auto-vectorizer
-//!   reliably turns into packed AVX/AVX-512 arithmetic at `opt-level=3`
-//!   (`std::simd` is still unstable on stable rustc, so we own this
-//!   substrate; see DESIGN.md).
+//!   branch-free loop over `N` elements (`std::simd` is still unstable on
+//!   stable rustc, so we own this substrate; see DESIGN.md).
+//! * **One generic body, instantiated per ISA at run time.** What those
+//!   lane loops compile to depends on the instruction set they are
+//!   compiled *for*, and the workspace builds for baseline x86-64 (SSE2)
+//!   so that one binary runs everywhere: there an `F64v<8>` is eight
+//!   doubles through 2-lane `mulpd`, [`F64v::floor`] is a libm call (no
+//!   `roundsd` before SSE4.1) and [`F64v::mul_add`] is a libm `fma` call —
+//!   which is why the W=4/W=8 rungs used to trail their scalar siblings.
+//!   [`isa`] fixes that without a build flag: every sweep is written once
+//!   as an `#[inline(always)]` body, and [`isa::dispatch`] runs it inside a
+//!   `#[target_feature]` wrapper for the tier detected on the host
+//!   (AVX2+FMA or AVX-512), where the same loops become `ymm`/`zmm`
+//!   arithmetic, `vroundpd` and `vfmadd`. The portable instantiation is
+//!   the bit-exact oracle (`tests/isa_identity.rs`). `-C target-cpu` is
+//!   deliberately not used: it forks the binary per host and changes what
+//!   every snapshot measured.
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other
@@ -37,9 +50,11 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod batch;
+pub mod isa;
 pub mod math;
 pub mod vec;
 
+pub use isa::Isa;
 pub use vec::{F64v, F64vec4, F64vec8, Mask};
 
 /// The widest vector used anywhere in the suite (KNC width).

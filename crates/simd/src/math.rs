@@ -22,12 +22,21 @@ const SQRT_2: f64 = std::f64::consts::SQRT_2;
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 
-/// Lane-wise `2^n` for integer-valued lanes of `n` (|n| ≤ 1023).
+/// Lane-wise `2^n` for integer-valued lanes of `n` (−1023 ≤ n ≤ 1023;
+/// [`vldexp`] halves `vexp`'s clamped exponent, so it stays within ±538).
+///
+/// Adding `2^52 + 1023` leaves the biased exponent `n + 1023` in the low
+/// mantissa bits (the ulp at `2^52` is 1) and the shift moves it into the
+/// exponent field, dropping everything else — the same bits as
+/// `((1023 + n as i64) as u64) << 52`, from one `f64` add and one integer
+/// shift. `n as i64` saturates and has no packed form before AVX-512DQ, so
+/// it scalarised on every tier; this vectorises on all of them.
 #[inline(always)]
 fn vpow2i<const N: usize>(n: F64v<N>) -> F64v<N> {
+    const BIAS_AT_2_52: f64 = 4_503_599_627_370_496.0 + 1023.0;
     let mut out = [0.0; N];
     for i in 0..N {
-        out[i] = f64::from_bits(((1023 + n.0[i] as i64) as u64) << 52);
+        out[i] = f64::from_bits((n.0[i] + BIAS_AT_2_52).to_bits() << 52);
     }
     F64v(out)
 }
@@ -60,7 +69,7 @@ fn vpolevl<const N: usize>(x: F64v<N>, coeffs: &[f64]) -> F64v<N> {
 /// let y = vexp(F64vec4::new([0.0, 1.0, -1.0, 2.0]));
 /// assert!((y[1] - std::f64::consts::E).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn vexp<const N: usize>(x: F64v<N>) -> F64v<N> {
     let x = x.clamp(EXP_UNDERFLOW, EXP_OVERFLOW);
     let n = (x * LOG2E + 0.5).floor();
@@ -83,7 +92,7 @@ pub fn vexp<const N: usize>(x: F64v<N>) -> F64v<N> {
 /// let y = vln(F64vec4::splat(std::f64::consts::E));
 /// assert!((y[0] - 1.0).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn vln<const N: usize>(x: F64v<N>) -> F64v<N> {
     let x = x.clamp(f64::MIN_POSITIVE, f64::MAX);
     // frexp: m in [1, 2), e unbiased.
@@ -118,7 +127,7 @@ pub fn vln<const N: usize>(x: F64v<N>) -> F64v<N> {
 /// let p = vnorm_cdf(F64vec4::new([0.0, 1.0, -1.0, 2.0]));
 /// assert!((p[0] - 0.5).abs() < 1e-15);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
     let ax = x.abs();
     let e = vexp(ax * ax * -0.5);
@@ -129,7 +138,9 @@ pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
     let den = vpolevl(ax, &CND_DEN);
     let central = e * num / den;
 
-    // Tail continued fraction, depth 12.
+    // Tail continued fraction, depth 12. Evaluated for every lane though
+    // only |x| >= 7.07 keeps it; skipping it when no lane is out there is
+    // bit-identical and measured, but not landed (DESIGN.md §2).
     let mut b = ax + 0.65;
     let mut k = 12.0;
     while k >= 1.0 {
@@ -154,7 +165,7 @@ pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
 /// let y = verf(F64vec4::splat(1.0));
 /// assert!((y[0] - 0.8427007929497149).abs() < 1e-14);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn verf<const N: usize>(x: F64v<N>) -> F64v<N> {
     let ax = x.abs();
 
@@ -180,7 +191,7 @@ pub fn verf<const N: usize>(x: F64v<N>) -> F64v<N> {
 }
 
 /// Lane-wise `cnd` via `erf`, the paper's "advanced" Black-Scholes route.
-#[inline]
+#[inline(always)]
 pub fn vnorm_cdf_via_erf<const N: usize>(x: F64v<N>) -> F64v<N> {
     (verf(x * FRAC_1_SQRT_2) + 1.0) * 0.5
 }
@@ -190,7 +201,7 @@ pub fn vnorm_cdf_via_erf<const N: usize>(x: F64v<N>) -> F64v<N> {
 ///
 /// Lanes must lie in `(0, 1)`; out-of-range lanes are clamped to the
 /// nearest representable interior probability.
-#[inline]
+#[inline(always)]
 pub fn vinv_norm_cdf<const N: usize>(p: F64v<N>) -> F64v<N> {
     // Acklam's guess is a three-region rational; the regions are selected
     // per lane. Profiling shows the scalar routine is already dominated by
@@ -225,6 +236,15 @@ mod tests {
                 ((got - want) / want).abs()
             };
             assert!(err <= tol, "lane {i}: x={} got={got} want={want}", x.0[i]);
+        }
+    }
+
+    #[test]
+    fn vpow2i_matches_the_integer_conversion_it_replaced() {
+        for n in -1023i64..=1023 {
+            let want = f64::from_bits(((1023 + n) as u64) << 52);
+            let got = vpow2i(F64vec4::splat(n as f64));
+            assert_eq!(got[0].to_bits(), want.to_bits(), "n={n}");
         }
     }
 

@@ -113,7 +113,16 @@ impl<const N: usize> F64v<N> {
         self.0
     }
 
-    /// Lane-wise fused multiply-add: `self * a + b`.
+    /// Lane-wise fused multiply-add: `self * a + b`, rounded once.
+    ///
+    /// Cost depends on the instantiation. The baseline x86-64 target has
+    /// no FMA instruction, so in the portable instantiation every lane is
+    /// a call to libm `fma` (correctly rounded in software, tens of
+    /// cycles); inside an [`isa::dispatch`](crate::isa::dispatch)ed sweep
+    /// on an AVX2+FMA host the same loop is one `vfmadd`. Both round
+    /// identically, which is what keeps the tiers bit-identical — do not
+    /// "optimise" this into `self * a + b` (two roundings, different bits)
+    /// or hand-written intrinsics.
     #[inline(always)]
     pub fn mul_add(self, a: Self, b: Self) -> Self {
         let mut out = [0.0; N];
@@ -148,6 +157,12 @@ impl<const N: usize> F64v<N> {
     }
 
     /// Lane-wise floor.
+    ///
+    /// Portable cost: baseline x86-64 (SSE2) has no rounding instruction,
+    /// so each lane is a libm `floor` call; SSE4.1 and up have
+    /// `roundsd`/`vroundpd`, which an
+    /// [`isa::dispatch`](crate::isa::dispatch)ed sweep gets for free.
+    /// Same result either way — leave it as `f64::floor`.
     #[inline(always)]
     pub fn floor(self) -> Self {
         self.map(f64::floor)

@@ -25,10 +25,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// Most finished spans the registry holds; the newest win. 4 096 records
-/// of the serving plane's per-batch span are about 2 MiB; a native
-/// ladder run over every kernel records about fifty spans.
-pub const SPAN_RING_CAPACITY: usize = 4_096;
+/// Most finished spans the registry holds; the newest win. 512 records
+/// of the serving plane's per-batch span are about 0.25 MiB; a native
+/// ladder run over every kernel records about fifty spans, a
+/// `bench-report` a few hundred. (4 096 until PR 13: a serving plane
+/// four times faster fills the ring four times sooner, and the ring was
+/// the one part of a server's resident set that grew with its rate.)
+pub const SPAN_RING_CAPACITY: usize = 512;
 
 /// An attribute value attached to a span.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,0 +1,392 @@
+//! ISA dispatch never changes a bit.
+//!
+//! Every sweep that goes through `finbench::simd::isa::dispatch` is one
+//! generic body instantiated per instruction-set tier; the portable
+//! instantiation is the oracle. For every such sweep, every width the
+//! ladders use (1, 4, 8) and every tier this host supports, the output
+//! under `dispatch_as(tier, ..)` must be **bit-identical** to the output
+//! under `dispatch_as(Isa::Portable, ..)` — over ragged batch sizes (so
+//! the scalar tails run), the paper's workload ranges, and edge lanes:
+//! deep in/out of the money (past the 7.07σ and 37σ switches of `cnd`),
+//! `t → 0`, and the clamp edges of `exp`/`ln`.
+//!
+//! On a host with no tier above the baseline the comparisons are vacuous
+//! (and say so); ci.sh separately fails if an AVX2 host reports
+//! `isa: portable`.
+
+use finbench::core::binomial;
+use finbench::core::black_scholes::{reference as bs_ref, soa, vml};
+use finbench::core::brownian_bridge::{simd as bridge_simd, BridgePlan};
+use finbench::core::engine::registry;
+use finbench::core::greeks::{self, GreeksBatchSoa, OptionType};
+use finbench::core::monte_carlo::{reference as mc_ref, simd as mc_simd, GbmTerminal};
+use finbench::core::portfolio::{
+    par_revalue, revalue_into, Book, RevalScratch, ScenarioConfig, ScenarioGrid,
+};
+use finbench::core::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
+use finbench::engine::{Engine, WorkloadSpec};
+use finbench::rng::normal::{
+    fill_standard_normal_icdf, fill_standard_normal_icdf_batch, fill_standard_normal_icdf_fast,
+};
+use finbench::rng::{Mt19937_64, StreamFamily};
+use finbench::simd::batch;
+use finbench::simd::isa::{dispatch_as, Isa};
+use proptest::prelude::*;
+
+const M: MarketParams = MarketParams::PAPER;
+
+/// The tiers above the oracle that this host can run.
+fn tiers() -> Vec<Isa> {
+    let above: Vec<Isa> = Isa::ALL
+        .into_iter()
+        .filter(|isa| *isa != Isa::Portable && isa.supported())
+        .collect();
+    if above.is_empty() {
+        eprintln!("isa_identity: host supports no tier above portable; nothing to compare");
+    }
+    above
+}
+
+/// `run` (which returns every number the sweep produced) under each
+/// supported tier against the portable oracle; the first mismatch, if any.
+fn tier_mismatch(label: &str, run: impl Fn() -> Vec<f64>) -> Option<String> {
+    let want = dispatch_as(Isa::Portable, &run);
+    for isa in tiers() {
+        let got = dispatch_as(isa, &run);
+        if got.len() != want.len() {
+            return Some(format!("{label} under {}: length differs", isa.name()));
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            if g.to_bits() != w.to_bits() {
+                return Some(format!(
+                    "{label} under {}: element {i} is {g:e}, portable {w:e}",
+                    isa.name()
+                ));
+            }
+        }
+    }
+    None
+}
+
+/// `n` options from the paper's ranges, then the edge lanes: deep ITM and
+/// OTM (|d| past 7.07 and past 37), near-zero expiry, at the money.
+fn batch_with_edges(n: usize, seed: u64) -> OptionBatchSoa {
+    let mut b = OptionBatchSoa::random(n, seed, WorkloadRanges::default());
+    for (s, x, t) in [
+        (1000.0, 1.0, 0.5),
+        (1.0, 1000.0, 0.5),
+        (5000.0, 1.0, 0.01),
+        (1.0, 5000.0, 0.01),
+        (30.0, 30.0, 1e-8),
+        (30.0, 30.000_001, 1e-10),
+        (17.0, 17.0, 1.0),
+    ] {
+        b.s.push(s);
+        b.x.push(x);
+        b.t.push(t);
+        b.call.push(0.0);
+        b.put.push(0.0);
+    }
+    b
+}
+
+fn prices(b: &OptionBatchSoa) -> Vec<f64> {
+    [&b.call[..], &b.put[..]].concat()
+}
+
+fn all_greeks(g: &GreeksBatchSoa) -> Vec<f64> {
+    let sides = [&g.call, &g.put];
+    let columns = sides.iter().flat_map(|s| {
+        [&s.delta, &s.gamma, &s.vega, &s.theta, &s.rho]
+            .into_iter()
+            .flatten()
+    });
+    columns.copied().collect()
+}
+
+/// Inputs for the array math: a ramp over `[lo, hi]` of ragged length,
+/// then the function's own edge points.
+fn ramp_with_edges(n: usize, lo: f64, hi: f64, edges: &[f64]) -> Vec<f64> {
+    let mut xs: Vec<f64> = (0..n)
+        .map(|i| lo + (hi - lo) * i as f64 / n.max(2) as f64)
+        .collect();
+    xs.extend_from_slice(edges);
+    xs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `simd::batch::vd_*`: main loop at W=8 plus the scalar tail.
+    #[test]
+    fn array_math_is_tier_invariant(n in 0usize..70) {
+        type Vd = fn(&[f64], &mut [f64]);
+        let exp_edges = [
+            -746.0, -745.133_219_101_941_1, -745.13, -708.4, -0.0, 0.0, 1e-320,
+            709.78, 709.782_712_893_384, 709.79, 1000.0,
+        ];
+        let ln_edges = [
+            f64::MIN_POSITIVE, 1e-310, 0.5, std::f64::consts::FRAC_1_SQRT_2, 1.0,
+            std::f64::consts::SQRT_2, 2.0, 1e308, f64::MAX,
+        ];
+        let cdf_edges = [
+            -40.0, -37.1, -37.0, -7.08, -7.07, -0.5, -0.499_999, -0.0, 0.0, 0.499_999, 0.5,
+            7.07, 7.071_067_811_865_475, 7.08, 37.0, 37.1, 40.0,
+        ];
+        let unit_edges = [5e-324, 1e-300, 0.02425, 0.5, 0.97575, 1.0 - f64::EPSILON / 2.0];
+        let cases: [(&str, Vd, Vec<f64>); 6] = [
+            ("vd_exp", batch::vd_exp, ramp_with_edges(n, -30.0, 30.0, &exp_edges)),
+            ("vd_ln", batch::vd_ln, ramp_with_edges(n, 1e-3, 1e3, &ln_edges)),
+            ("vd_erf", batch::vd_erf, ramp_with_edges(n, -6.0, 6.0, &cdf_edges)),
+            ("vd_norm_cdf", batch::vd_norm_cdf, ramp_with_edges(n, -9.0, 9.0, &cdf_edges)),
+            ("vd_sqrt", batch::vd_sqrt, ramp_with_edges(n, 0.0, 1e6, &ln_edges)),
+            (
+                "vd_inv_norm_cdf",
+                batch::vd_inv_norm_cdf,
+                ramp_with_edges(n, 1e-6, 1.0 - 1e-6, &unit_edges),
+            ),
+        ];
+        for (label, f, src) in cases {
+            let bad = tier_mismatch(label, || {
+                let mut dst = vec![0.0; src.len()];
+                f(&src, &mut dst);
+                dst
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+
+    /// Black-Scholes: scalar SOA, SIMD SOA at W=1/4/8, erf+parity, the
+    /// VML-style passes, SIMD-on-AOS gathers and the pooled driver.
+    #[test]
+    fn black_scholes_sweeps_are_tier_invariant(n in 0usize..70, seed in 0u64..1_000_000) {
+        let base = batch_with_edges(n, seed);
+        type Sweep = fn(&mut OptionBatchSoa, MarketParams);
+        let sweeps: [(&str, Sweep); 8] = [
+            ("price_soa_scalar", soa::price_soa_scalar),
+            ("price_soa_simd::<1>", soa::price_soa_simd::<1>),
+            ("price_soa_simd::<4>", soa::price_soa_simd::<4>),
+            ("price_soa_simd::<8>", soa::price_soa_simd::<8>),
+            ("price_soa_simd_erf_parity::<4>", soa::price_soa_simd_erf_parity::<4>),
+            ("price_soa_simd_erf_parity::<8>", soa::price_soa_simd_erf_parity::<8>),
+            ("price_soa_vml", |b, m| vml::price_soa_vml(b, m, &mut vml::VmlWorkspace::default())),
+            ("par_price_soa::<8>", |b, m| soa::par_price_soa::<8>(b, m, 16)),
+        ];
+        for (label, sweep) in sweeps {
+            let bad = tier_mismatch(label, || {
+                let mut b = base.clone();
+                sweep(&mut b, M);
+                prices(&b)
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+        for (label, gather) in [
+            ("price_aos_simd_gather::<4>", bs_ref::price_aos_simd_gather::<4> as fn(&mut _, _)),
+            ("price_aos_simd_gather::<8>", bs_ref::price_aos_simd_gather::<8>),
+        ] {
+            let bad = tier_mismatch(label, || {
+                let mut aos = base.to_aos();
+                gather(&mut aos, M);
+                prices(&aos.to_soa())
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+
+    /// Greeks: the three-greek SOA sweep, the ten-greek batch sweep at
+    /// W=1/4/8 and the fused price+greeks rung.
+    #[test]
+    fn greeks_sweeps_are_tier_invariant(n in 0usize..70, seed in 0u64..1_000_000) {
+        let base = batch_with_edges(n, seed);
+        let len = base.len();
+        type Batch = fn(&OptionBatchSoa, MarketParams, &mut GreeksBatchSoa);
+        for (label, sweep) in [
+            ("greeks_batch_simd::<1>", greeks::greeks_batch_simd::<1> as Batch),
+            ("greeks_batch_simd::<4>", greeks::greeks_batch_simd::<4>),
+            ("greeks_batch_simd::<8>", greeks::greeks_batch_simd::<8>),
+        ] {
+            let bad = tier_mismatch(label, || {
+                let mut out = GreeksBatchSoa::zeroed(len);
+                sweep(&base, M, &mut out);
+                all_greeks(&out)
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+        let bad = tier_mismatch("price_and_greeks_into::<8>", || {
+            let mut b = base.clone();
+            let mut out = GreeksBatchSoa::zeroed(len);
+            greeks::price_and_greeks_into::<8>(&mut b, M, &mut out);
+            [prices(&b), all_greeks(&out)].concat()
+        });
+        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        for kind in [OptionType::Call, OptionType::Put] {
+            for (label, sweep) in [
+                ("greeks_soa_simd::<4>", greeks::greeks_soa_simd::<4> as fn(_, &_, _, &mut _, &mut _, &mut _)),
+                ("greeks_soa_simd::<8>", greeks::greeks_soa_simd::<8>),
+            ] {
+                let bad = tier_mismatch(label, || {
+                    let (mut d, mut g, mut v) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
+                    sweep(kind, &base, M, &mut d, &mut g, &mut v);
+                    [d, g, v].concat()
+                });
+                prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+            }
+        }
+    }
+
+    /// Portfolio revaluation at W=1/4/8 (bump and P&L loops included) and
+    /// the pooled full-grid driver.
+    #[test]
+    fn portfolio_revaluation_is_tier_invariant(
+        positions in 1usize..40,
+        scenarios in 1usize..12,
+        seed in 0u64..1_000_000,
+    ) {
+        let book = Book::random(positions, seed);
+        let cfg = ScenarioConfig::standard(scenarios, seed ^ 0x5eed);
+        let grid = cfg.grid();
+        type Reval = fn(&Book, MarketParams, &ScenarioGrid, &mut RevalScratch, &mut Vec<f64>);
+        for (label, reval) in [
+            ("revalue_into::<1>", revalue_into::<1> as Reval),
+            ("revalue_into::<4>", revalue_into::<4>),
+            ("revalue_into::<8>", revalue_into::<8>),
+        ] {
+            let bad = tier_mismatch(label, || {
+                let mut pnl = Vec::new();
+                reval(&book, M, &grid, &mut RevalScratch::new(), &mut pnl);
+                pnl
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+        let bad = tier_mismatch("par_revalue", || {
+            let mut pnl = Vec::new();
+            par_revalue(&book, M, &cfg, 4, &mut pnl);
+            pnl
+        });
+        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+    }
+
+    /// Binomial: the scalar reference batch, the shared W=8 driver with the
+    /// plain and tiled reductions, and the FMA-form tiled reduction.
+    #[test]
+    fn binomial_sweeps_are_tier_invariant(
+        n in 0usize..20,
+        steps in 1usize..130,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut base = batch_with_edges(n, seed);
+        // The SIMD drivers read one expiry per group of lanes.
+        base.t.fill(1.25);
+        type Sweep = fn(&mut OptionBatchSoa, MarketParams, usize);
+        let sweeps: [(&str, Sweep); 5] = [
+            ("reference::price_batch", binomial::reference::price_batch),
+            ("price_batch_simd::<8>", |b, m, n| binomial::simd::price_batch_simd::<8>(b, m, n, true)),
+            ("price_batch_tiled::<8, 4>", |b, m, n| {
+                binomial::tiled::price_batch_tiled::<8, 4>(b, m, n, true)
+            }),
+            ("price_batch_tiled::<8, 8> puts", |b, m, n| {
+                binomial::tiled::price_batch_tiled::<8, 8>(b, m, n, false)
+            }),
+            ("price_batch_tiled::<4, 8>", |b, m, n| {
+                binomial::tiled::price_batch_tiled::<4, 8>(b, m, n, true)
+            }),
+        ];
+        for (label, sweep) in sweeps {
+            let bad = tier_mismatch(label, || {
+                let mut b = base.clone();
+                sweep(&mut b, M, steps);
+                prices(&b)
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+        let crr = binomial::CrrParams::new(M, 1.25, steps);
+        let bad = tier_mismatch("reduce_tiled_fma::<8, 8>", || {
+            let mut leaves = vec![finbench::simd::F64v::<8>::zero(); steps + 1];
+            let lanes = OptionBatchSoa::random(8, seed, WorkloadRanges::default());
+            binomial::fill_leaves_simd(&mut leaves, &lanes.s, &lanes.x, steps, &crr, true);
+            let root =
+                binomial::tiled::reduce_tiled_fma::<8, 8>(&mut leaves, steps, crr.pu_by_df, crr.pd_by_df);
+            root.to_array().to_vec()
+        });
+        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+    }
+
+    /// Monte Carlo (streamed scalar, streamed SIMD, antithetic, computed
+    /// RNG), the Brownian bridge across paths, and the normal transforms.
+    #[test]
+    fn path_kernels_are_tier_invariant(n in 0usize..300, seed in 0u64..1_000_000) {
+        let mut randoms = vec![0.0; n];
+        fill_standard_normal_icdf(&mut Mt19937_64::new(seed), &mut randoms);
+        // Terminal values at both clamp ends of `exp`.
+        randoms.extend_from_slice(&[-40.0, -8.5, 0.0, 8.5, 40.0]);
+        let g = GbmTerminal::new(1.0, M);
+        let sums = |s: finbench::core::monte_carlo::PathSums| vec![s.v0, s.v1, s.n as f64];
+        let cases: [(&str, &dyn Fn() -> Vec<f64>); 5] = [
+            ("paths_streamed::<f64>", &|| sums(mc_ref::paths_streamed::<f64>(100.0, 100.0, g, &randoms))),
+            ("paths_streamed_simd::<4>", &|| sums(mc_simd::paths_streamed_simd::<4>(100.0, 100.0, g, &randoms))),
+            ("paths_streamed_simd::<8>", &|| sums(mc_simd::paths_streamed_simd::<8>(100.0, 100.0, g, &randoms))),
+            ("paths_antithetic::<8>", &|| sums(mc_simd::paths_antithetic::<8>(100.0, 100.0, g, &randoms))),
+            ("paths_computed_simd::<8>", &|| {
+                let fam = StreamFamily::new(seed);
+                sums(mc_simd::paths_computed_simd::<8>(100.0, 100.0, g, &fam, 3, n + 1))
+            }),
+        ];
+        for (label, run) in cases {
+            let bad = tier_mismatch(label, run);
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+
+        let plan = BridgePlan::new(1 + n % 6, 2.0);
+        let n_paths = 8 * (1 + n % 3);
+        let mut normals = vec![0.0; n_paths * plan.randoms_per_path()];
+        fill_standard_normal_icdf(&mut Mt19937_64::new(seed ^ 1), &mut normals);
+        let bad = tier_mismatch("build_paths_simd::<8>", || {
+            let mut out = vec![0.0; n_paths * plan.points()];
+            bridge_simd::build_paths_simd::<8>(&plan, &normals, &mut out, n_paths);
+            out
+        });
+        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+
+        type Fill = fn(&mut Mt19937_64, &mut [f64]);
+        for (label, fill) in [
+            ("fill_standard_normal_icdf", fill_standard_normal_icdf as Fill),
+            ("fill_standard_normal_icdf_fast", fill_standard_normal_icdf_fast),
+            ("fill_standard_normal_icdf_batch", |rng, out| {
+                fill_standard_normal_icdf_batch(rng, out, &mut [0.0; 64])
+            }),
+        ] {
+            let bad = tier_mismatch(label, || {
+                let mut out = vec![0.0; n];
+                fill(&mut Mt19937_64::new(seed), &mut out);
+                out
+            });
+            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+}
+
+/// The engine's own oracle — every rung against its declared baseline and
+/// check — holds under every tier, and the reference rung of every kernel
+/// produces the same bits on every tier.
+#[test]
+fn every_registry_rung_validates_and_repeats_under_every_tier() {
+    let engine = Engine::new(registry());
+    let spec = WorkloadSpec::validation(7, 48);
+    for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+        let errs = dispatch_as(isa, || engine.validate_all(&spec));
+        assert!(errs.is_empty(), "under {}: {errs:?}", isa.name());
+    }
+    for kernel in engine.registry().kernels() {
+        let session = kernel.session(&spec);
+        for (rung, info) in kernel.rungs().iter().enumerate() {
+            // Pool-threaded rungs inherit their lanes' dispatch on other
+            // threads; the serial policy keeps this comparison on ours.
+            let bad = tier_mismatch(&format!("{} rung {}", kernel.name(), info.slug), || {
+                let mut body = session.body(rung, finbench::parallel::ExecPolicy::Serial);
+                body.step();
+                body.output()
+            });
+            assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+}
