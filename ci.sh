@@ -50,6 +50,9 @@ if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/
   esac
 fi
 
+echo "==> packed-code gate (SIMD-labelled sweeps are vector code at the active tier)"
+./packed_check.sh target/release/finbench
+
 echo "==> serve-bench smoke gate (zero shed + shard scaling)"
 serve_out=$(cargo run --release -q -p finbench-harness --bin finbench -- serve-bench --quick)
 echo "$serve_out" | tail -3

@@ -11,7 +11,7 @@
 //!   are handed straight to a consumer functional and only one double per
 //!   path (the functional's value) is written out.
 
-use super::simd::build_path_group;
+use super::simd::{build_group_in_place, transpose_out};
 use super::BridgePlan;
 use finbench_rng::normal::fill_standard_normal_icdf;
 use finbench_rng::StreamFamily;
@@ -36,10 +36,12 @@ pub fn build_paths_interleaved<const W: usize>(
     assert_eq!(out.len(), n_paths * points, "output buffer size mismatch");
 
     let mut chunk = vec![0.0; per * W];
-    for g in 0..n_paths / W {
+    let mut group = vec![F64v::<W>::zero(); points];
+    for (g, rows) in out.chunks_exact_mut(W * points).enumerate() {
         let mut rng = family.stream(g as u64);
         fill_standard_normal_icdf(&mut rng, &mut chunk);
-        build_path_group::<W>(plan, &chunk, &mut out[g * W * points..(g + 1) * W * points]);
+        build_group_in_place::<W>(plan, &chunk, &mut group);
+        transpose_out(&group, rows);
     }
 }
 
@@ -60,26 +62,13 @@ pub fn simulate_fused<const W: usize>(
         "n_paths must be a multiple of the SIMD width"
     );
     assert_eq!(out.len(), n_paths, "one output per path");
-    let points = plan.points();
-    let per = plan.randoms_per_path();
-
-    let mut chunk = vec![0.0; per * W];
-    let mut group = vec![0.0; W * points];
-    let mut vecs: Vec<F64v<W>> = vec![F64v::zero(); points];
+    let mut chunk = vec![0.0; plan.randoms_per_path() * W];
+    let mut group = vec![F64v::<W>::zero(); plan.points()];
     for g in 0..n_paths / W {
         let mut rng = family.stream(g as u64);
         fill_standard_normal_icdf(&mut rng, &mut chunk);
-        build_path_group::<W>(plan, &chunk, &mut group);
-        // Re-pack [lane][point] rows into per-point vectors for the
-        // consumer (lane = path).
-        for (k, v) in vecs.iter_mut().enumerate() {
-            let mut lanes = [0.0; W];
-            for (lane, slot) in lanes.iter_mut().enumerate() {
-                *slot = group[lane * points + k];
-            }
-            *v = F64v(lanes);
-        }
-        functional(&vecs).store(out, g * W);
+        build_group_in_place::<W>(plan, &chunk, &mut group);
+        functional(&group).store(out, g * W);
     }
 }
 
@@ -129,17 +118,12 @@ mod tests {
         let mut fused = vec![0.0; n_paths * plan.points()];
         build_paths_interleaved::<8>(&plan, &fam, &mut fused, n_paths);
 
-        let mut staged = vec![0.0; n_paths * plan.points()];
-        let mut chunk = vec![0.0; per * 8];
-        for g in 0..n_paths / 8 {
-            let mut rng = fam.stream(g as u64);
-            fill_standard_normal_icdf(&mut rng, &mut chunk);
-            build_path_group::<8>(
-                &plan,
-                &chunk,
-                &mut staged[g * 8 * plan.points()..(g + 1) * 8 * plan.points()],
-            );
+        let mut normals = vec![0.0; n_paths * per];
+        for (g, chunk) in normals.chunks_mut(per * 8).enumerate() {
+            fill_standard_normal_icdf(&mut fam.stream(g as u64), chunk);
         }
+        let mut staged = vec![0.0; n_paths * plan.points()];
+        crate::brownian_bridge::simd::build_paths_simd::<8>(&plan, &normals, &mut staged, n_paths);
         assert_eq!(fused, staged);
     }
 

@@ -5,7 +5,8 @@
 //! loaded in vector-width chunks": for a group of `W` paths the normals
 //! are stored transposed, `randoms[step·W + lane]`, so every consumption
 //! is one aligned vector load. [`transpose_randoms`] converts a
-//! path-major buffer into this layout (and is its own inverse).
+//! path-major buffer into this layout; [`transpose_out`] is the inverse
+//! map, applied to a built group.
 
 use super::BridgePlan;
 use finbench_simd::{isa_fn, F64v};
@@ -32,40 +33,47 @@ pub fn transpose_randoms<const W: usize>(randoms: &[f64], per_path: usize) -> Ve
 }
 
 isa_fn! {
-    /// Build `W` paths at once. `randoms` is in `[step][lane]` layout (length
-    /// `plan.randoms_per_path() * W`); `out` is row-major `[lane][point]`.
-    pub fn build_path_group<const W: usize>(plan: &BridgePlan, randoms: &[f64], out: &mut [f64]) {
-        let points = plan.points();
-        assert_eq!(out.len(), W * points, "output must hold W paths");
+    /// Build `W` paths at once, in place. `randoms` is in `[step][lane]`
+    /// layout (length `plan.randoms_per_path() * W`); `buf` is the
+    /// caller-owned `[point][lane]` scratch of `plan.points()` vectors, every
+    /// one of which is overwritten. Level `d` writes the midpoints of its
+    /// `2^d` spans at stride `2^(depth − d)`, so a point is stored once and
+    /// never copied.
+    pub fn build_group_in_place<const W: usize>(
+        plan: &BridgePlan,
+        randoms: &[f64],
+        buf: &mut [F64v<W>],
+    ) {
+        let steps = plan.steps();
+        assert_eq!(buf.len(), steps + 1, "scratch must hold one vector per point");
         assert!(
             randoms.len() >= plan.randoms_per_path() * W,
             "not enough randoms"
         );
 
-        let mut src: Vec<F64v<W>> = vec![F64v::zero(); points];
-        let mut dst: Vec<F64v<W>> = vec![F64v::zero(); points];
-
-        let mut i = 0usize;
-        src[0] = F64v::zero();
-        src[1] = F64v::<W>::load(randoms, 0) * plan.last_sig;
-        i += W;
+        buf[0] = F64v::zero();
+        buf[steps] = F64v::<W>::load(randoms, 0) * plan.last_sig;
+        let mut i = W;
 
         for d in 0..plan.depth {
-            dst[0] = src[0];
+            let s = steps >> d;
+            let (w_l, w_r, sig) = (&plan.w_l[d], &plan.w_r[d], &plan.sig[d]);
             for c in 0..(1usize << d) {
                 let z = F64v::<W>::load(randoms, i);
                 i += W;
-                dst[2 * c + 1] =
-                    src[c] * plan.w_l[d][c] + src[c + 1] * plan.w_r[d][c] + z * plan.sig[d][c];
-                dst[2 * c + 2] = src[c + 1];
+                buf[c * s + s / 2] = buf[c * s] * w_l[c] + buf[(c + 1) * s] * w_r[c] + z * sig[c];
             }
-            core::mem::swap(&mut src, &mut dst);
         }
+    }
+}
 
-        for (k, v) in src.iter().enumerate() {
-            for lane in 0..W {
-                out[lane * points + k] = v[lane];
-            }
+/// Write a built `[point][lane]` group out as row-major `[lane][point]`.
+pub fn transpose_out<const W: usize>(buf: &[F64v<W>], out: &mut [f64]) {
+    let points = buf.len();
+    assert_eq!(out.len(), W * points, "output must hold W paths");
+    for (lane, row) in out.chunks_exact_mut(points).enumerate() {
+        for (slot, v) in row.iter_mut().zip(buf) {
+            *slot = v[lane];
         }
     }
 }
@@ -88,12 +96,13 @@ pub fn build_paths_simd<const W: usize>(
     let points = plan.points();
     let per = plan.randoms_per_path();
     assert_eq!(out.len(), n_paths * points, "output buffer size mismatch");
-    for g in 0..n_paths / W {
-        build_path_group::<W>(
-            plan,
-            &randoms[g * per * W..(g + 1) * per * W],
-            &mut out[g * W * points..(g + 1) * W * points],
-        );
+    let mut group = vec![F64v::<W>::zero(); points];
+    for (zs, rows) in randoms
+        .chunks_exact(per * W)
+        .zip(out.chunks_exact_mut(W * points))
+    {
+        build_group_in_place::<W>(plan, zs, &mut group);
+        transpose_out(&group, rows);
     }
 }
 
@@ -108,10 +117,6 @@ mod tests {
         let per = 8;
         let buf: Vec<f64> = (0..per * 4 * 3).map(|i| i as f64).collect();
         let t = transpose_randoms::<4>(&buf, per);
-        let back = transpose_randoms::<4>(&t, per); // wrong in general...
-                                                    // transpose of [path][step] -> [step][lane]; applying the same map
-                                                    // again restores the original because the group matrix is W x per
-                                                    // vs per x W: verify element-wise instead.
         for g in 0..3 {
             for lane in 0..4 {
                 for step in 0..per {
@@ -122,7 +127,13 @@ mod tests {
                 }
             }
         }
-        let _ = back;
+        // `transpose_out` is the `[step][lane] -> [path][step]` inverse.
+        let mut back = vec![0.0; buf.len()];
+        for (group, rows) in t.chunks(per * 4).zip(back.chunks_mut(per * 4)) {
+            let vecs: Vec<F64v<4>> = (0..per).map(|step| F64v::load(group, step * 4)).collect();
+            transpose_out(&vecs, rows);
+        }
+        assert_eq!(back, buf);
     }
 
     #[test]

@@ -116,12 +116,22 @@ impl CnProblem {
         self.dtau() / (self.dx() * self.dx())
     }
 
-    /// Transformed put payoff `g(x, τ)`.
+    /// Transformed put payoff `g(x, τ) = growth(τ) · intrinsic_u(x)`.
     pub fn payoff_u(&self, x: f64, tau: f64) -> f64 {
+        self.growth(tau) * self.intrinsic_u(x)
+    }
+
+    /// The time factor `e^((k+1)²τ/4)` of [`CnProblem::payoff_u`].
+    fn growth(&self, tau: f64) -> f64 {
         let k = self.k();
-        let growth = exp(0.25 * (k + 1.0) * (k + 1.0) * tau);
-        let diff = exp(0.5 * (k - 1.0) * x) - exp(0.5 * (k + 1.0) * x);
-        growth * diff.max(0.0)
+        exp(0.25 * (k + 1.0) * (k + 1.0) * tau)
+    }
+
+    /// The time-invariant factor `max(e^((k−1)x/2) − e^((k+1)x/2), 0)` of
+    /// [`CnProblem::payoff_u`].
+    fn intrinsic_u(&self, x: f64) -> f64 {
+        let k = self.k();
+        (exp(0.5 * (k - 1.0) * x) - exp(0.5 * (k + 1.0) * x)).max(0.0)
     }
 
     /// Solve the marching problem with the chosen PSOR kernel.
@@ -137,6 +147,13 @@ impl CnProblem {
         let x_of = |j: usize| self.xmin + j as f64 * dx;
 
         let mut u: Vec<f64> = (0..=m).map(|j| self.payoff_u(x_of(j), 0.0)).collect();
+        // The payoff's two `exp`s per point do not depend on τ: evaluated
+        // per time step they were half of a step's cycles. The boundary
+        // rows sit at the grid bounds themselves, which `x_of(m)` can miss
+        // by an ulp.
+        let mut intrinsic: Vec<f64> = (0..=m).map(|j| self.intrinsic_u(x_of(j))).collect();
+        intrinsic[0] = self.intrinsic_u(self.xmin);
+        intrinsic[m] = self.intrinsic_u(self.xmax);
         let mut b = vec![0.0; m + 1];
         let mut g = vec![0.0; m + 1];
 
@@ -148,13 +165,14 @@ impl CnProblem {
 
         for n in 1..=self.n_steps {
             let tau = n as f64 * dtau;
-            // Explicit half step + payoff refresh (uses the old U).
+            // Payoff refresh + explicit half step (uses the old U).
+            let growth = self.growth(tau);
+            for (slot, d) in g.iter_mut().zip(&intrinsic) {
+                *slot = growth * d;
+            }
             for j in 1..m {
-                g[j] = self.payoff_u(x_of(j), tau);
                 b[j] = (1.0 - alpha) * u[j] + alphah * (u[j + 1] + u[j - 1]);
             }
-            g[0] = self.payoff_u(self.xmin, tau);
-            g[m] = self.payoff_u(self.xmax, tau);
             u[0] = g[0];
             u[m] = g[m];
 
@@ -294,6 +312,39 @@ mod tests {
                 (v - want).abs() < 1e-9 * want.max(1.0),
                 "x={x}: {v} vs {want}"
             );
+        }
+    }
+
+    #[test]
+    fn hoisted_payoff_has_the_bits_of_the_per_point_formula() {
+        let p = CnProblem::paper(M, 1.0);
+        let k = p.k();
+        for n in [0usize, 1, 7, 100, 999, 1000] {
+            let tau = n as f64 * p.dtau();
+            let growth = p.growth(tau);
+            for j in [0, 1, 2, 100, 127, 128, 129, 200, 254, 255] {
+                let x = p.xmin + j as f64 * p.dx();
+                // What `solve` evaluated per grid point per time step
+                // before the `exp`s were hoisted.
+                let want = exp(0.25 * (k + 1.0) * (k + 1.0) * tau)
+                    * (exp(0.5 * (k - 1.0) * x) - exp(0.5 * (k + 1.0) * x)).max(0.0);
+                let hoisted = growth * p.intrinsic_u(x);
+                assert_eq!(hoisted.to_bits(), want.to_bits(), "n={n} j={j}");
+            }
+        }
+    }
+
+    #[test]
+    fn paper_problem_iteration_counts_are_pinned() {
+        // Any change to `g`, `b` or a PSOR iterate moves these.
+        let mut p = CnProblem::paper(M, 1.0);
+        p.n_steps = 100;
+        for (kind, iterations) in [
+            (PsorKind::Reference, 589),
+            (PsorKind::Wavefront, 808),
+            (PsorKind::WavefrontSoa, 808),
+        ] {
+            assert_eq!(p.solve(kind).psor_iterations, iterations, "{kind:?}");
         }
     }
 

@@ -34,14 +34,33 @@
 //!   (the paper's final data-structure-transform bar; the transform cost
 //!   is the residual gap to ideal SIMD scaling it reports).
 //!
-//! ## Not ISA-dispatched
+//! ## Not ISA-dispatched, and not yet packed code
 //!
 //! Unlike the other kernels' sweeps these solvers do not go through
-//! `finbench_simd::isa::dispatch`: the lane loop is a serial recurrence
-//! (lane `w` consumes lane `w−1`'s previous step), so there is nothing for
-//! a wider instruction set to vectorise. Measured on an AVX-512 host the
-//! AVX2+FMA instantiation moved the two rungs by 0–3 % and the AVX-512 one
-//! lost 24–27 %, so the baseline instantiation is the only one.
+//! `finbench_simd::isa::dispatch`. The scheme leaves plenty to vectorise —
+//! the `W` lanes of one step are independent of each other, each reading
+//! only the two previous steps — but this *implementation* of it is a
+//! per-lane scalar loop with an activity branch and three data-dependent
+//! selects per lane, which no tier compiles to packed code. Measured on an
+//! AVX-512 host the AVX2+FMA instantiation moved the two rungs by 0–3 % and
+//! the AVX-512 one lost 24–27 %, so the baseline instantiation is the only
+//! one.
+//!
+//! A block that keeps the step rows in memory and computes the lanes with
+//! `F64v` arithmetic does vectorise (8 `zmm` operations, 3 scalar) and is
+//! slower: 864 against 1 355 solves/s on the 100-step paper problem,
+//! because `right` is the previous row loaded one lane over, a load that
+//! spans the two stores which wrote that row and so misses store
+//! forwarding. The true-vector wavefront needs that shift done in
+//! registers, and is open.
+//!
+//! What bounds these rungs today is set-up, not the block: the paper problem
+//! converges in about six scalar PSOR iterations per time step (589 over
+//! 100 steps), so the wavefront runs one `W = 8` block on all but one step
+//! (808 iterations) and the per-step work around it — payoff refresh,
+//! explicit half step, and for the SOA variant the re-skew — is most of a
+//! step. `CnProblem::solve` therefore computes the payoff's `exp`s once per
+//! solve instead of once per step.
 
 /// One `W`-iteration wavefront block over the interior `[lo, hi]`.
 /// Returns the summed squared update of the *last* lane (iteration

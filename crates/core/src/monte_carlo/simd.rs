@@ -13,6 +13,13 @@ use finbench_rng::{normal::fill_standard_normal_icdf, StreamFamily};
 use finbench_simd::math::vexp;
 use finbench_simd::{isa_fn, F64v};
 
+/// Payoffs staged per block by the two sweeps below (4 KiB of stack).
+/// The store is what makes them packed code — a sweep that keeps its
+/// results in register accumulators gives LLVM nothing to vectorise from
+/// (`finbench_simd` crate docs) — and the accumulation reads the block back
+/// in the order the unstaged loop added, so the sums keep their bits.
+const BLOCK: usize = 512;
+
 isa_fn! {
     /// Vectorized streamed-path accumulation: `W` paths per step, two
     /// accumulator pairs to expose instruction-level parallelism, scalar tail.
@@ -22,6 +29,7 @@ isa_fn! {
         g: GbmTerminal,
         randoms: &[f64],
     ) -> PathSums {
+        assert_eq!(BLOCK % (2 * W), 0, "block must hold whole accumulator pairs");
         let sv = F64v::<W>::splat(s);
         let xv = F64v::<W>::splat(x);
         let zero = F64v::<W>::zero();
@@ -34,17 +42,21 @@ isa_fn! {
         let mut v0b = F64v::<W>::zero();
         let mut v1b = F64v::<W>::zero();
 
-        let mut i = 0;
-        while i < main {
-            let za = F64v::<W>::load(randoms, i);
-            let zb = F64v::<W>::load(randoms, i + W);
-            let ra = (sv * vexp(za * g.v_rt_t + g.mu_t) - xv).max(zero);
-            let rb = (sv * vexp(zb * g.v_rt_t + g.mu_t) - xv).max(zero);
-            v0a += ra;
-            v1a += ra * ra;
-            v0b += rb;
-            v1b += rb * rb;
-            i += 2 * W;
+        let mut payoffs = [0.0; BLOCK];
+        for zs in randoms[..main].chunks(BLOCK) {
+            let payoffs = &mut payoffs[..zs.len()];
+            for j in (0..zs.len()).step_by(W) {
+                let z = F64v::<W>::load(zs, j);
+                (sv * vexp(z * g.v_rt_t + g.mu_t) - xv).max(zero).store(payoffs, j);
+            }
+            for j in (0..zs.len()).step_by(2 * W) {
+                let ra = F64v::<W>::load(payoffs, j);
+                let rb = F64v::<W>::load(payoffs, j + W);
+                v0a += ra;
+                v1a += ra * ra;
+                v0b += rb;
+                v1b += rb * rb;
+            }
         }
 
         let mut acc = PathSums {
@@ -120,6 +132,7 @@ isa_fn! {
         g: GbmTerminal,
         randoms: &[f64],
     ) -> PathSums {
+        assert_eq!(BLOCK % W, 0, "block must hold whole vectors");
         let sv = F64v::<W>::splat(s);
         let xv = F64v::<W>::splat(x);
         let zero = F64v::<W>::zero();
@@ -130,15 +143,20 @@ isa_fn! {
         let mut v0 = F64v::<W>::zero();
         let mut v1 = F64v::<W>::zero();
 
-        let mut i = 0;
-        while i < main {
-            let z = F64v::<W>::load(randoms, i);
-            let up = (sv * vexp(z * g.v_rt_t + g.mu_t) - xv).max(zero);
-            let dn = (sv * vexp(-z * g.v_rt_t + g.mu_t) - xv).max(zero);
-            let pair = (up + dn) * half;
-            v0 += pair;
-            v1 += pair * pair;
-            i += W;
+        let mut pairs = [0.0; BLOCK];
+        for zs in randoms[..main].chunks(BLOCK) {
+            let pairs = &mut pairs[..zs.len()];
+            for j in (0..zs.len()).step_by(W) {
+                let z = F64v::<W>::load(zs, j);
+                let up = (sv * vexp(z * g.v_rt_t + g.mu_t) - xv).max(zero);
+                let dn = (sv * vexp(-z * g.v_rt_t + g.mu_t) - xv).max(zero);
+                ((up + dn) * half).store(pairs, j);
+            }
+            for j in (0..zs.len()).step_by(W) {
+                let pair = F64v::<W>::load(pairs, j);
+                v0 += pair;
+                v1 += pair * pair;
+            }
         }
         let mut acc = PathSums {
             v0: v0.hsum(),

@@ -70,4 +70,15 @@ pub trait RngCore64 {
     fn next_f64_open(&mut self) -> f64 {
         uniform::u64_to_f64_oo(self.next_u64())
     }
+
+    /// Fill `out` with `convert(self.next_u64())`, in order — the block
+    /// primitive under the [`uniform`] fills. A generator that holds a
+    /// block of state overrides it to sweep the block at once
+    /// ([`Mt19937_64`] does); the values written and the state left behind
+    /// must be exactly those of this per-element loop.
+    fn fill_with<F: Fn(u64) -> f64>(&mut self, out: &mut [f64], convert: F) {
+        for slot in out {
+            *slot = convert(self.next_u64());
+        }
+    }
 }

@@ -3,6 +3,7 @@
 //! output word per 53-bit uniform double).
 
 use crate::RngCore64;
+use finbench_simd::isa_fn;
 
 const N: usize = 312;
 const M: usize = 156;
@@ -39,15 +40,59 @@ impl Mt19937_64 {
     }
 
     fn twist(&mut self) {
-        for i in 0..N {
-            let x = (self.state[i] & UPPER_MASK) | (self.state[(i + 1) % N] & LOWER_MASK);
-            let mut x_a = x >> 1;
-            if x & 1 != 0 {
-                x_a ^= MATRIX_A;
-            }
-            self.state[i] = self.state[(i + M) % N] ^ x_a;
-        }
+        twist_block(&mut self.state);
         self.index = 0;
+    }
+}
+
+#[inline(always)]
+fn temper(mut x: u64) -> u64 {
+    x ^= (x >> 29) & 0x5555_5555_5555_5555;
+    x ^= (x << 17) & 0x71D6_7FFF_EDA6_0000;
+    x ^= (x << 37) & 0xFFF7_EEE0_0000_0000;
+    x ^ (x >> 43)
+}
+
+isa_fn! {
+    /// Advance the whole state block one generation. Split where `i + M`
+    /// wraps so neither loop needs `% N`, and the conditional `^ MATRIX_A`
+    /// is a mask: both loops are straight-line and vectorise.
+    fn twist_block(state: &mut [u64; N]) {
+        #[inline(always)]
+        fn mix(upper: u64, lower: u64) -> u64 {
+            let x = (upper & UPPER_MASK) | (lower & LOWER_MASK);
+            (x >> 1) ^ ((x & 1).wrapping_neg() & MATRIX_A)
+        }
+        for i in 0..N - M {
+            state[i] = state[i + M] ^ mix(state[i], state[i + 1]);
+        }
+        for i in N - M..N - 1 {
+            state[i] = state[i + M - N] ^ mix(state[i], state[i + 1]);
+        }
+        state[N - 1] = state[M - 1] ^ mix(state[N - 1], state[0]);
+    }
+}
+
+isa_fn! {
+    /// `out[i] = convert(next_u64())`, tempering and converting straight
+    /// out of the state block a run of up to `N` words at a time instead
+    /// of testing the index per draw. `convert` comes by value: behind a
+    /// reference its captures would be reloaded around every store to
+    /// `out`, which keeps the loop scalar.
+    fn fill_block<F: Fn(u64) -> f64>(rng: &mut Mt19937_64, out: &mut [f64], convert: F) {
+        let mut out = out;
+        while !out.is_empty() {
+            if rng.index >= N {
+                rng.twist();
+            }
+            let run = out.len().min(N - rng.index);
+            let (head, rest) = out.split_at_mut(run);
+            for (slot, &word) in head.iter_mut().zip(&rng.state[rng.index..]) {
+                *slot = convert(temper(word));
+            }
+            rng.index += run;
+            out = rest;
+        }
     }
 }
 
@@ -57,18 +102,59 @@ impl RngCore64 for Mt19937_64 {
         if self.index >= N {
             self.twist();
         }
-        let mut x = self.state[self.index];
+        let x = self.state[self.index];
         self.index += 1;
-        x ^= (x >> 29) & 0x5555_5555_5555_5555;
-        x ^= (x << 17) & 0x71D6_7FFF_EDA6_0000;
-        x ^= (x << 37) & 0xFFF7_EEE0_0000_0000;
-        x ^ (x >> 43)
+        temper(x)
+    }
+
+    fn fill_with<F: Fn(u64) -> f64>(&mut self, out: &mut [f64], convert: F) {
+        fill_block(self, out, convert);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::uniform::{fill_uniform, fill_uniform_open, fill_uniform_range};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The block fill is the per-element loop: same doubles, bit for
+        /// bit, and the same generator afterwards — from any position in
+        /// the state block, for runs that end before, on and after a twist.
+        #[test]
+        fn block_fill_is_the_per_element_sequence(
+            seed in 0u64..u64::MAX,
+            skip in 0usize..700,
+            len in 0usize..2000,
+        ) {
+            let mut start = Mt19937_64::new(seed);
+            for _ in 0..skip {
+                start.next_u64();
+            }
+            type Fill = fn(&mut Mt19937_64, &mut [f64]);
+            type Draw = fn(&mut Mt19937_64) -> f64;
+            let cases: [(Fill, Draw); 3] = [
+                (fill_uniform, |r| r.next_f64()),
+                (fill_uniform_open, |r| r.next_f64_open()),
+                (
+                    |r, out| fill_uniform_range(r, out, -2.5, 40.0),
+                    |r| -2.5 + 42.5 * r.next_f64(),
+                ),
+            ];
+            for (fill, draw) in cases {
+                let (mut block, mut single) = (start.clone(), start.clone());
+                let mut got = vec![0.0; len];
+                fill(&mut block, &mut got);
+                let want: Vec<f64> = (0..len).map(|_| draw(&mut single)).collect();
+                prop_assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+                prop_assert_eq!(block.index, single.index);
+                prop_assert!(block.state == single.state);
+            }
+        }
+    }
 
     #[test]
     fn canonical_sequence_seed_5489() {

@@ -27,6 +27,19 @@
 //!   the bit-exact oracle (`tests/isa_identity.rs`). `-C target-cpu` is
 //!   deliberately not used: it forks the binary per host and changes what
 //!   every snapshot measured.
+//! * **A sweep must store what it computes.** An instantiation is only
+//!   packed code if LLVM's SLP vectorizer turns the `[f64; N]` lane loops
+//!   into vector operations, and SLP grows its trees from *stores* of
+//!   adjacent lanes. A sweep whose results live only in register
+//!   accumulators — a reduction such as Monte-Carlo's `v0 += payoff` —
+//!   gives it no seed, and stays lane-at-a-time scalar code under every
+//!   tier, `exp` chain included (331 scalar against 6 `zmm` operations in
+//!   the AVX-512 instantiation, before). Anchor such a sweep with a store:
+//!   write each block of results to a small stack buffer with
+//!   [`F64v::store`], then reduce from the buffer in the original order —
+//!   the bits do not change, the code does. `ci.sh` disassembles the
+//!   release binary and fails when a listed sweep has fewer packed than
+//!   scalar arithmetic instructions.
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other

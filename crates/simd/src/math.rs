@@ -118,9 +118,12 @@ pub fn vln<const N: usize>(x: F64v<N>) -> F64v<N> {
 
 /// Lane-wise cumulative standard normal (the paper's vector `cnd`).
 ///
-/// Branch-free Hart/West evaluation: both the central rational and the
-/// tail continued fraction are computed for every lane and blended by
-/// mask, exactly the transformation a vectorizing compiler applies.
+/// Hart/West evaluation, blended by mask rather than branched per lane:
+/// the central rational is computed for every lane, and the tail continued
+/// fraction for every lane of a vector that has at least one lane out
+/// there. A vector with no lane past 7.07σ — every vector of a sane book —
+/// skips the tail's twelve dependent divisions; the blend would have
+/// discarded all of its lanes, so the result has the same bits either way.
 ///
 /// ```
 /// use finbench_simd::{F64vec4, math::vnorm_cdf};
@@ -138,20 +141,19 @@ pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
     let den = vpolevl(ax, &CND_DEN);
     let central = e * num / den;
 
-    // Tail continued fraction, depth 12. Evaluated for every lane though
-    // only |x| >= 7.07 keeps it; skipping it when no lane is out there is
-    // bit-identical and measured, but not landed (DESIGN.md §2).
-    let mut b = ax + 0.65;
-    let mut k = 12.0;
-    while k >= 1.0 {
-        b = ax + k / b;
-        k -= 1.0;
-    }
-    let tail = e / (b * SQRT_2PI);
-
-    let cum = ax
-        .lt(F64v::splat(7.071_067_811_865_475))
-        .select(central, tail);
+    let in_central = ax.lt(F64v::splat(7.071_067_811_865_475));
+    let cum = if in_central.all() {
+        central
+    } else {
+        // Tail continued fraction, depth 12.
+        let mut b = ax + 0.65;
+        let mut k = 12.0;
+        while k >= 1.0 {
+            b = ax + k / b;
+            k -= 1.0;
+        }
+        in_central.select(central, e / (b * SQRT_2PI))
+    };
     // Past 37 sigma the tail underflows to exactly zero.
     let cum = ax.gt(F64v::splat(37.0)).select(F64v::zero(), cum);
     x.gt(F64v::zero()).select(1.0 - cum, cum)
@@ -316,6 +318,32 @@ mod tests {
         for i in 0..4 {
             let want = fm::norm_cdf(v[i]);
             assert!(((y[i] - want) / want).abs() < 1e-11, "lane {i}");
+        }
+    }
+
+    #[test]
+    fn vnorm_cdf_tail_skip_never_changes_a_lane() {
+        // No lane, one lane and every lane past the 7.07σ switch (and past
+        // the 37σ one): the vector takes the tail branch or skips it as a
+        // whole, a lane evaluated alone decides for itself — same bits.
+        let central = [-7.0, -3.2, -0.5, 0.0, 0.3, 1.7, 5.5, 7.07];
+        let far = [-40.0, -37.5, -12.0, -7.08, 7.08, 9.0, 37.0, 38.0];
+        let mut vectors = vec![central, far];
+        vectors.extend(far.map(|x| {
+            let mut one_far = central;
+            one_far[5] = x;
+            one_far
+        }));
+        for v in vectors {
+            let together = vnorm_cdf(F64v::<8>(v));
+            for lane in 0..8 {
+                let alone = vnorm_cdf(F64v::<1>([v[lane]]));
+                assert_eq!(
+                    together[lane].to_bits(),
+                    alone[0].to_bits(),
+                    "lane {lane} of {v:?}"
+                );
+            }
         }
     }
 

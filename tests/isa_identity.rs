@@ -28,9 +28,10 @@ use finbench::engine::{Engine, WorkloadSpec};
 use finbench::rng::normal::{
     fill_standard_normal_icdf, fill_standard_normal_icdf_batch, fill_standard_normal_icdf_fast,
 };
-use finbench::rng::{Mt19937_64, StreamFamily};
+use finbench::rng::{uniform, Mt19937_64, RngCore64, StreamFamily};
 use finbench::simd::batch;
 use finbench::simd::isa::{dispatch_as, Isa};
+use finbench::simd::F64v;
 use proptest::prelude::*;
 
 const M: MarketParams = MarketParams::PAPER;
@@ -301,7 +302,7 @@ proptest! {
         }
         let crr = binomial::CrrParams::new(M, 1.25, steps);
         let bad = tier_mismatch("reduce_tiled_fma::<8, 8>", || {
-            let mut leaves = vec![finbench::simd::F64v::<8>::zero(); steps + 1];
+            let mut leaves = vec![F64v::<8>::zero(); steps + 1];
             let lanes = OptionBatchSoa::random(8, seed, WorkloadRanges::default());
             binomial::fill_leaves_simd(&mut leaves, &lanes.s, &lanes.x, steps, &crr, true);
             let root =
@@ -362,6 +363,84 @@ proptest! {
             });
             prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
         }
+    }
+}
+
+/// The store-anchored Monte-Carlo sweeps around their 512-double block, the
+/// Mersenne-twister block fill across its 312-word state (so the twist and
+/// the temper run under every tier), and the in-place bridge group.
+#[test]
+fn staged_sweeps_and_block_fills_are_tier_invariant() {
+    let g = GbmTerminal::new(1.0, M);
+    let sums = |s: finbench::core::monte_carlo::PathSums| vec![s.v0, s.v1, s.n as f64];
+    let mut randoms = vec![0.0; 100_003];
+    fill_standard_normal_icdf(&mut Mt19937_64::new(14), &mut randoms);
+    for n in [0, 1, 7, 15, 511, 512, 513, 100_003] {
+        let zs = &randoms[..n];
+        let cases: [(&str, &dyn Fn() -> Vec<f64>); 4] = [
+            ("paths_streamed_simd::<4>", &|| {
+                sums(mc_simd::paths_streamed_simd::<4>(100.0, 100.0, g, zs))
+            }),
+            ("paths_streamed_simd::<8>", &|| {
+                sums(mc_simd::paths_streamed_simd::<8>(100.0, 100.0, g, zs))
+            }),
+            ("paths_antithetic::<4>", &|| {
+                sums(mc_simd::paths_antithetic::<4>(100.0, 100.0, g, zs))
+            }),
+            ("paths_antithetic::<8>", &|| {
+                sums(mc_simd::paths_antithetic::<8>(100.0, 100.0, g, zs))
+            }),
+        ];
+        for (label, run) in cases {
+            let bad = tier_mismatch(&format!("{label} n={n}"), run);
+            assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+
+    type Fill = fn(&mut Mt19937_64, &mut [f64]);
+    let fills: [(&str, Fill); 3] = [
+        ("fill_uniform", uniform::fill_uniform),
+        ("fill_uniform_open", uniform::fill_uniform_open),
+        ("fill_uniform_range", |rng, out| {
+            uniform::fill_uniform_range(rng, out, -3.0, 17.5)
+        }),
+    ];
+    for (label, fill) in fills {
+        for (skip, n) in [
+            (0, 0),
+            (155, 2),
+            (156, 156),
+            (300, 13),
+            (311, 700),
+            (5, 2000),
+        ] {
+            let bad = tier_mismatch(&format!("{label} skip={skip} n={n}"), || {
+                let mut rng = Mt19937_64::new(2203);
+                for _ in 0..skip {
+                    rng.next_u64();
+                }
+                let mut out = vec![0.0; n];
+                fill(&mut rng, &mut out);
+                // The draw after the fill pins the state it left behind.
+                out.push(rng.next_f64());
+                out
+            });
+            assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+        }
+    }
+
+    for depth in 0..=6 {
+        let plan = BridgePlan::new(depth, 2.0);
+        let mut normals = vec![0.0; 8 * plan.randoms_per_path()];
+        fill_standard_normal_icdf(&mut Mt19937_64::new(depth as u64), &mut normals);
+        let bad = tier_mismatch(&format!("build_group_in_place::<8> depth={depth}"), || {
+            let mut group = vec![F64v::<8>::splat(f64::NAN); plan.points()];
+            bridge_simd::build_group_in_place::<8>(&plan, &normals, &mut group);
+            let mut out = vec![0.0; 8 * plan.points()];
+            bridge_simd::transpose_out(&group, &mut out);
+            out
+        });
+        assert!(bad.is_none(), "{}", bad.unwrap_or_default());
     }
 }
 
