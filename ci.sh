@@ -9,6 +9,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> standalone benchmark runner (the one consumer outside the workspace)"
+# benchmark/ is its own package on path dependencies, so nothing above
+# compiles it; it must keep building against the serving plane's public API.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> telemetry registry tests, 20x back to back"
 # Two tests in this binary share the process-global span registry and one
 # of them drains it; they serialize on a lock. An unserialized pair failed

@@ -8,10 +8,6 @@
 //! finbench list                           # print experiment ids
 //! finbench serve-bench [FLAGS]            # serving-plane load benchmark
 //! ```
-//!
-//! The original flat forms (`finbench [EXPERIMENT ...]`, `--list`) still
-//! parse as deprecated aliases for `run` / `list`, so existing scripts
-//! keep working.
 
 use crate::report::{BenchCompareArgs, BenchReportOptions, CompareMode, DEFAULT_THRESHOLD_PCT};
 use crate::{RunOptions, EXPERIMENTS};
@@ -65,8 +61,6 @@ pub fn usage_line() -> String {
          \x20 finbench bench-trend [DIR]\n\
          \x20     gated-metric trajectory across every BENCH_<n>.json in DIR (default .)\n\
          flags: [--quick] [--only KERNEL[,KERNEL...]] [--shards N] [--csv DIR] [--json FILE] [--report]\n\
-         note: the flat forms `finbench [EXPERIMENT ...]` and `--list` are deprecated\n\
-         \x20     aliases for `run` / `list`; prefer the subcommands.\n\
          experiments: {} | all\n\
          kernels: {}",
         EXPERIMENTS.join(" | "),
@@ -87,8 +81,8 @@ fn parse_only(operand: &str) -> Result<Vec<String>, String> {
 /// Flags and positional operands collected from one token stream, before
 /// any per-subcommand validation.
 enum Collected {
-    /// `--help` / `--list` short-circuit regardless of other arguments.
-    Short(CliAction),
+    /// `--help` short-circuits regardless of other arguments.
+    Help,
     /// Positional operands (in order) plus the parsed flags.
     Items(Vec<String>, RunOptions),
 }
@@ -118,8 +112,7 @@ fn collect(args: &[String]) -> Result<Collected, String> {
                 None => return Err("--shards requires a count argument".into()),
             },
             "--report" => opts.report = true,
-            "--list" => return Ok(Collected::Short(CliAction::List)),
-            "--help" | "-h" => return Ok(Collected::Short(CliAction::Help)),
+            "--help" | "-h" => return Ok(Collected::Help),
             other if other.starts_with('-') => {
                 return Err(format!("unknown flag: {other}"));
             }
@@ -154,11 +147,10 @@ fn validate_ids(mut ids: Vec<String>) -> Result<Vec<String>, String> {
 /// Parse the argument list (without the program name).
 ///
 /// Rules:
-/// - The first token selects a subcommand (`run`, `list`, `serve-bench`);
-///   anything else falls back to the deprecated flat grammar, which is
-///   `run` without the keyword.
-/// - `--help`/`-h` and `--list` short-circuit to [`CliAction::Help`] /
-///   [`CliAction::List`] regardless of other arguments.
+/// - The first token selects a subcommand (`run`, `list`, `serve-bench`,
+///   …); anything else is a usage error.
+/// - `--help`/`-h` short-circuits to [`CliAction::Help`] regardless of
+///   other arguments.
 /// - `all` expands to every experiment id in paper order.
 /// - Duplicate ids are dropped, keeping the first mention's position.
 /// - Unknown flags and unknown experiment ids are errors, as is an empty
@@ -181,31 +173,29 @@ where
                 Ok(CliAction::List)
             }
         }
-        Some("serve-bench") => parse_experiment_alias("serve-bench", "serve_bench", &args[1..]),
-        Some("chaos-bench") => parse_experiment_alias("chaos-bench", "chaos_bench", &args[1..]),
-        Some("greeks-bench") => parse_experiment_alias("greeks-bench", "greeks_bench", &args[1..]),
-        Some("portfolio-bench") => {
-            parse_experiment_alias("portfolio-bench", "portfolio_bench", &args[1..])
+        Some(sub @ ("serve-bench" | "chaos-bench" | "greeks-bench" | "portfolio-bench")) => {
+            parse_experiment_alias(sub, &args[1..])
         }
         Some("bench-report") => parse_bench_report(&args[1..]),
         Some("bench-compare") => parse_bench_compare(&args[1..]),
         Some("bench-trend") => parse_bench_trend(&args[1..]),
-        // Deprecated flat grammar: `finbench [EXPERIMENT ...] [FLAGS]`.
-        _ => parse_run(&args),
+        Some("--help" | "-h") => Ok(CliAction::Help),
+        Some(other) => Err(format!("unknown command: {other}")),
+        None => Err("no command given".into()),
     }
 }
 
-/// Shared grammar of the `serve-bench`/`chaos-bench` subcommands: flags
-/// only, mapping to a single fixed experiment id.
-fn parse_experiment_alias(sub: &str, id: &str, args: &[String]) -> Result<CliAction, String> {
+/// Shared grammar of the `*-bench` subcommands: flags only, mapping to
+/// the experiment of the same name (`serve-bench` runs `serve_bench`).
+fn parse_experiment_alias(sub: &str, args: &[String]) -> Result<CliAction, String> {
     match collect(args)? {
-        Collected::Short(a) => Ok(a),
+        Collected::Help => Ok(CliAction::Help),
         Collected::Items(operands, opts) => {
             if let Some(extra) = operands.first() {
                 return Err(format!("{sub} takes no experiment operands (got: {extra})"));
             }
             Ok(CliAction::Run(ParsedArgs {
-                ids: vec![id.to_string()],
+                ids: vec![sub.replace('-', "_")],
                 opts,
             }))
         }
@@ -299,7 +289,7 @@ fn parse_bench_trend(args: &[String]) -> Result<CliAction, String> {
 
 fn parse_run(args: &[String]) -> Result<CliAction, String> {
     match collect(args)? {
-        Collected::Short(a) => Ok(a),
+        Collected::Help => Ok(CliAction::Help),
         Collected::Items(ids, opts) => Ok(CliAction::Run(ParsedArgs {
             ids: validate_ids(ids)?,
             opts,
@@ -326,6 +316,8 @@ mod tests {
         assert_eq!(p.ids, ["fig4", "table2"]);
         assert!(p.opts.quick);
         assert_eq!(p.opts.csv_dir.as_deref(), Some("out"));
+        assert_eq!(p.opts.json, None);
+        assert!(!p.opts.report);
     }
 
     #[test]
@@ -474,6 +466,8 @@ mod tests {
     #[test]
     fn usage_mentions_the_bench_subcommands() {
         let u = usage_line();
+        assert!(u.contains("serve-bench"), "{u}");
+        assert!(!u.contains("deprecated"), "{u}");
         assert!(u.contains("bench-report"), "{u}");
         assert!(u.contains("bench-compare"), "{u}");
         assert!(u.contains("bench-trend"), "{u}");
@@ -509,65 +503,61 @@ mod tests {
         assert!(parse_args(["serve-bench", "--shards", "lots"]).is_err());
     }
 
-    // ---- deprecated flat grammar (aliases for `run` / `list`) ----
+    // ---- the flat grammar is gone: a command word is required ----
 
     #[test]
-    fn legacy_parses_ids_and_flags() {
-        let p = run(&["fig4", "--quick", "table2", "--csv", "out"]);
-        assert_eq!(p.ids, ["fig4", "table2"]);
-        assert!(p.opts.quick);
-        assert_eq!(p.opts.csv_dir.as_deref(), Some("out"));
-        assert_eq!(p.opts.json, None);
-        assert!(!p.opts.report);
-    }
-
-    #[test]
-    fn legacy_and_subcommand_forms_agree() {
+    fn flat_forms_are_usage_errors() {
         for tail in [
             vec!["fig4", "--quick"],
             vec!["all"],
             vec!["native", "--only", "rng", "--report"],
         ] {
+            let err = parse_args(tail.iter().copied()).unwrap_err();
+            assert!(err.contains("unknown command"), "{tail:?}: {err}");
+            // The same tail is a valid `run`.
             let mut sub = vec!["run"];
             sub.extend(&tail);
-            assert_eq!(run(&sub), run(&tail), "{tail:?}");
+            run(&sub);
         }
+        // `--list` is no longer an action, wherever it appears.
+        assert!(parse_args(["--list"]).is_err());
+        assert!(parse_args(["run", "fig4", "--list"]).is_err());
     }
 
     #[test]
     fn json_and_report_flags() {
-        let p = run(&["native", "--json", "out.jsonl", "--report"]);
+        let p = run(&["run", "native", "--json", "out.jsonl", "--report"]);
         assert_eq!(p.opts.json.as_deref(), Some("out.jsonl"));
         assert!(p.opts.report);
     }
 
     #[test]
     fn dedupes_preserving_first_mention_order() {
-        let p = run(&["fig5", "fig4", "fig5", "fig4", "fig5"]);
+        let p = run(&["run", "fig5", "fig4", "fig5", "fig4", "fig5"]);
         assert_eq!(p.ids, ["fig5", "fig4"]);
     }
 
     #[test]
     fn all_expands_in_paper_order() {
-        let p = run(&["all", "--quick"]);
+        let p = run(&["run", "all", "--quick"]);
         assert_eq!(p.ids, EXPERIMENTS);
     }
 
     #[test]
     fn list_and_help_short_circuit() {
-        assert_eq!(parse_args(["--list"]), Ok(CliAction::List));
+        assert_eq!(parse_args(["list"]), Ok(CliAction::List));
         assert_eq!(parse_args(["--help"]), Ok(CliAction::Help));
         assert_eq!(parse_args(["-h"]), Ok(CliAction::Help));
-        // Even with other junk present, and under the subcommands too.
-        assert_eq!(parse_args(["bogus", "--list"]), Ok(CliAction::List));
+        // Help wins even with other junk present, under any subcommand.
         assert_eq!(parse_args(["run", "--help"]), Ok(CliAction::Help));
+        assert_eq!(parse_args(["run", "nosuch", "-h"]), Ok(CliAction::Help));
         assert_eq!(parse_args(["serve-bench", "-h"]), Ok(CliAction::Help));
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(parse_args(["--csv"]).is_err());
-        assert!(parse_args(["--json"]).is_err());
+        assert!(parse_args(["run", "--csv"]).is_err());
+        assert!(parse_args(["run", "--json"]).is_err());
         assert!(parse_args(["--frobnicate"]).is_err());
         assert!(parse_args(["nosuch"]).is_err());
         assert!(parse_args(Vec::<String>::new()).is_err());
@@ -575,28 +565,21 @@ mod tests {
 
     #[test]
     fn audit_is_a_known_experiment() {
-        let p = run(&["audit"]);
+        let p = run(&["run", "audit"]);
         assert_eq!(p.ids, ["audit"]);
-    }
-
-    #[test]
-    fn usage_mentions_the_deprecation() {
-        let u = usage_line();
-        assert!(u.contains("deprecated"), "{u}");
-        assert!(u.contains("serve-bench"), "{u}");
     }
 
     // ---- --only, validated by the engine registry ----
 
     #[test]
     fn only_parses_a_single_kernel() {
-        let p = run(&["native", "--only", "rng"]);
+        let p = run(&["run", "native", "--only", "rng"]);
         assert_eq!(p.opts.only, Some(vec!["rng".to_string()]));
     }
 
     #[test]
     fn only_parses_a_comma_list_deduplicated() {
-        let p = run(&["native", "--only", "black_scholes,rng,black_scholes"]);
+        let p = run(&["run", "native", "--only", "black_scholes,rng,black_scholes"]);
         assert_eq!(
             p.opts.only,
             Some(vec!["black_scholes".to_string(), "rng".to_string()])
@@ -607,10 +590,10 @@ mod tests {
     fn only_rejects_unknown_kernels() {
         // main() turns this Err into exit code 2 — the same path as every
         // other parse error.
-        let err = parse_args(["native", "--only", "black_sholes"]).unwrap_err();
+        let err = parse_args(["run", "native", "--only", "black_sholes"]).unwrap_err();
         assert!(err.contains("unknown kernel"), "{err}");
-        assert!(parse_args(["native", "--only"]).is_err());
-        assert!(parse_args(["native", "--only", ""]).is_err());
-        assert!(parse_args(["native", "--only", "rng,,"]).is_err());
+        assert!(parse_args(["run", "native", "--only"]).is_err());
+        assert!(parse_args(["run", "native", "--only", ""]).is_err());
+        assert!(parse_args(["run", "native", "--only", "rng,,"]).is_err());
     }
 }

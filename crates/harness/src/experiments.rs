@@ -140,6 +140,43 @@ pub fn fig5(opts: &RunOptions) {
     println!("  2.6x; SNB-EP within 10% / KNC within 30% of compute bound.");
     println!();
     print_native_for_artifact("fig5", opts);
+    print_native(
+        "Binomial register-tile depth sweep (1024 steps, W=8)",
+        &tile_depth_sweep(opts.quick),
+        "options/s",
+        opts,
+        "native_binomial_tile_depth.csv",
+    );
+}
+
+/// The tunable of the paper's register tiling: the same 1024-step, 8-lane
+/// reduction at tile depths `TS` = 1…32. Small tiles re-touch `Call` too
+/// often, huge tiles spill the wavefront out of registers; the registry
+/// ladder carries only the two depths it serves (4 and 8), so the sweep
+/// lives here.
+fn tile_depth_sweep(quick: bool) -> Vec<(String, f64)> {
+    use finbench_core::binomial::tiled::reduce_tiled;
+    use finbench_engine::{min_secs, throughput};
+    use finbench_simd::F64v;
+
+    const N: usize = 1024;
+    const W: usize = 8;
+    let leaves: Vec<F64v<W>> = (0..=N).map(|j| F64v([j as f64 * 0.01; W])).collect();
+    let mut call = leaves.clone();
+    let mut out = Vec::new();
+    macro_rules! depth {
+        ($($ts:literal),*) => {$(
+            // Restoring the leaves is ~1 k vector copies against the
+            // reduction's ~0.5 M node updates.
+            let rate = throughput(W, min_secs(quick), || {
+                call.copy_from_slice(&leaves);
+                std::hint::black_box(reduce_tiled::<W, $ts>(&mut call, N, 0.5002, 0.4988));
+            });
+            out.push((format!("TS={}", $ts), rate));
+        )*};
+    }
+    depth!(1, 2, 4, 8, 16, 32);
+    out
 }
 
 /// Fig. 6: Brownian bridge.
@@ -410,6 +447,45 @@ pub fn native_all(opts: &RunOptions) {
     }
 }
 
+/// Outcome tallies summed over the load runs of one experiment, printed
+/// as the `total shed:` / `total rejected:` lines `ci.sh` greps. Every
+/// count is [`finbench_serve::LoadReport`]'s own classification.
+#[derive(Default)]
+struct LoadTotals {
+    shed: usize,
+    unknown_kernel: usize,
+    unservable: usize,
+    shutdown: usize,
+    invalid: usize,
+    internal: usize,
+}
+
+impl LoadTotals {
+    fn add(&mut self, r: &finbench_serve::LoadReport) {
+        self.shed += r.total_shed();
+        self.unknown_kernel += r.rejected_unknown_kernel;
+        self.unservable += r.rejected_unservable;
+        self.shutdown += r.rejected_shutdown;
+        self.invalid += r.invalid_input;
+        self.internal += r.internal;
+    }
+
+    fn print(&self) {
+        println!("  total shed: {}", self.shed);
+        println!(
+            "  total rejected: {} (unknown kernel {}, unservable {}, shutdown {})",
+            self.unknown_kernel + self.unservable + self.shutdown,
+            self.unknown_kernel,
+            self.unservable,
+            self.shutdown
+        );
+        if self.invalid + self.internal > 0 {
+            println!("  total invalid input: {}", self.invalid);
+            println!("  total internal (faults absorbed): {}", self.internal);
+        }
+    }
+}
+
 /// The `serve_bench` experiment: drive the `finbench-serve` batched
 /// pricing plane with synthetic closed- and open-loop load and report
 /// throughput-vs-latency curves per servable kernel.
@@ -430,8 +506,7 @@ pub fn native_all(opts: &RunOptions) {
 /// `ci.sh` gates at ≥ 1.3×.
 pub fn serve_bench(opts: &RunOptions) {
     use finbench_serve::{
-        run_load, run_load_hedged, HedgePolicy, LoadMode, LoadReport, PricerConfig, ServeConfig,
-        ServeSnapshot, Server,
+        drive, run_load, HedgePolicy, LoadMode, PricerConfig, ServeConfig, Server,
     };
     use std::time::Duration;
 
@@ -458,12 +533,7 @@ pub fn serve_bench(opts: &RunOptions) {
     let open_secs = if opts.quick { 0.1 } else { 0.5 };
 
     let engine = native::engine();
-    let mut total_shed = 0usize;
-    let mut total_unknown_kernel = 0usize;
-    let mut total_unservable = 0usize;
-    let mut total_shutdown = 0usize;
-    let mut total_invalid = 0usize;
-    let mut total_internal = 0usize;
+    let mut totals = LoadTotals::default();
     for kernel in &kernels {
         // Resolve the serving rung up front so unservable kernels are a
         // printed note, not a storm of per-request rejections.
@@ -480,30 +550,29 @@ pub fn serve_bench(opts: &RunOptions) {
             rung.slug, plan.slug, rung.width
         );
 
-        let config_for = |capacity: usize| ServeConfig {
-            queue_capacity: capacity,
-            max_delay: Duration::from_micros(500),
-            max_batch: 4096,
-            pricer,
-            ..ServeConfig::default()
-        };
-        let run = |mode: LoadMode, capacity: usize, seed: u64, hedge: Option<HedgePolicy>| {
-            // A fresh server per load point keeps the latency histograms,
-            // shed counters and flush tallies scoped to that point.
-            let server = Server::start(config_for(capacity));
-            let report: LoadReport = run_load_hedged(&server, kernel, mode, seed, None, hedge);
-            (report, server.shutdown())
-        };
-
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut curve = String::from(
             "mode,offered,served,shed,throughput_rps,p50_us,p95_us,p99_us,\
              batch_fill,flush_size,flush_delay,flush_idle,flush_drain\n",
         );
-        let push = |label: String,
-                    (r, snap): &(LoadReport, ServeSnapshot),
-                    rows: &mut Vec<Vec<String>>,
-                    curve: &mut String| {
+        // One load point: a fresh server (so the latency histograms, shed
+        // counters and flush tallies are scoped to the point), one drive,
+        // one table row, one CSV line.
+        let mut point = |label: String,
+                         mode: LoadMode,
+                         capacity: usize,
+                         seed: u64,
+                         hedge: Option<HedgePolicy>| {
+            let server = Server::start(ServeConfig {
+                queue_capacity: capacity,
+                max_delay: Duration::from_micros(500),
+                max_batch: 4096,
+                pricer,
+                ..ServeConfig::default()
+            });
+            let r = drive(&server, kernel.as_str(), mode, seed, None, hedge).report();
+            let snap = server.shutdown();
+            totals.add(&r);
             let (fill, flushes) = (snap.mean_batch_fill(), snap.total_flushes());
             rows.push(vec![
                 label.clone(),
@@ -532,31 +601,25 @@ pub fn serve_bench(opts: &RunOptions) {
                 flushes.idle,
                 flushes.drain,
             ));
+            r
+        };
+        let closed = |clients: usize| LoadMode::Closed {
+            clients,
+            requests_per_client: per_client,
         };
 
         let mut closed_peak = 0.0f64;
         let mut closed_p95_us = 0.0f64;
         for (i, &clients) in client_points.iter().enumerate() {
-            let total = clients * per_client;
-            let point = run(
-                LoadMode::Closed {
-                    clients,
-                    requests_per_client: per_client,
-                },
-                total.max(16),
+            let r = point(
+                format!("closed x{clients}"),
+                closed(clients),
+                (clients * per_client).max(16),
                 0xC0FFEE + i as u64,
                 None,
             );
-            let r = &point.0;
             closed_peak = closed_peak.max(r.throughput);
             closed_p95_us = r.p95_us;
-            total_shed += r.total_shed();
-            total_unknown_kernel += r.rejected_unknown_kernel;
-            total_unservable += r.rejected_unservable;
-            total_shutdown += r.rejected_shutdown;
-            total_invalid += r.invalid_input;
-            total_internal += r.internal;
-            push(format!("closed x{clients}"), &point, &mut rows, &mut curve);
         }
         // One hedged closed-loop point at the largest client count: the
         // tail-at-scale tradeoff in numbers — duplicated work (hedges)
@@ -565,55 +628,26 @@ pub fn serve_bench(opts: &RunOptions) {
         // The hedge goes out once a reply is later than the unhedged run's
         // p95 at the same client count, so about one request in twenty
         // hedges whatever the plane's latency is.
-        let hedge_line = {
-            let clients = *client_points.last().unwrap();
-            let total = clients * per_client;
-            let point = run(
-                LoadMode::Closed {
-                    clients,
-                    requests_per_client: per_client,
-                },
-                total.max(16),
-                0x4ED6ED,
-                Some(HedgePolicy {
-                    delay: Duration::from_secs_f64(closed_p95_us * 1e-6),
-                }),
-            );
-            let r = &point.0;
-            total_shed += r.total_shed();
-            total_unknown_kernel += r.rejected_unknown_kernel;
-            total_unservable += r.rejected_unservable;
-            total_shutdown += r.rejected_shutdown;
-            total_invalid += r.invalid_input;
-            total_internal += r.internal;
-            push(
-                format!("closed x{clients} hedged"),
-                &point,
-                &mut rows,
-                &mut curve,
-            );
-            (r.hedges, r.hedge_wins)
-        };
+        let clients = *client_points.last().unwrap();
+        let hedged = point(
+            format!("closed x{clients} hedged"),
+            closed(clients),
+            (clients * per_client).max(16),
+            0x4ED6ED,
+            Some(HedgePolicy {
+                delay: Duration::from_secs_f64(closed_p95_us * 1e-6),
+            }),
+        );
         for (i, &frac) in open_fractions.iter().enumerate() {
-            let rate = (closed_peak * frac).max(100.0);
-            let total = ((rate * open_secs) as usize).clamp(50, 20_000);
-            let point = run(
-                LoadMode::Open {
-                    rate_hz: rate,
-                    total,
-                },
+            let rate_hz = (closed_peak * frac).max(100.0);
+            let total = ((rate_hz * open_secs) as usize).clamp(50, 20_000);
+            point(
+                format!("open {rate_hz:.0}/s"),
+                LoadMode::Open { rate_hz, total },
                 total,
                 0xFEED + i as u64,
                 None,
             );
-            let r = &point.0;
-            total_shed += r.total_shed();
-            total_unknown_kernel += r.rejected_unknown_kernel;
-            total_unservable += r.rejected_unservable;
-            total_shutdown += r.rejected_shutdown;
-            total_invalid += r.invalid_input;
-            total_internal += r.internal;
-            push(format!("open {:.0}/s", rate), &point, &mut rows, &mut curve);
         }
         println!(
             "{}",
@@ -635,7 +669,7 @@ pub fn serve_bench(opts: &RunOptions) {
         );
         println!(
             "  hedged row: {} hedges issued, {} hedge wins",
-            hedge_line.0, hedge_line.1
+            hedged.hedges, hedged.hedge_wins
         );
         maybe_write_csv(&opts.csv_dir, &format!("serve_bench_{kernel}.csv"), &curve);
     }
@@ -680,12 +714,7 @@ pub fn serve_bench(opts: &RunOptions) {
                 None,
             );
             server.shutdown();
-            total_shed += r.total_shed();
-            total_unknown_kernel += r.rejected_unknown_kernel;
-            total_unservable += r.rejected_unservable;
-            total_shutdown += r.rejected_shutdown;
-            total_invalid += r.invalid_input;
-            total_internal += r.internal;
+            totals.add(&r);
             if n == 1 {
                 base_rps = r.throughput;
             }
@@ -735,17 +764,7 @@ pub fn serve_bench(opts: &RunOptions) {
         maybe_write_csv(&opts.csv_dir, "serve_bench_shard_scaling.csv", &scale_csv);
     }
 
-    let total_rejected = total_unknown_kernel + total_unservable + total_shutdown;
-    println!("  total shed: {total_shed}");
-    println!(
-        "  total rejected: {total_rejected} \
-         (unknown kernel {total_unknown_kernel}, unservable {total_unservable}, \
-         shutdown {total_shutdown})"
-    );
-    if total_invalid + total_internal > 0 {
-        println!("  total invalid input: {total_invalid}");
-        println!("  total internal (faults absorbed): {total_internal}");
-    }
+    totals.print();
     println!("  (shed = queue_full + deadline_exceeded; every shed is a typed response)");
     println!(
         "  (fill = mean requests per batch; flush = % of batches cut by the size / delay / \
@@ -770,8 +789,8 @@ pub fn serve_bench(opts: &RunOptions) {
 pub fn chaos_bench(opts: &RunOptions) {
     use finbench_faults::{self as faults, FaultPlan, PlanGuard};
     use finbench_serve::{
-        pricer, BreakerPolicy, PriceRequest, PriceResponse, PricerConfig, Rejected, ServeConfig,
-        Server, ServingRung, SupervisorPolicy, HEDGE_BIT,
+        drive, pricer, BreakerPolicy, Exchange, HedgePolicy, LoadMode, PriceRequest, PricerConfig,
+        ServeConfig, Server, ServingRung, SupervisorPolicy,
     };
     use std::collections::BTreeMap as Map;
     use std::time::Duration;
@@ -781,8 +800,10 @@ pub fn chaos_bench(opts: &RunOptions) {
         section("chaos-bench — fault-tolerant serving under injected faults")
     );
     let kernel = "black_scholes";
-    let clients = 3usize;
-    let per_client = if opts.quick { 150 } else { 800 };
+    let load = LoadMode::Closed {
+        clients: 3,
+        requests_per_client: if opts.quick { 150 } else { 800 },
+    };
 
     // The fault-plan matrix, in the FINBENCH_FAULTS grammar itself so the
     // printed plans double as copy-paste chaos recipes.
@@ -814,6 +835,40 @@ pub fn chaos_bench(opts: &RunOptions) {
             .collect()
     };
 
+    // Every Priced response must be bit-identical to solo pricing of the
+    // request it answers on the rung that served it.
+    let count_corrupted = |exchanges: &[Exchange<PriceRequest>]| -> usize {
+        let differs = |(req, resp, _): &&Exchange<PriceRequest>| {
+            resp.outcome.as_ref().is_ok_and(|p| {
+                let rung = rungs
+                    .get(&p.rung)
+                    .unwrap_or_else(|| panic!("response served on unknown rung {}", p.rung));
+                let (call, put) = rung.price_one(req.s, req.x, req.t);
+                call.to_bits() != p.call.to_bits() || put.to_bits() != p.put.to_bits()
+            })
+        };
+        exchanges.iter().filter(differs).count()
+    };
+
+    let config = |shards: usize, respawn: bool| ServeConfig {
+        queue_capacity: 4096,
+        max_delay: Duration::from_micros(300),
+        max_batch: 512,
+        shards,
+        pricer: pricer_cfg,
+        breaker: BreakerPolicy {
+            // Short cooldown so an opened breaker restarts within the
+            // run; quick promotion keeps the ladder exercised both ways.
+            cooldown: Duration::from_millis(2),
+            promote_after: 16,
+            ..BreakerPolicy::default()
+        },
+        supervisor: SupervisorPolicy {
+            respawn,
+            ..SupervisorPolicy::default()
+        },
+    };
+
     // Injected panics at 10% of batches would otherwise spray backtraces
     // over the report.
     faults::silence_injected_panics();
@@ -828,90 +883,22 @@ pub fn chaos_bench(opts: &RunOptions) {
     for (label, plan_str) in plans {
         let plan = FaultPlan::parse(plan_str).expect("matrix plans parse");
         let _guard = PlanGuard::install(plan);
-        let server = Server::start(ServeConfig {
-            queue_capacity: 4096,
-            max_delay: Duration::from_micros(300),
-            max_batch: 512,
-            // Two worker shards: every plan exercises the sharded router,
-            // and the shard-kill plan has a survivor to fail over to.
-            shards: 2,
-            pricer: pricer_cfg,
-            breaker: BreakerPolicy {
-                // Short cooldown so an opened breaker restarts within the
-                // run; quick promotion keeps the ladder exercised both ways.
-                cooldown: Duration::from_millis(2),
-                promote_after: 16,
-                ..BreakerPolicy::default()
-            },
-            // The matrix pins down *terminal* shard loss (the shard-kill
-            // plan's `survivors: 1/2` line); the rolling-kill panel below
-            // is where supervised respawn is measured.
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
-        });
-        // Closed-loop drive, keeping each request's parameters so priced
-        // responses can be replayed against the solo oracle.
-        let responses: Vec<((f64, f64, f64), PriceResponse)> = std::thread::scope(|scope| {
-            let server = &server;
-            let handles: Vec<_> = (0..clients)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut stream =
-                            finbench_serve::OptionStream::new(0xC4A05u64.wrapping_add(c as u64));
-                        let mut out = Vec::with_capacity(per_client);
-                        for i in 0..per_client {
-                            let (s, x, t) = stream.next_option();
-                            let id = (c * per_client + i) as u64;
-                            let rx = server.submit(PriceRequest::new(id, kernel, s, x, t));
-                            match rx.recv() {
-                                Ok(resp) => out.push(((s, x, t), resp)),
-                                Err(_) => break,
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("chaos client thread"))
-                .collect()
-        });
+        // Two worker shards: every plan exercises the sharded router, and
+        // the shard-kill plan has a survivor to fail over to. The matrix
+        // pins down *terminal* shard loss (the shard-kill plan's
+        // `survivors: 1/2` line); the rolling-kill panel below is where
+        // supervised respawn is measured.
+        let server = Server::start(config(2, false));
+        let driven = drive(&server, kernel, load, 0xC4A05, None, None);
         let snap = server.shutdown();
 
-        let offered = responses.len();
-        let mut served = 0usize;
-        let mut invalid = 0usize;
-        let mut internal = 0usize;
-        let mut shed = 0usize;
-        let mut corrupted = 0usize;
-        for ((s, x, t), resp) in &responses {
-            match &resp.outcome {
-                Ok(p) => {
-                    served += 1;
-                    let rung = rungs
-                        .get(&p.rung)
-                        .unwrap_or_else(|| panic!("response served on unknown rung {}", p.rung));
-                    let (call, put) = rung.price_one(*s, *x, *t);
-                    if call.to_bits() != p.call.to_bits() || put.to_bits() != p.put.to_bits() {
-                        corrupted += 1;
-                    }
-                }
-                Err(Rejected::InvalidInput { .. }) => invalid += 1,
-                Err(Rejected::Internal { .. }) => internal += 1,
-                Err(_) => shed += 1,
-            }
-        }
+        let r = driven.report();
+        let (offered, served, avail) = (r.offered, r.served, r.availability());
+        let (invalid, internal, shed) = (r.invalid_input, r.internal, r.total_shed());
+        let corrupted = count_corrupted(&driven.exchanges);
         let degraded = snap.total_degraded();
         let restarts = snap.total_restarts();
         let opened: u64 = snap.kernels.iter().map(|k| k.breaker_open).sum();
-        let avail = if offered == 0 {
-            0.0
-        } else {
-            served as f64 / offered as f64
-        };
         total_corrupted += corrupted;
         total_degraded += degraded;
         if *label == "shard kill" {
@@ -978,104 +965,12 @@ pub fn chaos_bench(opts: &RunOptions) {
     {
         let plan = FaultPlan::parse(rolling_plan).expect("rolling-kill plan parses");
         let guard = PlanGuard::install(plan);
-        let server = Server::start(ServeConfig {
-            queue_capacity: 4096,
-            max_delay: Duration::from_micros(300),
-            max_batch: 512,
-            shards: rolling_shards,
-            pricer: pricer_cfg,
-            breaker: BreakerPolicy {
-                cooldown: Duration::from_millis(2),
-                promote_after: 16,
-                ..BreakerPolicy::default()
-            },
-            supervisor: SupervisorPolicy::default(),
-        });
-        let hedge_delay = Duration::from_millis(2);
-        // Closed-loop drive keeping each request's parameters for the
-        // bit-exactness oracle; `hedged` adds the client-side race.
-        type Driven = Vec<((f64, f64, f64), PriceResponse)>;
-        let drive = |hedged: bool, seed: u64| -> (Driven, usize, usize) {
-            std::thread::scope(|scope| {
-                let server = &server;
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        scope.spawn(move || {
-                            let mut stream =
-                                finbench_serve::OptionStream::new(seed.wrapping_add(c as u64));
-                            let mut out = Vec::with_capacity(per_client);
-                            let (mut hedges, mut wins) = (0usize, 0usize);
-                            for i in 0..per_client {
-                                let (s, x, t) = stream.next_option();
-                                let id = (c * per_client + i) as u64;
-                                let (tx, rx) = std::sync::mpsc::channel();
-                                server.submit_with(PriceRequest::new(id, kernel, s, x, t), &tx);
-                                let resp = if hedged {
-                                    match rx.recv_timeout(hedge_delay) {
-                                        Ok(r) => Some(r),
-                                        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                                            hedges += 1;
-                                            server.submit_with(
-                                                PriceRequest::new(id | HEDGE_BIT, kernel, s, x, t),
-                                                &tx,
-                                            );
-                                            drop(tx);
-                                            rx.recv().ok()
-                                        }
-                                        Err(_) => None,
-                                    }
-                                } else {
-                                    drop(tx);
-                                    rx.recv().ok()
-                                };
-                                match resp {
-                                    Some(mut r) => {
-                                        if r.id & HEDGE_BIT != 0 {
-                                            wins += 1;
-                                            r.id &= !HEDGE_BIT;
-                                        }
-                                        out.push(((s, x, t), r));
-                                    }
-                                    None => break,
-                                }
-                            }
-                            (out, hedges, wins)
-                        })
-                    })
-                    .collect();
-                let mut all = Vec::new();
-                let (mut th, mut tw) = (0usize, 0usize);
-                for h in handles {
-                    let (o, hh, ww) = h.join().expect("rolling-kill client thread");
-                    all.extend(o);
-                    th += hh;
-                    tw += ww;
-                }
-                (all, th, tw)
-            })
+        let server = Server::start(config(rolling_shards, true));
+        let hedge = HedgePolicy {
+            delay: Duration::from_millis(2),
         };
-        // The same oracle the matrix uses: every Priced response must be
-        // bit-identical to solo pricing on its serving rung.
-        let oracle = |rs: &[((f64, f64, f64), PriceResponse)]| -> (usize, usize) {
-            let mut served = 0usize;
-            let mut corrupted = 0usize;
-            for ((s, x, t), resp) in rs {
-                if let Ok(p) = &resp.outcome {
-                    served += 1;
-                    let rung = rungs
-                        .get(&p.rung)
-                        .unwrap_or_else(|| panic!("response served on unknown rung {}", p.rung));
-                    let (call, put) = rung.price_one(*s, *x, *t);
-                    if call.to_bits() != p.call.to_bits() || put.to_bits() != p.put.to_bits() {
-                        corrupted += 1;
-                    }
-                }
-            }
-            (served, corrupted)
-        };
-
-        let (phase1, hedges, hedge_wins) = drive(true, 0x9011);
-        let (_, corrupted1) = oracle(&phase1);
+        let phase1 = drive(&server, kernel, load, 0x9011, None, Some(hedge));
+        let corrupted1 = count_corrupted(&phase1.exchanges);
         // Idle shard loops keep checking their kill sites, so any kill
         // that didn't fire under load fires here; wait until every seat
         // has died once and been respawned.
@@ -1095,14 +990,9 @@ pub fn chaos_bench(opts: &RunOptions) {
         }
         drop(guard);
         // Phase 2, faults disarmed: the respawned fleet at full strength.
-        let (phase2, _, _) = drive(false, 0xA077);
-        let (served2, corrupted2) = oracle(&phase2);
-        let avail2 = if phase2.is_empty() {
-            0.0
-        } else {
-            served2 as f64 / phase2.len() as f64
-        };
-        total_corrupted += corrupted1 + corrupted2;
+        let phase2 = drive(&server, kernel, load, 0xA077, None, None);
+        let avail2 = phase2.report().availability();
+        total_corrupted += corrupted1 + count_corrupted(&phase2.exchanges);
         let snap = server.shutdown();
         println!("  rolling-kill plan: {rolling_plan}");
         println!(
@@ -1110,7 +1000,10 @@ pub fn chaos_bench(opts: &RunOptions) {
             snap.total_respawns(),
             snap.mean_mttr().map_or(0.0, |d| d.as_secs_f64() * 1e3)
         );
-        println!("  rolling-kill hedges: {hedges} (wins {hedge_wins})");
+        println!(
+            "  rolling-kill hedges: {} (wins {})",
+            phase1.hedges, phase1.hedge_wins
+        );
         println!(
             "  rolling-kill redriven: {} (deadline sheds after redrive: {})",
             snap.total_redriven(),
@@ -1155,7 +1048,7 @@ pub fn greeks_bench(opts: &RunOptions) {
     use finbench_core::greeks::{greeks, Greeks, OptionType};
     use finbench_core::workload::MarketParams;
     use finbench_rng::StreamFamily;
-    use finbench_serve::{greeks_ladder, GreeksRequest, GreeksResponse, ServeConfig, Server};
+    use finbench_serve::{drive, greeks_ladder, GreeksSource, LoadMode, ServeConfig, Server};
     use std::collections::BTreeMap as Map;
     use std::time::Duration;
 
@@ -1321,61 +1214,36 @@ pub fn greeks_bench(opts: &RunOptions) {
         .map(|r| (r.slug.clone(), r))
         .collect();
     let server = Server::start(cfg);
-    let responses: Vec<((f64, f64, f64), GreeksResponse)> = std::thread::scope(|scope| {
-        let server = &server;
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut stream =
-                        finbench_serve::OptionStream::new(0x62EE5u64.wrapping_add(c as u64));
-                    let mut out = Vec::with_capacity(per_client);
-                    for i in 0..per_client {
-                        let (s, x, t) = stream.next_option();
-                        let id = (c * per_client + i) as u64;
-                        let rx = server.submit_greeks(GreeksRequest::new(id, s, x, t));
-                        match rx.recv() {
-                            Ok(resp) => out.push(((s, x, t), resp)),
-                            Err(_) => break,
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("greeks client thread"))
-            .collect()
-    });
+    let load = LoadMode::Closed {
+        clients,
+        requests_per_client: per_client,
+    };
+    let driven = drive(&server, &GreeksSource, load, 0x62EE5, None, None);
     server.shutdown();
 
-    let mut served = 0usize;
-    let mut shed = 0usize;
+    let report = driven.report();
+    let served = report.served;
     let mut mismatches = 0usize;
     let mut batch_sum = 0usize;
-    let mut lat_us: Vec<f64> = Vec::with_capacity(responses.len());
-    for ((s, x, t), resp) in &responses {
-        match &resp.outcome {
-            Ok(out) => {
-                served += 1;
-                batch_sum += out.batch_len;
-                lat_us.push(out.latency.as_secs_f64() * 1e6);
-                let rung = oracle
-                    .get(&out.rung)
-                    .unwrap_or_else(|| panic!("response served on unknown rung {}", out.rung));
-                let (call, put) = rung.compute_one(*s, *x, *t);
-                if call != out.call || put != out.put {
-                    mismatches += 1;
-                }
+    let mut lat_us: Vec<f64> = Vec::with_capacity(served);
+    for (req, resp, _) in &driven.exchanges {
+        if let Ok(out) = &resp.outcome {
+            batch_sum += out.batch_len;
+            lat_us.push(out.latency.as_secs_f64() * 1e6);
+            let rung = oracle
+                .get(&out.rung)
+                .unwrap_or_else(|| panic!("response served on unknown rung {}", out.rung));
+            let (call, put) = rung.compute_one(req.s, req.x, req.t);
+            if call != out.call || put != out.put {
+                mismatches += 1;
             }
-            Err(_) => shed += 1,
         }
     }
     let mean_batch = batch_sum as f64 / served.max(1) as f64;
     println!(
         "  [serve] {served}/{} computed on the greeks lane (mean batch {mean_batch:.1}, \
          p50 {:.0} us, p99 {:.0} us)",
-        responses.len(),
+        report.offered,
         finbench_telemetry::stats::nearest_rank_unsorted(&lat_us, 0.50),
         finbench_telemetry::stats::nearest_rank_unsorted(&lat_us, 0.99),
     );
@@ -1402,7 +1270,9 @@ pub fn greeks_bench(opts: &RunOptions) {
             "FAIL"
         }
     );
-    println!("  total shed: {shed}");
+    let mut totals = LoadTotals::default();
+    totals.add(&report);
+    totals.print();
 }
 
 /// The `portfolio_bench` experiment: the market-risk plane end to end.
@@ -1542,10 +1412,7 @@ pub fn portfolio_bench(opts: &RunOptions) {
         ..ServeConfig::default()
     });
     let req = PortfolioRequest::new(1, SEED, replay_positions, scenarios).with_chunk(chunk);
-    let resp = server
-        .submit_portfolio(req)
-        .recv()
-        .expect("portfolio response");
+    let resp = server.submit(req).recv().expect("portfolio response");
     let snapshot = server.shutdown();
     let out = match resp.outcome {
         Ok(out) => out,

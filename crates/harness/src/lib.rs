@@ -8,15 +8,15 @@
 //! Run via the `finbench` binary:
 //!
 //! ```text
-//! finbench all                # every experiment
-//! finbench fig4 fig5          # specific artifacts
-//! finbench table2 --quick     # reduced native workload sizes
-//! finbench native             # native kernel ladders only
-//! finbench native --only rng  # just some kernels' ladders
-//! finbench audit              # dynamic op-count audit (paper Table III)
-//! finbench --csv out/         # also write CSV series
-//! finbench --json t.jsonl     # export the telemetry trace as JSON lines
-//! finbench --report           # print the telemetry span tree after the run
+//! finbench run all                # every experiment
+//! finbench run fig4 fig5          # specific artifacts
+//! finbench run table2 --quick     # reduced native workload sizes
+//! finbench run native             # native kernel ladders only
+//! finbench run native --only rng  # just some kernels' ladders
+//! finbench run audit              # dynamic op-count audit (paper Table III)
+//! finbench run all --csv out/     # also write CSV series
+//! finbench run all --json t.jsonl # export the telemetry trace as JSON lines
+//! finbench run all --report       # print the telemetry span tree after the run
 //! ```
 //!
 //! Every experiment runs inside a telemetry span (`experiment.<id>`), and

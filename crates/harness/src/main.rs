@@ -1,13 +1,13 @@
 //! The `finbench` experiment CLI.
 //!
 //! ```text
-//! finbench all                   # every table/figure + native runs
-//! finbench fig4 table2           # specific artifacts
-//! finbench native --quick        # reduced native workloads
-//! finbench all --csv results/    # also export CSV series
-//! finbench native --json t.jsonl # export the telemetry trace (JSON lines)
-//! finbench native --report       # print the telemetry span tree
-//! finbench --list                # print experiment ids
+//! finbench run all                   # every table/figure + native runs
+//! finbench run fig4 table2           # specific artifacts
+//! finbench run native --quick        # reduced native workloads
+//! finbench run all --csv results/    # also export CSV series
+//! finbench run native --json t.jsonl # export the telemetry trace (JSON lines)
+//! finbench run native --report       # print the telemetry span tree
+//! finbench list                      # print experiment ids
 //! ```
 
 use finbench_harness::cli::{parse_args, CliAction};

@@ -24,16 +24,14 @@ use crate::render::{fmt_num, section, table};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_engine::RungSamples;
 use finbench_serve::{
-    padded_batch_into, search_peak, FlushCounts, GreeksRequest, GreeksResponse, LoadMode,
-    PeakReport, PeakSearchConfig, PeakStep, PortfolioRequest, PricerConfig, Rejected, Scratch,
-    ServeConfig, Server, ServingRung,
+    padded_batch_into, FlushCounts, GreeksSource, LoadMode, PeakReport, PeakSearchConfig,
+    PortfolioSource, PricerConfig, RequestSource, Scratch, ServeConfig, Server,
 };
 use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use telemetry::json::{self, Json};
 
 /// Schema version stamped into every `BENCH_<n>.json`; [`load_bench`]
@@ -224,10 +222,27 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
         binomial_steps: if quick { 64 } else { 256 },
         ..PricerConfig::default()
     };
+    let per_client = if quick { 150 } else { 600 };
+    let price_rung = finbench_serve::pricer::resolve(engine, "black_scholes", &pricer)
+        .map(|r| r.slug)
+        .unwrap_or_default();
+    let greeks_rung = finbench_serve::greeks_ladder(pricer.market)[0].slug.clone();
+    let book_rung = finbench_serve::portfolio_ladder(pricer.market)[0]
+        .slug
+        .clone();
+    // Each portfolio request fans a multi-chunk scenario sweep across the
+    // shards and merges VaR/ES back, so "one request" there is a thousand
+    // pricings — the lane's req/s is necessarily far below the others'.
+    let book = PortfolioSource {
+        positions: 16,
+        scenarios: 64,
+        chunk: 16,
+    };
+    let book_requests = if quick { 20 } else { 60 };
     let lanes = vec![
-        price_lane("black_scholes", pricer, quick),
-        greeks_lane(pricer, quick),
-        portfolio_lane(pricer, quick),
+        lane("black_scholes", price_rung, (4, per_client), pricer, quick),
+        lane(&GreeksSource, greeks_rung, (4, per_client), pricer, quick),
+        lane(&book, book_rung, (2, book_requests), pricer, quick),
     ];
     let lane_rows: Vec<Vec<String>> = lanes
         .iter()
@@ -420,17 +435,21 @@ fn peak_schedule(closed_rps: f64, quick: bool) -> PeakSearchConfig {
     }
 }
 
-/// Closed-loop latency + open-loop peak for one price-request kernel.
-fn price_lane(kernel: &str, pricer: PricerConfig, quick: bool) -> LaneStats {
-    let rung = finbench_serve::pricer::resolve(native::engine(), kernel, &pricer)
-        .map(|r: ServingRung| r.slug)
-        .unwrap_or_default();
-    let clients = 4;
-    let per_client = if quick { 150 } else { 600 };
+/// Closed-loop latency + open-loop peak for one request plane: `clients`
+/// x `per_client` requests from `source` against a queue that covers
+/// them all, then a peak search seeded from that throughput. `rung` is
+/// the slug the plane is planned to serve on.
+fn lane<S: RequestSource + ?Sized>(
+    source: &S,
+    rung: String,
+    (clients, per_client): (usize, usize),
+    pricer: PricerConfig,
+    quick: bool,
+) -> LaneStats {
     let server = Server::start(serve_config(pricer, clients * per_client));
     let closed = finbench_serve::run_load(
         &server,
-        kernel,
+        source,
         LoadMode::Closed {
             clients,
             requests_per_client: per_client,
@@ -443,11 +462,11 @@ fn price_lane(kernel: &str, pricer: PricerConfig, quick: bool) -> LaneStats {
     // shed, not buffer forever.
     let peak = finbench_serve::find_peak_sustained(
         || Server::start(serve_config(pricer, 256)),
-        kernel,
+        source,
         &peak_schedule(closed.throughput, quick),
     );
     LaneStats {
-        lane: kernel.to_string(),
+        lane: closed.kernel.clone(),
         rung,
         offered: closed.offered,
         served: closed.served,
@@ -460,319 +479,6 @@ fn price_lane(kernel: &str, pricer: PricerConfig, quick: bool) -> LaneStats {
         batch_fill: snap.mean_batch_fill(),
         flushes: snap.total_flushes(),
         peak,
-    }
-}
-
-/// Closed-loop latency + open-loop peak for the greeks lane (its own
-/// request type, so it can't ride [`finbench_serve::run_load`]).
-fn greeks_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
-    let rung = finbench_serve::greeks_ladder(pricer.market)
-        .first()
-        .map(|r| r.slug.clone())
-        .unwrap_or_default();
-    let clients = 4;
-    let per_client = if quick { 150 } else { 600 };
-    let server = Server::start(serve_config(pricer, clients * per_client));
-    let t0 = Instant::now();
-    let per_client_results: Vec<(Vec<f64>, usize, usize, usize)> = std::thread::scope(|scope| {
-        (0..clients)
-            .map(|c| {
-                let server = &server;
-                scope.spawn(move || {
-                    let mut stream = finbench_serve::OptionStream::new(0x9EEC5 + c as u64);
-                    let mut lat_us = Vec::with_capacity(per_client);
-                    let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-                    for i in 0..per_client {
-                        let (s, x, t) = stream.next_option();
-                        let id = (c * per_client + i) as u64;
-                        let sent = Instant::now();
-                        let rx = server.submit_greeks(GreeksRequest::new(id, s, x, t));
-                        match rx.recv() {
-                            Ok(resp) => tally(
-                                &resp,
-                                sent.elapsed(),
-                                &mut lat_us,
-                                &mut served,
-                                &mut shed,
-                                &mut other,
-                            ),
-                            Err(_) => break,
-                        }
-                    }
-                    (lat_us, served, shed, other)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("greeks client thread"))
-            .collect()
-    });
-    let wall = t0.elapsed();
-    let snap = server.shutdown();
-    let mut lat_us = Vec::new();
-    let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-    for (lat, s, sh, o) in per_client_results {
-        lat_us.extend(lat);
-        served += s;
-        shed += sh;
-        other += o;
-    }
-    let throughput_rps = served as f64 / wall.as_secs_f64().max(1e-9);
-    let pct = |q: f64| {
-        if lat_us.is_empty() {
-            0.0
-        } else {
-            telemetry::nearest_rank_unsorted(&lat_us, q)
-        }
-    };
-    let (p50_us, p95_us, p99_us) = (pct(0.50), pct(0.95), pct(0.99));
-    let peak = search_peak(
-        &peak_schedule(throughput_rps, quick),
-        |rate_hz, total, seed| {
-            let server = Server::start(serve_config(pricer, 256));
-            let step = greeks_open_step(&server, rate_hz, total, seed);
-            server.shutdown();
-            step
-        },
-    );
-    LaneStats {
-        lane: "greeks".into(),
-        rung,
-        offered: clients * per_client,
-        served,
-        shed,
-        other_rejected: other,
-        throughput_rps,
-        p50_us,
-        p95_us,
-        p99_us,
-        batch_fill: snap.mean_batch_fill(),
-        flushes: snap.total_flushes(),
-        peak,
-    }
-}
-
-/// Closed-loop latency + open-loop peak for the portfolio lane. Each
-/// request fans a multi-chunk scenario sweep across the shards and
-/// merges VaR/ES back, so "one request" here is hundreds of pricings —
-/// the lane's req/s is necessarily far below the price lanes'.
-fn portfolio_lane(pricer: PricerConfig, quick: bool) -> LaneStats {
-    let rung = finbench_serve::portfolio_ladder(pricer.market)
-        .first()
-        .map(|r| r.slug.clone())
-        .unwrap_or_default();
-    let clients = 2;
-    let per_client = if quick { 20 } else { 60 };
-    let (positions, scenarios, chunk) = (16usize, 64usize, 16usize);
-    let server = Server::start(serve_config(pricer, 1024));
-    let t0 = Instant::now();
-    let per_client_results: Vec<(Vec<f64>, usize, usize, usize)> = std::thread::scope(|scope| {
-        (0..clients)
-            .map(|c| {
-                let server = &server;
-                scope.spawn(move || {
-                    let mut lat_us = Vec::with_capacity(per_client);
-                    let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-                    for i in 0..per_client {
-                        let id = (c * per_client + i) as u64;
-                        let seed = finbench_serve::mix_seed(0x9F0C, id);
-                        let sent = Instant::now();
-                        let rx = server.submit_portfolio(
-                            PortfolioRequest::new(id, seed, positions, scenarios).with_chunk(chunk),
-                        );
-                        match rx.recv() {
-                            Ok(resp) => tally_portfolio(
-                                &resp,
-                                sent.elapsed(),
-                                &mut lat_us,
-                                &mut served,
-                                &mut shed,
-                                &mut other,
-                            ),
-                            Err(_) => break,
-                        }
-                    }
-                    (lat_us, served, shed, other)
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("portfolio client thread"))
-            .collect()
-    });
-    let wall = t0.elapsed();
-    let snap = server.shutdown();
-    let mut lat_us = Vec::new();
-    let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-    for (lat, s, sh, o) in per_client_results {
-        lat_us.extend(lat);
-        served += s;
-        shed += sh;
-        other += o;
-    }
-    let throughput_rps = served as f64 / wall.as_secs_f64().max(1e-9);
-    let pct = |q: f64| {
-        if lat_us.is_empty() {
-            0.0
-        } else {
-            telemetry::nearest_rank_unsorted(&lat_us, q)
-        }
-    };
-    let (p50_us, p95_us, p99_us) = (pct(0.50), pct(0.95), pct(0.99));
-    let peak = search_peak(
-        &peak_schedule(throughput_rps, quick),
-        |rate_hz, total, seed| {
-            let server = Server::start(serve_config(pricer, 256));
-            let step = portfolio_open_step(&server, rate_hz, total, seed, positions, scenarios);
-            server.shutdown();
-            step
-        },
-    );
-    LaneStats {
-        lane: "portfolio".into(),
-        rung,
-        offered: clients * per_client,
-        served,
-        shed,
-        other_rejected: other,
-        throughput_rps,
-        p50_us,
-        p95_us,
-        p99_us,
-        batch_fill: snap.mean_batch_fill(),
-        flushes: snap.total_flushes(),
-        peak,
-    }
-}
-
-fn tally_portfolio(
-    resp: &finbench_serve::PortfolioResponse,
-    rtt: Duration,
-    lat_us: &mut Vec<f64>,
-    served: &mut usize,
-    shed: &mut usize,
-    other: &mut usize,
-) {
-    match &resp.outcome {
-        Ok(_) => {
-            *served += 1;
-            lat_us.push(rtt.as_secs_f64() * 1e6);
-        }
-        Err(Rejected::QueueFull { .. }) | Err(Rejected::DeadlineExceeded { .. }) => *shed += 1,
-        Err(_) => *other += 1,
-    }
-}
-
-/// One paced open-loop window of portfolio requests. Fan-out requests
-/// are answered through per-request merge tasks, so the collector drains
-/// one response per submitted request just like the price lanes.
-fn portfolio_open_step(
-    server: &Server,
-    rate_hz: f64,
-    total: usize,
-    seed: u64,
-    positions: usize,
-    scenarios: usize,
-) -> PeakStep {
-    let gap = Duration::from_secs_f64(1.0 / rate_hz.max(1.0));
-    let (tx, rx) = mpsc::channel::<finbench_serve::PortfolioResponse>();
-    let collector = std::thread::spawn(move || {
-        let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-        let mut lat = Vec::new();
-        for resp in rx.iter() {
-            tally_portfolio(
-                &resp,
-                Duration::ZERO,
-                &mut lat,
-                &mut served,
-                &mut shed,
-                &mut other,
-            );
-        }
-        (served, shed, other)
-    });
-    let t0 = Instant::now();
-    for i in 0..total {
-        let due = t0 + gap.mul_f64(i as f64);
-        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(sleep);
-        }
-        let req = PortfolioRequest::new(
-            i as u64,
-            finbench_serve::mix_seed(seed, i as u64),
-            positions,
-            scenarios,
-        )
-        .with_chunk(16);
-        server.submit_portfolio_with(req, &tx);
-    }
-    drop(tx);
-    let (served, shed, other_rejected) = collector.join().expect("portfolio collector thread");
-    PeakStep {
-        rate_hz,
-        offered: total,
-        served,
-        shed,
-        other_rejected,
-    }
-}
-
-fn tally(
-    resp: &GreeksResponse,
-    rtt: Duration,
-    lat_us: &mut Vec<f64>,
-    served: &mut usize,
-    shed: &mut usize,
-    other: &mut usize,
-) {
-    match &resp.outcome {
-        Ok(_) => {
-            *served += 1;
-            lat_us.push(rtt.as_secs_f64() * 1e6);
-        }
-        Err(Rejected::QueueFull { .. }) | Err(Rejected::DeadlineExceeded { .. }) => *shed += 1,
-        Err(_) => *other += 1,
-    }
-}
-
-/// One paced open-loop window of greeks requests (the greeks analogue of
-/// the loadgen open loop, counting outcomes instead of latencies).
-fn greeks_open_step(server: &Server, rate_hz: f64, total: usize, seed: u64) -> PeakStep {
-    let gap = Duration::from_secs_f64(1.0 / rate_hz.max(1.0));
-    let mut stream = finbench_serve::OptionStream::new(seed);
-    let (tx, rx) = mpsc::channel::<GreeksResponse>();
-    let collector = std::thread::spawn(move || {
-        let (mut served, mut shed, mut other) = (0usize, 0usize, 0usize);
-        let mut lat = Vec::new();
-        for resp in rx.iter() {
-            tally(
-                &resp,
-                Duration::ZERO,
-                &mut lat,
-                &mut served,
-                &mut shed,
-                &mut other,
-            );
-        }
-        (served, shed, other)
-    });
-    let t0 = Instant::now();
-    for i in 0..total {
-        let due = t0 + gap.mul_f64(i as f64);
-        if let Some(sleep) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(sleep);
-        }
-        let (s, x, t) = stream.next_option();
-        server.submit_greeks_with(GreeksRequest::new(i as u64, s, x, t), &tx);
-    }
-    drop(tx);
-    let (served, shed, other_rejected) = collector.join().expect("greeks collector thread");
-    PeakStep {
-        rate_hz,
-        offered: total,
-        served,
-        shed,
-        other_rejected,
     }
 }
 

@@ -39,9 +39,15 @@
 //! scenario grids are split-invariant and revaluation is padded
 //! lane-wise ([`portfolio`]).
 //!
-//! [`loadgen`] adds closed- and open-loop synthetic load; the harness
-//! exposes it as the `serve_bench` experiment (`finbench serve-bench`),
-//! with the greeks lane measured by `greeks_bench`.
+//! All three request types are [`ServeRequest`]s: [`Server::submit`] is one
+//! generic path (validate → route → reject), and each plane adds only how
+//! its validated request becomes queued work.
+//!
+//! [`loadgen`] adds closed- and open-loop synthetic load, written once
+//! over a [`RequestSource`] so every plane is driven, hedged, tallied and
+//! peak-searched by the same code; the harness exposes it as the
+//! `serve_bench` experiment (`finbench serve-bench`), with the greeks
+//! lane measured by `greeks_bench`.
 //!
 //! ## Fault tolerance
 //!
@@ -81,9 +87,10 @@ pub use batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatc
 pub use breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 pub use greeks::{greeks_ladder, GreeksRung};
 pub use loadgen::{
-    find_peak_sustained, last_sustained_hz, mix_seed, run_load, run_load_hedged, search_peak,
-    window_total, HedgePolicy, LoadMode, LoadReport, OptionStream, PeakReport, PeakSearchConfig,
-    PeakStep, ShardLoad, HEDGE_BIT, MAX_WINDOW_TOTAL,
+    drive, find_peak_sustained, last_sustained_hz, mix_seed, run_load, search_peak, window_total,
+    Driven, Exchange, GreeksSource, HedgePolicy, LoadMode, LoadReport, OptionStream, PeakReport,
+    PeakSearchConfig, PeakStep, PortfolioSource, RequestSource, ShardLoad, HEDGE_BIT,
+    MAX_WINDOW_TOTAL,
 };
 pub use portfolio::{
     portfolio_ladder, PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkResponse,
@@ -93,7 +100,7 @@ pub use pricer::{padded_batch_into, servable_ladder, PricerConfig, ServingRung};
 pub use queue::AdmissionQueue;
 pub use request::{
     GreeksOut, GreeksRequest, GreeksResponse, PortfolioOut, PortfolioRequest, PortfolioResponse,
-    PriceRequest, PriceResponse, Priced, Rejected, MAX_PORTFOLIO_PRICINGS,
+    PriceRequest, PriceResponse, Priced, Rejected, Response, ServeRequest, MAX_PORTFOLIO_PRICINGS,
 };
 pub use server::{
     KernelSnapshot, ServeConfig, ServeSnapshot, Server, ShardSnapshot, SupervisorPolicy,

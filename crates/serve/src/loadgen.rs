@@ -10,8 +10,16 @@
 //!   completions (the standard model for SLO studies: queueing delay and
 //!   shedding appear once the offered rate exceeds capacity).
 //!
-//! Option parameters are drawn from the workspace's seeded RNG-free
-//! SplitMix-style stream so every run is reproducible.
+//! Both are written once, over a [`RequestSource`]: a kernel name is the
+//! price plane's source (`run_load(&server, "black_scholes", …)`),
+//! [`GreeksSource`] and [`PortfolioSource`] are the other planes'. One
+//! [`drive`] returns every `(request, response, round trip)` it saw;
+//! [`LoadReport`], [`PeakStep`] and the peak search are computed from
+//! that, and replay oracles read the same exchanges.
+//!
+//! Request parameters are drawn from the workspace's seeded RNG-free
+//! SplitMix-style stream — client `c` of a run seeded `seed` draws from
+//! [`mix_seed`]`(seed, c)` — so every run is reproducible.
 //!
 //! ## Hedged requests
 //!
@@ -25,8 +33,10 @@
 //! are never hedged: an injector paced on arrivals has no per-request
 //! wait in which to detect a slow response.
 
-use crate::request::{PriceRequest, PriceResponse, Rejected};
-use crate::server::Server;
+use crate::request::{
+    GreeksRequest, PortfolioRequest, PriceRequest, Rejected, Response, ServeRequest,
+};
+use crate::server::{Server, ShardSnapshot};
 use finbench_telemetry as telemetry;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -67,7 +77,7 @@ pub enum LoadMode {
 }
 
 /// What one load run observed, measured at the *client* side.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LoadReport {
     /// Kernel driven.
     pub kernel: String,
@@ -135,6 +145,17 @@ impl LoadReport {
             self.served as f64 / self.offered as f64
         }
     }
+
+    /// This run as one step of a peak search at offered rate `rate_hz`.
+    pub fn peak_step(&self, rate_hz: f64) -> PeakStep {
+        PeakStep {
+            rate_hz,
+            offered: self.offered,
+            served: self.served,
+            shed: self.total_shed(),
+            other_rejected: self.rejected_total() + self.invalid_input + self.internal,
+        }
+    }
 }
 
 /// One worker shard's activity over a load run, measured as the delta of
@@ -198,7 +219,8 @@ impl OptionStream {
         }
     }
 
-    fn next_u64(&mut self) -> u64 {
+    /// The next raw 64-bit draw.
+    pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -221,39 +243,141 @@ impl OptionStream {
     }
 }
 
-/// Drive `server` with synthetic load against one kernel and report
-/// client-side latency/throughput. `slo` attaches a deadline to every
-/// request (None = no deadline, nothing can be shed for lateness).
-pub fn run_load(
-    server: &Server,
-    kernel: &str,
-    mode: LoadMode,
-    seed: u64,
-    slo: Option<Duration>,
-) -> LoadReport {
-    run_load_hedged(server, kernel, mode, seed, slo, None)
+/// A reproducible stream of one plane's requests: what [`drive`] submits.
+pub trait RequestSource: Sync {
+    /// The request type this source builds.
+    type Req: ServeRequest + Clone;
+
+    /// Name of what is being driven ([`LoadReport::kernel`]).
+    fn label(&self) -> &str;
+    /// Build request `id` with the given absolute deadline, drawing its
+    /// parameters from `stream`. The same stream state must build the
+    /// same request: a hedge copy is the request rebuilt under its
+    /// tagged id.
+    fn request(&self, id: u64, deadline: Option<Instant>, stream: &mut OptionStream) -> Self::Req;
 }
 
-/// [`run_load`] with optional client-side hedging. Hedging applies only
-/// to closed-loop load (see the module docs); an open-loop run ignores
-/// the policy and reports zero hedges.
-pub fn run_load_hedged(
+/// A registry kernel name is the price plane's source.
+impl RequestSource for str {
+    type Req = PriceRequest;
+
+    fn label(&self) -> &str {
+        self
+    }
+    fn request(
+        &self,
+        id: u64,
+        deadline: Option<Instant>,
+        stream: &mut OptionStream,
+    ) -> PriceRequest {
+        let (s, x, t) = stream.next_option();
+        PriceRequest {
+            deadline,
+            ..PriceRequest::new(id, self, s, x, t)
+        }
+    }
+}
+
+/// The greeks plane's source: one option contract per request.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct GreeksSource;
+
+impl RequestSource for GreeksSource {
+    type Req = GreeksRequest;
+
+    fn label(&self) -> &str {
+        "greeks"
+    }
+    fn request(
+        &self,
+        id: u64,
+        deadline: Option<Instant>,
+        stream: &mut OptionStream,
+    ) -> GreeksRequest {
+        let (s, x, t) = stream.next_option();
+        GreeksRequest {
+            deadline,
+            ..GreeksRequest::new(id, s, x, t)
+        }
+    }
+}
+
+/// The portfolio plane's source: every request revalues a book of the
+/// same shape under a freshly drawn book-and-grid seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PortfolioSource {
+    /// Book size in positions.
+    pub positions: usize,
+    /// Scenario-grid size.
+    pub scenarios: usize,
+    /// Fan-out chunk size in scenarios (`0` = automatic).
+    pub chunk: usize,
+}
+
+impl RequestSource for PortfolioSource {
+    type Req = PortfolioRequest;
+
+    fn label(&self) -> &str {
+        "portfolio"
+    }
+    fn request(
+        &self,
+        id: u64,
+        deadline: Option<Instant>,
+        stream: &mut OptionStream,
+    ) -> PortfolioRequest {
+        PortfolioRequest {
+            deadline,
+            ..PortfolioRequest::new(id, stream.next_u64(), self.positions, self.scenarios)
+                .with_chunk(self.chunk)
+        }
+    }
+}
+
+/// One answered request: what was asked, what came back, and the
+/// client-observed round trip.
+pub type Exchange<R> = (R, Response<<R as ServeRequest>::Out>, Duration);
+
+/// Everything one [`drive`] observed, measured at the *client* side.
+pub struct Driven<R: ServeRequest> {
+    /// The source's label.
+    pub label: String,
+    /// One entry per request that was answered (hedged requests once,
+    /// under the untagged id). A client that lost its channel stops
+    /// early, so this — not the schedule — is what was offered.
+    pub exchanges: Vec<Exchange<R>>,
+    /// Hedge copies submitted (0 unless hedging was enabled).
+    pub hedges: usize,
+    /// Logical requests whose *hedge* copy answered first.
+    pub hedge_wins: usize,
+    /// Wall-clock duration of the run.
+    pub wall: Duration,
+    /// Per-shard activity over the run (snapshot deltas).
+    pub shards: Vec<ShardLoad>,
+}
+
+/// Drive `server` with synthetic load from `source` and return every
+/// exchange. `slo` attaches a deadline to every request (None = no
+/// deadline, nothing can be shed for lateness). Hedging applies only to
+/// closed-loop load (see the module docs); an open-loop run ignores the
+/// policy and reports zero hedges.
+pub fn drive<S: RequestSource + ?Sized>(
     server: &Server,
-    kernel: &str,
+    source: &S,
     mode: LoadMode,
     seed: u64,
     slo: Option<Duration>,
     hedge: Option<HedgePolicy>,
-) -> LoadReport {
+) -> Driven<S::Req> {
     let before = server.snapshot().shards;
     let t0 = Instant::now();
-    let (responses, hedges, hedge_wins) = match mode {
+    let (exchanges, hedges, hedge_wins) = match mode {
         LoadMode::Closed {
             clients,
             requests_per_client,
         } => closed_loop(
             server,
-            kernel,
+            source,
             clients,
             requests_per_client,
             seed,
@@ -261,53 +385,59 @@ pub fn run_load_hedged(
             hedge,
         ),
         LoadMode::Open { rate_hz, total } => {
-            (open_loop(server, kernel, rate_hz, total, seed, slo), 0, 0)
+            (open_loop(server, source, rate_hz, total, seed, slo), 0, 0)
         }
     };
-    let wall = t0.elapsed();
-    let mut report = summarize(kernel, responses, wall);
-    report.hedges = hedges;
-    report.hedge_wins = hedge_wins;
-    report.shards = shard_deltas(&before, &server.snapshot().shards);
-    report
+    Driven {
+        label: source.label().to_string(),
+        exchanges,
+        hedges,
+        hedge_wins,
+        wall: t0.elapsed(),
+        shards: shard_deltas(&before, &server.snapshot().shards),
+    }
+}
+
+/// [`drive`] without hedging, summarized: client-side latency and
+/// throughput of one load run.
+pub fn run_load<S: RequestSource + ?Sized>(
+    server: &Server,
+    source: &S,
+    mode: LoadMode,
+    seed: u64,
+    slo: Option<Duration>,
+) -> LoadReport {
+    drive(server, source, mode, seed, slo, None).report()
 }
 
 /// Per-shard activity between two snapshots (same server, so shards are
 /// index-aligned; a shard killed mid-run shows `alive: false`).
-fn shard_deltas(
-    before: &[crate::server::ShardSnapshot],
-    after: &[crate::server::ShardSnapshot],
-) -> Vec<ShardLoad> {
+fn shard_deltas(before: &[ShardSnapshot], after: &[ShardSnapshot]) -> Vec<ShardLoad> {
     after
         .iter()
         .map(|a| {
             let b = before.iter().find(|b| b.index == a.index);
-            let base =
-                |f: fn(&crate::server::ShardSnapshot) -> u64| a_minus(f(a), b.map(f).unwrap_or(0));
+            let delta = |f: fn(&ShardSnapshot) -> u64| f(a).saturating_sub(b.map(f).unwrap_or(0));
             ShardLoad {
                 index: a.index,
                 alive: a.alive,
-                submitted: base(|s| s.submitted),
-                served: base(|s| s.served),
-                stolen: base(|s| s.stolen),
+                submitted: delta(|s| s.submitted),
+                served: delta(|s| s.served),
+                stolen: delta(|s| s.stolen),
             }
         })
         .collect()
 }
 
-fn a_minus(a: u64, b: u64) -> u64 {
-    a.saturating_sub(b)
-}
-
-fn closed_loop(
+fn closed_loop<S: RequestSource + ?Sized>(
     server: &Server,
-    kernel: &str,
+    source: &S,
     clients: usize,
     requests_per_client: usize,
     seed: u64,
     slo: Option<Duration>,
     hedge: Option<HedgePolicy>,
-) -> (Vec<(PriceResponse, Duration)>, usize, usize) {
+) -> (Vec<Exchange<S::Req>>, usize, usize) {
     let per_client = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients.max(1))
             .map(|c| {
@@ -317,19 +447,23 @@ fn closed_loop(
                     let mut hedges = 0usize;
                     let mut wins = 0usize;
                     for i in 0..requests_per_client {
-                        let (s, x, t) = stream.next_option();
                         let id = (c * requests_per_client + i) as u64;
                         // Dense ids stay far below the reserved hedge
                         // tag; a generator change that grows into bit 63
                         // would silently corrupt hedge dedup.
                         debug_assert_eq!(id & HEDGE_BIT, 0, "request id collides with HEDGE_BIT");
-                        let mut req = PriceRequest::new(id, kernel, s, x, t);
-                        if let Some(d) = slo {
-                            req = req.with_slo(d);
-                        }
-                        let sent = Instant::now();
-                        match one_hedged(server, req, hedge, &mut hedges, &mut wins) {
-                            Some(resp) => out.push((resp, sent.elapsed())),
+                        let deadline = slo.map(|d| Instant::now() + d);
+                        match one_hedged(
+                            server,
+                            source,
+                            id,
+                            deadline,
+                            &mut stream,
+                            hedge,
+                            &mut hedges,
+                            &mut wins,
+                        ) {
+                            Some(exchange) => out.push(exchange),
                             None => break,
                         }
                     }
@@ -342,18 +476,19 @@ fn closed_loop(
             .map(|h| h.join().expect("client thread"))
             .collect::<Vec<_>>()
     });
-    let mut responses = Vec::new();
+    let mut exchanges = Vec::new();
     let (mut hedges, mut wins) = (0usize, 0usize);
     for (out, h, w) in per_client {
-        responses.extend(out);
+        exchanges.extend(out);
         hedges += h;
         wins += w;
     }
-    (responses, hedges, wins)
+    (exchanges, hedges, wins)
 }
 
-/// Issue one closed-loop request, optionally hedging it, and return the
-/// winning response with its id normalized (hedge tag masked off).
+/// Issue closed-loop request `id` drawn from `stream`, optionally
+/// hedging it, and return it with the winning response — its id
+/// normalized (hedge tag masked off) — and the submit-to-response time.
 ///
 /// First-response-wins dedup: both copies answer on the same channel and
 /// only the first receive is taken, so each logical request contributes
@@ -361,33 +496,34 @@ fn closed_loop(
 /// answers first. The hedge copy shares the original's absolute
 /// deadline — hedging never extends the end-to-end budget the server
 /// enforces, it only races a second attempt inside it.
-fn one_hedged(
+#[allow(clippy::too_many_arguments)]
+fn one_hedged<S: RequestSource + ?Sized>(
     server: &Server,
-    req: PriceRequest,
+    source: &S,
+    id: u64,
+    deadline: Option<Instant>,
+    stream: &mut OptionStream,
     hedge: Option<HedgePolicy>,
     hedges: &mut usize,
     wins: &mut usize,
-) -> Option<PriceResponse> {
+) -> Option<Exchange<S::Req>> {
+    // The hedge copy is the same draw rebuilt under the tagged id.
+    let mut replay = stream.clone();
+    let req = source.request(id, deadline, stream);
     // Bit 63 is the hedge tag (see [`HEDGE_BIT`]). A caller-supplied id
     // already carrying it would make the original indistinguishable from
     // its own hedge copy — dedup would mask the "win" back onto a
     // different logical request. Reject at submission with a typed
     // error instead of submitting a request we could never account for.
-    if hedge.is_some() && req.id & HEDGE_BIT != 0 {
-        return Some(PriceResponse {
-            id: req.id,
-            outcome: Err(Rejected::InvalidInput {
-                reason: "request id uses bit 63, reserved for hedge tagging".into(),
-            }),
+    if hedge.is_some() && id & HEDGE_BIT != 0 {
+        let outcome = Err(Rejected::InvalidInput {
+            reason: "request id uses bit 63, reserved for hedge tagging".into(),
         });
+        return Some((req, Response { id, outcome }, Duration::ZERO));
     }
+    let sent = Instant::now();
     let (tx, rx) = mpsc::channel();
-    let hedge_copy = hedge.map(|_| {
-        let mut copy = req.clone();
-        copy.id |= HEDGE_BIT;
-        copy
-    });
-    server.submit_with(req, &tx);
+    server.submit_with(req.clone(), &tx);
     let first = match hedge {
         None => {
             // Our sender must not keep the channel open: the server's
@@ -400,7 +536,7 @@ fn one_hedged(
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 *hedges += 1;
                 telemetry::counter_add("loadgen.hedges", 1);
-                server.submit_with(hedge_copy.expect("hedge copy built"), &tx);
+                server.submit_with(source.request(id | HEDGE_BIT, deadline, &mut replay), &tx);
                 // Drop our sender so the receive below can't hang if
                 // (impossibly) neither copy were answered.
                 drop(tx);
@@ -416,20 +552,20 @@ fn one_hedged(
         resp.id &= !HEDGE_BIT;
     }
     // The losing copy's response (if any) dies with `rx` here.
-    Some(resp)
+    Some((req, resp, sent.elapsed()))
 }
 
-fn open_loop(
+fn open_loop<S: RequestSource + ?Sized>(
     server: &Server,
-    kernel: &str,
+    source: &S,
     rate_hz: f64,
     total: usize,
     seed: u64,
     slo: Option<Duration>,
-) -> Vec<(PriceResponse, Duration)> {
+) -> Vec<Exchange<S::Req>> {
     let gap = Duration::from_secs_f64(1.0 / rate_hz.max(1.0));
     let mut stream = OptionStream::new(seed);
-    let (tx, rx) = mpsc::channel::<PriceResponse>();
+    let (tx, rx) = mpsc::channel();
     // Responses must be timestamped as they *arrive*, not when the
     // injector finishes, so a collector thread drains concurrently.
     let collector = std::thread::spawn(move || {
@@ -438,7 +574,7 @@ fn open_loop(
             .collect::<Vec<_>>()
     });
     let t0 = Instant::now();
-    let mut sent_at = Vec::with_capacity(total);
+    let mut sent = Vec::with_capacity(total);
     for i in 0..total {
         // Pace against the schedule, not the previous send, so a slow
         // submit doesn't silently lower the offered rate.
@@ -446,108 +582,85 @@ fn open_loop(
         if let Some(sleep) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(sleep);
         }
-        let (s, x, t) = stream.next_option();
-        let mut req = PriceRequest::new(i as u64, kernel, s, x, t);
-        if let Some(d) = slo {
-            req = req.with_slo(d);
-        }
-        sent_at.push(Instant::now());
+        let req = source.request(i as u64, slo.map(|d| Instant::now() + d), &mut stream);
+        sent.push(Some((req.clone(), Instant::now())));
         server.submit_with(req, &tx);
     }
     drop(tx);
     // Every submitted request gets exactly one response (priced or
     // rejected), so the collector terminates once the server drains.
-    match_sent(&sent_at, collector.join().expect("collector thread"))
+    match_sent(sent, collector.join().expect("collector thread"))
 }
 
-/// Pair each collected response with its send timestamp by id. A
-/// response whose id falls outside the dense `sent_at` range (a replayed
-/// id after a lane restart, or a foreign stream sharing the channel) is
-/// dropped from the report and counted on `loadgen.unmatched_response`
-/// instead of panicking or misattributing another request's latency.
-fn match_sent(
-    sent_at: &[Instant],
-    collected: Vec<(PriceResponse, Instant)>,
-) -> Vec<(PriceResponse, Duration)> {
+/// Pair each collected response with the request it answers and its send
+/// timestamp, by id. A response whose id falls outside the dense `sent`
+/// range or was already answered (a replayed id after a lane restart, or
+/// a foreign stream sharing the channel) is dropped from the report and
+/// counted on `loadgen.unmatched_response` instead of panicking or
+/// misattributing another request's latency.
+fn match_sent<R, T>(
+    mut sent: Vec<Option<(R, Instant)>>,
+    collected: Vec<(Response<T>, Instant)>,
+) -> Vec<(R, Response<T>, Duration)> {
     let mut matched = Vec::with_capacity(collected.len());
     for (resp, arrived) in collected {
-        match sent_at.get(resp.id as usize) {
-            Some(&sent) => matched.push((resp, arrived.saturating_duration_since(sent))),
+        match sent.get_mut(resp.id as usize).and_then(Option::take) {
+            Some((req, at)) => matched.push((req, resp, arrived.saturating_duration_since(at))),
             None => telemetry::counter_add("loadgen.unmatched_response", 1),
         }
     }
     matched
 }
 
-fn summarize(
-    kernel: &str,
-    responses: Vec<(PriceResponse, Duration)>,
-    wall: Duration,
-) -> LoadReport {
-    let offered = responses.len();
-    let mut served = 0usize;
-    let mut shed_queue_full = 0usize;
-    let mut shed_deadline = 0usize;
-    let mut rejected_unknown_kernel = 0usize;
-    let mut rejected_unservable = 0usize;
-    let mut rejected_shutdown = 0usize;
-    let mut invalid_input = 0usize;
-    let mut internal = 0usize;
-    let mut lat_us: Vec<f64> = Vec::with_capacity(offered);
-    for (resp, rtt) in &responses {
-        // Exhaustive on purpose: a catch-all `Err(_)` arm here once
-        // collapsed UnknownKernel, Unservable, and ShuttingDown into one
-        // opaque count, and a new Rejected variant would silently join
-        // them. Now adding a variant fails to compile until the report
-        // accounts for it.
-        match &resp.outcome {
-            Ok(_) => {
-                served += 1;
-                let us = rtt.as_secs_f64() * 1e6;
-                // A Duration cannot produce NaN/Inf microseconds; catch it
-                // at sample time if that ever changes.
-                debug_assert!(us.is_finite(), "non-finite latency sample: {us}");
-                lat_us.push(us);
+impl<R: ServeRequest> Driven<R> {
+    /// Summarize the run. Every plane's report comes from this one tally.
+    pub fn report(&self) -> LoadReport {
+        let mut r = LoadReport {
+            kernel: self.label.clone(),
+            offered: self.exchanges.len(),
+            wall: self.wall,
+            hedges: self.hedges,
+            hedge_wins: self.hedge_wins,
+            shards: self.shards.clone(),
+            ..LoadReport::default()
+        };
+        let mut lat_us: Vec<f64> = Vec::with_capacity(r.offered);
+        for (_, resp, rtt) in &self.exchanges {
+            // Exhaustive on purpose: a catch-all `Err(_)` arm here once
+            // collapsed UnknownKernel, Unservable, and ShuttingDown into one
+            // opaque count, and a new Rejected variant would silently join
+            // them. Now adding a variant fails to compile until the report
+            // accounts for it.
+            match &resp.outcome {
+                Ok(_) => {
+                    r.served += 1;
+                    let us = rtt.as_secs_f64() * 1e6;
+                    // A Duration cannot produce NaN/Inf microseconds; catch it
+                    // at sample time if that ever changes.
+                    debug_assert!(us.is_finite(), "non-finite latency sample: {us}");
+                    lat_us.push(us);
+                }
+                Err(Rejected::QueueFull { .. }) => r.shed_queue_full += 1,
+                Err(Rejected::DeadlineExceeded { .. }) => r.shed_deadline += 1,
+                Err(Rejected::InvalidInput { .. }) => r.invalid_input += 1,
+                Err(Rejected::Internal { .. }) => r.internal += 1,
+                Err(Rejected::UnknownKernel { .. }) => r.rejected_unknown_kernel += 1,
+                Err(Rejected::Unservable { .. }) => r.rejected_unservable += 1,
+                Err(Rejected::ShuttingDown) => r.rejected_shutdown += 1,
             }
-            Err(Rejected::QueueFull { .. }) => shed_queue_full += 1,
-            Err(Rejected::DeadlineExceeded { .. }) => shed_deadline += 1,
-            Err(Rejected::InvalidInput { .. }) => invalid_input += 1,
-            Err(Rejected::Internal { .. }) => internal += 1,
-            Err(Rejected::UnknownKernel { .. }) => rejected_unknown_kernel += 1,
-            Err(Rejected::Unservable { .. }) => rejected_unservable += 1,
-            Err(Rejected::ShuttingDown) => rejected_shutdown += 1,
         }
-    }
-    // Total order even in release builds where the debug_assert above is
-    // compiled out: NaN sorts last instead of panicking the summary.
-    lat_us.sort_by(f64::total_cmp);
-    // Shared nearest-rank convention (empty → 0.0 sentinel for reports).
-    let pct = |q: f64| -> f64 {
-        if lat_us.is_empty() {
-            0.0
-        } else {
-            telemetry::nearest_rank(&lat_us, q)
+        // Total order even in release builds where the debug_assert above is
+        // compiled out: NaN sorts last instead of panicking the summary.
+        lat_us.sort_by(f64::total_cmp);
+        // Shared nearest-rank convention; the percentiles stay at the 0.0
+        // sentinel when nothing was served.
+        if !lat_us.is_empty() {
+            r.p50_us = telemetry::nearest_rank(&lat_us, 0.50);
+            r.p95_us = telemetry::nearest_rank(&lat_us, 0.95);
+            r.p99_us = telemetry::nearest_rank(&lat_us, 0.99);
         }
-    };
-    LoadReport {
-        kernel: kernel.to_string(),
-        offered,
-        served,
-        shed_queue_full,
-        shed_deadline,
-        rejected_unknown_kernel,
-        rejected_unservable,
-        rejected_shutdown,
-        invalid_input,
-        internal,
-        wall,
-        throughput: served as f64 / wall.as_secs_f64().max(1e-9),
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        hedges: 0,
-        hedge_wins: 0,
-        shards: Vec::new(),
+        r.throughput = r.served as f64 / self.wall.as_secs_f64().max(1e-9);
+        r
     }
 }
 
@@ -658,7 +771,7 @@ pub fn window_total(rate_hz: f64, window_secs: f64) -> usize {
 /// Generic peak search: step the offered rate geometrically per
 /// [`PeakSearchConfig`], driving each step through `step(rate_hz, total,
 /// seed)`, stopping at the first step that wasn't sustained (or at
-/// `max_steps`). The greeks lane reuses this with its own request type.
+/// `max_steps`).
 pub fn search_peak(
     cfg: &PeakSearchConfig,
     mut step: impl FnMut(f64, usize, u64) -> PeakStep,
@@ -684,31 +797,25 @@ pub fn search_peak(
     }
 }
 
-/// Search for the peak sustainable open-loop load on `kernel`.
+/// Search for the peak sustainable open-loop load from `source`.
 /// `make_server` builds a fresh server per step so queue state, breaker
 /// state, and latency histograms never leak across steps.
-pub fn find_peak_sustained(
+pub fn find_peak_sustained<S: RequestSource + ?Sized>(
     mut make_server: impl FnMut() -> Server,
-    kernel: &str,
+    source: &S,
     cfg: &PeakSearchConfig,
 ) -> PeakReport {
     search_peak(cfg, |rate_hz, total, seed| {
         let server = make_server();
         let r = run_load(
             &server,
-            kernel,
+            source,
             LoadMode::Open { rate_hz, total },
             seed,
             None,
         );
         server.shutdown();
-        PeakStep {
-            rate_hz,
-            offered: r.offered,
-            served: r.served,
-            shed: r.total_shed(),
-            other_rejected: r.rejected_total() + r.invalid_input + r.internal,
-        }
+        r.peak_step(rate_hz)
     })
 }
 
@@ -716,6 +823,7 @@ pub fn find_peak_sustained(
 mod tests {
     use super::*;
     use crate::pricer::PricerConfig;
+    use crate::request::PriceResponse;
     use crate::server::ServeConfig;
 
     fn quick_server(capacity: usize) -> Server {
@@ -804,13 +912,10 @@ mod tests {
         server.shutdown();
     }
 
-    #[test]
-    fn hedged_closed_loop_dedups_to_one_response_per_request() {
-        let _quiet = crate::test_support::faults_quiet();
-        // A tree deep enough that pricing one option takes milliseconds:
-        // the work itself outlasts the hedge delay, so every request
-        // hedges — and each logical request must still appear exactly
-        // once in the report.
+    /// Hedge every request of a 2 x 4 closed loop after `delay`: each
+    /// logical request must still appear exactly once, under its untagged
+    /// id, answered.
+    fn hedged_run_dedups<S: RequestSource + ?Sized>(source: &S, delay: Duration) -> LoadReport {
         let server = Server::start(ServeConfig {
             queue_capacity: 1024,
             pricer: PricerConfig {
@@ -820,25 +925,50 @@ mod tests {
             ..ServeConfig::default()
         });
         let before_h = telemetry::counter_value("loadgen.hedges");
-        let report = run_load_hedged(
+        let driven = drive(
             &server,
-            "binomial",
+            source,
             LoadMode::Closed {
                 clients: 2,
                 requests_per_client: 4,
             },
             21,
             None,
-            Some(HedgePolicy {
-                delay: Duration::from_micros(100),
-            }),
+            Some(HedgePolicy { delay }),
         );
+        let mut ids: Vec<u64> = driven.exchanges.iter().map(|(_, r, _)| r.id).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..8).collect::<Vec<u64>>(), "{}", source.label());
+        let report = driven.report();
         assert_eq!(report.offered, 8, "{report:?}");
         assert_eq!(report.served, 8, "{report:?}");
-        assert_eq!(report.hedges, 8, "every request outlived the hedge delay");
-        assert!(report.hedge_wins <= report.hedges);
-        assert_eq!(telemetry::counter_value("loadgen.hedges"), before_h + 8);
+        assert!(report.hedge_wins <= report.hedges, "{report:?}");
+        assert_eq!(
+            telemetry::counter_value("loadgen.hedges"),
+            before_h + report.hedges as u64
+        );
         server.shutdown();
+        report
+    }
+
+    #[test]
+    fn hedged_closed_loop_dedups_to_one_response_per_request() {
+        let _quiet = crate::test_support::faults_quiet();
+        // A tree deep enough, and a book big enough, that one request
+        // takes milliseconds: the work itself outlasts the hedge delay,
+        // so every request hedges.
+        let delay = Duration::from_micros(100);
+        let price = hedged_run_dedups("binomial", delay);
+        assert_eq!(price.hedges, 8, "every request outlived the hedge delay");
+        let book = PortfolioSource {
+            positions: 256,
+            scenarios: 512,
+            chunk: 0,
+        };
+        assert_eq!(hedged_run_dedups(&book, delay).hedges, 8);
+        // One greeks sweep takes microseconds, so hedge at once: whether a
+        // given request hedges is a race, the dedup is not.
+        assert!(hedged_run_dedups(&GreeksSource, Duration::ZERO).hedges <= 8);
     }
 
     #[test]
@@ -857,7 +987,7 @@ mod tests {
         );
         assert_eq!((closed.hedges, closed.hedge_wins), (0, 0));
         // Open-loop ignores the policy by design (module docs).
-        let open = run_load_hedged(
+        let open = drive(
             &server,
             "black_scholes",
             LoadMode::Open {
@@ -869,7 +999,8 @@ mod tests {
             Some(HedgePolicy {
                 delay: Duration::from_micros(1),
             }),
-        );
+        )
+        .report();
         assert_eq!((open.hedges, open.hedge_wins), (0, 0));
         server.shutdown();
     }
@@ -882,17 +1013,23 @@ mod tests {
         };
         let before = telemetry::counter_value("loadgen.unmatched_response");
         let now = Instant::now();
-        let sent_at = vec![now, now];
+        let sent = vec![Some(("first", now)), Some(("second", now))];
         // id 7 is outside the dense [0, 2) range the injector assigned —
-        // pre-fix this indexed out of bounds and panicked the report.
-        let collected = vec![(resp(0), now), (resp(7), now), (resp(1), now)];
-        let matched = match_sent(&sent_at, collected);
+        // pre-fix this indexed out of bounds and panicked the report —
+        // and the second answer to id 0 has no request left to pair with.
+        let collected = vec![
+            (resp(0), now),
+            (resp(7), now),
+            (resp(1), now),
+            (resp(0), now),
+        ];
+        let matched = match_sent(sent, collected);
         assert_eq!(matched.len(), 2);
-        assert_eq!(matched[0].0.id, 0);
-        assert_eq!(matched[1].0.id, 1);
+        assert_eq!((matched[0].0, matched[0].1.id), ("first", 0));
+        assert_eq!((matched[1].0, matched[1].1.id), ("second", 1));
         assert_eq!(
             telemetry::counter_value("loadgen.unmatched_response"),
-            before + 1
+            before + 2
         );
     }
 
@@ -983,13 +1120,10 @@ mod tests {
         assert_eq!(report.sustained_hz(), report.last_attempted_hz);
     }
 
-    #[test]
-    fn open_loop_accounts_for_every_arrival() {
-        let _quiet = crate::test_support::faults_quiet();
-        let server = quick_server(1024);
+    fn open_loop_accounts<S: RequestSource + ?Sized>(server: &Server, source: &S) {
         let report = run_load(
-            &server,
-            "binomial",
+            server,
+            source,
             LoadMode::Open {
                 rate_hz: 5_000.0,
                 total: 100,
@@ -997,6 +1131,7 @@ mod tests {
             11,
             None,
         );
+        assert_eq!(report.kernel, source.label());
         assert_eq!(report.offered, 100);
         assert_eq!(
             report.served + report.total_shed() + report.rejected_total(),
@@ -1004,6 +1139,15 @@ mod tests {
             "{report:?}"
         );
         assert_eq!(report.rejected_total(), 0);
+    }
+
+    #[test]
+    fn open_loop_accounts_for_every_arrival() {
+        let _quiet = crate::test_support::faults_quiet();
+        let server = quick_server(1024);
+        open_loop_accounts(&server, "binomial");
+        open_loop_accounts(&server, &GreeksSource);
+        open_loop_accounts(&server, &SMALL_BOOK);
         server.shutdown();
     }
 
@@ -1057,19 +1201,24 @@ mod tests {
     fn hedged_submission_rejects_ids_carrying_the_reserved_bit() {
         let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
-        let req = PriceRequest::new(HEDGE_BIT | 3, "black_scholes", 20.0, 21.0, 1.0);
+        let mut stream = OptionStream::new(5);
+        let (id, kernel) = (HEDGE_BIT | 3, "black_scholes");
+        let policy = Some(HedgePolicy {
+            delay: Duration::from_millis(1),
+        });
         let (mut hedges, mut wins) = (0, 0);
-        let resp = one_hedged(
+        let (req, resp, _) = one_hedged(
             &server,
-            req,
-            Some(HedgePolicy {
-                delay: Duration::from_millis(1),
-            }),
+            kernel,
+            id,
+            None,
+            &mut stream,
+            policy,
             &mut hedges,
             &mut wins,
         )
         .expect("typed rejection, not a dropped channel");
-        assert_eq!(resp.id, HEDGE_BIT | 3, "id echoed unmasked");
+        assert_eq!((req.id, resp.id), (id, id), "id echoed unmasked");
         assert!(
             matches!(resp.outcome, Err(Rejected::InvalidInput { ref reason }) if reason.contains("bit 63")),
             "{resp:?}"
@@ -1077,9 +1226,12 @@ mod tests {
         assert_eq!((hedges, wins), (0, 0), "nothing was submitted");
         // Un-hedged submission does not interpret the id: the same
         // request goes through and prices normally.
-        let unhedged = one_hedged(
+        let (_, unhedged, _) = one_hedged(
             &server,
-            PriceRequest::new(HEDGE_BIT | 3, "black_scholes", 20.0, 21.0, 1.0),
+            kernel,
+            id,
+            None,
+            &mut stream,
             None,
             &mut hedges,
             &mut wins,
@@ -1119,38 +1271,107 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// Every answer of a 1 x 3 closed loop must land in the `bucket`
+    /// count, and in no other.
+    fn all_land_in<S: RequestSource + ?Sized>(
+        server: &Server,
+        source: &S,
+        slo: Option<Duration>,
+        bucket: fn(&LoadReport) -> usize,
+    ) {
+        let mode = LoadMode::Closed {
+            clients: 1,
+            requests_per_client: 3,
+        };
+        let r = run_load(server, source, mode, 1, slo);
+        assert_eq!(bucket(&r), 3, "{r:?}");
+        let everything =
+            r.served + r.total_shed() + r.rejected_total() + r.invalid_input + r.internal;
+        assert_eq!((r.offered, everything), (3, 3), "{r:?}");
+    }
+
     #[test]
     fn rejection_reasons_are_reported_separately() {
         let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         // "nope" fails registry resolution; "rng" is registered but has
         // no batch-safe serving rung.
-        let unknown = run_load(
-            &server,
-            "nope",
-            LoadMode::Closed {
-                clients: 1,
-                requests_per_client: 3,
-            },
-            1,
-            None,
-        );
-        assert_eq!(unknown.rejected_unknown_kernel, 3, "{unknown:?}");
-        assert_eq!(unknown.rejected_unservable, 0);
-        assert_eq!(unknown.rejected_shutdown, 0);
-        assert_eq!(unknown.rejected_total(), 3);
-        let unservable = run_load(
-            &server,
-            "rng",
-            LoadMode::Closed {
-                clients: 1,
-                requests_per_client: 2,
-            },
-            2,
-            None,
-        );
-        assert_eq!(unservable.rejected_unservable, 2, "{unservable:?}");
-        assert_eq!(unservable.rejected_unknown_kernel, 0);
+        all_land_in(&server, "nope", None, |r| r.rejected_unknown_kernel);
+        all_land_in(&server, "rng", None, |r| r.rejected_unservable);
+        // A deadline that has passed by the time a worker looks is a
+        // deadline shed on every plane, and a book with no positions is
+        // invalid input: the greeks and portfolio reports used to file
+        // everything but sheds under one "other" count.
+        let now = Some(Duration::ZERO);
+        all_land_in(&server, "black_scholes", now, |r| r.shed_deadline);
+        all_land_in(&server, &GreeksSource, now, |r| r.shed_deadline);
+        all_land_in(&server, &SMALL_BOOK, now, |r| r.shed_deadline);
+        let empty = PortfolioSource {
+            positions: 0,
+            ..SMALL_BOOK
+        };
+        all_land_in(&server, &empty, None, |r| r.invalid_input);
         server.shutdown();
+    }
+
+    const SMALL_BOOK: PortfolioSource = PortfolioSource {
+        positions: 8,
+        scenarios: 32,
+        chunk: 16,
+    };
+
+    fn client_streams_are_mixed<S: RequestSource + ?Sized>(server: &Server, source: &S)
+    where
+        S::Req: PartialEq + std::fmt::Debug,
+    {
+        let (seed, per_client) = (0xBEA7, 3);
+        let mode = LoadMode::Closed {
+            clients: 2,
+            requests_per_client: per_client,
+        };
+        let mut got = drive(server, source, mode, seed, None, None).exchanges;
+        got.sort_by_key(|(_, resp, _)| resp.id);
+        let mut want = Vec::new();
+        for c in 0..2 {
+            let mut stream = OptionStream::new(mix_seed(seed, c));
+            for i in 0..per_client as u64 {
+                want.push(source.request(c * per_client as u64 + i, None, &mut stream));
+            }
+        }
+        let got: Vec<S::Req> = got.into_iter().map(|(req, _, _)| req).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn every_plane_derives_client_streams_with_mix_seed() {
+        // The greeks and portfolio drives used to seed client `c` with
+        // `seed + c`, the collision `mix_seed` exists to avoid.
+        let _quiet = crate::test_support::faults_quiet();
+        let server = quick_server(64);
+        client_streams_are_mixed(&server, "black_scholes");
+        client_streams_are_mixed(&server, &GreeksSource);
+        client_streams_are_mixed(&server, &SMALL_BOOK);
+        server.shutdown();
+    }
+
+    #[test]
+    fn offered_is_what_was_answered_not_what_was_scheduled() {
+        // A client that loses its channel stops early; the greeks and
+        // portfolio reports used to claim `clients * per_client` anyway.
+        let answered = |id: u64| {
+            let req = GreeksRequest::new(id, 20.0, 21.0, 1.0);
+            let outcome = Err(Rejected::ShuttingDown);
+            (req, Response { id, outcome }, Duration::from_micros(5))
+        };
+        let report = Driven {
+            label: "greeks".into(),
+            exchanges: vec![answered(0), answered(1)],
+            hedges: 0,
+            hedge_wins: 0,
+            wall: Duration::from_millis(1),
+            shards: Vec::new(),
+        }
+        .report();
+        assert_eq!((report.offered, report.rejected_shutdown), (2, 2));
     }
 }

@@ -21,7 +21,6 @@
 //! slice deterministically instead of shipping megabytes of state
 //! through the queue — the admission seam stays cheap, owned messages.
 
-use crate::request::Rejected;
 use finbench_core::portfolio::{revalue_into, Book, RevalScratch, ScenarioGrid};
 use finbench_core::MarketParams;
 use std::time::{Duration, Instant};
@@ -114,15 +113,10 @@ pub struct PortfolioChunkOut {
     pub latency: Duration,
 }
 
-/// The answer to one [`PortfolioChunkRequest`], merged (never surfaced
-/// to clients) by the parent request's merge task.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioChunkResponse {
-    /// The parent request's id, echoed back.
-    pub id: u64,
-    /// Computed, or rejected with a typed reason.
-    pub outcome: Result<PortfolioChunkOut, Rejected>,
-}
+/// The answer to one [`PortfolioChunkRequest`] (carrying the parent
+/// request's id), merged — never surfaced to clients — by the parent
+/// request's merge task.
+pub type PortfolioChunkResponse = crate::request::Response<PortfolioChunkOut>;
 
 #[cfg(test)]
 mod tests {

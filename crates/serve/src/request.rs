@@ -2,17 +2,54 @@
 //!
 //! A [`PriceRequest`] names a registry kernel and carries one option's
 //! scalar parameters plus an optional deadline; the server answers every
-//! request with exactly one [`PriceResponse`] — priced or rejected with a
+//! request with exactly one [`Response`] — computed or rejected with a
 //! typed [`Rejected`] reason. A [`GreeksRequest`] rides the same
 //! admission queue and micro-batcher but lands on the greeks lane, which
-//! answers with both contract sides' full sensitivity vectors
-//! ([`GreeksResponse`]). There are no silent drops anywhere on the path:
+//! answers with both contract sides' full sensitivity vectors, and a
+//! [`PortfolioRequest`] fans out into scenario chunks. All three are
+//! [`ServeRequest`]s, so [`Server::submit`](crate::server::Server::submit)
+//! is written once. There are no silent drops anywhere on the path:
 //! queue overflow, blown deadlines, and bad kernel names all come back as
 //! responses.
 
+use crate::server::{Admitted, Work};
+use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
 use finbench_core::greeks::Greeks;
+use finbench_faults::{self as faults, Corruption, FaultKind};
 use std::borrow::Cow;
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
+
+/// One request type the server can admit. [`Server::submit`] and
+/// [`Server::submit_with`] are generic over this trait: they own the
+/// shared head (corrupt under an armed fault plan → validate → tally
+/// `invalid_input` → answer), and [`admit`](Self::admit) is the only
+/// plane-specific step.
+///
+/// [`Server::submit`]: crate::server::Server::submit
+/// [`Server::submit_with`]: crate::server::Server::submit_with
+pub trait ServeRequest: Sized + Send + 'static {
+    /// Success payload of the [`Response`].
+    type Out: Send + 'static;
+    /// The lane plane that executes this request; its
+    /// [`COUNTERS`](ServeWorkload::COUNTERS) name every tally of the
+    /// plane, admission-side ones included.
+    type Plane: ServeWorkload;
+
+    /// Caller-chosen correlation id, echoed back on the response.
+    fn id(&self) -> u64;
+    /// Admission-side domain validation: the typed rejection for the
+    /// first violation. Invalid requests never reach a batch.
+    fn validate(&self) -> Result<(), Rejected>;
+    /// Fire this plane's `admit.*` fault site and apply what fires.
+    /// Called only under an armed plan, *before* validation, so chaos
+    /// runs exercise the admission filter and never the kernels.
+    fn corrupt(&mut self) {}
+    /// Turn the validated request into queued work: one envelope, or a
+    /// fan-out of chunks. The [`Admitted`] handle exists only inside
+    /// `submit_with`, after validation — there is no other way in.
+    fn admit(self, door: Admitted<'_>, tx: &Sender<Response<Self::Out>>);
+}
 
 /// Admission-side domain validation shared by every request type: spot,
 /// strike, and expiry must be finite and strictly positive before they
@@ -33,6 +70,20 @@ fn validate_params(s: f64, x: f64, t: f64) -> Result<(), Rejected> {
         }
     }
     Ok(())
+}
+
+/// Fire the `site` fault hook and apply any input corruption to the
+/// contract (NaN spot, infinite strike, negative expiry).
+fn corrupt_contract(site: &str, s: &mut f64, x: &mut f64, t: &mut f64) {
+    for kind in faults::fire(site) {
+        if let FaultKind::CorruptInput(c) = kind {
+            match c {
+                Corruption::NaN => *s = c.apply(*s),
+                Corruption::Inf => *x = c.apply(*x),
+                Corruption::Negative => *t = c.apply(*t),
+            }
+        }
+    }
 }
 
 /// One pricing request: a single option against a named kernel.
@@ -79,10 +130,24 @@ impl PriceRequest {
         self.deadline = Some(Instant::now() + slo);
         self
     }
+}
 
-    /// Admission-side domain validation (see [`validate_params`]).
-    pub fn validate(&self) -> Result<(), Rejected> {
+impl ServeRequest for PriceRequest {
+    type Out = Priced;
+    type Plane = PriceWorkload;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+    fn validate(&self) -> Result<(), Rejected> {
         validate_params(self.s, self.x, self.t)
+    }
+    fn corrupt(&mut self) {
+        let site = format!("admit.{}", self.kernel);
+        corrupt_contract(&site, &mut self.s, &mut self.x, &mut self.t);
+    }
+    fn admit(self, door: Admitted<'_>, tx: &Sender<PriceResponse>) {
+        door.one(self.id, Work::Price(Envelope::new(self, tx)), tx);
     }
 }
 
@@ -120,10 +185,23 @@ impl GreeksRequest {
         self.deadline = Some(Instant::now() + slo);
         self
     }
+}
 
-    /// Admission-side domain validation (see [`validate_params`]).
-    pub fn validate(&self) -> Result<(), Rejected> {
+impl ServeRequest for GreeksRequest {
+    type Out = GreeksOut;
+    type Plane = GreeksWorkload;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+    fn validate(&self) -> Result<(), Rejected> {
         validate_params(self.s, self.x, self.t)
+    }
+    fn corrupt(&mut self) {
+        corrupt_contract("admit.greeks", &mut self.s, &mut self.x, &mut self.t);
+    }
+    fn admit(self, door: Admitted<'_>, tx: &Sender<GreeksResponse>) {
+        door.one(self.id, Work::Greeks(Envelope::new(self, tx)), tx);
     }
 }
 
@@ -196,11 +274,19 @@ impl PortfolioRequest {
         self.deadline = Some(Instant::now() + slo);
         self
     }
+}
 
-    /// Admission-side domain validation: a non-empty book and grid, a
-    /// bounded total pricing count, and confidence levels strictly
-    /// inside `(0, 1)`.
-    pub fn validate(&self) -> Result<(), Rejected> {
+impl ServeRequest for PortfolioRequest {
+    type Out = PortfolioOut;
+    type Plane = PortfolioWorkload;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// A non-empty book and grid, a bounded total pricing count, and
+    /// confidence levels strictly inside `(0, 1)`.
+    fn validate(&self) -> Result<(), Rejected> {
         if self.positions == 0 || self.scenarios == 0 {
             return Err(Rejected::InvalidInput {
                 reason: format!(
@@ -234,6 +320,10 @@ impl PortfolioRequest {
             }
         }
         Ok(())
+    }
+
+    fn admit(self, door: Admitted<'_>, tx: &Sender<PortfolioResponse>) {
+        door.portfolio(self, tx);
     }
 }
 
@@ -323,21 +413,30 @@ impl std::fmt::Display for Rejected {
     }
 }
 
-/// The answer to one [`PriceRequest`].
+/// The answer to one request: every plane answers in this one shape.
 #[derive(Debug, Clone, PartialEq)]
-pub struct PriceResponse {
+pub struct Response<T> {
     /// The request's id, echoed back.
     pub id: u64,
-    /// Priced, or rejected with a typed reason.
-    pub outcome: Result<Priced, Rejected>,
+    /// Computed, or rejected with a typed reason (for a fan-out, the
+    /// first failing chunk's rejection — partial results are never
+    /// surfaced).
+    pub outcome: Result<T, Rejected>,
 }
 
-impl PriceResponse {
-    /// True when the request was priced.
-    pub fn is_priced(&self) -> bool {
+impl<T> Response<T> {
+    /// True when the request was computed.
+    pub fn is_ok(&self) -> bool {
         self.outcome.is_ok()
     }
 }
+
+/// The answer to one [`PriceRequest`].
+pub type PriceResponse = Response<Priced>;
+/// The answer to one [`GreeksRequest`].
+pub type GreeksResponse = Response<GreeksOut>;
+/// The answer to one [`PortfolioRequest`].
+pub type PortfolioResponse = Response<PortfolioOut>;
 
 /// A successfully computed [`GreeksRequest`]: both contract sides' full
 /// sensitivity vectors.
@@ -353,22 +452,6 @@ pub struct GreeksOut {
     pub batch_len: usize,
     /// Submit-to-scatter-back latency.
     pub latency: Duration,
-}
-
-/// The answer to one [`GreeksRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct GreeksResponse {
-    /// The request's id, echoed back.
-    pub id: u64,
-    /// Computed, or rejected with a typed reason.
-    pub outcome: Result<GreeksOut, Rejected>,
-}
-
-impl GreeksResponse {
-    /// True when the request was computed.
-    pub fn is_computed(&self) -> bool {
-        self.outcome.is_ok()
-    }
 }
 
 /// A successfully computed [`PortfolioRequest`]: the full scenario-order
@@ -391,23 +474,6 @@ pub struct PortfolioOut {
     pub rungs: Vec<String>,
     /// Submit-to-merged latency of the whole fan-out.
     pub latency: Duration,
-}
-
-/// The answer to one [`PortfolioRequest`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PortfolioResponse {
-    /// The request's id, echoed back.
-    pub id: u64,
-    /// Computed, or rejected with a typed reason (the first failing
-    /// chunk's rejection — partial results are never surfaced).
-    pub outcome: Result<PortfolioOut, Rejected>,
-}
-
-impl PortfolioResponse {
-    /// True when the request was computed.
-    pub fn is_computed(&self) -> bool {
-        self.outcome.is_ok()
-    }
 }
 
 #[cfg(test)]

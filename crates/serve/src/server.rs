@@ -116,11 +116,12 @@ use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkR
 use crate::pricer::PricerConfig;
 use crate::queue::AdmissionQueue;
 use crate::request::{
-    GreeksRequest, GreeksResponse, PortfolioOut, PortfolioRequest, PortfolioResponse, PriceRequest,
-    PriceResponse, Rejected,
+    GreeksRequest, GreeksResponse, PortfolioOut, PortfolioRequest, PortfolioResponse, Rejected,
+    Response, ServeRequest,
 };
 use crate::workload::{
-    Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
+    Envelope, GreeksWorkload, LaneCounters, PortfolioWorkload, PriceWorkload, Scratch,
+    ServeWorkload,
 };
 use finbench_core::engine::registry;
 use finbench_core::portfolio::var_es;
@@ -212,12 +213,24 @@ impl Default for SupervisorPolicy {
     }
 }
 
-/// One admitted unit of work: both request planes ride the same bounded
+/// One admitted unit of work: every request plane rides the same bounded
 /// queue, so backpressure is shared and admission order is global.
-enum Work {
+pub(crate) enum Work {
     Price(Envelope<PriceWorkload>),
     Greeks(Envelope<GreeksWorkload>),
     Portfolio(Envelope<PortfolioWorkload>),
+}
+
+/// Evaluate `$body` on the envelope `$work` holds, whichever plane's it
+/// is — the one place the three arms are spelled out.
+macro_rules! on_envelope {
+    ($work:expr, $env:ident => $body:expr) => {
+        match $work {
+            Work::Price($env) => $body,
+            Work::Greeks($env) => $body,
+            Work::Portfolio($env) => $body,
+        }
+    };
 }
 
 impl Work {
@@ -225,127 +238,36 @@ impl Work {
     /// hop (admission wait, spill, steal, redrive, batch execution)
     /// draws from, because it never moves once the client set it.
     fn deadline(&self) -> Option<Instant> {
-        match self {
-            Work::Price(env) => PriceWorkload::deadline(&env.req),
-            Work::Greeks(env) => GreeksWorkload::deadline(&env.req),
-            Work::Portfolio(env) => PortfolioWorkload::deadline(&env.req),
+        on_envelope!(self, env => env.deadline())
+    }
+
+    /// The counter names of the plane this item belongs to.
+    fn counters(&self) -> &'static LaneCounters {
+        fn of<W: ServeWorkload>(_: &Envelope<W>) -> &'static LaneCounters {
+            &W::COUNTERS
         }
+        on_envelope!(self, env => of(env))
     }
 
     /// True once this item has burned its single shard-loss redrive.
     fn redriven(&self) -> bool {
-        match self {
-            Work::Price(env) => env.redriven,
-            Work::Greeks(env) => env.redriven,
-            Work::Portfolio(env) => env.redriven,
-        }
+        on_envelope!(self, env => env.redriven)
     }
 
     fn mark_redriven(&mut self) {
-        match self {
-            Work::Price(env) => env.redriven = true,
-            Work::Greeks(env) => env.redriven = true,
-            Work::Portfolio(env) => env.redriven = true,
-        }
+        on_envelope!(self, env => env.redriven = true)
     }
 
     /// Answer this item `Rejected::Internal` and tally it. The terminal
     /// path for stranded work that cannot be redriven.
-    // `&str` would force an owned clone per item; `&Cow` keeps the
-    // (common) borrowed reasons allocation-free.
-    #[allow(clippy::ptr_arg)]
-    fn reject_internal(self, reason: &Cow<'static, str>, stats: &Mutex<StatsInner>) {
-        lock_stats(stats).internal += 1;
-        match self {
-            Work::Price(env) => {
-                telemetry::counter_add(PriceWorkload::COUNTERS.internal, 1);
-                let _ = env.tx.send(PriceWorkload::respond(
-                    PriceWorkload::id(&env.req),
-                    Err(Rejected::Internal {
-                        reason: reason.clone(),
-                    }),
-                ));
-            }
-            Work::Greeks(env) => {
-                telemetry::counter_add(GreeksWorkload::COUNTERS.internal, 1);
-                let _ = env.tx.send(GreeksWorkload::respond(
-                    GreeksWorkload::id(&env.req),
-                    Err(Rejected::Internal {
-                        reason: reason.clone(),
-                    }),
-                ));
-            }
-            Work::Portfolio(env) => {
-                telemetry::counter_add(PortfolioWorkload::COUNTERS.internal, 1);
-                let _ = env.tx.send(PortfolioWorkload::respond(
-                    PortfolioWorkload::id(&env.req),
-                    Err(Rejected::Internal {
-                        reason: reason.clone(),
-                    }),
-                ));
-            }
-        }
+    fn reject_internal(self, reason: &'static str, stats: &Mutex<StatsInner>) {
+        on_envelope!(self, env => reject_internal(&[env], &Cow::Borrowed(reason), stats))
     }
 
     /// Shed this item `Rejected::DeadlineExceeded`, tallying into the
     /// first-attempt or post-redrive bucket by its `redriven` flag.
     fn shed_deadline(self, late_by: Duration, stats: &Mutex<StatsInner>) {
-        let redriven = self.redriven();
-        {
-            let mut st = lock_stats(stats);
-            if redriven {
-                st.shed_deadline_redrive += 1;
-            } else {
-                st.shed_deadline += 1;
-            }
-        }
-        match self {
-            Work::Price(env) => {
-                let c = PriceWorkload::COUNTERS;
-                telemetry::counter_add(
-                    if redriven {
-                        c.shed_deadline_redrive
-                    } else {
-                        c.shed_deadline
-                    },
-                    1,
-                );
-                let _ = env.tx.send(PriceWorkload::respond(
-                    PriceWorkload::id(&env.req),
-                    Err(Rejected::DeadlineExceeded { late_by }),
-                ));
-            }
-            Work::Greeks(env) => {
-                let c = GreeksWorkload::COUNTERS;
-                telemetry::counter_add(
-                    if redriven {
-                        c.shed_deadline_redrive
-                    } else {
-                        c.shed_deadline
-                    },
-                    1,
-                );
-                let _ = env.tx.send(GreeksWorkload::respond(
-                    GreeksWorkload::id(&env.req),
-                    Err(Rejected::DeadlineExceeded { late_by }),
-                ));
-            }
-            Work::Portfolio(env) => {
-                let c = PortfolioWorkload::COUNTERS;
-                telemetry::counter_add(
-                    if redriven {
-                        c.shed_deadline_redrive
-                    } else {
-                        c.shed_deadline
-                    },
-                    1,
-                );
-                let _ = env.tx.send(PortfolioWorkload::respond(
-                    PortfolioWorkload::id(&env.req),
-                    Err(Rejected::DeadlineExceeded { late_by }),
-                ));
-            }
-        }
+        on_envelope!(self, env => shed_deadline(&env, late_by, stats))
     }
 }
 
@@ -797,8 +719,9 @@ impl Server {
         Err((work, reason))
     }
 
-    /// Submit one request; the response arrives on the returned channel.
-    pub fn submit(&self, req: PriceRequest) -> Receiver<PriceResponse> {
+    /// Submit one request of any plane; the response arrives on the
+    /// returned channel.
+    pub fn submit<R: ServeRequest>(&self, req: R) -> Receiver<Response<R::Out>> {
         let (tx, rx) = mpsc::channel();
         self.submit_with(req, &tx);
         rx
@@ -809,196 +732,53 @@ impl Server {
     /// validation are synchronous: a full queue answers
     /// `Rejected::QueueFull` and a domain-invalid request answers
     /// `Rejected::InvalidInput` right here, on the caller's thread —
-    /// invalid parameters never reach a batch.
-    pub fn submit_with(&self, req: PriceRequest, tx: &Sender<PriceResponse>) {
-        let id = req.id;
-        let mut req = req;
-        // Fault injection (armed only under a FINBENCH_FAULTS plan):
-        // corrupt the request's inputs *before* validation, so chaos runs
-        // exercise the admission filter, never the kernels.
+    /// invalid parameters never reach a batch. What happens to a valid
+    /// request is its plane's [`ServeRequest::admit`]: price and greeks
+    /// requests queue as one envelope, a portfolio request fans out.
+    pub fn submit_with<R: ServeRequest>(&self, mut req: R, tx: &Sender<Response<R::Out>>) {
+        let id = req.id();
         if faults::armed() {
-            for kind in faults::fire(&format!("admit.{}", req.kernel)) {
-                if let FaultKind::CorruptInput(c) = kind {
-                    match c {
-                        finbench_faults::Corruption::NaN => req.s = c.apply(req.s),
-                        finbench_faults::Corruption::Inf => req.x = c.apply(req.x),
-                        finbench_faults::Corruption::Negative => req.t = c.apply(req.t),
-                    }
-                }
-            }
+            req.corrupt();
         }
         if let Err(reason) = req.validate() {
             lock_stats(&self.stats).invalid_input += 1;
-            telemetry::counter_add("serve.invalid_input", 1);
-            let _ = tx.send(PriceResponse {
+            telemetry::counter_add(R::Plane::COUNTERS.invalid_input, 1);
+            let _ = tx.send(Response {
                 id,
                 outcome: Err(reason),
             });
             return;
         }
-        let env = Envelope {
-            req,
-            submitted: Instant::now(),
-            redriven: false,
-            tx: tx.clone(),
-        };
-        if let Err((Work::Price(env), reason)) = self.route(Work::Price(env)) {
-            if matches!(reason, Rejected::QueueFull { .. }) {
-                lock_stats(&self.stats).shed_queue_full += 1;
-                telemetry::counter_add("serve.shed.queue_full", 1);
-            }
-            let _ = env.tx.send(PriceResponse {
-                id,
-                outcome: Err(reason),
-            });
-        }
+        req.admit(Admitted(self), tx);
     }
 
-    /// Submit one greeks request; the response arrives on the returned
-    /// channel.
-    pub fn submit_greeks(&self, req: GreeksRequest) -> Receiver<GreeksResponse> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_greeks_with(req, &tx);
-        rx
-    }
-
-    /// Submit one greeks request, delivering the response on `tx`. Same
-    /// synchronous backpressure and validation contract as
-    /// [`submit_with`](Self::submit_with): the shared admission queue
-    /// answers `Rejected::QueueFull`, and domain-invalid parameters
-    /// answer `Rejected::InvalidInput` on the caller's thread.
+    /// [`submit_with`](Self::submit_with) under its old per-plane name:
+    /// `benchmark/` and `tests/` call it, and neither may change with the
+    /// serving plane.
     pub fn submit_greeks_with(&self, req: GreeksRequest, tx: &Sender<GreeksResponse>) {
-        let id = req.id;
-        let mut req = req;
-        // Fault injection mirrors the pricing plane: corrupt inputs
-        // *before* validation so chaos runs exercise the admission
-        // filter, never the greeks kernels.
-        if faults::armed() {
-            for kind in faults::fire("admit.greeks") {
-                if let FaultKind::CorruptInput(c) = kind {
-                    match c {
-                        finbench_faults::Corruption::NaN => req.s = c.apply(req.s),
-                        finbench_faults::Corruption::Inf => req.x = c.apply(req.x),
-                        finbench_faults::Corruption::Negative => req.t = c.apply(req.t),
-                    }
-                }
-            }
-        }
-        if let Err(reason) = req.validate() {
-            lock_stats(&self.stats).invalid_input += 1;
-            telemetry::counter_add("greeks.invalid_input", 1);
-            let _ = tx.send(GreeksResponse {
-                id,
-                outcome: Err(reason),
-            });
-            return;
-        }
-        let env = Envelope {
-            req,
-            submitted: Instant::now(),
-            redriven: false,
-            tx: tx.clone(),
-        };
-        if let Err((Work::Greeks(env), reason)) = self.route(Work::Greeks(env)) {
+        self.submit_with(req, tx);
+    }
+
+    /// [`submit_with`](Self::submit_with) under its old per-plane name:
+    /// `benchmark/` and `tests/` call it, and neither may change with the
+    /// serving plane.
+    pub fn submit_portfolio_with(&self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
+        self.submit_with(req, tx);
+    }
+
+    /// The tail every admitted work item goes through — a price or greeks
+    /// request's one envelope, each chunk of a portfolio fan-out: route
+    /// it, or tally the `QueueFull` shed and hand back the typed rejection.
+    fn route_or_reject(&self, work: Work) -> Result<(), Rejected> {
+        // The unrouted work is dropped here, and its channel clone with
+        // it: whoever answers the rejection holds the caller's sender.
+        self.route(work).map_err(|(work, reason)| {
             if matches!(reason, Rejected::QueueFull { .. }) {
                 lock_stats(&self.stats).shed_queue_full += 1;
-                telemetry::counter_add("greeks.shed.queue_full", 1);
+                telemetry::counter_add(work.counters().shed_queue_full, 1);
             }
-            let _ = env.tx.send(GreeksResponse {
-                id,
-                outcome: Err(reason),
-            });
-        }
-    }
-
-    /// Submit one portfolio market-risk request; the merged response
-    /// arrives on the returned channel.
-    pub fn submit_portfolio(&self, req: PortfolioRequest) -> Receiver<PortfolioResponse> {
-        let (tx, rx) = mpsc::channel();
-        self.submit_portfolio_with(req, &tx);
-        rx
-    }
-
-    /// Submit one portfolio request, delivering the merged response on
-    /// `tx`. Validation is synchronous, like the other planes; the
-    /// fan-out is not — the scenario range is split into chunks routed
-    /// across the live shards (each chunk spills, is stolen, and is
-    /// redriven like any work item), and a merge task stitches the
-    /// partial P&L tallies back into scenario order, aggregates VaR/ES,
-    /// and answers exactly once. Any chunk-level rejection fails the
-    /// whole request with the first failure's typed reason — partial
-    /// P&L distributions are never surfaced.
-    pub fn submit_portfolio_with(&self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
-        let id = req.id;
-        if let Err(reason) = req.validate() {
-            lock_stats(&self.stats).invalid_input += 1;
-            telemetry::counter_add("portfolio.invalid_input", 1);
-            let _ = tx.send(PortfolioResponse {
-                id,
-                outcome: Err(reason),
-            });
-            return;
-        }
-        telemetry::counter_add("portfolio.requests", 1);
-        let submitted = Instant::now();
-        // Chunk size: explicit, or a few chunks per shard so every live
-        // worker sees fan-out (and work stealing has grains to move).
-        let chunk = if req.chunk > 0 {
-            req.chunk
-        } else {
-            req.scenarios.div_ceil(self.queues.len() * 4).max(16)
-        }
-        .min(req.scenarios)
-        .max(1);
-        let (ctx_tx, ctx_rx) = mpsc::channel();
-        let mut expected = 0usize;
-        let mut route_err: Option<Rejected> = None;
-        let mut lo = 0;
-        while lo < req.scenarios {
-            let hi = (lo + chunk).min(req.scenarios);
-            let env = Envelope {
-                req: PortfolioChunkRequest {
-                    id,
-                    seed: req.seed,
-                    positions: req.positions,
-                    scenarios: req.scenarios,
-                    lo,
-                    hi,
-                    deadline: req.deadline,
-                },
-                submitted,
-                redriven: false,
-                tx: ctx_tx.clone(),
-            };
-            match self.route(Work::Portfolio(env)) {
-                Ok(()) => expected += 1,
-                // Dropping the returned envelope drops its channel clone;
-                // the merger only waits for successfully routed chunks.
-                Err((_env, reason)) => {
-                    if matches!(reason, Rejected::QueueFull { .. }) {
-                        lock_stats(&self.stats).shed_queue_full += 1;
-                        telemetry::counter_add("portfolio.shed.queue_full", 1);
-                    }
-                    route_err.get_or_insert(reason);
-                }
-            }
-            lo = hi;
-        }
-        drop(ctx_tx);
-        let tx = tx.clone();
-        let confidence = req.confidence;
-        let scenarios = req.scenarios;
-        // The merge runs on its own short-lived thread so submit returns
-        // immediately: the fan-out's latency belongs to the server, not
-        // the caller's submit path.
-        std::thread::Builder::new()
-            .name("finbench-portfolio-merge".into())
-            .spawn(move || {
-                merge_portfolio(
-                    id, scenarios, confidence, expected, route_err, ctx_rx, tx, submitted,
-                )
-            })
-            .expect("spawn portfolio merge task");
+            reason
+        })
     }
 
     /// Current admission-queue depth, summed over all shards.
@@ -1077,6 +857,92 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// The way into the queues for a request that passed admission-side
+/// validation. Only [`Server::submit_with`] makes one, so
+/// [`ServeRequest::admit`] cannot be reached with an unvalidated request.
+pub struct Admitted<'a>(&'a Server);
+
+impl Admitted<'_> {
+    /// Queue request `id` as the one work item it is; a routing failure
+    /// is answered on `tx` at once.
+    pub(crate) fn one<T>(self, id: u64, work: Work, tx: &Sender<Response<T>>) {
+        if let Err(reason) = self.0.route_or_reject(work) {
+            let _ = tx.send(Response {
+                id,
+                outcome: Err(reason),
+            });
+        }
+    }
+
+    /// Fan a portfolio request out: the scenario range is split into
+    /// chunks routed across the live shards (each chunk spills, is
+    /// stolen, and is redriven like any work item), and a merge task
+    /// stitches the partial P&L tallies back into scenario order,
+    /// aggregates VaR/ES, and answers exactly once. Any chunk-level
+    /// rejection fails the whole request with the first failure's typed
+    /// reason — partial P&L distributions are never surfaced.
+    pub(crate) fn portfolio(self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
+        let id = req.id;
+        telemetry::counter_add("portfolio.requests", 1);
+        let submitted = Instant::now();
+        // Chunk size: explicit, or a few chunks per shard so every live
+        // worker sees fan-out (and work stealing has grains to move).
+        let chunk = if req.chunk > 0 {
+            req.chunk
+        } else {
+            req.scenarios.div_ceil(self.0.queues.len() * 4).max(16)
+        }
+        .min(req.scenarios)
+        .max(1);
+        let (ctx_tx, ctx_rx) = mpsc::channel();
+        let mut expected = 0usize;
+        let mut route_err: Option<Rejected> = None;
+        let mut lo = 0;
+        while lo < req.scenarios {
+            let hi = (lo + chunk).min(req.scenarios);
+            let chunk = PortfolioChunkRequest {
+                id,
+                seed: req.seed,
+                positions: req.positions,
+                scenarios: req.scenarios,
+                lo,
+                hi,
+                deadline: req.deadline,
+            };
+            // Every chunk carries the request's own submit time.
+            let env = Envelope {
+                req: chunk,
+                submitted,
+                redriven: false,
+                tx: ctx_tx.clone(),
+            };
+            // The merger only waits for successfully routed chunks.
+            match self.0.route_or_reject(Work::Portfolio(env)) {
+                Ok(()) => expected += 1,
+                Err(reason) => {
+                    route_err.get_or_insert(reason);
+                }
+            }
+            lo = hi;
+        }
+        drop(ctx_tx);
+        let tx = tx.clone();
+        let confidence = req.confidence;
+        let scenarios = req.scenarios;
+        // The merge runs on its own short-lived thread so submit returns
+        // immediately: the fan-out's latency belongs to the server, not
+        // the caller's submit path.
+        std::thread::Builder::new()
+            .name("finbench-portfolio-merge".into())
+            .spawn(move || {
+                merge_portfolio(
+                    id, scenarios, confidence, expected, route_err, ctx_rx, tx, submitted,
+                )
+            })
+            .expect("spawn portfolio merge task");
     }
 }
 
@@ -1602,10 +1468,7 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
             }
         }
         if work.redriven() {
-            work.reject_internal(
-                &Cow::Borrowed("shard killed; redrive budget exhausted"),
-                stats,
-            );
+            work.reject_internal("shard killed; redrive budget exhausted", stats);
             continue;
         }
         work.mark_redriven();
@@ -1621,10 +1484,7 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
             }
         }
         if let Some(unplaced) = item {
-            unplaced.reject_internal(
-                &Cow::Borrowed("shard killed; no live sibling to redrive to"),
-                stats,
-            );
+            unplaced.reject_internal("shard killed; no live sibling to redrive to", stats);
         }
     }
 }
@@ -1646,7 +1506,7 @@ fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W
             Err(reason) => {
                 lock_stats(cx.stats).rejected += 1;
                 telemetry::counter_add(W::COUNTERS.rejected, 1);
-                let _ = env.tx.send(W::respond(W::id(&env.req), Err(reason)));
+                env.answer(Err(reason));
                 return;
             }
         }
@@ -1701,13 +1561,13 @@ fn make_lane<W: ServeWorkload>(
     })
 }
 
-/// Answer (and drain) every envelope in `live` with `Rejected::Internal`.
-/// Borrowed reasons are cloned for free; owned (formatted) reasons pay
-/// one clone per envelope, same as before the `Cow` migration.
+/// Answer every envelope in `live` with `Rejected::Internal` and tally
+/// them. Borrowed reasons are cloned for free; owned (formatted) reasons
+/// pay one clone per envelope.
 // `&str` would defeat exactly that: it forces an owned clone per envelope.
 #[allow(clippy::ptr_arg)]
 fn reject_internal<W: ServeWorkload>(
-    live: &mut Vec<Envelope<W>>,
+    live: &[Envelope<W>],
     reason: &Cow<'static, str>,
     stats: &Mutex<StatsInner>,
 ) {
@@ -1717,14 +1577,40 @@ fn reject_internal<W: ServeWorkload>(
     }
     lock_stats(stats).internal += n;
     telemetry::counter_add(W::COUNTERS.internal, n);
-    for env in live.drain(..) {
-        let _ = env.tx.send(W::respond(
-            W::id(&env.req),
-            Err(Rejected::Internal {
-                reason: reason.clone(),
-            }),
-        ));
+    for env in live {
+        env.answer(Err(Rejected::Internal {
+            reason: reason.clone(),
+        }));
     }
+}
+
+/// Shed `env` with `Rejected::DeadlineExceeded`. The deadline is
+/// absolute, so the one check behind this call enforces the end-to-end
+/// budget across admission wait, spill, steal, and redrive. Sheds of
+/// redriven work land in their own bucket: they tell the operator the
+/// retry arrived but the client's budget had already run out.
+fn shed_deadline<W: ServeWorkload>(
+    env: &Envelope<W>,
+    late_by: Duration,
+    stats: &Mutex<StatsInner>,
+) {
+    {
+        let mut st = lock_stats(stats);
+        if env.redriven {
+            st.shed_deadline_redrive += 1;
+        } else {
+            st.shed_deadline += 1;
+        }
+    }
+    telemetry::counter_add(
+        if env.redriven {
+            W::COUNTERS.shed_deadline_redrive
+        } else {
+            W::COUNTERS.shed_deadline
+        },
+        1,
+    );
+    env.answer(Err(Rejected::DeadlineExceeded { late_by }));
 }
 
 /// Render a caught panic payload for the `Rejected::Internal` reason.
@@ -1759,34 +1645,9 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
         batcher.flush_into(flush);
     }
     let now = Instant::now();
-    lane.flush.retain(|env| match W::deadline(&env.req) {
+    lane.flush.retain(|env| match env.deadline() {
         Some(d) if now > d => {
-            // The deadline is absolute, so this one check enforces the
-            // end-to-end budget across admission wait, spill, steal,
-            // and redrive. Sheds of redriven work land in their own
-            // bucket: they tell the operator the retry arrived but the
-            // client's budget had already run out.
-            let late_by = now.duration_since(d);
-            {
-                let mut st = lock_stats(stats);
-                if env.redriven {
-                    st.shed_deadline_redrive += 1;
-                } else {
-                    st.shed_deadline += 1;
-                }
-            }
-            telemetry::counter_add(
-                if env.redriven {
-                    W::COUNTERS.shed_deadline_redrive
-                } else {
-                    W::COUNTERS.shed_deadline
-                },
-                1,
-            );
-            let _ = env.tx.send(W::respond(
-                W::id(&env.req),
-                Err(Rejected::DeadlineExceeded { late_by }),
-            ));
+            shed_deadline(env, now.duration_since(d), stats);
             false
         }
         _ => true,
@@ -1799,7 +1660,8 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
     match lane.breaker.allow(now) {
         Err(remaining) => {
             let reason = format!("circuit open for {} (retry in {remaining:?})", lane.key);
-            reject_internal(&mut lane.flush, &Cow::Owned(reason), stats);
+            reject_internal(&lane.flush, &Cow::Owned(reason), stats);
+            lane.flush.clear();
             publish_lane_health(lane, stats);
             return;
         }
@@ -1879,10 +1741,7 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
                 let latency = done.duration_since(env.submitted);
                 ks.served += 1;
                 ks.latency_us.record(latency.as_secs_f64() * 1e6);
-                let _ = env.tx.send(W::respond(
-                    W::id(&env.req),
-                    Ok(W::payload(&lane.scratch, i, slug, batch_len, latency)),
-                ));
+                env.answer(Ok(W::payload(&lane.scratch, i, slug, batch_len, latency)));
             }
             drop(st);
             lane.flush.clear();
@@ -1903,10 +1762,11 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
                 FailureAction::Tolerate => {}
             }
             reject_internal(
-                &mut lane.flush,
+                &lane.flush,
                 &Cow::Owned(format!("kernel panic: {reason}")),
                 stats,
             );
+            lane.flush.clear();
         }
     }
     publish_lane_health(lane, stats);
@@ -1936,6 +1796,7 @@ fn publish_lane_health<W: ServeWorkload>(lane: &mut Lane<W>, stats: &Mutex<Stats
 mod tests {
     use super::*;
     use crate::pricer;
+    use crate::request::{PriceRequest, PriceResponse};
     use finbench_faults::{FaultPlan, FaultSpec, PlanGuard};
 
     use crate::test_support::faults_lock;
@@ -1993,7 +1854,7 @@ mod tests {
         let mut config = quick_config();
         config.shards = 2;
         let server = Server::start(config);
-        let rx = server.submit_portfolio(PortfolioRequest::new(9, 42, 24, 96).with_chunk(16));
+        let rx = server.submit(PortfolioRequest::new(9, 42, 24, 96).with_chunk(16));
         let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(resp.id, 9);
         let out = resp.outcome.unwrap();
@@ -2026,15 +1887,14 @@ mod tests {
     fn portfolio_rejects_invalid_requests_synchronously() {
         let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
-        let rx = server.submit_portfolio(PortfolioRequest::new(1, 7, 0, 64));
+        let rx = server.submit(PortfolioRequest::new(1, 7, 0, 64));
         match rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome {
             Err(Rejected::InvalidInput { reason }) => {
                 assert!(reason.contains("non-empty"), "{reason}");
             }
             other => panic!("expected InvalidInput, got {other:?}"),
         }
-        let rx =
-            server.submit_portfolio(PortfolioRequest::new(2, 7, 16, 32).with_confidence(vec![2.0]));
+        let rx = server.submit(PortfolioRequest::new(2, 7, 16, 32).with_confidence(vec![2.0]));
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome,
             Err(Rejected::InvalidInput { .. })
@@ -2052,8 +1912,7 @@ mod tests {
             let mut config = quick_config();
             config.shards = shards;
             let server = Server::start(config);
-            let rx =
-                server.submit_portfolio(PortfolioRequest::new(1, 11, 16, 80).with_chunk(chunk));
+            let rx = server.submit(PortfolioRequest::new(1, 11, 16, 80).with_chunk(chunk));
             let out = rx
                 .recv_timeout(Duration::from_secs(30))
                 .unwrap()
@@ -2075,9 +1934,8 @@ mod tests {
     #[test]
     fn greeks_requests_ride_the_same_plane() {
         let _quiet = crate::test_support::faults_quiet();
-        use crate::request::GreeksRequest;
         let server = Server::start(quick_config());
-        let rx = server.submit_greeks(GreeksRequest::new(11, 30.0, 35.0, 1.0));
+        let rx = server.submit(GreeksRequest::new(11, 30.0, 35.0, 1.0));
         let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(resp.id, 11);
         let out = resp.outcome.unwrap();
@@ -2096,16 +1954,15 @@ mod tests {
     #[test]
     fn greeks_invalid_inputs_and_deadlines_get_typed_answers() {
         let _quiet = crate::test_support::faults_quiet();
-        use crate::request::GreeksRequest;
         let server = Server::start(quick_config());
-        let rx = server.submit_greeks(GreeksRequest::new(1, f64::NAN, 35.0, 1.0));
+        let rx = server.submit(GreeksRequest::new(1, f64::NAN, 35.0, 1.0));
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
             Err(Rejected::InvalidInput { .. })
         ));
         let mut req = GreeksRequest::new(2, 30.0, 35.0, 1.0);
         req.deadline = Some(Instant::now() - Duration::from_millis(1));
-        let rx = server.submit_greeks(req);
+        let rx = server.submit(req);
         assert!(matches!(
             rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
             Err(Rejected::DeadlineExceeded { .. })
@@ -2117,14 +1974,13 @@ mod tests {
 
     #[test]
     fn greeks_lane_survives_an_injected_panic_and_degrades() {
-        use crate::request::GreeksRequest;
         let _l = faults_lock();
         faults::silence_injected_panics();
         let _g = PlanGuard::install(
             FaultPlan::new().with(FaultSpec::always("batch.greeks", FaultKind::Panic)),
         );
         let server = Server::start(quick_config());
-        let rx = server.submit_greeks(GreeksRequest::new(1, 30.0, 35.0, 1.0));
+        let rx = server.submit(GreeksRequest::new(1, 30.0, 35.0, 1.0));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
             Err(Rejected::Internal { reason }) => {
                 assert!(reason.contains("injected panic"), "{reason}");
@@ -2134,7 +1990,7 @@ mod tests {
         drop(_g);
         // Still alive; the next request is served on a degraded rung that
         // answers bit-identically to the planned one.
-        let rx = server.submit_greeks(GreeksRequest::new(2, 30.0, 35.0, 1.0));
+        let rx = server.submit(GreeksRequest::new(2, 30.0, 35.0, 1.0));
         let out = rx
             .recv_timeout(Duration::from_secs(10))
             .unwrap()
@@ -2152,7 +2008,6 @@ mod tests {
     #[test]
     fn mixed_price_and_greeks_load_shares_the_queue_without_cross_talk() {
         let _quiet = crate::test_support::faults_quiet();
-        use crate::request::GreeksRequest;
         let server = Server::start(quick_config());
         let (ptx, prx) = mpsc::channel();
         let (gtx, grx) = mpsc::channel();
@@ -2163,12 +2018,12 @@ mod tests {
         drop(ptx);
         drop(gtx);
         let priced: Vec<PriceResponse> = prx.iter().collect();
-        let greeked: Vec<crate::request::GreeksResponse> = grx.iter().collect();
+        let greeked: Vec<GreeksResponse> = grx.iter().collect();
         let snap = server.shutdown();
         assert_eq!(priced.len(), 20);
         assert_eq!(greeked.len(), 20);
-        assert!(priced.iter().all(PriceResponse::is_priced));
-        assert!(greeked.iter().all(|g| g.is_computed()));
+        assert!(priced.iter().all(PriceResponse::is_ok));
+        assert!(greeked.iter().all(|g| g.is_ok()));
         assert_eq!(snap.total_shed(), 0);
         let names: Vec<&str> = snap.kernels.iter().map(|k| k.kernel.as_str()).collect();
         assert!(names.contains(&"black_scholes") && names.contains(&"greeks"));
@@ -2340,8 +2195,8 @@ mod tests {
         // queue no longer counts as idle.
         let got: Vec<PriceResponse> = rx.iter().collect();
         assert_eq!(got.len(), 10);
-        assert!(got.iter().all(PriceResponse::is_priced), "{got:?}");
-        assert!(deep.recv().unwrap().is_priced());
+        assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
+        assert!(deep.recv().unwrap().is_ok());
         let k = kernel(&snap, "black_scholes");
         assert_eq!(k.served, 10);
         assert_eq!(k.flushes.total(), k.batches);
@@ -2359,10 +2214,7 @@ mod tests {
             ..deep_tree_config()
         });
         let warm = server.submit(PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0));
-        assert!(warm
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap()
-            .is_priced());
+        assert!(warm.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
         let target = kernel(&server.snapshot(), "black_scholes").target_batch;
         assert_eq!(target, 8);
         let deep = server.submit(PriceRequest::new(100, "binomial", 30.0, 35.0, 1.0));
@@ -2379,8 +2231,8 @@ mod tests {
         drop(tx);
         let got: Vec<PriceResponse> = rx.iter().collect();
         assert_eq!(got.len() as u64, n);
-        assert!(got.iter().all(PriceResponse::is_priced), "{got:?}");
-        assert!(deep.recv().unwrap().is_priced());
+        assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
+        assert!(deep.recv().unwrap().is_ok());
         let snap = server.shutdown();
         let k = kernel(&snap, "black_scholes");
         assert!(k.flushes.size >= 2, "{k:?}");
@@ -2536,7 +2388,6 @@ mod tests {
     #[test]
     fn multi_shard_server_serves_everything_and_merges_telemetry() {
         let _quiet = crate::test_support::faults_quiet();
-        use crate::request::GreeksRequest;
         let server = Server::start(ServeConfig {
             shards: 4,
             ..quick_config()
@@ -2551,11 +2402,11 @@ mod tests {
         drop(ptx);
         drop(gtx);
         let priced: Vec<PriceResponse> = prx.iter().collect();
-        let greeked: Vec<crate::request::GreeksResponse> = grx.iter().collect();
+        let greeked: Vec<GreeksResponse> = grx.iter().collect();
         assert_eq!(priced.len(), 100);
         assert_eq!(greeked.len(), 100);
-        assert!(priced.iter().all(PriceResponse::is_priced));
-        assert!(greeked.iter().all(|g| g.is_computed()));
+        assert!(priced.iter().all(PriceResponse::is_ok));
+        assert!(greeked.iter().all(|g| g.is_ok()));
         let snap = server.shutdown();
         assert_eq!(snap.shards.len(), 4);
         assert_eq!(snap.alive_shards(), 4);
@@ -2588,21 +2439,19 @@ mod tests {
         // round-robin primary is full while shard 1 has room.
         let (otx, orx) = mpsc::channel();
         server.queues[0]
-            .try_push(Work::Price(Envelope {
-                req: PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0),
-                submitted: Instant::now(),
-                redriven: false,
-                tx: otx,
-            }))
+            .try_push(Work::Price(Envelope::new(
+                PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0),
+                &otx,
+            )))
             .unwrap_or_else(|_| panic!("occupant push must succeed"));
         server.rr.store(0, Ordering::Relaxed);
         // The router's primary (shard 0) is full: this must spill to
         // shard 1 and be served, not answer QueueFull.
         let rx = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
         let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(resp.is_priced(), "{:?}", resp.outcome);
+        assert!(resp.is_ok(), "{:?}", resp.outcome);
         let occupant = orx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(occupant.is_priced(), "{:?}", occupant.outcome);
+        assert!(occupant.is_ok(), "{:?}", occupant.outcome);
         let snap = server.shutdown();
         // The spilled request is the only *routed* submission; the
         // occupant bypassed the router.
@@ -2624,12 +2473,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let push = |id: u64, kernel: &str| {
             server.queues[0]
-                .try_push(Work::Price(Envelope {
-                    req: PriceRequest::new(id, kernel, 30.0, 35.0, 1.0),
-                    submitted: Instant::now(),
-                    redriven: false,
-                    tx: tx.clone(),
-                }))
+                .try_push(Work::Price(Envelope::new(
+                    PriceRequest::new(id, kernel, 30.0, 35.0, 1.0),
+                    &tx,
+                )))
                 .is_ok()
         };
         let mut sent = 0usize;
@@ -2647,7 +2494,7 @@ mod tests {
         drop(tx);
         let got: Vec<PriceResponse> = rx.iter().collect();
         assert_eq!(got.len(), sent, "every request got exactly one answer");
-        assert!(got.iter().all(PriceResponse::is_priced));
+        assert!(got.iter().all(PriceResponse::is_ok));
         let snap = server.shutdown();
         assert_eq!(snap.shards[1].stolen, snap.total_stolen());
         let served: u64 = snap.shards.iter().map(|s| s.served).sum();
@@ -2686,7 +2533,7 @@ mod tests {
         assert_eq!(got.len(), 40);
         // Correctness never degrades: everything routed to the surviving
         // shard is served, nothing answers corrupt prices.
-        assert!(got.iter().all(PriceResponse::is_priced));
+        assert!(got.iter().all(PriceResponse::is_ok));
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 1);
         assert!(!snap.shards[0].alive);
@@ -2728,7 +2575,7 @@ mod tests {
         drop(tx);
         let got: Vec<PriceResponse> = rx.iter().collect();
         assert_eq!(got.len(), 40);
-        assert!(got.iter().all(PriceResponse::is_priced));
+        assert!(got.iter().all(PriceResponse::is_ok));
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 2);
         assert_eq!(snap.total_respawns(), 1);
@@ -2765,12 +2612,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..4u64 {
             server.queues[0]
-                .try_push(Work::Price(Envelope {
-                    req: PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
-                    submitted: Instant::now(),
-                    redriven: false,
-                    tx: tx.clone(),
-                }))
+                .try_push(Work::Price(Envelope::new(
+                    PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
+                    &tx,
+                )))
                 .unwrap_or_else(|_| panic!("direct push must succeed"));
         }
         drop(tx);
@@ -2782,7 +2627,7 @@ mod tests {
             4,
             "every stranded request got exactly one answer"
         );
-        assert!(got.iter().all(PriceResponse::is_priced), "{got:?}");
+        assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
         let mut ids: Vec<u64> = got.iter().map(|r| r.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
@@ -2816,12 +2661,10 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..4u64 {
             server.queues[0]
-                .try_push(Work::Price(Envelope {
-                    req: PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
-                    submitted: Instant::now(),
-                    redriven: false,
-                    tx: tx.clone(),
-                }))
+                .try_push(Work::Price(Envelope::new(
+                    PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
+                    &tx,
+                )))
                 .unwrap_or_else(|_| panic!("direct push must succeed"));
         }
         drop(tx);
@@ -2849,5 +2692,147 @@ mod tests {
         // router's answer is synchronous on the caller's thread.
         assert_eq!(snap.internal, 4);
         assert_eq!(snap.total_redriven(), 0);
+    }
+
+    const PLANES: [LaneCounters; 3] = [
+        PriceWorkload::COUNTERS,
+        GreeksWorkload::COUNTERS,
+        PortfolioWorkload::COUNTERS,
+    ];
+
+    /// Run `f`; of the three planes' `pick` counters only `R`'s plane's
+    /// may have moved, by exactly `by`.
+    fn moves_only<R: ServeRequest, T>(
+        pick: fn(&LaneCounters) -> &'static str,
+        by: u64,
+        f: impl FnOnce() -> T,
+    ) -> T {
+        let read = || PLANES.each_ref().map(|c| telemetry::counter_value(pick(c)));
+        let own = pick(&R::Plane::COUNTERS);
+        let before = read();
+        let out = f();
+        for ((plane, now), was) in PLANES.iter().zip(read()).zip(before) {
+            let want = if pick(plane) == own { by } else { 0 };
+            assert_eq!(now - was, want, "{} while driving {own}", pick(plane));
+        }
+        out
+    }
+
+    /// Submit `req` and collect until every sender is gone: exactly one
+    /// terminal response, whatever it is.
+    fn one_answer<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Rejected> {
+        let (tx, rx) = mpsc::channel();
+        server.submit_with(req, &tx);
+        drop(tx);
+        let mut got: Vec<Response<R::Out>> = rx.iter().collect();
+        assert_eq!(got.len(), 1, "exactly one terminal response");
+        got.remove(0).outcome
+    }
+
+    /// The five rejections the generic `submit_with` and `Work` paths can
+    /// answer, on one plane. `valid` must queue as a single work item;
+    /// `spoil` makes it invalid and `expire` gives it a deadline.
+    fn rejection_taxonomy<R: ServeRequest + Clone>(
+        valid: R,
+        spoil: fn(&mut R),
+        expire: fn(&mut R, Instant),
+    ) where
+        R::Out: std::fmt::Debug,
+    {
+        let stall = FaultSpec::always("queue", FaultKind::StallQueue);
+        let window = Duration::from_millis(200);
+        let (mut invalid, mut expired) = (valid.clone(), valid.clone());
+        spoil(&mut invalid);
+        expire(&mut expired, Instant::now() - Duration::from_millis(1));
+
+        let server = Server::start(quick_config());
+        let out = moves_only::<R, _>(|c| c.invalid_input, 1, || one_answer(&server, invalid));
+        assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
+        let out = moves_only::<R, _>(|c| c.shed_deadline, 1, || one_answer(&server, expired));
+        assert!(
+            matches!(out, Err(Rejected::DeadlineExceeded { .. })),
+            "{out:?}"
+        );
+        // A server that has begun to stop answers ShuttingDown, which is
+        // neither a shed nor a failure of the plane.
+        server.closing.store(true, Ordering::Release);
+        server.queues.iter().for_each(|q| q.close());
+        let out = moves_only::<R, _>(
+            |c| c.shed_queue_full,
+            0,
+            || one_answer(&server, valid.clone()),
+        );
+        assert!(matches!(out, Err(Rejected::ShuttingDown)), "{out:?}");
+        assert_eq!(server.shutdown().internal, 0);
+
+        // QueueFull: the worker sleeps out its first stall, so the first
+        // request sits in the one-slot queue and the second finds it full.
+        let guard = PlanGuard::install(FaultPlan::new().with(stall.clone().limited(1)));
+        let server = Server::start(ServeConfig {
+            queue_capacity: 1,
+            max_delay: window,
+            ..quick_config()
+        });
+        let occupant = server.submit(valid.clone());
+        let out = moves_only::<R, _>(
+            |c| c.shed_queue_full,
+            1,
+            || one_answer(&server, valid.clone()),
+        );
+        assert!(
+            matches!(out, Err(Rejected::QueueFull { capacity: 1 })),
+            "{out:?}"
+        );
+        assert!(occupant.recv().unwrap().is_ok());
+        assert_eq!(server.shutdown().shed_queue_full, 1);
+        drop(guard);
+
+        // Internal: both workers die at the end of their first stall with
+        // the request stranded. Whichever dies first redrives it to the
+        // other, which then finds its redrive spent — or, dying second,
+        // finds no sibling left; either way `Work::reject_internal` answers.
+        let _guard = PlanGuard::install(
+            FaultPlan::new()
+                .with(stall)
+                .with(FaultSpec::always("serve.shard", FaultKind::Kill)),
+        );
+        let server = Server::start(ServeConfig {
+            shards: 2,
+            max_delay: window,
+            supervisor: SupervisorPolicy {
+                respawn: false,
+                ..SupervisorPolicy::default()
+            },
+            ..quick_config()
+        });
+        let out = moves_only::<R, _>(|c| c.internal, 1, || one_answer(&server, valid));
+        match out {
+            Err(Rejected::Internal { reason }) => {
+                assert!(reason.starts_with("shard killed"), "{reason}")
+            }
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        assert_eq!(server.shutdown().internal, 1);
+    }
+
+    #[test]
+    fn every_plane_answers_each_rejection_once_and_counts_it_once() {
+        let _l = faults_lock();
+        rejection_taxonomy(
+            PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
+            |r| r.s = f64::NAN,
+            |r, at| r.deadline = Some(at),
+        );
+        rejection_taxonomy(
+            GreeksRequest::new(2, 30.0, 35.0, 1.0),
+            |r| r.t = -1.0,
+            |r, at| r.deadline = Some(at),
+        );
+        // One chunk, so the fan-out is one work item like the others.
+        rejection_taxonomy(
+            PortfolioRequest::new(3, 7, 8, 16).with_chunk(16),
+            |r| r.positions = 0,
+            |r, at| r.deadline = Some(at),
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The [`ServeWorkload`] seam: one trait describing everything the
-//! sharded server needs to run a request plane — request/response types,
+//! sharded server needs to run a request plane — request and payload types,
 //! the servable degradation ladder, and how to execute a staged batch
 //! into reusable scratch buffers.
 //!
@@ -20,11 +20,9 @@
 //! recycled across flushes (grown to the largest batch seen, never
 //! shrunk), so steady-state batch execution allocates nothing.
 
-use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkResponse};
+use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest};
 use crate::pricer::{self, padded_batch_into, PricerConfig, ServingRung};
-use crate::request::{
-    GreeksOut, GreeksRequest, GreeksResponse, PriceRequest, PriceResponse, Priced, Rejected,
-};
+use crate::request::{GreeksOut, GreeksRequest, PriceRequest, Priced, Rejected, Response};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_core::portfolio::{Book, RevalScratch, ScenarioConfig, ScenarioGrid};
 use finbench_core::OptionBatchSoa;
@@ -96,6 +94,11 @@ pub struct PortfolioScratch {
 /// The telemetry counter names one request plane tallies under — static
 /// so the hot path never formats a metric name.
 pub struct LaneCounters {
+    /// Requests rejected by admission-side input validation.
+    pub invalid_input: &'static str,
+    /// Requests (portfolio: chunks) shed at admission: every alive
+    /// shard's queue was full.
+    pub shed_queue_full: &'static str,
     /// Requests answered with a result.
     pub served: &'static str,
     /// Requests shed at dispatch because their deadline passed.
@@ -126,10 +129,9 @@ pub struct LaneCounters {
 pub trait ServeWorkload: Sized + 'static {
     /// Validated request type carried through the admission queue.
     type Req: Send + 'static;
-    /// Per-request success payload.
-    type Out;
-    /// Response message delivered on the envelope's channel.
-    type Resp: Send + 'static;
+    /// Per-request success payload, delivered on the envelope's channel
+    /// inside a [`Response`].
+    type Out: Send + 'static;
     /// One rung of the servable degradation ladder.
     type Rung;
 
@@ -178,8 +180,6 @@ pub trait ServeWorkload: Sized + 'static {
         batch_len: usize,
         latency: Duration,
     ) -> Self::Out;
-    /// Wrap an outcome into this plane's response message.
-    fn respond(id: u64, outcome: Result<Self::Out, Rejected>) -> Self::Resp;
 }
 
 /// One queued request of workload `W`, with its response channel.
@@ -191,7 +191,31 @@ pub(crate) struct Envelope<W: ServeWorkload> {
     /// loss rejects instead of re-routing again, so a request can never
     /// ping-pong between dying shards or be delivered twice.
     pub(crate) redriven: bool,
-    pub(crate) tx: std::sync::mpsc::Sender<W::Resp>,
+    pub(crate) tx: std::sync::mpsc::Sender<Response<W::Out>>,
+}
+
+impl<W: ServeWorkload> Envelope<W> {
+    /// A first-attempt envelope submitted now, answering on `tx`.
+    pub(crate) fn new(req: W::Req, tx: &std::sync::mpsc::Sender<Response<W::Out>>) -> Self {
+        Self {
+            req,
+            submitted: Instant::now(),
+            redriven: false,
+            tx: tx.clone(),
+        }
+    }
+
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        W::deadline(&self.req)
+    }
+
+    /// Answer this request — its one terminal response.
+    pub(crate) fn answer(&self, outcome: Result<W::Out, Rejected>) {
+        let _ = self.tx.send(Response {
+            id: W::id(&self.req),
+            outcome,
+        });
+    }
 }
 
 /// The batched pricing plane (`PriceRequest` → `Priced`).
@@ -200,10 +224,11 @@ pub struct PriceWorkload;
 impl ServeWorkload for PriceWorkload {
     type Req = PriceRequest;
     type Out = Priced;
-    type Resp = PriceResponse;
     type Rung = ServingRung;
 
     const COUNTERS: LaneCounters = LaneCounters {
+        invalid_input: "serve.invalid_input",
+        shed_queue_full: "serve.shed.queue_full",
         served: "serve.served",
         shed_deadline: "serve.shed.deadline",
         shed_deadline_redrive: "serve.shed.deadline_redrive",
@@ -261,9 +286,6 @@ impl ServeWorkload for PriceWorkload {
             latency,
         }
     }
-    fn respond(id: u64, outcome: Result<Priced, Rejected>) -> PriceResponse {
-        PriceResponse { id, outcome }
-    }
 }
 
 /// Stats/telemetry key for the greeks lane (also the registry kernel the
@@ -277,10 +299,11 @@ pub struct GreeksWorkload;
 impl ServeWorkload for GreeksWorkload {
     type Req = GreeksRequest;
     type Out = GreeksOut;
-    type Resp = GreeksResponse;
     type Rung = crate::greeks::GreeksRung;
 
     const COUNTERS: LaneCounters = LaneCounters {
+        invalid_input: "greeks.invalid_input",
+        shed_queue_full: "greeks.shed.queue_full",
         served: "greeks.served",
         shed_deadline: "greeks.shed.deadline",
         shed_deadline_redrive: "greeks.shed.deadline_redrive",
@@ -340,9 +363,6 @@ impl ServeWorkload for GreeksWorkload {
             latency,
         }
     }
-    fn respond(id: u64, outcome: Result<GreeksOut, Rejected>) -> GreeksResponse {
-        GreeksResponse { id, outcome }
-    }
 }
 
 /// Stats/telemetry key for the portfolio lane (also the registry kernel
@@ -361,10 +381,11 @@ pub struct PortfolioWorkload;
 impl ServeWorkload for PortfolioWorkload {
     type Req = PortfolioChunkRequest;
     type Out = PortfolioChunkOut;
-    type Resp = PortfolioChunkResponse;
     type Rung = crate::portfolio::PortfolioRung;
 
     const COUNTERS: LaneCounters = LaneCounters {
+        invalid_input: "portfolio.invalid_input",
+        shed_queue_full: "portfolio.shed.queue_full",
         served: "portfolio.served",
         shed_deadline: "portfolio.shed.deadline",
         shed_deadline_redrive: "portfolio.shed.deadline_redrive",
@@ -445,8 +466,5 @@ impl ServeWorkload for PortfolioWorkload {
             batch_len,
             latency,
         }
-    }
-    fn respond(id: u64, outcome: Result<PortfolioChunkOut, Rejected>) -> PortfolioChunkResponse {
-        PortfolioChunkResponse { id, outcome }
     }
 }
