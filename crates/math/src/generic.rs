@@ -16,7 +16,7 @@
 
 use crate::exp::{EXP_OVERFLOW, EXP_P, EXP_Q, EXP_UNDERFLOW, LN2_C1, LN2_C2, LOG2E};
 use crate::log::{frexp_sqrt2, LN2_HI, LN2_LO, LOG_SERIES};
-use crate::norm::{CND_DEN, CND_NUM};
+use crate::norm::{CND_DEN, CND_NUM, INV_A, INV_B, INV_C, INV_D, INV_NO_POLISH, P_HIGH, P_LOW};
 use crate::poly::pow2i;
 use crate::real::Real;
 use crate::SQRT_2PI;
@@ -120,6 +120,43 @@ pub fn norm_cdf_r<R: Real>(x: R) -> R {
     }
 }
 
+/// Generic twin of [`crate::inv_norm_cdf`]: Acklam's three-region rational,
+/// then one Halley step whose Φ and φ go through [`Real::norm_cdf`] and
+/// [`Real::exp`] (the tail's `ln`/`sqrt` likewise), so with
+/// [`crate::CountedF64`] each is tallied as one nested call.
+#[inline]
+pub fn inv_norm_cdf_r<R: Real>(p: R) -> R {
+    let pf = p.into_f64();
+    if pf.is_nan() {
+        return p;
+    }
+    if pf <= 0.0 {
+        return R::of(f64::NEG_INFINITY);
+    }
+    if pf >= 1.0 {
+        return R::of(f64::INFINITY);
+    }
+    let tail = |t: R| {
+        let q = (R::of(-2.0) * t.ln()).sqrt();
+        polevl_r(q, &INV_C) / (polevl_r(q, &INV_D) * q + R::of(1.0))
+    };
+    let x = if pf < P_LOW {
+        tail(p)
+    } else if pf <= P_HIGH {
+        let q = p - R::of(0.5);
+        let r = q * q;
+        polevl_r(r, &INV_A) * q / (polevl_r(r, &INV_B) * r + R::of(1.0))
+    } else {
+        -tail(R::of(1.0) - p)
+    };
+    if x.into_f64().abs() >= INV_NO_POLISH {
+        return x;
+    }
+    let e = x.norm_cdf() - p;
+    let u = e / ((R::of(-0.5) * x * x).exp() / R::of(SQRT_2PI));
+    x - u / (R::of(1.0) + R::of(0.5) * x * u)
+}
+
 /// Number of Maclaurin terms in the small-|x| erf branch (mirrors
 /// `crate::erf::ERF_SERIES_TERMS`).
 const ERF_SERIES_TERMS: u32 = 14;
@@ -210,6 +247,35 @@ mod tests {
             let x = i as f64 * 0.01;
             assert_eq!(erf_r::<f64>(x).to_bits(), crate::erf(x).to_bits(), "x={x}");
             i += 1;
+        }
+    }
+
+    #[test]
+    fn inv_norm_cdf_r_bit_identical_to_scalar() {
+        let mut ps: Vec<f64> = (1..20_000).map(|i| i as f64 / 20_000.0).collect();
+        ps.extend([
+            -1.0,
+            0.0,
+            5e-324,
+            1e-310,
+            1e-300,
+            1e-20,
+            P_LOW.next_down(),
+            P_LOW,
+            P_LOW.next_up(),
+            P_HIGH.next_down(),
+            P_HIGH,
+            P_HIGH.next_up(),
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            2.0,
+            f64::NAN,
+        ]);
+        for p in ps {
+            let (got, want) = (inv_norm_cdf_r::<f64>(p), crate::inv_norm_cdf(p));
+            assert_eq!(got.to_bits(), want.to_bits(), "p={p:e}");
+            let counted = inv_norm_cdf_r(crate::CountedF64(p)).0;
+            assert_eq!(counted.to_bits(), want.to_bits(), "counted p={p:e}");
         }
     }
 

@@ -48,7 +48,7 @@ pub mod trig;
 pub use counted::{counting, counting_expanded, CountedF64, OpCounts};
 pub use erf::{erf, erfc};
 pub use exp::exp;
-pub use generic::{erf_r, exp_r, ln_r, norm_cdf_r, polevl_r};
+pub use generic::{erf_r, exp_r, inv_norm_cdf_r, ln_r, norm_cdf_r, polevl_r};
 pub use log::ln;
 pub use norm::{inv_norm_cdf, inv_norm_cdf_acklam, norm_cdf, norm_pdf};
 pub use real::Real;

@@ -106,7 +106,11 @@ pub fn norm_cdf(x: f64) -> f64 {
 // Inverse CDF (Acklam + Halley)
 // ---------------------------------------------------------------------------
 
-const INV_A: [f64; 6] = [
+/// Acklam's central-region numerator (in `r = (p − ½)²`, descending for
+/// Horner). The four tables, the region bounds and [`INV_NO_POLISH`] are
+/// public so `finbench-simd` and [`crate::generic`] evaluate the identical
+/// rationals.
+pub const INV_A: [f64; 6] = [
     -3.969_683_028_665_376e1,
     2.209_460_984_245_205e2,
     -2.759_285_104_469_687e2,
@@ -114,14 +118,16 @@ const INV_A: [f64; 6] = [
     -3.066_479_806_614_716e1,
     2.506_628_277_459_239,
 ];
-const INV_B: [f64; 5] = [
+/// Central-region denominator; the trailing `·r + 1` is applied by hand.
+pub const INV_B: [f64; 5] = [
     -5.447_609_879_822_406e1,
     1.615_858_368_580_409e2,
     -1.556_989_798_598_866e2,
     6.680_131_188_771_972e1,
     -1.328_068_155_288_572e1,
 ];
-const INV_C: [f64; 6] = [
+/// Tail numerator, in `q = √(−2 ln p)`.
+pub const INV_C: [f64; 6] = [
     -7.784_894_002_430_293e-3,
     -3.223_964_580_411_365e-1,
     -2.400_758_277_161_838,
@@ -129,15 +135,22 @@ const INV_C: [f64; 6] = [
     4.374_664_141_464_968,
     2.938_163_982_698_783,
 ];
-const INV_D: [f64; 4] = [
+/// Tail denominator; the trailing `·q + 1` is applied by hand.
+pub const INV_D: [f64; 4] = [
     7.784_695_709_041_462e-3,
     3.224_671_290_700_398e-1,
     2.445_134_137_142_996,
     3.754_408_661_907_416,
 ];
 
-const P_LOW: f64 = 0.02425;
-const P_HIGH: f64 = 1.0 - P_LOW;
+/// Below this probability Acklam switches to the lower-tail rational.
+pub const P_LOW: f64 = 0.02425;
+/// Above this probability Acklam switches to the (mirrored) upper-tail rational.
+pub const P_HIGH: f64 = 1.0 - P_LOW;
+/// Past this `|x|` the density underflows and the Halley correction would
+/// be 0/0; Acklam alone is ~1e-9 relative there, which the deep tail does
+/// not improve on anyway (`norm_cdf` itself clamps at 37).
+pub const INV_NO_POLISH: f64 = 36.0;
 
 /// Acklam's rational approximation to the inverse normal CDF *without*
 /// the Halley polish: ~1.15e-9 relative error, roughly twice as fast as
@@ -203,10 +216,7 @@ pub fn inv_norm_cdf(p: f64) -> f64 {
     }
 
     let x = acklam_guess(p);
-    // Past |x| ~ 36 the density underflows and the Halley correction would
-    // be 0/0; Acklam alone is ~1e-9 relative there, which the deep tail
-    // does not improve on anyway (norm_cdf itself clamps at 37).
-    if x.abs() >= 36.0 {
+    if x.abs() >= INV_NO_POLISH {
         return x;
     }
     // One Halley iteration: e = Phi(x) - p, u = e / phi(x),

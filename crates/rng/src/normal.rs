@@ -5,49 +5,35 @@
 //! ("normally-dist. DP RNG/sec"). Two transforms are provided:
 //!
 //! * **Inverse CDF** ([`fill_standard_normal_icdf`]) — one uniform in, one
-//!   normal out, no rejection, fully vectorizable; the batch variant
-//!   ([`fill_standard_normal_icdf_batch`]) stages uniforms through a
-//!   buffer and applies the batch inverse CDF, matching how MKL's
-//!   `vdRngGaussian(ICDF)` pipeline works.
+//!   normal out, no rejection, so it runs as two vector sweeps per
+//!   cache-resident block: the generator's block uniform fill, then the
+//!   array-at-a-time inverse CDF over the same doubles in place — how
+//!   MKL's `vdRngGaussian(ICDF)` pipeline works. The output is, bit for
+//!   bit, `inv_norm_cdf(rng.next_f64_open())` per draw.
 //! * **Marsaglia polar** ([`fill_standard_normal_polar`]) — the classic
 //!   branchy rejection method, kept as the scalar baseline (acceptance
 //!   ratio π/4; hostile to SIMD, which is precisely why the vector-math
 //!   route matters).
 
-use crate::uniform::u64_to_f64_symmetric;
+use crate::uniform::{u64_to_f64_oo, u64_to_f64_symmetric};
 use crate::RngCore64;
-use finbench_math::{inv_norm_cdf, inv_norm_cdf_acklam, ln};
+use finbench_math::{inv_norm_cdf_acklam, ln};
+use finbench_simd::batch::vd_inv_norm_cdf_in_place;
 use finbench_simd::isa_fn;
 
+/// Draws per uniform-then-transform block of [`fill_standard_normal_icdf`]:
+/// 8 KiB, so the transform reads the uniforms back out of L1.
+const ICDF_BLOCK: usize = 1024;
+
 isa_fn! {
-    /// Fill `out` with standard normal variates via the inverse-CDF transform,
-    /// one at a time.
+    /// Fill `out` with standard normal variates via the inverse-CDF
+    /// transform: `out[i] = inv_norm_cdf(rng.next_f64_open())`, in order.
     pub fn fill_standard_normal_icdf<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
         finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
-        for slot in out {
-            *slot = inv_norm_cdf(rng.next_f64_open());
+        for block in out.chunks_mut(ICDF_BLOCK) {
+            rng.fill_with(block, u64_to_f64_oo);
+            vd_inv_norm_cdf_in_place(block);
         }
-    }
-}
-
-/// Batch inverse-CDF transform: fill a uniform staging buffer, then apply
-/// the array-at-a-time inverse CDF. `scratch` must be at least as long as
-/// the longest chunk (any length ≥ 1 works; it bounds the stage size).
-pub fn fill_standard_normal_icdf_batch<R: RngCore64>(
-    rng: &mut R,
-    out: &mut [f64],
-    scratch: &mut [f64],
-) {
-    assert!(!scratch.is_empty(), "scratch buffer must be non-empty");
-    finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
-    let chunk = scratch.len();
-    let mut i = 0;
-    while i < out.len() {
-        let n = chunk.min(out.len() - i);
-        let stage = &mut scratch[..n];
-        crate::uniform::fill_uniform_open(rng, stage);
-        finbench_simd::batch::vd_inv_norm_cdf(stage, &mut out[i..i + n]);
-        i += n;
     }
 }
 
@@ -237,16 +223,23 @@ mod tests {
 
     #[test]
     fn batch_icdf_matches_scalar_icdf() {
-        let mut a = Philox4x32::new(5);
-        let mut b = Philox4x32::new(5);
-        let mut ya = vec![0.0; 1000];
-        let mut yb = vec![0.0; 1000];
-        fill_standard_normal_icdf(&mut a, &mut ya);
-        let mut scratch = vec![0.0; 128];
-        fill_standard_normal_icdf_batch(&mut b, &mut yb, &mut scratch);
-        for i in 0..1000 {
-            assert!((ya[i] - yb[i]).abs() < 1e-14, "i={i}");
+        // The blocked fill is the per-draw loop, bit for bit, and leaves the
+        // generator where that loop leaves it — over ragged vector tails
+        // and block seams.
+        fn check<R: RngCore64 + Clone>(start: R, label: &str) {
+            for len in [0, 1, 7, 8, 9, 1023, 1024, 1025, 10_007] {
+                let (mut blocked, mut single) = (start.clone(), start.clone());
+                let mut got = vec![0.0; len];
+                fill_standard_normal_icdf(&mut blocked, &mut got);
+                for (i, g) in got.iter().enumerate() {
+                    let want = finbench_math::inv_norm_cdf(single.next_f64_open());
+                    assert_eq!(g.to_bits(), want.to_bits(), "{label} len={len} i={i}");
+                }
+                assert_eq!(blocked.next_u64(), single.next_u64(), "{label} len={len}");
+            }
         }
+        check(Mt19937_64::new(5), "mt19937-64");
+        check(Philox4x32::new(5), "philox");
     }
 
     #[test]

@@ -167,9 +167,7 @@ impl Halton {
     /// for a normal stream.
     pub fn fill_normal(&mut self, out: &mut [f64], count: usize) {
         self.fill(out, count);
-        for x in out.iter_mut() {
-            *x = finbench_math::inv_norm_cdf(*x);
-        }
+        finbench_simd::batch::vd_inv_norm_cdf_in_place(out);
     }
 }
 

@@ -11,7 +11,7 @@
 //!
 //! All functions panic if `src.len() != dst.len()`.
 
-use crate::math::{verf, vexp, vln, vnorm_cdf};
+use crate::math::{verf, vexp, vinv_norm_cdf_guess, vinv_norm_cdf_polish, vln, vnorm_cdf};
 use crate::vec::F64v;
 use finbench_math as fm;
 
@@ -76,15 +76,62 @@ crate::isa_fn! {
     }
 }
 
+/// Elements per guess-then-polish block of [`vd_inv_norm_cdf_in_place`]:
+/// 2 KiB of guesses on the stack, read back out of L1.
+const ICDF_BLOCK: usize = 256;
+
 crate::isa_fn! {
-    /// `dst[i] = inv_norm_cdf(src[i])` — the batch inverse-transform used by
-    /// the RNG's normal stream.
-    pub fn vd_inv_norm_cdf(src: &[f64], dst: &mut [f64]) {
-        assert_eq!(src.len(), dst.len(), "batch math length mismatch");
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = fm::inv_norm_cdf(*s);
+    /// First sweep of the inverse normal CDF: `x[i]` = Acklam's guess at
+    /// `p[i]`, over whole vectors of `p`.
+    fn inv_norm_cdf_guess(p: &[f64], x: &mut [f64]) {
+        let main = p.len() - p.len() % W;
+        let mut i = 0;
+        while i < main {
+            vinv_norm_cdf_guess(F64v::<W>::load(p, i)).store(x, i);
+            i += W;
         }
     }
+}
+
+crate::isa_fn! {
+    /// Second sweep: `p[i]` = the guess `x[i]` after its Halley step.
+    fn inv_norm_cdf_polish(p: &mut [f64], x: &[f64]) {
+        let main = p.len() - p.len() % W;
+        let mut i = 0;
+        while i < main {
+            vinv_norm_cdf_polish(F64v::<W>::load(p, i), F64v::<W>::load(x, i)).store(p, i);
+            i += W;
+        }
+    }
+}
+
+/// `xs[i] = inv_norm_cdf(xs[i])` in place, with the scalar function's bits
+/// (any `f64` in: `≤ 0 → −∞`, `≥ 1 → +∞`, NaN kept) — the uniform → normal
+/// stage of the RNG's normal streams, which transform the block of uniforms
+/// they just generated where it lies.
+///
+/// Two sweeps per cache-resident block, not one: the fused
+/// `vinv_norm_cdf` is one ~250-cycle dependency chain per vector, too long
+/// for the core to overlap with the next vector's; split at the guess, each
+/// sweep's iterations overlap and the pair runs at twice the rate.
+pub fn vd_inv_norm_cdf_in_place(xs: &mut [f64]) {
+    let mut guess = [0.0; ICDF_BLOCK];
+    let (main, tail) = xs.split_at_mut(xs.len() - xs.len() % W);
+    for block in main.chunks_mut(ICDF_BLOCK) {
+        let guess = &mut guess[..block.len()];
+        inv_norm_cdf_guess(block, guess);
+        inv_norm_cdf_polish(block, guess);
+    }
+    for x in tail {
+        *x = fm::inv_norm_cdf(*x);
+    }
+}
+
+/// `dst[i] = inv_norm_cdf(src[i])`: [`vd_inv_norm_cdf_in_place`] on a copy.
+pub fn vd_inv_norm_cdf(src: &[f64], dst: &mut [f64]) {
+    assert_eq!(src.len(), dst.len(), "batch math length mismatch");
+    dst.copy_from_slice(src);
+    vd_inv_norm_cdf_in_place(dst);
 }
 
 #[cfg(test)]
@@ -136,8 +183,11 @@ mod tests {
         let src = ramp(17, 0.01, 0.99);
         let mut q = vec![0.0; 17];
         vd_inv_norm_cdf(&src, &mut q);
+        let mut in_place = src.clone();
+        vd_inv_norm_cdf_in_place(&mut in_place);
         for i in 0..17 {
-            assert!((fm::norm_cdf(q[i]) - src[i]).abs() < 1e-13);
+            assert_eq!(q[i].to_bits(), fm::inv_norm_cdf(src[i]).to_bits());
+            assert_eq!(in_place[i].to_bits(), q[i].to_bits());
         }
         let mut r = vec![0.0; 17];
         vd_sqrt(&src, &mut r);

@@ -40,6 +40,12 @@
 //!   the bits do not change, the code does. `ci.sh` disassembles the
 //!   release binary and fails when a listed sweep has fewer packed than
 //!   scalar arithmetic instructions.
+//! * **A sweep's dependency chain must be short enough to overlap.** A body
+//!   that is one long chain per vector (the fused [`math::vinv_norm_cdf`]:
+//!   ~250 cycles) runs at the chain's latency; cut into two sweeps over a
+//!   cache-resident block ([`batch::vd_inv_norm_cdf_in_place`]) it ran 2.5×
+//!   faster. Rare per-lane edge cases go behind a whole-vector branch, not
+//!   into the blend, or SLP leaves lanes of the hot path scalar.
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other

@@ -11,11 +11,16 @@
 //! Accuracy: within a few ulp of the scalar versions everywhere except the
 //! extreme clamped edges noted per function; the unit tests assert
 //! lane-for-lane agreement with `finbench-math` at `<= 2` ulp.
+//! [`vinv_norm_cdf`] is held to more: the same bits as the scalar
+//! `inv_norm_cdf` on every `f64`, because every seeded normal stream in the
+//! suite comes out of it.
 
 use crate::vec::F64v;
 use finbench_math::exp::{EXP_OVERFLOW, EXP_P, EXP_Q, EXP_UNDERFLOW, LN2_C1, LN2_C2, LOG2E};
 use finbench_math::log::{LN2_HI, LN2_LO, LOG_SERIES};
-use finbench_math::norm::{CND_DEN, CND_NUM};
+use finbench_math::norm::{
+    CND_DEN, CND_NUM, INV_A, INV_B, INV_C, INV_D, INV_NO_POLISH, P_HIGH, P_LOW,
+};
 use finbench_math::SQRT_2PI;
 
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
@@ -94,17 +99,30 @@ pub fn vexp<const N: usize>(x: F64v<N>) -> F64v<N> {
 /// ```
 #[inline(always)]
 pub fn vln<const N: usize>(x: F64v<N>) -> F64v<N> {
-    let x = x.clamp(f64::MIN_POSITIVE, f64::MAX);
+    vln_unbiased(x.clamp(f64::MIN_POSITIVE, f64::MAX), F64v::splat(1023.0))
+}
+
+/// `ln` of positive normal lanes whose exponent field carries `bias`: 1023
+/// for a lane that is its own value, `1023 + k` for a subnormal the caller
+/// pre-scaled by `2^k` (the scalar `frexp_sqrt2`'s route, with `k = 54`).
+///
+/// The biased exponent becomes an `f64` by the `2^52` trick of [`vpow2i`]
+/// run backwards: OR-ed into the mantissa of `2^52` it *is* `2^52 + e`,
+/// and one subtraction leaves `e − bias` exactly. `e as i64 … as f64` has
+/// no packed form before AVX-512DQ and scalarised on the AVX2 tier.
+#[inline(always)]
+fn vln_unbiased<const N: usize>(x: F64v<N>, bias: F64v<N>) -> F64v<N> {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
     // frexp: m in [1, 2), e unbiased.
     let mut m = [0.0; N];
     let mut e = [0.0; N];
     for i in 0..N {
         let bits = x.0[i].to_bits();
-        e[i] = (((bits >> 52) & 0x7ff) as i64 - 1023) as f64;
+        e[i] = f64::from_bits(((bits >> 52) & 0x7ff) | TWO_52.to_bits());
         m[i] = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
     }
     let mut m = F64v(m);
-    let mut e = F64v(e);
+    let mut e = F64v(e) - (bias + TWO_52);
     // Shift mantissa into [sqrt(1/2), sqrt(2)).
     let adjust = m.ge(F64v::splat(SQRT_2));
     m = adjust.select(m * 0.5, m);
@@ -133,8 +151,13 @@ pub fn vln<const N: usize>(x: F64v<N>) -> F64v<N> {
 #[inline(always)]
 pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
     let ax = x.abs();
-    let e = vexp(ax * ax * -0.5);
+    vnorm_cdf_given_gauss(x, ax, vexp(ax * ax * -0.5))
+}
 
+/// [`vnorm_cdf`] of `x` given `ax = |x|` and `e = exp(−x²/2)`, for a caller
+/// that needs that Gaussian itself ([`vinv_norm_cdf`]'s Halley step).
+#[inline(always)]
+fn vnorm_cdf_given_gauss<const N: usize>(x: F64v<N>, ax: F64v<N>, e: F64v<N>) -> F64v<N> {
     // Central region rational (valid |x| < 7.07; harmless garbage beyond,
     // masked out below).
     let num = vpolevl(ax, &CND_NUM);
@@ -198,23 +221,91 @@ pub fn vnorm_cdf_via_erf<const N: usize>(x: F64v<N>) -> F64v<N> {
     (verf(x * FRAC_1_SQRT_2) + 1.0) * 0.5
 }
 
-/// Lane-wise inverse normal CDF (Acklam + one Halley step), used by the
-/// vectorized inverse-transform normal generator in `finbench-rng`.
+/// Lane-wise inverse normal CDF (Acklam + one Halley step) — the transform
+/// of Table II's uniform → normal stage, behind every computed-RNG rung.
 ///
-/// Lanes must lie in `(0, 1)`; out-of-range lanes are clamped to the
-/// nearest representable interior probability.
+/// **Bit-identical to the scalar `finbench_math::inv_norm_cdf` on every
+/// `f64`** (`p ≤ 0 → −∞`, `p ≥ 1 → +∞`, NaN handed back, subnormals
+/// included), lane by lane and whatever the neighbouring lanes hold: every
+/// region is the scalar's arithmetic in the scalar's order, blended by mask
+/// instead of branched per lane.
+///
+/// It is [`vinv_norm_cdf_guess`] then [`vinv_norm_cdf_polish`]. An array
+/// transform should run those as two sweeps (`batch::vd_inv_norm_cdf` does):
+/// fused, one vector is a ~250-cycle dependency chain too long for the core
+/// to overlap with the next one, and measures half the rate.
+///
+/// ```
+/// use finbench_simd::{F64vec4, math::vinv_norm_cdf};
+/// let x = vinv_norm_cdf(F64vec4::new([0.0, 0.5, 0.975, 1.0]));
+/// assert_eq!(x[0], f64::NEG_INFINITY);
+/// assert_eq!(x[1], 0.0);
+/// assert_eq!(x[2].to_bits(), finbench_math::inv_norm_cdf(0.975).to_bits());
+/// assert_eq!(x[3], f64::INFINITY);
+/// ```
 #[inline(always)]
 pub fn vinv_norm_cdf<const N: usize>(p: F64v<N>) -> F64v<N> {
-    // Acklam's guess is a three-region rational; the regions are selected
-    // per lane. Profiling shows the scalar routine is already dominated by
-    // its two short Horner chains, so the lane loop below vectorizes the
-    // common central region adequately while keeping full accuracy.
-    let mut out = [0.0; N];
-    for i in 0..N {
-        let pi = p.0[i].clamp(5e-324, 1.0 - f64::EPSILON / 2.0);
-        out[i] = finbench_math::inv_norm_cdf(pi);
+    vinv_norm_cdf_polish(p, vinv_norm_cdf_guess(p))
+}
+
+/// Acklam's rational approximation to the inverse normal CDF (~1.15e-9
+/// relative), for lanes in `(0, 1)`; lanes outside hold garbage that
+/// [`vinv_norm_cdf_polish`] replaces.
+///
+/// The central rational is computed for every lane; the `ln`/`sqrt` tail
+/// rational only for a vector with a lane outside `[P_LOW, P_HIGH]` (4.85 %
+/// of uniform draws, so about a third of W=8 vectors — the blend would
+/// discard it from all the others).
+#[inline(always)]
+pub fn vinv_norm_cdf_guess<const N: usize>(p: F64v<N>) -> F64v<N> {
+    let q = p - 0.5;
+    let r = q * q;
+    let central = vpolevl(r, &INV_A) * q / (vpolevl(r, &INV_B) * r + 1.0);
+
+    let in_central = p.ge(F64v::splat(P_LOW)).and(p.le(F64v::splat(P_HIGH)));
+    if in_central.all() {
+        return central;
     }
-    F64v(out)
+    // Tail rational in sqrt(-2 ln t), t the distance to the nearer end,
+    // mirrored for the upper tail. A subnormal t is scaled into the normal
+    // range first, as the scalar frexp does.
+    const TWO_54: f64 = 18_014_398_509_481_984.0;
+    let lower = p.lt(F64v::splat(P_LOW));
+    let t = lower.select(p, 1.0 - p);
+    let tiny = t.lt(F64v::splat(f64::MIN_POSITIVE));
+    let ln_t = vln_unbiased(
+        tiny.select(t * TWO_54, t),
+        tiny.select(F64v::splat(1023.0 + 54.0), F64v::splat(1023.0)),
+    );
+    let q = (-2.0 * ln_t).sqrt();
+    let tail = vpolevl(q, &INV_C) / (vpolevl(q, &INV_D) * q + 1.0);
+    in_central.select(central, lower.select(tail, -tail))
+}
+
+/// One Halley step on the guess `x` at the root of `Φ(x) = p` —
+/// `e = Φ(x) − p`, `u = e / φ(x)`, `x ← x − u / (1 + x·u/2)`, with Φ and φ
+/// sharing one `exp(−x²/2)` — then the scalar function's edges: a lane with
+/// `|x| ≥ 36` keeps its guess (φ underflows there), `p ≤ 0 → −∞`,
+/// `p ≥ 1 → +∞`, NaN handed back.
+#[inline(always)]
+pub fn vinv_norm_cdf_polish<const N: usize>(p: F64v<N>, x: F64v<N>) -> F64v<N> {
+    let ax = x.abs();
+    let gauss = vexp(-0.5 * ax * ax);
+    let e = vnorm_cdf_given_gauss(x, ax, gauss) - p;
+    let u = e / (gauss / SQRT_2PI);
+    let polished = x - u / (1.0 + 0.5 * x * u);
+    let y = ax.ge(F64v::splat(INV_NO_POLISH)).select(x, polished);
+
+    // Edge lanes by whole vector, as the tails above: blended
+    // unconditionally, these three selects on `y` keep LLVM from packing
+    // the body (lanes 0 and 3 stayed scalar under AVX-512). NaN fails both
+    // comparisons here and every one below, `p >= p` included.
+    if p.gt(F64v::zero()).and(p.lt(F64v::splat(1.0))).all() {
+        return y;
+    }
+    let y = p.le(F64v::zero()).select(F64v::splat(f64::NEG_INFINITY), y);
+    let y = p.ge(F64v::splat(1.0)).select(F64v::splat(f64::INFINITY), y);
+    p.ge(p).select(y, p)
 }
 
 #[cfg(test)]
@@ -394,6 +485,122 @@ mod tests {
         let back = vnorm_cdf(x);
         for i in 0..4 {
             assert!((back[i] - v[i]).abs() < 1e-12);
+        }
+    }
+
+    /// `vinv_norm_cdf::<N>` over `ps` (padded with 0.5 to a whole number of
+    /// vectors) against the scalar, by bits.
+    fn assert_vinv_is_the_scalar<const N: usize>(ps: &[f64]) {
+        for chunk in ps.chunks(N) {
+            let mut v = [0.5; N];
+            v[..chunk.len()].copy_from_slice(chunk);
+            let got = vinv_norm_cdf(F64v::<N>(v));
+            for lane in 0..N {
+                let want = fm::inv_norm_cdf(v[lane]);
+                assert_eq!(
+                    got[lane].to_bits(),
+                    want.to_bits(),
+                    "N={N} lane {lane} p={:e}: got {:e}, scalar {want:e}",
+                    v[lane],
+                    got[lane]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vinv_norm_cdf_is_bit_identical_to_the_scalar() {
+        use finbench_math::norm::{P_HIGH, P_LOW};
+        // A dense sweep of (0, 1), a log sweep down each tail (to the
+        // subnormals below, to the last ulp under 1 above), then the edges.
+        let mut ps: Vec<f64> = (1..40_000).map(|i| i as f64 / 40_000.0).collect();
+        let mut t = 0.03;
+        while t > 1e-323 {
+            ps.push(t);
+            if t > 1e-16 {
+                ps.push(1.0 - t);
+            }
+            t *= 0.37;
+        }
+        ps.extend([
+            -f64::INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-310,
+            f64::MIN_POSITIVE,
+            1e-300,
+            P_LOW.next_down(),
+            P_LOW,
+            P_LOW.next_up(),
+            0.5,
+            P_HIGH.next_down(),
+            P_HIGH,
+            P_HIGH.next_up(),
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+            1.0f64.next_up(),
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_dead_beef), // signalling, with a payload
+        ]);
+        assert_vinv_is_the_scalar::<1>(&ps);
+        assert_vinv_is_the_scalar::<4>(&ps);
+        assert_vinv_is_the_scalar::<8>(&ps);
+    }
+
+    #[test]
+    fn vinv_norm_cdf_tail_skip_never_changes_a_lane() {
+        // No lane, one lane and every lane in a tail region — and out of the
+        // domain, and past the |x| >= 36 no-polish switch (p = 1e-300): the
+        // vector takes the tail branch or skips it as a whole, a lane
+        // evaluated alone decides for itself — same bits.
+        let central = [0.02425, 0.1, 0.3, 0.5, 0.6, 0.8, 0.9, 0.97575];
+        let tails = [1e-300, 5e-324, 1e-12, 0.024, 0.976, 1.0 - 1e-13, 0.0, 1.0];
+        let mut vectors = vec![central, tails];
+        vectors.extend(tails.map(|p| {
+            let mut one_tail = central;
+            one_tail[5] = p;
+            one_tail
+        }));
+        let mut nan_lane = central;
+        nan_lane[2] = f64::NAN;
+        vectors.push(nan_lane);
+        for v in vectors {
+            let together = vinv_norm_cdf(F64v::<8>(v));
+            for lane in 0..8 {
+                let alone = vinv_norm_cdf(F64v::<1>([v[lane]]));
+                assert_eq!(
+                    together[lane].to_bits(),
+                    alone[0].to_bits(),
+                    "lane {lane} of {v:?}"
+                );
+                assert_eq!(
+                    alone[0].to_bits(),
+                    fm::inv_norm_cdf(v[lane]).to_bits(),
+                    "lane {lane} of {v:?} alone"
+                );
+            }
+        }
+        // The no-polish lane really is one.
+        assert!(fm::inv_norm_cdf(1e-300).abs() >= finbench_math::norm::INV_NO_POLISH);
+    }
+
+    #[test]
+    fn vln_is_the_scalar_ln_at_every_exponent() {
+        // Every exponent field a normal double can carry (the 2^52 trick
+        // replaced an `as i64 … as f64` here), at a mantissa on each side
+        // of the sqrt(2) adjust.
+        const FRAC: u64 = (1 << 52) - 1;
+        let sqrt2 = SQRT_2.to_bits() & FRAC;
+        for biased in 1u64..=2046 {
+            for frac in [0, sqrt2 - 1, sqrt2, FRAC] {
+                let x = f64::from_bits((biased << 52) | frac);
+                let got = vln(F64vec4::splat(x))[0];
+                assert_eq!(got.to_bits(), fm::ln(x).to_bits(), "x={x:e}");
+            }
         }
     }
 

@@ -25,7 +25,9 @@ monte_carlo::simd::paths_antithetic
 black_scholes::soa::price_soa_simd_into
 greeks::greeks_batch_simd
 brownian_bridge::simd::build_group_in_place
-mt19937_64::fill_block'
+mt19937_64::fill_block
+batch::inv_norm_cdf_guess
+batch::inv_norm_cdf_polish'
 
 if ! command -v objdump > /dev/null; then
   echo "--> objdump not found; packed-code check skipped"

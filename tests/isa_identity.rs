@@ -25,9 +25,7 @@ use finbench::core::portfolio::{
 };
 use finbench::core::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench::engine::{Engine, WorkloadSpec};
-use finbench::rng::normal::{
-    fill_standard_normal_icdf, fill_standard_normal_icdf_batch, fill_standard_normal_icdf_fast,
-};
+use finbench::rng::normal::{fill_standard_normal_icdf, fill_standard_normal_icdf_fast};
 use finbench::rng::{uniform, Mt19937_64, RngCore64, StreamFamily};
 use finbench::simd::batch;
 use finbench::simd::isa::{dispatch_as, Isa};
@@ -134,7 +132,10 @@ proptest! {
             -40.0, -37.1, -37.0, -7.08, -7.07, -0.5, -0.499_999, -0.0, 0.0, 0.499_999, 0.5,
             7.07, 7.071_067_811_865_475, 7.08, 37.0, 37.1, 40.0,
         ];
-        let unit_edges = [5e-324, 1e-300, 0.02425, 0.5, 0.97575, 1.0 - f64::EPSILON / 2.0];
+        let unit_edges = [
+            -1.0, 0.0, 5e-324, 1e-300, 1e-13, 0.024_249, 0.02425, 0.5, 0.97575, 0.975_751,
+            1.0 - f64::EPSILON / 2.0, 1.0, f64::NAN,
+        ];
         let cases: [(&str, Vd, Vec<f64>); 6] = [
             ("vd_exp", batch::vd_exp, ramp_with_edges(n, -30.0, 30.0, &exp_edges)),
             ("vd_ln", batch::vd_ln, ramp_with_edges(n, 1e-3, 1e3, &ln_edges)),
@@ -142,8 +143,11 @@ proptest! {
             ("vd_norm_cdf", batch::vd_norm_cdf, ramp_with_edges(n, -9.0, 9.0, &cdf_edges)),
             ("vd_sqrt", batch::vd_sqrt, ramp_with_edges(n, 0.0, 1e6, &ln_edges)),
             (
-                "vd_inv_norm_cdf",
-                batch::vd_inv_norm_cdf,
+                "vd_inv_norm_cdf_in_place",
+                |src, dst| {
+                    dst.copy_from_slice(src);
+                    batch::vd_inv_norm_cdf_in_place(dst)
+                },
                 ramp_with_edges(n, 1e-6, 1.0 - 1e-6, &unit_edges),
             ),
         ];
@@ -352,9 +356,6 @@ proptest! {
         for (label, fill) in [
             ("fill_standard_normal_icdf", fill_standard_normal_icdf as Fill),
             ("fill_standard_normal_icdf_fast", fill_standard_normal_icdf_fast),
-            ("fill_standard_normal_icdf_batch", |rng, out| {
-                fill_standard_normal_icdf_batch(rng, out, &mut [0.0; 64])
-            }),
         ] {
             let bad = tier_mismatch(label, || {
                 let mut out = vec![0.0; n];
