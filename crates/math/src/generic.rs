@@ -16,7 +16,10 @@
 
 use crate::exp::{EXP_OVERFLOW, EXP_P, EXP_Q, EXP_UNDERFLOW, LN2_C1, LN2_C2, LOG2E};
 use crate::log::{frexp_sqrt2, LN2_HI, LN2_LO, LOG_SERIES};
-use crate::norm::{CND_DEN, CND_NUM, INV_A, INV_B, INV_C, INV_D, INV_NO_POLISH, P_HIGH, P_LOW};
+use crate::norm::{
+    CND_DEN, CND_NUM, CND_TAIL_DEN, CND_TAIL_FROM, CND_TAIL_NUM, INV_A, INV_B, INV_C, INV_D,
+    INV_NO_POLISH, P_HIGH, P_LOW,
+};
 use crate::poly::pow2i;
 use crate::real::Real;
 use crate::SQRT_2PI;
@@ -78,9 +81,9 @@ pub fn ln_r<R: Real>(x: R) -> R {
 }
 
 /// Generic twin of [`crate::norm_cdf`] (Hart/West rational plus the
-/// far-tail continued fraction). The interior Gaussian `exp` goes
-/// through [`Real::exp`], so with [`crate::CountedF64`] it is tallied as
-/// one nested transcendental call.
+/// far-tail continued fraction as one rational). The interior Gaussian
+/// `exp` goes through [`Real::exp`], so with [`crate::CountedF64`] it is
+/// tallied as one nested transcendental call.
 #[inline]
 pub fn norm_cdf_r<R: Real>(x: R) -> R {
     let xf = x.into_f64();
@@ -93,24 +96,10 @@ pub fn norm_cdf_r<R: Real>(x: R) -> R {
         R::of(0.0)
     } else {
         let e = (R::of(-0.5) * ax * ax).exp();
-        if axf < 7.071_067_811_865_475 {
-            let mut num = R::of(CND_NUM[0]);
-            for &c in &CND_NUM[1..] {
-                num = num * ax + R::of(c);
-            }
-            let mut den = R::of(CND_DEN[0]);
-            for &c in &CND_DEN[1..] {
-                den = den * ax + R::of(c);
-            }
-            e * num / den
+        if axf < CND_TAIL_FROM {
+            e * polevl_r(ax, &CND_NUM) / polevl_r(ax, &CND_DEN)
         } else {
-            let mut b = ax + R::of(0.65);
-            let mut k = 12.0;
-            while k >= 1.0 {
-                b = ax + R::of(k) / b;
-                k -= 1.0;
-            }
-            e / (b * R::of(SQRT_2PI))
+            e * polevl_r(ax, &CND_TAIL_DEN) / (polevl_r(ax, &CND_TAIL_NUM) * R::of(SQRT_2PI))
         }
     };
     if xf > 0.0 {

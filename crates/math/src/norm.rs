@@ -5,16 +5,27 @@
 //! `norm_cdf` uses the Hart (1968) double-precision rational approximation
 //! in the form given by West, *Better approximations to cumulative normal
 //! functions* (Wilmott, 2005): a degree-6/degree-7 rational times the
-//! Gaussian density for `|x| < 7.07`, and a short continued fraction in the
-//! far tail. Absolute error is below 1e-15 across the real line, and the
-//! *relative* error of the small tail values is also ~1e-15 — important
-//! because deep out-of-the-money option prices are exactly such tails.
+//! Gaussian density for `|x| < 7.07`, and a depth-12 continued fraction —
+//! evaluated as one degree-12/degree-13 rational, [`CND_TAIL_DEN`] over
+//! [`CND_TAIL_NUM`] — in the far tail. Absolute error is below 1e-15 across
+//! the real line. The *relative* error of the small tail values — deep
+//! out-of-the-money option prices are exactly such tails — is not uniform.
+//! Hart's central rational is accurate *absolutely* (~2e-17), so measured
+//! against a 60-digit reference `Φ(−x)` reads 1e-14 by 3σ, 3e-13 by 4σ,
+//! 4e-11 by 5σ, 5e-10 by 6σ, 2.6e-9 at 7.0σ and 2.9e-9 just inside the 7.071
+//! seam (an absolute error of 2e-21 there). The tail form reads 1.3e-14 just
+//! outside the seam (the fraction's truncation) and ≤ 1e-15 past 9σ at an
+//! `x` whose square is exact; for a general `x` the rounding of `x²/2` in
+//! the Gaussian's argument adds up to `x²/2 · 2⁻⁵³` (5.7e-14 at 37σ).
+//! `tail_relative_error_by_region` pins ≤ 5e-9 on [6, 7.071) and ≤ 5e-14 on
+//! [7.071, 37].
 //!
 //! `inv_norm_cdf` uses Acklam's rational approximation (~1.15e-9 relative)
 //! polished with one Halley iteration, giving ~1e-15.
 
 use crate::exp::exp;
 use crate::log::ln;
+use crate::poly::polevl;
 use crate::SQRT_2PI;
 
 /// Density of the standard normal distribution.
@@ -53,6 +64,29 @@ pub const CND_DEN: [f64; 8] = [
     440.413_735_824_752,
 ];
 
+/// `|x|` from which [`norm_cdf`] leaves Hart's central rational for the
+/// far-tail fraction (`10/√2`).
+pub const CND_TAIL_FROM: f64 = 7.071_067_811_865_475;
+
+/// Far-tail Mills ratio: the Laplace continued fraction
+/// `b = |x| + 1/(|x| + 2/(… + 12/(|x| + 0.65)))` written as the ratio of its
+/// two convergent polynomials, `b = NUM(|x|) / DEN(|x|)` (recurrence
+/// `N_k = x·N_{k+1} + k·D_{k+1}`, `D_k = N_{k+1}` from `N_13 = x + 0.65`,
+/// `D_13 = 1`), so the tail is two independent Horner chains and one
+/// division instead of twelve dependent ones: `Φ(−x) = φ(x) · DEN / NUM`.
+/// Descending; every coefficient is an integer or a multiple of 0.65
+/// (`tail_tables_are_the_continued_fraction` re-derives both exactly).
+pub const CND_TAIL_NUM: [f64; 14] = [
+    1.0, 0.65, 78.0, 42.9, 2145.0, 965.25, 25740.0, 9009.0, 135135.0, 33783.75, 270270.0, 40540.5,
+    135135.0, 6756.75,
+];
+
+/// Denominator of the far-tail fraction; see [`CND_TAIL_NUM`].
+pub const CND_TAIL_DEN: [f64; 13] = [
+    1.0, 0.65, 77.0, 42.25, 2070.0, 924.3, 23814.0, 8162.7, 114765.0, 27095.25, 187425.0, 23195.25,
+    46080.0,
+];
+
 /// Cumulative distribution function of the standard normal; the paper's
 /// `cnd`.
 ///
@@ -70,29 +104,15 @@ pub fn norm_cdf(x: f64) -> f64 {
         0.0
     } else {
         let e = exp(-0.5 * ax * ax);
-        if ax < 7.071_067_811_865_475 {
-            let mut num = CND_NUM[0];
-            for &c in &CND_NUM[1..] {
-                num = num * ax + c;
-            }
-            let mut den = CND_DEN[0];
-            for &c in &CND_DEN[1..] {
-                den = den * ax + c;
-            }
-            e * num / den
+        if ax < CND_TAIL_FROM {
+            e * polevl(ax, &CND_NUM) / polevl(ax, &CND_DEN)
         } else {
             // Far tail: Laplace continued fraction for the Mills ratio,
             // Phi(-x) = phi(x) / (x + 1/(x + 2/(x + 3/(...)))).
             // West (2005) truncates at depth 4, which is only ~1e-9
             // accurate right at the 7.07 switch point; depth 12 brings the
-            // truncation error below 1e-12 everywhere past the switch.
-            let mut b = ax + 0.65;
-            let mut k = 12.0;
-            while k >= 1.0 {
-                b = ax + k / b;
-                k -= 1.0;
-            }
-            e / (b * SQRT_2PI)
+            // truncation error to ~1e-14 there and below 1e-15 past 9.
+            e * polevl(ax, &CND_TAIL_DEN) / (polevl(ax, &CND_TAIL_NUM) * SQRT_2PI)
         }
     };
     if x > 0.0 {
@@ -271,6 +291,167 @@ mod tests {
         let want10 = 7.619_853_024_160_527e-24;
         let got10 = norm_cdf(-10.0);
         assert!(((got10 - want10) / want10).abs() < 1e-12, "got={got10}");
+    }
+
+    /// The far tail as it was evaluated before it became one rational: the
+    /// depth-12 continued fraction, twelve dependent divisions.
+    fn tail_by_continued_fraction(ax: f64) -> f64 {
+        let mut b = ax + 0.65;
+        let mut k = 12.0;
+        while k >= 1.0 {
+            b = ax + k / b;
+            k -= 1.0;
+        }
+        exp(-0.5 * ax * ax) / (b * SQRT_2PI)
+    }
+
+    fn rel(got: f64, want: f64) -> f64 {
+        ((got - want) / want).abs()
+    }
+
+    #[test]
+    fn tail_tables_are_the_continued_fraction() {
+        // N_k = x N_{k+1} + k D_{k+1}, D_k = N_{k+1} from N_13 = x + 0.65,
+        // D_13 = 1, in integers: everything scaled by 20 (0.65 = 13/20).
+        // Ascending coefficients.
+        let mut n: Vec<u64> = vec![13, 20];
+        let mut d: Vec<u64> = vec![20];
+        for k in (1..=12).rev() {
+            let mut next = vec![0; n.len() + 1];
+            for (i, &c) in n.iter().enumerate() {
+                next[i + 1] = c;
+            }
+            for (i, &c) in d.iter().enumerate() {
+                next[i] += k * c;
+            }
+            d = std::mem::replace(&mut n, next);
+        }
+        let descending = |p: &[u64]| p.iter().rev().map(|&c| c as f64 / 20.0).collect::<Vec<_>>();
+        assert_eq!(descending(&n), CND_TAIL_NUM);
+        assert_eq!(descending(&d), CND_TAIL_DEN);
+    }
+
+    #[test]
+    fn tail_rational_agrees_with_the_continued_fraction() {
+        let (lo, hi, n) = (CND_TAIL_FROM, 37.0, 60_000);
+        let mut worst = 0.0f64;
+        for i in 0..=n {
+            let x = lo + (hi - lo) * i as f64 / n as f64;
+            worst = worst.max(rel(norm_cdf(-x), tail_by_continued_fraction(x)));
+        }
+        assert!(worst <= 4e-15, "worst={worst:e}");
+    }
+
+    #[test]
+    fn tail_strictly_decreasing_and_the_seam_steps_down() {
+        let mut prev = norm_cdf(-6.9);
+        for i in 1..=301_000 {
+            let x = 6.9 + i as f64 * 1e-4;
+            let cur = norm_cdf(-x);
+            assert!(cur < prev, "x={x}: {cur:e} !< {prev:e}");
+            prev = cur;
+        }
+        // Across the seam itself: Hart's rational over-reads by 2.9e-9
+        // relative just inside, so the one-ulp step is a drop that size.
+        let inside = norm_cdf(-CND_TAIL_FROM.next_down());
+        let outside = norm_cdf(-CND_TAIL_FROM);
+        assert!(outside < inside, "{inside:e} -> {outside:e}");
+        assert!(rel(outside, inside) <= 5e-9, "{inside:e} -> {outside:e}");
+    }
+
+    #[test]
+    #[allow(clippy::excessive_precision)] // the references as computed, 20 digits
+    fn tail_relative_error_by_region() {
+        // (x, Phi(-x)) from mpmath at 60 digits, 20 kept; apart from the two
+        // seam points every x has an exact square (see the module doc).
+        #[rustfmt::skip]
+        let reference = [
+            (6.0, 9.865876450376981407e-10),
+            (6.125, 4.5341803266952844889e-10),
+            (6.25, 2.0522634252189388816e-10),
+            (6.375, 9.1481475836086101718e-11),
+            (6.5, 4.0160005838591178083e-11),
+            (6.625, 1.7362408953520568751e-11),
+            (6.75, 7.3922577780178224195e-12),
+            (6.875, 3.0994929517572154306e-12),
+            (7.0, 1.2798125438858350044e-12),
+            (7.0703125, 7.7292588826839031575e-13),
+            (7.071067811865474, 7.6872989721402581914e-13),
+            (7.071067811865475, 7.687298972140208982e-13),
+            (7.078125, 7.3058950420605198153e-13),
+            (7.125, 5.204034400316781493e-13),
+            (7.25, 2.0838581586720694312e-13),
+            (7.375, 8.2172526075843372513e-14),
+            (7.5, 3.1908916729108962278e-14),
+            (7.625, 1.2201719317899234759e-14),
+            (7.75, 4.5946274357785954602e-15),
+            (7.875, 1.7037142916328732075e-15),
+            (8.0, 6.2209605742717841235e-16),
+            (8.5, 9.4795348222033183542e-18),
+            (9.0, 1.1285884059538406477e-19),
+            (9.5, 1.0494515075362607493e-21),
+            (10.0, 7.619853024160526066e-24),
+            (10.5, 4.3190063178092303465e-26),
+            (11.0, 1.9106595744986757112e-28),
+            (11.5, 6.5957714461136750791e-31),
+            (12.0, 1.7764821120776789977e-33),
+            (12.5, 3.7325642988777133772e-36),
+            (13.0, 6.1171643995498796823e-39),
+            (13.5, 7.8188073056578912157e-42),
+            (14.0, 7.7935368191928002544e-45),
+            (14.5, 6.0574947644152207796e-48),
+            (15.0, 3.6709661993127508858e-51),
+            (15.5, 1.7344607917938700513e-54),
+            (16.0, 6.3887544005380872813e-58),
+            (16.5, 1.83446300316473111e-61),
+            (17.0, 4.1059962020989062896e-65),
+            (17.5, 7.1634587662350358454e-69),
+            (18.0, 9.7409489189371504826e-73),
+            (18.5, 1.0323698689563289609e-76),
+            (19.0, 8.5272239526309765105e-81),
+            (19.5, 5.4891154756604099475e-85),
+            (20.0, 2.7536241186062336951e-89),
+            (20.5, 1.0764673258790960335e-93),
+            (21.0, 3.2792780189790359397e-98),
+            (21.5, 7.7843970771826337687e-103),
+            (22.0, 1.4398924351450790457e-107),
+            (22.5, 2.075310799066354583e-112),
+            (23.0, 2.3306370062206487986e-117),
+            (23.5, 2.0393675632499762305e-122),
+            (24.0, 1.3903921185497030596e-127),
+            (24.5, 7.3857068614894077943e-133),
+            (25.0, 3.0566967063825609164e-138),
+            (25.5, 9.8562365189639287943e-144),
+            (26.0, 2.4760633155033892858e-149),
+            (26.5, 4.8461626603033202928e-155),
+            (27.0, 7.3894810068850182575e-161),
+            (27.5, 8.7781705568780837723e-167),
+            (28.0, 8.1238694696594265936e-173),
+            (28.5, 5.8571412538063375481e-179),
+            (29.0, 3.2897852667043801617e-185),
+            (29.5, 1.4394745522291791686e-191),
+            (30.0, 4.9067139271481870595e-198),
+            (30.5, 1.3029379131780763509e-204),
+            (31.0, 2.6952500812005000786e-211),
+            (31.5, 4.3432326010317719588e-218),
+            (32.0, 5.452080603512396092e-225),
+            (32.5, 5.3314243596788040993e-232),
+            (33.0, 4.0611856209158550885e-239),
+            (33.5, 2.4098386951203853937e-246),
+            (34.0, 1.1138987855743793866e-253),
+            (34.5, 4.0107289665772619693e-261),
+            (35.0, 1.124910706472406244e-268),
+            (35.5, 2.4576915406619369142e-276),
+            (36.0, 4.1826240657972833317e-284),
+            (36.5, 5.5447257130748445538e-292),
+            (37.0, 5.7255712225245768227e-300),
+        ];
+        for (x, want) in reference {
+            let bound = if x < CND_TAIL_FROM { 5e-9 } else { 5e-14 };
+            let got = norm_cdf(-x);
+            assert!(rel(got, want) <= bound, "x={x} got={got:e} want={want:e}");
+            assert_eq!(norm_cdf(x), 1.0 - got, "x={x}");
+        }
     }
 
     #[test]

@@ -179,6 +179,23 @@ mod tests {
     }
 
     #[test]
+    fn cnd_batch_is_the_scalar_through_both_tails_on_every_tier() {
+        use crate::isa::{dispatch_as, Isa};
+        // 8 003 points of [-38, 38]: central, far-tail and past-37σ lanes
+        // share vectors near every switch; the last three take the scalar
+        // remainder loop.
+        let src = ramp(8_003, -38.0, 38.0);
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let mut dst = vec![0.0; src.len()];
+            dispatch_as(isa, || vd_norm_cdf(&src, &mut dst));
+            for (x, got) in src.iter().zip(&dst) {
+                let want = fm::norm_cdf(*x);
+                assert_eq!(got.to_bits(), want.to_bits(), "{} x={x}", isa.name());
+            }
+        }
+    }
+
+    #[test]
     fn sqrt_and_inv_cdf_batches() {
         let src = ramp(17, 0.01, 0.99);
         let mut q = vec![0.0; 17];

@@ -19,7 +19,8 @@ use crate::vec::F64v;
 use finbench_math::exp::{EXP_OVERFLOW, EXP_P, EXP_Q, EXP_UNDERFLOW, LN2_C1, LN2_C2, LOG2E};
 use finbench_math::log::{LN2_HI, LN2_LO, LOG_SERIES};
 use finbench_math::norm::{
-    CND_DEN, CND_NUM, INV_A, INV_B, INV_C, INV_D, INV_NO_POLISH, P_HIGH, P_LOW,
+    CND_DEN, CND_NUM, CND_TAIL_DEN, CND_TAIL_FROM, CND_TAIL_NUM, INV_A, INV_B, INV_C, INV_D,
+    INV_NO_POLISH, P_HIGH, P_LOW,
 };
 use finbench_math::SQRT_2PI;
 
@@ -137,11 +138,17 @@ fn vln_unbiased<const N: usize>(x: F64v<N>, bias: F64v<N>) -> F64v<N> {
 /// Lane-wise cumulative standard normal (the paper's vector `cnd`).
 ///
 /// Hart/West evaluation, blended by mask rather than branched per lane:
-/// the central rational is computed for every lane, and the tail continued
-/// fraction for every lane of a vector that has at least one lane out
-/// there. A vector with no lane past 7.07σ — every vector of a sane book —
-/// skips the tail's twelve dependent divisions; the blend would have
-/// discarded all of its lanes, so the result has the same bits either way.
+/// the central rational is computed for every lane, and the far-tail
+/// rational for every lane of a vector that has at least one lane past
+/// 7.07σ; a vector with none skips it, and the blend would have discarded
+/// all of its lanes, so the result has the same bits either way. Such
+/// vectors are not rare: with the paper's ranges (S 5–30, X 1–100,
+/// T 0.25–10) 2.2 % of `d1`/`d2` lanes but 17 % of W=8 vectors of the
+/// 20 000-option Black-Scholes workload have a lane out there, 2.6 % / 19 %
+/// of the 256 × 2048 portfolio request and 2.6 % / 20 % of the quick 64 × 128
+/// one (means over seeds 1–16; a 64-position book swings 0.3–6 % / 3–42 %
+/// with the seed). A tail vector costs two more Horner chains and one
+/// division — the continued fraction it replaces was twelve dependent ones.
 ///
 /// ```
 /// use finbench_simd::{F64vec4, math::vnorm_cdf};
@@ -160,22 +167,15 @@ pub fn vnorm_cdf<const N: usize>(x: F64v<N>) -> F64v<N> {
 fn vnorm_cdf_given_gauss<const N: usize>(x: F64v<N>, ax: F64v<N>, e: F64v<N>) -> F64v<N> {
     // Central region rational (valid |x| < 7.07; harmless garbage beyond,
     // masked out below).
-    let num = vpolevl(ax, &CND_NUM);
-    let den = vpolevl(ax, &CND_DEN);
-    let central = e * num / den;
+    let central = e * vpolevl(ax, &CND_NUM) / vpolevl(ax, &CND_DEN);
 
-    let in_central = ax.lt(F64v::splat(7.071_067_811_865_475));
+    let in_central = ax.lt(F64v::splat(CND_TAIL_FROM));
     let cum = if in_central.all() {
         central
     } else {
-        // Tail continued fraction, depth 12.
-        let mut b = ax + 0.65;
-        let mut k = 12.0;
-        while k >= 1.0 {
-            b = ax + k / b;
-            k -= 1.0;
-        }
-        in_central.select(central, e / (b * SQRT_2PI))
+        // The depth-12 tail fraction as one rational.
+        let tail = e * vpolevl(ax, &CND_TAIL_DEN) / (vpolevl(ax, &CND_TAIL_NUM) * SQRT_2PI);
+        in_central.select(central, tail)
     };
     // Past 37 sigma the tail underflows to exactly zero.
     let cum = ax.gt(F64v::splat(37.0)).select(F64v::zero(), cum);
@@ -415,24 +415,62 @@ mod tests {
     #[test]
     fn vnorm_cdf_tail_skip_never_changes_a_lane() {
         // No lane, one lane and every lane past the 7.07σ switch (and past
-        // the 37σ one): the vector takes the tail branch or skips it as a
-        // whole, a lane evaluated alone decides for itself — same bits.
-        let central = [-7.0, -3.2, -0.5, 0.0, 0.3, 1.7, 5.5, 7.07];
-        let far = [-40.0, -37.5, -12.0, -7.08, 7.08, 9.0, 37.0, 38.0];
-        let mut vectors = vec![central, far];
-        vectors.extend(far.map(|x| {
+        // the 37σ one, at ±∞, NaN): the vector takes the tail branch or
+        // skips it as a whole, a lane evaluated alone decides for itself —
+        // same bits, at every width, and the bits of the scalar `norm_cdf`
+        // and of its `Real`-generic twin.
+        fn assert_lanes_are_the_scalar<const N: usize>(v: [f64; 8]) {
+            for chunk in v.chunks(N) {
+                let got = vnorm_cdf(F64v::<N>(chunk.try_into().unwrap()));
+                for (lane, &x) in chunk.iter().enumerate() {
+                    let want = fm::norm_cdf(x);
+                    assert!(
+                        got[lane].to_bits() == want.to_bits() || (x.is_nan() && got[lane].is_nan()),
+                        "N={N} x={x:e} of {v:?}: got {:e}, scalar {want:e}",
+                        got[lane]
+                    );
+                }
+            }
+        }
+        let seam = CND_TAIL_FROM;
+        let central = [-7.0, -3.2, -0.5, 0.0, 0.3, 1.7, 5.5, seam.next_down()];
+        let far = [-40.0, -37.5, -12.0, -7.08, seam, 9.0, 37.0, 38.0];
+        let edges = [
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::NAN,
+            -37.0,
+            37.0f64.next_up(),
+            -seam,
+            -25.0,
+            30.0,
+        ];
+        let mut vectors = vec![central, far, edges];
+        for x in far.into_iter().chain(edges) {
             let mut one_far = central;
             one_far[5] = x;
-            one_far
-        }));
+            vectors.push(one_far);
+        }
+        // A sweep of both tails through vectors that mix them with central
+        // lanes in every position.
+        for i in 0..4_000 {
+            let t = seam + (37.5 - seam) * i as f64 / 4_000.0;
+            let mut mixed = central;
+            mixed[i % 8] = t;
+            mixed[(i + 3) % 8] = -t;
+            vectors.push(mixed);
+        }
         for v in vectors {
-            let together = vnorm_cdf(F64v::<8>(v));
-            for lane in 0..8 {
-                let alone = vnorm_cdf(F64v::<1>([v[lane]]));
+            assert_lanes_are_the_scalar::<1>(v);
+            assert_lanes_are_the_scalar::<4>(v);
+            assert_lanes_are_the_scalar::<8>(v);
+            for x in v {
+                let want = fm::norm_cdf(x).to_bits();
+                assert_eq!(fm::norm_cdf_r::<f64>(x).to_bits(), want, "x={x:e}");
                 assert_eq!(
-                    together[lane].to_bits(),
-                    alone[0].to_bits(),
-                    "lane {lane} of {v:?}"
+                    fm::norm_cdf_r(fm::CountedF64(x)).0.to_bits(),
+                    want,
+                    "x={x:e}"
                 );
             }
         }

@@ -8,12 +8,15 @@
 # release binary and, for every `isa_fn!` shim in it, counts the
 # double-precision arithmetic in the `run_<tier>` instantiation(s) the shim
 # dispatches to: packed (`…pd` on ymm/zmm; xmm pairs do not count) against
-# scalar (`…sd`). It prints the table for every shim and fails when a *gated*
-# sweep has no instantiation with at least as many packed as scalar operations
-# (a W=1 instantiation is scalar by design and a ragged tail always is, so the
-# sweep's best instantiation is the one judged), or is not in the binary at all
-# (renamed, or no longer dispatched). Deterministic: no timing, nothing run but
-# `<binary> list`.
+# scalar (`…sd`), and beside them — advisory, never gated — how many of the
+# packed operations are `vdivpd` / `vsqrtpd`: the divider is not pipelined, so
+# a dependent chain of them sets a sweep's rate whatever else is packed (PR 19
+# took twelve out of `vnorm_cdf`'s far tail). It prints the table for every
+# shim and fails when a *gated* sweep has no instantiation with at least as
+# many packed as scalar operations (a W=1 instantiation is scalar by design and
+# a ragged tail always is, so the sweep's best instantiation is the one judged),
+# or is not in the binary at all (renamed, or no longer dispatched).
+# Deterministic: no timing, nothing run but `<binary> list`.
 #
 # usage: packed_check.sh [path/to/finbench]
 set -euo pipefail
@@ -76,19 +79,22 @@ awk -v wrapper="$wrapper" -v reg="$reg" -v gated="$gated" '
     next
   }
   counting {
-    if ($0 ~ ("\tv" arith "pd ") && $0 ~ reg) packed[addr]++
+    if ($0 ~ ("\tv" arith "pd ") && $0 ~ reg) {
+      packed[addr]++
+      if ($0 ~ /\tv(div|sqrt)pd /) divider[addr]++
+    }
     else if ($0 ~ ("\tv" arith "sd ")) scalar[addr]++
   }
   END {
-    printf "    %-64s %8s %8s\n", "sweep (its " wrapper " instantiation)", "packed", "scalar"
+    printf "    %-64s %8s %8s %8s\n", "sweep (its " wrapper " instantiation)", "packed", "scalar", "div+sqrt"
     for (i = 1; i <= n; i++) {
       a = shim[i]
-      p = 0; s = 0
+      p = 0; s = 0; d = 0
       m = split((a in tier) ? tier[a] : tier[via[a]], b, " ")
-      for (j = 1; j <= m; j++) { p += packed[b[j]]; s += scalar[b[j]] }
+      for (j = 1; j <= m; j++) { p += packed[b[j]]; s += scalar[b[j]]; d += divider[b[j]] }
       for (k = 1; k <= ngated; k++)
         if (index(name[a], g[k])) { seen[k] = 1; if (p >= s && p > 0) ok[k] = 1 }
-      printf "    %-64s %8d %8d\n", name[a] " @" a, p, s
+      printf "    %-64s %8d %8d %8d\n", name[a] " @" a, p, s, d
     }
     bad = 0
     for (k = 1; k <= ngated; k++)
