@@ -32,6 +32,34 @@ for _ in $(seq 20); do
   }
 done
 
+echo "==> serving-plane suites, 5x back to back at default parallelism"
+# A fault plan is owned by the server started with it, so no test in these
+# binaries takes a lock. A test that only passed while a lock gave it the
+# machine shows up here, on the vCPUs it shares with its neighbours.
+serve_bins=$({
+  cargo test -p finbench-serve --lib --no-run 2>&1
+  cargo test -p finbench --test chaos_equivalence --test supervision \
+    --test batching_equivalence --no-run 2>&1
+} | sed -n 's/.*Executable.*(\(.*\))$/\1/p')
+if [ "$(echo "$serve_bins" | grep -c .)" -ne 4 ]; then
+  echo "could not locate the four serving-plane test binaries" >&2
+  exit 1
+fi
+for _ in $(seq 5); do
+  for bin in $serve_bins; do
+    "$bin" -q > /dev/null || {
+      echo "$bin failed on a repeat run" >&2
+      exit 1
+    }
+  done
+done
+
+echo "==> source guard (no process-global fault registry, no fault locks)"
+if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)' -- crates tests examples; then
+  echo "the fault registry or one of its test locks is back: a plan belongs to the Server started with it" >&2
+  exit 1
+fi
+
 echo "==> engine registry consistency"
 cargo test -q -p finbench --test engine_plane
 cargo test -q -p finbench-core --lib engine::

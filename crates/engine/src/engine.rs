@@ -86,17 +86,6 @@ impl Engine {
         let mut out = Vec::new();
         for (i, info) in kernel.rungs().iter().enumerate() {
             let _g = telemetry::span(format!("native.{}.{}", kernel.name(), info.slug));
-            // Chaos hook: under a FINBENCH_FAULTS plan this can inject
-            // latency or a panic per rung (sites `engine.ladder.<kernel>`
-            // or `engine.ladder.<kernel>.<slug>`); disarmed it is one
-            // relaxed atomic load.
-            if finbench_faults::armed() {
-                finbench_faults::fire_compute(&format!(
-                    "engine.ladder.{}.{}",
-                    kernel.name(),
-                    info.slug
-                ));
-            }
             telemetry::set_attr("label", info.label);
             telemetry::set_attr("level", info.level.as_str());
             telemetry::set_attr("items", items);

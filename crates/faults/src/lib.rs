@@ -1,13 +1,14 @@
 //! # finbench-faults — deterministic fault injection for chaos runs
 //!
-//! A zero-dependency fault-injection registry. Production code is
-//! sprinkled with named *sites* (`faults::fire("batch.black_scholes")`);
-//! a [`FaultPlan`] — installed programmatically or parsed from the
+//! Zero-dependency fault injection through an owned handle. Production
+//! code is sprinkled with named *sites* (`faults.fire("batch.black_scholes")`)
+//! that fire the [`Faults`] handle their owner was given; the
+//! [`FaultPlan`] behind it — built programmatically or parsed from the
 //! `FINBENCH_FAULTS` environment variable — decides which sites misbehave,
-//! how, and how often. With no plan installed the whole machinery is one
-//! relaxed atomic load per site, and nothing ever fires: injection hooks
-//! are compiled in always, armed never, exactly like `FINBENCH_LOG` and
-//! `FINBENCH_PLAN` gate telemetry and planning.
+//! how, and how often. There is no process-wide plan: a plan fires only
+//! in the server started with its handle. Unarmed ([`Faults::none`]) a
+//! site costs an `Option::is_none` and nothing ever fires: injection
+//! hooks are compiled in always, armed only by whoever holds a plan.
 //!
 //! ## The `FINBENCH_FAULTS` grammar
 //!
@@ -34,20 +35,21 @@
 //!
 //! ## Determinism
 //!
-//! Each installed spec owns a SplitMix64 counter stream: the *n*-th
+//! Each spec of a handle owns a SplitMix64 counter stream: the *n*-th
 //! firing decision of a spec is a pure function of `(seed, n)`, so a
-//! chaos run replays identically given the same call order per site.
-//! A single-shard serving plane provides that order exactly; with
-//! multiple shards the *decision stream* stays deterministic while the
-//! assignment of decisions to shards follows the (scheduler-dependent)
-//! interleaving of their calls.
+//! chaos run replays identically *per server* given the same call order
+//! per site — whatever other servers, armed or not, run beside it in the
+//! process. A single-shard serving plane provides that order exactly;
+//! with multiple shards the *decision stream* stays deterministic while
+//! the assignment of decisions to shards follows the
+//! (scheduler-dependent) interleaving of their calls.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The panic message used by [`fire_panic`]; the panic-silencing hook and
-/// chaos tests match on it.
+/// The panic message of [`Faults::fire_compute`]; the panic-silencing
+/// hook and chaos tests match on it.
 pub const INJECTED_PANIC: &str = "finbench-faults: injected panic";
 
 /// How a corrupted input is mangled.
@@ -189,7 +191,7 @@ impl std::fmt::Display for FaultSpec {
 
 const DEFAULT_SEED: u64 = 0x5EED;
 
-/// A set of faults to install together.
+/// A set of faults to arm together.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// The plan's specs, in declaration order (first match wins only for
@@ -198,8 +200,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan (installing it disarms nothing by itself; see
-    /// [`disarm`]).
+    /// The empty plan ([`Faults::new`] of it is unarmed).
     pub fn new() -> Self {
         Self::default()
     }
@@ -340,7 +341,7 @@ fn parse_duration(s: &str) -> Option<Duration> {
 }
 
 // ---------------------------------------------------------------------------
-// The global registry
+// The handle
 // ---------------------------------------------------------------------------
 
 struct ActiveSpec {
@@ -348,17 +349,6 @@ struct ActiveSpec {
     /// Monotonic decision index; decision n is `mix(seed + n·γ) < rate`.
     calls: AtomicU64,
     fired: AtomicU64,
-}
-
-struct ActivePlan {
-    specs: Vec<ActiveSpec>,
-}
-
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-fn active() -> &'static Mutex<Option<ActivePlan>> {
-    static REG: OnceLock<Mutex<Option<ActivePlan>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(None))
 }
 
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -374,143 +364,143 @@ fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Install `plan` and arm the registry. Replaces any previous plan and
-/// resets all decision streams.
-pub fn install(plan: FaultPlan) {
-    let specs = plan
-        .specs
-        .into_iter()
-        .map(|spec| ActiveSpec {
+/// An armed plan, or none: the decision streams and firing budgets of
+/// one [`FaultPlan`], owned by whoever asked for the faults. A clone
+/// *shares* them (the CLI hands one to every server of a run); a second
+/// [`Faults::new`] of the same plan starts its own.
+#[derive(Clone, Default)]
+pub struct Faults(Option<Arc<[ActiveSpec]>>);
+
+impl Faults {
+    /// The unarmed handle.
+    pub fn none() -> Self {
+        Self(None)
+    }
+
+    /// Arm `plan` with fresh decision streams; the empty plan is
+    /// [`none`](Self::none).
+    pub fn new(plan: FaultPlan) -> Self {
+        let arm = |spec| ActiveSpec {
             spec,
             calls: AtomicU64::new(0),
             fired: AtomicU64::new(0),
-        })
-        .collect::<Vec<_>>();
-    let armed = !specs.is_empty();
-    *active().lock().unwrap_or_else(|e| e.into_inner()) = Some(ActivePlan { specs });
-    ARMED.store(armed, Ordering::Release);
-}
-
-/// Parse and install the `FINBENCH_FAULTS` environment variable. Returns
-/// `Ok(true)` when a non-empty plan was installed, `Ok(false)` when the
-/// variable is unset or empty.
-pub fn install_from_env() -> Result<bool, String> {
-    match std::env::var("FINBENCH_FAULTS") {
-        Ok(spec) if !spec.trim().is_empty() => {
-            let plan = FaultPlan::parse(&spec)?;
-            let nonempty = !plan.is_empty();
-            install(plan);
-            Ok(nonempty)
-        }
-        _ => Ok(false),
+        };
+        Self((!plan.is_empty()).then(|| plan.specs.into_iter().map(arm).collect()))
     }
-}
 
-/// Remove the active plan; every site goes back to never firing.
-pub fn disarm() {
-    ARMED.store(false, Ordering::Release);
-    *active().lock().unwrap_or_else(|e| e.into_inner()) = None;
-}
-
-/// True when a non-empty plan is installed.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// Evaluate every installed spec against `site` and return the kinds
-/// that fire, in plan order. The disarmed fast path is one relaxed
-/// atomic load and an allocation-free empty `Vec`.
-pub fn fire(site: &str) -> Vec<FaultKind> {
-    if !ARMED.load(Ordering::Relaxed) {
-        return Vec::new();
+    /// The plan in the `FINBENCH_FAULTS` environment variable; unarmed
+    /// when the variable is unset or holds no entry.
+    pub fn from_env() -> Result<Self, String> {
+        match std::env::var("FINBENCH_FAULTS") {
+            Ok(spec) => FaultPlan::parse(&spec).map(Self::new),
+            Err(_) => Ok(Self::none()),
+        }
     }
-    let guard = active().lock().unwrap_or_else(|e| e.into_inner());
-    let Some(plan) = guard.as_ref() else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for a in &plan.specs {
-        if !a.spec.matches(site) {
-            continue;
-        }
-        // An exhausted spec neither fires nor consumes decisions.
-        if a.fired.load(Ordering::Relaxed) >= a.spec.max_fires {
-            continue;
-        }
-        let n = a.calls.fetch_add(1, Ordering::Relaxed);
-        let u = unit_f64(mix(a.spec.seed.wrapping_add(n.wrapping_mul(GAMMA))));
-        if u < a.spec.rate {
-            // Claim one unit of the firing budget; a CAS loop (rather
-            // than fetch_add) keeps `fired` exact under concurrent
-            // callers racing for the last unit.
-            let mut fired = a.fired.load(Ordering::Relaxed);
-            let claimed = loop {
-                if fired >= a.spec.max_fires {
-                    break false;
+
+    /// True when this handle carries a plan.
+    pub fn armed(&self) -> bool {
+        self.0.is_some()
+    }
+
+    fn specs(&self) -> &[ActiveSpec] {
+        self.0.as_deref().unwrap_or_default()
+    }
+
+    /// Evaluate every spec against `site` and return the kinds that
+    /// fire, in plan order (unarmed: an allocation-free empty `Vec`).
+    pub fn fire(&self, site: &str) -> Vec<FaultKind> {
+        let mut out = Vec::new();
+        for a in self.specs() {
+            if !a.spec.matches(site) {
+                continue;
+            }
+            // An exhausted spec neither fires nor consumes decisions.
+            if a.fired.load(Ordering::Relaxed) >= a.spec.max_fires {
+                continue;
+            }
+            let n = a.calls.fetch_add(1, Ordering::Relaxed);
+            let u = unit_f64(mix(a.spec.seed.wrapping_add(n.wrapping_mul(GAMMA))));
+            if u < a.spec.rate {
+                // Claim one unit of the firing budget; a CAS loop (rather
+                // than fetch_add) keeps `fired` exact under concurrent
+                // callers racing for the last unit.
+                let mut fired = a.fired.load(Ordering::Relaxed);
+                let claimed = loop {
+                    if fired >= a.spec.max_fires {
+                        break false;
+                    }
+                    match a.fired.compare_exchange_weak(
+                        fired,
+                        fired + 1,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => break true,
+                        Err(cur) => fired = cur,
+                    }
+                };
+                if claimed {
+                    out.push(a.spec.kind);
                 }
-                match a.fired.compare_exchange_weak(
-                    fired,
-                    fired + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break true,
-                    Err(cur) => fired = cur,
-                }
-            };
-            if claimed {
-                out.push(a.spec.kind);
             }
         }
+        out
     }
-    out
+
+    /// [`fire`](Self::fire), panicking on the spot when a
+    /// [`FaultKind::Panic`] fires, and returning the accumulated injected
+    /// latency (other kinds are ignored). The convenience shape for
+    /// compute sites: sleep-then-maybe-panic.
+    pub fn fire_compute(&self, site: &str) -> Duration {
+        let mut extra = Duration::ZERO;
+        let mut panic_after = false;
+        for kind in self.fire(site) {
+            match kind {
+                FaultKind::Latency(d) => extra += d,
+                FaultKind::Panic => panic_after = true,
+                _ => {}
+            }
+        }
+        if !extra.is_zero() {
+            std::thread::sleep(extra);
+        }
+        if panic_after {
+            panic!("{INJECTED_PANIC} at {site}");
+        }
+        extra
+    }
+
+    /// Per-spec firing tallies: `(spec, calls, fired)`, in plan order.
+    pub fn report(&self) -> Vec<(FaultSpec, u64, u64)> {
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        let tally = |a: &ActiveSpec| (a.spec.clone(), load(&a.calls), load(&a.fired));
+        self.specs().iter().map(tally).collect()
+    }
+
+    /// Total faults fired through this handle and its clones.
+    pub fn fired_total(&self) -> u64 {
+        let fired = |a: &ActiveSpec| a.fired.load(Ordering::Relaxed);
+        self.specs().iter().map(fired).sum()
+    }
 }
 
-/// [`fire`], panicking on the spot when a [`FaultKind::Panic`] fires, and
-/// returning the accumulated injected latency (other kinds are ignored).
-/// The convenience shape for compute sites: sleep-then-maybe-panic.
-pub fn fire_compute(site: &str) -> Duration {
-    let mut extra = Duration::ZERO;
-    let mut panic_after = false;
-    for kind in fire(site) {
-        match kind {
-            FaultKind::Latency(d) => extra += d,
-            FaultKind::Panic => panic_after = true,
-            _ => {}
+/// The plan in the `FINBENCH_FAULTS` grammar (empty when unarmed).
+impl std::fmt::Debug for Faults {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let specs = self.specs().iter().map(|a| a.spec.clone()).collect();
+        write!(f, "Faults({})", FaultPlan { specs })
+    }
+}
+
+/// Equal when one is a clone of the other, or neither is armed.
+impl PartialEq for Faults {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.0, &other.0) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
         }
     }
-    if !extra.is_zero() {
-        std::thread::sleep(extra);
-    }
-    if panic_after {
-        panic!("{INJECTED_PANIC} at {site}");
-    }
-    extra
-}
-
-/// Per-spec firing tallies of the active plan: `(spec, calls, fired)`.
-pub fn report() -> Vec<(FaultSpec, u64, u64)> {
-    let guard = active().lock().unwrap_or_else(|e| e.into_inner());
-    guard
-        .as_ref()
-        .map(|p| {
-            p.specs
-                .iter()
-                .map(|a| {
-                    (
-                        a.spec.clone(),
-                        a.calls.load(Ordering::Relaxed),
-                        a.fired.load(Ordering::Relaxed),
-                    )
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Total faults fired under the active plan.
-pub fn fired_total() -> u64 {
-    report().iter().map(|(_, _, f)| f).sum()
 }
 
 /// Install (once, process-wide) a panic hook that swallows panics whose
@@ -539,34 +529,9 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// RAII guard for tests: installs a plan on construction, disarms on
-/// drop (even when the test panics).
-pub struct PlanGuard(());
-
-impl PlanGuard {
-    /// Install `plan`, returning a guard that disarms on drop.
-    pub fn install(plan: FaultPlan) -> Self {
-        install(plan);
-        Self(())
-    }
-}
-
-impl Drop for PlanGuard {
-    fn drop(&mut self) {
-        disarm();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::MutexGuard;
-
-    /// The registry is process-global; tests touching it serialize here.
-    fn lock() -> MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn grammar_round_trips() {
@@ -594,7 +559,6 @@ mod tests {
 
     #[test]
     fn max_fires_caps_the_budget_and_round_trips() {
-        let _l = lock();
         let plan = FaultPlan::parse("a=panic@1*2#5, b=kill@0.5*1").unwrap();
         assert_eq!(plan.specs[0].max_fires, 2);
         assert_eq!(plan.specs[1].max_fires, 1);
@@ -605,10 +569,10 @@ mod tests {
         let unlimited = FaultSpec::always("a", FaultKind::Panic);
         assert!(!unlimited.to_string().contains('*'));
 
-        let _g = PlanGuard::install(plan);
-        let fired: usize = (0..50).map(|_| fire("a").len()).sum();
+        let faults = Faults::new(plan);
+        let fired: usize = (0..50).map(|_| faults.fire("a").len()).sum();
         assert_eq!(fired, 2, "budget of 2 must cap an always-firing spec");
-        let rep = report();
+        let rep = faults.report();
         assert_eq!(rep[0].2, 2);
         // Exhausted specs stop consuming decisions: calls froze when the
         // budget ran out (2 firing calls consumed 2 decisions).
@@ -667,26 +631,32 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_registry_never_fires() {
-        let _l = lock();
-        disarm();
-        assert!(!armed());
-        assert!(fire("batch.black_scholes").is_empty());
-        assert_eq!(fired_total(), 0);
+    fn unarmed_handles_never_fire() {
+        for faults in [
+            Faults::none(),
+            Faults::default(),
+            Faults::new(FaultPlan::new()),
+        ] {
+            assert!(!faults.armed());
+            assert!(faults.fire("batch.black_scholes").is_empty());
+            assert_eq!(faults.fire_compute("batch.black_scholes"), Duration::ZERO);
+            assert!(faults.report().is_empty());
+            assert_eq!(faults.fired_total(), 0);
+            assert_eq!(faults, Faults::none());
+        }
     }
 
     #[test]
     fn rate_one_always_fires_and_rate_zero_never() {
-        let _l = lock();
-        let _g = PlanGuard::install(
+        let faults = Faults::new(
             FaultPlan::new()
                 .with(FaultSpec::always("a", FaultKind::Panic))
                 .with(FaultSpec::at_rate("a", FaultKind::StallQueue, 0.0)),
         );
         for _ in 0..50 {
-            assert_eq!(fire("a"), vec![FaultKind::Panic]);
+            assert_eq!(faults.fire("a"), vec![FaultKind::Panic]);
         }
-        let rep = report();
+        let rep = faults.report();
         assert_eq!(rep[0].2, 50);
         assert_eq!(rep[1].1, 50, "rate-0 spec still evaluated");
         assert_eq!(rep[1].2, 0, "rate-0 spec never fired");
@@ -694,7 +664,6 @@ mod tests {
 
     #[test]
     fn firing_sequence_is_deterministic_per_seed() {
-        let _l = lock();
         let plan = FaultPlan::new().with(FaultSpec {
             site: "x".into(),
             kind: FaultKind::Panic,
@@ -703,8 +672,8 @@ mod tests {
             seed: 99,
         });
         let run = |plan: &FaultPlan| -> Vec<bool> {
-            let _g = PlanGuard::install(plan.clone());
-            (0..200).map(|_| !fire("x").is_empty()).collect()
+            let faults = Faults::new(plan.clone());
+            (0..200).map(|_| !faults.fire("x").is_empty()).collect()
         };
         let a = run(&plan);
         let b = run(&plan);
@@ -720,11 +689,10 @@ mod tests {
 
     #[test]
     fn fire_compute_panics_with_the_marker() {
-        let _l = lock();
-        let _g =
-            PlanGuard::install(FaultPlan::new().with(FaultSpec::always("boom", FaultKind::Panic)));
+        let faults =
+            Faults::new(FaultPlan::new().with(FaultSpec::always("boom", FaultKind::Panic)));
         silence_injected_panics();
-        let err = std::panic::catch_unwind(|| fire_compute("boom")).unwrap_err();
+        let err = std::panic::catch_unwind(|| faults.fire_compute("boom")).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(msg.starts_with(INJECTED_PANIC), "{msg}");
         assert!(msg.contains("boom"), "{msg}");
@@ -775,12 +743,57 @@ mod tests {
     }
 
     #[test]
-    fn install_from_env_is_a_no_op_without_the_variable() {
-        let _l = lock();
+    fn from_env_is_unarmed_without_the_variable() {
         // The test runner does not set FINBENCH_FAULTS; guard anyway.
         if std::env::var("FINBENCH_FAULTS").is_err() {
-            assert_eq!(install_from_env(), Ok(false));
-            assert!(!armed());
+            assert_eq!(Faults::from_env(), Ok(Faults::none()));
         }
+    }
+
+    #[test]
+    fn handles_fired_from_interleaving_threads_each_replay_their_own_seed() {
+        // The first 500 decisions of a fresh 30 % handle on `seed`, each
+        // taken after `step` returns.
+        let run = |seed: u64, step: &dyn Fn()| -> Vec<bool> {
+            let spec = FaultSpec::at_rate("x", FaultKind::Panic, 0.3).seeded(seed);
+            let faults = Faults::new(FaultPlan::new().with(spec));
+            let fire = |_| {
+                step();
+                !faults.fire("x").is_empty()
+            };
+            (0..500).map(fire).collect()
+        };
+        let alone = [run(1, &|| ()), run(2, &|| ())];
+        assert_ne!(alone[0], alone[1]);
+        // A barrier before every decision makes the two handles' calls
+        // alternate — what reset the first plan's stream when a second
+        // was installed over it.
+        let barrier = std::sync::Barrier::new(2);
+        let step = || {
+            barrier.wait();
+        };
+        let together = std::thread::scope(|s| {
+            let threads = [1, 2].map(|seed| s.spawn(move || run(seed, &step)));
+            threads.map(|t| t.join().expect("firing thread"))
+        });
+        assert_eq!(together, alone);
+    }
+
+    #[test]
+    fn a_clone_shares_the_budget_and_a_second_handle_gets_its_own() {
+        let plan = FaultPlan::parse("s=kill*1").unwrap();
+        let kills = |f: &Faults| (0..10).map(|_| f.fire("s").len()).sum::<usize>();
+        let first = Faults::new(plan.clone());
+        let clone = first.clone();
+        assert_eq!(first, clone);
+        assert_eq!(kills(&first), 1, "`*1` fires once per handle");
+        assert_eq!(kills(&clone), 0, "a clone draws on the same budget");
+        assert_eq!((first.fired_total(), clone.fired_total()), (1, 1));
+        let second = Faults::new(plan);
+        assert_ne!(first, second);
+        assert_eq!(second.fired_total(), 0);
+        assert_eq!(kills(&second), 1, "a second handle of the plan has its own");
+        assert_eq!(format!("{second:?}"), "Faults(s=kill@1*1#24301)");
+        assert_eq!(format!("{:?}", Faults::none()), "Faults()");
     }
 }

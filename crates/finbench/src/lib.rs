@@ -27,9 +27,9 @@
 //!   bounded admission queue, dynamic micro-batching onto planner-chosen
 //!   rungs, latency SLOs, synthetic load generation, and fault-tolerant
 //!   lane supervision (circuit breakers + graceful rung degradation).
-//! * [`faults`] — the deterministic fault-injection registry behind the
-//!   chaos experiments (`FINBENCH_FAULTS` plans: panics, latency, input
-//!   corruption, queue stalls).
+//! * [`faults`] — deterministic fault injection behind the chaos
+//!   experiments: an owned `Faults` handle per server (`FINBENCH_FAULTS`
+//!   plans: panics, latency, input corruption, queue stalls, shard kills).
 //! * [`harness`] — the experiment drivers behind the `finbench` CLI.
 //! * [`telemetry`] — zero-dependency spans, counters, and histograms
 //!   wired through the pool, RNG, and harness (`FINBENCH_LOG` filter).

@@ -563,13 +563,14 @@ pub fn serve_bench(opts: &RunOptions) {
                          capacity: usize,
                          seed: u64,
                          hedge: Option<HedgePolicy>| {
-            let server = Server::start(ServeConfig {
+            let config = ServeConfig {
                 queue_capacity: capacity,
                 max_delay: Duration::from_micros(500),
                 max_batch: 4096,
                 pricer,
                 ..ServeConfig::default()
-            });
+            };
+            let server = Server::start_with_faults(config, opts.faults.clone());
             let r = drive(&server, kernel.as_str(), mode, seed, None, hedge).report();
             let snap = server.shutdown();
             totals.add(&r);
@@ -695,14 +696,15 @@ pub fn serve_bench(opts: &RunOptions) {
         let mut scale_csv = String::from("shards,served,shed,throughput_rps,speedup\n");
         let mut base_rps = 0.0f64;
         for (i, &n) in shard_counts.iter().enumerate() {
-            let server = Server::start(ServeConfig {
+            let config = ServeConfig {
                 queue_capacity: 4096,
                 max_delay: Duration::from_micros(200),
                 max_batch: 512,
                 shards: n,
                 pricer,
                 ..ServeConfig::default()
-            });
+            };
+            let server = Server::start_with_faults(config, opts.faults.clone());
             let r = run_load(
                 &server,
                 "black_scholes",
@@ -787,7 +789,7 @@ pub fn serve_bench(opts: &RunOptions) {
 /// mid-run — the `shard-kill availability:` line must stay above the CI
 /// floor while the surviving shard keeps serving.
 pub fn chaos_bench(opts: &RunOptions) {
-    use finbench_faults::{self as faults, FaultPlan, PlanGuard};
+    use finbench_faults::{self as faults, FaultPlan, Faults};
     use finbench_serve::{
         drive, pricer, BreakerPolicy, Exchange, HedgePolicy, LoadMode, PriceRequest, PricerConfig,
         ServeConfig, Server, ServingRung, SupervisorPolicy,
@@ -882,13 +884,12 @@ pub fn chaos_bench(opts: &RunOptions) {
     );
     for (label, plan_str) in plans {
         let plan = FaultPlan::parse(plan_str).expect("matrix plans parse");
-        let _guard = PlanGuard::install(plan);
         // Two worker shards: every plan exercises the sharded router, and
         // the shard-kill plan has a survivor to fail over to. The matrix
         // pins down *terminal* shard loss (the shard-kill plan's
         // `survivors: 1/2` line); the rolling-kill panel below is where
         // supervised respawn is measured.
-        let server = Server::start(config(2, false));
+        let server = Server::start_with_faults(config(2, false), Faults::new(plan));
         let driven = drive(&server, kernel, load, 0xC4A05, None, None);
         let snap = server.shutdown();
 
@@ -964,8 +965,8 @@ pub fn chaos_bench(opts: &RunOptions) {
     let rolling_shards = 3usize;
     {
         let plan = FaultPlan::parse(rolling_plan).expect("rolling-kill plan parses");
-        let guard = PlanGuard::install(plan);
-        let server = Server::start(config(rolling_shards, true));
+        let kills = Faults::new(plan);
+        let server = Server::start_with_faults(config(rolling_shards, true), kills.clone());
         let hedge = HedgePolicy {
             delay: Duration::from_millis(2),
         };
@@ -988,8 +989,9 @@ pub fn chaos_bench(opts: &RunOptions) {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        drop(guard);
-        // Phase 2, faults disarmed: the respawned fleet at full strength.
+        // Phase 2 is fault-free because every `*1` budget is spent: the
+        // respawned fleet at full strength.
+        assert_eq!(kills.fired_total(), rolling_shards as u64);
         let phase2 = drive(&server, kernel, load, 0xA077, None, None);
         let avail2 = phase2.report().availability();
         total_corrupted += corrupted1 + count_corrupted(&phase2.exchanges);
@@ -1213,7 +1215,7 @@ pub fn greeks_bench(opts: &RunOptions) {
         .into_iter()
         .map(|r| (r.slug.clone(), r))
         .collect();
-    let server = Server::start(cfg);
+    let server = Server::start_with_faults(cfg, opts.faults.clone());
     let load = LoadMode::Closed {
         clients,
         requests_per_client: per_client,
@@ -1404,13 +1406,14 @@ pub fn portfolio_bench(opts: &RunOptions) {
     let scenarios = if opts.quick { 96 } else { 384 };
     let replay_positions = if opts.quick { 24 } else { 64 };
     let chunk = 16;
-    let server = Server::start(ServeConfig {
+    let config = ServeConfig {
         queue_capacity: 1024,
         max_delay: Duration::from_micros(200),
         max_batch: 64,
         shards: 2,
         ..ServeConfig::default()
-    });
+    };
+    let server = Server::start_with_faults(config, opts.faults.clone());
     let req = PortfolioRequest::new(1, SEED, replay_positions, scenarios).with_chunk(chunk);
     let resp = server.submit(req).recv().expect("portfolio response");
     let snapshot = server.shutdown();

@@ -24,7 +24,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let parsed = match action {
+    let mut parsed = match action {
         CliAction::Help => {
             println!("{}", finbench_harness::cli::usage_line());
             return;
@@ -67,16 +67,18 @@ fn main() {
         telemetry::set_filter("all");
     }
 
-    // Arm the fault-injection registry when a FINBENCH_FAULTS plan is set
-    // (e.g. `FINBENCH_FAULTS=batch.black_scholes=panic@0.1`); default off.
-    match finbench_faults::install_from_env() {
-        Ok(true) => {
-            // Injected panics are expected and caught by the serving
-            // lanes; keep their backtraces off the console.
-            finbench_faults::silence_injected_panics();
-            eprintln!("fault plan armed from FINBENCH_FAULTS");
+    // The experiments' servers fire the FINBENCH_FAULTS plan, if any
+    // (e.g. `FINBENCH_FAULTS=batch.black_scholes=panic@0.1`).
+    match finbench_faults::Faults::from_env() {
+        Ok(faults) => {
+            if faults.armed() {
+                // Injected panics are expected and caught by the serving
+                // lanes; keep their backtraces off the console.
+                finbench_faults::silence_injected_panics();
+                eprintln!("fault plan armed from FINBENCH_FAULTS");
+            }
+            parsed.opts.faults = faults;
         }
-        Ok(false) => {}
         Err(msg) => {
             eprintln!("error: FINBENCH_FAULTS: {msg}");
             std::process::exit(2);

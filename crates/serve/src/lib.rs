@@ -59,10 +59,12 @@
 //! exponential backoff. Admission validates every request
 //! ([`Rejected::InvalidInput`]) so NaN/Inf/negative parameters never
 //! reach a SIMD lane, and the queue/stats mutexes recover from poison
-//! instead of cascading one panic across threads. The
-//! [`finbench_faults`] registry injects panics, latency, corruption, and
-//! queue stalls at compiled-in hook sites for chaos testing
-//! (`FINBENCH_FAULTS`).
+//! instead of cascading one panic across threads. A
+//! [`finbench_faults::Faults`] handle given to
+//! [`Server::start_with_faults`] injects panics, latency, corruption,
+//! queue stalls and shard kills at that server's compiled-in hook sites
+//! for chaos testing — a plan is owned by the server that asked for it,
+//! so two servers in one process never see each other's faults.
 //!
 //! The plane also survives losing whole workers: a supervisor thread
 //! ([`SupervisorPolicy`]) respawns killed shard seats in place with
@@ -108,24 +110,3 @@ pub use server::{
 pub use workload::{
     GreeksWorkload, LaneCounters, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
 };
-
-/// The fault registry is process-global, so one test's plan would fire
-/// inside every other test's server. Tests that install a plan hold this
-/// lock exclusively; tests that start a server without one hold it shared
-/// — they run alongside each other, never alongside an armed plan.
-#[cfg(test)]
-pub(crate) mod test_support {
-    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    static FAULTS: RwLock<()> = RwLock::new(());
-
-    /// Exclusive: for tests that arm the fault registry.
-    pub(crate) fn faults_lock() -> RwLockWriteGuard<'static, ()> {
-        FAULTS.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Shared: for fault-free tests that start a server.
-    pub(crate) fn faults_quiet() -> RwLockReadGuard<'static, ()> {
-        FAULTS.read().unwrap_or_else(|e| e.into_inner())
-    }
-}

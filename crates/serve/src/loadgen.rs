@@ -858,7 +858,6 @@ mod tests {
 
     #[test]
     fn closed_loop_serves_every_request_with_ample_capacity() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         let report = run_load(
             &server,
@@ -880,7 +879,6 @@ mod tests {
 
     #[test]
     fn load_reports_carry_per_shard_activity_deltas_not_totals() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             queue_capacity: 1024,
             max_delay: Duration::from_micros(200),
@@ -953,7 +951,6 @@ mod tests {
 
     #[test]
     fn hedged_closed_loop_dedups_to_one_response_per_request() {
-        let _quiet = crate::test_support::faults_quiet();
         // A tree deep enough, and a book big enough, that one request
         // takes milliseconds: the work itself outlasts the hedge delay,
         // so every request hedges.
@@ -973,7 +970,6 @@ mod tests {
 
     #[test]
     fn unhedged_and_open_loop_runs_report_zero_hedges() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         let closed = run_load(
             &server,
@@ -1076,7 +1072,6 @@ mod tests {
 
     #[test]
     fn peak_search_stops_on_first_shedding_step() {
-        let _quiet = crate::test_support::faults_quiet();
         // A 1-slot queue sheds as soon as two arrivals land inside one
         // batch execution, so the search ends there or at `max_steps`.
         let cfg = PeakSearchConfig {
@@ -1106,7 +1101,6 @@ mod tests {
 
     #[test]
     fn peak_search_with_ample_capacity_sustains_every_step() {
-        let _quiet = crate::test_support::faults_quiet();
         let cfg = PeakSearchConfig {
             start_hz: 100.0,
             growth: 1.5,
@@ -1143,7 +1137,6 @@ mod tests {
 
     #[test]
     fn open_loop_accounts_for_every_arrival() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(1024);
         open_loop_accounts(&server, "binomial");
         open_loop_accounts(&server, &GreeksSource);
@@ -1199,7 +1192,6 @@ mod tests {
 
     #[test]
     fn hedged_submission_rejects_ids_carrying_the_reserved_bit() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         let mut stream = OptionStream::new(5);
         let (id, kernel) = (HEDGE_BIT | 3, "black_scholes");
@@ -1292,7 +1284,6 @@ mod tests {
 
     #[test]
     fn rejection_reasons_are_reported_separately() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         // "nope" fails registry resolution; "rng" is registered but has
         // no batch-safe serving rung.
@@ -1346,7 +1337,6 @@ mod tests {
     fn every_plane_derives_client_streams_with_mix_seed() {
         // The greeks and portfolio drives used to seed client `c` with
         // `seed + c`, the collision `mix_seed` exists to avoid.
-        let _quiet = crate::test_support::faults_quiet();
         let server = quick_server(64);
         client_streams_are_mixed(&server, "black_scholes");
         client_streams_are_mixed(&server, &GreeksSource);

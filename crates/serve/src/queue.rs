@@ -44,6 +44,12 @@ struct State<T> {
 }
 
 /// A bounded MPMC queue with reject-on-full semantics.
+///
+/// Aligned to a cache-line pair: every push and pop writes the lock and
+/// deque header, and what the allocator put beside them (the seat-index
+/// vectors router and workers read per request) would ride that line from
+/// core to core — measured at 20 % of a saturated closed loop.
+#[repr(align(128))]
 pub struct AdmissionQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,

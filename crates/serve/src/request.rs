@@ -15,7 +15,7 @@
 use crate::server::{Admitted, Work};
 use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
 use finbench_core::greeks::Greeks;
-use finbench_faults::{self as faults, Corruption, FaultKind};
+use finbench_faults::{Corruption, FaultKind, Faults};
 use std::borrow::Cow;
 use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
@@ -41,10 +41,11 @@ pub trait ServeRequest: Sized + Send + 'static {
     /// Admission-side domain validation: the typed rejection for the
     /// first violation. Invalid requests never reach a batch.
     fn validate(&self) -> Result<(), Rejected>;
-    /// Fire this plane's `admit.*` fault site and apply what fires.
-    /// Called only under an armed plan, *before* validation, so chaos
-    /// runs exercise the admission filter and never the kernels.
-    fn corrupt(&mut self) {}
+    /// Fire this plane's `admit.*` fault site on the server's `faults`
+    /// and apply what fires. Called only under an armed plan, *before*
+    /// validation, so chaos runs exercise the admission filter and never
+    /// the kernels.
+    fn corrupt(&mut self, _faults: &Faults) {}
     /// Turn the validated request into queued work: one envelope, or a
     /// fan-out of chunks. The [`Admitted`] handle exists only inside
     /// `submit_with`, after validation — there is no other way in.
@@ -74,8 +75,8 @@ fn validate_params(s: f64, x: f64, t: f64) -> Result<(), Rejected> {
 
 /// Fire the `site` fault hook and apply any input corruption to the
 /// contract (NaN spot, infinite strike, negative expiry).
-fn corrupt_contract(site: &str, s: &mut f64, x: &mut f64, t: &mut f64) {
-    for kind in faults::fire(site) {
+fn corrupt_contract(faults: &Faults, site: &str, s: &mut f64, x: &mut f64, t: &mut f64) {
+    for kind in faults.fire(site) {
         if let FaultKind::CorruptInput(c) = kind {
             match c {
                 Corruption::NaN => *s = c.apply(*s),
@@ -142,9 +143,9 @@ impl ServeRequest for PriceRequest {
     fn validate(&self) -> Result<(), Rejected> {
         validate_params(self.s, self.x, self.t)
     }
-    fn corrupt(&mut self) {
+    fn corrupt(&mut self, faults: &Faults) {
         let site = format!("admit.{}", self.kernel);
-        corrupt_contract(&site, &mut self.s, &mut self.x, &mut self.t);
+        corrupt_contract(faults, &site, &mut self.s, &mut self.x, &mut self.t);
     }
     fn admit(self, door: Admitted<'_>, tx: &Sender<PriceResponse>) {
         door.one(self.id, Work::Price(Envelope::new(self, tx)), tx);
@@ -197,8 +198,9 @@ impl ServeRequest for GreeksRequest {
     fn validate(&self) -> Result<(), Rejected> {
         validate_params(self.s, self.x, self.t)
     }
-    fn corrupt(&mut self) {
-        corrupt_contract("admit.greeks", &mut self.s, &mut self.x, &mut self.t);
+    fn corrupt(&mut self, faults: &Faults) {
+        let (s, x, t) = (&mut self.s, &mut self.x, &mut self.t);
+        corrupt_contract(faults, "admit.greeks", s, x, t);
     }
     fn admit(self, door: Admitted<'_>, tx: &Sender<GreeksResponse>) {
         door.one(self.id, Work::Greeks(Envelope::new(self, tx)), tx);

@@ -98,8 +98,9 @@
 //! capped exponential backoff, and recovery probes half-open before
 //! closing. Sustained success promotes the lane back up one level at a
 //! time. Fault-injection hooks ([`finbench_faults`]) are compiled into
-//! the admit, queue, and batch paths, armed only when a `FINBENCH_FAULTS`
-//! plan is installed.
+//! the admit, queue, and batch paths and fire the [`Faults`] handle the
+//! server was started with ([`Server::start_with_faults`]; [`Server::start`]
+//! carries none) — invisible to every other server in the process.
 //!
 //! Telemetry: `serve.queue_depth` gauge, `serve.batch.<kernel>` spans
 //! with occupancy + degradation level (allocation-free once the span
@@ -126,7 +127,7 @@ use crate::workload::{
 use finbench_core::engine::registry;
 use finbench_core::portfolio::var_es;
 use finbench_engine::Engine;
-use finbench_faults::{self as faults, FaultKind};
+use finbench_faults::{FaultKind, Faults};
 use finbench_telemetry::{self as telemetry, Histogram};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -565,24 +566,33 @@ impl ServeSnapshot {
 /// Dropping it shuts every shard down (pending work is still flushed
 /// and answered).
 pub struct Server {
-    /// Per-seat admission queues (the message seam), seat-index order.
-    queues: Vec<Arc<AdmissionQueue<Work>>>,
-    /// Per-seat shared tallies + liveness, seat-index order.
-    seats: Vec<Arc<ShardSeat>>,
+    plane: Arc<Plane>,
     /// Per-seat worker handles. Behind an `Arc<Mutex>` because the
     /// supervisor swaps handles in and out when it respawns a seat.
     workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
     /// The supervising monitor thread (`None` when respawn is off).
     monitor: Option<JoinHandle<()>>,
-    stats: Arc<Mutex<StatsInner>>,
     /// Round-robin admission cursor.
     rr: AtomicUsize,
-    /// Per-shard queue capacity, echoed in `Rejected::QueueFull`.
-    capacity: usize,
+}
+
+/// What one server's router, workers and supervisor share, behind one
+/// `Arc` — and nothing outside that server sees, the fault plan included.
+struct Plane {
+    /// Per-seat admission queues (the message seam), seat-index order.
+    /// Each queue and seat keeps its own allocation: shards share no
+    /// cache line through this struct.
+    queues: Vec<Arc<AdmissionQueue<Work>>>,
+    /// Per-seat shared tallies + liveness, seat-index order.
+    seats: Vec<Arc<ShardSeat>>,
+    stats: Mutex<StatsInner>,
     /// True once shutdown started (distinguishes `ShuttingDown` from a
     /// dead-shard rejection; also stops the supervisor from respawning
-    /// into a closing server). Shared with the monitor thread.
-    closing: Arc<AtomicBool>,
+    /// into a closing server).
+    closing: AtomicBool,
+    config: ServeConfig,
+    /// The plan this server was started with ([`Server::start`]: none).
+    faults: Faults,
 }
 
 fn lock_workers(
@@ -607,29 +617,33 @@ fn kernel_stats<'a>(st: &'a mut StatsInner, key: &str) -> &'a mut KernelStats {
 }
 
 impl Server {
-    /// Start a server over the workspace's kernel registry, planning
-    /// rungs for the build host: `config.shards` worker shards behind
-    /// one router.
+    /// Start a fault-free server over the workspace's kernel registry,
+    /// planning rungs for the build host: `config.shards` worker shards
+    /// behind one router.
     pub fn start(config: ServeConfig) -> Self {
+        Self::start_with_faults(config, Faults::none())
+    }
+
+    /// [`start`](Self::start) a server whose admit, queue, batch and
+    /// shard-kill sites fire `faults`, in this server only.
+    pub fn start_with_faults(config: ServeConfig, faults: Faults) -> Self {
         let n = config.shards.max(1);
-        let stats = Arc::new(Mutex::new(StatsInner::default()));
-        let queues: Vec<Arc<AdmissionQueue<Work>>> = (0..n)
-            .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
-            .collect();
-        let seats: Vec<Arc<ShardSeat>> = (0..n).map(|_| Arc::new(ShardSeat::default())).collect();
-        let workers: Vec<Option<JoinHandle<()>>> = (0..n)
-            .map(|i| Some(spawn_worker(i, &queues, &seats, &stats, config)))
-            .collect();
+        let plane = Arc::new(Plane {
+            queues: (0..n)
+                .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
+                .collect(),
+            seats: (0..n).map(|_| Arc::new(ShardSeat::default())).collect(),
+            stats: Mutex::default(),
+            closing: AtomicBool::new(false),
+            config,
+            faults,
+        });
+        let workers = (0..n).map(|i| Some(spawn_worker(i, &plane))).collect();
         let workers = Arc::new(Mutex::new(workers));
-        let closing = Arc::new(AtomicBool::new(false));
         let monitor = config.supervisor.respawn.then(|| {
             let ctx = SupervisorCtx {
-                queues: queues.clone(),
-                seats: seats.clone(),
-                stats: Arc::clone(&stats),
+                plane: Arc::clone(&plane),
                 workers: Arc::clone(&workers),
-                closing: Arc::clone(&closing),
-                config,
             };
             std::thread::Builder::new()
                 .name("finbench-serve-supervisor".into())
@@ -637,14 +651,10 @@ impl Server {
                 .expect("spawn shard supervisor")
         });
         Self {
-            queues,
-            seats,
+            plane,
             workers,
             monitor,
-            stats,
             rr: AtomicUsize::new(0),
-            capacity: config.queue_capacity.max(1),
-            closing,
         }
     }
 
@@ -655,16 +665,15 @@ impl Server {
     // the rejection without a clone; the size is fine off the hot path.
     #[allow(clippy::result_large_err)]
     fn route(&self, work: Work) -> Result<(), (Work, Rejected)> {
-        let n = self.queues.len();
+        let plane = &*self.plane;
+        let (queues, seats, closing) = (&plane.queues, &plane.seats, &plane.closing);
+        let n = queues.len();
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let mut work = work;
         // Pass 1: the round-robin pick — the first alive shard at or
         // after the cursor.
-        let Some(primary) = (0..n)
-            .map(|k| (start + k) % n)
-            .find(|&i| self.seats[i].alive())
-        else {
-            let reason = if self.closing.load(Ordering::Acquire) {
+        let Some(primary) = (0..n).map(|k| (start + k) % n).find(|&i| seats[i].alive()) else {
+            let reason = if closing.load(Ordering::Acquire) {
                 Rejected::ShuttingDown
             } else {
                 // `Cow::Borrowed`: rejecting under total shard loss must
@@ -675,41 +684,39 @@ impl Server {
             };
             return Err((work, reason));
         };
-        match self.queues[primary].try_push(work) {
+        match queues[primary].try_push(work) {
             Ok(()) => {
-                self.seats[primary]
-                    .submitted
-                    .fetch_add(1, Ordering::Relaxed);
+                seats[primary].submitted.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
             Err(back) => work = back,
         }
         // Pass 2 (cross-shard backpressure): spill to alive shards in
         // ascending queue-depth order before rejecting QueueFull.
-        let mut full = !self.queues[primary].is_closed();
+        let mut full = !queues[primary].is_closed();
         let mut by_depth: Vec<usize> = (0..n)
-            .filter(|&i| i != primary && self.seats[i].alive())
+            .filter(|&i| i != primary && seats[i].alive())
             .collect();
-        by_depth.sort_by_key(|&i| self.queues[i].len());
+        by_depth.sort_by_key(|&i| queues[i].len());
         for i in by_depth {
-            match self.queues[i].try_push(work) {
+            match queues[i].try_push(work) {
                 Ok(()) => {
-                    self.seats[i].submitted.fetch_add(1, Ordering::Relaxed);
+                    seats[i].submitted.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter_add("serve.spills", 1);
                     return Ok(());
                 }
                 Err(back) => {
                     work = back;
-                    full = full || !self.queues[i].is_closed();
+                    full = full || !queues[i].is_closed();
                 }
             }
         }
-        let reason = if self.closing.load(Ordering::Acquire) {
+        let reason = if closing.load(Ordering::Acquire) {
             Rejected::ShuttingDown
         } else if full {
             // At least one alive shard rejected on capacity, not closure.
             Rejected::QueueFull {
-                capacity: self.capacity,
+                capacity: plane.config.queue_capacity.max(1),
             }
         } else {
             Rejected::Internal {
@@ -737,11 +744,11 @@ impl Server {
     /// requests queue as one envelope, a portfolio request fans out.
     pub fn submit_with<R: ServeRequest>(&self, mut req: R, tx: &Sender<Response<R::Out>>) {
         let id = req.id();
-        if faults::armed() {
-            req.corrupt();
+        if self.plane.faults.armed() {
+            req.corrupt(&self.plane.faults);
         }
         if let Err(reason) = req.validate() {
-            lock_stats(&self.stats).invalid_input += 1;
+            lock_stats(&self.plane.stats).invalid_input += 1;
             telemetry::counter_add(R::Plane::COUNTERS.invalid_input, 1);
             let _ = tx.send(Response {
                 id,
@@ -774,7 +781,7 @@ impl Server {
         // it: whoever answers the rejection holds the caller's sender.
         self.route(work).map_err(|(work, reason)| {
             if matches!(reason, Rejected::QueueFull { .. }) {
-                lock_stats(&self.stats).shed_queue_full += 1;
+                lock_stats(&self.plane.stats).shed_queue_full += 1;
                 telemetry::counter_add(work.counters().shed_queue_full, 1);
             }
             reason
@@ -783,46 +790,37 @@ impl Server {
 
     /// Current admission-queue depth, summed over all shards.
     pub fn queue_depth(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
+        self.plane.queues.iter().map(|q| q.len()).sum()
     }
 
     /// Number of worker shards (alive or not).
     pub fn shard_count(&self) -> usize {
-        self.queues.len()
+        self.plane.queues.len()
     }
 
     /// Point-in-time statistics, merged across shards.
     pub fn snapshot(&self) -> ServeSnapshot {
-        let snap = snapshot(&lock_stats(&self.stats));
-        ServeSnapshot {
-            shards: self.shard_snapshots(),
-            ..snap
-        }
-    }
-
-    fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
-        self.seats
-            .iter()
-            .enumerate()
-            .map(|(i, seat)| ShardSnapshot {
-                index: i,
-                alive: seat.alive(),
-                submitted: seat.submitted.load(Ordering::Relaxed),
-                served: seat.served.load(Ordering::Relaxed),
-                stolen: seat.stolen.load(Ordering::Relaxed),
-                respawns: seat.respawns.load(Ordering::Relaxed),
-                redriven: seat.redriven.load(Ordering::Relaxed),
-                mttr: Duration::from_nanos(seat.mttr_nanos.load(Ordering::Relaxed)),
-                queue_depth: self.queues[i].len(),
-            })
-            .collect()
+        let seats = self.plane.seats.iter().enumerate();
+        let shards = seats.map(|(i, seat)| ShardSnapshot {
+            index: i,
+            alive: seat.alive(),
+            submitted: seat.submitted.load(Ordering::Relaxed),
+            served: seat.served.load(Ordering::Relaxed),
+            stolen: seat.stolen.load(Ordering::Relaxed),
+            respawns: seat.respawns.load(Ordering::Relaxed),
+            redriven: seat.redriven.load(Ordering::Relaxed),
+            mttr: Duration::from_nanos(seat.mttr_nanos.load(Ordering::Relaxed)),
+            queue_depth: self.plane.queues[i].len(),
+        });
+        let shards = shards.collect();
+        snapshot(&lock_stats(&self.plane.stats), shards)
     }
 
     /// Stop the plane: monitor first, then queues, then workers.
     /// Idempotent (`shutdown` runs it, then `Drop` runs it again on the
     /// same instance).
     fn stop(&mut self) {
-        self.closing.store(true, Ordering::Release);
+        self.plane.closing.store(true, Ordering::Release);
         // Join the supervisor BEFORE closing queues: a respawn racing
         // shutdown could otherwise reopen a queue after we closed it,
         // leaving a fresh worker blocked on a queue nobody will close
@@ -831,7 +829,7 @@ impl Server {
         if let Some(m) = self.monitor.take() {
             let _ = m.join();
         }
-        for q in &self.queues {
+        for q in &self.plane.queues {
             q.close();
         }
         let mut workers = lock_workers(&self.workers);
@@ -846,11 +844,7 @@ impl Server {
     /// return the final statistics.
     pub fn shutdown(mut self) -> ServeSnapshot {
         self.stop();
-        let snap = snapshot(&lock_stats(&self.stats));
-        ServeSnapshot {
-            shards: self.shard_snapshots(),
-            ..snap
-        }
+        self.snapshot()
     }
 }
 
@@ -893,7 +887,7 @@ impl Admitted<'_> {
         let chunk = if req.chunk > 0 {
             req.chunk
         } else {
-            req.scenarios.div_ceil(self.0.queues.len() * 4).max(16)
+            req.scenarios.div_ceil(self.0.shard_count() * 4).max(16)
         }
         .min(req.scenarios)
         .max(1);
@@ -1022,19 +1016,10 @@ fn merge_portfolio(
 }
 
 /// Spawn one worker thread into seat `i`.
-fn spawn_worker(
-    i: usize,
-    queues: &[Arc<AdmissionQueue<Work>>],
-    seats: &[Arc<ShardSeat>],
-    stats: &Arc<Mutex<StatsInner>>,
-    config: ServeConfig,
-) -> JoinHandle<()> {
+fn spawn_worker(i: usize, plane: &Arc<Plane>) -> JoinHandle<()> {
     let ctx = ShardCtx {
         index: i,
-        queues: queues.to_vec(),
-        seats: seats.to_vec(),
-        stats: Arc::clone(stats),
-        config,
+        plane: Arc::clone(plane),
     };
     std::thread::Builder::new()
         .name(format!("finbench-serve-{i}"))
@@ -1042,7 +1027,7 @@ fn spawn_worker(
         .expect("spawn shard worker")
 }
 
-fn snapshot(st: &StatsInner) -> ServeSnapshot {
+fn snapshot(st: &StatsInner, shards: Vec<ShardSnapshot>) -> ServeSnapshot {
     ServeSnapshot {
         kernels: st
             .kernels
@@ -1066,7 +1051,7 @@ fn snapshot(st: &StatsInner) -> ServeSnapshot {
                 max_occupancy: k.occupancy.max(),
             })
             .collect(),
-        shards: Vec::new(),
+        shards,
         shed_queue_full: st.shed_queue_full,
         shed_deadline: st.shed_deadline,
         shed_deadline_redrive: st.shed_deadline_redrive,
@@ -1079,12 +1064,8 @@ fn snapshot(st: &StatsInner) -> ServeSnapshot {
 /// Everything the supervising monitor thread needs to detect dead seats
 /// and respawn workers into them.
 struct SupervisorCtx {
-    queues: Vec<Arc<AdmissionQueue<Work>>>,
-    seats: Vec<Arc<ShardSeat>>,
-    stats: Arc<Mutex<StatsInner>>,
+    plane: Arc<Plane>,
     workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    closing: Arc<AtomicBool>,
-    config: ServeConfig,
 }
 
 /// Per-seat supervisor state: one [`Breaker`] carrying the respawn
@@ -1110,14 +1091,15 @@ struct SeatSupervision {
 /// * dead, cooldown elapsed → respawn (the Open→HalfOpen edge), seat
 ///   back on probation.
 fn supervisor_loop(ctx: SupervisorCtx) {
-    let policy = ctx.config.supervisor;
+    let plane = &*ctx.plane;
+    let policy = plane.config.supervisor;
     let breaker_policy = BreakerPolicy {
         open_after: 1,
         cooldown: policy.cooldown,
         max_cooldown: policy.max_cooldown,
         promote_after: 1,
     };
-    let mut sups: Vec<SeatSupervision> = ctx
+    let mut sups: Vec<SeatSupervision> = plane
         .seats
         .iter()
         .map(|_| SeatSupervision {
@@ -1127,12 +1109,12 @@ fn supervisor_loop(ctx: SupervisorCtx) {
         })
         .collect();
     loop {
-        if ctx.closing.load(Ordering::Acquire) {
+        if plane.closing.load(Ordering::Acquire) {
             return;
         }
         let now = Instant::now();
         for (i, sup) in sups.iter_mut().enumerate() {
-            if ctx.seats[i].alive() {
+            if plane.seats[i].alive() {
                 sup.was_alive = true;
                 if let Some(since) = sup.respawned_at {
                     if now.duration_since(since) >= policy.heal_after {
@@ -1171,16 +1153,16 @@ fn respawn(ctx: &SupervisorCtx, i: usize) {
     if let Some(h) = old {
         let _ = h.join();
     }
-    if ctx.closing.load(Ordering::Acquire) {
+    if ctx.plane.closing.load(Ordering::Acquire) {
         // Shutdown raced in while we joined; leave the seat dead — the
         // loop observes `closing` next iteration and exits.
         return;
     }
-    let seat = &ctx.seats[i];
+    let seat = &ctx.plane.seats[i];
     // The kill path closed and drained the queue; reopen it before the
     // fresh worker starts so nothing it pops was meant for the corpse.
-    ctx.queues[i].reopen();
-    let worker = spawn_worker(i, &ctx.queues, &ctx.seats, &ctx.stats, ctx.config);
+    ctx.plane.queues[i].reopen();
+    let worker = spawn_worker(i, &ctx.plane);
     lock_workers(&ctx.workers)[i] = Some(worker);
     // MTTR: kill instant → the seat marked alive below.
     if let Some(killed_at) = seat.lock_killed_at().take() {
@@ -1196,15 +1178,12 @@ fn respawn(ctx: &SupervisorCtx, i: usize) {
     seat.dead.store(false, Ordering::Release);
 }
 
-/// Everything one worker shard needs: its index, the full queue list
-/// (its own plus siblings, for stealing), the shared per-shard seats,
-/// the merged stats, and the config. Moved into the worker thread.
+/// Everything one worker shard needs: its index and the plane (its own
+/// queue and seat plus the siblings', for stealing and redrive). Moved
+/// into the worker thread.
 struct ShardCtx {
     index: usize,
-    queues: Vec<Arc<AdmissionQueue<Work>>>,
-    seats: Vec<Arc<ShardSeat>>,
-    stats: Arc<Mutex<StatsInner>>,
-    config: ServeConfig,
+    plane: Arc<Plane>,
 }
 
 /// Most work items an idle shard steals from one sibling in one pass —
@@ -1216,11 +1195,10 @@ const STEAL_MAX: usize = 64;
 const STEAL_POLL_FLOOR: Duration = Duration::from_micros(50);
 
 /// What lane code needs from its worker: the engine lanes resolve their
-/// ladders on, the merged stats, the config, and the worker's seat.
+/// ladders on, the plane (stats, config, faults), and the worker's seat.
 struct LaneCtx<'a> {
     engine: &'a Engine,
-    stats: &'a Mutex<StatsInner>,
-    config: &'a ServeConfig,
+    plane: &'a Plane,
     seat: &'a ShardSeat,
 }
 
@@ -1307,24 +1285,23 @@ impl Lanes {
 
 fn shard_loop(ctx: ShardCtx) {
     let engine = Engine::new(registry());
-    let queue = Arc::clone(&ctx.queues[ctx.index]);
-    let seat = Arc::clone(&ctx.seats[ctx.index]);
-    let config = &ctx.config;
+    let plane = &*ctx.plane;
+    let (queues, config, faults) = (&plane.queues, &plane.config, &plane.faults);
+    let (queue, seat) = (&*queues[ctx.index], &*plane.seats[ctx.index]);
     let cx = LaneCtx {
         engine: &engine,
-        stats: &ctx.stats,
-        config,
-        seat: &seat,
+        plane,
+        seat,
     };
     let mut lanes = Lanes::default();
-    let sharded = ctx.queues.len() > 1;
+    let sharded = queues.len() > 1;
     let depth_gauge = format!("serve.shard.{}.queue_depth", ctx.index);
     let kill_site = format!("serve.shard.{}", ctx.index);
     loop {
         // Fault injection: a stalled (or slowed) worker — its queue backs
         // up and spill/steal/shedding take over.
-        if faults::armed() {
-            for kind in faults::fire("queue") {
+        if faults.armed() {
+            for kind in faults.fire("queue") {
                 match kind {
                     FaultKind::StallQueue => {
                         std::thread::sleep(config.max_delay.max(Duration::from_micros(200)));
@@ -1338,7 +1315,8 @@ fn shard_loop(ctx: ShardCtx) {
             // rejections when it can't be); the supervisor respawns the
             // seat when respawn is on. Availability degrades;
             // correctness and the rest of the fleet do not.
-            if faults::fire(&kill_site)
+            if faults
+                .fire(&kill_site)
                 .iter()
                 .any(|k| matches!(k, FaultKind::Kill))
             {
@@ -1361,7 +1339,7 @@ fn shard_loop(ctx: ShardCtx) {
         match popped {
             Some(work) => {
                 telemetry::gauge_set(&depth_gauge, queue.len() as f64);
-                let total: usize = ctx.queues.iter().map(|q| q.len()).sum();
+                let total: usize = queues.iter().map(|q| q.len()).sum();
                 telemetry::gauge_set("serve.queue_depth", total as f64);
                 lanes.admit(work, &cx);
             }
@@ -1371,7 +1349,7 @@ fn shard_loop(ctx: ShardCtx) {
                 // sibling queue (newest items, so the victim keeps its
                 // oldest, deadline-critical work).
                 if sharded && !lanes.pending() && queue.is_empty() {
-                    for work in steal_from_siblings(&ctx, &seat) {
+                    for work in steal_from_siblings(&ctx, seat) {
                         lanes.admit(work, &cx);
                     }
                 }
@@ -1389,19 +1367,20 @@ fn shard_loop(ctx: ShardCtx) {
 /// Stolen items land in this shard's own same-kernel lanes; padding and
 /// lane-wise rungs make the move bit-invisible to every response.
 fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
-    let victim = (0..ctx.queues.len())
+    let queues = &ctx.plane.queues;
+    let victim = (0..queues.len())
         .filter(|&i| i != ctx.index)
-        .max_by_key(|&i| ctx.queues[i].len());
+        .max_by_key(|&i| queues[i].len());
     let Some(victim) = victim else {
         return Vec::new();
     };
-    let depth = ctx.queues[victim].len();
+    let depth = queues[victim].len();
     if depth < 2 {
         // Leave a lone item with its owner: the wakeup it already
         // triggered there is about to consume it.
         return Vec::new();
     }
-    let stolen = ctx.queues[victim].steal_up_to((depth / 2).min(STEAL_MAX));
+    let stolen = queues[victim].steal_up_to((depth / 2).min(STEAL_MAX));
     if !stolen.is_empty() {
         seat.stolen
             .fetch_add(stolen.len() as u64, Ordering::Relaxed);
@@ -1416,8 +1395,8 @@ fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
 /// queued — to live siblings (see [`redrive_stranded`]).
 fn kill_shard(ctx: &ShardCtx, lanes: Lanes) {
     let index = ctx.index;
-    let queue = &ctx.queues[index];
-    let seat = &ctx.seats[index];
+    let queue = &ctx.plane.queues[index];
+    let seat = &ctx.plane.seats[index];
     *seat.lock_killed_at() = Some(Instant::now());
     seat.dead.store(true, Ordering::Release);
     queue.close();
@@ -1450,15 +1429,16 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
         return;
     }
     let index = ctx.index;
-    let seat = &ctx.seats[index];
-    let stats = &*ctx.stats;
+    let plane = &*ctx.plane;
+    let (queues, seats, stats) = (&plane.queues, &plane.seats, &plane.stats);
+    let seat = &seats[index];
     // Live siblings in ascending queue-depth order, recomputed once per
     // kill (not per item: the kill path should finish fast so the
     // supervisor can respawn the seat).
-    let mut order: Vec<usize> = (0..ctx.queues.len())
-        .filter(|&i| i != index && ctx.seats[i].alive())
+    let mut order: Vec<usize> = (0..queues.len())
+        .filter(|&i| i != index && seats[i].alive())
         .collect();
-    order.sort_by_key(|&i| ctx.queues[i].len());
+    order.sort_by_key(|&i| queues[i].len());
     let now = Instant::now();
     for mut work in stranded {
         if let Some(d) = work.deadline() {
@@ -1474,7 +1454,7 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
         work.mark_redriven();
         let mut item = Some(work);
         for &i in &order {
-            match ctx.queues[i].try_push(item.take().expect("item present until placed")) {
+            match queues[i].try_push(item.take().expect("item present until placed")) {
                 Ok(()) => {
                     seat.redriven.fetch_add(1, Ordering::Relaxed);
                     telemetry::counter_add("serve.redriven", 1);
@@ -1494,9 +1474,9 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
 fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W>>, cx: &LaneCtx) {
     if !lanes.contains_key(W::lane_key(&env.req)) {
         let key = W::lane_key(&env.req).to_string();
-        match make_lane::<W>(cx.engine, &key, cx.config) {
+        match make_lane::<W>(cx.engine, &key, &cx.plane.config) {
             Ok(lane) => {
-                let mut st = lock_stats(cx.stats);
+                let mut st = lock_stats(&cx.plane.stats);
                 let ks = kernel_stats(&mut st, &key);
                 ks.rung = lane.active_slug().to_string();
                 ks.target_batch = lane.target;
@@ -1504,7 +1484,7 @@ fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W
                 lanes.insert(key, lane);
             }
             Err(reason) => {
-                lock_stats(cx.stats).rejected += 1;
+                lock_stats(&cx.plane.stats).rejected += 1;
                 telemetry::counter_add(W::COUNTERS.rejected, 1);
                 env.answer(Err(reason));
                 return;
@@ -1639,7 +1619,7 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// without allocating (each response's rung `String` and channel send
 /// are the caller's, not the lane's).
 fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneCtx) {
-    let (stats, seat) = (cx.stats, cx.seat);
+    let (stats, seat, faults) = (&cx.plane.stats, cx.seat, &cx.plane.faults);
     {
         let Lane { batcher, flush, .. } = lane;
         batcher.flush_into(flush);
@@ -1702,8 +1682,8 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
             // Fault injection for this batch: added latency and/or a
             // panic, inside the unwind boundary so it exercises the real
             // supervisor.
-            if faults::armed() {
-                faults::fire_compute(fault_site);
+            if faults.armed() {
+                faults.fire_compute(fault_site);
             }
             W::compute(rung, scratch);
         }))
@@ -1797,9 +1777,7 @@ mod tests {
     use super::*;
     use crate::pricer;
     use crate::request::{PriceRequest, PriceResponse};
-    use finbench_faults::{FaultPlan, FaultSpec, PlanGuard};
-
-    use crate::test_support::faults_lock;
+    use finbench_faults::{self as faults, FaultPlan, FaultSpec};
 
     fn quick_config() -> ServeConfig {
         ServeConfig {
@@ -1816,9 +1794,33 @@ mod tests {
         }
     }
 
+    fn start_with(config: ServeConfig, plan: FaultPlan) -> Server {
+        Server::start_with_faults(config, Faults::new(plan))
+    }
+
+    /// `shards` workers whose `queue=stall` lasts 200 ms — the window the
+    /// kill tests push work in — and that stay dead once killed.
+    fn stalled_no_respawn(shards: usize) -> ServeConfig {
+        ServeConfig {
+            shards,
+            max_delay: Duration::from_millis(200),
+            supervisor: SupervisorPolicy {
+                respawn: false,
+                ..SupervisorPolicy::default()
+            },
+            ..quick_config()
+        }
+    }
+
+    /// Every worker stalls, then those at `site` die.
+    fn stall_then_kill(site: &str) -> FaultPlan {
+        FaultPlan::new()
+            .with(FaultSpec::always("queue", FaultKind::StallQueue))
+            .with(FaultSpec::always(site, FaultKind::Kill))
+    }
+
     #[test]
     fn prices_requests_and_echoes_ids() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let rx1 = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
         let rx2 = server.submit(PriceRequest::new(2, "binomial", 30.0, 35.0, 1.0));
@@ -1849,7 +1851,6 @@ mod tests {
 
     #[test]
     fn portfolio_fan_out_merges_bit_identically_to_native() {
-        let _quiet = crate::test_support::faults_quiet();
         use finbench_core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig};
         let mut config = quick_config();
         config.shards = 2;
@@ -1885,7 +1886,6 @@ mod tests {
 
     #[test]
     fn portfolio_rejects_invalid_requests_synchronously() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let rx = server.submit(PortfolioRequest::new(1, 7, 0, 64));
         match rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome {
@@ -1905,7 +1905,6 @@ mod tests {
 
     #[test]
     fn portfolio_requests_are_deterministic_across_chunkings() {
-        let _quiet = crate::test_support::faults_quiet();
         // Different fan-out shapes (chunk sizes, shard counts) must merge
         // to bit-identical P&L — the split-invariance contract end to end.
         let run = |shards: usize, chunk: usize| {
@@ -1933,7 +1932,6 @@ mod tests {
 
     #[test]
     fn greeks_requests_ride_the_same_plane() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let rx = server.submit(GreeksRequest::new(11, 30.0, 35.0, 1.0));
         let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
@@ -1953,7 +1951,6 @@ mod tests {
 
     #[test]
     fn greeks_invalid_inputs_and_deadlines_get_typed_answers() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let rx = server.submit(GreeksRequest::new(1, f64::NAN, 35.0, 1.0));
         assert!(matches!(
@@ -1974,12 +1971,10 @@ mod tests {
 
     #[test]
     fn greeks_lane_survives_an_injected_panic_and_degrades() {
-        let _l = faults_lock();
         faults::silence_injected_panics();
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("batch.greeks", FaultKind::Panic)),
-        );
-        let server = Server::start(quick_config());
+        // Panic on the first greeks batch only.
+        let panic = FaultSpec::always("batch.greeks", FaultKind::Panic).limited(1);
+        let server = start_with(quick_config(), FaultPlan::new().with(panic));
         let rx = server.submit(GreeksRequest::new(1, 30.0, 35.0, 1.0));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
             Err(Rejected::Internal { reason }) => {
@@ -1987,7 +1982,6 @@ mod tests {
             }
             other => panic!("expected Internal, got {other:?}"),
         }
-        drop(_g);
         // Still alive; the next request is served on a degraded rung that
         // answers bit-identically to the planned one.
         let rx = server.submit(GreeksRequest::new(2, 30.0, 35.0, 1.0));
@@ -2007,7 +2001,6 @@ mod tests {
 
     #[test]
     fn mixed_price_and_greeks_load_shares_the_queue_without_cross_talk() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let (ptx, prx) = mpsc::channel();
         let (gtx, grx) = mpsc::channel();
@@ -2031,7 +2024,6 @@ mod tests {
 
     #[test]
     fn bad_kernels_get_typed_rejections_not_panics() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let rx = server.submit(PriceRequest::new(9, "black_sholes", 30.0, 35.0, 1.0));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
@@ -2050,7 +2042,6 @@ mod tests {
 
     #[test]
     fn invalid_inputs_are_rejected_synchronously_before_any_batch() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         for (id, s, x, t) in [
             (1u64, f64::NAN, 35.0, 1.0),
@@ -2072,7 +2063,6 @@ mod tests {
 
     #[test]
     fn queue_overflow_is_a_synchronous_typed_rejection() {
-        let _quiet = crate::test_support::faults_quiet();
         // Capacity 1 and a server whose dispatcher is effectively stalled
         // by a huge binomial batch, so pushes pile up.
         let server = Server::start(ServeConfig {
@@ -2100,7 +2090,6 @@ mod tests {
 
     #[test]
     fn expired_deadlines_shed_instead_of_pricing_late() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(quick_config());
         let mut req = PriceRequest::new(5, "black_scholes", 30.0, 35.0, 1.0);
         // A deadline in the past: the dispatcher must shed it.
@@ -2139,7 +2128,6 @@ mod tests {
 
     #[test]
     fn a_lone_request_on_an_idle_server_does_not_wait_for_the_timer() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             max_delay: Duration::from_secs(10),
             ..quick_config()
@@ -2166,7 +2154,6 @@ mod tests {
 
     #[test]
     fn shutdown_answers_everything_pending() {
-        let _quiet = crate::test_support::faults_quiet();
         // Respawn off: `shutdown` then closes the queue at once instead
         // of first waiting out a supervisor poll.
         let server = Server::start(ServeConfig {
@@ -2208,7 +2195,6 @@ mod tests {
         // While the worker is held in a deep-tree batch its queue fills
         // past the size target, so what it pops next flushes on
         // size, and only the remainder on idle.
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             max_batch: 8,
             ..deep_tree_config()
@@ -2242,14 +2228,10 @@ mod tests {
 
     #[test]
     fn a_kernel_panic_rejects_the_batch_and_degrades_instead_of_crashing() {
-        let _l = faults_lock();
         faults::silence_injected_panics();
-        // Panic on the first black_scholes batch only: seed a spec with
-        // rate 1 then disarm after the first response arrives.
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)),
-        );
-        let server = Server::start(quick_config());
+        // Panic on the first black_scholes batch only.
+        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic).limited(1);
+        let server = start_with(quick_config(), FaultPlan::new().with(panic));
         let rx = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
             Err(Rejected::Internal { reason }) => {
@@ -2257,7 +2239,6 @@ mod tests {
             }
             other => panic!("expected Internal, got {other:?}"),
         }
-        drop(_g);
         // The server is still alive and prices the next request — on a
         // degraded rung (the panic pushed the lane one level down).
         let rx = server.submit(PriceRequest::new(2, "black_scholes", 30.0, 35.0, 1.0));
@@ -2277,19 +2258,17 @@ mod tests {
 
     #[test]
     fn persistent_panics_walk_the_ladder_down_then_open_the_breaker() {
-        let _l = faults_lock();
         faults::silence_injected_panics();
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)),
-        );
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             breaker: BreakerPolicy {
                 open_after: 2,
                 cooldown: Duration::from_secs(30),
                 ..BreakerPolicy::default()
             },
             ..quick_config()
-        });
+        };
+        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic);
+        let server = start_with(config, FaultPlan::new().with(panic));
         // Enough sequential batches to fall through every ladder level
         // and trip the breaker at the bottom: levels + open_after.
         let ladder_len = {
@@ -2323,12 +2302,14 @@ mod tests {
 
     #[test]
     fn lane_restarts_after_cooldown_and_recovers_when_faults_stop() {
-        let _l = faults_lock();
         faults::silence_injected_panics();
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)),
-        );
-        let server = Server::start(ServeConfig {
+        let ladder_len = {
+            let engine = Engine::new(registry());
+            pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer)
+                .unwrap()
+                .len()
+        };
+        let config = ServeConfig {
             breaker: BreakerPolicy {
                 open_after: 1,
                 cooldown: Duration::from_millis(5),
@@ -2336,21 +2317,18 @@ mod tests {
                 ..BreakerPolicy::default()
             },
             ..quick_config()
-        });
-        // Fall to the bottom and open the breaker.
-        let ladder_len = {
-            let engine = Engine::new(registry());
-            pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer)
-                .unwrap()
-                .len()
         };
+        // One panic per ladder level: fall to the bottom and open the
+        // breaker, and the faults stop there.
+        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic);
+        let plan = FaultPlan::new().with(panic.limited(ladder_len as u64));
+        let server = start_with(config, plan);
         for i in 0..ladder_len as u64 {
             let rx = server.submit(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0));
             let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        // Stop injecting and wait out the cooldown: the next batch is the
-        // half-open probe, which succeeds, closes the breaker, and serves.
-        drop(_g);
+        // Wait out the cooldown: the next batch is the half-open probe,
+        // which succeeds, closes the breaker, and serves.
         std::thread::sleep(Duration::from_millis(10));
         let rx = server.submit(PriceRequest::new(99, "black_scholes", 30.0, 35.0, 1.0));
         let priced = rx
@@ -2368,12 +2346,11 @@ mod tests {
 
     #[test]
     fn corrupt_input_faults_are_caught_by_validation_not_priced() {
-        let _l = faults_lock();
-        let _g = PlanGuard::install(FaultPlan::new().with(FaultSpec::always(
+        let plan = FaultPlan::new().with(FaultSpec::always(
             "admit.black_scholes",
             FaultKind::CorruptInput(finbench_faults::Corruption::NaN),
-        )));
-        let server = Server::start(quick_config());
+        ));
+        let server = start_with(quick_config(), plan);
         let rx = server.submit(PriceRequest::new(7, "black_scholes", 30.0, 35.0, 1.0));
         match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
             Err(Rejected::InvalidInput { reason }) => {
@@ -2387,7 +2364,6 @@ mod tests {
 
     #[test]
     fn multi_shard_server_serves_everything_and_merges_telemetry() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             shards: 4,
             ..quick_config()
@@ -2423,22 +2399,20 @@ mod tests {
 
     #[test]
     fn router_spills_to_a_less_loaded_sibling_before_rejecting() {
-        let _l = faults_lock();
         // Stall both workers so pushed work stays queued long enough to
         // observe routing decisions deterministically.
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("queue", FaultKind::StallQueue)),
-        );
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             shards: 2,
             queue_capacity: 1,
             max_delay: Duration::from_millis(300),
             ..quick_config()
-        });
+        };
+        let stall = FaultSpec::always("queue", FaultKind::StallQueue);
+        let server = start_with(config, FaultPlan::new().with(stall));
         // Occupy shard 0's queue directly (in-module backdoor), so the
         // round-robin primary is full while shard 1 has room.
         let (otx, orx) = mpsc::channel();
-        server.queues[0]
+        server.plane.queues[0]
             .try_push(Work::Price(Envelope::new(
                 PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0),
                 &otx,
@@ -2461,7 +2435,6 @@ mod tests {
 
     #[test]
     fn idle_shards_steal_queued_work_from_the_deepest_sibling() {
-        let _quiet = crate::test_support::faults_quiet();
         let server = Server::start(ServeConfig {
             shards: 2,
             ..deep_tree_config()
@@ -2472,7 +2445,7 @@ mod tests {
         // behind it. Idle shard 1 polls every `max_delay` and must steal.
         let (tx, rx) = mpsc::channel();
         let push = |id: u64, kernel: &str| {
-            server.queues[0]
+            server.plane.queues[0]
                 .try_push(Work::Price(Envelope::new(
                     PriceRequest::new(id, kernel, 30.0, 35.0, 1.0),
                     &tx,
@@ -2483,7 +2456,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(30);
         while server.snapshot().total_stolen() == 0 {
             assert!(Instant::now() < deadline, "shard 1 never stole anything");
-            if server.queues[0].is_empty() {
+            if server.plane.queues[0].is_empty() {
                 sent += usize::from(push(sent as u64, "binomial"));
                 for _ in 0..8 {
                     sent += usize::from(push(sent as u64, "black_scholes"));
@@ -2503,20 +2476,18 @@ mod tests {
 
     #[test]
     fn a_killed_shard_degrades_availability_never_correctness() {
-        let _l = faults_lock();
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("serve.shard.0", FaultKind::Kill)),
-        );
         // Respawn off: this test pins down the *terminal* loss behavior
         // (the supervisor would otherwise put shard 0 back in service).
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             shards: 2,
             supervisor: SupervisorPolicy {
                 respawn: false,
                 ..SupervisorPolicy::default()
             },
             ..quick_config()
-        });
+        };
+        let kill = FaultSpec::always("serve.shard.0", FaultKind::Kill);
+        let server = start_with(config, FaultPlan::new().with(kill));
         // Shard 0 dies on its first loop iteration; wait for the router
         // to see it.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -2544,16 +2515,14 @@ mod tests {
 
     #[test]
     fn a_killed_shard_is_respawned_and_serves_again() {
-        let _l = faults_lock();
         // Kill shard 0 exactly once; the supervisor (respawn on by
         // default) must put a fresh worker back in the same seat.
-        let _g = PlanGuard::install(
-            FaultPlan::new().with(FaultSpec::always("serve.shard.0", FaultKind::Kill).limited(1)),
-        );
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             shards: 2,
             ..quick_config()
-        });
+        };
+        let kill = FaultSpec::always("serve.shard.0", FaultKind::Kill).limited(1);
+        let server = start_with(config, FaultPlan::new().with(kill));
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let snap = server.snapshot();
@@ -2588,30 +2557,16 @@ mod tests {
 
     #[test]
     fn stranded_work_is_redriven_to_a_live_sibling_with_its_channel_intact() {
-        let _l = faults_lock();
         // Stall runs *before* the kill check in each loop iteration, so
         // both workers sleep through a max_delay-long window first. That
         // window is the deterministic part: we push into shard 0's queue
         // while it sleeps, it wakes, dies, and must redrive the queued
         // work to shard 1 — which was also asleep, so it cannot have
         // stolen anything first.
-        let _g = PlanGuard::install(
-            FaultPlan::new()
-                .with(FaultSpec::always("queue", FaultKind::StallQueue))
-                .with(FaultSpec::always("serve.shard.0", FaultKind::Kill)),
-        );
-        let server = Server::start(ServeConfig {
-            shards: 2,
-            max_delay: Duration::from_millis(200),
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
-            ..quick_config()
-        });
+        let server = start_with(stalled_no_respawn(2), stall_then_kill("serve.shard.0"));
         let (tx, rx) = mpsc::channel();
         for i in 0..4u64 {
-            server.queues[0]
+            server.plane.queues[0]
                 .try_push(Work::Price(Envelope::new(
                     PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
                     &tx,
@@ -2643,24 +2598,10 @@ mod tests {
 
     #[test]
     fn stranded_work_with_no_live_sibling_is_rejected_not_dropped() {
-        let _l = faults_lock();
-        let _g = PlanGuard::install(
-            FaultPlan::new()
-                .with(FaultSpec::always("queue", FaultKind::StallQueue))
-                .with(FaultSpec::always("serve.shard.0", FaultKind::Kill)),
-        );
-        let server = Server::start(ServeConfig {
-            shards: 1,
-            max_delay: Duration::from_millis(200),
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
-            ..quick_config()
-        });
+        let server = start_with(stalled_no_respawn(1), stall_then_kill("serve.shard.0"));
         let (tx, rx) = mpsc::channel();
         for i in 0..4u64 {
-            server.queues[0]
+            server.plane.queues[0]
                 .try_push(Work::Price(Envelope::new(
                     PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
                     &tx,
@@ -2694,30 +2635,6 @@ mod tests {
         assert_eq!(snap.total_redriven(), 0);
     }
 
-    const PLANES: [LaneCounters; 3] = [
-        PriceWorkload::COUNTERS,
-        GreeksWorkload::COUNTERS,
-        PortfolioWorkload::COUNTERS,
-    ];
-
-    /// Run `f`; of the three planes' `pick` counters only `R`'s plane's
-    /// may have moved, by exactly `by`.
-    fn moves_only<R: ServeRequest, T>(
-        pick: fn(&LaneCounters) -> &'static str,
-        by: u64,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let read = || PLANES.each_ref().map(|c| telemetry::counter_value(pick(c)));
-        let own = pick(&R::Plane::COUNTERS);
-        let before = read();
-        let out = f();
-        for ((plane, now), was) in PLANES.iter().zip(read()).zip(before) {
-            let want = if pick(plane) == own { by } else { 0 };
-            assert_eq!(now - was, want, "{} while driving {own}", pick(plane));
-        }
-        out
-    }
-
     /// Submit `req` and collect until every sender is gone: exactly one
     /// terminal response, whatever it is.
     fn one_answer<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Rejected> {
@@ -2730,8 +2647,10 @@ mod tests {
     }
 
     /// The five rejections the generic `submit_with` and `Work` paths can
-    /// answer, on one plane. `valid` must queue as a single work item;
-    /// `spoil` makes it invalid and `expire` gives it a deadline.
+    /// answer, on one plane: each answered once, typed, and tallied once
+    /// in the server's snapshot (the process-global telemetry counters
+    /// are `tests/rejection_taxonomy.rs`'s). `valid` must queue as a single
+    /// work item; `spoil` makes it invalid and `expire` gives it a deadline.
     fn rejection_taxonomy<R: ServeRequest + Clone>(
         valid: R,
         spoil: fn(&mut R),
@@ -2740,73 +2659,50 @@ mod tests {
         R::Out: std::fmt::Debug,
     {
         let stall = FaultSpec::always("queue", FaultKind::StallQueue);
-        let window = Duration::from_millis(200);
         let (mut invalid, mut expired) = (valid.clone(), valid.clone());
         spoil(&mut invalid);
         expire(&mut expired, Instant::now() - Duration::from_millis(1));
 
         let server = Server::start(quick_config());
-        let out = moves_only::<R, _>(|c| c.invalid_input, 1, || one_answer(&server, invalid));
+        let out = one_answer(&server, invalid);
         assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
-        let out = moves_only::<R, _>(|c| c.shed_deadline, 1, || one_answer(&server, expired));
+        let out = one_answer(&server, expired);
         assert!(
             matches!(out, Err(Rejected::DeadlineExceeded { .. })),
             "{out:?}"
         );
         // A server that has begun to stop answers ShuttingDown, which is
         // neither a shed nor a failure of the plane.
-        server.closing.store(true, Ordering::Release);
-        server.queues.iter().for_each(|q| q.close());
-        let out = moves_only::<R, _>(
-            |c| c.shed_queue_full,
-            0,
-            || one_answer(&server, valid.clone()),
-        );
+        server.plane.closing.store(true, Ordering::Release);
+        server.plane.queues.iter().for_each(|q| q.close());
+        let out = one_answer(&server, valid.clone());
         assert!(matches!(out, Err(Rejected::ShuttingDown)), "{out:?}");
-        assert_eq!(server.shutdown().internal, 0);
+        let snap = server.shutdown();
+        assert_eq!((snap.invalid_input, snap.shed_deadline), (1, 1));
+        assert_eq!((snap.shed_queue_full, snap.internal), (0, 0));
 
         // QueueFull: the worker sleeps out its first stall, so the first
         // request sits in the one-slot queue and the second finds it full.
-        let guard = PlanGuard::install(FaultPlan::new().with(stall.clone().limited(1)));
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             queue_capacity: 1,
-            max_delay: window,
-            ..quick_config()
-        });
+            ..stalled_no_respawn(1)
+        };
+        let server = start_with(config, FaultPlan::new().with(stall.limited(1)));
         let occupant = server.submit(valid.clone());
-        let out = moves_only::<R, _>(
-            |c| c.shed_queue_full,
-            1,
-            || one_answer(&server, valid.clone()),
-        );
+        let out = one_answer(&server, valid.clone());
         assert!(
             matches!(out, Err(Rejected::QueueFull { capacity: 1 })),
             "{out:?}"
         );
         assert!(occupant.recv().unwrap().is_ok());
         assert_eq!(server.shutdown().shed_queue_full, 1);
-        drop(guard);
 
         // Internal: both workers die at the end of their first stall with
         // the request stranded. Whichever dies first redrives it to the
         // other, which then finds its redrive spent — or, dying second,
         // finds no sibling left; either way `Work::reject_internal` answers.
-        let _guard = PlanGuard::install(
-            FaultPlan::new()
-                .with(stall)
-                .with(FaultSpec::always("serve.shard", FaultKind::Kill)),
-        );
-        let server = Server::start(ServeConfig {
-            shards: 2,
-            max_delay: window,
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
-            ..quick_config()
-        });
-        let out = moves_only::<R, _>(|c| c.internal, 1, || one_answer(&server, valid));
-        match out {
+        let server = start_with(stalled_no_respawn(2), stall_then_kill("serve.shard"));
+        match one_answer(&server, valid) {
             Err(Rejected::Internal { reason }) => {
                 assert!(reason.starts_with("shard killed"), "{reason}")
             }
@@ -2817,7 +2713,6 @@ mod tests {
 
     #[test]
     fn every_plane_answers_each_rejection_once_and_counts_it_once() {
-        let _l = faults_lock();
         rejection_taxonomy(
             PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
             |r| r.s = f64::NAN,

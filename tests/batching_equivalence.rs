@@ -23,7 +23,7 @@ use finbench::core::greeks::{greeks_batch_simd, price_and_greeks_into, GreeksBat
 use finbench::core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig};
 use finbench::core::OptionBatchSoa;
 use finbench::engine::Engine;
-use finbench::faults::{FaultKind, FaultPlan, FaultSpec, PlanGuard};
+use finbench::faults::{FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::batcher::{BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 use finbench::serve::pricer::{self, padded_batch_into, PricerConfig};
 use finbench::serve::{
@@ -32,16 +32,7 @@ use finbench::serve::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-/// The fault registry is process-global; tests that install a plan
-/// serialize on this lock so concurrent cases never see each other's
-/// faults.
-fn faults_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn contract() -> impl Strategy<Value = (f64, f64, f64)> {
     // The paper's workload ranges.
@@ -408,8 +399,7 @@ proptest! {
         stall_rate in 0.05f64..0.6,
         seed in 0u64..1_000,
     ) {
-        let _l = faults_lock();
-        let _g = PlanGuard::install(FaultPlan::new().with(
+        let stalls = Faults::new(FaultPlan::new().with(
             FaultSpec::at_rate("queue", FaultKind::StallQueue, stall_rate).seeded(seed),
         ));
         let cfg = pricer_config();
@@ -420,14 +410,15 @@ proptest! {
             .map(|k| pricer::resolve(&engine, k, &cfg).unwrap())
             .collect();
 
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             queue_capacity: opts.len().max(1),
             max_delay: Duration::from_micros(100),
             max_batch: 8,
             shards,
             pricer: cfg,
             ..ServeConfig::default()
-        });
+        };
+        let server = Server::start_with_faults(config, stalls);
         let (tx, rx) = std::sync::mpsc::channel();
         for (i, &(s, x, t)) in opts.iter().enumerate() {
             let which = kernel_picks[i % kernel_picks.len()];

@@ -4,13 +4,14 @@
 //! it.** Faults may shed requests (typed rejections) or degrade lanes
 //! down the rung ladder — they must never corrupt a price.
 //!
-//! The fault registry is process-global, so every test that arms it
-//! serializes on one lock and installs plans through [`PlanGuard`],
-//! which disarms on drop even when a proptest case fails.
+//! A fault plan belongs to the server started with it
+//! ([`Server::start_with_faults`]), so these tests run side by side: the
+//! last one drives an armed and a fault-free server at the same time and
+//! requires that neither notices the other.
 
 use finbench::core::engine::registry;
 use finbench::engine::Engine;
-use finbench::faults::{self, Corruption, FaultKind, FaultPlan, FaultSpec, PlanGuard};
+use finbench::faults::{self, Corruption, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::pricer::{self, PricerConfig, ServingRung};
 use finbench::serve::{
     BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server, SupervisorPolicy,
@@ -18,13 +19,7 @@ use finbench::serve::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-fn chaos_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn contract() -> impl Strategy<Value = (f64, f64, f64)> {
     // The paper's workload ranges.
@@ -103,11 +98,9 @@ proptest! {
         max_batch in 1usize..24,
         max_delay_us in 20u64..300,
     ) {
-        let _l = chaos_lock();
         faults::silence_injected_panics();
         let oracles = oracle_rungs("black_scholes");
-        let _g = PlanGuard::install(plan);
-        let server = Server::start(ServeConfig {
+        let config = ServeConfig {
             queue_capacity: opts.len().max(1),
             max_delay: Duration::from_micros(max_delay_us),
             max_batch,
@@ -125,7 +118,8 @@ proptest! {
                 respawn: false,
                 ..SupervisorPolicy::default()
             },
-        });
+        };
+        let server = Server::start_with_faults(config, Faults::new(plan));
         let (tx, rx) = std::sync::mpsc::channel();
         for (i, &(s, x, t)) in opts.iter().enumerate() {
             server.submit_with(PriceRequest::new(i as u64, "black_scholes", s, x, t), &tx);
@@ -167,15 +161,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// With every fault disarmed the plane is exactly the no-chaos plane:
+    /// A server started without a plan is exactly the no-chaos plane,
+    /// whatever its neighbours in the process are armed with:
     /// everything is served, nothing degrades, and the bits match the
     /// planned rung's solo oracle.
     #[test]
     fn disarmed_faults_change_nothing(
         opts in vec(contract(), 1..30usize),
     ) {
-        let _l = chaos_lock();
-        faults::disarm();
         let engine = Engine::new(registry());
         let oracle = pricer::resolve(&engine, "black_scholes", &pricer_config()).unwrap();
         let server = Server::start(ServeConfig {
@@ -205,4 +198,48 @@ proptest! {
             prop_assert_eq!(p.put.to_bits(), put.to_bits());
         }
     }
+}
+
+/// Two servers in one process, driven at once: every batch of the armed
+/// one panics, the other has no plan. The clean one serves everything,
+/// the armed one answers everything `Internal`, and only the armed
+/// handle's tally moves.
+#[test]
+fn a_fault_plan_fires_only_in_the_server_started_with_it() {
+    faults::silence_injected_panics();
+    let plan = FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic));
+    let (armed, clean) = (Faults::new(plan), Faults::none());
+    let config = ServeConfig {
+        queue_capacity: 256,
+        max_delay: Duration::from_micros(100),
+        pricer: pricer_config(),
+        ..ServeConfig::default()
+    };
+    let n = 200u64;
+    let drive = |faults: &Faults| {
+        let server = Server::start_with_faults(config, faults.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        for i in 0..n {
+            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+        }
+        drop(tx);
+        let responses: Vec<_> = rx.iter().collect();
+        (responses, server.shutdown())
+    };
+    let ((hit, hit_snap), (ok, ok_snap)) = std::thread::scope(|s| {
+        let armed = s.spawn(|| drive(&armed));
+        let clean = s.spawn(|| drive(&clean));
+        (armed.join().unwrap(), clean.join().unwrap())
+    });
+    assert_eq!((ok.len() as u64, ok_snap.internal), (n, 0));
+    assert!(ok.iter().all(|r| r.outcome.is_ok()), "{ok:?}");
+    assert_eq!((hit.len() as u64, hit_snap.internal), (n, n));
+    for r in &hit {
+        assert!(
+            matches!(&r.outcome, Err(Rejected::Internal { reason }) if reason.contains("injected panic")),
+            "{r:?}"
+        );
+    }
+    assert!(armed.fired_total() > 0);
+    assert_eq!(clean.fired_total(), 0);
 }

@@ -7,9 +7,17 @@
 //! parallel threads of one process, so every test serializes on one lock
 //! and asserts on counter *deltas* — each variant's counter must move by
 //! exactly the number of rejections of that variant, and nothing else.
+//! That is why this file is its own process, and the only one left with
+//! a lock: fault plans are per server now, the counters are ROADMAP
+//! item 6's (one metrics ledger per server) to scope, and `serial_lock`
+//! goes with them.
 
-use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, PlanGuard};
-use finbench::serve::{BreakerPolicy, PriceRequest, PricerConfig, Rejected, ServeConfig, Server};
+use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
+use finbench::serve::{
+    BreakerPolicy, GreeksRequest, GreeksWorkload, LaneCounters, PortfolioRequest,
+    PortfolioWorkload, PriceRequest, PriceWorkload, PricerConfig, Rejected, Response, ServeConfig,
+    ServeRequest, ServeWorkload, Server, SupervisorPolicy,
+};
 use finbench::telemetry::counter_value;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -30,6 +38,11 @@ fn quick_config() -> ServeConfig {
         },
         ..ServeConfig::default()
     }
+}
+
+/// Every black_scholes batch panics.
+fn always_panic() -> Faults {
+    Faults::new(FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)))
 }
 
 fn recv(server: &Server, req: PriceRequest) -> Result<finbench::serve::Priced, Rejected> {
@@ -155,10 +168,7 @@ fn internal_increments_the_internal_counter_once_per_request() {
     let _l = serial_lock();
     faults::silence_injected_panics();
     let before = counter_value("serve.internal");
-    let _g = PlanGuard::install(
-        FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)),
-    );
-    let server = Server::start(quick_config());
+    let server = Server::start_with_faults(quick_config(), always_panic());
     match recv(
         &server,
         PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
@@ -177,19 +187,17 @@ fn internal_increments_the_internal_counter_once_per_request() {
 fn internal_from_an_open_breaker_counts_each_rejected_request() {
     let _l = serial_lock();
     faults::silence_injected_panics();
-    let _g = PlanGuard::install(
-        FaultPlan::new().with(FaultSpec::always("batch.black_scholes", FaultKind::Panic)),
-    );
     // open_after 1 with a long cooldown: once the lane hits the ladder
     // bottom the breaker opens and stays open for the rest of the test.
-    let server = Server::start(ServeConfig {
+    let config = ServeConfig {
         breaker: BreakerPolicy {
             open_after: 1,
             cooldown: Duration::from_secs(60),
             ..BreakerPolicy::default()
         },
         ..quick_config()
-    });
+    };
+    let server = Server::start_with_faults(config, always_panic());
     let before = counter_value("serve.breaker_open");
     // Walk the ladder to the bottom; every response is Internal.
     for i in 0..8u64 {
@@ -227,4 +235,131 @@ fn served_requests_increment_only_the_served_counter() {
     assert_eq!(counter_value("serve.served") - served_before, 1);
     assert_eq!(counter_value("serve.internal"), internal_before);
     assert_eq!(counter_value("serve.invalid_input"), invalid_before);
+}
+
+const PLANES: [LaneCounters; 3] = [
+    PriceWorkload::COUNTERS,
+    GreeksWorkload::COUNTERS,
+    PortfolioWorkload::COUNTERS,
+];
+
+/// Run `f`; of the three planes' `pick` counters only `R`'s plane's
+/// may have moved, by exactly `by`.
+fn moves_only<R: ServeRequest, T>(
+    pick: fn(&LaneCounters) -> &'static str,
+    by: u64,
+    f: impl FnOnce() -> T,
+) -> T {
+    let read = || PLANES.each_ref().map(|c| counter_value(pick(c)));
+    let own = pick(&R::Plane::COUNTERS);
+    let before = read();
+    let out = f();
+    for ((plane, now), was) in PLANES.iter().zip(read()).zip(before) {
+        let want = if pick(plane) == own { by } else { 0 };
+        assert_eq!(now - was, want, "{} while driving {own}", pick(plane));
+    }
+    out
+}
+
+/// Submit `req` and collect until every sender is gone: exactly one
+/// terminal response, whatever it is.
+fn one_answer<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Rejected> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    server.submit_with(req, &tx);
+    drop(tx);
+    let mut got: Vec<Response<R::Out>> = rx.iter().collect();
+    assert_eq!(got.len(), 1, "exactly one terminal response");
+    got.remove(0).outcome
+}
+
+/// The four counted rejections the generic `submit_with` and `Work`
+/// paths can answer, on one plane: each moves that plane's counter name
+/// by one and neither other plane's. (`ShuttingDown`, which counts
+/// nothing, needs the server's private fields and is checked beside the
+/// instance-scoped half of this test in `server.rs`.) `valid` must queue
+/// as a single work item; `spoil` makes it invalid and `expire` gives it
+/// a deadline.
+fn counts_on_its_own_plane<R: ServeRequest + Clone>(
+    valid: R,
+    spoil: fn(&mut R),
+    expire: fn(&mut R, Instant),
+) where
+    R::Out: std::fmt::Debug,
+{
+    let stall = FaultSpec::always("queue", FaultKind::StallQueue);
+    // Workers sleep out a stall this long before they first look at their
+    // queue, and stay dead once killed.
+    let stalled = |shards: usize| ServeConfig {
+        shards,
+        max_delay: Duration::from_millis(200),
+        supervisor: SupervisorPolicy {
+            respawn: false,
+            ..SupervisorPolicy::default()
+        },
+        ..quick_config()
+    };
+    let (mut invalid, mut expired) = (valid.clone(), valid.clone());
+    spoil(&mut invalid);
+    expire(&mut expired, Instant::now() - Duration::from_millis(1));
+
+    let server = Server::start(quick_config());
+    let out = moves_only::<R, _>(|c| c.invalid_input, 1, || one_answer(&server, invalid));
+    assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
+    let out = moves_only::<R, _>(|c| c.shed_deadline, 1, || one_answer(&server, expired));
+    assert!(
+        matches!(out, Err(Rejected::DeadlineExceeded { .. })),
+        "{out:?}"
+    );
+    server.shutdown();
+
+    // QueueFull: the worker sleeps out its first stall, so the first
+    // request sits in the one-slot queue and the second finds it full.
+    let config = ServeConfig {
+        queue_capacity: 1,
+        ..stalled(1)
+    };
+    let once = Faults::new(FaultPlan::new().with(stall.clone().limited(1)));
+    let server = Server::start_with_faults(config, once);
+    let occupant = server.submit(valid.clone());
+    let out = moves_only::<R, _>(
+        |c| c.shed_queue_full,
+        1,
+        || one_answer(&server, valid.clone()),
+    );
+    assert!(
+        matches!(out, Err(Rejected::QueueFull { capacity: 1 })),
+        "{out:?}"
+    );
+    assert!(occupant.recv().unwrap().is_ok());
+    server.shutdown();
+
+    // Internal: both workers die at the end of their first stall with the
+    // request stranded; whichever path answers, it counts on this plane.
+    let kill = FaultSpec::always("serve.shard", FaultKind::Kill);
+    let plan = FaultPlan::new().with(stall).with(kill);
+    let server = Server::start_with_faults(stalled(2), Faults::new(plan));
+    let out = moves_only::<R, _>(|c| c.internal, 1, || one_answer(&server, valid));
+    assert!(matches!(out, Err(Rejected::Internal { .. })), "{out:?}");
+    server.shutdown();
+}
+
+#[test]
+fn every_plane_counts_each_rejection_on_its_own_counters_only() {
+    let _l = serial_lock();
+    counts_on_its_own_plane(
+        PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
+        |r| r.s = f64::NAN,
+        |r, at| r.deadline = Some(at),
+    );
+    counts_on_its_own_plane(
+        GreeksRequest::new(2, 30.0, 35.0, 1.0),
+        |r| r.t = -1.0,
+        |r, at| r.deadline = Some(at),
+    );
+    // One chunk, so the fan-out is one work item like the others.
+    counts_on_its_own_plane(
+        PortfolioRequest::new(3, 7, 8, 16).with_chunk(16),
+        |r| r.positions = 0,
+        |r, at| r.deadline = Some(at),
+    );
 }

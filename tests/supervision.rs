@@ -6,13 +6,12 @@
 //! stranded work to siblings — they must never drop a request silently,
 //! answer it twice, or corrupt a price.
 //!
-//! The fault registry is process-global, so every test that arms it
-//! serializes on one lock and installs plans through [`PlanGuard`],
-//! which disarms on drop even when a proptest case fails.
+//! Each server owns its kill plan ([`Server::start_with_faults`]), so
+//! the tests here run side by side.
 
 use finbench::core::engine::registry;
 use finbench::engine::Engine;
-use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, PlanGuard};
+use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::pricer::{self, PricerConfig, ServingRung};
 use finbench::serve::{
     BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server, SupervisorPolicy,
@@ -20,13 +19,7 @@ use finbench::serve::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-fn chaos_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn contract() -> impl Strategy<Value = (f64, f64, f64)> {
     // The paper's workload ranges.
@@ -73,15 +66,13 @@ fn healing_config(shards: usize, capacity: usize) -> ServeConfig {
 /// each one, and the respawned fleet serves a full drive bit-exactly.
 #[test]
 fn every_killed_seat_respawns_and_the_healed_fleet_serves_bit_exactly() {
-    let _l = chaos_lock();
     faults::silence_injected_panics();
     let shards = 3usize;
     let mut plan = FaultPlan::new();
     for i in 0..shards {
         plan = plan.with(FaultSpec::always(format!("serve.shard.{i}"), FaultKind::Kill).limited(1));
     }
-    let _g = PlanGuard::install(plan);
-    let server = Server::start(healing_config(shards, 4096));
+    let server = Server::start_with_faults(healing_config(shards, 4096), Faults::new(plan));
 
     // Each shard's first loop iteration hits its armed kill; wait for the
     // supervisor to put a fresh worker in every seat.
@@ -168,7 +159,6 @@ proptest! {
         seed in 0usize..65_536,
     ) {
         let respawn = respawn_bit == 1;
-        let _l = chaos_lock();
         faults::silence_injected_panics();
         let oracles = oracle_rungs("black_scholes");
         let mut plan = FaultPlan::new();
@@ -179,10 +169,9 @@ proptest! {
                     .seeded(seed as u64 ^ (i as u64) << 8),
             );
         }
-        let _g = PlanGuard::install(plan);
         let mut config = healing_config(shards, opts.len().max(16));
         config.supervisor.respawn = respawn;
-        let server = Server::start(config);
+        let server = Server::start_with_faults(config, Faults::new(plan));
         let (tx, rx) = std::sync::mpsc::channel();
         for (i, &(s, x, t)) in opts.iter().enumerate() {
             server.submit_with(PriceRequest::new(i as u64, "black_scholes", s, x, t), &tx);
