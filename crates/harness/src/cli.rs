@@ -41,6 +41,9 @@ pub enum CliAction {
         /// Directory holding the `BENCH_<n>.json` snapshots.
         dir: String,
     },
+    /// Run everything gated in one process and exit by the verdicts
+    /// ([`crate::gate`]); `quick` shrinks the workloads.
+    Gate { quick: bool },
 }
 
 /// Multi-line usage string (the error path points people here).
@@ -60,6 +63,9 @@ pub fn usage_line() -> String {
          \x20     delta table between two snapshots; exit 1 on gated regressions\n\
          \x20 finbench bench-trend [DIR]\n\
          \x20     gated-metric trajectory across every BENCH_<n>.json in DIR (default .)\n\
+         \x20 finbench gate [--quick]\n\
+         \x20     the four *-bench experiments + bench-report in one process: one JSON verdict\n\
+         \x20     per line, exit 1 on a failed one that is not advisory\n\
          flags: [--quick] [--only KERNEL[,KERNEL...]] [--shards N] [--csv DIR] [--json FILE] [--report]\n\
          experiments: {} | all\n\
          kernels: {}",
@@ -179,6 +185,7 @@ where
         Some("bench-report") => parse_bench_report(&args[1..]),
         Some("bench-compare") => parse_bench_compare(&args[1..]),
         Some("bench-trend") => parse_bench_trend(&args[1..]),
+        Some("gate") => parse_gate(&args[1..]),
         Some("--help" | "-h") => Ok(CliAction::Help),
         Some(other) => Err(format!("unknown command: {other}")),
         None => Err("no command given".into()),
@@ -285,6 +292,19 @@ fn parse_bench_trend(args: &[String]) -> Result<CliAction, String> {
     Ok(CliAction::BenchTrend {
         dir: dir.unwrap_or_else(|| ".".to_string()),
     })
+}
+
+/// `gate [--quick]` — no operands, no other flags.
+fn parse_gate(args: &[String]) -> Result<CliAction, String> {
+    let mut quick = false;
+    for arg in args {
+        match arg.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--help" | "-h" => return Ok(CliAction::Help),
+            other => return Err(format!("gate: unexpected argument: {other}")),
+        }
+    }
+    Ok(CliAction::Gate { quick })
 }
 
 fn parse_run(args: &[String]) -> Result<CliAction, String> {
@@ -489,6 +509,18 @@ mod tests {
         assert!(parse_args(["bench-trend", "a", "b"]).is_err());
         assert!(parse_args(["bench-trend", "--frob"]).is_err());
         assert_eq!(parse_args(["bench-trend", "-h"]), Ok(CliAction::Help));
+    }
+
+    #[test]
+    fn gate_takes_quick_and_nothing_else() {
+        let gate = |quick| Ok(CliAction::Gate { quick });
+        assert_eq!(parse_args(["gate"]), gate(false));
+        assert_eq!(parse_args(["gate", "--quick"]), gate(true));
+        assert_eq!(parse_args(["gate", "-h"]), Ok(CliAction::Help));
+        assert!(parse_args(["gate", "serve_bench"]).is_err());
+        assert!(parse_args(["gate", "--quick", "BENCH_19.json"]).is_err());
+        assert!(parse_args(["gate", "--shards", "4"]).is_err());
+        assert!(usage_line().contains("finbench gate [--quick]"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One experiment per paper artifact: modeled SNB-EP/KNC bars plus native
 //! host measurements.
 
+use crate::gate::{self, Verdict};
 use crate::native;
 use crate::render::{bar_chart, fmt_num, maybe_write_csv, section, table, to_csv};
 use crate::RunOptions;
@@ -447,9 +448,18 @@ pub fn native_all(opts: &RunOptions) {
     }
 }
 
+/// How a verdict reads in an experiment's closing lines.
+fn ok(pass: bool) -> &'static str {
+    if pass {
+        "OK"
+    } else {
+        "FAIL"
+    }
+}
+
 /// Outcome tallies summed over the load runs of one experiment, printed
-/// as the `total shed:` / `total rejected:` lines `ci.sh` greps. Every
-/// count is [`finbench_serve::LoadReport`]'s own classification.
+/// as its `total shed:` / `total rejected:` lines. Every count is
+/// [`finbench_serve::LoadReport`]'s own classification.
 #[derive(Default)]
 struct LoadTotals {
     shed: usize,
@@ -494,17 +504,16 @@ impl LoadTotals {
 /// open-loop points pace arrivals at fractions of the measured
 /// closed-loop peak (SLO territory). Queue capacity covers the full
 /// offered load and no deadlines are attached, so a healthy serving
-/// plane sheds nothing — `ci.sh` greps the final `total shed:` line as
-/// its smoke gate. Beside the percentiles every row carries the mean
+/// plane sheds nothing ([`gate::serve`] holds it to that). Beside the
+/// percentiles every row carries the mean
 /// batch fill and the flush-trigger mix of its (fresh) server, which say
 /// whether a latency is the system's (idle flushes) or the timer's
 /// (delay flushes).
 ///
 /// A shard-scaling sweep closes the run: the same closed-loop drive
 /// against 1, 2, … worker shards (`--shards N` sets the top; default 2
-/// quick / 4 full), printing a `shard scaling 1->2:` speedup line that
-/// `ci.sh` gates at ≥ 1.3×.
-pub fn serve_bench(opts: &RunOptions) {
+/// quick / 4 full), printing a `shard scaling 1->2:` speedup line.
+pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
     use finbench_serve::{
         drive, run_load, HedgePolicy, LoadMode, PricerConfig, ServeConfig, Server,
     };
@@ -676,8 +685,8 @@ pub fn serve_bench(opts: &RunOptions) {
     }
 
     // Shard-scaling sweep: the same closed-loop drive against a router
-    // with 1, 2, … worker shards on the analytic kernel. `ci.sh` greps
-    // the `shard scaling 1->2:` line as its scaling smoke gate.
+    // with 1, 2, … worker shards on the analytic kernel.
+    let mut scaling_1_to_2 = None;
     {
         let top = opts.shards.unwrap_or(if opts.quick { 2 } else { 4 }).max(1);
         let mut shard_counts = vec![1usize];
@@ -748,6 +757,9 @@ pub fn serve_bench(opts: &RunOptions) {
             if n > 1 {
                 println!("  shard scaling 1->{n}: {speedup_str}");
             }
+            if n == 2 {
+                scaling_1_to_2 = speedup;
+            }
         }
         println!(
             "{}",
@@ -772,6 +784,8 @@ pub fn serve_bench(opts: &RunOptions) {
         "  (fill = mean requests per batch; flush = % of batches cut by the size / delay / \
          idle / shutdown-drain trigger — an idle-flushed reply never waited on max_delay)"
     );
+    let cores = finbench_parallel::available_parallelism();
+    gate::serve(totals.shed, scaling_1_to_2, cores)
 }
 
 /// The `chaos_bench` experiment: closed-loop load against the serving
@@ -782,13 +796,12 @@ pub fn serve_bench(opts: &RunOptions) {
 /// alone on the rung that served it.** Faults may shed or degrade,
 /// never corrupt.
 ///
-/// `ci.sh` greps the final `corrupted prices:` / `degraded batches:`
-/// lines: corruption must be zero and the panic plans must actually
-/// exercise the degradation ladder (non-zero degraded batches). The
-/// server runs two worker shards, and a `shard kill` plan kills one
-/// mid-run — the `shard-kill availability:` line must stay above the CI
-/// floor while the surviving shard keeps serving.
-pub fn chaos_bench(opts: &RunOptions) {
+/// Corruption must be zero and the panic plans must actually exercise
+/// the degradation ladder (non-zero degraded batches). The server runs
+/// two worker shards, and a `shard kill` plan kills one mid-run —
+/// availability must stay above the floor while the surviving shard
+/// keeps serving ([`gate::chaos`] has the bounds).
+pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     use finbench_faults::{self as faults, FaultPlan, Faults};
     use finbench_serve::{
         drive, pricer, BreakerPolicy, Exchange, HedgePolicy, LoadMode, PriceRequest, PricerConfig,
@@ -963,7 +976,7 @@ pub fn chaos_bench(opts: &RunOptions) {
     let rolling_plan =
         "serve.shard.0=kill@0.05*1#11,serve.shard.1=kill@0.01*1#12,serve.shard.2=kill@0.002*1#13";
     let rolling_shards = 3usize;
-    {
+    let (rolling_respawns, rolling_avail) = {
         let plan = FaultPlan::parse(rolling_plan).expect("rolling-kill plan parses");
         let kills = Faults::new(plan);
         let server = Server::start_with_faults(config(rolling_shards, true), kills.clone());
@@ -1015,16 +1028,23 @@ pub fn chaos_bench(opts: &RunOptions) {
             "  rolling-kill post-recovery availability: {:.1}%",
             100.0 * avail2
         );
-    }
+        (snap.total_respawns(), avail2)
+    };
 
     println!("  corrupted prices: {total_corrupted}");
     println!("  degraded batches: {total_degraded}");
-    if let Some((avail, alive, shards, survivor_served)) = kill_stats {
-        println!("  shard-kill availability: {:.1}%", 100.0 * avail);
-        println!("  shard-kill survivors: {alive}/{shards} shards alive, served {survivor_served}");
-    }
+    let (kill_avail, alive, shards, survivor_served) =
+        kill_stats.expect("the matrix has a shard-kill plan");
+    println!("  shard-kill availability: {:.1}%", 100.0 * kill_avail);
+    println!("  shard-kill survivors: {alive}/{shards} shards alive, served {survivor_served}");
     println!("  (corrupted compares every Priced response bit-for-bit against solo");
     println!("  pricing on the rung that served it — faults shed or degrade, never corrupt)");
+    gate::chaos(
+        total_corrupted,
+        total_degraded,
+        (alive, 100.0 * kill_avail),
+        (rolling_respawns, 100.0 * rolling_avail),
+    )
 }
 
 /// The `greeks_bench` experiment: the risk workload plane end to end.
@@ -1039,10 +1059,10 @@ pub fn chaos_bench(opts: &RunOptions) {
 /// plane, every computed response replayed bit-for-bit against solo
 /// computation on the rung that served it.
 ///
-/// `ci.sh` greps the final `bump agreement:` and `total shed:` lines:
-/// the default bump sizes must reproduce the analytic greeks to 1e-5,
-/// and a healthy greeks lane under covered load sheds nothing.
-pub fn greeks_bench(opts: &RunOptions) {
+/// The default bump sizes must reproduce the analytic greeks, and a
+/// healthy greeks lane under covered load sheds nothing
+/// ([`gate::greeks`]).
+pub fn greeks_bench(opts: &RunOptions) -> Vec<Verdict> {
     use finbench_core::greeks::bump::{
         binomial_bump_greeks, bs_bump_greeks, cn_put_bump_greeks, BumpSizes,
     };
@@ -1252,8 +1272,8 @@ pub fn greeks_bench(opts: &RunOptions) {
     println!("  batched vs solo mismatches: {mismatches}");
     println!();
 
-    // Gate lines (grepped by ci.sh): default-bump agreement across a
-    // spread of random contracts, and zero shed under covered load.
+    // Default-bump agreement across a spread of random contracts, and
+    // zero shed under covered load.
     let mut stream = finbench_serve::OptionStream::new(0xA6EE);
     let mut worst = 0.0f64;
     for _ in 0..64 {
@@ -1263,18 +1283,16 @@ pub fn greeks_bench(opts: &RunOptions) {
             worst = worst.max(max_rel_err(got, greeks(kind, s, x, t, M)));
         }
     }
-    let tol = 1e-5;
-    println!(
-        "  bump agreement: {} (max rel err {worst:.1e} <= {tol:.0e})",
-        if worst <= tol && mismatches == 0 {
-            "OK"
-        } else {
-            "FAIL"
-        }
-    );
     let mut totals = LoadTotals::default();
     totals.add(&report);
+    let verdicts = gate::greeks(worst, mismatches, totals.shed);
+    println!(
+        "  bump agreement: {} (max rel err {worst:.1e}; bound {:?})",
+        ok(verdicts[..2].iter().all(|v| v.pass)),
+        verdicts[0].bound
+    );
     totals.print();
+    verdicts
 }
 
 /// The `portfolio_bench` experiment: the market-risk plane end to end.
@@ -1288,10 +1306,10 @@ pub fn greeks_bench(opts: &RunOptions) {
 /// merged P&L replayed bit-for-bit against the native single-threaded
 /// sweep of the same book and grid.
 ///
-/// `ci.sh` greps the `portfolio replay:` and `portfolio var check:`
-/// lines: served fan-out must merge bit-identically to native, and the
-/// finest grid's VaR must land inside the reference run's neighborhood.
-pub fn portfolio_bench(opts: &RunOptions) {
+/// Served fan-out must merge bit-identically to native, and the finest
+/// grid's VaR must land inside the reference run's neighborhood
+/// ([`gate::portfolio`]).
+pub fn portfolio_bench(opts: &RunOptions) -> Vec<Verdict> {
     use finbench_core::portfolio::{par_revalue, revalue_into, Book, RevalScratch, ScenarioConfig};
     use finbench_core::workload::MarketParams;
     use finbench_serve::{PortfolioRequest, ServeConfig, Server};
@@ -1391,13 +1409,15 @@ pub fn portfolio_bench(opts: &RunOptions) {
     println!("  (CIs are order statistics at rank ± 1.96·sqrt(c(1-c)n); ES ± tail std err)");
     println!();
 
-    // Gate: the finest sweep grid's VaR must sit inside (a slightly
-    // widened copy of) its own CI around the reference value — the
-    // estimator converges toward the reference as the grid grows.
-    let var_check = finest.iter().zip(reference.iter()).all(|(f, r)| {
+    // The finest sweep grid's VaR must sit inside (a slightly widened
+    // copy of) its own CI around the reference value — the estimator
+    // converges toward the reference as the grid grows. Measured as the
+    // worst gap in CI half-widths.
+    let var_gap = finest.iter().zip(reference.iter()).map(|(f, r)| {
         let half = ((f.var_ci.1 - f.var_ci.0) / 2.0).max(1e-9);
-        (f.var - r.var).abs() <= 2.0 * half
+        (f.var - r.var).abs() / half
     });
+    let var_gap = var_gap.fold(0.0, f64::max);
 
     // (c) One request through the sharded serving plane, replayed
     // natively. The chunk size forces a real fan-out so the merge path
@@ -1420,12 +1440,10 @@ pub fn portfolio_bench(opts: &RunOptions) {
     let out = match resp.outcome {
         Ok(out) => out,
         Err(e) => {
+            let verdicts = gate::portfolio(None, var_gap);
             println!("  portfolio replay: FAIL (request rejected: {e})");
-            println!(
-                "  portfolio var check: {}",
-                if var_check { "OK" } else { "FAIL" }
-            );
-            return;
+            println!("  portfolio var check: {}", ok(verdicts[1].pass));
+            return verdicts;
         }
     };
     let replay_book = Book::random(replay_positions, SEED);
@@ -1433,12 +1451,11 @@ pub fn portfolio_bench(opts: &RunOptions) {
     let mut scratch = RevalScratch::new();
     let mut native = Vec::new();
     revalue_into::<8>(&replay_book, M, &cfg.grid(), &mut scratch, &mut native);
-    let bit_identical = out.pnl.len() == native.len()
-        && out
-            .pnl
-            .iter()
-            .zip(native.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let differing = out.pnl.iter().zip(native.iter());
+    let mismatches = out.pnl.len().abs_diff(native.len())
+        + differing
+            .filter(|(a, b)| a.to_bits() != b.to_bits())
+            .count();
     println!(
         "  [serve] {} scenarios in {} chunks across {} shards, rungs {:?}, \
          merged in {:.1} ms",
@@ -1460,16 +1477,14 @@ pub fn portfolio_bench(opts: &RunOptions) {
         );
     }
 
-    // Gate lines (grepped by ci.sh).
+    let verdicts = gate::portfolio(Some(mismatches), var_gap);
     println!(
         "  portfolio replay: {} ({} scenarios bit-identical served vs native)",
-        if bit_identical { "OK" } else { "FAIL" },
+        ok(verdicts[0].pass),
         native.len()
     );
-    println!(
-        "  portfolio var check: {}",
-        if var_check { "OK" } else { "FAIL" }
-    );
+    println!("  portfolio var check: {}", ok(verdicts[1].pass));
+    verdicts
 }
 
 #[cfg(test)]

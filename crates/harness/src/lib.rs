@@ -29,6 +29,7 @@
 
 pub mod cli;
 pub mod experiments;
+pub mod gate;
 pub mod native;
 pub mod render;
 pub mod report;
@@ -103,10 +104,10 @@ pub fn run_experiment(id: &str, opts: &RunOptions) -> bool {
         "qmc" => experiments::qmc(opts),
         "audit" => experiments::audit(opts),
         "native" => experiments::native_all(opts),
-        "serve_bench" => experiments::serve_bench(opts),
-        "chaos_bench" => experiments::chaos_bench(opts),
-        "greeks_bench" => experiments::greeks_bench(opts),
-        "portfolio_bench" => experiments::portfolio_bench(opts),
+        "serve_bench" => drop(experiments::serve_bench(opts)),
+        "chaos_bench" => drop(experiments::chaos_bench(opts)),
+        "greeks_bench" => drop(experiments::greeks_bench(opts)),
+        "portfolio_bench" => drop(experiments::portfolio_bench(opts)),
         _ => unreachable!("id validated against EXPERIMENTS"),
     }
     true

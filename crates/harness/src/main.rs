@@ -57,6 +57,7 @@ fn main() {
             }
             return;
         }
+        CliAction::Gate { quick } => std::process::exit(finbench_harness::gate::main(quick)),
         CliAction::Run(p) => p,
     };
 

@@ -150,7 +150,7 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
     let active = Isa::active();
     let mut kernels_json = Vec::new();
     let mut rows = Vec::new();
-    let mut simd = Vec::new();
+    let mut simd_rows = Vec::new();
     for kernel in engine.registry().kernels() {
         let rungs = engine.run_ladder_samples(kernel, quick, trials);
         let portable = (active != Isa::Portable).then(|| {
@@ -169,8 +169,16 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
             ]);
         }
         let ratios = simd_ratios(&rungs, portable.as_deref().unwrap_or(&rungs));
+        for r in &ratios {
+            simd_rows.push(vec![
+                kernel.name().to_string(),
+                r.slug.clone(),
+                r.sibling.clone(),
+                format!("{:.2}x", r.active),
+                format!("{:.2}x", r.portable),
+            ]);
+        }
         kernels_json.push(kernel_json(kernel.name(), kernel.unit(), &rungs, &ratios));
-        simd.push((kernel.name(), ratios));
     }
     println!(
         "{}",
@@ -179,26 +187,13 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
             &rows
         )
     );
-    let simd_rows: Vec<Vec<String>> = simd
-        .iter()
-        .filter_map(|(kernel, ratios)| {
-            let best = ratios.iter().max_by(|a, b| a.rate.total_cmp(&b.rate))?;
-            Some(vec![
-                kernel.to_string(),
-                best.slug.clone(),
-                best.sibling.clone(),
-                format!("{:.2}x", best.active),
-                format!("{:.2}x", best.portable),
-            ])
-        })
-        .collect();
     let active_col = format!("x scalar ({})", active.name());
     println!(
         "{}",
         table(
             &[
                 "kernel",
-                "best SIMD rung",
+                "SIMD rung",
                 "scalar sibling",
                 active_col.as_str(),
                 "x scalar (portable)"
@@ -206,16 +201,6 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
             &simd_rows
         )
     );
-    // Machine-readable, one per SIMD-labelled rung: ci.sh lists the ones
-    // that do not earn the label (advisory).
-    for (kernel, ratios) in &simd {
-        for r in ratios {
-            println!(
-                "  simd-ratio {kernel} {} sibling={} active={:.2} portable={:.2}",
-                r.slug, r.sibling, r.active, r.portable
-            );
-        }
-    }
 
     // 2. Serve + greeks lanes: closed-loop latency, open-loop peak.
     let pricer = PricerConfig {
@@ -306,14 +291,6 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
                 &alloc_rows
             )
         );
-        // Machine-readable zero-alloc gate lines: ci.sh requires every
-        // pooled (steady-state serve) lane to report exactly 0.0.
-        for a in allocs.iter().filter(|a| a.lane.ends_with("_pooled")) {
-            println!(
-                "  alloc-gate {} allocs_per_iter={:.1}",
-                a.lane, a.allocs_per_iter
-            );
-        }
     } else {
         println!("  (counting allocator not installed; allocs/iter unavailable)");
     }
@@ -344,8 +321,6 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
 struct SimdRatio {
     slug: String,
     sibling: String,
-    /// The rung's own median rate under the active tier.
-    rate: f64,
     active: f64,
     portable: f64,
 }
@@ -364,7 +339,6 @@ fn simd_ratios(active: &[RungSamples], portable: &[RungSamples]) -> Vec<SimdRati
             out.push(SimdRatio {
                 slug: rung.slug.clone(),
                 sibling: active[s].slug.clone(),
-                rate: rung.samples.median(),
                 active: rung.samples.median() / active[s].samples.median(),
                 portable: portable[i].samples.median() / portable[s].samples.median(),
             });
@@ -493,134 +467,85 @@ const ALLOC_ITERS: usize = 64;
 /// batch per iteration, the pre-`*_into` serve path) and a `_pooled`
 /// lane that reuses one [`Scratch`] across iterations the way a serve
 /// lane does at steady state. The pooled SOA lanes must report **0**
-/// allocs/iter — ci.sh greps the `alloc-gate` lines for exactly that.
+/// allocs/iter ([`crate::gate::snapshot`]).
 fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
     let mut stream = finbench_serve::OptionStream::new(0xA110C);
     let opts: Vec<(f64, f64, f64)> = (0..ALLOC_BATCH).map(|_| stream.next_option()).collect();
     let mut out = Vec::new();
+    let mut lane = |lane: &str, rung: &str, per_iter: &mut dyn FnMut()| {
+        for _ in 0..4 {
+            per_iter(); // warmup: lazy statics, pool spin-up
+        }
+        let before = telemetry::alloc_stats();
+        for _ in 0..ALLOC_ITERS {
+            per_iter();
+        }
+        let d = telemetry::alloc_stats().since(before);
+        out.push(AllocLane {
+            lane: lane.to_string(),
+            rung: rung.to_string(),
+            batch: ALLOC_BATCH,
+            iters: ALLOC_ITERS,
+            allocs_per_iter: d.allocs as f64 / ALLOC_ITERS as f64,
+            bytes_per_iter: d.bytes as f64 / ALLOC_ITERS as f64,
+        });
+    };
+    // A lane's steady state: the flush staged into one reused scratch.
+    let stage = |scratch: &mut Scratch, width: usize| {
+        scratch.opts.clear();
+        scratch.opts.extend_from_slice(&opts);
+        scratch.stage(width);
+    };
     for kernel in ["black_scholes", "binomial"] {
-        if let Ok(rung) = finbench_serve::pricer::resolve(native::engine(), kernel, &pricer) {
-            let per_iter = |_: usize| {
-                let mut batch = finbench_core::OptionBatchSoa::zeroed(0);
-                padded_batch_into(&mut batch, &opts, rung.width);
-                rung.price(&mut batch);
-                std::hint::black_box(&batch);
-            };
-            let (allocs_per_iter, bytes_per_iter) = measure_allocs(per_iter);
-            out.push(AllocLane {
-                lane: kernel.to_string(),
-                rung: rung.slug.clone(),
-                batch: ALLOC_BATCH,
-                iters: ALLOC_ITERS,
-                allocs_per_iter,
-                bytes_per_iter,
+        let Ok(rung) = finbench_serve::pricer::resolve(native::engine(), kernel, &pricer) else {
+            continue;
+        };
+        lane(kernel, &rung.slug, &mut || {
+            let mut batch = finbench_core::OptionBatchSoa::zeroed(0);
+            padded_batch_into(&mut batch, &opts, rung.width);
+            rung.price(&mut batch);
+            std::hint::black_box(&batch);
+        });
+        // Pooled Black-Scholes: the steady-state serve price path (binomial
+        // is excluded — its lattice kernel allocates internally by design).
+        if kernel == "black_scholes" {
+            let mut scratch = Scratch::new();
+            lane("black_scholes_pooled", &rung.slug, &mut || {
+                stage(&mut scratch, rung.width);
+                rung.price(&mut scratch.soa);
+                std::hint::black_box(&scratch.soa);
             });
         }
     }
-    // Pooled Black-Scholes: the steady-state serve price path (binomial
-    // is excluded — its lattice kernel allocates internally by design).
-    if let Ok(rung) = finbench_serve::pricer::resolve(native::engine(), "black_scholes", &pricer) {
-        let mut scratch = Scratch::new();
-        let per_iter = |_: usize| {
-            scratch.opts.clear();
-            scratch.opts.extend_from_slice(&opts);
-            scratch.stage(rung.width);
-            rung.price(&mut scratch.soa);
-            std::hint::black_box(&scratch.soa);
-        };
-        let (allocs_per_iter, bytes_per_iter) = measure_allocs(per_iter);
-        out.push(AllocLane {
-            lane: "black_scholes_pooled".into(),
-            rung: rung.slug.clone(),
-            batch: ALLOC_BATCH,
-            iters: ALLOC_ITERS,
-            allocs_per_iter,
-            bytes_per_iter,
-        });
-    }
-    if let Some(rung) = finbench_serve::greeks_ladder(pricer.market)
-        .into_iter()
-        .next()
-    {
-        let per_iter = |_: usize| {
+    if let Some(rung) = finbench_serve::greeks_ladder(pricer.market).first() {
+        lane("greeks", &rung.slug, &mut || {
             let mut batch = finbench_core::OptionBatchSoa::zeroed(0);
             padded_batch_into(&mut batch, &opts, rung.width);
             let mut greeks = GreeksBatchSoa::zeroed(batch.len());
             rung.compute(&batch, &mut greeks);
             std::hint::black_box(&greeks);
-        };
-        let (allocs_per_iter, bytes_per_iter) = measure_allocs(per_iter);
-        out.push(AllocLane {
-            lane: "greeks".into(),
-            rung: rung.slug.clone(),
-            batch: ALLOC_BATCH,
-            iters: ALLOC_ITERS,
-            allocs_per_iter,
-            bytes_per_iter,
         });
         // Pooled greeks: the steady-state serve greeks path.
         let mut scratch = Scratch::new();
-        let per_iter = |_: usize| {
-            scratch.opts.clear();
-            scratch.opts.extend_from_slice(&opts);
-            scratch.stage(rung.width);
+        lane("greeks_pooled", &rung.slug, &mut || {
+            stage(&mut scratch, rung.width);
             scratch.greeks.resize(scratch.soa.len());
             rung.compute(&scratch.soa, &mut scratch.greeks);
             std::hint::black_box(&scratch.greeks);
-        };
-        let (allocs_per_iter, bytes_per_iter) = measure_allocs(per_iter);
-        out.push(AllocLane {
-            lane: "greeks_pooled".into(),
-            rung: rung.slug.clone(),
-            batch: ALLOC_BATCH,
-            iters: ALLOC_ITERS,
-            allocs_per_iter,
-            bytes_per_iter,
         });
     }
     // Pooled fused pass: prices + all ten greeks in one sweep over the
     // same reused scratch — the cheapest way to serve both planes.
-    {
-        let mut scratch = Scratch::new();
-        let market = pricer.market;
-        let per_iter = |_: usize| {
-            scratch.opts.clear();
-            scratch.opts.extend_from_slice(&opts);
-            scratch.stage(8);
-            scratch.greeks.resize(scratch.soa.len());
-            finbench_core::greeks::price_and_greeks_into::<8>(
-                &mut scratch.soa,
-                market,
-                &mut scratch.greeks,
-            );
-            std::hint::black_box(&scratch.greeks);
-        };
-        let (allocs_per_iter, bytes_per_iter) = measure_allocs(per_iter);
-        out.push(AllocLane {
-            lane: "fused_pooled".into(),
-            rung: "advanced_fused_price_greeks_w_8".into(),
-            batch: ALLOC_BATCH,
-            iters: ALLOC_ITERS,
-            allocs_per_iter,
-            bytes_per_iter,
-        });
-    }
+    let mut scratch = Scratch::new();
+    let fused = "advanced_fused_price_greeks_w_8";
+    lane("fused_pooled", fused, &mut || {
+        stage(&mut scratch, 8);
+        scratch.greeks.resize(scratch.soa.len());
+        let (soa, greeks) = (&mut scratch.soa, &mut scratch.greeks);
+        finbench_core::greeks::price_and_greeks_into::<8>(soa, pricer.market, greeks);
+        std::hint::black_box(&scratch.greeks);
+    });
     out
-}
-
-fn measure_allocs(mut per_iter: impl FnMut(usize)) -> (f64, f64) {
-    for i in 0..4 {
-        per_iter(i); // warmup: lazy statics, pool spin-up
-    }
-    let before = telemetry::alloc_stats();
-    for i in 0..ALLOC_ITERS {
-        per_iter(i);
-    }
-    let d = telemetry::alloc_stats().since(before);
-    (
-        d.allocs as f64 / ALLOC_ITERS as f64,
-        d.bytes as f64 / ALLOC_ITERS as f64,
-    )
 }
 
 fn assemble_json(
@@ -791,20 +716,7 @@ fn cpu_model_string() -> String {
 /// Next free `BENCH_<n>.json` in `dir`: one past the highest committed
 /// trajectory point.
 pub fn next_bench_path(dir: &Path) -> PathBuf {
-    let mut max_n = 0u64;
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(n) = name
-                .strip_prefix("BENCH_")
-                .and_then(|s| s.strip_suffix(".json"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                max_n = max_n.max(n);
-            }
-        }
-    }
+    let max_n = bench_snapshots(dir).last().map_or(0, |(n, _)| *n);
     dir.join(format!("BENCH_{}.json", max_n + 1))
 }
 
@@ -913,7 +825,25 @@ pub fn load_bench(path: &Path) -> Result<BenchDoc, CompareError> {
     flatten(&doc, &label)
 }
 
-fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
+/// `obj[field]`, when it is a number, as the metric `{base}.{field}`.
+fn metric(
+    obj: &Json,
+    base: &str,
+    field: &str,
+    gated: bool,
+    higher: bool,
+    floor: f64,
+) -> Option<Metric> {
+    Some(Metric {
+        path: format!("{base}.{field}"),
+        value: obj.get(field)?.as_f64()?,
+        gated,
+        higher_is_better: higher,
+        abs_floor: floor,
+    })
+}
+
+pub(crate) fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
     match doc.get("schema_version") {
         Some(Json::Num(v)) if *v == BENCH_SCHEMA_VERSION as f64 => {}
         Some(other) => {
@@ -980,15 +910,7 @@ fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
             let threaded = matches!(rung.get("threaded"), Some(Json::Bool(true)));
             let base = format!("native.{name}.{slug}");
             let mut push = |field: &str, gated: bool, higher: bool| {
-                if let Some(v) = rung.get(field).and_then(Json::as_f64) {
-                    metrics.push(Metric {
-                        path: format!("{base}.{field}"),
-                        value: v,
-                        gated,
-                        higher_is_better: higher,
-                        abs_floor: 0.0,
-                    });
-                }
+                metrics.extend(metric(rung, &base, field, gated, higher, 0.0));
             };
             // Thread-pool rungs wobble with scheduler load; advisory.
             push("median_rate", !threaded, true);
@@ -996,21 +918,21 @@ fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
             push("best_rate", false, true);
             push("median_cpi", false, false);
         }
+        // A SIMD-labelled rung's rate over its scalar sibling's under the
+        // active tier (absent before the snapshots carried it): advisory.
+        if let Some(Json::Arr(ratios)) = kernel.get("simd_vs_scalar") {
+            for ratio in ratios {
+                let base = format!("simd.{name}.{}", str_of(ratio, "slug")?);
+                metrics.extend(metric(ratio, &base, "active", false, true, 0.0));
+            }
+        }
     }
 
     for lane in arr("serve")? {
         let name = str_of(lane, "lane")?;
         let base = format!("serve.{name}");
         let mut push = |field: &str, gated: bool, higher: bool, floor: f64| {
-            if let Some(v) = lane.get(field).and_then(Json::as_f64) {
-                metrics.push(Metric {
-                    path: format!("{base}.{field}"),
-                    value: v,
-                    gated,
-                    higher_is_better: higher,
-                    abs_floor: floor,
-                });
-            }
+            metrics.extend(metric(lane, &base, field, gated, higher, floor));
         };
         // A closed-loop lane with ample queue must not shed at all: any
         // increase (floor 0.5 ⇒ ≥ 1 whole request) is a gated regression.
@@ -1027,15 +949,7 @@ fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError> {
         let name = str_of(lane, "lane")?;
         let base = format!("allocs.{name}");
         let mut push = |field: &str, gated: bool, floor: f64| {
-            if let Some(v) = lane.get(field).and_then(Json::as_f64) {
-                metrics.push(Metric {
-                    path: format!("{base}.{field}"),
-                    value: v,
-                    gated,
-                    higher_is_better: false,
-                    abs_floor: floor,
-                });
-            }
+            metrics.extend(metric(lane, &base, field, gated, false, floor));
         };
         // Floor of 4 allocs/iter on the allocating lanes: the hot path
         // gate triggers on real regressions (a new Vec per batch = +1.0),
@@ -1303,7 +1217,7 @@ pub fn gate_self_test(
 // ---------------------------------------------------------------------------
 
 /// All `BENCH_<n>.json` files in `dir`, ascending by `n`.
-fn bench_snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
+pub(crate) fn bench_snapshots(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut files = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
         for entry in entries.flatten() {

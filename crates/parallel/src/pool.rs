@@ -1,15 +1,15 @@
 //! The chunk-dispenser scheduler.
 //!
-//! A single `AtomicUsize` hands out fixed-size chunk indices to scoped
-//! worker threads — the minimal dynamic scheduler, equivalent to OpenMP's
-//! `schedule(dynamic, chunk)`. Reductions collect `(chunk_index, partial)`
-//! pairs and fold them in chunk order, so floating-point results are
-//! bit-identical regardless of thread count or scheduling interleavings —
-//! a property the kernel equivalence tests rely on.
-//!
-//! Each worker tallies how many chunks it pulled; after the join the
-//! dispatch reports a load-imbalance figure to `finbench-telemetry` (see
-//! the crate docs).
+//! A single `AtomicUsize` hands out chunk indices to scoped worker
+//! threads — the minimal dynamic scheduler, equivalent to OpenMP's
+//! `schedule(dynamic, chunk)`. One private `dispatch` owns the threads,
+//! the counter and the per-worker tallies behind the load-imbalance
+//! figure (see the crate docs); the public entry points only turn a chunk
+//! index into their slice(s) or range, so it is also the single seam a
+//! persistent worker team would replace. Reductions fold per-chunk
+//! partials in chunk order, so floating-point results are bit-identical
+//! for any thread count or interleaving — the kernel equivalence tests
+//! rely on it.
 
 use finbench_telemetry as telemetry;
 use std::ops::Range;
@@ -17,23 +17,32 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Raw-pointer wrapper that asserts cross-thread transferability.
-///
-/// Workers only ever materialize *disjoint* chunk slices from it (see the
-/// SAFETY comments at the use sites).
 struct SendPtr<T>(*mut T);
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// Chunk `c` of the `len`-element slice behind the pointer. A method,
+    /// so task closures capture the wrapper, not its `*mut T` field
+    /// (edition-2021 disjoint capture would lose the Sync assertion).
+    ///
+    /// # Safety
+    /// The slice must outlive the borrow and no two live borrows may
+    /// share a `c`: distinct indices are disjoint ranges, and [`dispatch`]
+    /// hands each index to exactly one task.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn chunk(&self, c: usize, chunk_size: usize, len: usize) -> &mut [T] {
+        let start = c * chunk_size;
+        std::slice::from_raw_parts_mut(self.0.add(start), chunk_size.min(len - start))
+    }
+}
 
 /// Report one finished dispatch: `per_worker[i]` chunks pulled by worker
 /// `i`. Imbalance is `max_chunks × workers / n_chunks` — 1.0 means every
 /// worker pulled the same share, `workers` means one worker did it all.
 fn record_dispatch(n_chunks: usize, workers: usize, per_worker: &[u64]) {
     let max = per_worker.iter().copied().max().unwrap_or(0);
-    let imbalance = if n_chunks == 0 {
-        1.0
-    } else {
-        max as f64 * workers as f64 / n_chunks as f64
-    };
+    let imbalance = max as f64 * workers as f64 / n_chunks as f64;
     telemetry::counter_add("pool.dispatches", 1);
     telemetry::counter_add("pool.chunks", n_chunks as u64);
     telemetry::gauge_set("pool.last_imbalance", imbalance);
@@ -42,12 +51,38 @@ fn record_dispatch(n_chunks: usize, workers: usize, per_worker: &[u64]) {
     telemetry::set_attr("pool_imbalance", imbalance);
 }
 
+/// Run `task(c)` exactly once for every `c` in `0..n_chunks` (≥ 1) on up
+/// to `workers` scoped threads pulling indices off one atomic counter.
+/// One worker — asked for, or all a single chunk can use — is a plain
+/// loop on the calling thread: no spawn, no allocation.
+fn dispatch(n_chunks: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
+    let workers = workers.clamp(1, n_chunks);
+    if workers == 1 {
+        for c in 0..n_chunks {
+            task(c);
+        }
+        record_dispatch(n_chunks, 1, &[n_chunks as u64]);
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    // One worker: pull indices until they run out, return how many it ran.
+    let pull = || {
+        std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .take_while(|&c| c < n_chunks)
+            .map(task)
+            .count() as u64
+    };
+    let per_worker: Vec<u64> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(pull)).collect();
+        let join = |h: std::thread::ScopedJoinHandle<u64>| h.join().expect("pool worker panicked");
+        handles.into_iter().map(join).collect()
+    });
+    record_dispatch(n_chunks, workers, &per_worker);
+}
+
 /// Process `data` in place in `chunk_size` pieces across `workers`
 /// threads. `body` receives the starting element index of the chunk and
 /// the mutable chunk slice.
-///
-/// `workers == 1` (or a single chunk) degenerates to a plain serial loop
-/// with no thread spawns.
 ///
 /// ```
 /// let mut v = vec![1.0f64; 100];
@@ -68,68 +103,17 @@ where
     if len == 0 {
         return;
     }
-    let n_chunks = len.div_ceil(chunk_size);
-    let workers = workers.max(1).min(n_chunks);
-
-    if workers == 1 {
-        for (c, chunk) in data.chunks_mut(chunk_size).enumerate() {
-            body(c * chunk_size, chunk);
-        }
-        record_dispatch(n_chunks, 1, &[n_chunks as u64]);
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
     let base = SendPtr(data.as_mut_ptr());
-    let mut per_worker = vec![0u64; workers];
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                // Capture the SendPtr wrapper itself, not its raw-pointer
-                // field (edition-2021 disjoint capture would otherwise move
-                // `*mut T` into the closure and lose the Send/Sync
-                // assertion).
-                let base = &base;
-                let next = &next;
-                let body = &body;
-                s.spawn(move || {
-                    let mut pulled = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk_size;
-                        let end = (start + chunk_size).min(len);
-                        // SAFETY: `c` values are unique per fetch_add, so
-                        // the [start, end) ranges handed to workers are
-                        // pairwise disjoint sub-slices of `data`, which
-                        // outlives the scope; no two threads ever alias an
-                        // element.
-                        let chunk = unsafe {
-                            std::slice::from_raw_parts_mut(base.0.add(start), end - start)
-                        };
-                        body(start, chunk);
-                        pulled += 1;
-                    }
-                    pulled
-                })
-            })
-            .collect();
-        for (slot, h) in per_worker.iter_mut().zip(handles) {
-            *slot = h.join().expect("pool worker panicked");
-        }
+    dispatch(len.div_ceil(chunk_size), workers, &|c| {
+        // SAFETY: `data` is mutably borrowed for the whole dispatch and
+        // this is the only task that sees `c`.
+        body(c * chunk_size, unsafe { base.chunk(c, chunk_size, len) });
     });
-
-    record_dispatch(n_chunks, workers, &per_worker);
 }
 
 /// Like [`parallel_for_chunks`], but drives two equal-length slices in
-/// lockstep: each chunk pairs `a[start..end]` with `b[start..end]`. This
-/// is the shape of the paired call/put output arrays of the
-/// Black-Scholes kernel, letting the SoA driver parallelize without a
-/// work-stealing dependency.
+/// lockstep: each chunk pairs `a[start..end]` with `b[start..end]` — the
+/// shape of the Black-Scholes kernel's paired call/put output arrays.
 pub fn parallel_for_chunks2<T, U, F>(
     a: &mut [T],
     b: &mut [U],
@@ -147,73 +131,23 @@ pub fn parallel_for_chunks2<T, U, F>(
     if len == 0 {
         return;
     }
-    let n_chunks = len.div_ceil(chunk_size);
-    let workers = workers.max(1).min(n_chunks);
-
-    if workers == 1 {
-        for (c, (ca, cb)) in a
-            .chunks_mut(chunk_size)
-            .zip(b.chunks_mut(chunk_size))
-            .enumerate()
-        {
-            body(c * chunk_size, ca, cb);
-        }
-        record_dispatch(n_chunks, 1, &[n_chunks as u64]);
-        return;
-    }
-
-    let next = AtomicUsize::new(0);
-    let base_a = SendPtr(a.as_mut_ptr());
-    let base_b = SendPtr(b.as_mut_ptr());
-    let mut per_worker = vec![0u64; workers];
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let base_a = &base_a;
-                let base_b = &base_b;
-                let next = &next;
-                let body = &body;
-                s.spawn(move || {
-                    let mut pulled = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk_size;
-                        let end = (start + chunk_size).min(len);
-                        // SAFETY: as in `parallel_for_chunks` — unique `c`
-                        // per fetch_add yields pairwise disjoint chunks of
-                        // both slices, each outliving the scope.
-                        let (ca, cb) = unsafe {
-                            (
-                                std::slice::from_raw_parts_mut(base_a.0.add(start), end - start),
-                                std::slice::from_raw_parts_mut(base_b.0.add(start), end - start),
-                            )
-                        };
-                        body(start, ca, cb);
-                        pulled += 1;
-                    }
-                    pulled
-                })
-            })
-            .collect();
-        for (slot, h) in per_worker.iter_mut().zip(handles) {
-            *slot = h.join().expect("pool worker panicked");
-        }
+    let (base_a, base_b) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+    dispatch(len.div_ceil(chunk_size), workers, &|c| {
+        // SAFETY: as in `parallel_for_chunks`, for both slices.
+        let cb = unsafe { base_b.chunk(c, chunk_size, len) };
+        body(
+            c * chunk_size,
+            unsafe { base_a.chunk(c, chunk_size, len) },
+            cb,
+        );
     });
-
-    record_dispatch(n_chunks, workers, &per_worker);
 }
 
 /// Map the index range `0..n` in `chunk_size` pieces across `workers`
 /// threads and fold the per-chunk partials with `reduce`.
 ///
-/// The fold is performed **in chunk order**, so for non-associative
-/// floating-point reductions the result is independent of thread count —
-/// `parallel_map_reduce(n, c, 1, ..)` and `parallel_map_reduce(n, c, 8,
-/// ..)` return bit-identical values.
+/// The fold is performed **in chunk order**, so a non-associative
+/// floating-point reduction returns the same bits for 1 worker and for 8.
 ///
 /// ```
 /// let total = finbench_parallel::parallel_map_reduce(
@@ -241,61 +175,16 @@ where
     if n == 0 {
         return identity;
     }
+    // One slot per chunk, written by the task that owns the index.
     let n_chunks = n.div_ceil(chunk_size);
-    let workers = workers.max(1).min(n_chunks);
-
-    if workers == 1 {
-        let mut acc = identity;
-        for c in 0..n_chunks {
-            let start = c * chunk_size;
-            let end = (start + chunk_size).min(n);
-            acc = reduce(acc, map(start..end));
-        }
-        record_dispatch(n_chunks, 1, &[n_chunks as u64]);
-        return acc;
-    }
-
-    let next = AtomicUsize::new(0);
-    let partials: Mutex<Vec<(usize, A)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    let mut per_worker = vec![0u64; workers];
-
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let partials = &partials;
-                let map = &map;
-                s.spawn(move || {
-                    let mut pulled = 0u64;
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= n_chunks {
-                            break;
-                        }
-                        let start = c * chunk_size;
-                        let end = (start + chunk_size).min(n);
-                        let partial = map(start..end);
-                        partials.lock().unwrap().push((c, partial));
-                        pulled += 1;
-                    }
-                    pulled
-                })
-            })
-            .collect();
-        for (slot, h) in per_worker.iter_mut().zip(handles) {
-            *slot = h.join().expect("pool worker panicked");
-        }
+    let partials: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    dispatch(n_chunks, workers, &|c| {
+        let start = c * chunk_size;
+        *partials[c].lock().unwrap() = Some(map(start..(start + chunk_size).min(n)));
     });
-
-    record_dispatch(n_chunks, workers, &per_worker);
-
-    let mut parts = partials.into_inner().unwrap();
-    parts.sort_by_key(|&(c, _)| c);
-    let mut acc = identity;
-    for (_, p) in parts {
-        acc = reduce(acc, p);
-    }
-    acc
+    partials.into_iter().fold(identity, |acc, slot| {
+        reduce(acc, slot.into_inner().unwrap().expect("every chunk ran"))
+    })
 }
 
 #[cfg(test)]

@@ -12,6 +12,12 @@
 //! [`Planner`](finbench_engine::Planner)'s chosen rung and walks *down*
 //! the ladder to the most advanced servable one.
 //!
+//! No *threaded* rung is servable: a shard worker is the serving plane's
+//! unit of parallelism and a micro-batch is a single pool chunk, so
+//! `advanced_own_pool_threads` could only compute the bits of
+//! `advanced_erf_parity_w_8`, which a lane serves when the planner (on
+//! two or more CPUs) picks the threaded rung.
+//!
 //! ## Bit-exactness under batching
 //!
 //! The SIMD drivers fall back to a scalar tail for `len % W` leftovers,
@@ -37,9 +43,6 @@ pub struct PricerConfig {
     pub market: MarketParams,
     /// Time steps for the binomial tree pricer.
     pub binomial_steps: usize,
-    /// Per-task option count for the pool-threaded Black-Scholes rung
-    /// (rounded up to the SIMD width so no chunk gets a scalar tail).
-    pub pool_chunk: usize,
 }
 
 impl Default for PricerConfig {
@@ -47,7 +50,6 @@ impl Default for PricerConfig {
         Self {
             market: MarketParams::PAPER,
             binomial_steps: 256,
-            pool_chunk: 4096,
         }
     }
 }
@@ -131,13 +133,6 @@ pub fn servable(kernel: &str, slug: &str, cfg: &PricerConfig) -> Option<ServingR
             8,
             Box::new(move |b| soa::price_soa_simd_erf_parity::<8>(b, m)),
         ),
-        ("black_scholes", "advanced_own_pool_threads") => {
-            // Chunk must stay a multiple of the width so no worker sees a
-            // scalar tail; lane-wise math then makes chunk boundaries
-            // invisible in the bits.
-            let chunk = cfg.pool_chunk.div_ceil(8).max(1) * 8;
-            (8, Box::new(move |b| soa::par_price_soa::<8>(b, m, chunk)))
-        }
         ("binomial", "basic_scalar_reference") => {
             let n = cfg.binomial_steps.max(1);
             (
@@ -324,6 +319,29 @@ mod tests {
     }
 
     #[test]
+    fn no_threaded_rung_is_servable_and_the_top_rung_prices_what_the_pooled_one_did() {
+        let e = engine(); // plans for 16 cores: the ladder starts at the top
+        let cfg = PricerConfig::default();
+        for kernel in ["black_scholes", "binomial"] {
+            let rungs = e.registry().resolve(kernel).unwrap().rungs();
+            for served in servable_ladder(&e, kernel, &cfg).unwrap() {
+                let info = rungs.iter().find(|r| r.slug == served.slug).unwrap();
+                assert!(!info.threaded, "{kernel}: {} is threaded", served.slug);
+            }
+        }
+        // The rung served in place of the deleted pooled entry returns
+        // that entry's bits, `par_price_soa::<8>(b, m, 4096)`, on a full batch.
+        let top = resolve(&e, "black_scholes", &cfg).unwrap();
+        let mut served = OptionBatchSoa::random(4096, 7, Default::default());
+        let mut pooled = served.clone();
+        top.price(&mut served);
+        soa::par_price_soa::<8>(&mut pooled, cfg.market, 4096);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&served.call), bits(&pooled.call));
+        assert_eq!(bits(&served.put), bits(&pooled.put));
+    }
+
+    #[test]
     fn every_servable_black_scholes_rung_agrees_with_the_closed_form() {
         let m = MarketParams::PAPER;
         let cfg = PricerConfig::default();
@@ -334,7 +352,6 @@ mod tests {
             "intermediate_simd_soa_w_4",
             "intermediate_simd_soa_w_8",
             "advanced_erf_parity_w_8",
-            "advanced_own_pool_threads",
         ] {
             let rung = servable("black_scholes", slug, &cfg).unwrap();
             let (c, p) = rung.price_one(s, x, t);

@@ -1656,7 +1656,7 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
     let level = lane.level;
     let width = W::width(&lane.ladder[level]);
 
-    let _g = telemetry::span(lane.span_name.as_str());
+    let span = telemetry::span(lane.span_name.as_str());
     telemetry::set_attr("rung", Arc::clone(&lane.rung_attrs[level]));
     telemetry::set_attr("occupancy", lane.flush.len());
     telemetry::set_attr("target", lane.target);
@@ -1712,11 +1712,12 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
                 ks.degraded_batches += 1;
             }
             ks.occupancy.record(batch_len as f64);
-            // Tally before scattering: a client that holds its response
-            // must see it in the next snapshot (loadgen deltas rely on
-            // this ordering).
+            // Tally, and close the batch's span, before scattering: a
+            // client that holds its response must see both in the next
+            // snapshot (loadgen deltas rely on this ordering).
             seat.served.fetch_add(batch_len as u64, Ordering::Relaxed);
             telemetry::counter_add(W::COUNTERS.served, batch_len as u64);
+            drop(span);
             for (i, env) in lane.flush.iter().enumerate() {
                 let latency = done.duration_since(env.submitted);
                 ks.served += 1;
@@ -1741,6 +1742,7 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
                 }
                 FailureAction::Tolerate => {}
             }
+            drop(span);
             reject_internal(
                 &lane.flush,
                 &Cow::Owned(format!("kernel panic: {reason}")),

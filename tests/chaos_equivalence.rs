@@ -213,6 +213,14 @@ fn a_fault_plan_fires_only_in_the_server_started_with_it() {
         queue_capacity: 256,
         max_delay: Duration::from_micros(100),
         pricer: pricer_config(),
+        // This test is about whose plan fires, not about the breaker: a
+        // lane whose every batch panics must keep reaching the kernel.
+        // With the default policy it opens after `ladder length + 2`
+        // failed batches, which 200 requests reach or not by timing.
+        breaker: BreakerPolicy {
+            open_after: u32::MAX,
+            ..BreakerPolicy::default()
+        },
         ..ServeConfig::default()
     };
     let n = 200u64;

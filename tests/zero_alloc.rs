@@ -8,12 +8,17 @@
 //! globally by `finbench_harness`) tallies process-wide, so sharing a
 //! process with concurrently running tests (cargo's default parallel
 //! test threads) would make the "no allocations happened" assertion
-//! meaningless. `ci.sh` additionally gates the same property through
-//! `bench-report`'s `alloc-gate` lines; this test is the fast,
+//! meaningless. `finbench gate` additionally holds `bench-report`'s
+//! pooled alloc lanes to the same zero; this test is the fast,
 //! deterministic half of that gate.
 
+use finbench::core::black_scholes::soa::par_price_soa;
+use finbench::core::engine::registry;
 use finbench::core::greeks::{greeks_batch_simd, price_and_greeks_into};
 use finbench::core::MarketParams;
+use finbench::engine::Engine;
+use finbench::parallel::available_parallelism;
+use finbench::serve::pricer::{self, PricerConfig};
 use finbench::serve::Scratch;
 use finbench::telemetry;
 
@@ -36,6 +41,14 @@ fn steady_state_serve_batches_allocate_nothing() {
         "counting allocator must be installed in this test binary"
     );
     let mut scratch = Scratch::new();
+    // What a Black-Scholes lane on *this* host serves with: the planner's
+    // pick walked down to the top servable rung.
+    let served = pricer::resolve(
+        &Engine::new(registry()),
+        "black_scholes",
+        &PricerConfig::default(),
+    )
+    .expect("black_scholes is servable");
 
     // Warmup: the largest flush this "lane" will see grows every buffer
     // to capacity; smaller and ragged flushes afterwards must reuse it.
@@ -53,6 +66,12 @@ fn steady_state_serve_batches_allocate_nothing() {
         greeks_batch_simd::<8>(&scratch.soa, M, &mut scratch.greeks);
         price_and_greeks_into::<8>(&mut scratch.soa, M, &mut scratch.greeks);
         std::hint::black_box(&scratch.greeks);
+        // The served rung itself, and the pool under a batch that fits
+        // one chunk: the calling thread runs it, nothing is spawned.
+        scratch.stage(served.width);
+        served.price(&mut scratch.soa);
+        par_price_soa::<8>(&mut scratch.soa, M, 4096);
+        std::hint::black_box(&scratch.soa);
     };
     for (round, &n) in sizes.iter().enumerate() {
         run(&mut scratch, n, round);
@@ -62,6 +81,10 @@ fn steady_state_serve_batches_allocate_nothing() {
     let before = telemetry::alloc_stats();
     for (round, &n) in sizes.iter().enumerate() {
         run(&mut scratch, n, round + sizes.len());
+    }
+    // The CPU count is asked of the OS once (the warm-up did), not per step.
+    for _ in 0..100 {
+        std::hint::black_box(available_parallelism());
     }
     let d = telemetry::alloc_stats().since(before);
     assert_eq!(
