@@ -2,7 +2,7 @@
 //! advanced (erf + call/put parity) levels, plus thread-parallel drivers.
 
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_math as fm;
+use finbench_math::{self as fm, Real};
 use finbench_parallel::parallel_for_chunks2;
 use finbench_simd::math::{verf, vexp, vln, vnorm_cdf};
 use finbench_simd::{isa_fn, F64v};
@@ -76,6 +76,75 @@ fn price_vec_cnd<const W: usize>(
     let call = s * vnorm_cdf(d1) - xexp * vnorm_cdf(d2);
     let put = xexp * vnorm_cdf(-d2) - s * vnorm_cdf(-d1);
     (call, put)
+}
+
+/// One scenario's shocked market, reduced to the scalars [`call_vec_hoisted`]
+/// reads: everything that depends on the scenario and not on the position,
+/// computed once per scenario instead of once per (position, scenario).
+#[derive(Debug, Clone, Copy)]
+pub struct ShockedMarket {
+    /// Spot multiplier `b = 1 + spot shock`.
+    bump: f64,
+    /// `ln b`: the shocked `ln(s·b/x)` is `ln(s/x) + ln b`.
+    ln_bump: f64,
+    r: f64,
+    sigma: f64,
+    /// `r + σ²/2`, the drift term of `d1`.
+    drift: f64,
+}
+
+impl ShockedMarket {
+    /// `market` under a relative spot shock, a relative volatility shock and
+    /// an additive rate shock (all zero: the base market, bit for bit).
+    #[inline(always)]
+    pub fn new(market: MarketParams, spot: f64, vol: f64, rate: f64) -> Self {
+        let bump = 1.0 + spot;
+        let r = market.r + rate;
+        let sigma = market.sigma * (1.0 + vol);
+        Self {
+            bump,
+            ln_bump: fm::ln(bump),
+            r,
+            sigma,
+            drift: r + sigma * sigma * 0.5,
+        }
+    }
+}
+
+/// The call leg of [`price_vec_cnd`] for a position whose `lsx = ln(s/x)`
+/// is already known, under one scenario's [`ShockedMarket`]: one `vexp`,
+/// two `vnorm_cdf`, `√t` and the division by `σ√t`; no `ln`, no `s/x`, and
+/// the put is never formed. This is the operation-count pass the paper's
+/// advanced level is, applied along the scenario axis of
+/// `crate::portfolio`.
+///
+/// `√t` could be a staged column too, and the division a product of two
+/// reciprocals; both were measured and are parked behind ROADMAP item 4(a)
+/// — see EXPERIMENTS.md.
+#[inline(always)]
+pub(crate) fn call_vec_hoisted<const W: usize>(
+    s: F64v<W>,
+    x: F64v<W>,
+    t: F64v<W>,
+    lsx: F64v<W>,
+    m: &ShockedMarket,
+) -> F64v<W> {
+    let vol = t.sqrt() * m.sigma;
+    let d1 = (lsx + m.ln_bump + t * m.drift) / vol;
+    let d2 = d1 - vol;
+    (s * m.bump) * vnorm_cdf(d1) - x * vexp(-(t * m.r)) * vnorm_cdf(d2)
+}
+
+/// One lane of [`call_vec_hoisted`] — the same operations in the same
+/// order, so the same bits — generic over the scalar type: instantiate
+/// with `CountedF64` for the op-count audit of the machine model's
+/// portfolio descriptor, as [`super::price_single`] is for Black-Scholes.
+#[inline]
+pub fn call_hoisted_single<R: Real>(s: R, x: R, t: R, lsx: R, m: &ShockedMarket) -> R {
+    let vol = t.sqrt() * R::of(m.sigma);
+    let d1 = (lsx + R::of(m.ln_bump) + t * R::of(m.drift)) / vol;
+    let d2 = d1 - vol;
+    (s * R::of(m.bump)) * d1.norm_cdf() - x * (-(t * R::of(m.r))).exp() * d2.norm_cdf()
 }
 
 /// The advanced vector body: `cnd → erf` substitution
@@ -293,6 +362,37 @@ mod tests {
             for i in 0..base.len() {
                 assert_eq!(a.call[i].to_bits(), call[i].to_bits(), "{label} call {i}");
                 assert_eq!(a.put[i].to_bits(), put[i].to_bits(), "{label} put {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_call_is_its_scalar_twin_and_the_closed_form_call() {
+        let b = batch(64);
+        let m0 = MarketParams::PAPER;
+        for (spot, vol, rate) in [(0.0, 0.0, 0.0), (0.1, -0.25, 0.01), (-0.07, 0.2, -0.004)] {
+            let m = ShockedMarket::new(m0, spot, vol, rate);
+            let shocked = MarketParams {
+                r: m0.r + rate,
+                sigma: m0.sigma * (1.0 + vol),
+            };
+            for i in (0..b.len()).step_by(8) {
+                let at = |col: &[f64]| F64v::<8>::load(col, i);
+                let (s, x, t) = (at(&b.s), at(&b.x), at(&b.t));
+                let lsx = vln(s / x);
+                let call = call_vec_hoisted(s, x, t, lsx, &m);
+                for l in 0..8 {
+                    let twin = call_hoisted_single(s[l], x[l], t[l], lsx[l], &m);
+                    assert_eq!(call[l].to_bits(), twin.to_bits(), "option {}", i + l);
+                    let want =
+                        super::super::price_single(s[l] * (1.0 + spot), x[l], t[l], shocked).0;
+                    assert!(
+                        (call[l] - want).abs() <= 1e-12 * want.abs().max(1.0),
+                        "option {}: {} vs {want}",
+                        i + l,
+                        call[l]
+                    );
+                }
             }
         }
     }

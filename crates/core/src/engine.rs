@@ -1023,16 +1023,17 @@ impl Kernel for GreeksKernel {
 // ---------------------------------------------------------------------
 
 /// Full-book scenario revaluation — the production market-risk workload
-/// layered on the Black-Scholes SOA ladders: a fixed book repriced under
+/// layered on the Black-Scholes vector body: a fixed book repriced under
 /// a deterministic shocked-scenario grid, one P&L value per scenario.
 ///
 /// The observable checked across rungs is the P&L vector itself. The
 /// scalar / W=4 / W=8 sweeps are bit-exact among themselves (the staged
-/// book is padded to the widest lane count, so no width ever takes the
-/// scalar remainder path), and the chunk-parallel rung is Rel-checked:
-/// it is bitwise-identical too (split-invariant grids, fixed-order
-/// reduction), but the declared tolerance documents only what the
-/// schedule guarantees by construction.
+/// book is padded to the widest lane count, so no width ever takes a
+/// scalar remainder path, and every width sums in the same strided
+/// order), and the chunk-parallel rung is Rel-checked: it is
+/// bitwise-identical too (split-invariant grids, the same reduction),
+/// but the declared tolerance documents only what the schedule
+/// guarantees by construction.
 pub struct PortfolioKernel;
 
 /// A book plus its scenario grid, both pure functions of the spec seed.
@@ -1128,9 +1129,7 @@ impl Kernel for PortfolioKernel {
     }
 
     fn cost(&self, arch: &ArchSpec) -> Vec<CostedLevel> {
-        // Each scenario step is the Black-Scholes SOA sweep with a cheap
-        // restage + reduce wrapped around it.
-        cost_model::black_scholes(arch)
+        cost_model::portfolio_revaluation(arch)
     }
 }
 

@@ -17,34 +17,44 @@
 //!   [`ScenarioConfig::fill_grid`] over any `[lo, hi)` sub-range is
 //!   bit-identical to slicing the full grid. Chunking scenarios across
 //!   shards or threads can never change a single bit of the result.
-//! * **Tail-free revaluation** — the staged book is padded to
-//!   [`PAD_WIDTH`] (the widest SIMD rung), so every width's driver runs
-//!   its vector body over the whole batch with no scalar remainder
-//!   loop. The lane arithmetic is width-invariant, which makes the
-//!   scalar / W=4 / W=8 revaluation sweeps bit-exact among themselves.
-//! * **Fixed-order reduction** — per-scenario P&L sums positions in
-//!   index order on every rung, and scenario chunks concatenate in
-//!   scenario order, so parallel and serial revaluation agree.
+//! * **Tail-free, hoisted revaluation** — the staged book is padded to
+//!   [`PAD_WIDTH`] (the widest SIMD rung), so every width runs its vector
+//!   body over the whole batch with no scalar remainder loop, and the
+//!   lane arithmetic is width-invariant: the scalar / W=4 / W=8 sweeps
+//!   are bit-exact among themselves. Only the call leg is priced (the
+//!   P&L reads nothing else), `ln(s/x)` — the one expensive term that
+//!   depends on the position alone — is computed once per book and what
+//!   depends on the scenario alone (`ln(1+spot)`, `r + σ²/2`) once per
+//!   scenario, so a (position, scenario) pair costs one `exp`, two `cnd`,
+//!   `√t` and the division by `σ√t` — no `ln`, no `s/x`.
+//! * **Strided fixed-order reduction** — position `i`'s P&L term is added
+//!   to partial `i mod PAD_WIDTH` on every rung and the [`PAD_WIDTH`]
+//!   partials are combined lane 0 first, so every width (and every ISA
+//!   tier) forms the same sums in the same order; scenario chunks
+//!   concatenate in scenario order, so parallel and serial revaluation
+//!   agree.
 //!
 //! Aggregation ([`var_es`]) reuses the workspace-wide nearest-rank
 //! quantile convention (`finbench_telemetry::stats::nearest_rank`) on
 //! the sorted loss distribution, with a distribution-free order-statistic
 //! confidence interval for VaR and a standard error for the tail mean.
 
-use crate::black_scholes::soa;
+use crate::black_scholes::soa::{call_vec_hoisted, ShockedMarket};
 use crate::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench_parallel::{available_parallelism, parallel_for_chunks};
 use finbench_rng::uniform::{fill_uniform, fill_uniform_range};
 use finbench_rng::StreamFamily;
-use finbench_simd::isa_fn;
+use finbench_simd::math::vln;
+use finbench_simd::{isa_fn, F64v};
 use finbench_telemetry::nearest_rank;
 use std::cell::RefCell;
 
-/// Pad width for the staged book: the widest SIMD rung. Padding every
-/// rung to the same multiple keeps the revaluation tail-free at every
-/// width, which is what makes the W=1/4/8 sweeps bit-exact (the SOA
-/// drivers' scalar remainder loop uses different — scalar-library —
-/// arithmetic than the vector body and would otherwise leak in).
+/// Pad width for the staged book: the widest SIMD rung, and the stride
+/// of the P&L partial sums. Padding every rung to the same multiple
+/// keeps the revaluation tail-free at every width (a scalar remainder
+/// loop would use different — scalar-library — arithmetic than the
+/// vector body), and summing position `i` into partial `i mod PAD_WIDTH`
+/// at every width is what makes the W=1/4/8 sweeps bit-exact.
 pub const PAD_WIDTH: usize = 8;
 
 /// A book of option positions: one call contract per slot with a signed
@@ -183,15 +193,49 @@ impl ScenarioGrid {
     }
 }
 
-/// Caller-owned revaluation buffers: the padded shocked batch and the
-/// base (unshocked) values. Capacities only grow, so steady-state
-/// revaluation through a recycled scratch allocates nothing.
+/// The book staged at [`PAD_WIDTH`]: its contracts and, per position,
+/// the term of `d1` that no shock changes.
+#[derive(Default)]
+struct Staged {
+    /// Padded contracts; pad slots are the benign `s = x = t = 1`.
+    s: Vec<f64>,
+    x: Vec<f64>,
+    t: Vec<f64>,
+    /// `ln(s/x)` per position.
+    lsx: Vec<f64>,
+}
+
+impl Staged {
+    /// The revaluation body: `call[i]` = position `i`'s call value under
+    /// `m`, `W` positions at a time (`call` covers the padded book, so
+    /// there is no remainder).
+    #[inline(always)]
+    fn calls_into<const W: usize>(&self, m: &ShockedMarket, call: &mut [f64]) {
+        let n = call.len();
+        let [s, x, t, lsx] = [&self.s, &self.x, &self.t, &self.lsx].map(|col| &col[..n]);
+        let main = n - n % W;
+        let mut i = 0;
+        while i < main {
+            let at = |col| F64v::<W>::load(col, i);
+            call_vec_hoisted(at(s), at(x), at(t), at(lsx), m).store(call, i);
+            i += W;
+        }
+    }
+}
+
+/// Caller-owned revaluation buffers: the staged book, its quantities and
+/// base (unshocked) values, and one scenario's call values. Capacities
+/// only grow, so steady-state revaluation through a recycled scratch
+/// allocates nothing.
 #[derive(Default)]
 pub struct RevalScratch {
-    /// Padded staging batch: inputs restaged per scenario, price outputs.
-    batch: OptionBatchSoa,
+    staged: Staged,
+    /// Padded quantities; pad slots are `0.0`, so they add nothing.
+    qty: Vec<f64>,
     /// Base call value per position under the unshocked market.
     base_call: Vec<f64>,
+    /// Call value per position under the scenario being summed.
+    call: Vec<f64>,
 }
 
 impl RevalScratch {
@@ -200,26 +244,52 @@ impl RevalScratch {
         Self::default()
     }
 
-    /// Stage the padded book and price its base values. Base pricing
-    /// always runs at [`PAD_WIDTH`] so the baseline is rung-independent:
-    /// every revaluation width subtracts bit-identical base values.
+    /// Stage the padded book, its `ln(s/x)` and its base values. Always
+    /// at [`PAD_WIDTH`], and the base is the revaluation body itself at
+    /// zero shock: every width subtracts bit-identical base values, and a
+    /// zero-shock scenario's P&L is exactly `0.0`.
+    #[inline(always)]
     fn prepare(&mut self, book: &Book, market: MarketParams) {
         let n = book.len();
         let padded = n.div_ceil(PAD_WIDTH) * PAD_WIDTH;
-        self.batch.resize(padded);
-        self.batch.s[..n].copy_from_slice(&book.opts.s);
-        self.batch.x[..n].copy_from_slice(&book.opts.x);
-        self.batch.t[..n].copy_from_slice(&book.opts.t);
-        for i in n..padded {
-            // Benign pad contracts (never NaN lanes, never read back).
-            self.batch.s[i] = 1.0;
-            self.batch.x[i] = 1.0;
-            self.batch.t[i] = 1.0;
+        let stage = |dst: &mut Vec<f64>, src: &[f64], pad: f64| {
+            dst.clear();
+            dst.extend_from_slice(src);
+            dst.resize(padded, pad);
+        };
+        let staged = &mut self.staged;
+        stage(&mut staged.s, &book.opts.s[..n], 1.0);
+        stage(&mut staged.x, &book.opts.x[..n], 1.0);
+        stage(&mut staged.t, &book.opts.t[..n], 1.0);
+        stage(&mut self.qty, &book.qty[..n], 0.0);
+        // Sized here, overwritten whole below and by each scenario's sweep.
+        for derived in [&mut staged.lsx, &mut self.base_call, &mut self.call] {
+            derived.resize(padded, 0.0);
         }
-        self.base_call.clear();
-        self.base_call.resize(padded, 0.0);
-        let OptionBatchSoa { s, x, t, put, .. } = &mut self.batch;
-        soa::price_soa_simd_into::<PAD_WIDTH>(s, x, t, &mut self.base_call, put, market);
+        let mut i = 0;
+        while i < padded {
+            let at = |col: &[f64]| F64v::<PAD_WIDTH>::load(col, i);
+            vln(at(&staged.s) / at(&staged.x)).store(&mut staged.lsx, i);
+            i += PAD_WIDTH;
+        }
+        let base = ShockedMarket::new(market, 0.0, 0.0, 0.0);
+        staged.calls_into::<PAD_WIDTH>(&base, &mut self.base_call);
+    }
+
+    /// `Σ_i qty_i · (call_i(m) − call_i(base))` over the prepared book:
+    /// the width-`W` call sweep, then — the same code at every width —
+    /// [`PAD_WIDTH`] strided partials combined lane 0 first.
+    #[inline(always)]
+    fn pnl_under<const W: usize>(&mut self, m: &ShockedMarket) -> f64 {
+        self.staged.calls_into::<W>(m, &mut self.call);
+        let mut partial = F64v::<PAD_WIDTH>::zero();
+        let mut i = 0;
+        while i < self.call.len() {
+            let at = |col: &[f64]| F64v::<PAD_WIDTH>::load(col, i);
+            partial += at(&self.qty) * (at(&self.call) - at(&self.base_call));
+            i += PAD_WIDTH;
+        }
+        partial.hsum()
     }
 }
 
@@ -227,10 +297,11 @@ impl RevalScratch {
 /// P&L value per scenario to `pnl` (cleared first).
 ///
 /// For scenario `j`: spots become `s·(1 + spot_j)`, volatility
-/// `σ·(1 + vol_j)`, rate `r + rate_j`; the shocked book is priced with
-/// the width-`W` SIMD SOA driver over the padded batch, and
-/// `pnl_j = Σ_i qty_i · (call_i(shocked) − call_i(base))` accumulated in
-/// position order. Bit-exact across `W ∈ {1, 4, 8}` (see [`PAD_WIDTH`]).
+/// `σ·(1 + vol_j)`, rate `r + rate_j`; the shocked call values come from
+/// the width-`W` hoisted body over the padded book, and
+/// `pnl_j = Σ_i qty_i · (call_i(shocked) − call_i(base))` is accumulated
+/// in [`PAD_WIDTH`] strided partials. Bit-exact across `W ∈ {1, 4, 8}`
+/// (see [`PAD_WIDTH`]).
 pub fn revalue_into<const W: usize>(
     book: &Book,
     market: MarketParams,
@@ -245,9 +316,9 @@ pub fn revalue_into<const W: usize>(
 
 isa_fn! {
     /// [`revalue_into`] into a caller-owned span: `pnl[j]` receives scenario
-    /// `j` of `grid`. Dispatched as a whole so the spot-bump and P&L loops
-    /// are instantiated for the tier along with the pricing sweep between
-    /// them (which dispatches itself, once per scenario row).
+    /// `j` of `grid`. The one revaluation body: staging, the per-scenario
+    /// scalars, the call sweep and the reduction are all instantiated for
+    /// the tier here, and nothing inside dispatches again.
     fn revalue_rows<const W: usize>(
         book: &Book,
         market: MarketParams,
@@ -257,23 +328,9 @@ isa_fn! {
     ) {
         assert_eq!(pnl.len(), grid.len(), "one P&L slot per scenario");
         scratch.prepare(book, market);
-        let n = book.len();
         for (j, slot) in pnl.iter_mut().enumerate() {
-            let bump = 1.0 + grid.spot[j];
-            for i in 0..n {
-                scratch.batch.s[i] = book.opts.s[i] * bump;
-            }
-            let shocked = MarketParams {
-                r: market.r + grid.rate[j],
-                sigma: market.sigma * (1.0 + grid.vol[j]),
-            };
-            let OptionBatchSoa { s, x, t, call, put } = &mut scratch.batch;
-            soa::price_soa_simd_into::<W>(s, x, t, call, put, shocked);
-            let mut acc = 0.0;
-            for i in 0..n {
-                acc += book.qty[i] * (scratch.batch.call[i] - scratch.base_call[i]);
-            }
-            *slot = acc;
+            let shocked = ShockedMarket::new(market, grid.spot[j], grid.vol[j], grid.rate[j]);
+            *slot = scratch.pnl_under::<W>(&shocked);
         }
     }
 }
@@ -492,19 +549,92 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_bit_stable() {
-        let a = Book::random(12, 4);
-        let b = Book::random(20, 6);
         let grid = ScenarioConfig::standard(8, 17).grid();
         let mut scratch = RevalScratch::new();
         let mut pnl = Vec::new();
-        // Prime the scratch with a *larger* book, then revalue the small
-        // one: stale capacity must not leak into the result.
-        revalue_into::<8>(&b, M, &grid, &mut scratch, &mut pnl);
-        revalue_into::<8>(&a, M, &grid, &mut scratch, &mut pnl);
-        let fresh = reval::<8>(&a, &grid);
-        assert_eq!(pnl.len(), fresh.len());
-        for j in 0..pnl.len() {
-            assert_eq!(pnl[j].to_bits(), fresh[j].to_bits(), "scenario {j}");
+        // Prime the scratch with a *larger* book, then revalue smaller
+        // ones: nothing stale — a contract, its `ln(s/x)`, a quantity in a
+        // slot that is now padding — may leak into the result. 12 and 3
+        // leave pad slots inside the last vector, 16 leaves none.
+        revalue_into::<8>(&Book::random(29, 6), M, &grid, &mut scratch, &mut pnl);
+        for n in [12, 16, 3] {
+            let book = Book::random(n, 4);
+            revalue_into::<8>(&book, M, &grid, &mut scratch, &mut pnl);
+            let fresh = reval::<8>(&book, &grid);
+            assert_eq!(pnl.len(), fresh.len());
+            for j in 0..pnl.len() {
+                assert_eq!(pnl[j].to_bits(), fresh[j].to_bits(), "n {n} scenario {j}");
+            }
+        }
+    }
+
+    /// The anchor outside the module: every (position, scenario) pair
+    /// priced by the scalar closed form on the shocked inputs. Returns the
+    /// P&L per scenario and the gross book value the tolerance scales with.
+    fn scalar_reference(book: &Book, grid: &ScenarioGrid) -> (Vec<f64>, f64) {
+        use crate::black_scholes::price_single;
+        let contracts =
+            || (0..book.len()).map(|i| (book.opts.s[i], book.opts.x[i], book.opts.t[i]));
+        let base: Vec<f64> = contracts()
+            .map(|(s, x, t)| price_single(s, x, t, M).0)
+            .collect();
+        let gross = base.iter().zip(&book.qty).map(|(c, q)| q.abs() * c).sum();
+        let pnl = (0..grid.len())
+            .map(|j| {
+                let shocked = MarketParams {
+                    r: M.r + grid.rate[j],
+                    sigma: M.sigma * (1.0 + grid.vol[j]),
+                };
+                contracts()
+                    .zip(&base)
+                    .zip(&book.qty)
+                    .map(|(((s, x, t), c0), q)| {
+                        q * (price_single(s * (1.0 + grid.spot[j]), x, t, shocked).0 - c0)
+                    })
+                    .sum()
+            })
+            .collect();
+        (pnl, gross)
+    }
+
+    #[test]
+    fn revaluation_matches_the_scalar_closed_form_per_position_and_scenario() {
+        let grid = ScenarioConfig::standard(40, 23).grid();
+        for n in [1, 7, 8, 9, 29, 256] {
+            let book = Book::random(n, 100 + n as u64);
+            let (want, gross) = scalar_reference(&book, &grid);
+            assert!(gross > 0.0);
+            for (w, got) in [
+                (1, reval::<1>(&book, &grid)),
+                (4, reval::<4>(&book, &grid)),
+                (8, reval::<8>(&book, &grid)),
+            ] {
+                for j in 0..grid.len() {
+                    assert!(
+                        (got[j] - want[j]).abs() <= 1e-14 * gross,
+                        "n {n} W {w} scenario {j}: {} vs {} (gross {gross})",
+                        got[j],
+                        want[j]
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_shock_scenario_has_exactly_zero_pnl() {
+        let mut grid = ScenarioConfig::standard(5, 31).grid();
+        (grid.spot[2], grid.vol[2], grid.rate[2]) = (0.0, 0.0, 0.0);
+        for n in [1, 29, 256] {
+            let book = Book::random(n, 8);
+            for (w, pnl) in [
+                (1, reval::<1>(&book, &grid)),
+                (4, reval::<4>(&book, &grid)),
+                (8, reval::<8>(&book, &grid)),
+            ] {
+                assert_eq!(pnl[2].to_bits(), 0.0f64.to_bits(), "n {n} W {w}");
+                assert!(pnl[1] != 0.0 && pnl[3] != 0.0, "n {n} W {w}");
+            }
         }
     }
 

@@ -12,9 +12,12 @@
 //!   stream `j` regardless of chunk bounds), so any chunking concatenates
 //!   bit-identically to the native full-grid sweep;
 //! * every ladder width revalues the same padded book with the same
-//!   lane arithmetic, so W=8 / W=4 / scalar rungs are bit-identical —
-//!   lane degradation trades throughput, never answers (the same
-//!   contract the pricing and greeks ladders enforce).
+//!   lane arithmetic — one hoisted, call-only body per (position,
+//!   scenario), whose per-position `ln(s/x)` and base values each chunk
+//!   recomputes from the book alone — and sums P&L in the same
+//!   `PAD_WIDTH`-strided order, so W=8 / W=4 / scalar rungs are
+//!   bit-identical: lane degradation trades throughput, never answers
+//!   (the same contract the pricing and greeks ladders enforce).
 //!
 //! Chunks are self-describing (`seed`, `positions`, total `scenarios`,
 //! `[lo, hi)`): the executing shard reconstructs the book and its grid

@@ -2,7 +2,8 @@
 //! serve lane's [`Scratch`] buffers have grown to the largest flush they
 //! will see, executing further batches — staging, padding, pricing,
 //! greeks, the fused price+greeks pass — performs **zero** heap
-//! allocations.
+//! allocations; and so does a portfolio chunk (scenario grid + full-book
+//! revaluation) through a recycled grid and [`RevalScratch`].
 //!
 //! This binary holds exactly one test: the counting allocator (installed
 //! globally by `finbench_harness`) tallies process-wide, so sharing a
@@ -15,6 +16,7 @@
 use finbench::core::black_scholes::soa::par_price_soa;
 use finbench::core::engine::registry;
 use finbench::core::greeks::{greeks_batch_simd, price_and_greeks_into};
+use finbench::core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig, ScenarioGrid};
 use finbench::core::MarketParams;
 use finbench::engine::Engine;
 use finbench::parallel::available_parallelism;
@@ -93,4 +95,27 @@ fn steady_state_serve_batches_allocate_nothing() {
         d.allocs, d.bytes
     );
     assert_eq!(d.bytes, 0);
+
+    // A portfolio lane's steady state: the scenario chunk's grid and the
+    // revaluation — staged book, invariants, base and call values — through
+    // buffers that have seen their largest book and chunk once.
+    let books = [256, 29, 256].map(|n| Book::random(n, n as u64));
+    let cfg = ScenarioConfig::standard(64, 5);
+    let (mut grid, mut reval, mut pnl) = (ScenarioGrid::default(), RevalScratch::new(), Vec::new());
+    let mut revalue = |lo: usize| {
+        for book in &books {
+            cfg.fill_grid(lo, lo + 32, &mut grid);
+            revalue_into::<8>(book, M, &grid, &mut reval, &mut pnl);
+            std::hint::black_box(&pnl);
+        }
+    };
+    revalue(0);
+    let before = telemetry::alloc_stats();
+    revalue(32);
+    let d = telemetry::alloc_stats().since(before);
+    assert_eq!(
+        (d.allocs, d.bytes),
+        (0, 0),
+        "steady-state portfolio revaluation must not allocate"
+    );
 }
