@@ -23,17 +23,18 @@ for _ in $(seq 20); do
 done
 
 echo "==> serving-plane suites, 5x back to back at default parallelism"
-# No test here takes a lock (a fault plan belongs to its Server), so one
-# that only passed while a lock gave it the machine shows up on shared vCPUs.
+# No test here takes a lock (a fault plan and a ledger belong to their Server),
+# so one that only passed while a lock gave it the machine shows up on shared vCPUs.
 for _ in $(seq 5); do
   cargo test -q -p finbench-serve --lib
   cargo test -q -p finbench --test chaos_equivalence --test supervision \
-    --test batching_equivalence
+    --test batching_equivalence --test rejection_taxonomy
 done
 
-echo "==> source guard (no process-global fault registry, no fault locks)"
-if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)' -- crates tests examples; then
-  echo "the fault registry or one of its test locks is back: a plan belongs to the Server started with it" >&2
+echo "==> source guard (no process-global fault registry or second ledger, no test locks)"
+if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)|StatsInner|lock_stats|serial_lock|LaneCounters' -- crates tests examples ||
+  git grep -nE 'telemetry::(counter_add|gauge_set)\(' -- crates/serve/src/server.rs; then
+  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock, no by-name metric lookup on the serving path" >&2
   exit 1
 fi
 

@@ -57,9 +57,10 @@ impl Default for BreakerPolicy {
 }
 
 /// The breaker's public state (surfaced as a gauge/snapshot field).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: batches flow.
+    #[default]
     Closed,
     /// Tripped: batches are rejected until the cooldown elapses.
     Open,

@@ -77,6 +77,7 @@
 pub mod batcher;
 pub mod breaker;
 pub mod greeks;
+pub mod ledger;
 pub mod loadgen;
 pub mod portfolio;
 pub mod pricer;
@@ -88,6 +89,7 @@ pub mod workload;
 pub use batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 pub use breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 pub use greeks::{greeks_ladder, GreeksRung};
+pub use ledger::{PlaneSnapshot, Tallies, PLANES};
 pub use loadgen::{
     drive, find_peak_sustained, last_sustained_hz, mix_seed, run_load, search_peak, window_total,
     Driven, Exchange, GreeksSource, HedgePolicy, LoadMode, LoadReport, OptionStream, PeakReport,
@@ -107,6 +109,4 @@ pub use request::{
 pub use server::{
     KernelSnapshot, ServeConfig, ServeSnapshot, Server, ShardSnapshot, SupervisorPolicy,
 };
-pub use workload::{
-    GreeksWorkload, LaneCounters, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
-};
+pub use workload::{GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload};

@@ -32,8 +32,8 @@ pub trait ServeRequest: Sized + Send + 'static {
     /// Success payload of the [`Response`].
     type Out: Send + 'static;
     /// The lane plane that executes this request; its
-    /// [`COUNTERS`](ServeWorkload::COUNTERS) name every tally of the
-    /// plane, admission-side ones included.
+    /// [`PLANE`](ServeWorkload::PLANE) picks the ledger's tallies for
+    /// every event of the plane, admission-side ones included.
     type Plane: ServeWorkload;
 
     /// Caller-chosen correlation id, echoed back on the response.

@@ -102,17 +102,25 @@
 //! server was started with ([`Server::start_with_faults`]; [`Server::start`]
 //! carries none) — invisible to every other server in the process.
 //!
-//! Telemetry: `serve.queue_depth` gauge, `serve.batch.<kernel>` spans
-//! with occupancy + degradation level (allocation-free once the span
-//! ring is full — see [`finbench_telemetry::span`]), `serve.served` / `serve.shed.*` /
-//! `serve.rejected` / `serve.invalid_input` / `serve.internal` /
-//! `serve.lane_restarts` / `serve.breaker_open` / `serve.degraded_batches`
-//! counters, `serve.breaker.<kernel>` + `serve.degradation.<kernel>`
-//! gauges, and per-kernel latency + occupancy histograms surfaced through
-//! [`ServeSnapshot`].
+//! ## Telemetry: one ledger per server
+//!
+//! Every counted event is one [`Counter`] handle, made with its owner and
+//! bumped at one call site — no name is formatted or looked up on the
+//! request path. The `Plane`'s [`Ledger`] holds the per-plane `serve.*` /
+//! `greeks.*` / `portfolio.*` tallies and the server-level events; each
+//! `ShardSeat` its own steals, redrives, respawns, `serve.shard.<i>.*`
+//! gauges and — under a mutex only that seat's worker and `snapshot()`
+//! take — its record of every lane it has run; each lane its
+//! `serve.breaker.<kernel>` + `serve.degradation.<kernel>` gauges and
+//! `serve.batch.<kernel>` spans (allocation-free once the span ring is
+//! full — see [`finbench_telemetry::span`]). [`ServeSnapshot`] is a view
+//! over the handles' own cells, so two servers in one process read
+//! disjoint ledgers; the process-wide cells of the same names sum over
+//! them (see [`finbench_telemetry::metrics`]).
 
 use crate::batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 use crate::breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
+use crate::ledger::{Ledger, PlaneSnapshot, Tallies};
 use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkResponse};
 use crate::pricer::PricerConfig;
 use crate::queue::AdmissionQueue;
@@ -121,14 +129,13 @@ use crate::request::{
     Response, ServeRequest,
 };
 use crate::workload::{
-    Envelope, GreeksWorkload, LaneCounters, PortfolioWorkload, PriceWorkload, Scratch,
-    ServeWorkload,
+    Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
 };
 use finbench_core::engine::registry;
 use finbench_core::portfolio::var_es;
 use finbench_engine::Engine;
 use finbench_faults::{FaultKind, Faults};
-use finbench_telemetry::{self as telemetry, Histogram};
+use finbench_telemetry::{self as telemetry, Counter, Gauge, Histogram};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -242,12 +249,12 @@ impl Work {
         on_envelope!(self, env => env.deadline())
     }
 
-    /// The counter names of the plane this item belongs to.
-    fn counters(&self) -> &'static LaneCounters {
-        fn of<W: ServeWorkload>(_: &Envelope<W>) -> &'static LaneCounters {
-            &W::COUNTERS
+    /// The tallies of the plane this item belongs to.
+    fn tallies<'a>(&self, ledger: &'a Ledger) -> &'a Tallies<Counter> {
+        fn of<'a, W: ServeWorkload>(_: &Envelope<W>, l: &'a Ledger) -> &'a Tallies<Counter> {
+            l.of::<W>()
         }
-        on_envelope!(self, env => of(env))
+        on_envelope!(self, env => of(env, ledger))
     }
 
     /// True once this item has burned its single shard-loss redrive.
@@ -261,14 +268,14 @@ impl Work {
 
     /// Answer this item `Rejected::Internal` and tally it. The terminal
     /// path for stranded work that cannot be redriven.
-    fn reject_internal(self, reason: &'static str, stats: &Mutex<StatsInner>) {
-        on_envelope!(self, env => reject_internal(&[env], &Cow::Borrowed(reason), stats))
+    fn reject_internal(self, reason: &'static str, ledger: &Ledger) {
+        on_envelope!(self, env => reject_internal(&[env], &Cow::Borrowed(reason), ledger))
     }
 
     /// Shed this item `Rejected::DeadlineExceeded`, tallying into the
     /// first-attempt or post-redrive bucket by its `redriven` flag.
-    fn shed_deadline(self, late_by: Duration, stats: &Mutex<StatsInner>) {
-        on_envelope!(self, env => shed_deadline(&env, late_by, stats))
+    fn shed_deadline(self, late_by: Duration, ledger: &Ledger) {
+        on_envelope!(self, env => shed_deadline(&env, late_by, ledger))
     }
 }
 
@@ -280,8 +287,10 @@ impl Work {
 /// batches — grown to the largest flush seen, never shrunk — so
 /// steady-state batch execution allocates nothing.
 struct Lane<W: ServeWorkload> {
-    /// Lane key: the kernel name (stats map key, telemetry `<key>`).
+    /// Lane key: the kernel name (telemetry `<key>`).
     key: String,
+    /// Index of this lane's [`LaneRecord`] among its seat's.
+    record: usize,
     ladder: Vec<W::Rung>,
     level: usize,
     breaker: Breaker,
@@ -291,101 +300,159 @@ struct Lane<W: ServeWorkload> {
     flush: Vec<Envelope<W>>,
     /// Reusable staging + output buffers for batch execution.
     scratch: Scratch,
-    /// Telemetry names, formatted once at lane construction so the hot
-    /// path never builds a metric name.
+    /// Telemetry names and gauge handles, made once at lane construction
+    /// so the hot path never builds or looks up a metric name.
     span_name: String,
     fault_site: String,
-    breaker_gauge: String,
-    degradation_gauge: String,
+    breaker_gauge: Gauge,
+    degradation_gauge: Gauge,
     /// The ladder's slugs, index-aligned, shared with each batch span's
     /// `rung` attribute by reference count instead of by copy.
     rung_attrs: Vec<Arc<str>>,
-    /// Breaker state and level as last pushed to the stats and gauges
-    /// (`None` until the first batch): health is republished only when
-    /// it changes.
+    /// Breaker state and level as last pushed to the seat's record and
+    /// the gauges (`None` until the first batch): health is republished
+    /// only when it changes.
     published: Option<(BreakerState, usize)>,
 }
 
 impl<W: ServeWorkload> Lane<W> {
-    fn active_slug(&self) -> &str {
-        W::slug(&self.ladder[self.level])
-    }
-
     fn at_bottom(&self) -> bool {
         self.level + 1 >= self.ladder.len()
     }
 }
 
-#[derive(Default)]
-struct KernelStats {
-    rung: String,
-    target_batch: usize,
-    served: u64,
-    batches: u64,
-    degraded_batches: u64,
-    restarts: u64,
-    breaker_open: u64,
-    degradation_level: usize,
-    breaker: BreakerSnapshotState,
-    flushes: FlushCounts,
+/// One seat's record of one lane: what cannot be a bare atomic. It lives
+/// on the [`ShardSeat`], so only that seat's worker and
+/// [`Server::snapshot`] ever take its lock, and a respawned worker
+/// continues the record its predecessor left.
+#[derive(Clone, Default)]
+struct LaneRecord {
+    /// The snapshot's counts and health as they stand; `breaker` and the
+    /// percentiles are filled in by [`finish`](Self::finish).
+    counts: KernelSnapshot,
+    breaker: BreakerState,
     latency_us: Histogram,
     occupancy: Histogram,
 }
 
-/// Default-able stand-in so `KernelStats: Default` keeps working.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BreakerSnapshotState(BreakerState);
+impl LaneRecord {
+    /// Fold another seat's record of the same lane into this one: counts
+    /// and histograms add up, health is the more degraded of the two.
+    fn merge(&mut self, other: &LaneRecord) {
+        let health = |r: &LaneRecord| (r.counts.degradation_level, r.breaker.as_gauge());
+        let worse = health(other) > health(self);
+        let (c, o) = (&mut self.counts, &other.counts);
+        c.served += o.served;
+        c.batches += o.batches;
+        c.degraded_batches += o.degraded_batches;
+        c.restarts += o.restarts;
+        c.breaker_open += o.breaker_open;
+        c.flushes += o.flushes;
+        if worse {
+            c.rung.clone_from(&o.rung);
+            c.degradation_level = o.degradation_level;
+            self.breaker = other.breaker;
+        }
+        self.latency_us.merge(&other.latency_us);
+        self.occupancy.merge(&other.occupancy);
+    }
 
-impl Default for BreakerSnapshotState {
-    fn default() -> Self {
-        Self(BreakerState::Closed)
+    fn finish(self) -> KernelSnapshot {
+        KernelSnapshot {
+            breaker: self.breaker.as_str().to_string(),
+            p50_us: self.latency_us.median(),
+            p95_us: self.latency_us.p95(),
+            p99_us: self.latency_us.quantile(0.99),
+            mean_occupancy: self.occupancy.mean(),
+            max_occupancy: self.occupancy.max(),
+            ..self.counts
+        }
     }
 }
 
-#[derive(Default)]
-struct StatsInner {
-    kernels: BTreeMap<String, KernelStats>,
-    shed_queue_full: u64,
-    shed_deadline: u64,
-    shed_deadline_redrive: u64,
-    rejected: u64,
-    invalid_input: u64,
-    internal: u64,
-}
-
-/// Per-shard tallies shared between the router, one worker thread, and
-/// the supervisor. All monotonic counters plus the liveness flag — the
-/// only shared-memory state crossing the router/shard seam besides the
-/// queue itself.
-#[derive(Default)]
+/// One seat's half of the ledger, shared between the router, the seat's
+/// worker thread, and the supervisor: monotonic tallies (handles where
+/// the event has a process-wide name, bare atomics where it has none),
+/// gauges, per-lane records, and the liveness flag — the only shared
+/// state crossing the router/shard seam besides the queue itself.
 struct ShardSeat {
     /// False once the shard has been killed (fault) or exited.
     dead: AtomicBool,
     /// Work items the router successfully pushed to this shard.
     submitted: AtomicU64,
-    /// Requests this shard answered with a priced/computed result.
-    served: AtomicU64,
-    /// Work items this shard stole from sibling queues while idle.
-    stolen: AtomicU64,
-    /// Times the supervisor respawned a fresh worker in this seat.
-    respawns: AtomicU64,
-    /// Stranded work items this seat's kill path redrove to siblings.
-    redriven: AtomicU64,
+    /// `serve.steals`: work items stolen from sibling queues while idle.
+    stolen: Counter,
+    /// `serve.respawns`, and the same event as `serve.shard.<i>.respawns`:
+    /// times the supervisor respawned a fresh worker in this seat.
+    respawns: Counter,
+    respawns_by_seat: Counter,
+    /// `serve.redriven`: stranded work items redriven to siblings on kill.
+    redriven: Counter,
     /// Cumulative kill → respawned-and-serving time, nanoseconds
     /// (divide by `respawns` for mean MTTR).
     mttr_nanos: AtomicU64,
     /// When the seat's worker died; taken by the respawn path to record
     /// MTTR. A `Mutex` (not an atomic) because `Instant` is opaque.
     killed_at: Mutex<Option<Instant>>,
+    /// `serve.shard.<i>.alive` / `.queue_depth` / `.mttr_ms`.
+    alive_gauge: Gauge,
+    depth_gauge: Gauge,
+    mttr_gauge: Gauge,
+    /// This seat's record of each lane it has run.
+    records: Mutex<Vec<LaneRecord>>,
 }
 
 impl ShardSeat {
+    fn new(i: usize) -> Self {
+        Self {
+            dead: AtomicBool::new(false),
+            submitted: AtomicU64::new(0),
+            stolen: Counter::named("serve.steals"),
+            respawns: Counter::named("serve.respawns"),
+            respawns_by_seat: Counter::named(format!("serve.shard.{i}.respawns")),
+            redriven: Counter::named("serve.redriven"),
+            mttr_nanos: AtomicU64::new(0),
+            killed_at: Mutex::new(None),
+            alive_gauge: Gauge::named(format!("serve.shard.{i}.alive")),
+            depth_gauge: Gauge::named(format!("serve.shard.{i}.queue_depth")),
+            mttr_gauge: Gauge::named(format!("serve.shard.{i}.mttr_ms")),
+            records: Mutex::default(),
+        }
+    }
+
     fn alive(&self) -> bool {
         !self.dead.load(Ordering::Acquire)
     }
 
     fn lock_killed_at(&self) -> MutexGuard<'_, Option<Instant>> {
         self.killed_at.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Poison is recovered from: the records are monotonic tallies with
+    /// no cross-field invariant a panicking thread can break.
+    fn lock_records(&self) -> MutexGuard<'_, Vec<LaneRecord>> {
+        self.records.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Index of this seat's record of lane `key`, opened on first use. A
+    /// respawned worker's lane finds its predecessor's record: the counts
+    /// carry on, and the health left in it is overwritten by the new
+    /// lane's first batch ([`publish_lane_health`]).
+    fn open_record(&self, key: &str, rung: &str, target_batch: usize) -> usize {
+        let mut records = self.lock_records();
+        if let Some(i) = records.iter().position(|r| r.counts.kernel == key) {
+            return i;
+        }
+        records.push(LaneRecord {
+            counts: KernelSnapshot {
+                kernel: key.to_string(),
+                rung: rung.to_string(),
+                target_batch,
+                ..KernelSnapshot::default()
+            },
+            ..LaneRecord::default()
+        });
+        records.len() - 1
     }
 }
 
@@ -428,12 +495,13 @@ impl ShardSnapshot {
 }
 
 /// Point-in-time statistics for one kernel lane.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelSnapshot {
     /// Kernel name.
     pub kernel: String,
-    /// Slug of the rung the lane is serving on *right now* (reflects
-    /// degradation).
+    /// Slug of the rung the lane is serving on *right now* — with more
+    /// than one shard, on the most degraded seat (as are
+    /// `degradation_level` and `breaker`).
     pub rung: String,
     /// Planner-derived size trigger.
     pub target_batch: usize,
@@ -465,14 +533,18 @@ pub struct KernelSnapshot {
     pub max_occupancy: f64,
 }
 
-/// Point-in-time server statistics, merged across every shard (kernel
-/// stats are shared tallies; `shards` carries the per-shard split).
+/// Point-in-time server statistics: a view over the server's ledger.
+/// Kernel stats are merged across the seats' records, `shards` carries
+/// the per-shard split and `planes` the per-plane one; the six rejection
+/// totals are sums over `planes`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeSnapshot {
     /// Per-kernel lane statistics, kernel-name order, summed over shards.
     pub kernels: Vec<KernelSnapshot>,
     /// Per-shard statistics, shard-index order.
     pub shards: Vec<ShardSnapshot>,
+    /// Per-plane tallies, [`PLANES`](crate::ledger::PLANES) order.
+    pub planes: [PlaneSnapshot; 3],
     /// Requests shed at admission (every alive shard's queue full).
     pub shed_queue_full: u64,
     /// Requests shed at dispatch (deadline already blown), first
@@ -585,7 +657,8 @@ struct Plane {
     queues: Vec<Arc<AdmissionQueue<Work>>>,
     /// Per-seat shared tallies + liveness, seat-index order.
     seats: Vec<Arc<ShardSeat>>,
-    stats: Mutex<StatsInner>,
+    /// The server-level half of the ledger (each seat holds its own).
+    ledger: Ledger,
     /// True once shutdown started (distinguishes `ShuttingDown` from a
     /// dead-shard rejection; also stops the supervisor from respawning
     /// into a closing server).
@@ -599,21 +672,6 @@ fn lock_workers(
     workers: &Mutex<Vec<Option<JoinHandle<()>>>>,
 ) -> MutexGuard<'_, Vec<Option<JoinHandle<()>>>> {
     workers.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Lock the stats, recovering from poison: statistics are monotonic
-/// tallies with no cross-field invariant a panicking thread can break.
-fn lock_stats(stats: &Mutex<StatsInner>) -> MutexGuard<'_, StatsInner> {
-    stats.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// The stats entry for lane `key`, created on first use — looked up by
-/// borrowed key, so the per-batch path never clones the key.
-fn kernel_stats<'a>(st: &'a mut StatsInner, key: &str) -> &'a mut KernelStats {
-    if !st.kernels.contains_key(key) {
-        st.kernels.insert(key.to_string(), KernelStats::default());
-    }
-    st.kernels.get_mut(key).expect("entry just ensured")
 }
 
 impl Server {
@@ -632,8 +690,8 @@ impl Server {
             queues: (0..n)
                 .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
                 .collect(),
-            seats: (0..n).map(|_| Arc::new(ShardSeat::default())).collect(),
-            stats: Mutex::default(),
+            seats: (0..n).map(|i| Arc::new(ShardSeat::new(i))).collect(),
+            ledger: Ledger::new(),
             closing: AtomicBool::new(false),
             config,
             faults,
@@ -702,7 +760,7 @@ impl Server {
             match queues[i].try_push(work) {
                 Ok(()) => {
                     seats[i].submitted.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter_add("serve.spills", 1);
+                    plane.ledger.spills.add(1);
                     return Ok(());
                 }
                 Err(back) => {
@@ -748,8 +806,7 @@ impl Server {
             req.corrupt(&self.plane.faults);
         }
         if let Err(reason) = req.validate() {
-            lock_stats(&self.plane.stats).invalid_input += 1;
-            telemetry::counter_add(R::Plane::COUNTERS.invalid_input, 1);
+            self.plane.ledger.of::<R::Plane>().invalid_input.add(1);
             let _ = tx.send(Response {
                 id,
                 outcome: Err(reason),
@@ -781,8 +838,7 @@ impl Server {
         // it: whoever answers the rejection holds the caller's sender.
         self.route(work).map_err(|(work, reason)| {
             if matches!(reason, Rejected::QueueFull { .. }) {
-                lock_stats(&self.plane.stats).shed_queue_full += 1;
-                telemetry::counter_add(work.counters().shed_queue_full, 1);
+                work.tallies(&self.plane.ledger).shed_queue_full.add(1);
             }
             reason
         })
@@ -798,22 +854,50 @@ impl Server {
         self.plane.queues.len()
     }
 
-    /// Point-in-time statistics, merged across shards.
+    /// Point-in-time statistics: the ledger read out. Tallies are relaxed
+    /// loads; the seats' lane records are taken one seat at a time and
+    /// merged by lane key.
     pub fn snapshot(&self) -> ServeSnapshot {
-        let seats = self.plane.seats.iter().enumerate();
-        let shards = seats.map(|(i, seat)| ShardSnapshot {
-            index: i,
-            alive: seat.alive(),
-            submitted: seat.submitted.load(Ordering::Relaxed),
-            served: seat.served.load(Ordering::Relaxed),
-            stolen: seat.stolen.load(Ordering::Relaxed),
-            respawns: seat.respawns.load(Ordering::Relaxed),
-            redriven: seat.redriven.load(Ordering::Relaxed),
-            mttr: Duration::from_nanos(seat.mttr_nanos.load(Ordering::Relaxed)),
-            queue_depth: self.plane.queues[i].len(),
-        });
-        let shards = shards.collect();
-        snapshot(&lock_stats(&self.plane.stats), shards)
+        let plane = &*self.plane;
+        let mut lanes: Vec<LaneRecord> = Vec::new();
+        let mut shards = Vec::with_capacity(plane.seats.len());
+        for (i, seat) in plane.seats.iter().enumerate() {
+            let records = seat.lock_records();
+            shards.push(ShardSnapshot {
+                index: i,
+                alive: seat.alive(),
+                submitted: seat.submitted.load(Ordering::Relaxed),
+                served: records.iter().map(|r| r.counts.served).sum(),
+                stolen: seat.stolen.get(),
+                respawns: seat.respawns.get(),
+                redriven: seat.redriven.get(),
+                mttr: Duration::from_nanos(seat.mttr_nanos.load(Ordering::Relaxed)),
+                queue_depth: plane.queues[i].len(),
+            });
+            for r in records.iter() {
+                match lanes
+                    .iter_mut()
+                    .find(|m| m.counts.kernel == r.counts.kernel)
+                {
+                    Some(merged) => merged.merge(r),
+                    None => lanes.push(r.clone()),
+                }
+            }
+        }
+        lanes.sort_by(|a, b| a.counts.kernel.cmp(&b.counts.kernel));
+        let planes = plane.ledger.snapshot();
+        let sum = |pick: fn(&PlaneSnapshot) -> u64| planes.iter().map(pick).sum();
+        ServeSnapshot {
+            kernels: lanes.into_iter().map(LaneRecord::finish).collect(),
+            shards,
+            shed_queue_full: sum(|p| p.shed_queue_full),
+            shed_deadline: sum(|p| p.shed_deadline),
+            shed_deadline_redrive: sum(|p| p.shed_deadline_redrive),
+            rejected: sum(|p| p.rejected),
+            invalid_input: sum(|p| p.invalid_input),
+            internal: sum(|p| p.internal),
+            planes,
+        }
     }
 
     /// Stop the plane: monitor first, then queues, then workers.
@@ -880,7 +964,7 @@ impl Admitted<'_> {
     /// reason — partial P&L distributions are never surfaced.
     pub(crate) fn portfolio(self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
         let id = req.id;
-        telemetry::counter_add("portfolio.requests", 1);
+        self.0.plane.ledger.portfolio_requests.add(1);
         let submitted = Instant::now();
         // Chunk size: explicit, or a few chunks per shard so every live
         // worker sees fan-out (and work stealing has grains to move).
@@ -924,6 +1008,7 @@ impl Admitted<'_> {
         }
         drop(ctx_tx);
         let tx = tx.clone();
+        let plane = Arc::clone(&self.0.plane);
         let confidence = req.confidence;
         let scenarios = req.scenarios;
         // The merge runs on its own short-lived thread so submit returns
@@ -933,7 +1018,15 @@ impl Admitted<'_> {
             .name("finbench-portfolio-merge".into())
             .spawn(move || {
                 merge_portfolio(
-                    id, scenarios, confidence, expected, route_err, ctx_rx, tx, submitted,
+                    id,
+                    scenarios,
+                    confidence,
+                    expected,
+                    route_err,
+                    ctx_rx,
+                    tx,
+                    submitted,
+                    &plane.ledger,
                 )
             })
             .expect("spawn portfolio merge task");
@@ -958,6 +1051,7 @@ fn merge_portfolio(
     rx: Receiver<PortfolioChunkResponse>,
     tx: Sender<PortfolioResponse>,
     submitted: Instant,
+    ledger: &Ledger,
 ) {
     let mut parts: Vec<PortfolioChunkOut> = Vec::with_capacity(expected);
     let mut first_err = route_err;
@@ -981,7 +1075,7 @@ fn merge_portfolio(
         }
     }
     if let Some(reason) = first_err {
-        telemetry::counter_add("portfolio.failed", 1);
+        ledger.portfolio_failed.add(1);
         let _ = tx.send(PortfolioResponse {
             id,
             outcome: Err(reason),
@@ -1001,7 +1095,7 @@ fn merge_portfolio(
     let mut rungs: Vec<String> = parts.iter().map(|p| p.rung.clone()).collect();
     rungs.sort();
     rungs.dedup();
-    telemetry::counter_add("portfolio.merged", 1);
+    ledger.portfolio_merged.add(1);
     let _ = tx.send(PortfolioResponse {
         id,
         outcome: Ok(PortfolioOut {
@@ -1025,40 +1119,6 @@ fn spawn_worker(i: usize, plane: &Arc<Plane>) -> JoinHandle<()> {
         .name(format!("finbench-serve-{i}"))
         .spawn(move || shard_loop(ctx))
         .expect("spawn shard worker")
-}
-
-fn snapshot(st: &StatsInner, shards: Vec<ShardSnapshot>) -> ServeSnapshot {
-    ServeSnapshot {
-        kernels: st
-            .kernels
-            .iter()
-            .map(|(name, k)| KernelSnapshot {
-                kernel: name.clone(),
-                rung: k.rung.clone(),
-                target_batch: k.target_batch,
-                served: k.served,
-                batches: k.batches,
-                flushes: k.flushes,
-                degraded_batches: k.degraded_batches,
-                degradation_level: k.degradation_level,
-                restarts: k.restarts,
-                breaker_open: k.breaker_open,
-                breaker: k.breaker.0.as_str().to_string(),
-                p50_us: k.latency_us.median(),
-                p95_us: k.latency_us.p95(),
-                p99_us: k.latency_us.quantile(0.99),
-                mean_occupancy: k.occupancy.mean(),
-                max_occupancy: k.occupancy.max(),
-            })
-            .collect(),
-        shards,
-        shed_queue_full: st.shed_queue_full,
-        shed_deadline: st.shed_deadline,
-        shed_deadline_redrive: st.shed_deadline_redrive,
-        rejected: st.rejected,
-        invalid_input: st.invalid_input,
-        internal: st.internal,
-    }
 }
 
 /// Everything the supervising monitor thread needs to detect dead seats
@@ -1168,12 +1228,11 @@ fn respawn(ctx: &SupervisorCtx, i: usize) {
     if let Some(killed_at) = seat.lock_killed_at().take() {
         let nanos = Instant::now().duration_since(killed_at).as_nanos() as u64;
         seat.mttr_nanos.fetch_add(nanos, Ordering::Relaxed);
-        telemetry::gauge_set(&format!("serve.shard.{i}.mttr_ms"), nanos as f64 / 1e6);
+        seat.mttr_gauge.set(nanos as f64 / 1e6);
     }
-    seat.respawns.fetch_add(1, Ordering::Relaxed);
-    telemetry::counter_add("serve.respawns", 1);
-    telemetry::counter_add(&format!("serve.shard.{i}.respawns"), 1);
-    telemetry::gauge_set(&format!("serve.shard.{i}.alive"), 1.0);
+    seat.respawns.add(1);
+    seat.respawns_by_seat.add(1);
+    seat.alive_gauge.set(1.0);
     // Last: flipping liveness publishes the seat to the router.
     seat.dead.store(false, Ordering::Release);
 }
@@ -1295,7 +1354,6 @@ fn shard_loop(ctx: ShardCtx) {
     };
     let mut lanes = Lanes::default();
     let sharded = queues.len() > 1;
-    let depth_gauge = format!("serve.shard.{}.queue_depth", ctx.index);
     let kill_site = format!("serve.shard.{}", ctx.index);
     loop {
         // Fault injection: a stalled (or slowed) worker — its queue backs
@@ -1338,9 +1396,9 @@ fn shard_loop(ctx: ShardCtx) {
         };
         match popped {
             Some(work) => {
-                telemetry::gauge_set(&depth_gauge, queue.len() as f64);
+                seat.depth_gauge.set(queue.len() as f64);
                 let total: usize = queues.iter().map(|q| q.len()).sum();
-                telemetry::gauge_set("serve.queue_depth", total as f64);
+                plane.ledger.queue_depth.set(total as f64);
                 lanes.admit(work, &cx);
             }
             None if queue.is_closed() && queue.is_empty() => break,
@@ -1381,11 +1439,7 @@ fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
         return Vec::new();
     }
     let stolen = queues[victim].steal_up_to((depth / 2).min(STEAL_MAX));
-    if !stolen.is_empty() {
-        seat.stolen
-            .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        telemetry::counter_add("serve.steals", stolen.len() as u64);
-    }
+    seat.stolen.add(stolen.len() as u64);
     stolen
 }
 
@@ -1400,8 +1454,8 @@ fn kill_shard(ctx: &ShardCtx, lanes: Lanes) {
     *seat.lock_killed_at() = Some(Instant::now());
     seat.dead.store(true, Ordering::Release);
     queue.close();
-    telemetry::counter_add("serve.shard_kills", 1);
-    telemetry::gauge_set(&format!("serve.shard.{index}.alive"), 0.0);
+    ctx.plane.ledger.shard_kills.add(1);
+    seat.alive_gauge.set(0.0);
     // Collect strandees oldest-first: lane batchers hold work admitted
     // before anything still in the queue.
     let mut stranded = lanes.strand();
@@ -1430,7 +1484,7 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
     }
     let index = ctx.index;
     let plane = &*ctx.plane;
-    let (queues, seats, stats) = (&plane.queues, &plane.seats, &plane.stats);
+    let (queues, seats, ledger) = (&plane.queues, &plane.seats, &plane.ledger);
     let seat = &seats[index];
     // Live siblings in ascending queue-depth order, recomputed once per
     // kill (not per item: the kill path should finish fast so the
@@ -1443,12 +1497,12 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
     for mut work in stranded {
         if let Some(d) = work.deadline() {
             if now > d {
-                work.shed_deadline(now.duration_since(d), stats);
+                work.shed_deadline(now.duration_since(d), ledger);
                 continue;
             }
         }
         if work.redriven() {
-            work.reject_internal("shard killed; redrive budget exhausted", stats);
+            work.reject_internal("shard killed; redrive budget exhausted", ledger);
             continue;
         }
         work.mark_redriven();
@@ -1456,15 +1510,14 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
         for &i in &order {
             match queues[i].try_push(item.take().expect("item present until placed")) {
                 Ok(()) => {
-                    seat.redriven.fetch_add(1, Ordering::Relaxed);
-                    telemetry::counter_add("serve.redriven", 1);
+                    seat.redriven.add(1);
                     break;
                 }
                 Err(back) => item = Some(back),
             }
         }
         if let Some(unplaced) = item {
-            unplaced.reject_internal("shard killed; no live sibling to redrive to", stats);
+            unplaced.reject_internal("shard killed; no live sibling to redrive to", ledger);
         }
     }
 }
@@ -1474,18 +1527,12 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
 fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W>>, cx: &LaneCtx) {
     if !lanes.contains_key(W::lane_key(&env.req)) {
         let key = W::lane_key(&env.req).to_string();
-        match make_lane::<W>(cx.engine, &key, &cx.plane.config) {
+        match make_lane::<W>(&key, cx) {
             Ok(lane) => {
-                let mut st = lock_stats(&cx.plane.stats);
-                let ks = kernel_stats(&mut st, &key);
-                ks.rung = lane.active_slug().to_string();
-                ks.target_batch = lane.target;
-                drop(st);
                 lanes.insert(key, lane);
             }
             Err(reason) => {
-                lock_stats(&cx.plane.stats).rejected += 1;
-                telemetry::counter_add(W::COUNTERS.rejected, 1);
+                cx.plane.ledger.of::<W>().rejected.add(1);
                 env.answer(Err(reason));
                 return;
             }
@@ -1500,11 +1547,8 @@ fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W
     }
 }
 
-fn make_lane<W: ServeWorkload>(
-    engine: &Engine,
-    key: &str,
-    config: &ServeConfig,
-) -> Result<Lane<W>, Rejected> {
+fn make_lane<W: ServeWorkload>(key: &str, cx: &LaneCtx) -> Result<Lane<W>, Rejected> {
+    let (engine, config) = (cx.engine, &cx.plane.config);
     let ladder = W::ladder(engine, key, &config.pricer)?;
     // Size the batch to what the planned rung can chew through in one
     // delay window; the planner's predicted rate is per-item. A batch can
@@ -1521,6 +1565,7 @@ fn make_lane<W: ServeWorkload>(
         config.max_batch.min(config.queue_capacity),
     );
     Ok(Lane {
+        record: cx.seat.open_record(key, W::slug(&ladder[0]), target),
         batcher: MicroBatcher::new(BatchPolicy {
             max_batch: target,
             max_delay: config.max_delay,
@@ -1535,8 +1580,8 @@ fn make_lane<W: ServeWorkload>(
         scratch: Scratch::new(),
         span_name: format!("serve.batch.{key}"),
         fault_site: format!("batch.{key}"),
-        breaker_gauge: format!("serve.breaker.{key}"),
-        degradation_gauge: format!("serve.degradation.{key}"),
+        breaker_gauge: Gauge::named(format!("serve.breaker.{key}")),
+        degradation_gauge: Gauge::named(format!("serve.degradation.{key}")),
         key: key.to_string(),
     })
 }
@@ -1549,14 +1594,9 @@ fn make_lane<W: ServeWorkload>(
 fn reject_internal<W: ServeWorkload>(
     live: &[Envelope<W>],
     reason: &Cow<'static, str>,
-    stats: &Mutex<StatsInner>,
+    ledger: &Ledger,
 ) {
-    let n = live.len() as u64;
-    if n == 0 {
-        return;
-    }
-    lock_stats(stats).internal += n;
-    telemetry::counter_add(W::COUNTERS.internal, n);
+    ledger.of::<W>().internal.add(live.len() as u64);
     for env in live {
         env.answer(Err(Rejected::Internal {
             reason: reason.clone(),
@@ -1569,27 +1609,13 @@ fn reject_internal<W: ServeWorkload>(
 /// budget across admission wait, spill, steal, and redrive. Sheds of
 /// redriven work land in their own bucket: they tell the operator the
 /// retry arrived but the client's budget had already run out.
-fn shed_deadline<W: ServeWorkload>(
-    env: &Envelope<W>,
-    late_by: Duration,
-    stats: &Mutex<StatsInner>,
-) {
-    {
-        let mut st = lock_stats(stats);
-        if env.redriven {
-            st.shed_deadline_redrive += 1;
-        } else {
-            st.shed_deadline += 1;
-        }
+fn shed_deadline<W: ServeWorkload>(env: &Envelope<W>, late_by: Duration, ledger: &Ledger) {
+    let tallies = ledger.of::<W>();
+    if env.redriven {
+        tallies.shed_deadline_redrive.add(1);
+    } else {
+        tallies.shed_deadline.add(1);
     }
-    telemetry::counter_add(
-        if env.redriven {
-            W::COUNTERS.shed_deadline_redrive
-        } else {
-            W::COUNTERS.shed_deadline
-        },
-        1,
-    );
     env.answer(Err(Rejected::DeadlineExceeded { late_by }));
 }
 
@@ -1614,12 +1640,13 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// The flush target, staging triples, padded SOA batch, and output
 /// sweep are all lane-owned and recycled, the batch span reuses the
-/// buffers of the record it evicts, and the stats entry is found by
+/// buffers of the record it evicts, and the seat's record is found by
 /// borrowed key, so a lane at steady state executes whole batches
 /// without allocating (each response's rung `String` and channel send
 /// are the caller's, not the lane's).
 fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneCtx) {
-    let (stats, seat, faults) = (&cx.plane.stats, cx.seat, &cx.plane.faults);
+    let (ledger, seat, faults) = (&cx.plane.ledger, cx.seat, &cx.plane.faults);
+    let tallies = ledger.of::<W>();
     {
         let Lane { batcher, flush, .. } = lane;
         batcher.flush_into(flush);
@@ -1627,7 +1654,7 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
     let now = Instant::now();
     lane.flush.retain(|env| match env.deadline() {
         Some(d) if now > d => {
-            shed_deadline(env, now.duration_since(d), stats);
+            shed_deadline(env, now.duration_since(d), ledger);
             false
         }
         _ => true,
@@ -1640,15 +1667,15 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
     match lane.breaker.allow(now) {
         Err(remaining) => {
             let reason = format!("circuit open for {} (retry in {remaining:?})", lane.key);
-            reject_internal(&lane.flush, &Cow::Owned(reason), stats);
+            reject_internal(&lane.flush, &Cow::Owned(reason), ledger);
             lane.flush.clear();
-            publish_lane_health(lane, stats);
+            publish_lane_health(lane, seat);
             return;
         }
         Ok(Gate::Restarted) => {
             // Supervised restart after the cooldown: count it and probe.
-            telemetry::counter_add(W::COUNTERS.lane_restarts, 1);
-            kernel_stats(&mut lock_stats(stats), &lane.key).restarts += 1;
+            tallies.lane_restarts.add(1);
+            seat.lock_records()[lane.record].counts.restarts += 1;
         }
         Ok(Gate::Proceed | Gate::Probe) => {}
     }
@@ -1696,35 +1723,33 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
                 // Sustained health: promote one level back toward the
                 // planned rung.
                 lane.level -= 1;
-                telemetry::counter_add(W::COUNTERS.promotions, 1);
-            }
-            let degraded = level > 0;
-            if degraded {
-                telemetry::counter_add(W::COUNTERS.degraded_batches, 1);
+                tallies.promotions.add(1);
             }
             let slug = W::slug(&lane.ladder[level]);
             let batch_len = lane.flush.len();
-            let mut st = lock_stats(stats);
-            let ks = kernel_stats(&mut st, &lane.key);
-            ks.batches += 1;
-            ks.flushes.record(reason);
-            if degraded {
-                ks.degraded_batches += 1;
+            // The seat's own lock, held across the scatter: only a
+            // snapshot ever waits for it, and then sees whole batches.
+            let mut records = seat.lock_records();
+            let ks = &mut records[lane.record];
+            ks.counts.batches += 1;
+            ks.counts.served += batch_len as u64;
+            ks.counts.flushes.record(reason);
+            if level > 0 {
+                tallies.degraded_batches.add(1);
+                ks.counts.degraded_batches += 1;
             }
             ks.occupancy.record(batch_len as f64);
             // Tally, and close the batch's span, before scattering: a
             // client that holds its response must see both in the next
             // snapshot (loadgen deltas rely on this ordering).
-            seat.served.fetch_add(batch_len as u64, Ordering::Relaxed);
-            telemetry::counter_add(W::COUNTERS.served, batch_len as u64);
+            tallies.served.add(batch_len as u64);
             drop(span);
             for (i, env) in lane.flush.iter().enumerate() {
                 let latency = done.duration_since(env.submitted);
-                ks.served += 1;
                 ks.latency_us.record(latency.as_secs_f64() * 1e6);
                 env.answer(Ok(W::payload(&lane.scratch, i, slug, batch_len, latency)));
             }
-            drop(st);
+            drop(records);
             lane.flush.clear();
         }
         Err(payload) => {
@@ -1734,11 +1759,11 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
             match lane.breaker.on_failure(Instant::now(), at_bottom) {
                 FailureAction::Degrade => {
                     lane.level += 1;
-                    telemetry::counter_add(W::COUNTERS.degradations, 1);
+                    tallies.degradations.add(1);
                 }
                 FailureAction::Opened => {
-                    telemetry::counter_add(W::COUNTERS.breaker_open, 1);
-                    kernel_stats(&mut lock_stats(stats), &lane.key).breaker_open += 1;
+                    tallies.breaker_open.add(1);
+                    seat.lock_records()[lane.record].counts.breaker_open += 1;
                 }
                 FailureAction::Tolerate => {}
             }
@@ -1746,32 +1771,30 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
             reject_internal(
                 &lane.flush,
                 &Cow::Owned(format!("kernel panic: {reason}")),
-                stats,
+                ledger,
             );
             lane.flush.clear();
         }
     }
-    publish_lane_health(lane, stats);
+    publish_lane_health(lane, seat);
 }
 
-/// Push the lane's breaker state and degradation level into the stats
-/// map and the telemetry gauges — when they changed since the last push,
-/// which on a healthy lane is once.
-fn publish_lane_health<W: ServeWorkload>(lane: &mut Lane<W>, stats: &Mutex<StatsInner>) {
+/// Push the lane's breaker state and degradation level into its seat's
+/// record and the telemetry gauges — when they changed since the last
+/// push, which on a healthy lane is once.
+fn publish_lane_health<W: ServeWorkload>(lane: &mut Lane<W>, seat: &ShardSeat) {
     let state = lane.breaker.state();
     let health = Some((state, lane.level));
     if lane.published == health {
         return;
     }
     lane.published = health;
-    let mut st = lock_stats(stats);
-    let ks = kernel_stats(&mut st, &lane.key);
-    ks.breaker = BreakerSnapshotState(state);
-    ks.degradation_level = lane.level;
-    ks.rung = lane.active_slug().to_string();
-    drop(st);
-    telemetry::gauge_set(&lane.breaker_gauge, state.as_gauge());
-    telemetry::gauge_set(&lane.degradation_gauge, lane.level as f64);
+    let ks = &mut seat.lock_records()[lane.record];
+    ks.breaker = state;
+    ks.counts.degradation_level = lane.level;
+    ks.counts.rung = lane.rung_attrs[lane.level].to_string();
+    lane.breaker_gauge.set(state.as_gauge());
+    lane.degradation_gauge.set(lane.level as f64);
 }
 
 #[cfg(test)]
@@ -2259,6 +2282,57 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_degraded_on_one_seat_is_not_reported_healthy_by_its_sibling() {
+        faults::silence_injected_panics();
+        let config = ServeConfig {
+            shards: 2,
+            supervisor: SupervisorPolicy {
+                respawn: false,
+                ..SupervisorPolicy::default()
+            },
+            ..quick_config()
+        };
+        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic).limited(1);
+        let server = start_with(config, FaultPlan::new().with(panic));
+        // Answered one at a time, so round-robin places them on seats 0,
+        // 1, 0 and nothing is stolen (a lone queued item never is): seat
+        // 0 absorbs the panic and degrades, seat 1 serves at the planned
+        // rung, seat 0 serves one level down.
+        let mut outcomes = (1..=3).map(|id| {
+            server
+                .submit(PriceRequest::new(id, "black_scholes", 30.0, 35.0, 1.0))
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap()
+                .outcome
+        });
+        let first = outcomes.next().unwrap();
+        assert!(matches!(first, Err(Rejected::Internal { .. })), "{first:?}");
+        let ladder = pricer::servable_ladder(
+            &Engine::new(registry()),
+            "black_scholes",
+            &quick_config().pricer,
+        )
+        .unwrap();
+        assert_eq!(outcomes.next().unwrap().unwrap().rung, ladder[0].slug);
+        assert_eq!(outcomes.next().unwrap().unwrap().rung, ladder[1].slug);
+        drop(outcomes);
+        let snap = server.shutdown();
+        assert_eq!(
+            snap.shards.iter().map(|s| s.served).collect::<Vec<_>>(),
+            [1, 1]
+        );
+        // Health is the most degraded seat's, whichever published last;
+        // counts are the sums over both seats' records.
+        let k = kernel(&snap, "black_scholes");
+        assert_eq!(
+            (k.degradation_level, k.rung.as_str()),
+            (1, &*ladder[1].slug)
+        );
+        assert_eq!((k.served, k.batches, k.degraded_batches), (2, 2, 1));
+        assert_eq!((snap.internal, snap.planes[0].degradations), (1, 1));
+    }
+
+    #[test]
     fn persistent_panics_walk_the_ladder_down_then_open_the_breaker() {
         faults::silence_injected_panics();
         let config = ServeConfig {
@@ -2648,88 +2722,28 @@ mod tests {
         got.remove(0).outcome
     }
 
-    /// The five rejections the generic `submit_with` and `Work` paths can
-    /// answer, on one plane: each answered once, typed, and tallied once
-    /// in the server's snapshot (the process-global telemetry counters
-    /// are `tests/rejection_taxonomy.rs`'s). `valid` must queue as a single
-    /// work item; `spoil` makes it invalid and `expire` gives it a deadline.
-    fn rejection_taxonomy<R: ServeRequest + Clone>(
-        valid: R,
-        spoil: fn(&mut R),
-        expire: fn(&mut R, Instant),
-    ) where
+    /// `ShuttingDown` on one plane: a server that has begun to stop answers
+    /// it once, typed, and counts nothing — it is neither a shed nor a
+    /// failure of the plane. (The counted rejections are driven through
+    /// the public API, per plane, in `tests/rejection_taxonomy.rs`; this
+    /// one needs the server's private fields.)
+    fn shutting_down<R: ServeRequest>(valid: R)
+    where
         R::Out: std::fmt::Debug,
     {
-        let stall = FaultSpec::always("queue", FaultKind::StallQueue);
-        let (mut invalid, mut expired) = (valid.clone(), valid.clone());
-        spoil(&mut invalid);
-        expire(&mut expired, Instant::now() - Duration::from_millis(1));
-
         let server = Server::start(quick_config());
-        let out = one_answer(&server, invalid);
-        assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
-        let out = one_answer(&server, expired);
-        assert!(
-            matches!(out, Err(Rejected::DeadlineExceeded { .. })),
-            "{out:?}"
-        );
-        // A server that has begun to stop answers ShuttingDown, which is
-        // neither a shed nor a failure of the plane.
         server.plane.closing.store(true, Ordering::Release);
         server.plane.queues.iter().for_each(|q| q.close());
-        let out = one_answer(&server, valid.clone());
+        let out = one_answer(&server, valid);
         assert!(matches!(out, Err(Rejected::ShuttingDown)), "{out:?}");
         let snap = server.shutdown();
-        assert_eq!((snap.invalid_input, snap.shed_deadline), (1, 1));
-        assert_eq!((snap.shed_queue_full, snap.internal), (0, 0));
-
-        // QueueFull: the worker sleeps out its first stall, so the first
-        // request sits in the one-slot queue and the second finds it full.
-        let config = ServeConfig {
-            queue_capacity: 1,
-            ..stalled_no_respawn(1)
-        };
-        let server = start_with(config, FaultPlan::new().with(stall.limited(1)));
-        let occupant = server.submit(valid.clone());
-        let out = one_answer(&server, valid.clone());
-        assert!(
-            matches!(out, Err(Rejected::QueueFull { capacity: 1 })),
-            "{out:?}"
-        );
-        assert!(occupant.recv().unwrap().is_ok());
-        assert_eq!(server.shutdown().shed_queue_full, 1);
-
-        // Internal: both workers die at the end of their first stall with
-        // the request stranded. Whichever dies first redrives it to the
-        // other, which then finds its redrive spent — or, dying second,
-        // finds no sibling left; either way `Work::reject_internal` answers.
-        let server = start_with(stalled_no_respawn(2), stall_then_kill("serve.shard"));
-        match one_answer(&server, valid) {
-            Err(Rejected::Internal { reason }) => {
-                assert!(reason.starts_with("shard killed"), "{reason}")
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
-        assert_eq!(server.shutdown().internal, 1);
+        assert_eq!((snap.total_shed(), snap.internal, snap.rejected), (0, 0, 0));
     }
 
     #[test]
-    fn every_plane_answers_each_rejection_once_and_counts_it_once() {
-        rejection_taxonomy(
-            PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
-            |r| r.s = f64::NAN,
-            |r, at| r.deadline = Some(at),
-        );
-        rejection_taxonomy(
-            GreeksRequest::new(2, 30.0, 35.0, 1.0),
-            |r| r.t = -1.0,
-            |r, at| r.deadline = Some(at),
-        );
-        // One chunk, so the fan-out is one work item like the others.
-        rejection_taxonomy(
-            PortfolioRequest::new(3, 7, 8, 16).with_chunk(16),
-            |r| r.positions = 0,
-            |r, at| r.deadline = Some(at),
-        );
+    fn every_plane_answers_shutting_down_once_and_counts_nothing() {
+        shutting_down(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
+        shutting_down(GreeksRequest::new(2, 30.0, 35.0, 1.0));
+        shutting_down(PortfolioRequest::new(3, 7, 8, 16).with_chunk(16));
     }
 }

@@ -91,38 +91,6 @@ pub struct PortfolioScratch {
     spans: Vec<(usize, usize)>,
 }
 
-/// The telemetry counter names one request plane tallies under — static
-/// so the hot path never formats a metric name.
-pub struct LaneCounters {
-    /// Requests rejected by admission-side input validation.
-    pub invalid_input: &'static str,
-    /// Requests (portfolio: chunks) shed at admission: every alive
-    /// shard's queue was full.
-    pub shed_queue_full: &'static str,
-    /// Requests answered with a result.
-    pub served: &'static str,
-    /// Requests shed at dispatch because their deadline passed.
-    pub shed_deadline: &'static str,
-    /// Requests whose deadline passed *after* a shard-loss redrive — the
-    /// retry budget accounting that distinguishes first-attempt sheds
-    /// from sheds of already-redriven work.
-    pub shed_deadline_redrive: &'static str,
-    /// Requests answered `Rejected::Internal`.
-    pub internal: &'static str,
-    /// Requests rejected for unknown/unservable kernels.
-    pub rejected: &'static str,
-    /// Batches executed below the planned rung.
-    pub degraded_batches: &'static str,
-    /// Ladder steps down after failures.
-    pub degradations: &'static str,
-    /// Ladder steps back up after sustained health.
-    pub promotions: &'static str,
-    /// Breaker open transitions.
-    pub breaker_open: &'static str,
-    /// Supervised lane restarts after cooldown.
-    pub lane_restarts: &'static str,
-}
-
 /// One request plane the sharded server can run: how to key, ladder,
 /// batch-execute, and answer its requests. Implementations are stateless
 /// marker types; all state lives in the generic lane.
@@ -135,8 +103,9 @@ pub trait ServeWorkload: Sized + 'static {
     /// One rung of the servable degradation ladder.
     type Rung;
 
-    /// Counter names for this plane's tallies.
-    const COUNTERS: LaneCounters;
+    /// This plane's index in [`PLANES`](crate::ledger::PLANES): where its
+    /// tallies sit in a server's ledger and in `ServeSnapshot::planes`.
+    const PLANE: usize;
 
     /// The request's correlation id, echoed on every response.
     fn id(req: &Self::Req) -> u64;
@@ -226,20 +195,7 @@ impl ServeWorkload for PriceWorkload {
     type Out = Priced;
     type Rung = ServingRung;
 
-    const COUNTERS: LaneCounters = LaneCounters {
-        invalid_input: "serve.invalid_input",
-        shed_queue_full: "serve.shed.queue_full",
-        served: "serve.served",
-        shed_deadline: "serve.shed.deadline",
-        shed_deadline_redrive: "serve.shed.deadline_redrive",
-        internal: "serve.internal",
-        rejected: "serve.rejected",
-        degraded_batches: "serve.degraded_batches",
-        degradations: "serve.degradations",
-        promotions: "serve.promotions",
-        breaker_open: "serve.breaker_open",
-        lane_restarts: "serve.lane_restarts",
-    };
+    const PLANE: usize = 0;
 
     fn id(req: &PriceRequest) -> u64 {
         req.id
@@ -301,20 +257,7 @@ impl ServeWorkload for GreeksWorkload {
     type Out = GreeksOut;
     type Rung = crate::greeks::GreeksRung;
 
-    const COUNTERS: LaneCounters = LaneCounters {
-        invalid_input: "greeks.invalid_input",
-        shed_queue_full: "greeks.shed.queue_full",
-        served: "greeks.served",
-        shed_deadline: "greeks.shed.deadline",
-        shed_deadline_redrive: "greeks.shed.deadline_redrive",
-        internal: "greeks.internal",
-        rejected: "greeks.rejected",
-        degraded_batches: "greeks.degraded_batches",
-        degradations: "greeks.degradations",
-        promotions: "greeks.promotions",
-        breaker_open: "greeks.breaker_open",
-        lane_restarts: "greeks.lane_restarts",
-    };
+    const PLANE: usize = 1;
 
     fn id(req: &GreeksRequest) -> u64 {
         req.id
@@ -383,20 +326,7 @@ impl ServeWorkload for PortfolioWorkload {
     type Out = PortfolioChunkOut;
     type Rung = crate::portfolio::PortfolioRung;
 
-    const COUNTERS: LaneCounters = LaneCounters {
-        invalid_input: "portfolio.invalid_input",
-        shed_queue_full: "portfolio.shed.queue_full",
-        served: "portfolio.served",
-        shed_deadline: "portfolio.shed.deadline",
-        shed_deadline_redrive: "portfolio.shed.deadline_redrive",
-        internal: "portfolio.internal",
-        rejected: "portfolio.rejected",
-        degraded_batches: "portfolio.degraded_batches",
-        degradations: "portfolio.degradations",
-        promotions: "portfolio.promotions",
-        breaker_open: "portfolio.breaker_open",
-        lane_restarts: "portfolio.lane_restarts",
-    };
+    const PLANE: usize = 2;
 
     fn id(req: &PortfolioChunkRequest) -> u64 {
         req.id

@@ -12,8 +12,13 @@
 //!   thread, and key/value attributes attach to the innermost open span.
 //!   Finished spans land in a ring of [`SPAN_RING_CAPACITY`] records
 //!   (newest win, evictions counted in `telemetry.spans_dropped`).
-//! - **Counters and gauges** ([`counter_add`], [`gauge_set`]): named
-//!   process-wide atomics, safe to bump from worker threads.
+//! - **Counters and gauges**: named process-wide atomics, safe to bump
+//!   from worker threads. Cold call sites go by name ([`counter_add`],
+//!   [`gauge_set`]: a registry lock and a hash per call); a hot path
+//!   resolves a [`Counter`] / [`Gauge`] handle once and then pays relaxed
+//!   atomics only. A `Counter` also keeps the handle's *own* count beside
+//!   the process-wide one, which is how one component reads its share of
+//!   a name that several bump (see [`metrics`]).
 //! - **Histograms** ([`Histogram`]): streaming log-bucketed distribution
 //!   sketches for per-rep throughput samples — median/p95 instead of
 //!   only best-of.
@@ -49,7 +54,7 @@ pub use filter::{enabled, set_filter, Kind};
 pub use hist::Histogram;
 pub use metrics::{
     counter_add, counter_snapshot, counter_value, gauge_set, gauge_snapshot, gauge_value,
-    reset_metrics,
+    reset_metrics, Counter, Gauge,
 };
 pub use span::{
     current_name, drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord,

@@ -1,31 +1,22 @@
 //! One end-to-end test per [`Rejected`] variant: each drives the real
-//! threaded server into that rejection and asserts the *matching*
-//! telemetry counter increments exactly once per rejected request — the
-//! taxonomy and the metrics must never drift apart.
+//! threaded server into that rejection and asserts the *matching* tally
+//! of the server's ledger increments exactly once per rejected request —
+//! the taxonomy and the metrics must never drift apart.
 //!
-//! Telemetry counters are process-global and cargo runs these tests as
-//! parallel threads of one process, so every test serializes on one lock
-//! and asserts on counter *deltas* — each variant's counter must move by
-//! exactly the number of rejections of that variant, and nothing else.
-//! That is why this file is its own process, and the only one left with
-//! a lock: fault plans are per server now, the counters are ROADMAP
-//! item 6's (one metrics ledger per server) to scope, and `serial_lock`
-//! goes with them.
+//! A server's tallies are its own (`ServeSnapshot::planes`: one
+//! [`PlaneSnapshot`] per request plane, read from handles the server
+//! owns), so these tests run as parallel threads of one process with no
+//! lock between them. The process-wide counters of the same names, which
+//! every server in the process adds to, are checked once, by the
+//! two-server test at the end.
 
 use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::{
-    BreakerPolicy, GreeksRequest, GreeksWorkload, LaneCounters, PortfolioRequest,
-    PortfolioWorkload, PriceRequest, PriceWorkload, PricerConfig, Rejected, Response, ServeConfig,
-    ServeRequest, ServeWorkload, Server, SupervisorPolicy,
+    BreakerPolicy, GreeksRequest, PlaneSnapshot, PortfolioRequest, PriceRequest, PricerConfig,
+    Rejected, Response, ServeConfig, ServeRequest, ServeWorkload, Server, SupervisorPolicy, PLANES,
 };
 use finbench::telemetry::counter_value;
-use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
-
-fn serial_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn quick_config() -> ServeConfig {
     ServeConfig {
@@ -55,8 +46,6 @@ fn recv(server: &Server, req: PriceRequest) -> Result<finbench::serve::Priced, R
 
 #[test]
 fn queue_full_increments_the_queue_full_counter_once() {
-    let _l = serial_lock();
-    let before = counter_value("serve.shed.queue_full");
     let server = Server::start(ServeConfig {
         queue_capacity: 1,
         max_delay: Duration::from_millis(50),
@@ -75,16 +64,13 @@ fn queue_full_increments_the_queue_full_counter_once() {
     assert!(full > 0, "flooding a capacity-1 queue must overflow");
     assert_eq!(snap.shed_queue_full as usize, full);
     assert_eq!(
-        counter_value("serve.shed.queue_full") - before,
-        full as u64,
-        "exactly one counter increment per QueueFull rejection"
+        snap.planes[0].shed_queue_full, full as u64,
+        "exactly one price-plane increment per QueueFull rejection"
     );
 }
 
 #[test]
 fn deadline_exceeded_increments_the_deadline_counter_once() {
-    let _l = serial_lock();
-    let before = counter_value("serve.shed.deadline");
     let server = Server::start(quick_config());
     let mut req = PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0);
     req.deadline = Some(Instant::now() - Duration::from_millis(1));
@@ -94,13 +80,11 @@ fn deadline_exceeded_increments_the_deadline_counter_once() {
     ));
     let snap = server.shutdown();
     assert_eq!(snap.shed_deadline, 1);
-    assert_eq!(counter_value("serve.shed.deadline") - before, 1);
+    assert_eq!(snap.planes[0].shed_deadline, 1);
 }
 
 #[test]
 fn unknown_kernel_increments_the_rejected_counter_once() {
-    let _l = serial_lock();
-    let before = counter_value("serve.rejected");
     let server = Server::start(quick_config());
     assert!(matches!(
         recv(
@@ -111,13 +95,11 @@ fn unknown_kernel_increments_the_rejected_counter_once() {
     ));
     let snap = server.shutdown();
     assert_eq!(snap.rejected, 1);
-    assert_eq!(counter_value("serve.rejected") - before, 1);
+    assert_eq!(snap.planes[0].rejected, 1);
 }
 
 #[test]
 fn unservable_kernel_increments_the_rejected_counter_once() {
-    let _l = serial_lock();
-    let before = counter_value("serve.rejected");
     let server = Server::start(quick_config());
     // `rng` is registered but has no batch-safe serving rung.
     assert!(matches!(
@@ -126,12 +108,11 @@ fn unservable_kernel_increments_the_rejected_counter_once() {
     ));
     let snap = server.shutdown();
     assert_eq!(snap.rejected, 1);
-    assert_eq!(counter_value("serve.rejected") - before, 1);
+    assert_eq!(snap.planes[0].rejected, 1);
 }
 
 #[test]
 fn shutting_down_is_typed_and_not_counted_as_shedding() {
-    let _l = serial_lock();
     let server = Server::start(quick_config());
     let snap_before = server.snapshot();
     // Drop closes the queue; races with submit are answered ShuttingDown.
@@ -148,8 +129,6 @@ fn shutting_down_is_typed_and_not_counted_as_shedding() {
 
 #[test]
 fn invalid_input_increments_the_invalid_input_counter_once() {
-    let _l = serial_lock();
-    let before = counter_value("serve.invalid_input");
     let server = Server::start(quick_config());
     assert!(matches!(
         recv(
@@ -160,14 +139,12 @@ fn invalid_input_increments_the_invalid_input_counter_once() {
     ));
     let snap = server.shutdown();
     assert_eq!(snap.invalid_input, 1);
-    assert_eq!(counter_value("serve.invalid_input") - before, 1);
+    assert_eq!(snap.planes[0].invalid_input, 1);
 }
 
 #[test]
 fn internal_increments_the_internal_counter_once_per_request() {
-    let _l = serial_lock();
     faults::silence_injected_panics();
-    let before = counter_value("serve.internal");
     let server = Server::start_with_faults(quick_config(), always_panic());
     match recv(
         &server,
@@ -180,12 +157,11 @@ fn internal_increments_the_internal_counter_once_per_request() {
     }
     let snap = server.shutdown();
     assert_eq!(snap.internal, 1);
-    assert_eq!(counter_value("serve.internal") - before, 1);
+    assert_eq!(snap.planes[0].internal, 1);
 }
 
 #[test]
 fn internal_from_an_open_breaker_counts_each_rejected_request() {
-    let _l = serial_lock();
     faults::silence_injected_panics();
     // open_after 1 with a long cooldown: once the lane hits the ladder
     // bottom the breaker opens and stays open for the rest of the test.
@@ -198,7 +174,6 @@ fn internal_from_an_open_breaker_counts_each_rejected_request() {
         ..quick_config()
     };
     let server = Server::start_with_faults(config, always_panic());
-    let before = counter_value("serve.breaker_open");
     // Walk the ladder to the bottom; every response is Internal.
     for i in 0..8u64 {
         let out = recv(
@@ -213,50 +188,45 @@ fn internal_from_an_open_breaker_counts_each_rejected_request() {
     assert_eq!(k.breaker, "open");
     assert!(k.breaker_open >= 1);
     assert_eq!(
-        counter_value("serve.breaker_open") - before,
-        k.breaker_open,
-        "breaker_open counter matches the snapshot tally"
+        snap.planes[0].breaker_open, k.breaker_open,
+        "the plane's breaker_open tally matches the lane's"
     );
 }
 
 #[test]
 fn served_requests_increment_only_the_served_counter() {
-    let _l = serial_lock();
-    let served_before = counter_value("serve.served");
-    let internal_before = counter_value("serve.internal");
-    let invalid_before = counter_value("serve.invalid_input");
     let server = Server::start(quick_config());
     assert!(recv(
         &server,
         PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0)
     )
     .is_ok());
-    server.shutdown();
-    assert_eq!(counter_value("serve.served") - served_before, 1);
-    assert_eq!(counter_value("serve.internal"), internal_before);
-    assert_eq!(counter_value("serve.invalid_input"), invalid_before);
+    let snap = server.shutdown();
+    let price = &snap.planes[0];
+    assert_eq!(price.served, 1);
+    assert_eq!((price.internal, price.invalid_input), (0, 0));
 }
 
-const PLANES: [LaneCounters; 3] = [
-    PriceWorkload::COUNTERS,
-    GreeksWorkload::COUNTERS,
-    PortfolioWorkload::COUNTERS,
-];
-
-/// Run `f`; of the three planes' `pick` counters only `R`'s plane's
-/// may have moved, by exactly `by`.
+/// Run `f` against `server`; of its three planes' `pick` tallies only
+/// `R`'s plane's may have moved, by exactly `by`.
 fn moves_only<R: ServeRequest, T>(
-    pick: fn(&LaneCounters) -> &'static str,
+    server: &Server,
+    pick: fn(&PlaneSnapshot) -> u64,
     by: u64,
     f: impl FnOnce() -> T,
 ) -> T {
-    let read = || PLANES.each_ref().map(|c| counter_value(pick(c)));
-    let own = pick(&R::Plane::COUNTERS);
+    let read = || server.snapshot().planes.map(|p| pick(&p));
     let before = read();
     let out = f();
-    for ((plane, now), was) in PLANES.iter().zip(read()).zip(before) {
-        let want = if pick(plane) == own { by } else { 0 };
-        assert_eq!(now - was, want, "{} while driving {own}", pick(plane));
+    for (i, (now, was)) in read().into_iter().zip(before).enumerate() {
+        let want = if i == R::Plane::PLANE { by } else { 0 };
+        assert_eq!(
+            now - was,
+            want,
+            "{} while driving {}",
+            PLANES[i],
+            PLANES[R::Plane::PLANE]
+        );
     }
     out
 }
@@ -273,12 +243,11 @@ fn one_answer<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Reject
 }
 
 /// The four counted rejections the generic `submit_with` and `Work`
-/// paths can answer, on one plane: each moves that plane's counter name
-/// by one and neither other plane's. (`ShuttingDown`, which counts
-/// nothing, needs the server's private fields and is checked beside the
-/// instance-scoped half of this test in `server.rs`.) `valid` must queue
-/// as a single work item; `spoil` makes it invalid and `expire` gives it
-/// a deadline.
+/// paths can answer, on one plane: each moves that plane's tally by one
+/// and neither other plane's. (`ShuttingDown`, which counts nothing,
+/// needs the server's private fields and is checked in `server.rs`.)
+/// `valid` must queue as a single work item; `spoil` makes it invalid and
+/// `expire` gives it a deadline.
 fn counts_on_its_own_plane<R: ServeRequest + Clone>(
     valid: R,
     spoil: fn(&mut R),
@@ -303,9 +272,19 @@ fn counts_on_its_own_plane<R: ServeRequest + Clone>(
     expire(&mut expired, Instant::now() - Duration::from_millis(1));
 
     let server = Server::start(quick_config());
-    let out = moves_only::<R, _>(|c| c.invalid_input, 1, || one_answer(&server, invalid));
+    let out = moves_only::<R, _>(
+        &server,
+        |p| p.invalid_input,
+        1,
+        || one_answer(&server, invalid),
+    );
     assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
-    let out = moves_only::<R, _>(|c| c.shed_deadline, 1, || one_answer(&server, expired));
+    let out = moves_only::<R, _>(
+        &server,
+        |p| p.shed_deadline,
+        1,
+        || one_answer(&server, expired),
+    );
     assert!(
         matches!(out, Err(Rejected::DeadlineExceeded { .. })),
         "{out:?}"
@@ -322,7 +301,8 @@ fn counts_on_its_own_plane<R: ServeRequest + Clone>(
     let server = Server::start_with_faults(config, once);
     let occupant = server.submit(valid.clone());
     let out = moves_only::<R, _>(
-        |c| c.shed_queue_full,
+        &server,
+        |p| p.shed_queue_full,
         1,
         || one_answer(&server, valid.clone()),
     );
@@ -338,14 +318,17 @@ fn counts_on_its_own_plane<R: ServeRequest + Clone>(
     let kill = FaultSpec::always("serve.shard", FaultKind::Kill);
     let plan = FaultPlan::new().with(stall).with(kill);
     let server = Server::start_with_faults(stalled(2), Faults::new(plan));
-    let out = moves_only::<R, _>(|c| c.internal, 1, || one_answer(&server, valid));
-    assert!(matches!(out, Err(Rejected::Internal { .. })), "{out:?}");
+    match moves_only::<R, _>(&server, |p| p.internal, 1, || one_answer(&server, valid)) {
+        Err(Rejected::Internal { reason }) => {
+            assert!(reason.starts_with("shard killed"), "{reason}")
+        }
+        other => panic!("expected Internal, got {other:?}"),
+    }
     server.shutdown();
 }
 
 #[test]
 fn every_plane_counts_each_rejection_on_its_own_counters_only() {
-    let _l = serial_lock();
     counts_on_its_own_plane(
         PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
         |r| r.s = f64::NAN,
@@ -361,5 +344,53 @@ fn every_plane_counts_each_rejection_on_its_own_counters_only() {
         PortfolioRequest::new(3, 7, 8, 16).with_chunk(16),
         |r| r.positions = 0,
         |r, at| r.deadline = Some(at),
+    );
+}
+
+/// Two servers, driven at the same time from two threads into different
+/// rejections: each ledger shows only its own server's events, and the
+/// process-wide counter of each name — which other tests of this binary
+/// may be adding to as well — moved by at least the two servers' sum.
+#[test]
+fn two_servers_in_one_process_read_disjoint_ledgers() {
+    const NAMES: [&str; 2] = ["serve.shed.queue_full", "greeks.invalid_input"];
+    let before = NAMES.map(counter_value);
+    // Server A's one worker sleeps out a stall while its one-slot queue
+    // takes the first request and refuses the second.
+    let stall = FaultSpec::always("queue", FaultKind::StallQueue).limited(1);
+    let a = Server::start_with_faults(
+        ServeConfig {
+            queue_capacity: 1,
+            max_delay: Duration::from_millis(200),
+            ..quick_config()
+        },
+        Faults::new(FaultPlan::new().with(stall)),
+    );
+    let b = Server::start(quick_config());
+    let go = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            go.wait();
+            let occupant = a.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
+            let out = one_answer(&a, PriceRequest::new(2, "black_scholes", 30.0, 35.0, 1.0));
+            assert!(matches!(out, Err(Rejected::QueueFull { .. })), "{out:?}");
+            assert!(occupant.recv().unwrap().is_ok());
+        });
+        s.spawn(|| {
+            go.wait();
+            let out = one_answer(&b, GreeksRequest::new(3, 30.0, 35.0, -1.0));
+            assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{out:?}");
+        });
+    });
+    let (a, b) = (a.shutdown(), b.shutdown());
+    assert_eq!((a.shed_queue_full, a.invalid_input), (1, 0), "{a:?}");
+    assert_eq!((b.shed_queue_full, b.invalid_input), (0, 1), "{b:?}");
+    assert_eq!(a.planes[0].shed_queue_full, 1);
+    assert_eq!(b.planes[1].invalid_input, 1);
+    assert_eq!(b.planes.each_ref().map(|p| p.served), [0, 0, 0]);
+    let moved = [0, 1].map(|i| counter_value(NAMES[i]) - before[i]);
+    assert!(
+        moved.iter().all(|&by| by >= 1),
+        "{NAMES:?} moved by {moved:?}"
     );
 }

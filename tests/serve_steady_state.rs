@@ -75,7 +75,7 @@ fn span_memory_is_bounded_and_steady_state_batches_allocate_nothing_lane_side() 
     let d = telemetry::alloc_stats().since(before);
     // One rung `String` per response plus a channel block every few dozen
     // sends. A single allocation per *batch* — a span name, an attribute
-    // key, a cloned stats key — would double this.
+    // key, a metric name looked up instead of held — would double this.
     assert!(
         d.allocs >= N as u64 && d.allocs < (N + N / 8) as u64,
         "{} allocations over {N} lone-request batches",

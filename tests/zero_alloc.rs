@@ -3,7 +3,9 @@
 //! will see, executing further batches — staging, padding, pricing,
 //! greeks, the fused price+greeks pass — performs **zero** heap
 //! allocations; and so does a portfolio chunk (scenario grid + full-book
-//! revaluation) through a recycled grid and [`RevalScratch`].
+//! revaluation) through a recycled grid and [`RevalScratch`]; and so do
+//! the serving ledger's metric handles with telemetry **on** — a counted
+//! event is atomics, never a name lookup.
 //!
 //! This binary holds exactly one test: the counting allocator (installed
 //! globally by `finbench_harness`) tallies process-wide, so sharing a
@@ -22,7 +24,7 @@ use finbench::engine::Engine;
 use finbench::parallel::available_parallelism;
 use finbench::serve::pricer::{self, PricerConfig};
 use finbench::serve::Scratch;
-use finbench::telemetry;
+use finbench::telemetry::{self, Counter, Gauge};
 
 const M: MarketParams = MarketParams::PAPER;
 
@@ -118,4 +120,27 @@ fn steady_state_serve_batches_allocate_nothing() {
         (0, 0),
         "steady-state portfolio revaluation must not allocate"
     );
+
+    // The ledger's handles with every signal class enabled: the first
+    // recorded event finds the name's process-wide cell, every later one
+    // is a filter check and relaxed atomics.
+    telemetry::set_filter("all");
+    let (events, depth) = (
+        Counter::named("zero_alloc.events"),
+        Gauge::named("zero_alloc.depth"),
+    );
+    events.add(1);
+    depth.set(0.0);
+    let before = telemetry::alloc_stats();
+    for i in 0..10_000u64 {
+        events.add(i & 3);
+        depth.set(i as f64);
+    }
+    let d = telemetry::alloc_stats().since(before);
+    assert_eq!(
+        (d.allocs, d.bytes),
+        (0, 0),
+        "metric handles must not allocate"
+    );
+    assert_eq!(events.get(), telemetry::counter_value("zero_alloc.events"));
 }
