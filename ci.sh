@@ -31,10 +31,10 @@ for _ in $(seq 5); do
     --test batching_equivalence --test rejection_taxonomy
 done
 
-echo "==> source guard (no process-global fault registry or second ledger, no test locks)"
+echo "==> source guard (no process-global fault registry or second ledger, no test locks, no by-name hot-path metrics)"
 if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)|StatsInner|lock_stats|serial_lock|LaneCounters' -- crates tests examples ||
-  git grep -nE 'telemetry::(counter_add|gauge_set)\(' -- crates/serve/src/server.rs; then
-  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock, no by-name metric lookup on the serving path" >&2
+  git grep -nE '(counter_add|gauge_set)\(' -- crates/serve/src/server.rs crates/rng/src crates/parallel/src crates/core/src; then
+  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock; the serving path, rng, pool and kernels count through handles, never by name" >&2
   exit 1
 fi
 

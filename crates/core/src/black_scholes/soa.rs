@@ -111,25 +111,27 @@ impl ShockedMarket {
     }
 }
 
-/// The call leg of [`price_vec_cnd`] for a position whose `lsx = ln(s/x)`
-/// is already known, under one scenario's [`ShockedMarket`]: one `vexp`,
-/// two `vnorm_cdf`, `√t` and the division by `σ√t`; no `ln`, no `s/x`, and
-/// the put is never formed. This is the operation-count pass the paper's
-/// advanced level is, applied along the scenario axis of
-/// `crate::portfolio`.
+/// The call leg of [`price_vec_cnd`] for a position whose `sqrt_t = √t`
+/// and `lsx = ln(s/x)` are already known, under one scenario's
+/// [`ShockedMarket`]: one `vexp`, two `vnorm_cdf` and the division by
+/// `σ√t`; no `ln`, no `s/x`, no root, and the put is never formed. This is
+/// the operation-count pass the paper's advanced level is, applied along
+/// the scenario axis of `crate::portfolio`.
 ///
-/// `√t` could be a staged column too, and the division a product of two
-/// reciprocals; both were measured and are parked behind ROADMAP item 4(a)
-/// — see EXPERIMENTS.md.
+/// The division could be a product of two reciprocals (`1/√t` per
+/// position, `1/σ` per scenario): three roundings for one, so other bits,
+/// and measured worth nothing while the divider is not the bottleneck —
+/// see EXPERIMENTS.md.
 #[inline(always)]
 pub(crate) fn call_vec_hoisted<const W: usize>(
     s: F64v<W>,
     x: F64v<W>,
     t: F64v<W>,
+    sqrt_t: F64v<W>,
     lsx: F64v<W>,
     m: &ShockedMarket,
 ) -> F64v<W> {
-    let vol = t.sqrt() * m.sigma;
+    let vol = sqrt_t * m.sigma;
     let d1 = (lsx + m.ln_bump + t * m.drift) / vol;
     let d2 = d1 - vol;
     (s * m.bump) * vnorm_cdf(d1) - x * vexp(-(t * m.r)) * vnorm_cdf(d2)
@@ -140,8 +142,8 @@ pub(crate) fn call_vec_hoisted<const W: usize>(
 /// with `CountedF64` for the op-count audit of the machine model's
 /// portfolio descriptor, as [`super::price_single`] is for Black-Scholes.
 #[inline]
-pub fn call_hoisted_single<R: Real>(s: R, x: R, t: R, lsx: R, m: &ShockedMarket) -> R {
-    let vol = t.sqrt() * R::of(m.sigma);
+pub fn call_hoisted_single<R: Real>(s: R, x: R, t: R, sqrt_t: R, lsx: R, m: &ShockedMarket) -> R {
+    let vol = sqrt_t * R::of(m.sigma);
     let d1 = (lsx + R::of(m.ln_bump) + t * R::of(m.drift)) / vol;
     let d2 = d1 - vol;
     (s * R::of(m.bump)) * d1.norm_cdf() - x * (-(t * R::of(m.r))).exp() * d2.norm_cdf()
@@ -379,10 +381,10 @@ mod tests {
             for i in (0..b.len()).step_by(8) {
                 let at = |col: &[f64]| F64v::<8>::load(col, i);
                 let (s, x, t) = (at(&b.s), at(&b.x), at(&b.t));
-                let lsx = vln(s / x);
-                let call = call_vec_hoisted(s, x, t, lsx, &m);
+                let (sqrt_t, lsx) = (t.sqrt(), vln(s / x));
+                let call = call_vec_hoisted(s, x, t, sqrt_t, lsx, &m);
                 for l in 0..8 {
-                    let twin = call_hoisted_single(s[l], x[l], t[l], lsx[l], &m);
+                    let twin = call_hoisted_single(s[l], x[l], t[l], sqrt_t[l], lsx[l], &m);
                     assert_eq!(call[l].to_bits(), twin.to_bits(), "option {}", i + l);
                     let want =
                         super::super::price_single(s[l] * (1.0 + spot), x[l], t[l], shocked).0;

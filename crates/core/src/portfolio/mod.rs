@@ -22,11 +22,11 @@
 //!   body over the whole batch with no scalar remainder loop, and the
 //!   lane arithmetic is width-invariant: the scalar / W=4 / W=8 sweeps
 //!   are bit-exact among themselves. Only the call leg is priced (the
-//!   P&L reads nothing else), `ln(s/x)` — the one expensive term that
-//!   depends on the position alone — is computed once per book and what
-//!   depends on the scenario alone (`ln(1+spot)`, `r + σ²/2`) once per
-//!   scenario, so a (position, scenario) pair costs one `exp`, two `cnd`,
-//!   `√t` and the division by `σ√t` — no `ln`, no `s/x`.
+//!   P&L reads nothing else), what depends on the position alone
+//!   (`ln(s/x)`, `√t`) is computed once per book and what depends on the
+//!   scenario alone (`ln(1+spot)`, `r + σ²/2`) once per scenario, so a
+//!   (position, scenario) pair costs one `exp`, two `cnd` and the division
+//!   by `σ√t` — no `ln`, no `s/x`, no root.
 //! * **Strided fixed-order reduction** — position `i`'s P&L term is added
 //!   to partial `i mod PAD_WIDTH` on every rung and the [`PAD_WIDTH`]
 //!   partials are combined lane 0 first, so every width (and every ISA
@@ -194,13 +194,15 @@ impl ScenarioGrid {
 }
 
 /// The book staged at [`PAD_WIDTH`]: its contracts and, per position,
-/// the term of `d1` that no shock changes.
+/// the terms of `d1` that no shock changes.
 #[derive(Default)]
 struct Staged {
     /// Padded contracts; pad slots are the benign `s = x = t = 1`.
     s: Vec<f64>,
     x: Vec<f64>,
     t: Vec<f64>,
+    /// `√t` per position.
+    sqrt_t: Vec<f64>,
     /// `ln(s/x)` per position.
     lsx: Vec<f64>,
 }
@@ -212,12 +214,13 @@ impl Staged {
     #[inline(always)]
     fn calls_into<const W: usize>(&self, m: &ShockedMarket, call: &mut [f64]) {
         let n = call.len();
-        let [s, x, t, lsx] = [&self.s, &self.x, &self.t, &self.lsx].map(|col| &col[..n]);
+        let cols = [&self.s, &self.x, &self.t, &self.sqrt_t, &self.lsx];
+        let [s, x, t, sqrt_t, lsx] = cols.map(|col| &col[..n]);
         let main = n - n % W;
         let mut i = 0;
         while i < main {
             let at = |col| F64v::<W>::load(col, i);
-            call_vec_hoisted(at(s), at(x), at(t), at(lsx), m).store(call, i);
+            call_vec_hoisted(at(s), at(x), at(t), at(sqrt_t), at(lsx), m).store(call, i);
             i += W;
         }
     }
@@ -244,10 +247,10 @@ impl RevalScratch {
         Self::default()
     }
 
-    /// Stage the padded book, its `ln(s/x)` and its base values. Always
-    /// at [`PAD_WIDTH`], and the base is the revaluation body itself at
-    /// zero shock: every width subtracts bit-identical base values, and a
-    /// zero-shock scenario's P&L is exactly `0.0`.
+    /// Stage the padded book, its `√t` and `ln(s/x)` and its base values.
+    /// Always at [`PAD_WIDTH`], and the base is the revaluation body itself
+    /// at zero shock: every width subtracts bit-identical base values, and
+    /// a zero-shock scenario's P&L is exactly `0.0`.
     #[inline(always)]
     fn prepare(&mut self, book: &Book, market: MarketParams) {
         let n = book.len();
@@ -263,12 +266,18 @@ impl RevalScratch {
         stage(&mut staged.t, &book.opts.t[..n], 1.0);
         stage(&mut self.qty, &book.qty[..n], 0.0);
         // Sized here, overwritten whole below and by each scenario's sweep.
-        for derived in [&mut staged.lsx, &mut self.base_call, &mut self.call] {
+        for derived in [
+            &mut staged.sqrt_t,
+            &mut staged.lsx,
+            &mut self.base_call,
+            &mut self.call,
+        ] {
             derived.resize(padded, 0.0);
         }
         let mut i = 0;
         while i < padded {
             let at = |col: &[f64]| F64v::<PAD_WIDTH>::load(col, i);
+            at(&staged.t).sqrt().store(&mut staged.sqrt_t, i);
             vln(at(&staged.s) / at(&staged.x)).store(&mut staged.lsx, i);
             i += PAD_WIDTH;
         }
@@ -553,9 +562,9 @@ mod tests {
         let mut scratch = RevalScratch::new();
         let mut pnl = Vec::new();
         // Prime the scratch with a *larger* book, then revalue smaller
-        // ones: nothing stale — a contract, its `ln(s/x)`, a quantity in a
-        // slot that is now padding — may leak into the result. 12 and 3
-        // leave pad slots inside the last vector, 16 leaves none.
+        // ones: nothing stale — a contract, its `√t` or `ln(s/x)`, a
+        // quantity in a slot that is now padding — may leak into the result.
+        // 12 and 3 leave pad slots inside the last vector, 16 leaves none.
         revalue_into::<8>(&Book::random(29, 6), M, &grid, &mut scratch, &mut pnl);
         for n in [12, 16, 3] {
             let book = Book::random(n, 4);

@@ -105,17 +105,17 @@ pub fn black_scholes(arch: &ArchSpec) -> Vec<Level> {
 /// (SIMD across positions) → Advanced (scenario chunks over the pool). Not
 /// a figure of the paper: the descriptor restates `core::portfolio`'s
 /// hoisted call-only body, the Black-Scholes *Basic* mix minus everything
-/// the scenario loop no longer does — the put leg (2 `cnd`), `ln(s/x)` and
-/// `s/x` (once per position instead).
+/// the scenario loop no longer does — the put leg (2 `cnd`), `ln(s/x)`,
+/// `s/x` and `√t` (once per position instead).
 pub fn portfolio_revaluation(arch: &ArchSpec) -> Vec<Level> {
-    // 1 exp + 2 cnd, √t and the divide by σ√t; ~12 flops of d1/d2/call plus
-    // 3 for qty·(call − base) into its partial sum. The staged book (7
-    // columns × 8 B per position, 14 KiB at 256 positions) stays in L1
+    // 1 exp + 2 cnd and the divide by σ√t; ~12 flops of d1/d2/call plus 3
+    // for qty·(call − base) into its partial sum. The staged book (8
+    // columns × 8 B per position, 16 KiB at 256 positions) stays in L1
     // across scenarios: no DRAM bytes.
     let simd = LevelCost {
         exps: 1.0,
         heavies: 2.0,
-        slow_ops: 2.0,
+        slow_ops: 1.0,
         ..LevelCost::flops_only(15.0, 0.0)
     };
     // Basic: the same body one position per step; the compiler vectorizes
@@ -440,6 +440,7 @@ mod tests {
                 CountedF64(s),
                 CountedF64(x),
                 CountedF64(t),
+                CountedF64(t.sqrt()),
                 CountedF64((s / x).ln()),
                 &shocked,
             );

@@ -11,10 +11,10 @@
 //! for any thread count or interleaving — the kernel equivalence tests
 //! rely on it.
 
-use finbench_telemetry as telemetry;
+use finbench_telemetry::{self as telemetry, Counter, Gauge};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 
 /// Raw-pointer wrapper that asserts cross-thread transferability.
 struct SendPtr<T>(*mut T);
@@ -37,15 +37,19 @@ impl<T> SendPtr<T> {
     }
 }
 
+static DISPATCHES: LazyLock<Counter> = LazyLock::new(|| Counter::named("pool.dispatches"));
+static CHUNKS: LazyLock<Counter> = LazyLock::new(|| Counter::named("pool.chunks"));
+static LAST_IMBALANCE: LazyLock<Gauge> = LazyLock::new(|| Gauge::named("pool.last_imbalance"));
+
 /// Report one finished dispatch: `per_worker[i]` chunks pulled by worker
 /// `i`. Imbalance is `max_chunks × workers / n_chunks` — 1.0 means every
 /// worker pulled the same share, `workers` means one worker did it all.
 fn record_dispatch(n_chunks: usize, workers: usize, per_worker: &[u64]) {
     let max = per_worker.iter().copied().max().unwrap_or(0);
     let imbalance = max as f64 * workers as f64 / n_chunks as f64;
-    telemetry::counter_add("pool.dispatches", 1);
-    telemetry::counter_add("pool.chunks", n_chunks as u64);
-    telemetry::gauge_set("pool.last_imbalance", imbalance);
+    DISPATCHES.add(1);
+    CHUNKS.add(n_chunks as u64);
+    LAST_IMBALANCE.set(imbalance);
     // Lands on the caller's open span (e.g. a native-ladder rung), since
     // this runs on the dispatching thread after the scope join.
     telemetry::set_attr("pool_imbalance", imbalance);

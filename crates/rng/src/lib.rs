@@ -50,6 +50,25 @@ pub use quasi::Halton;
 pub use splitmix::SplitMix64;
 pub use streams::StreamFamily;
 
+/// The crate's generation tallies, one `Counter` handle per name: the
+/// registry lookup is paid once per process, so a scenario grid's
+/// one-stream-per-scenario draws cost relaxed atomics, not a lock and a
+/// hash each.
+pub mod counters {
+    use finbench_telemetry::Counter;
+    use std::sync::LazyLock;
+
+    /// `rng.streams_created`: one per [`StreamFamily::stream`](crate::StreamFamily::stream).
+    pub static STREAMS_CREATED: LazyLock<Counter> =
+        LazyLock::new(|| Counter::named("rng.streams_created"));
+    /// `rng.uniform_draws`: every double of a [`uniform`](crate::uniform) fill.
+    pub static UNIFORM_DRAWS: LazyLock<Counter> =
+        LazyLock::new(|| Counter::named("rng.uniform_draws"));
+    /// `rng.normal_draws`: every variate of a [`normal`](crate::normal) fill.
+    pub static NORMAL_DRAWS: LazyLock<Counter> =
+        LazyLock::new(|| Counter::named("rng.normal_draws"));
+}
+
 /// Minimal core trait for the suite's 64-bit generators.
 ///
 /// Everything above raw bits (uniform doubles, normal variates, batch

@@ -29,7 +29,7 @@ isa_fn! {
     /// Fill `out` with standard normal variates via the inverse-CDF
     /// transform: `out[i] = inv_norm_cdf(rng.next_f64_open())`, in order.
     pub fn fill_standard_normal_icdf<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-        finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+        crate::counters::NORMAL_DRAWS.add(out.len() as u64);
         for block in out.chunks_mut(ICDF_BLOCK) {
             rng.fill_with(block, u64_to_f64_oo);
             vd_inv_norm_cdf_in_place(block);
@@ -43,7 +43,7 @@ isa_fn! {
     /// feed a Monte-Carlo estimator whose own error is orders of magnitude
     /// larger.
     pub fn fill_standard_normal_icdf_fast<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-        finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+        crate::counters::NORMAL_DRAWS.add(out.len() as u64);
         for slot in out {
             *slot = inv_norm_cdf_acklam(rng.next_f64_open());
         }
@@ -57,7 +57,7 @@ isa_fn! {
 /// pair — the trade the paper's RNG discussion weighs against the ICDF.
 pub fn fill_standard_normal_box_muller<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
     const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
-    finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+    crate::counters::NORMAL_DRAWS.add(out.len() as u64);
     let mut i = 0;
     while i + 1 < out.len() {
         let u1 = rng.next_f64_open();
@@ -96,7 +96,7 @@ pub fn standard_normal_polar<R: RngCore64>(rng: &mut R, spare: &mut Option<f64>)
 
 /// Fill `out` with standard normal variates via the polar method.
 pub fn fill_standard_normal_polar<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    finbench_telemetry::counter_add("rng.normal_draws", out.len() as u64);
+    crate::counters::NORMAL_DRAWS.add(out.len() as u64);
     let mut spare = None;
     for slot in out {
         *slot = standard_normal_polar(rng, &mut spare);

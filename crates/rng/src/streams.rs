@@ -33,36 +33,13 @@ impl StreamFamily {
     /// The `id`-th independent stream of the family. Any `u64` id is
     /// valid (the paper's MT2203 family caps at 6024; we do not).
     pub fn stream(&self, id: u64) -> Philox4x32 {
-        finbench_telemetry::counter_add("rng.streams_created", 1);
+        crate::counters::STREAMS_CREATED.add(1);
         Philox4x32::new_stream(self.seed, id)
     }
 
     /// The family seed.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Fill `out` in parallel-deterministic fashion: the result is a pure
-    /// function of `(seed, stream_base, out.len())` regardless of how the
-    /// work is later split across threads, because each `chunk`-sized
-    /// block uses its own stream.
-    pub fn fill_uniform_blocked(&self, stream_base: u64, out: &mut [f64], chunk: usize) {
-        assert!(chunk > 0, "chunk must be positive");
-        // Gate the name formatting, not just the add: per-stream counter
-        // names are built with format!, which must cost nothing when
-        // counters are filtered out.
-        let per_stream = finbench_telemetry::enabled(finbench_telemetry::Kind::Counter);
-        for (i, block) in out.chunks_mut(chunk).enumerate() {
-            let id = stream_base + i as u64;
-            let mut rng = self.stream(id);
-            if per_stream {
-                finbench_telemetry::counter_add(
-                    &format!("rng.stream.{id}.draws"),
-                    block.len() as u64,
-                );
-            }
-            crate::uniform::fill_uniform(&mut rng, block);
-        }
     }
 }
 
@@ -106,16 +83,25 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// `out` in `chunk`-sized blocks, block `i` from stream `i`: the
+    /// scenario grid's layout (one stream per scenario).
+    fn fill_blocked(f: &StreamFamily, out: &mut [f64], chunk: usize) {
+        for (i, block) in out.chunks_mut(chunk).enumerate() {
+            crate::uniform::fill_uniform(&mut f.stream(i as u64), block);
+        }
+    }
+
     #[test]
     fn blocked_fill_is_split_invariant() {
         let f = StreamFamily::new(99);
         let mut whole = vec![0.0; 1024];
-        f.fill_uniform_blocked(0, &mut whole, 128);
+        fill_blocked(&f, &mut whole, 128);
 
-        // Same blocks filled "by another worker layout" must agree.
+        // Same blocks filled "by another worker layout" — in reverse, each
+        // from its own family handle — must agree.
         let mut parts = vec![0.0; 1024];
-        for blk in 0..8 {
-            let mut rng = f.stream(blk as u64);
+        for blk in (0..8).rev() {
+            let mut rng = StreamFamily::new(99).stream(blk as u64);
             crate::uniform::fill_uniform(&mut rng, &mut parts[blk * 128..(blk + 1) * 128]);
         }
         assert_eq!(whole, parts);
@@ -126,17 +112,9 @@ mod tests {
         // Concatenating many streams must not distort the distribution.
         let f = StreamFamily::new(123);
         let mut buf = vec![0.0; 64 * 1024];
-        f.fill_uniform_blocked(0, &mut buf, 1024);
+        fill_blocked(&f, &mut buf, 1024);
         let m = moments(&buf);
         assert!((m.mean - 0.5).abs() < 0.01, "mean {}", m.mean);
         assert!((m.variance - 1.0 / 12.0).abs() < 0.01, "var {}", m.variance);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk must be positive")]
-    fn zero_chunk_panics() {
-        let f = StreamFamily::new(1);
-        let mut buf = [0.0; 4];
-        f.fill_uniform_blocked(0, &mut buf, 0);
     }
 }

@@ -37,20 +37,20 @@ pub fn u64_to_f64_symmetric(x: u64) -> f64 {
 
 /// Fill `out` with uniform doubles in `[0, 1)`.
 pub fn fill_uniform<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    finbench_telemetry::counter_add("rng.uniform_draws", out.len() as u64);
+    crate::counters::UNIFORM_DRAWS.add(out.len() as u64);
     rng.fill_with(out, u64_to_f64_co);
 }
 
 /// Fill `out` with uniform doubles in the open interval `(0, 1)`.
 pub fn fill_uniform_open<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    finbench_telemetry::counter_add("rng.uniform_draws", out.len() as u64);
+    crate::counters::UNIFORM_DRAWS.add(out.len() as u64);
     rng.fill_with(out, u64_to_f64_oo);
 }
 
 /// Fill `out` with uniform doubles in `[lo, hi)`.
 pub fn fill_uniform_range<R: RngCore64>(rng: &mut R, out: &mut [f64], lo: f64, hi: f64) {
     assert!(hi > lo, "empty uniform range");
-    finbench_telemetry::counter_add("rng.uniform_draws", out.len() as u64);
+    crate::counters::UNIFORM_DRAWS.add(out.len() as u64);
     let scale = hi - lo;
     rng.fill_with(out, move |x| lo + scale * u64_to_f64_co(x));
 }
