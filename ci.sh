@@ -38,6 +38,12 @@ if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_f
   exit 1
 fi
 
+echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
+if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
+  echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2
+  exit 1
+fi
+
 echo "==> ISA dispatch is on"
 # A host that advertises AVX2+FMA must not run the portable instantiation:
 # that is dispatch silently off, and every rate below an SSE2 rate.

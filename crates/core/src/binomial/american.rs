@@ -23,10 +23,10 @@ pub fn price_american<R: Real>(
     is_call: bool,
 ) -> f64 {
     let crr = CrrParams::new(market, t, n);
-    let pu = R::of(crr.pu_by_df);
-    let pd = R::of(crr.pd_by_df);
-    let xv = R::of(x);
-    let zero = R::of(0.0);
+    let pu = R::splat(crr.pu_by_df);
+    let pd = R::splat(crr.pd_by_df);
+    let xv = R::splat(x);
+    let zero = R::splat(0.0);
 
     // Node prices at the current level, updated by division by u each step
     // backwards (S_{i,j} = S_{i+1,j} · d since u·d = 1 ... S_{i,j} =
@@ -35,7 +35,7 @@ pub fn price_american<R: Real>(
     let mut p = s * crr.d.powi(n as i32);
     let u2 = crr.u * crr.u;
     for _ in 0..=n {
-        price.push(R::of(p));
+        price.push(R::splat(p));
         p *= u2;
     }
 
@@ -49,7 +49,7 @@ pub fn price_american<R: Real>(
 
     let mut value: Vec<R> = price.iter().map(|&p| payoff(p)).collect();
 
-    let u = R::of(crr.u);
+    let u = R::splat(crr.u);
     for i in (0..n).rev() {
         for j in 0..=i {
             // Stepping back one level multiplies the lowest node price by u.

@@ -28,7 +28,7 @@ pub mod tiled;
 pub mod trinomial;
 
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 /// Precomputed Cox-Ross-Rubinstein lattice parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]

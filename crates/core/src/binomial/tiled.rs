@@ -19,7 +19,7 @@
 //! reference (asserted in tests).
 
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 isa_fn! {
     /// Tiled in-place reduction of a vector-of-options leaf array.

@@ -35,11 +35,11 @@ use finbench_math::Real;
 /// scalar type (instantiate with `CountedF64` for the op-count audit).
 #[inline]
 pub fn price_single<R: Real>(s: R, x: R, t: R, market: MarketParams) -> (R, R) {
-    let r = R::of(market.r);
-    let sig = R::of(market.sigma);
-    let sig22 = sig * sig * R::of(0.5);
+    let r = R::splat(market.r);
+    let sig = R::splat(market.sigma);
+    let sig22 = sig * sig * R::splat(0.5);
     let qlog = (s / x).ln();
-    let denom = R::of(1.0) / (sig * t.sqrt());
+    let denom = R::splat(1.0) / (sig * t.sqrt());
     let d1 = (qlog + (r + sig22) * t) * denom;
     let d2 = (qlog + (r - sig22) * t) * denom;
     let xexp = x * (-(r * t)).exp();

@@ -4,7 +4,7 @@ use super::price_single;
 use crate::workload::{MarketParams, OptionBatchAos};
 use finbench_math::Real;
 use finbench_simd::math::vnorm_cdf;
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 /// Scalar AOS reference (the paper's Lis. 1): one record at a time,
 /// four `cnd` calls per option.
@@ -13,7 +13,7 @@ use finbench_simd::{isa_fn, F64v};
 /// with `CountedF64`.
 pub fn price_aos<R: Real>(batch: &mut OptionBatchAos, market: MarketParams) {
     for o in &mut batch.opts {
-        let (call, put) = price_single(R::of(o.s), R::of(o.x), R::of(o.t), market);
+        let (call, put) = price_single(R::splat(o.s), R::splat(o.x), R::splat(o.t), market);
         o.call = call.into_f64();
         o.put = put.into_f64();
     }

@@ -2,10 +2,10 @@
 //! advanced (erf + call/put parity) levels, plus thread-parallel drivers.
 
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_math::{self as fm, Real};
+use finbench_math as fm;
 use finbench_parallel::parallel_for_chunks2;
 use finbench_simd::math::{verf, vexp, vln, vnorm_cdf};
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
@@ -78,7 +78,7 @@ fn price_vec_cnd<const W: usize>(
     (call, put)
 }
 
-/// One scenario's shocked market, reduced to the scalars [`call_vec_hoisted`]
+/// One scenario's shocked market, reduced to the scalars [`call_hoisted`]
 /// reads: everything that depends on the scenario and not on the position,
 /// computed once per scenario instead of once per (position, scenario).
 #[derive(Debug, Clone, Copy)]
@@ -111,42 +111,26 @@ impl ShockedMarket {
     }
 }
 
-/// The call leg of [`price_vec_cnd`] for a position whose `sqrt_t = √t`
+/// The call leg of `price_vec_cnd` for a position whose `sqrt_t = √t`
 /// and `lsx = ln(s/x)` are already known, under one scenario's
-/// [`ShockedMarket`]: one `vexp`, two `vnorm_cdf` and the division by
-/// `σ√t`; no `ln`, no `s/x`, no root, and the put is never formed. This is
-/// the operation-count pass the paper's advanced level is, applied along
-/// the scenario axis of `crate::portfolio`.
+/// [`ShockedMarket`]: one `exp`, two `cnd` and the division by `σ√t`; no
+/// `ln`, no `s/x`, no root, and the put is never formed. This is the
+/// operation-count pass the paper's advanced level is, applied along the
+/// scenario axis of `crate::portfolio`, whose sweep is the `F64v<W>`
+/// instance; the `CountedF64` instance is the op-count audit of the machine
+/// model's portfolio descriptor, as [`super::price_single`] is for
+/// Black-Scholes.
 ///
 /// The division could be a product of two reciprocals (`1/√t` per
 /// position, `1/σ` per scenario): three roundings for one, so other bits,
 /// and measured worth nothing while the divider is not the bottleneck —
 /// see EXPERIMENTS.md.
 #[inline(always)]
-pub(crate) fn call_vec_hoisted<const W: usize>(
-    s: F64v<W>,
-    x: F64v<W>,
-    t: F64v<W>,
-    sqrt_t: F64v<W>,
-    lsx: F64v<W>,
-    m: &ShockedMarket,
-) -> F64v<W> {
+pub fn call_hoisted<L: Lanes>(s: L, x: L, t: L, sqrt_t: L, lsx: L, m: &ShockedMarket) -> L {
     let vol = sqrt_t * m.sigma;
     let d1 = (lsx + m.ln_bump + t * m.drift) / vol;
     let d2 = d1 - vol;
-    (s * m.bump) * vnorm_cdf(d1) - x * vexp(-(t * m.r)) * vnorm_cdf(d2)
-}
-
-/// One lane of [`call_vec_hoisted`] — the same operations in the same
-/// order, so the same bits — generic over the scalar type: instantiate
-/// with `CountedF64` for the op-count audit of the machine model's
-/// portfolio descriptor, as [`super::price_single`] is for Black-Scholes.
-#[inline]
-pub fn call_hoisted_single<R: Real>(s: R, x: R, t: R, sqrt_t: R, lsx: R, m: &ShockedMarket) -> R {
-    let vol = sqrt_t * R::of(m.sigma);
-    let d1 = (lsx + R::of(m.ln_bump) + t * R::of(m.drift)) / vol;
-    let d2 = d1 - vol;
-    (s * R::of(m.bump)) * d1.norm_cdf() - x * (-(t * R::of(m.r))).exp() * d2.norm_cdf()
+    (s * m.bump) * d1.norm_cdf() - x * (-(t * m.r)).exp() * d2.norm_cdf()
 }
 
 /// The advanced vector body: `cnd → erf` substitution
@@ -382,9 +366,9 @@ mod tests {
                 let at = |col: &[f64]| F64v::<8>::load(col, i);
                 let (s, x, t) = (at(&b.s), at(&b.x), at(&b.t));
                 let (sqrt_t, lsx) = (t.sqrt(), vln(s / x));
-                let call = call_vec_hoisted(s, x, t, sqrt_t, lsx, &m);
+                let call = call_hoisted(s, x, t, sqrt_t, lsx, &m);
                 for l in 0..8 {
-                    let twin = call_hoisted_single(s[l], x[l], t[l], sqrt_t[l], lsx[l], &m);
+                    let twin = call_hoisted(s[l], x[l], t[l], sqrt_t[l], lsx[l], &m);
                     assert_eq!(call[l].to_bits(), twin.to_bits(), "option {}", i + l);
                     let want =
                         super::super::price_single(s[l] * (1.0 + spot), x[l], t[l], shocked).0;

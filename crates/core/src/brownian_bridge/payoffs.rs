@@ -6,7 +6,7 @@
 //! designed to compose with [`super::interleaved::simulate_fused`].
 
 use finbench_simd::math::vexp;
-use finbench_simd::F64v;
+use finbench_simd::{F64v, Lanes};
 
 /// Market/contract constants shared by the money-space functionals.
 #[derive(Debug, Clone, Copy)]

@@ -22,20 +22,20 @@ pub fn build_path<R: Real>(plan: &BridgePlan, randoms: &[f64], out: &mut [f64]) 
     );
 
     let points = plan.points();
-    let mut src: Vec<R> = vec![R::of(0.0); points];
-    let mut dst: Vec<R> = vec![R::of(0.0); points];
+    let mut src: Vec<R> = vec![R::splat(0.0); points];
+    let mut dst: Vec<R> = vec![R::splat(0.0); points];
 
     let mut i = 0usize;
-    src[0] = R::of(0.0);
-    src[1] = R::of(randoms[i]) * R::of(plan.last_sig);
+    src[0] = R::splat(0.0);
+    src[1] = R::splat(randoms[i]) * R::splat(plan.last_sig);
     i += 1;
 
     for d in 0..plan.depth {
         dst[0] = src[0];
         for c in 0..(1usize << d) {
-            dst[2 * c + 1] = src[c] * R::of(plan.w_l[d][c])
-                + src[c + 1] * R::of(plan.w_r[d][c])
-                + R::of(plan.sig[d][c]) * R::of(randoms[i]);
+            dst[2 * c + 1] = src[c] * R::splat(plan.w_l[d][c])
+                + src[c + 1] * R::splat(plan.w_r[d][c])
+                + R::splat(plan.sig[d][c]) * R::splat(randoms[i]);
             i += 1;
             dst[2 * c + 2] = src[c + 1];
         }

@@ -25,8 +25,7 @@
 //!   round identically;
 //! * the ragged tail mirrors each pass's own tail: scalar
 //!   [`price_single`] for the prices and the width-1 lane block for the
-//!   greeks (the vector math agrees with the scalar math only to ≤2 ulp,
-//!   so a vector-width-1 price tail would *not* be bit-exact).
+//!   greeks.
 //!
 //! [`price_soa_simd`]: crate::black_scholes::soa::price_soa_simd
 //! [`greeks_batch_simd`]: super::greeks_batch_simd
@@ -35,7 +34,7 @@
 use super::GreeksBatchSoa;
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::math::{vexp, vln, vnorm_cdf};
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 /// One `W`-wide fused block at `offset`: prices into `batch.call/put`,
 /// all ten greeks into `out`.

@@ -144,7 +144,7 @@ isa_fn! {
         vega: &mut [f64],
     ) {
         use finbench_simd::math::{vexp, vln, vnorm_cdf};
-        use finbench_simd::F64v;
+        use finbench_simd::{F64v, Lanes};
 
         let n = batch.len();
         assert!(
@@ -289,7 +289,7 @@ fn greeks_lane_block<const W: usize>(
     offset: usize,
 ) {
     use finbench_simd::math::{vexp, vln, vnorm_cdf};
-    use finbench_simd::F64v;
+    use finbench_simd::{F64v, Lanes};
 
     let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
     let s = F64v::<W>::load(&batch.s, offset);

@@ -10,15 +10,15 @@ isa_fn! {
     /// Accumulate `randoms.len()` paths for one option from a pre-generated
     /// normal stream (the `STREAM == true` branch of Lis. 5).
     pub fn paths_streamed<R: Real>(s: f64, x: f64, g: GbmTerminal, randoms: &[f64]) -> PathSums {
-        let sv = R::of(s);
-        let xv = R::of(x);
-        let vr = R::of(g.v_rt_t);
-        let mu = R::of(g.mu_t);
-        let zero = R::of(0.0);
-        let mut v0 = R::of(0.0);
-        let mut v1 = R::of(0.0);
+        let sv = R::splat(s);
+        let xv = R::splat(x);
+        let vr = R::splat(g.v_rt_t);
+        let mu = R::splat(g.mu_t);
+        let zero = R::splat(0.0);
+        let mut v0 = R::splat(0.0);
+        let mut v1 = R::splat(0.0);
         for &z in randoms {
-            let res = (sv * (vr * R::of(z) + mu).exp() - xv).max(zero);
+            let res = (sv * (vr * R::splat(z) + mu).exp() - xv).max(zero);
             v0 += res;
             v1 += res * res;
         }

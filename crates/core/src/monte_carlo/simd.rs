@@ -11,7 +11,7 @@ use super::{GbmTerminal, PathSums};
 use finbench_parallel::parallel_map_reduce;
 use finbench_rng::{normal::fill_standard_normal_icdf, StreamFamily};
 use finbench_simd::math::vexp;
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 
 /// Payoffs staged per block by the two sweeps below (4 KiB of stack).
 /// The store is what makes them packed code — a sweep that keeps its

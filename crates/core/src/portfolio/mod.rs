@@ -39,13 +39,13 @@
 //! the sorted loss distribution, with a distribution-free order-statistic
 //! confidence interval for VaR and a standard error for the tail mean.
 
-use crate::black_scholes::soa::{call_vec_hoisted, ShockedMarket};
+use crate::black_scholes::soa::{call_hoisted, ShockedMarket};
 use crate::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench_parallel::{available_parallelism, parallel_for_chunks};
 use finbench_rng::uniform::{fill_uniform, fill_uniform_range};
 use finbench_rng::StreamFamily;
 use finbench_simd::math::vln;
-use finbench_simd::{isa_fn, F64v};
+use finbench_simd::{isa_fn, F64v, Lanes};
 use finbench_telemetry::nearest_rank;
 use std::cell::RefCell;
 
@@ -220,7 +220,7 @@ impl Staged {
         let mut i = 0;
         while i < main {
             let at = |col| F64v::<W>::load(col, i);
-            call_vec_hoisted(at(s), at(x), at(t), at(sqrt_t), at(lsx), m).store(call, i);
+            call_hoisted(at(s), at(x), at(t), at(sqrt_t), at(lsx), m).store(call, i);
             i += W;
         }
     }

@@ -359,12 +359,7 @@ pub fn black_scholes_op_mix(
     let run = || {
         for i in 0..n_options {
             let s = 90.0 + 20.0 * (i as f64 + 0.5) / n_options as f64;
-            let (c, p) = price_single(
-                CountedF64::of(s),
-                CountedF64::of(100.0),
-                CountedF64::of(1.0),
-                m,
-            );
+            let (c, p) = price_single(CountedF64(s), CountedF64(100.0), CountedF64(1.0), m);
             std::hint::black_box((c.into_f64(), p.into_f64()));
         }
     };

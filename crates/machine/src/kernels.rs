@@ -403,7 +403,7 @@ mod tests {
     use crate::arch::{KNC, SNB_EP};
     use finbench_core::workload::MarketParams;
     use finbench_math::counted::counting;
-    use finbench_math::{CountedF64, Real};
+    use finbench_math::{CountedF64, Lanes};
 
     // ---- structural audits against the instrumented kernels ----
 
@@ -432,11 +432,11 @@ mod tests {
 
     #[test]
     fn audit_portfolio_revaluation_op_mix() {
-        use finbench_core::black_scholes::soa::{call_hoisted_single, ShockedMarket};
+        use finbench_core::black_scholes::soa::{call_hoisted, ShockedMarket};
         let shocked = ShockedMarket::new(MarketParams::PAPER, 0.05, -0.1, 0.002);
         let (s, x, t) = (100.0f64, 95.0f64, 1.5f64);
         let (_, c) = counting(|| {
-            let call = call_hoisted_single(
+            let call = call_hoisted(
                 CountedF64(s),
                 CountedF64(x),
                 CountedF64(t),

@@ -8,9 +8,10 @@
 //! ("about 200 ops" per Black-Scholes option, `3·N(N+1)/2` flops per
 //! binomial option, and so on).
 
+use crate::lanes::Lanes;
 use crate::real::Real;
 use core::cell::Cell;
-use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A tally of scalar operations, grouped the way the machine model charges
 /// them.
@@ -59,12 +60,11 @@ impl OpCounts {
 
 thread_local! {
     static COUNTS: Cell<OpCounts> = Cell::new(OpCounts::default());
-    /// When true, each transcendental call additionally evaluates the
-    /// [`crate::generic`] twin of its kernel so the *interior* polynomial
-    /// arithmetic is tallied too. Expansion is one level deep: the flag is
-    /// cleared while an interior runs, so transcendentals nested inside an
-    /// interior (e.g. the Gaussian `exp` inside `norm_cdf`) are charged as
-    /// single calls.
+    /// When true, each transcendental call runs its [`Lanes`] body on
+    /// `CountedF64` so the *interior* polynomial arithmetic is tallied too.
+    /// Expansion is one level deep: the flag is cleared while an interior
+    /// runs, so transcendentals nested inside an interior (e.g. the Gaussian
+    /// `exp` inside `norm_cdf`) are charged as single calls.
     static EXPAND: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -113,12 +113,16 @@ pub fn counting_expanded<T>(f: impl FnOnce() -> T) -> (T, OpCounts) {
     out
 }
 
-/// Evaluate `interior(x)` with expansion suppressed, so nested
-/// transcendentals count as single calls.
+/// One transcendental call on `x`: the `f64` instance of `body`, or —
+/// expanding — its `CountedF64` instance with expansion suppressed, so
+/// nested transcendentals count as single calls. Same body, same bits.
 #[inline]
-fn expand_interior(x: CountedF64, interior: fn(CountedF64) -> CountedF64) -> CountedF64 {
+fn call(x: CountedF64, body: fn(CountedF64) -> CountedF64, plain: fn(f64) -> f64) -> CountedF64 {
+    if !EXPAND.with(Cell::get) {
+        return CountedF64(plain(x.0));
+    }
     EXPAND.with(|e| e.set(false));
-    let y = interior(x);
+    let y = body(x);
     EXPAND.with(|e| e.set(true));
     y
 }
@@ -127,41 +131,38 @@ fn expand_interior(x: CountedF64, interior: fn(CountedF64) -> CountedF64) -> Cou
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct CountedF64(pub f64);
 
-impl Add for CountedF64 {
-    type Output = Self;
-    #[inline]
-    fn add(self, rhs: Self) -> Self {
-        bump(|c| c.adds += 1);
-        Self(self.0 + rhs.0)
-    }
+macro_rules! counted_op {
+    ($trait:ident, $method:ident, $assign:ident, $assign_method:ident, $op:tt, $tally:ident) => {
+        impl $trait for CountedF64 {
+            type Output = Self;
+            #[inline]
+            #[allow(clippy::suspicious_arithmetic_impl)] // op *counter* increments
+            fn $method(self, rhs: Self) -> Self {
+                bump(|c| c.$tally += 1);
+                Self(self.0 $op rhs.0)
+            }
+        }
+        impl $trait<f64> for CountedF64 {
+            type Output = Self;
+            #[inline]
+            fn $method(self, rhs: f64) -> Self {
+                self $op Self(rhs)
+            }
+        }
+        impl $assign for CountedF64 {
+            #[inline]
+            fn $assign_method(&mut self, rhs: Self) {
+                *self = *self $op rhs;
+            }
+        }
+    };
 }
-impl Sub for CountedF64 {
-    type Output = Self;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // op *counter* increments
-    fn sub(self, rhs: Self) -> Self {
-        bump(|c| c.adds += 1);
-        Self(self.0 - rhs.0)
-    }
-}
-impl Mul for CountedF64 {
-    type Output = Self;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // op *counter* increments
-    fn mul(self, rhs: Self) -> Self {
-        bump(|c| c.muls += 1);
-        Self(self.0 * rhs.0)
-    }
-}
-impl Div for CountedF64 {
-    type Output = Self;
-    #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // op *counter* increments
-    fn div(self, rhs: Self) -> Self {
-        bump(|c| c.divs += 1);
-        Self(self.0 / rhs.0)
-    }
-}
+
+counted_op!(Add, add, AddAssign, add_assign, +, adds);
+counted_op!(Sub, sub, SubAssign, sub_assign, -, adds);
+counted_op!(Mul, mul, MulAssign, mul_assign, *, muls);
+counted_op!(Div, div, DivAssign, div_assign, /, divs);
+
 impl Neg for CountedF64 {
     type Output = Self;
     #[inline]
@@ -170,79 +171,25 @@ impl Neg for CountedF64 {
         Self(-self.0)
     }
 }
-impl AddAssign for CountedF64 {
-    #[inline]
-    fn add_assign(&mut self, rhs: Self) {
-        *self = *self + rhs;
-    }
-}
-impl SubAssign for CountedF64 {
-    #[inline]
-    fn sub_assign(&mut self, rhs: Self) {
-        *self = *self - rhs;
-    }
-}
-impl MulAssign for CountedF64 {
-    #[inline]
-    fn mul_assign(&mut self, rhs: Self) {
-        *self = *self * rhs;
-    }
-}
 
-impl Real for CountedF64 {
+/// Arithmetic, `sqrt`, `max`, `abs` (as a max) and FMA are counted; masks,
+/// selects, `floor` and the exponent-field operations are bookkeeping and
+/// are not.
+impl Lanes for CountedF64 {
+    type Mask = bool;
+
     #[inline]
-    fn of(x: f64) -> Self {
+    fn splat(x: f64) -> Self {
         Self(x)
     }
     #[inline]
-    fn into_f64(self) -> f64 {
-        self.0
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        bump(|c| c.fmas += 1);
+        Self(self.0.mul_add(a.0, b.0))
     }
     #[inline]
-    fn exp(self) -> Self {
-        bump(|c| c.exps += 1);
-        if EXPAND.with(|e| e.get()) {
-            expand_interior(self, crate::generic::exp_r)
-        } else {
-            Self(crate::exp(self.0))
-        }
-    }
-    #[inline]
-    fn ln(self) -> Self {
-        bump(|c| c.logs += 1);
-        if EXPAND.with(|e| e.get()) {
-            expand_interior(self, crate::generic::ln_r)
-        } else {
-            Self(crate::ln(self.0))
-        }
-    }
-    #[inline]
-    fn sqrt(self) -> Self {
-        bump(|c| c.sqrts += 1);
-        Self(self.0.sqrt())
-    }
-    #[inline]
-    fn erf(self) -> Self {
-        bump(|c| c.erfs += 1);
-        if EXPAND.with(|e| e.get()) {
-            expand_interior(self, crate::generic::erf_r)
-        } else {
-            Self(crate::erf(self.0))
-        }
-    }
-    #[inline]
-    fn norm_cdf(self) -> Self {
-        bump(|c| c.cnds += 1);
-        if EXPAND.with(|e| e.get()) {
-            expand_interior(self, crate::generic::norm_cdf_r)
-        } else {
-            Self(crate::norm_cdf(self.0))
-        }
-    }
-    #[inline]
-    fn max(self, other: Self) -> Self {
-        bump(|c| c.maxs += 1);
-        Self(self.0.max(other.0))
+    fn floor(self) -> Self {
+        Self(self.0.floor())
     }
     #[inline]
     fn abs(self) -> Self {
@@ -250,9 +197,62 @@ impl Real for CountedF64 {
         Self(self.0.abs())
     }
     #[inline]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        bump(|c| c.fmas += 1);
-        Self(self.0.mul_add(a.0, b.0))
+    fn sqrt(self) -> Self {
+        bump(|c| c.sqrts += 1);
+        Self(self.0.sqrt())
+    }
+    #[inline]
+    fn max(self, other: Self) -> Self {
+        bump(|c| c.maxs += 1);
+        Self(self.0.max(other.0))
+    }
+    #[inline]
+    fn lt(self, other: Self) -> bool {
+        self.0 < other.0
+    }
+    #[inline]
+    fn le(self, other: Self) -> bool {
+        self.0 <= other.0
+    }
+    #[inline]
+    fn select(mask: bool, a: Self, b: Self) -> Self {
+        Self(f64::select(mask, a.0, b.0))
+    }
+    #[inline]
+    fn pow2i(self) -> Self {
+        Self(self.0.pow2i())
+    }
+    #[inline]
+    fn frexp(self) -> (Self, Self) {
+        let (m, e) = self.0.frexp();
+        (Self(m), Self(e))
+    }
+    #[inline]
+    fn exp(self) -> Self {
+        bump(|c| c.exps += 1);
+        call(self, crate::exp::exp, crate::exp)
+    }
+    #[inline]
+    fn ln(self) -> Self {
+        bump(|c| c.logs += 1);
+        call(self, crate::log::ln, crate::ln)
+    }
+    #[inline]
+    fn erf(self) -> Self {
+        bump(|c| c.erfs += 1);
+        call(self, crate::erf::erf, crate::erf)
+    }
+    #[inline]
+    fn norm_cdf(self) -> Self {
+        bump(|c| c.cnds += 1);
+        call(self, crate::norm::norm_cdf, crate::norm_cdf)
+    }
+}
+
+impl Real for CountedF64 {
+    #[inline]
+    fn into_f64(self) -> f64 {
+        self.0
     }
 }
 

@@ -1,4 +1,4 @@
-//! Error function `erf` and its complement `erfc`.
+//! Error function `erf`.
 //!
 //! The paper replaces `cnd` with `erf` ("erf is less computationally
 //! intensive than cnd") via `cnd(x) = (1 + erf(x/√2))/2`; we provide both
@@ -7,87 +7,71 @@
 //! * For `|x| < 0.5` the Maclaurin series
 //!   `erf x = (2/√π) Σ (−1)^k x^{2k+1} / (k! (2k+1))`
 //!   is used — the region where the CDF-based route would cancel.
-//! * Elsewhere `erf x = 2·Φ(x√2) − 1` (for `x ≥ ½`) and
-//!   `erfc x = 2·Φ(−x√2)` delegate to the Hart/West CDF, whose tail form
-//!   keeps `erfc` relatively accurate out to `x ≈ 26`.
+//! * Elsewhere `erf x = 2·Φ(x√2) − 1` (for `x ≥ ½`, sign restored below)
+//!   delegates to the Hart/West CDF.
 
-use crate::norm::norm_cdf;
+use crate::lanes::Lanes;
 
-/// `2/sqrt(pi)` — the erf series prefactor.
-pub const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
+const FRAC_2_SQRT_PI: f64 = std::f64::consts::FRAC_2_SQRT_PI;
 const SQRT_2: f64 = std::f64::consts::SQRT_2;
 
 /// Number of Maclaurin terms used for `|x| < 0.5`; term 14 is below
 /// `0.5^29 / (14! · 29) ≈ 7e-22`, comfortably under one ulp.
-const ERF_SERIES_TERMS: u32 = 14;
+const ERF_SERIES_TERMS: usize = 14;
 
-/// The exact series coefficient `(−1)^k / (k! (2k+1))`; exposed for the
-/// op-count audit and the SIMD crate's table generation.
-pub fn erf_series_coeff(k: u32) -> f64 {
+/// The exact series coefficient `(−1)^k / (k! (2k+1))`.
+const fn erf_series_coeff(k: u32) -> f64 {
     let mut fact = 1.0f64;
-    for i in 1..=k {
+    let mut i = 1;
+    while i <= k {
         fact *= i as f64;
+        i += 1;
     }
     let sign = if k.is_multiple_of(2) { 1.0 } else { -1.0 };
     sign / (fact * (2 * k + 1) as f64)
 }
 
-/// Maclaurin evaluation for `|x| < 0.5`, accurate to ~1 ulp *relative*.
-#[inline(always)]
-fn erf_small(x: f64) -> f64 {
-    let x2 = x * x;
-    let mut pow = x; // x^{2k+1}
-    let mut fact = 1.0; // k!
-    let mut acc = x; // k = 0 term
-    for k in 1..ERF_SERIES_TERMS {
-        let kf = k as f64;
-        fact *= kf;
-        pow *= x2;
-        let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-        acc += sign * pow / (fact * (2.0 * kf + 1.0));
+/// [`erf_series_coeff`] for `k = 0 .. ERF_SERIES_TERMS`, as literals: the
+/// series has no division.
+const ERF_SERIES: [f64; ERF_SERIES_TERMS] = {
+    let mut c = [0.0; ERF_SERIES_TERMS];
+    let mut k = 0;
+    while k < ERF_SERIES_TERMS {
+        c[k] = erf_series_coeff(k as u32);
+        k += 1;
     }
-    FRAC_2_SQRT_PI * acc
-}
+    c
+};
 
-/// Error function.
+/// Error function, lane-wise; NaN in, NaN out.
+///
+/// Both forms are evaluated for every lane and blended: `|x| < 0.5` is
+/// neither rare nor common in a pricing batch, so a whole-vector branch
+/// on it would be a coin flip per vector.
 ///
 /// ```
 /// assert!((finbench_math::erf(1.0) - 0.8427007929497149).abs() < 1e-14);
 /// ```
 #[inline(always)]
-pub fn erf(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
+pub fn erf<L: Lanes>(x: L) -> L {
     let ax = x.abs();
-    if ax < 0.5 {
-        erf_small(x)
-    } else {
-        let y = 2.0 * norm_cdf(ax * SQRT_2) - 1.0;
-        if x < 0.0 {
-            -y
-        } else {
-            y
-        }
-    }
+    // CDF-based evaluation for |x| >= 0.5, with sign restored.
+    let mag = (ax * SQRT_2).norm_cdf() * 2.0 - 1.0;
+    let big = L::select(x.lt(L::splat(0.0)), -mag, mag);
+    L::select(ax.lt(L::splat(0.5)), erf_series(x), big)
 }
 
-/// Complementary error function `erfc x = 1 − erf x`, computed without
-/// cancellation in the right tail.
-///
-/// ```
-/// assert!((finbench_math::erfc(0.0) - 1.0).abs() < 1e-15);
-/// ```
-#[inline]
-pub fn erfc(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
+/// The Maclaurin series, `x^{2k+1} · c_k` summed upward.
+#[inline(always)]
+fn erf_series<L: Lanes>(x: L) -> L {
+    let x2 = x * x;
+    let mut pow = x;
+    let mut sum = x;
+    for &c in &ERF_SERIES[1..] {
+        pow *= x2;
+        sum += pow * c;
     }
-    if x < 0.5 {
-        1.0 - erf(x)
-    } else {
-        2.0 * norm_cdf(-x * SQRT_2)
-    }
+    sum * FRAC_2_SQRT_PI
 }
 
 #[cfg(test)]
@@ -149,32 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn erfc_complements_erf() {
-        let mut i = -300;
-        while i <= 300 {
-            let x = i as f64 * 0.01;
-            let s = erf(x) + erfc(x);
-            assert!((s - 1.0).abs() < 4e-15, "x={x} sum={s}");
-            i += 1;
-        }
-    }
-
-    #[test]
-    fn erfc_tail_relative() {
-        // erfc(5) = 1.5374597944280348e-12 (mpmath)
-        let want = 1.537_459_794_428_034_8e-12;
-        let got = erfc(5.0);
-        assert!(((got - want) / want).abs() < 1e-11, "got={got}");
-    }
-
-    #[test]
     fn cnd_equivalence_from_paper() {
         // cnd(x) = (1 + erf(x/sqrt(2)))/2 must reproduce norm_cdf.
         let mut i = -500;
         while i <= 500 {
             let x = i as f64 * 0.01;
             let via_erf = 0.5 * (1.0 + erf(x * std::f64::consts::FRAC_1_SQRT_2));
-            let direct = norm_cdf(x);
+            let direct = crate::norm_cdf(x);
             assert!((via_erf - direct).abs() < 4e-15, "x={x}");
             i += 1;
         }

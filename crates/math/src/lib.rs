@@ -1,6 +1,6 @@
 //! # finbench-math
 //!
-//! Scalar special-function substrate for the finbench derivative-pricing
+//! Special-function substrate for the finbench derivative-pricing
 //! benchmark suite (SC 2012, Smelyanskiy et al.).
 //!
 //! The paper's kernels lean on a small set of transcendental functions —
@@ -10,35 +10,31 @@
 //!
 //! * [`fn@exp`] — Cephes-style rational approximation after two-part
 //!   `ln 2` range reduction.
-//! * [`ln`] — atanh-series evaluation after mantissa/exponent reduction.
-//! * [`fn@erf`] / [`erfc`] — Maclaurin series near zero, Hart/West rational
-//!   form elsewhere.
-//! * [`norm_cdf`] / [`norm_pdf`] — double-precision cumulative normal
+//! * [`fn@ln`] — atanh-series evaluation after mantissa/exponent reduction.
+//! * [`fn@erf`] — Maclaurin series near zero, `2·Φ(x√2) − 1` elsewhere.
+//! * [`fn@norm_cdf`] / [`norm_pdf`] — double-precision cumulative normal
 //!   (Hart 1968 rational approximation as popularized by West 2005).
-//! * [`inv_norm_cdf`] — Acklam's rational initial guess polished with a
+//! * [`fn@inv_norm_cdf`] — Acklam's rational initial guess polished with a
 //!   Halley step to near machine precision.
 //! * [`sincos`] — Cody-Waite-reduced Taylor kernels (for Box-Muller).
 //!
-//! All kernels are **branch-light** by construction so the same algorithm
-//! can be lifted lane-wise into the SIMD vector classes of `finbench-simd`
-//! (the paper's `F64vec4`/`F64vec8`).
+//! `exp`, `ln`, `erf`, `norm_cdf` and `inv_norm_cdf` are each written
+//! **once**, over the [`Lanes`] trait;
+//! the functions here are its one-lane `f64` instance, `finbench-simd`'s
+//! vector math its `F64v<N>` instance, and the op-count audit its
+//! [`CountedF64`] instance — one body, so one set of bits.
 //!
-//! The crate also provides the op-counting scaffolding used to audit the
-//! machine model's cost descriptors:
-//!
-//! * [`Real`] — a scalar-arithmetic abstraction implemented by `f64` and
-//!   by [`CountedF64`].
-//! * [`CountedF64`] — an instrumented double that tallies every arithmetic
-//!   and transcendental operation into a thread-local [`OpCounts`].
-//! * [`counting_expanded`] — op counting with one-level transcendental
-//!   expansion: the [`generic`] `*_r` kernels expose the polynomial
-//!   arithmetic *inside* `exp`/`log`/`cnd`, the basis of the paper's
-//!   "~200 ops per Black-Scholes option" figure.
+//! For the op-count audit of the machine model's cost descriptors,
+//! [`Real`] is [`Lanes`] plus what only a scalar has, implemented by `f64`
+//! and [`CountedF64`], an instrumented double that tallies every operation
+//! into a thread-local [`OpCounts`]; [`counting_expanded`] also tallies the
+//! arithmetic *inside* each `exp`/`ln`/`cnd`, the basis of the paper's
+//! "~200 ops per Black-Scholes option" figure.
 
 pub mod counted;
 pub mod erf;
 pub mod exp;
-pub mod generic;
+pub mod lanes;
 pub mod log;
 pub mod norm;
 pub mod poly;
@@ -46,13 +42,40 @@ pub mod real;
 pub mod trig;
 
 pub use counted::{counting, counting_expanded, CountedF64, OpCounts};
-pub use erf::{erf, erfc};
-pub use exp::exp;
-pub use generic::{erf_r, exp_r, inv_norm_cdf_r, ln_r, norm_cdf_r, polevl_r};
-pub use log::ln;
-pub use norm::{inv_norm_cdf, inv_norm_cdf_acklam, norm_cdf, norm_pdf};
+pub use lanes::{LaneMask, Lanes};
+pub use norm::{inv_norm_cdf_acklam, norm_pdf};
 pub use real::Real;
 pub use trig::{cos, sin, sincos};
+
+/// `e^x`: the `f64` instance of [`exp::exp`].
+#[inline(always)]
+pub fn exp(x: f64) -> f64 {
+    exp::exp(x)
+}
+
+/// `ln x`: the `f64` instance of [`log::ln`].
+#[inline(always)]
+pub fn ln(x: f64) -> f64 {
+    log::ln(x)
+}
+
+/// `erf x`: the `f64` instance of [`erf::erf`].
+#[inline(always)]
+pub fn erf(x: f64) -> f64 {
+    erf::erf(x)
+}
+
+/// `Φ(x)`, the paper's `cnd`: the `f64` instance of [`norm::norm_cdf`].
+#[inline(always)]
+pub fn norm_cdf(x: f64) -> f64 {
+    norm::norm_cdf(x)
+}
+
+/// `Φ⁻¹(p)`: the `f64` instance of [`norm::inv_norm_cdf`].
+#[inline(always)]
+pub fn inv_norm_cdf(p: f64) -> f64 {
+    norm::inv_norm_cdf(p)
+}
 
 /// `1/sqrt(2)`, used to map `cnd(x)` onto `erf` per the paper:
 /// `cnd(x) = (1 + erf(x/sqrt(2)))/2`.

@@ -9,18 +9,21 @@
 //!    double precision within ten terms.
 //! 3. Reconstruct `ln x = e·ln2 + ln m` with a hi/lo split of `ln 2`.
 //!
-//! The same polynomial is evaluated lane-wise by `finbench-simd`.
+//! Zero, negatives, infinities, NaN and subnormals are the rare lanes:
+//! fixed up behind one whole-vector test, a subnormal by scaling it into the
+//! normal range by `2^54` first.
 
+use crate::lanes::{LaneMask, Lanes};
 use crate::poly::polevl;
 
 /// High part of `ln 2` for the reconstruction step.
-pub const LN2_HI: f64 = 6.931_471_803_691_238e-1;
+const LN2_HI: f64 = 6.931_471_803_691_238e-1;
 /// Low part of `ln 2`; `LN2_HI + LN2_LO == ln 2` in double-double.
-pub const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
+const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 
 /// Odd-series coefficients of `atanh t / t` in `t²`, descending powers:
 /// `1/19, 1/17, ..., 1/3, 1`.
-pub const LOG_SERIES: [f64; 10] = [
+const LOG_SERIES: [f64; 10] = [
     1.0 / 19.0,
     1.0 / 17.0,
     1.0 / 15.0,
@@ -33,58 +36,45 @@ pub const LOG_SERIES: [f64; 10] = [
     1.0,
 ];
 
-/// Split a positive, finite, normal-or-subnormal `x` into `(m, e)` with
-/// `x = m · 2^e` and `m ∈ [√½, √2)`.
+/// `ln(m · 2^e)` from [`Lanes::frexp`]'s split: `ln m = 2·atanh t` by
+/// the series, plus `e·ln 2` in two parts.
 #[inline(always)]
-pub fn frexp_sqrt2(x: f64) -> (f64, i32) {
-    // Scale subnormals into the normal range first.
-    let (x, bias) = if x < f64::MIN_POSITIVE {
-        (x * 2f64.powi(54), -54)
-    } else {
-        (x, 0)
-    };
-    let bits = x.to_bits();
-    let raw_exp = ((bits >> 52) & 0x7ff) as i32;
-    let mut e = raw_exp - 1023 + bias;
-    // Mantissa with unit exponent: m0 in [1, 2).
-    let mut m = f64::from_bits((bits & 0x000f_ffff_ffff_ffff) | (1023u64 << 52));
-    const SQRT2: f64 = std::f64::consts::SQRT_2;
-    if m >= SQRT2 {
-        m *= 0.5;
-        e += 1;
-    }
-    (m, e)
+fn ln_split<L: Lanes>(m: L, e: L) -> L {
+    let t = (m - 1.0) / (m + 1.0);
+    let t2 = t * t;
+    let lnm = t * 2.0 * polevl(t2, &LOG_SERIES);
+    e * LN2_HI + (lnm + e * LN2_LO)
 }
 
-/// Compute `ln x` in double precision.
+/// Compute `ln x` lane-wise in double precision.
 ///
 /// Domain handling matches `f64::ln`: `ln 0 = −inf`, `ln` of a negative
-/// number is NaN, `ln inf = inf`.
+/// number is NaN, `ln inf = inf`, NaN is handed back.
 ///
 /// ```
 /// assert!((finbench_math::ln(std::f64::consts::E) - 1.0).abs() < 1e-15);
 /// ```
 #[inline(always)]
-pub fn ln(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
+pub fn ln<L: Lanes>(x: L) -> L {
+    let normal = x
+        .ge(L::splat(f64::MIN_POSITIVE))
+        .and(x.le(L::splat(f64::MAX)));
+    let (m, e) = if normal.all() {
+        x.frexp()
+    } else {
+        const TWO_54: f64 = 18_014_398_509_481_984.0;
+        let tiny = x.lt(L::splat(f64::MIN_POSITIVE));
+        let (m, e) = L::select(tiny, x * TWO_54, x).frexp();
+        (m, L::select(tiny, e - 54.0, e))
+    };
+    let y = ln_split(m, e);
+    if normal.all() {
+        return y;
     }
-    if x == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if x < 0.0 {
-        return f64::NAN;
-    }
-    if x == f64::INFINITY {
-        return f64::INFINITY;
-    }
-
-    let (m, e) = frexp_sqrt2(x);
-    let t = (m - 1.0) / (m + 1.0);
-    let t2 = t * t;
-    let lnm = 2.0 * t * polevl(t2, &LOG_SERIES);
-    let ef = e as f64;
-    ef * LN2_HI + (lnm + ef * LN2_LO)
+    // +inf and NaN are handed back, zeros give −inf, negatives NaN.
+    let y = L::select(x.le(L::splat(f64::MAX)), y, x);
+    let y = L::select(x.le(L::splat(0.0)), L::splat(f64::NEG_INFINITY), y);
+    L::select(x.lt(L::splat(0.0)), L::splat(f64::NAN), y)
 }
 
 #[cfg(test)]
@@ -102,9 +92,10 @@ mod tests {
     #[test]
     fn frexp_reconstructs() {
         for &x in &[1e-300, 1e-10, 0.5, 0.9, 1.0, 1.5, 2.0, 3.25, 1e10, 1e300] {
-            let (m, e) = frexp_sqrt2(x);
+            let (m, e) = x.frexp();
             assert!((std::f64::consts::FRAC_1_SQRT_2..std::f64::consts::SQRT_2).contains(&m));
-            let back = m * 2f64.powi(e);
+            assert_eq!(e, e.floor(), "x={x}");
+            let back = m * 2f64.powi(e as i32);
             assert!(rel_err(back, x) < 1e-15, "x={x}");
         }
     }

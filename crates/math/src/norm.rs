@@ -23,8 +23,7 @@
 //! `inv_norm_cdf` uses Acklam's rational approximation (~1.15e-9 relative)
 //! polished with one Halley iteration, giving ~1e-15.
 
-use crate::exp::exp;
-use crate::log::ln;
+use crate::lanes::{LaneMask, Lanes};
 use crate::poly::polevl;
 use crate::SQRT_2PI;
 
@@ -36,13 +35,12 @@ use crate::SQRT_2PI;
 /// ```
 #[inline(always)]
 pub fn norm_pdf(x: f64) -> f64 {
-    exp(-0.5 * x * x) / SQRT_2PI
+    crate::exp(-0.5 * x * x) / SQRT_2PI
 }
 
 /// Hart/West numerator coefficients (applied to `|x|`, descending for
-/// Horner evaluation). Public so `finbench-simd` evaluates the identical
-/// rational lane-wise.
-pub const CND_NUM: [f64; 7] = [
+/// Horner evaluation).
+const CND_NUM: [f64; 7] = [
     0.035_262_496_599_891_1,
     0.700_383_064_443_688,
     6.373_962_203_531_65,
@@ -53,7 +51,7 @@ pub const CND_NUM: [f64; 7] = [
 ];
 
 /// Hart/West denominator coefficients.
-pub const CND_DEN: [f64; 8] = [
+const CND_DEN: [f64; 8] = [
     0.088_388_347_648_318_4,
     1.755_667_163_182_64,
     16.064_177_579_207,
@@ -87,39 +85,50 @@ pub const CND_TAIL_DEN: [f64; 13] = [
     46080.0,
 ];
 
-/// Cumulative distribution function of the standard normal; the paper's
-/// `cnd`.
+/// Cumulative distribution function of the standard normal, the paper's
+/// `cnd`, lane-wise; NaN in, NaN out.
+///
+/// Hart/West evaluation, blended by mask rather than branched per lane:
+/// the central rational is computed for every lane, and the far-tail
+/// rational for every lane of a vector that has at least one lane past
+/// 7.07σ; a vector with none skips it, and the blend would have discarded
+/// all of its lanes, so the result has the same bits either way. Such
+/// vectors are not rare — 17 % of the W=8 vectors of the paper's
+/// Black-Scholes workload (DESIGN.md §2) — and cost two more Horner
+/// chains and one division.
 ///
 /// ```
 /// assert!((finbench_math::norm_cdf(0.0) - 0.5).abs() < 1e-15);
 /// assert!((finbench_math::norm_cdf(1.0) - 0.8413447460685429).abs() < 1e-14);
 /// ```
 #[inline(always)]
-pub fn norm_cdf(x: f64) -> f64 {
-    if x.is_nan() {
-        return x;
-    }
+pub fn norm_cdf<L: Lanes>(x: L) -> L {
     let ax = x.abs();
-    let cumulative = if ax > 37.0 {
-        0.0
+    norm_cdf_given_gauss(x, ax, (ax * ax * -0.5).exp())
+}
+
+/// [`norm_cdf`] of `x` given `ax = |x|` and `e = exp(−x²/2)`, for a caller
+/// that needs that Gaussian itself ([`inv_norm_cdf_polish`]'s Halley step).
+#[inline(always)]
+fn norm_cdf_given_gauss<L: Lanes>(x: L, ax: L, e: L) -> L {
+    let central = e * polevl(ax, &CND_NUM) / polevl(ax, &CND_DEN);
+    let in_central = ax.lt(L::splat(CND_TAIL_FROM));
+    let cum = if in_central.all() {
+        central
     } else {
-        let e = exp(-0.5 * ax * ax);
-        if ax < CND_TAIL_FROM {
-            e * polevl(ax, &CND_NUM) / polevl(ax, &CND_DEN)
-        } else {
-            // Far tail: Laplace continued fraction for the Mills ratio,
-            // Phi(-x) = phi(x) / (x + 1/(x + 2/(x + 3/(...)))).
-            // West (2005) truncates at depth 4, which is only ~1e-9
-            // accurate right at the 7.07 switch point; depth 12 brings the
-            // truncation error to ~1e-14 there and below 1e-15 past 9.
-            e * polevl(ax, &CND_TAIL_DEN) / (polevl(ax, &CND_TAIL_NUM) * SQRT_2PI)
-        }
+        // Far tail: Laplace continued fraction for the Mills ratio,
+        // Phi(-x) = phi(x) / (x + 1/(x + 2/(x + 3/(...)))), depth 12 as one
+        // rational. West (2005) truncates at depth 4, which is only ~1e-9
+        // accurate right at the 7.07 switch point; depth 12 brings the
+        // truncation error to ~1e-14 there and below 1e-15 past 9.
+        let tail = e * polevl(ax, &CND_TAIL_DEN) / (polevl(ax, &CND_TAIL_NUM) * SQRT_2PI);
+        // NaN propagates; a select handing it back here left part of the
+        // central rational of `erf`'s vector instance unpacked.
+        L::select(in_central, central, tail)
     };
-    if x > 0.0 {
-        1.0 - cumulative
-    } else {
-        cumulative
-    }
+    // Past 37 sigma the tail underflows to exactly zero.
+    let cum = L::select(ax.gt(L::splat(37.0)), L::splat(0.0), cum);
+    L::select(x.gt(L::splat(0.0)), L::splat(1.0) - cum, cum)
 }
 
 // ---------------------------------------------------------------------------
@@ -127,10 +136,8 @@ pub fn norm_cdf(x: f64) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Acklam's central-region numerator (in `r = (p − ½)²`, descending for
-/// Horner). The four tables, the region bounds and [`INV_NO_POLISH`] are
-/// public so `finbench-simd` and [`crate::generic`] evaluate the identical
-/// rationals.
-pub const INV_A: [f64; 6] = [
+/// Horner).
+const INV_A: [f64; 6] = [
     -3.969_683_028_665_376e1,
     2.209_460_984_245_205e2,
     -2.759_285_104_469_687e2,
@@ -139,7 +146,7 @@ pub const INV_A: [f64; 6] = [
     2.506_628_277_459_239,
 ];
 /// Central-region denominator; the trailing `·r + 1` is applied by hand.
-pub const INV_B: [f64; 5] = [
+const INV_B: [f64; 5] = [
     -5.447_609_879_822_406e1,
     1.615_858_368_580_409e2,
     -1.556_989_798_598_866e2,
@@ -147,7 +154,7 @@ pub const INV_B: [f64; 5] = [
     -1.328_068_155_288_572e1,
 ];
 /// Tail numerator, in `q = √(−2 ln p)`.
-pub const INV_C: [f64; 6] = [
+const INV_C: [f64; 6] = [
     -7.784_894_002_430_293e-3,
     -3.223_964_580_411_365e-1,
     -2.400_758_277_161_838,
@@ -156,7 +163,7 @@ pub const INV_C: [f64; 6] = [
     2.938_163_982_698_783,
 ];
 /// Tail denominator; the trailing `·q + 1` is applied by hand.
-pub const INV_D: [f64; 4] = [
+const INV_D: [f64; 4] = [
     7.784_695_709_041_462e-3,
     3.224_671_290_700_398e-1,
     2.445_134_137_142_996,
@@ -179,71 +186,82 @@ pub const INV_NO_POLISH: f64 = 36.0;
 /// `finbench-rng` pass with either transform).
 #[inline(always)]
 pub fn inv_norm_cdf_acklam(p: f64) -> f64 {
-    if p.is_nan() {
-        return p;
-    }
-    if p <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
-    acklam_guess(p)
-}
-
-#[inline(always)]
-fn acklam_guess(p: f64) -> f64 {
-    if p < P_LOW {
-        let q = (-2.0 * ln(p)).sqrt();
-        (((((INV_C[0] * q + INV_C[1]) * q + INV_C[2]) * q + INV_C[3]) * q + INV_C[4]) * q
-            + INV_C[5])
-            / ((((INV_D[0] * q + INV_D[1]) * q + INV_D[2]) * q + INV_D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((INV_A[0] * r + INV_A[1]) * r + INV_A[2]) * r + INV_A[3]) * r + INV_A[4]) * r
-            + INV_A[5])
-            * q
-            / (((((INV_B[0] * r + INV_B[1]) * r + INV_B[2]) * r + INV_B[3]) * r + INV_B[4]) * r
-                + 1.0)
+    if p > 0.0 && p < 1.0 {
+        inv_norm_cdf_guess(p)
     } else {
-        let q = (-2.0 * ln(1.0 - p)).sqrt();
-        -(((((INV_C[0] * q + INV_C[1]) * q + INV_C[2]) * q + INV_C[3]) * q + INV_C[4]) * q
-            + INV_C[5])
-            / ((((INV_D[0] * q + INV_D[1]) * q + INV_D[2]) * q + INV_D[3]) * q + 1.0)
+        inv_norm_cdf(p) // −∞, +∞ or NaN
     }
 }
 
-/// Inverse of [`norm_cdf`]: returns `x` such that `norm_cdf(x) = p`.
+/// Inverse of [`norm_cdf`], lane-wise: returns `x` such that
+/// `norm_cdf(x) = p`.
 ///
-/// Accurate to ~1e-15 relative over `p ∈ (0, 1)`; `p = 0` and `p = 1` map
-/// to `-inf`/`+inf`.
+/// Accurate to ~1e-15 relative over `p ∈ (0, 1)`; `p ≤ 0` maps to `-inf`,
+/// `p ≥ 1` to `+inf`, NaN is handed back. An array transform should run
+/// the two halves as two sweeps (`finbench_simd::batch::vd_inv_norm_cdf`
+/// does): fused, one vector is a ~250-cycle dependency chain the core
+/// cannot overlap with the next, and measures half the rate.
 ///
 /// ```
 /// let x = finbench_math::inv_norm_cdf(0.975);
 /// assert!((x - 1.959963984540054).abs() < 1e-12);
 /// ```
 #[inline(always)]
-pub fn inv_norm_cdf(p: f64) -> f64 {
-    if p.is_nan() {
-        return p;
-    }
-    if p <= 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p >= 1.0 {
-        return f64::INFINITY;
-    }
+pub fn inv_norm_cdf<L: Lanes>(p: L) -> L {
+    inv_norm_cdf_polish(p, inv_norm_cdf_guess(p))
+}
 
-    let x = acklam_guess(p);
-    if x.abs() >= INV_NO_POLISH {
-        return x;
+/// Acklam's rational approximation to the inverse normal CDF (~1.15e-9
+/// relative), for lanes in `(0, 1)`; lanes outside hold garbage that
+/// [`inv_norm_cdf_polish`] replaces.
+///
+/// The central rational is computed for every lane; the `ln`/`sqrt` tail
+/// rational only for a vector with a lane outside `[P_LOW, P_HIGH]` (4.85 %
+/// of uniform draws, so about a third of W=8 vectors — the blend would
+/// discard it from all the others).
+#[inline(always)]
+pub fn inv_norm_cdf_guess<L: Lanes>(p: L) -> L {
+    let q = p - 0.5;
+    let r = q * q;
+    let central = polevl(r, &INV_A) * q / (polevl(r, &INV_B) * r + 1.0);
+
+    let in_central = p.ge(L::splat(P_LOW)).and(p.le(L::splat(P_HIGH)));
+    if in_central.all() {
+        return central;
     }
-    // One Halley iteration: e = Phi(x) - p, u = e / phi(x),
-    // x <- x - u / (1 + x*u/2).
-    let e = norm_cdf(x) - p;
-    let u = e / norm_pdf(x);
-    x - u / (1.0 + 0.5 * x * u)
+    // Tail rational in sqrt(-2 ln t), t the distance to the nearer end,
+    // mirrored for the upper tail.
+    let lower = p.lt(L::splat(P_LOW));
+    let t = L::select(lower, p, L::splat(1.0) - p);
+    let q = (t.ln() * -2.0).sqrt();
+    let tail = polevl(q, &INV_C) / (polevl(q, &INV_D) * q + 1.0);
+    L::select(in_central, central, L::select(lower, tail, -tail))
+}
+
+/// One Halley step on the guess `x` at the root of `Φ(x) = p` —
+/// `e = Φ(x) − p`, `u = e / φ(x)`, `x ← x − u / (1 + x·u/2)`, with Φ and φ
+/// sharing one `exp(−x²/2)` — then the function's edges: a lane with
+/// `|x| ≥ 36` keeps its guess (φ underflows there), `p ≤ 0 → −∞`,
+/// `p ≥ 1 → +∞`, NaN handed back.
+#[inline(always)]
+pub fn inv_norm_cdf_polish<L: Lanes>(p: L, x: L) -> L {
+    let ax = x.abs();
+    let gauss = (ax * ax * -0.5).exp();
+    let e = norm_cdf_given_gauss(x, ax, gauss) - p;
+    let u = e / (gauss / SQRT_2PI);
+    let polished = x - u / (x * 0.5 * u + 1.0);
+    let y = L::select(ax.ge(L::splat(INV_NO_POLISH)), x, polished);
+
+    // Edge lanes by whole vector, as the tails above: blended
+    // unconditionally, these three selects on `y` keep LLVM from packing
+    // the body (lanes 0 and 3 stayed scalar under AVX-512). NaN fails both
+    // comparisons here and every one below, `p >= p` included.
+    if p.gt(L::splat(0.0)).and(p.lt(L::splat(1.0))).all() {
+        return y;
+    }
+    let y = L::select(p.le(L::splat(0.0)), L::splat(f64::NEG_INFINITY), y);
+    let y = L::select(p.ge(L::splat(1.0)), L::splat(f64::INFINITY), y);
+    L::select(p.ge(p), y, p)
 }
 
 #[cfg(test)]
@@ -302,7 +320,7 @@ mod tests {
             b = ax + k / b;
             k -= 1.0;
         }
-        exp(-0.5 * ax * ax) / (b * SQRT_2PI)
+        crate::exp(-0.5 * ax * ax) / (b * SQRT_2PI)
     }
 
     fn rel(got: f64, want: f64) -> f64 {

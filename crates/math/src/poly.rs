@@ -1,69 +1,32 @@
-//! Polynomial evaluation helpers.
-//!
-//! Every transcendental kernel in this crate reduces to one or two short
-//! polynomial (or rational) evaluations. Keeping them in one place lets the
-//! SIMD crate mirror them lane-for-lane and keeps the op-count audit exact:
-//! a degree-`n` Horner evaluation is `n` multiplies and `n` adds.
+//! Polynomial evaluation and exponent scaling over [`Lanes`]. One Horner
+//! rule keeps the op-count audit exact: a degree-`n` evaluation is `n`
+//! multiplies and `n` adds, in every instance.
+
+use crate::lanes::Lanes;
 
 /// Evaluate a polynomial with coefficients in *descending* degree order
 /// using Horner's rule: `c[0]*x^(n-1) + c[1]*x^(n-2) + ... + c[n-1]`.
 ///
 /// Matches Cephes' `polevl`.
 #[inline(always)]
-pub fn polevl(x: f64, coeffs: &[f64]) -> f64 {
-    let mut acc = coeffs[0];
+pub fn polevl<L: Lanes>(x: L, coeffs: &[f64]) -> L {
+    let mut acc = L::splat(coeffs[0]);
     for &c in &coeffs[1..] {
         acc = acc * x + c;
     }
     acc
 }
 
-/// Evaluate a *monic* polynomial (implicit leading coefficient 1.0) with the
-/// remaining coefficients in descending degree order.
-///
-/// Matches Cephes' `p1evl`: `x^n + c[0]*x^(n-1) + ... + c[n-1]`.
+/// `x · 2^n` for integer-valued `n ∈ [−2043, 2046]` and `x` in `exp`'s
+/// `[√½, √2]`, rounded once: as `(x · 2^k) · 2^(n − k)` with `k` = `n`
+/// clamped to `[−1021, 1023]`, so `x · 2^k` is an exact normal double even
+/// where `2^n` alone would be subnormal or overflow. For `n` in that range,
+/// `n − k = 0` and the second factor is 1.
 #[inline(always)]
-pub fn p1evl(x: f64, coeffs: &[f64]) -> f64 {
-    let mut acc = x + coeffs[0];
-    for &c in &coeffs[1..] {
-        acc = acc * x + c;
-    }
-    acc
-}
-
-/// Fused-multiply-add Horner evaluation; identical result shape to
-/// [`polevl`] but expressed through `f64::mul_add` so the compiler emits
-/// FMA instructions on targets that have them (the KNC modeled by
-/// `finbench-machine` has FMA; SNB-EP does not — the machine model charges
-/// the two flavours differently).
-#[inline(always)]
-pub fn polevl_fma(x: f64, coeffs: &[f64]) -> f64 {
-    let mut acc = coeffs[0];
-    for &c in &coeffs[1..] {
-        acc = acc.mul_add(x, c);
-    }
-    acc
-}
-
-/// `ldexp(x, n) = x * 2^n` computed by exponent-bit arithmetic, valid for
-/// the range produced by the `exp` range reduction (`|n| <= 1100`).
-///
-/// The multiplication is split in two so that intermediate scale factors
-/// stay normal even when `2^n` alone would overflow or be subnormal.
-#[inline(always)]
-pub fn ldexp(x: f64, n: i32) -> f64 {
-    let n = n.clamp(-2 * 1023, 2 * 1023);
-    let half = n / 2;
-    let rest = n - half;
-    x * pow2i(half) * pow2i(rest)
-}
-
-/// `2^n` for `|n| <= 1023` via direct exponent-field construction. Public
-/// so the generic `exp_r` kernel can mirror [`ldexp`]'s two-part scale.
-#[inline(always)]
-pub fn pow2i(n: i32) -> f64 {
-    debug_assert!((-1022..=1023).contains(&n));
-    f64::from_bits(((1023 + n) as u64) << 52)
+pub fn ldexp<L: Lanes>(x: L, n: L) -> L {
+    let (lo, hi) = (L::splat(-1021.0), L::splat(1023.0));
+    let k = L::select(n.lt(lo), lo, L::select(n.gt(hi), hi, n));
+    x * k.pow2i() * (n - k).pow2i()
 }
 
 #[cfg(test)]
@@ -82,48 +45,28 @@ mod tests {
     }
 
     #[test]
-    fn p1evl_matches_polevl_with_leading_one() {
-        let c = [3.0, -2.0, 0.5];
-        let full = [1.0, 3.0, -2.0, 0.5];
-        for &x in &[-2.5, -1.0, 0.0, 0.3, 1.7, 11.0] {
-            assert!((p1evl(x, &c) - polevl(x, &full)).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn polevl_fma_close_to_polevl() {
-        let c = [1.25e-4, 3.0e-2, 1.0];
-        for i in 0..100 {
-            let x = -1.0 + 0.02 * i as f64;
-            let a = polevl(x, &c);
-            let b = polevl_fma(x, &c);
-            assert!((a - b).abs() <= 1e-15 * a.abs().max(1.0));
-        }
-    }
-
-    #[test]
     fn ldexp_basic() {
-        assert_eq!(ldexp(1.0, 0), 1.0);
-        assert_eq!(ldexp(1.0, 3), 8.0);
-        assert_eq!(ldexp(3.0, -2), 0.75);
-        assert_eq!(ldexp(1.5, 10), 1536.0);
+        assert_eq!(ldexp(1.0, 0.0), 1.0);
+        assert_eq!(ldexp(1.0, 3.0), 8.0);
+        assert_eq!(ldexp(3.0, -2.0), 0.75);
+        assert_eq!(ldexp(1.5, 10.0), 1536.0);
     }
 
     #[test]
     fn ldexp_extremes() {
         // Near the top of the normal range.
-        assert_eq!(ldexp(1.0, 1023), 2f64.powi(1023));
+        assert_eq!(ldexp(1.0, 1023.0), 2f64.powi(1023));
         // Descend into subnormals and back.
-        let tiny = ldexp(1.0, -1040);
+        let tiny = ldexp(1.0, -1040.0);
         assert!(tiny > 0.0 && tiny < f64::MIN_POSITIVE);
-        assert_eq!(ldexp(tiny, 1040), 1.0);
+        assert_eq!(ldexp(tiny, 1040.0), 1.0);
     }
 
     #[test]
     fn ldexp_matches_std_scale() {
         for n in -600..600 {
             let want = 1.7 * 2f64.powi(n);
-            let got = ldexp(1.7, n);
+            let got = ldexp(1.7, n as f64);
             assert!(
                 (got - want).abs() <= want.abs() * 1e-15,
                 "n={n} got={got} want={want}"

@@ -1,94 +1,23 @@
-//! The [`Real`] scalar-arithmetic abstraction.
-//!
-//! The pricing kernels in `finbench-core` ship a *generic scalar* variant
-//! written against this trait. Instantiated with `f64` it is the paper's
-//! reference ("basic") code path; instantiated with
-//! [`crate::CountedF64`] it produces an exact dynamic operation count that
-//! the machine-model tests audit against the paper's analytic flop formulas
-//! (e.g. binomial tree = `3·N(N+1)/2` flops per option, Black-Scholes ≈ 200
-//! ops per option).
+//! The [`Real`] scalar abstraction. The pricing kernels in `finbench-core`
+//! ship a *generic scalar* variant written against it: with `f64` the
+//! paper's reference ("basic") code path, with [`crate::CountedF64`] an
+//! exact dynamic operation count that the machine-model tests audit against
+//! the paper's flop formulas (binomial tree `3·N(N+1)/2` flops per option,
+//! Black-Scholes ≈ 200 ops per option).
 
-use core::fmt::Debug;
-use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
+use crate::lanes::Lanes;
 
-/// Abstract IEEE-double-like scalar used by the generic kernel variants.
-pub trait Real:
-    Copy
-    + Clone
-    + Debug
-    + PartialOrd
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Div<Output = Self>
-    + Neg<Output = Self>
-    + AddAssign
-    + SubAssign
-    + MulAssign
-{
-    /// Lift a plain double into the scalar type.
-    fn of(x: f64) -> Self;
+/// One [`Lanes`] lane: the arithmetic and transcendentals are [`Lanes`]'s,
+/// plus what only a scalar has — an ordering and a plain `f64` out.
+pub trait Real: Lanes<Mask = bool> + PartialOrd {
     /// Lower back to a plain double (for output buffers and assertions).
     fn into_f64(self) -> f64;
-
-    /// Natural exponential.
-    fn exp(self) -> Self;
-    /// Natural logarithm.
-    fn ln(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
-    /// Error function.
-    fn erf(self) -> Self;
-    /// Cumulative standard normal (the paper's `cnd`).
-    fn norm_cdf(self) -> Self;
-    /// Pairwise maximum (the early-exercise / payoff clamp).
-    fn max(self, other: Self) -> Self;
-    /// Absolute value.
-    fn abs(self) -> Self;
-    /// Fused multiply-add `self * a + b`.
-    fn mul_add(self, a: Self, b: Self) -> Self;
 }
 
 impl Real for f64 {
     #[inline(always)]
-    fn of(x: f64) -> Self {
-        x
-    }
-    #[inline(always)]
     fn into_f64(self) -> f64 {
         self
-    }
-    #[inline(always)]
-    fn exp(self) -> Self {
-        crate::exp(self)
-    }
-    #[inline(always)]
-    fn ln(self) -> Self {
-        crate::ln(self)
-    }
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        f64::sqrt(self)
-    }
-    #[inline(always)]
-    fn erf(self) -> Self {
-        crate::erf(self)
-    }
-    #[inline(always)]
-    fn norm_cdf(self) -> Self {
-        crate::norm_cdf(self)
-    }
-    #[inline(always)]
-    fn max(self, other: Self) -> Self {
-        f64::max(self, other)
-    }
-    #[inline(always)]
-    fn abs(self) -> Self {
-        f64::abs(self)
-    }
-    #[inline(always)]
-    fn mul_add(self, a: Self, b: Self) -> Self {
-        f64::mul_add(self, a, b)
     }
 }
 
@@ -97,18 +26,18 @@ mod tests {
     use super::*;
 
     fn generic_bs_d1<R: Real>(s: R, x: R, t: R, r: R, sig: R) -> R {
-        let sig22 = sig * sig * R::of(0.5);
+        let sig22 = sig * sig * 0.5;
         let qlog = (s / x).ln();
-        let denom = R::of(1.0) / (sig * t.sqrt());
+        let denom = R::splat(1.0) / (sig * t.sqrt());
         (qlog + (r + sig22) * t) * denom
     }
 
     #[test]
     fn f64_impl_round_trips() {
-        assert_eq!(f64::of(2.5).into_f64(), 2.5);
-        assert_eq!(3.0f64.max(4.0), 4.0);
-        assert_eq!((-3.0f64).abs(), 3.0);
-        assert!((2.0f64.mul_add(3.0, 1.0) - 7.0).abs() < 1e-15);
+        assert_eq!(f64::splat(2.5).into_f64(), 2.5);
+        assert_eq!(Lanes::max(3.0f64, 4.0), 4.0);
+        assert_eq!(Lanes::abs(-3.0f64), 3.0);
+        assert!((Lanes::mul_add(2.0f64, 3.0, 1.0) - 7.0).abs() < 1e-15);
     }
 
     #[test]
@@ -121,9 +50,9 @@ mod tests {
 
     #[test]
     fn transcendentals_delegate_to_crate() {
-        assert_eq!(Real::exp(1.0f64), crate::exp(1.0));
-        assert_eq!(Real::ln(2.0f64), crate::ln(2.0));
-        assert_eq!(Real::erf(0.3f64), crate::erf(0.3));
-        assert_eq!(Real::norm_cdf(0.7f64), crate::norm_cdf(0.7));
+        assert_eq!(Lanes::exp(1.0f64), crate::exp(1.0));
+        assert_eq!(Lanes::ln(2.0f64), crate::ln(2.0));
+        assert_eq!(Lanes::erf(0.3f64), crate::erf(0.3));
+        assert_eq!(Lanes::norm_cdf(0.7f64), crate::norm_cdf(0.7));
     }
 }

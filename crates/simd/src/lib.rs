@@ -16,8 +16,8 @@
 //!   lane loops compile to depends on the instruction set they are
 //!   compiled *for*, and the workspace builds for baseline x86-64 (SSE2)
 //!   so that one binary runs everywhere: there an `F64v<8>` is eight
-//!   doubles through 2-lane `mulpd`, [`F64v::floor`] is a libm call (no
-//!   `roundsd` before SSE4.1) and [`F64v::mul_add`] is a libm `fma` call —
+//!   doubles through 2-lane `mulpd`, `floor` is a libm call (no
+//!   `roundsd` before SSE4.1) and `mul_add` is a libm `fma` call —
 //!   which is why the W=4/W=8 rungs used to trail their scalar siblings.
 //!   [`isa`] fixes that without a build flag: every sweep is written once
 //!   as an `#[inline(always)]` body, and [`isa::dispatch`] runs it inside a
@@ -49,16 +49,13 @@
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other
-//!   between platforms.
-//! * [`Mask<N>`](Mask) carries lane-wise comparison results; data-dependent
-//!   control flow is expressed with [`Mask::select`] blends so the math
-//!   kernels stay branch-free.
-//! * [`math`] lifts the scalar kernels of `finbench-math` lane-wise —
-//!   the stand-in for Intel SVML. [`batch`] provides array-at-a-time
-//!   entry points staging through caller-provided temporaries — the
-//!   stand-in for Intel VML (larger cache footprint, amortized call
-//!   overhead), letting the Black-Scholes experiment reproduce the paper's
-//!   SVML-vs-VML comparison.
+//!   between platforms. Their lane-wise arithmetic, comparisons into a
+//!   [`Mask<N>`](Mask) and [`Mask::select`] blends are `finbench-math`'s
+//!   [`Lanes`] trait, so [`math`] — the stand-in for Intel SVML — is that
+//!   crate's one body per transcendental at width `N`. [`batch`] provides
+//!   array-at-a-time entry points — the stand-in for Intel VML (larger
+//!   cache footprint, amortized call overhead), letting the Black-Scholes
+//!   experiment reproduce the paper's SVML-vs-VML comparison.
 //! * Gather/scatter emulation ([`F64v::gather`], [`F64v::scatter`]) models
 //!   the strided AOS accesses whose cost the paper's Fig. 4 analysis
 //!   hinges on.
@@ -73,6 +70,7 @@ pub mod isa;
 pub mod math;
 pub mod vec;
 
+pub use finbench_math::{LaneMask, Lanes};
 pub use isa::Isa;
 pub use vec::{F64v, F64vec4, F64vec8, Mask};
 

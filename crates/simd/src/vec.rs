@@ -3,6 +3,7 @@
 use core::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
+use finbench_math::{LaneMask, Lanes};
 
 /// An `N`-lane vector of `f64`, the Rust analog of the paper's
 /// `F64vec4`/`F64vec8` classes.
@@ -113,65 +114,10 @@ impl<const N: usize> F64v<N> {
         self.0
     }
 
-    /// Lane-wise fused multiply-add: `self * a + b`, rounded once.
-    ///
-    /// Cost depends on the instantiation. The baseline x86-64 target has
-    /// no FMA instruction, so in the portable instantiation every lane is
-    /// a call to libm `fma` (correctly rounded in software, tens of
-    /// cycles); inside an [`isa::dispatch`](crate::isa::dispatch)ed sweep
-    /// on an AVX2+FMA host the same loop is one `vfmadd`. Both round
-    /// identically, which is what keeps the tiers bit-identical — do not
-    /// "optimise" this into `self * a + b` (two roundings, different bits)
-    /// or hand-written intrinsics.
-    #[inline(always)]
-    pub fn mul_add(self, a: Self, b: Self) -> Self {
-        let mut out = [0.0; N];
-        for i in 0..N {
-            out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
-        }
-        Self(out)
-    }
-
-    /// Lane-wise square root.
-    #[inline(always)]
-    pub fn sqrt(self) -> Self {
-        self.map(f64::sqrt)
-    }
-
-    /// Lane-wise absolute value.
-    #[inline(always)]
-    pub fn abs(self) -> Self {
-        self.map(f64::abs)
-    }
-
-    /// Lane-wise maximum.
-    #[inline(always)]
-    pub fn max(self, other: Self) -> Self {
-        self.zip(other, f64::max)
-    }
-
     /// Lane-wise minimum.
     #[inline(always)]
     pub fn min(self, other: Self) -> Self {
         self.zip(other, f64::min)
-    }
-
-    /// Lane-wise floor.
-    ///
-    /// Portable cost: baseline x86-64 (SSE2) has no rounding instruction,
-    /// so each lane is a libm `floor` call; SSE4.1 and up have
-    /// `roundsd`/`vroundpd`, which an
-    /// [`isa::dispatch`](crate::isa::dispatch)ed sweep gets for free.
-    /// Same result either way — leave it as `f64::floor`.
-    #[inline(always)]
-    pub fn floor(self) -> Self {
-        self.map(f64::floor)
-    }
-
-    /// Clamp every lane to `[lo, hi]`.
-    #[inline(always)]
-    pub fn clamp(self, lo: f64, hi: f64) -> Self {
-        self.map(|x| x.clamp(lo, hi))
     }
 
     /// Horizontal sum of all lanes.
@@ -202,30 +148,6 @@ impl<const N: usize> F64v<N> {
             m = m.min(self.0[i]);
         }
         m
-    }
-
-    /// Lane-wise `<` comparison.
-    #[inline(always)]
-    pub fn lt(self, other: Self) -> Mask<N> {
-        self.cmp(other, |a, b| a < b)
-    }
-
-    /// Lane-wise `<=` comparison.
-    #[inline(always)]
-    pub fn le(self, other: Self) -> Mask<N> {
-        self.cmp(other, |a, b| a <= b)
-    }
-
-    /// Lane-wise `>` comparison.
-    #[inline(always)]
-    pub fn gt(self, other: Self) -> Mask<N> {
-        self.cmp(other, |a, b| a > b)
-    }
-
-    /// Lane-wise `>=` comparison.
-    #[inline(always)]
-    pub fn ge(self, other: Self) -> Mask<N> {
-        self.cmp(other, |a, b| a >= b)
     }
 
     #[inline(always)]
@@ -345,12 +267,6 @@ impl<const N: usize> Neg for F64v<N> {
 }
 
 impl<const N: usize> Mask<N> {
-    /// Mask with every lane set.
-    #[inline(always)]
-    pub fn all_set() -> Self {
-        Self([true; N])
-    }
-
     /// Blend: lane `i` of the result is `a[i]` where the mask is set,
     /// `b[i]` otherwise.
     #[inline(always)]
@@ -362,34 +278,108 @@ impl<const N: usize> Mask<N> {
         F64v(out)
     }
 
-    /// True if any lane is set.
-    #[inline(always)]
-    pub fn any(self) -> bool {
-        self.0.iter().any(|&b| b)
-    }
-
-    /// True if every lane is set.
-    #[inline(always)]
-    pub fn all(self) -> bool {
-        self.0.iter().all(|&b| b)
-    }
-
-    /// Lane-wise AND.
-    #[inline(always)]
-    pub fn and(self, other: Self) -> Self {
-        let mut out = [false; N];
-        for i in 0..N {
-            out[i] = self.0[i] && other.0[i];
-        }
-        Self(out)
-    }
-
     /// Lane-wise OR.
     #[inline(always)]
     pub fn or(self, other: Self) -> Self {
         let mut out = [false; N];
         for i in 0..N {
-            out[i] = self.0[i] || other.0[i];
+            out[i] = self.0[i] | other.0[i];
+        }
+        Self(out)
+    }
+}
+
+/// The `N`-lane instance of `finbench-math`'s one body per transcendental:
+/// each method is a fixed-trip lane loop, and the two exponent-field
+/// operations map the `f64` instance's over the lanes.
+impl<const N: usize> Lanes for F64v<N> {
+    type Mask = Mask<N>;
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        F64v::splat(x)
+    }
+    /// A libm `fma` call per lane in the portable instantiation, one
+    /// `vfmadd` in an [`isa::dispatch`](crate::isa::dispatch)ed AVX2+FMA
+    /// sweep; both round once, which keeps the tiers bit-identical — do not
+    /// "optimise" this into `self * a + b` (two roundings, other bits).
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        let mut out = [0.0; N];
+        for i in 0..N {
+            out[i] = self.0[i].mul_add(a.0[i], b.0[i]);
+        }
+        Self(out)
+    }
+    /// A libm `floor` call per lane on baseline x86-64 (no rounding
+    /// instruction before SSE4.1), `vroundpd` in a dispatched sweep.
+    #[inline(always)]
+    fn floor(self) -> Self {
+        self.map(f64::floor)
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        self.map(f64::abs)
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        self.map(f64::sqrt)
+    }
+    #[inline(always)]
+    fn max(self, other: Self) -> Self {
+        self.zip(other, f64::max)
+    }
+    #[inline(always)]
+    fn lt(self, other: Self) -> Mask<N> {
+        self.cmp(other, |a, b| a < b)
+    }
+    #[inline(always)]
+    fn le(self, other: Self) -> Mask<N> {
+        self.cmp(other, |a, b| a <= b)
+    }
+    #[inline(always)]
+    fn select(mask: Mask<N>, a: Self, b: Self) -> Self {
+        mask.select(a, b)
+    }
+    #[inline(always)]
+    fn pow2i(self) -> Self {
+        self.map(<f64 as Lanes>::pow2i)
+    }
+    #[inline(always)]
+    fn frexp(self) -> (Self, Self) {
+        let (mut m, mut e) = ([0.0; N], [0.0; N]);
+        for i in 0..N {
+            (m[i], e[i]) = self.0[i].frexp();
+        }
+        (Self(m), Self(e))
+    }
+}
+
+/// `all` and `any` fold every lane rather than short-circuit, and `and` is
+/// `&`, not `&&`: the short-circuit forms compiled to a branch per lane,
+/// these to one mask test (`kortest`) — they guard every body's rare path.
+impl<const N: usize> LaneMask for Mask<N> {
+    #[inline(always)]
+    fn all(self) -> bool {
+        let mut all = true;
+        for i in 0..N {
+            all &= self.0[i];
+        }
+        all
+    }
+    #[inline(always)]
+    fn any(self) -> bool {
+        let mut any = false;
+        for i in 0..N {
+            any |= self.0[i];
+        }
+        any
+    }
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        let mut out = [false; N];
+        for i in 0..N {
+            out[i] = self.0[i] & other.0[i];
         }
         Self(out)
     }
@@ -490,12 +480,6 @@ mod tests {
         assert_eq!(F64vec4::splat(9.0).sqrt().to_array(), [3.0; 4]);
         assert_eq!(F64vec4::splat(-2.5).abs().to_array(), [2.5; 4]);
         assert_eq!(F64vec4::splat(1.7).floor().to_array(), [1.0; 4]);
-        assert_eq!(
-            F64vec4::new([-5.0, 0.5, 2.0, 9.0])
-                .clamp(0.0, 3.0)
-                .to_array(),
-            [0.0, 0.5, 2.0, 3.0]
-        );
     }
 
     #[test]
@@ -523,7 +507,7 @@ mod tests {
         assert_eq!(m.select(a, b).to_array(), [1.0, 4.0, 3.0, 0.0]);
         assert!(m.any());
         assert!(!m.all());
-        assert!(Mask::<4>::all_set().all());
+        assert!(Mask([true; 4]).all());
         assert_eq!((!m).0, [false, true, false, true]);
         assert_eq!(m.and(a.le(b)).0, [true, false, true, false]);
         assert_eq!(m.or(a.ge(b)).0, [true, true, true, true]);

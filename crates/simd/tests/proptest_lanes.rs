@@ -2,7 +2,7 @@
 //! agree with its scalar counterpart on arbitrary inputs, and the
 //! mask/select algebra must behave like per-lane booleans.
 
-use finbench_simd::{F64v, F64vec4, F64vec8};
+use finbench_simd::{F64v, F64vec4, F64vec8, LaneMask, Lanes};
 use proptest::prelude::*;
 
 fn finite() -> impl Strategy<Value = f64> {
@@ -108,12 +108,11 @@ proptest! {
         let mut out = vec![0.0; data.len()];
         finbench_simd::batch::vd_exp(&data, &mut out);
         for (x, y) in data.iter().zip(&out) {
-            let want = finbench_math::exp(*x);
-            prop_assert!(((y - want) / want).abs() < 1e-14);
+            prop_assert_eq!(y.to_bits(), finbench_math::exp(*x).to_bits());
         }
         finbench_simd::batch::vd_norm_cdf(&data, &mut out);
         for (x, y) in data.iter().zip(&out) {
-            prop_assert!((y - finbench_math::norm_cdf(*x)).abs() < 4e-15);
+            prop_assert_eq!(y.to_bits(), finbench_math::norm_cdf(*x).to_bits());
         }
     }
 

@@ -16,7 +16,7 @@ use finbench::core::black_scholes::price_single;
 use finbench::core::brownian_bridge::{interleaved::simulate_fused, BridgePlan};
 use finbench::core::workload::MarketParams;
 use finbench::rng::StreamFamily;
-use finbench::simd::F64v;
+use finbench::simd::{F64v, Lanes};
 
 fn main() {
     let market = MarketParams {

@@ -31,7 +31,10 @@ greeks::greeks_batch_simd
 brownian_bridge::simd::build_group_in_place
 mt19937_64::fill_block
 batch::inv_norm_cdf_guess
-batch::inv_norm_cdf_polish'
+batch::inv_norm_cdf_polish
+batch::vd_exp
+batch::vd_ln
+batch::vd_erf'
 
 if ! command -v objdump > /dev/null; then
   echo "--> objdump not found; packed-code check skipped"

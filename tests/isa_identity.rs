@@ -25,6 +25,9 @@ use finbench::core::portfolio::{
 };
 use finbench::core::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench::engine::{Engine, WorkloadSpec};
+use finbench::math as fm;
+use finbench::math::exp::{EXP_OVERFLOW, EXP_UNDERFLOW};
+use finbench::math::norm::CND_TAIL_FROM;
 use finbench::rng::normal::{fill_standard_normal_icdf, fill_standard_normal_icdf_fast};
 use finbench::rng::{uniform, Mt19937_64, RngCore64, StreamFamily};
 use finbench::simd::batch;
@@ -116,48 +119,71 @@ fn ramp_with_edges(n: usize, lo: f64, hi: f64, edges: &[f64]) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `simd::batch::vd_*`: main loop at W=8 plus the scalar tail.
+    /// `simd::batch::vd_*`: main loop at W=8 plus the scalar tail, on every
+    /// tier — and every element the scalar function's bits, wherever it
+    /// falls (the batch math is the scalar function's body at width 8).
     #[test]
     fn array_math_is_tier_invariant(n in 0usize..70) {
         type Vd = fn(&[f64], &mut [f64]);
+        type Scalar = fn(f64) -> f64;
+        let shared_edges = [
+            f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0, 0.0, 5e-324, 1e-310,
+            f64::MIN_POSITIVE, EXP_OVERFLOW.next_down(), EXP_OVERFLOW, EXP_OVERFLOW.next_up(),
+            EXP_UNDERFLOW.next_down(), EXP_UNDERFLOW, EXP_UNDERFLOW.next_up(), -0.5, 0.5,
+            CND_TAIL_FROM,
+        ];
         let exp_edges = [
-            -746.0, -745.133_219_101_941_1, -745.13, -708.4, -0.0, 0.0, 1e-320,
-            709.78, 709.782_712_893_384, 709.79, 1000.0,
+            -746.0, -745.13, -708.4, 1e-320, 709.78, 709.79, 1000.0,
         ];
         let ln_edges = [
-            f64::MIN_POSITIVE, 1e-310, 0.5, std::f64::consts::FRAC_1_SQRT_2, 1.0,
-            std::f64::consts::SQRT_2, 2.0, 1e308, f64::MAX,
+            1e-310, 0.5, std::f64::consts::FRAC_1_SQRT_2, 1.0,
+            std::f64::consts::SQRT_2, 2.0, 1e308, f64::MAX, -1.0,
         ];
         let cdf_edges = [
-            -40.0, -37.1, -37.0, -7.08, -7.07, -0.5, -0.499_999, -0.0, 0.0, 0.499_999, 0.5,
-            7.07, 7.071_067_811_865_475, 7.08, 37.0, 37.1, 40.0,
+            -40.0, -37.1, -37.0, -7.08, -7.07, -0.499_999, 0.499_999,
+            7.07, 7.08, 37.0, 37.1, 40.0,
         ];
         let unit_edges = [
-            -1.0, 0.0, 5e-324, 1e-300, 1e-13, 0.024_249, 0.02425, 0.5, 0.97575, 0.975_751,
-            1.0 - f64::EPSILON / 2.0, 1.0, f64::NAN,
+            -1.0, 1e-300, 1e-13, 0.024_249, 0.02425, 0.97575, 0.975_751,
+            1.0 - f64::EPSILON / 2.0, 1.0,
         ];
-        let cases: [(&str, Vd, Vec<f64>); 6] = [
-            ("vd_exp", batch::vd_exp, ramp_with_edges(n, -30.0, 30.0, &exp_edges)),
-            ("vd_ln", batch::vd_ln, ramp_with_edges(n, 1e-3, 1e3, &ln_edges)),
-            ("vd_erf", batch::vd_erf, ramp_with_edges(n, -6.0, 6.0, &cdf_edges)),
-            ("vd_norm_cdf", batch::vd_norm_cdf, ramp_with_edges(n, -9.0, 9.0, &cdf_edges)),
-            ("vd_sqrt", batch::vd_sqrt, ramp_with_edges(n, 0.0, 1e6, &ln_edges)),
+        let with_shared = |edges: &[f64]| [edges, &shared_edges[..]].concat();
+        let cases: [(&str, Vd, Scalar, Vec<f64>); 6] = [
+            ("vd_exp", batch::vd_exp, fm::exp, ramp_with_edges(n, -30.0, 30.0, &with_shared(&exp_edges))),
+            ("vd_ln", batch::vd_ln, fm::ln, ramp_with_edges(n, 1e-3, 1e3, &with_shared(&ln_edges))),
+            ("vd_erf", batch::vd_erf, fm::erf, ramp_with_edges(n, -6.0, 6.0, &with_shared(&cdf_edges))),
+            (
+                "vd_norm_cdf",
+                batch::vd_norm_cdf,
+                fm::norm_cdf,
+                ramp_with_edges(n, -9.0, 9.0, &with_shared(&cdf_edges)),
+            ),
+            ("vd_sqrt", batch::vd_sqrt, f64::sqrt, ramp_with_edges(n, 0.0, 1e6, &with_shared(&ln_edges))),
             (
                 "vd_inv_norm_cdf_in_place",
                 |src, dst| {
                     dst.copy_from_slice(src);
                     batch::vd_inv_norm_cdf_in_place(dst)
                 },
-                ramp_with_edges(n, 1e-6, 1.0 - 1e-6, &unit_edges),
+                fm::inv_norm_cdf,
+                ramp_with_edges(n, 1e-6, 1.0 - 1e-6, &with_shared(&unit_edges)),
             ),
         ];
-        for (label, f, src) in cases {
-            let bad = tier_mismatch(label, || {
+        for (label, f, scalar, src) in cases {
+            let run = || {
                 let mut dst = vec![0.0; src.len()];
                 f(&src, &mut dst);
                 dst
-            });
+            };
+            let bad = tier_mismatch(label, run);
             prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+            for (i, (x, got)) in src.iter().zip(dispatch_as(Isa::Portable, run)).enumerate() {
+                let want = scalar(*x);
+                prop_assert_eq!(
+                    got.to_bits(), want.to_bits(),
+                    "{} element {} of {}: x={:e} gave {:e}, scalar {:e}", label, i, src.len(), x, got, want
+                );
+            }
         }
     }
 

@@ -133,8 +133,8 @@ proptest! {
         let e = vmath::vexp(v);
         let n = vmath::vnorm_cdf(v);
         for (i, &x) in [a, b, c, d].iter().enumerate() {
-            prop_assert!(((e[i] - fm::exp(x)) / fm::exp(x)).abs() < 1e-14);
-            prop_assert!((n[i] - fm::norm_cdf(x)).abs() < 1e-13);
+            prop_assert_eq!(e[i].to_bits(), fm::exp(x).to_bits());
+            prop_assert_eq!(n[i].to_bits(), fm::norm_cdf(x).to_bits());
         }
     }
 
