@@ -33,8 +33,14 @@ done
 
 echo "==> source guard (no process-global fault registry or second ledger, no test locks, no by-name hot-path metrics)"
 if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)|StatsInner|lock_stats|serial_lock|LaneCounters' -- crates tests examples ||
-  git grep -nE '(counter_add|gauge_set)\(' -- crates/serve/src/server.rs crates/rng/src crates/parallel/src crates/core/src; then
-  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock; the serving path, rng, pool and kernels count through handles, never by name" >&2
+  git grep -nE '(counter_add|gauge_set)\(' -- crates/serve/src/server.rs crates/rng/src crates/parallel/src crates/core/src crates/telemetry/src/span.rs; then
+  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock; the serving path, span ring, rng, pool and kernels count through handles, never by name" >&2
+  exit 1
+fi
+
+echo "==> source guard (no supervisor thread: a killed shard worker heals its own seat)"
+if git grep -nE 'SupervisorPolicy|supervisor_loop|SupervisorCtx|finbench-serve-supervisor' -- crates tests examples; then
+  echo "respawn is the killed worker's own loop; ServeConfig::respawn is its one setting" >&2
   exit 1
 fi
 

@@ -28,8 +28,8 @@
 //! * `@rate` — firing probability in `[0, 1]`; defaults to `1`.
 //! * `*max_fires` — firing budget: after the spec has fired this many
 //!   times it never fires again; defaults to unlimited. This is how a
-//!   rolling-kill chaos plan self-terminates against a supervisor that
-//!   respawns killed shards (`serve.shard.0=kill@0.1*1` kills seat 0
+//!   rolling-kill chaos plan self-terminates against a server whose
+//!   killed shards respawn (`serve.shard.0=kill@0.1*1` kills seat 0
 //!   exactly once and then lets the respawned worker live).
 //! * `#seed` — per-entry SplitMix64 seed; defaults to `0x5EED`.
 //!

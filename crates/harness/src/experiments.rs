@@ -800,7 +800,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     use finbench_faults::{self as faults, FaultPlan, Faults};
     use finbench_serve::{
         drive, pricer, BreakerPolicy, Exchange, HedgePolicy, LoadMode, PriceRequest, PricerConfig,
-        ServeConfig, Server, ServingRung, SupervisorPolicy,
+        ServeConfig, Server, ServingRung,
     };
     use std::collections::BTreeMap as Map;
     use std::time::Duration;
@@ -873,10 +873,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
             promote_after: 16,
             ..BreakerPolicy::default()
         },
-        supervisor: SupervisorPolicy {
-            respawn,
-            ..SupervisorPolicy::default()
-        },
+        respawn,
     };
 
     // Injected panics at 10% of batches would otherwise spray backtraces
@@ -896,7 +893,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
         // the shard-kill plan has a survivor to fail over to. The matrix
         // pins down *terminal* shard loss (the shard-kill plan's
         // `survivors: 1/2` line); the rolling-kill panel below is where
-        // supervised respawn is measured.
+        // respawn is measured.
         let server = Server::start_with_faults(config(2, false), Faults::new(plan));
         let driven = drive(&server, kernel, load, 0xC4A05, None, None);
         let snap = server.shutdown();
@@ -960,11 +957,11 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     );
     maybe_write_csv(&opts.csv_dir, "chaos_bench.csv", &csv);
 
-    // ---- rolling-kill panel: supervised respawn, redrive, and hedging.
+    // ---- rolling-kill panel: respawn, redrive, and hedging.
     // Every shard of a 3-shard fleet is killed exactly once (`*1` caps
     // the fault budget; staggered rates and seeds roll the kills through
-    // the run instead of firing together). The supervisor must respawn
-    // each seat — MTTR is kill → respawned-and-serving — and a second,
+    // the run instead of firing together). Each seat's worker must
+    // respawn — MTTR is kill → respawned-and-serving — and a second,
     // fault-free drive afterwards proves the recovered fleet serves at
     // full availability. Phase 1 clients hedge: a request caught in a
     // kill/redrive window races a tagged second copy after 2ms.

@@ -66,9 +66,10 @@
 //! for chaos testing — a plan is owned by the server that asked for it,
 //! so two servers in one process never see each other's faults.
 //!
-//! The plane also survives losing whole workers: a supervisor thread
-//! ([`SupervisorPolicy`]) respawns killed shard seats in place with
-//! breaker-paced backoff and reports per-seat MTTR; a kill's stranded
+//! The plane also survives losing whole workers: with
+//! [`ServeConfig::respawn`] on, a killed shard's worker heals its own seat
+//! after a capped exponential backoff — no monitor thread — and reports
+//! per-seat MTTR; a kill's stranded
 //! work is redriven at-most-once to a live sibling with its response
 //! channel intact; deadline sheds are split first-attempt vs
 //! post-redrive; and [`loadgen`] can hedge slow closed-loop requests
@@ -106,7 +107,5 @@ pub use request::{
     GreeksOut, GreeksRequest, GreeksResponse, PortfolioOut, PortfolioRequest, PortfolioResponse,
     PriceRequest, PriceResponse, Priced, Rejected, Response, ServeRequest, MAX_PORTFOLIO_PRICINGS,
 };
-pub use server::{
-    KernelSnapshot, ServeConfig, ServeSnapshot, Server, ShardSnapshot, SupervisorPolicy,
-};
+pub use server::{KernelSnapshot, ServeConfig, ServeSnapshot, Server, ShardSnapshot};
 pub use workload::{GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload};

@@ -183,11 +183,11 @@ impl<T> AdmissionQueue<T> {
         self.lock_state().closed
     }
 
-    /// Reopen a closed queue so producers are accepted again. The shard
-    /// supervisor respawning a killed worker reuses the seat's queue:
-    /// the kill path closed and drained it, so reopening hands a fresh
-    /// worker an empty, accepting queue without reallocating it or
-    /// re-plumbing the router.
+    /// Reopen a closed queue so producers are accepted again. A killed
+    /// shard worker that respawns reuses its seat's queue: the kill path
+    /// closed and drained it, so reopening hands the next incarnation an
+    /// empty, accepting queue without reallocating it or re-plumbing the
+    /// router.
     pub fn reopen(&self) {
         self.lock_state().closed = false;
     }

@@ -72,18 +72,20 @@
 //! `shed_deadline_redrive` for already-redriven work), so a retry never
 //! serves a request its client has given up on.
 //!
-//! When [`SupervisorPolicy::respawn`] is on (the default), a monitor
-//! thread owned by the [`Server`] detects the dead seat and **respawns**
-//! a fresh worker in it: the old thread is joined, the seat's queue is
-//! reopened, and the seat is marked alive again — full capacity comes
-//! back instead of shrinking for the rest of the process. Respawn
-//! backoff reuses the [`Breaker`] cooldown discipline (capped
-//! exponential: a seat that keeps dying waits longer each time; a seat
-//! that stays up past `heal_after` resets its backoff), and each
-//! recovery is counted (`serve.shard.<i>.respawns`) with its MTTR
-//! (kill → respawned-and-serving) recorded in the shard snapshot.
-//! Availability degrades during the outage window, correctness never
-//! does.
+//! When [`ServeConfig::respawn`] is on (the default), the killed worker
+//! **heals its own seat**: no other thread watches it. It waits out a
+//! backoff, reopens its queue, marks the seat alive again and keeps
+//! serving with fresh lanes — full capacity comes back instead of
+//! shrinking for the rest of the process. The backoff is capped
+//! exponential: 1 ms, doubled (up to 250 ms) for a seat that dies within
+//! 50 ms of its last respawn, back to 1 ms for one that lived longer. The
+//! wait parks on the plane's closing signal, and shutdown closes the
+//! queues under the same lock the worker reopens its queue under, so a
+//! respawn never reopens a queue shutdown closed and shutdown never waits
+//! out a cooldown. Each recovery is counted (`serve.shard.<i>.respawns`)
+//! with its MTTR (kill → respawned-and-serving) recorded in the shard
+//! snapshot. Availability degrades during the outage window, correctness
+//! never does.
 //!
 //! ## Fault tolerance
 //!
@@ -141,7 +143,7 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -164,8 +166,9 @@ pub struct ServeConfig {
     pub pricer: PricerConfig,
     /// Per-lane circuit-breaker tuning.
     pub breaker: BreakerPolicy,
-    /// Shard supervision: dead-seat respawn and its backoff discipline.
-    pub supervisor: SupervisorPolicy,
+    /// A killed shard's worker respawns in its seat after a backoff
+    /// (`false`: a killed shard stays dead for the process lifetime).
+    pub respawn: bool,
 }
 
 impl Default for ServeConfig {
@@ -177,49 +180,21 @@ impl Default for ServeConfig {
             shards: 1,
             pricer: PricerConfig::default(),
             breaker: BreakerPolicy::default(),
-            supervisor: SupervisorPolicy::default(),
-        }
-    }
-}
-
-/// Supervision policy for the serving plane's worker shards: whether a
-/// dead seat is respawned, and the backoff discipline when it is.
-///
-/// The supervisor reuses the [`Breaker`] cooldown state machine per
-/// seat: a death opens the seat's breaker (respawn waits out the
-/// cooldown), a respawned seat is half-open (on probation), surviving
-/// `heal_after` closes it (backoff forgiven), and dying on probation
-/// doubles the cooldown, capped at `max_cooldown` — a seat that is
-/// killed as fast as it comes back converges to one respawn per
-/// `max_cooldown` instead of a hot crash loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SupervisorPolicy {
-    /// Respawn dead shards (`false` reproduces the terminal-loss
-    /// behavior: a killed shard stays dead for the process lifetime).
-    pub respawn: bool,
-    /// Initial death → respawn cooldown.
-    pub cooldown: Duration,
-    /// Upper bound for the doubling cooldown.
-    pub max_cooldown: Duration,
-    /// Continuous alive time after which a respawned seat's backoff
-    /// resets to `cooldown`.
-    pub heal_after: Duration,
-    /// Monitor thread poll interval (also bounds how long shutdown
-    /// waits for the monitor to notice `closing`).
-    pub poll: Duration,
-}
-
-impl Default for SupervisorPolicy {
-    fn default() -> Self {
-        Self {
             respawn: true,
-            cooldown: Duration::from_millis(1),
-            max_cooldown: Duration::from_millis(250),
-            heal_after: Duration::from_millis(50),
-            poll: Duration::from_micros(500),
         }
     }
 }
+
+/// A killed seat's first wait before its worker respawns.
+const RESPAWN_COOLDOWN: Duration = Duration::from_millis(1);
+
+/// The cap on the doubling wait: a seat killed as fast as it comes back
+/// respawns once per this long, never in a hot loop.
+const RESPAWN_MAX_COOLDOWN: Duration = Duration::from_millis(250);
+
+/// A seat that lives this long after a respawn has healed: its next
+/// death waits [`RESPAWN_COOLDOWN`] again instead of twice its last wait.
+const RESPAWN_HEAL_AFTER: Duration = Duration::from_millis(50);
 
 /// One admitted unit of work: every request plane rides the same bounded
 /// queue, so backpressure is shared and admission order is global.
@@ -370,8 +345,8 @@ impl LaneRecord {
     }
 }
 
-/// One seat's half of the ledger, shared between the router, the seat's
-/// worker thread, and the supervisor: monotonic tallies (handles where
+/// One seat's half of the ledger, shared between the router and the
+/// seat's worker thread: monotonic tallies (handles where
 /// the event has a process-wide name, bare atomics where it has none),
 /// gauges, per-lane records, and the liveness flag — the only shared
 /// state crossing the router/shard seam besides the queue itself.
@@ -383,7 +358,7 @@ struct ShardSeat {
     /// `serve.steals`: work items stolen from sibling queues while idle.
     stolen: Counter,
     /// `serve.respawns`, and the same event as `serve.shard.<i>.respawns`:
-    /// times the supervisor respawned a fresh worker in this seat.
+    /// times the seat's killed worker came back and served again.
     respawns: Counter,
     respawns_by_seat: Counter,
     /// `serve.redriven`: stranded work items redriven to siblings on kill.
@@ -391,9 +366,6 @@ struct ShardSeat {
     /// Cumulative kill → respawned-and-serving time, nanoseconds
     /// (divide by `respawns` for mean MTTR).
     mttr_nanos: AtomicU64,
-    /// When the seat's worker died; taken by the respawn path to record
-    /// MTTR. A `Mutex` (not an atomic) because `Instant` is opaque.
-    killed_at: Mutex<Option<Instant>>,
     /// `serve.shard.<i>.alive` / `.queue_depth` / `.mttr_ms`.
     alive_gauge: Gauge,
     depth_gauge: Gauge,
@@ -412,7 +384,6 @@ impl ShardSeat {
             respawns_by_seat: Counter::named(format!("serve.shard.{i}.respawns")),
             redriven: Counter::named("serve.redriven"),
             mttr_nanos: AtomicU64::new(0),
-            killed_at: Mutex::new(None),
             alive_gauge: Gauge::named(format!("serve.shard.{i}.alive")),
             depth_gauge: Gauge::named(format!("serve.shard.{i}.queue_depth")),
             mttr_gauge: Gauge::named(format!("serve.shard.{i}.mttr_ms")),
@@ -422,10 +393,6 @@ impl ShardSeat {
 
     fn alive(&self) -> bool {
         !self.dead.load(Ordering::Acquire)
-    }
-
-    fn lock_killed_at(&self) -> MutexGuard<'_, Option<Instant>> {
-        self.killed_at.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Poison is recovered from: the records are monotonic tallies with
@@ -469,7 +436,7 @@ pub struct ShardSnapshot {
     pub served: u64,
     /// Work items this shard stole from siblings while idle.
     pub stolen: u64,
-    /// Times the supervisor respawned a fresh worker in this seat.
+    /// Times this seat's killed worker respawned and served again.
     pub respawns: u64,
     /// Stranded work items this seat redrove to live siblings on kill.
     pub redriven: u64,
@@ -611,7 +578,7 @@ impl ServeSnapshot {
         self.shards.iter().filter(|s| s.alive).count()
     }
 
-    /// Total supervised shard respawns across seats.
+    /// Total shard respawns across seats.
     pub fn total_respawns(&self) -> u64 {
         self.shards.iter().map(|s| s.respawns).sum()
     }
@@ -633,23 +600,20 @@ impl ServeSnapshot {
     }
 }
 
-/// The batched pricing service: the front-end router, its worker
-/// shards, and (when respawn is on) the supervising monitor thread.
-/// Dropping it shuts every shard down (pending work is still flushed
-/// and answered).
+/// The batched pricing service: the front-end router and its worker
+/// shards. Dropping it shuts every shard down (pending work is still
+/// flushed and answered).
 pub struct Server {
     plane: Arc<Plane>,
-    /// Per-seat worker handles. Behind an `Arc<Mutex>` because the
-    /// supervisor swaps handles in and out when it respawns a seat.
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    /// The supervising monitor thread (`None` when respawn is off).
-    monitor: Option<JoinHandle<()>>,
+    /// One worker thread per seat, for the server's lifetime: a killed
+    /// worker respawns on its own thread.
+    workers: Vec<JoinHandle<()>>,
     /// Round-robin admission cursor.
     rr: AtomicUsize,
 }
 
-/// What one server's router, workers and supervisor share, behind one
-/// `Arc` — and nothing outside that server sees, the fault plan included.
+/// What one server's router and workers share, behind one `Arc` — and
+/// nothing outside that server sees, the fault plan included.
 struct Plane {
     /// Per-seat admission queues (the message seam), seat-index order.
     /// Each queue and seat keeps its own allocation: shards share no
@@ -660,18 +624,54 @@ struct Plane {
     /// The server-level half of the ledger (each seat holds its own).
     ledger: Ledger,
     /// True once shutdown started (distinguishes `ShuttingDown` from a
-    /// dead-shard rejection; also stops the supervisor from respawning
-    /// into a closing server).
-    closing: AtomicBool,
+    /// dead-shard rejection). Shutdown closes the queues under this lock
+    /// and a respawning worker reopens its queue under it, so no queue
+    /// is reopened after shutdown closed it.
+    closing: Mutex<bool>,
+    /// Signalled when `closing` is set: wakes workers waiting out a
+    /// respawn backoff.
+    closed: Condvar,
     config: ServeConfig,
     /// The plan this server was started with ([`Server::start`]: none).
     faults: Faults,
 }
 
-fn lock_workers(
-    workers: &Mutex<Vec<Option<JoinHandle<()>>>>,
-) -> MutexGuard<'_, Vec<Option<JoinHandle<()>>>> {
-    workers.lock().unwrap_or_else(|e| e.into_inner())
+impl Plane {
+    fn lock_closing(&self) -> MutexGuard<'_, bool> {
+        self.closing.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn is_closing(&self) -> bool {
+        *self.lock_closing()
+    }
+
+    /// Start shutdown: set `closing`, close every queue, wake every
+    /// worker waiting out a respawn backoff. Idempotent.
+    fn close(&self) {
+        let mut closing = self.lock_closing();
+        *closing = true;
+        for q in &self.queues {
+            q.close();
+        }
+        drop(closing);
+        self.closed.notify_all();
+    }
+
+    /// Wait `cooldown` (less if shutdown starts first), then reopen seat
+    /// `i`'s queue. False, with the queue left closed, once shutdown has
+    /// started.
+    fn reopen_after(&self, i: usize, cooldown: Duration) -> bool {
+        let closing = self.lock_closing();
+        let (closing, _) = self
+            .closed
+            .wait_timeout_while(closing, cooldown, |closing| !*closing)
+            .unwrap_or_else(|e| e.into_inner());
+        if *closing {
+            return false;
+        }
+        self.queues[i].reopen();
+        true
+    }
 }
 
 impl Server {
@@ -692,26 +692,26 @@ impl Server {
                 .collect(),
             seats: (0..n).map(|i| Arc::new(ShardSeat::new(i))).collect(),
             ledger: Ledger::new(),
-            closing: AtomicBool::new(false),
+            closing: Mutex::new(false),
+            closed: Condvar::new(),
             config,
             faults,
         });
-        let workers = (0..n).map(|i| Some(spawn_worker(i, &plane))).collect();
-        let workers = Arc::new(Mutex::new(workers));
-        let monitor = config.supervisor.respawn.then(|| {
-            let ctx = SupervisorCtx {
-                plane: Arc::clone(&plane),
-                workers: Arc::clone(&workers),
-            };
-            std::thread::Builder::new()
-                .name("finbench-serve-supervisor".into())
-                .spawn(move || supervisor_loop(ctx))
-                .expect("spawn shard supervisor")
-        });
+        let workers = (0..n)
+            .map(|index| {
+                let ctx = ShardCtx {
+                    index,
+                    plane: Arc::clone(&plane),
+                };
+                std::thread::Builder::new()
+                    .name(format!("finbench-serve-{index}"))
+                    .spawn(move || shard_loop(ctx))
+                    .expect("spawn shard worker")
+            })
+            .collect();
         Self {
             plane,
             workers,
-            monitor,
             rr: AtomicUsize::new(0),
         }
     }
@@ -724,14 +724,14 @@ impl Server {
     #[allow(clippy::result_large_err)]
     fn route(&self, work: Work) -> Result<(), (Work, Rejected)> {
         let plane = &*self.plane;
-        let (queues, seats, closing) = (&plane.queues, &plane.seats, &plane.closing);
+        let (queues, seats) = (&plane.queues, &plane.seats);
         let n = queues.len();
         let start = self.rr.fetch_add(1, Ordering::Relaxed);
         let mut work = work;
         // Pass 1: the round-robin pick — the first alive shard at or
         // after the cursor.
         let Some(primary) = (0..n).map(|k| (start + k) % n).find(|&i| seats[i].alive()) else {
-            let reason = if closing.load(Ordering::Acquire) {
+            let reason = if plane.is_closing() {
                 Rejected::ShuttingDown
             } else {
                 // `Cow::Borrowed`: rejecting under total shard loss must
@@ -769,7 +769,7 @@ impl Server {
                 }
             }
         }
-        let reason = if closing.load(Ordering::Acquire) {
+        let reason = if plane.is_closing() {
             Rejected::ShuttingDown
         } else if full {
             // At least one alive shard rejected on capacity, not closure.
@@ -900,27 +900,13 @@ impl Server {
         }
     }
 
-    /// Stop the plane: monitor first, then queues, then workers.
-    /// Idempotent (`shutdown` runs it, then `Drop` runs it again on the
-    /// same instance).
+    /// Stop the plane: close the queues, then join the workers (each
+    /// drains its queue and lanes first). Idempotent (`shutdown` runs it,
+    /// then `Drop` runs it again on the same instance).
     fn stop(&mut self) {
-        self.plane.closing.store(true, Ordering::Release);
-        // Join the supervisor BEFORE closing queues: a respawn racing
-        // shutdown could otherwise reopen a queue after we closed it,
-        // leaving a fresh worker blocked on a queue nobody will close
-        // again. The monitor checks `closing` every poll, so this join
-        // is bounded by the poll interval plus one respawn.
-        if let Some(m) = self.monitor.take() {
-            let _ = m.join();
-        }
-        for q in &self.plane.queues {
-            q.close();
-        }
-        let mut workers = lock_workers(&self.workers);
-        for slot in workers.iter_mut() {
-            if let Some(h) = slot.take() {
-                let _ = h.join();
-            }
+        self.plane.close();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
         }
     }
 
@@ -1109,134 +1095,6 @@ fn merge_portfolio(
     });
 }
 
-/// Spawn one worker thread into seat `i`.
-fn spawn_worker(i: usize, plane: &Arc<Plane>) -> JoinHandle<()> {
-    let ctx = ShardCtx {
-        index: i,
-        plane: Arc::clone(plane),
-    };
-    std::thread::Builder::new()
-        .name(format!("finbench-serve-{i}"))
-        .spawn(move || shard_loop(ctx))
-        .expect("spawn shard worker")
-}
-
-/// Everything the supervising monitor thread needs to detect dead seats
-/// and respawn workers into them.
-struct SupervisorCtx {
-    plane: Arc<Plane>,
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-}
-
-/// Per-seat supervisor state: one [`Breaker`] carrying the respawn
-/// backoff (`open_after: 1` — a single death opens it), plus edge
-/// detection and the probation clock.
-struct SeatSupervision {
-    breaker: Breaker,
-    /// Liveness observed on the previous scan (edge-detects deaths).
-    was_alive: bool,
-    /// When the seat was last respawned; sustained life past
-    /// `heal_after` closes the breaker and forgives the backoff.
-    respawned_at: Option<Instant>,
-}
-
-/// The monitor loop: scan every seat each `poll` interval.
-///
-/// State machine per seat (mirrors the lane breaker's):
-/// * alive, on probation, `heal_after` elapsed → `on_success` (backoff
-///   forgiven);
-/// * freshly dead → `on_failure` (Closed→Open immediately, or
-///   HalfOpen→Open with a doubled, capped cooldown when it died on
-///   probation);
-/// * dead, cooldown elapsed → respawn (the Open→HalfOpen edge), seat
-///   back on probation.
-fn supervisor_loop(ctx: SupervisorCtx) {
-    let plane = &*ctx.plane;
-    let policy = plane.config.supervisor;
-    let breaker_policy = BreakerPolicy {
-        open_after: 1,
-        cooldown: policy.cooldown,
-        max_cooldown: policy.max_cooldown,
-        promote_after: 1,
-    };
-    let mut sups: Vec<SeatSupervision> = plane
-        .seats
-        .iter()
-        .map(|_| SeatSupervision {
-            breaker: Breaker::new(breaker_policy),
-            was_alive: true,
-            respawned_at: None,
-        })
-        .collect();
-    loop {
-        if plane.closing.load(Ordering::Acquire) {
-            return;
-        }
-        let now = Instant::now();
-        for (i, sup) in sups.iter_mut().enumerate() {
-            if plane.seats[i].alive() {
-                sup.was_alive = true;
-                if let Some(since) = sup.respawned_at {
-                    if now.duration_since(since) >= policy.heal_after {
-                        // Survived probation: backoff resets to the
-                        // initial cooldown.
-                        sup.breaker.on_success();
-                        sup.respawned_at = None;
-                    }
-                }
-                continue;
-            }
-            if sup.was_alive {
-                // Freshly observed death. `at_bottom: true` — there is
-                // no ladder to degrade down, the seat just opens
-                // (doubling the cooldown if it died on probation).
-                sup.breaker.on_failure(now, true);
-                sup.was_alive = false;
-            }
-            if sup.breaker.allow(now).is_ok() {
-                respawn(&ctx, i);
-                sup.was_alive = true;
-                sup.respawned_at = Some(Instant::now());
-            }
-        }
-        std::thread::sleep(policy.poll);
-    }
-}
-
-/// Respawn a fresh worker into dead seat `i`: join the exited thread,
-/// reopen the seat's (drained) queue, spawn, record MTTR, and mark the
-/// seat alive so the router routes here again.
-fn respawn(ctx: &SupervisorCtx, i: usize) {
-    // Join the dead worker outside the workers lock: the kill path has
-    // already run (or is finishing), so this is bounded.
-    let old = lock_workers(&ctx.workers)[i].take();
-    if let Some(h) = old {
-        let _ = h.join();
-    }
-    if ctx.plane.closing.load(Ordering::Acquire) {
-        // Shutdown raced in while we joined; leave the seat dead — the
-        // loop observes `closing` next iteration and exits.
-        return;
-    }
-    let seat = &ctx.plane.seats[i];
-    // The kill path closed and drained the queue; reopen it before the
-    // fresh worker starts so nothing it pops was meant for the corpse.
-    ctx.plane.queues[i].reopen();
-    let worker = spawn_worker(i, &ctx.plane);
-    lock_workers(&ctx.workers)[i] = Some(worker);
-    // MTTR: kill instant → the seat marked alive below.
-    if let Some(killed_at) = seat.lock_killed_at().take() {
-        let nanos = Instant::now().duration_since(killed_at).as_nanos() as u64;
-        seat.mttr_nanos.fetch_add(nanos, Ordering::Relaxed);
-        seat.mttr_gauge.set(nanos as f64 / 1e6);
-    }
-    seat.respawns.add(1);
-    seat.respawns_by_seat.add(1);
-    seat.alive_gauge.set(1.0);
-    // Last: flipping liveness publishes the seat to the router.
-    seat.dead.store(false, Ordering::Release);
-}
-
 /// Everything one worker shard needs: its index and the plane (its own
 /// queue and seat plus the siblings', for stealing and redrive). Moved
 /// into the worker thread.
@@ -1342,16 +1200,56 @@ impl Lanes {
     }
 }
 
+/// A seat's worker thread: one incarnation per pass, until shutdown
+/// drains it. A killed incarnation's work is redriven ([`kill_shard`]);
+/// with respawn on, the worker then waits out its backoff, reopens its
+/// queue and serves again with fresh lanes and the same engine, and the
+/// seat's ledger and lane records carry on.
 fn shard_loop(ctx: ShardCtx) {
     let engine = Engine::new(registry());
     let plane = &*ctx.plane;
-    let (queues, config, faults) = (&plane.queues, &plane.config, &plane.faults);
-    let (queue, seat) = (&*queues[ctx.index], &*plane.seats[ctx.index]);
+    let seat = &*plane.seats[ctx.index];
     let cx = LaneCtx {
         engine: &engine,
         plane,
         seat,
     };
+    let mut cooldown = RESPAWN_COOLDOWN;
+    let mut respawned_at: Option<Instant> = None;
+    while let Some(killed_at) = incarnation(&ctx, &cx) {
+        if !plane.config.respawn {
+            return;
+        }
+        // A seat that dies on probation waits twice its last wait
+        // (capped); one that outlived probation starts over.
+        cooldown = match respawned_at {
+            Some(at) if killed_at.duration_since(at) < RESPAWN_HEAL_AFTER => {
+                (cooldown * 2).min(RESPAWN_MAX_COOLDOWN)
+            }
+            _ => RESPAWN_COOLDOWN,
+        };
+        if !plane.reopen_after(ctx.index, cooldown) {
+            return;
+        }
+        let mttr = killed_at.elapsed().as_nanos() as u64;
+        seat.mttr_nanos.fetch_add(mttr, Ordering::Relaxed);
+        seat.mttr_gauge.set(mttr as f64 / 1e6);
+        seat.respawns.add(1);
+        seat.respawns_by_seat.add(1);
+        seat.alive_gauge.set(1.0);
+        // Last: flipping liveness publishes the seat to the router.
+        seat.dead.store(false, Ordering::Release);
+        respawned_at = Some(Instant::now());
+    }
+}
+
+/// Serve one incarnation of a seat's worker: until its queue is closed
+/// and drained (`None`), or until the kill fault fires (`Some(kill
+/// instant)`, once [`kill_shard`] has redriven what it held).
+fn incarnation(ctx: &ShardCtx, cx: &LaneCtx) -> Option<Instant> {
+    let plane = cx.plane;
+    let (queues, config, faults) = (&plane.queues, &plane.config, &plane.faults);
+    let (queue, seat) = (&*queues[ctx.index], cx.seat);
     let mut lanes = Lanes::default();
     let sharded = queues.len() > 1;
     let kill_site = format!("serve.shard.{}", ctx.index);
@@ -1368,18 +1266,16 @@ fn shard_loop(ctx: ShardCtx) {
                     _ => {}
                 }
             }
-            // Shard-kill fault: this worker dies. Stranded work is
+            // Shard-kill fault: this incarnation dies. Stranded work is
             // redriven once to live siblings (or answered with typed
-            // rejections when it can't be); the supervisor respawns the
-            // seat when respawn is on. Availability degrades;
+            // rejections when it can't be). Availability degrades;
             // correctness and the rest of the fleet do not.
             if faults
                 .fire(&kill_site)
                 .iter()
                 .any(|k| matches!(k, FaultKind::Kill))
             {
-                kill_shard(&ctx, lanes);
-                return;
+                return Some(kill_shard(ctx, lanes));
             }
         }
         // The idle trigger empties the lanes whenever the queue is empty,
@@ -1399,7 +1295,7 @@ fn shard_loop(ctx: ShardCtx) {
                 seat.depth_gauge.set(queue.len() as f64);
                 let total: usize = queues.iter().map(|q| q.len()).sum();
                 plane.ledger.queue_depth.set(total as f64);
-                lanes.admit(work, &cx);
+                lanes.admit(work, cx);
             }
             None if queue.is_closed() && queue.is_empty() => break,
             None => {
@@ -1407,8 +1303,8 @@ fn shard_loop(ctx: ShardCtx) {
                 // sibling queue (newest items, so the victim keeps its
                 // oldest, deadline-critical work).
                 if sharded && !lanes.pending() && queue.is_empty() {
-                    for work in steal_from_siblings(&ctx, seat) {
-                        lanes.admit(work, &cx);
+                    for work in steal_from_siblings(ctx, seat) {
+                        lanes.admit(work, cx);
                     }
                 }
             }
@@ -1416,9 +1312,10 @@ fn shard_loop(ctx: ShardCtx) {
         // A closed queue ends the loop once it is drained; what the lanes
         // hold by then is the shutdown drain's, not an idle flush.
         let idle = queue.is_empty() && !queue.is_closed();
-        lanes.flush(&cx, Instant::now(), idle);
+        lanes.flush(cx, Instant::now(), idle);
     }
-    lanes.drain(&cx);
+    lanes.drain(cx);
+    None
 }
 
 /// Steal up to [`STEAL_MAX`] work items from the deepest sibling queue.
@@ -1444,14 +1341,15 @@ fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
 }
 
 /// Tear one shard down under the kill fault: mark it dead (the router
-/// stops routing here), record the kill instant for MTTR, close its
-/// queue, and redrive everything pending — batched in lanes or still
-/// queued — to live siblings (see [`redrive_stranded`]).
-fn kill_shard(ctx: &ShardCtx, lanes: Lanes) {
+/// stops routing here), close its queue, and redrive everything pending
+/// — batched in lanes or still queued — to live siblings (see
+/// [`redrive_stranded`]). Returns the kill instant, where the seat's
+/// MTTR starts.
+fn kill_shard(ctx: &ShardCtx, lanes: Lanes) -> Instant {
+    let killed_at = Instant::now();
     let index = ctx.index;
     let queue = &ctx.plane.queues[index];
     let seat = &ctx.plane.seats[index];
-    *seat.lock_killed_at() = Some(Instant::now());
     seat.dead.store(true, Ordering::Release);
     queue.close();
     ctx.plane.ledger.shard_kills.add(1);
@@ -1461,6 +1359,7 @@ fn kill_shard(ctx: &ShardCtx, lanes: Lanes) {
     let mut stranded = lanes.strand();
     stranded.extend(queue.steal_up_to(usize::MAX));
     redrive_stranded(ctx, stranded);
+    killed_at
 }
 
 /// Redrive the stranded work of a killed shard to live siblings —
@@ -1487,8 +1386,8 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
     let (queues, seats, ledger) = (&plane.queues, &plane.seats, &plane.ledger);
     let seat = &seats[index];
     // Live siblings in ascending queue-depth order, recomputed once per
-    // kill (not per item: the kill path should finish fast so the
-    // supervisor can respawn the seat).
+    // kill (not per item: the kill path should finish fast so the seat
+    // can respawn).
     let mut order: Vec<usize> = (0..queues.len())
         .filter(|&i| i != index && seats[i].alive())
         .collect();
@@ -1708,7 +1607,7 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
         catch_unwind(AssertUnwindSafe(|| {
             // Fault injection for this batch: added latency and/or a
             // panic, inside the unwind boundary so it exercises the real
-            // supervisor.
+            // breaker.
             if faults.armed() {
                 faults.fire_compute(fault_site);
             }
@@ -1815,7 +1714,7 @@ mod tests {
                 ..PricerConfig::default()
             },
             breaker: BreakerPolicy::default(),
-            supervisor: SupervisorPolicy::default(),
+            respawn: true,
         }
     }
 
@@ -1829,10 +1728,7 @@ mod tests {
         ServeConfig {
             shards,
             max_delay: Duration::from_millis(200),
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
+            respawn: false,
             ..quick_config()
         }
     }
@@ -2179,15 +2075,7 @@ mod tests {
 
     #[test]
     fn shutdown_answers_everything_pending() {
-        // Respawn off: `shutdown` then closes the queue at once instead
-        // of first waiting out a supervisor poll.
-        let server = Server::start(ServeConfig {
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
-            ..deep_tree_config()
-        });
+        let server = Server::start(deep_tree_config());
         // Hold the worker in a deep-tree batch, then queue ten requests
         // behind it and shut down while it is still pricing.
         let deep = server.submit(PriceRequest::new(100, "binomial", 30.0, 35.0, 1.0));
@@ -2286,10 +2174,7 @@ mod tests {
         faults::silence_injected_panics();
         let config = ServeConfig {
             shards: 2,
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
+            respawn: false,
             ..quick_config()
         };
         let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic).limited(1);
@@ -2553,13 +2438,10 @@ mod tests {
     #[test]
     fn a_killed_shard_degrades_availability_never_correctness() {
         // Respawn off: this test pins down the *terminal* loss behavior
-        // (the supervisor would otherwise put shard 0 back in service).
+        // (shard 0 would otherwise come back in service).
         let config = ServeConfig {
             shards: 2,
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
+            respawn: false,
             ..quick_config()
         };
         let kill = FaultSpec::always("serve.shard.0", FaultKind::Kill);
@@ -2591,8 +2473,8 @@ mod tests {
 
     #[test]
     fn a_killed_shard_is_respawned_and_serves_again() {
-        // Kill shard 0 exactly once; the supervisor (respawn on by
-        // default) must put a fresh worker back in the same seat.
+        // Kill shard 0 exactly once; with respawn on (the default) its
+        // worker must come back and serve in the same seat.
         let config = ServeConfig {
             shards: 2,
             ..quick_config()
@@ -2732,8 +2614,7 @@ mod tests {
         R::Out: std::fmt::Debug,
     {
         let server = Server::start(quick_config());
-        server.plane.closing.store(true, Ordering::Release);
-        server.plane.queues.iter().for_each(|q| q.close());
+        server.plane.close();
         let out = one_answer(&server, valid);
         assert!(matches!(out, Err(Rejected::ShuttingDown)), "{out:?}");
         let snap = server.shutdown();

@@ -19,10 +19,10 @@
 //! steady state opens, annotates and closes spans without allocating.
 
 use crate::filter::{enabled, Kind};
-use crate::metrics::counter_add;
+use crate::metrics::Counter;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, LazyLock, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Most finished spans the registry holds; the newest win. 512 records
@@ -152,6 +152,10 @@ static REGISTRY: Mutex<Ring> = Mutex::new(Ring {
     head: 0,
 });
 static EPOCH: OnceLock<Instant> = OnceLock::new();
+/// `telemetry.spans_dropped`: bumped on every span close once the ring is
+/// full, so it is a handle, not a by-name lookup.
+static SPANS_DROPPED: LazyLock<Counter> =
+    LazyLock::new(|| Counter::named("telemetry.spans_dropped"));
 
 thread_local! {
     static STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
@@ -227,7 +231,7 @@ impl Drop for SpanGuard {
         };
         let evicted = registry().push(record);
         if let Some(mut old) = evicted {
-            counter_add("telemetry.spans_dropped", 1);
+            SPANS_DROPPED.add(1);
             old.name.clear();
             old.attrs.clear();
             SPARE.with(|spare| *spare.borrow_mut() = Some((old.name, old.attrs)));

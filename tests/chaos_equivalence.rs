@@ -13,9 +13,7 @@ use finbench::core::engine::registry;
 use finbench::engine::Engine;
 use finbench::faults::{self, Corruption, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::pricer::{self, PricerConfig, ServingRung};
-use finbench::serve::{
-    BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server, SupervisorPolicy,
-};
+use finbench::serve::{BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -111,13 +109,10 @@ proptest! {
                 promote_after: 4,
                 ..BreakerPolicy::default()
             },
-            // Pin pre-supervision semantics: a killed shard stays dead and
+            // Pin terminal-loss semantics: a killed shard stays dead and
             // the router sheds (typed). Respawn interleavings get their own
             // property coverage in `tests/supervision.rs`.
-            supervisor: SupervisorPolicy {
-                respawn: false,
-                ..SupervisorPolicy::default()
-            },
+            respawn: false,
         };
         let server = Server::start_with_faults(config, Faults::new(plan));
         let (tx, rx) = std::sync::mpsc::channel();

@@ -13,7 +13,7 @@
 use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::{
     BreakerPolicy, GreeksRequest, PlaneSnapshot, PortfolioRequest, PriceRequest, PricerConfig,
-    Rejected, Response, ServeConfig, ServeRequest, ServeWorkload, Server, SupervisorPolicy, PLANES,
+    Rejected, Response, ServeConfig, ServeRequest, ServeWorkload, Server, PLANES,
 };
 use finbench::telemetry::counter_value;
 use std::time::{Duration, Instant};
@@ -261,10 +261,7 @@ fn counts_on_its_own_plane<R: ServeRequest + Clone>(
     let stalled = |shards: usize| ServeConfig {
         shards,
         max_delay: Duration::from_millis(200),
-        supervisor: SupervisorPolicy {
-            respawn: false,
-            ..SupervisorPolicy::default()
-        },
+        respawn: false,
         ..quick_config()
     };
     let (mut invalid, mut expired) = (valid.clone(), valid.clone());

@@ -12,7 +12,7 @@
 //! span registry are both process-wide, so sharing a process with
 //! concurrently running tests would make either assertion meaningless.
 
-use finbench::serve::{GreeksRequest, PricerConfig, ServeConfig, Server, SupervisorPolicy};
+use finbench::serve::{GreeksRequest, PricerConfig, ServeConfig, Server};
 use finbench::telemetry::{self, SPAN_RING_CAPACITY};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -30,11 +30,6 @@ fn span_memory_is_bounded_and_steady_state_batches_allocate_nothing_lane_side() 
         // trigger's, one batch per request.
         max_delay: Duration::from_secs(10),
         pricer: PricerConfig::default(),
-        // No supervisor thread: nothing else in the process runs.
-        supervisor: SupervisorPolicy {
-            respawn: false,
-            ..SupervisorPolicy::default()
-        },
         ..ServeConfig::default()
     });
     let (tx, rx) = mpsc::channel();

@@ -13,12 +13,11 @@ use finbench::core::engine::registry;
 use finbench::engine::Engine;
 use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::pricer::{self, PricerConfig, ServingRung};
-use finbench::serve::{
-    BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server, SupervisorPolicy,
-};
+use finbench::serve::{mix_seed, BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 fn contract() -> impl Strategy<Value = (f64, f64, f64)> {
@@ -54,16 +53,12 @@ fn healing_config(shards: usize, capacity: usize) -> ServeConfig {
             promote_after: 4,
             ..BreakerPolicy::default()
         },
-        supervisor: SupervisorPolicy {
-            respawn: true,
-            cooldown: Duration::from_millis(1),
-            ..SupervisorPolicy::default()
-        },
+        respawn: true,
     }
 }
 
-/// Rolling kill: every seat dies exactly once, the supervisor respawns
-/// each one, and the respawned fleet serves a full drive bit-exactly.
+/// Rolling kill: every seat dies exactly once, each one's worker
+/// respawns, and the respawned fleet serves a full drive bit-exactly.
 #[test]
 fn every_killed_seat_respawns_and_the_healed_fleet_serves_bit_exactly() {
     faults::silence_injected_panics();
@@ -74,8 +69,8 @@ fn every_killed_seat_respawns_and_the_healed_fleet_serves_bit_exactly() {
     }
     let server = Server::start_with_faults(healing_config(shards, 4096), Faults::new(plan));
 
-    // Each shard's first loop iteration hits its armed kill; wait for the
-    // supervisor to put a fresh worker in every seat.
+    // Each shard's first loop iteration hits its armed kill; wait for
+    // every seat's worker to come back.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let snap = server.snapshot();
@@ -84,7 +79,7 @@ fn every_killed_seat_respawns_and_the_healed_fleet_serves_bit_exactly() {
         }
         assert!(
             Instant::now() < deadline,
-            "supervisor failed to respawn all seats within 10s: {} alive, {} respawns",
+            "seats failed to respawn within 10s: {} alive, {} respawns",
             snap.alive_shards(),
             snap.total_respawns()
         );
@@ -140,6 +135,57 @@ fn every_killed_seat_respawns_and_the_healed_fleet_serves_bit_exactly() {
     assert_eq!(snap.internal, 0, "nothing rejected after recovery");
 }
 
+/// A one-shard server whose seat is killed on every incarnation: with
+/// respawn on, it crash-loops for as long as it runs.
+fn crash_looping() -> Server {
+    let plan = FaultPlan::new().with(FaultSpec::always("serve.shard.0", FaultKind::Kill));
+    Server::start_with_faults(healing_config(1, 16), Faults::new(plan))
+}
+
+/// Shut `server` down on a thread of its own and return how long that
+/// took — failing after 10 s instead of hanging the test binary.
+fn shutdown_time(server: Server) -> Duration {
+    let (tx, rx) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        server.shutdown();
+        let _ = tx.send(t0.elapsed());
+    });
+    let took = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown returns: no worker is left serving a reopened queue");
+    stopper.join().expect("shutdown does not panic");
+    took
+}
+
+/// The backoff paces a crash loop: its waits double from 1 ms to the
+/// 250 ms cap (1 + 2 + … + 128 = 255 ms), so 300 ms hold about eight
+/// respawns, never a hot loop. Shutdown then finds the seat inside its
+/// 250 ms wait and cuts it short instead of waiting it out.
+#[test]
+fn a_crash_looping_seat_backs_off_and_shutdown_cuts_its_cooldown_short() {
+    let server = crash_looping();
+    std::thread::sleep(Duration::from_millis(300));
+    let snap = server.snapshot();
+    let respawns = snap.shards[0].respawns;
+    assert!((3..=12).contains(&respawns), "{respawns} respawns");
+    assert!(!snap.shards[0].alive, "mid-cooldown, the seat is dead");
+    let took = shutdown_time(server);
+    assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+}
+
+/// Shutdown returns from any point of a crash loop — mid-kill,
+/// mid-cooldown, just after a reopen. 50 start → crash-loop → shutdown
+/// cycles, each shutting down after a seeded 0–5 ms delay.
+#[test]
+fn shutdown_returns_from_any_point_of_a_crash_loop() {
+    for cycle in 0..50 {
+        let server = crash_looping();
+        std::thread::sleep(Duration::from_micros(mix_seed(0x5EED, cycle) % 5_001));
+        shutdown_time(server);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -170,7 +216,7 @@ proptest! {
             );
         }
         let mut config = healing_config(shards, opts.len().max(16));
-        config.supervisor.respawn = respawn;
+        config.respawn = respawn;
         let server = Server::start_with_faults(config, Faults::new(plan));
         let (tx, rx) = std::sync::mpsc::channel();
         for (i, &(s, x, t)) in opts.iter().enumerate() {
