@@ -44,6 +44,12 @@ if git grep -nE 'SupervisorPolicy|supervisor_loop|SupervisorCtx|finbench-serve-s
   exit 1
 fi
 
+echo "==> source guard (no merge thread: a portfolio fan-out joins where its last chunk lands)"
+if git grep -nE 'merge_portfolio|PortfolioChunkResponse|finbench-portfolio-merge|stage_extra' -- crates tests; then
+  echo "chunks answer into their request's PortfolioFanIn; each plane stages its own scratch through ServeWorkload::stage" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2

@@ -130,58 +130,6 @@ pub fn implied_vol(kind: OptionType, price: f64, s: f64, x: f64, t: f64, r: f64)
     Some(sigma)
 }
 
-isa_fn! {
-    /// SOA batch greeks: delta/gamma/vega for every option in the batch, one
-    /// option per SIMD lane — the vectorized risk sweep a production book
-    /// runs alongside pricing. Writes into caller-provided output slices
-    /// (each `batch.len()` long).
-    pub fn greeks_soa_simd<const W: usize>(
-        kind: OptionType,
-        batch: &crate::workload::OptionBatchSoa,
-        m: MarketParams,
-        delta: &mut [f64],
-        gamma: &mut [f64],
-        vega: &mut [f64],
-    ) {
-        use finbench_simd::math::{vexp, vln, vnorm_cdf};
-        use finbench_simd::{F64v, Lanes};
-
-        let n = batch.len();
-        assert!(
-            delta.len() == n && gamma.len() == n && vega.len() == n,
-            "output slices must match the batch"
-        );
-        let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
-        let main = n - n % W;
-        let mut i = 0;
-        while i < main {
-            let s = F64v::<W>::load(&batch.s, i);
-            let x = F64v::<W>::load(&batch.x, i);
-            let t = F64v::<W>::load(&batch.t, i);
-            let sqrt_t = t.sqrt();
-            let denom = 1.0 / (sqrt_t * m.sigma);
-            let d1 = (vln(s / x) + t * (m.r + 0.5 * m.sigma * m.sigma)) * denom;
-            let pdf1 = vexp(d1 * d1 * -0.5) * inv_sqrt_2pi;
-            let nd1 = vnorm_cdf(d1);
-
-            let dv = match kind {
-                OptionType::Call => nd1,
-                OptionType::Put => nd1 - 1.0,
-            };
-            dv.store(delta, i);
-            (pdf1 / (s * (m.sigma * 1.0) * sqrt_t)).store(gamma, i);
-            (s * pdf1 * sqrt_t).store(vega, i);
-            i += W;
-        }
-        for j in main..n {
-            let g = greeks(kind, batch.s[j], batch.x[j], batch.t[j], m);
-            delta[j] = g.delta;
-            gamma[j] = g.gamma;
-            vega[j] = g.vega;
-        }
-    }
-}
-
 /// SOA block of all five greeks for one side of the contract.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GreeksSoa {
@@ -492,30 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_greeks_match_scalar() {
-        use crate::workload::{OptionBatchSoa, WorkloadRanges};
-        let b = OptionBatchSoa::random(333, 8, WorkloadRanges::default());
-        for kind in [OptionType::Call, OptionType::Put] {
-            let mut delta = vec![0.0; b.len()];
-            let mut gamma = vec![0.0; b.len()];
-            let mut vega = vec![0.0; b.len()];
-            greeks_soa_simd::<8>(kind, &b, M, &mut delta, &mut gamma, &mut vega);
-            for i in 0..b.len() {
-                let g = greeks(kind, b.s[i], b.x[i], b.t[i], M);
-                assert!((delta[i] - g.delta).abs() < 1e-12, "{kind:?} delta {i}");
-                assert!(
-                    (gamma[i] - g.gamma).abs() < 1e-12 * g.gamma.max(1.0),
-                    "{kind:?} gamma {i}"
-                );
-                assert!(
-                    (vega[i] - g.vega).abs() < 1e-10 * g.vega.max(1.0),
-                    "{kind:?} vega {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn full_sweep_matches_scalar_closed_form() {
         use crate::workload::{OptionBatchSoa, WorkloadRanges};
         let b = OptionBatchSoa::random(123, 9, WorkloadRanges::default());
@@ -577,16 +501,5 @@ mod tests {
         let b = OptionBatchSoa::random(8, 1, WorkloadRanges::default());
         let mut out = GreeksBatchSoa::zeroed(4);
         greeks_batch_simd::<8>(&b, M, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "output slices must match")]
-    fn batch_greeks_reject_short_outputs() {
-        use crate::workload::{OptionBatchSoa, WorkloadRanges};
-        let b = OptionBatchSoa::random(8, 1, WorkloadRanges::default());
-        let mut short = vec![0.0; 4];
-        let mut g = vec![0.0; 8];
-        let mut v = vec![0.0; 8];
-        greeks_soa_simd::<8>(OptionType::Call, &b, M, &mut short, &mut g, &mut v);
     }
 }

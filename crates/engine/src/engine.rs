@@ -151,17 +151,6 @@ impl Engine {
             .collect()
     }
 
-    /// [`run_ladder_samples`](Self::run_ladder_samples) by registry name;
-    /// unknown names are a typed error.
-    pub fn run_ladder_samples_named(
-        &self,
-        name: &str,
-        quick: bool,
-        trials: usize,
-    ) -> Result<Vec<RungSamples>, EngineError> {
-        Ok(self.run_ladder_samples(self.registry.resolve(name)?, quick, trials))
-    }
-
     fn emit_plan_span(&self, kernel: &dyn AnyKernel) {
         let _g = telemetry::span(format!("plan.{}", kernel.name()));
         telemetry::set_attr("arch", self.planner.arch().name);
@@ -302,7 +291,7 @@ mod tests {
     fn interleaved_trials_merge_per_rung_samples() {
         telemetry::set_filter("all");
         let e = engine();
-        let rungs = e.run_ladder_samples_named("toy", true, 3).unwrap();
+        let rungs = e.run_ladder_samples(e.registry().resolve("toy").unwrap(), true, 3);
         assert_eq!(rungs.len(), 2);
         assert_eq!(rungs[0].slug, "basic_scalar");
         assert_eq!(rungs[1].slug, "advanced_pairwise");
@@ -323,10 +312,6 @@ mod tests {
             .filter(|s| s.name == "bench.toy.basic_scalar")
             .count();
         assert!((1..=3).contains(&visits), "{visits}");
-        assert!(matches!(
-            e.run_ladder_samples_named("missing", true, 1).unwrap_err(),
-            EngineError::UnknownKernel { .. }
-        ));
     }
 
     #[test]

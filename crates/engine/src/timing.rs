@@ -2,8 +2,8 @@
 //!
 //! [`throughput`] keeps the classic best-of contract; [`throughput_samples`]
 //! returns the full per-rep distribution as a [`Samples`] and attaches a
-//! summary (rep count, best/median/p95 rates, a log-bucketed histogram
-//! sketch) to the innermost open telemetry span.
+//! summary (rep count, best/median/p95 rates) to the innermost open
+//! telemetry span.
 
 use finbench_telemetry as telemetry;
 use std::time::Instant;
@@ -12,8 +12,7 @@ use std::time::Instant;
 ///
 /// Rates are `items/second`, one entry per *timed* repetition (the warmup
 /// call is excluded). Quantiles use the nearest-rank convention on the
-/// exact sorted rates; the bundled [`telemetry::Histogram`] is the
-/// streaming sketch that exporters consume.
+/// exact sorted rates.
 #[derive(Debug, Clone)]
 pub struct Samples {
     /// Per-rep rates in measurement order.
@@ -23,8 +22,6 @@ pub struct Samples {
     /// "Cycles" are nanoseconds on hosts without an RDTSC source — see
     /// [`telemetry::cycles::cycle_source`].
     pub cycles_per_item: Vec<f64>,
-    /// Streaming log-bucketed sketch of the same rates.
-    pub hist: telemetry::Histogram,
 }
 
 impl Samples {
@@ -35,14 +32,9 @@ impl Samples {
 
     /// Build from per-rep rates plus matching cycles-per-item samples.
     pub fn from_parts(rates: Vec<f64>, cycles_per_item: Vec<f64>) -> Self {
-        let mut hist = telemetry::Histogram::new();
-        for &r in &rates {
-            hist.record(r);
-        }
         Self {
             rates,
             cycles_per_item,
-            hist,
         }
     }
 
@@ -52,7 +44,6 @@ impl Samples {
         self.rates.extend_from_slice(&other.rates);
         self.cycles_per_item
             .extend_from_slice(&other.cycles_per_item);
-        self.hist.merge(&other.hist);
     }
 
     /// Median cycles per item (NaN when no cycle samples were taken).
@@ -113,7 +104,6 @@ pub fn throughput_samples(items: usize, min_secs: f64, mut body: impl FnMut()) -
     let started = Instant::now();
     let mut rates = Vec::new();
     let mut cycles_per_item = Vec::new();
-    let mut hist = telemetry::Histogram::new();
     let mut spent = 0.0;
     loop {
         // The cycle window nests inside the wall window so the Instant
@@ -126,7 +116,6 @@ pub fn throughput_samples(items: usize, min_secs: f64, mut body: impl FnMut()) -
         let rate = items as f64 / dt;
         rates.push(rate);
         cycles_per_item.push(cyc / items.max(1) as f64);
-        hist.record(rate);
         spent += dt.min(cap);
         let reps = rates.len();
         if reps >= 2
@@ -135,11 +124,7 @@ pub fn throughput_samples(items: usize, min_secs: f64, mut body: impl FnMut()) -
             break;
         }
     }
-    let s = Samples {
-        rates,
-        cycles_per_item,
-        hist,
-    };
+    let s = Samples::from_parts(rates, cycles_per_item);
     telemetry::set_attr("reps", s.count());
     telemetry::set_attr("best_rate", s.best());
     telemetry::set_attr("median_rate", s.median());
@@ -204,10 +189,6 @@ mod tests {
         assert_eq!(s.p95(), 5.0);
         assert_eq!(s.quantile(0.0), 1.0);
         assert_eq!(s.quantile(1.0), 5.0);
-        // The streaming sketch agrees with the exact extremes.
-        assert_eq!(s.hist.min(), 1.0);
-        assert_eq!(s.hist.max(), 5.0);
-        assert_eq!(s.hist.count(), 5);
     }
 
     #[test]
@@ -230,7 +211,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.rates, vec![1.0, 2.0, 3.0]);
         assert_eq!(a.cycles_per_item, vec![10.0, 20.0, 30.0]);
-        assert_eq!(a.hist.count(), 3);
         assert_eq!(a.best(), 3.0);
     }
 

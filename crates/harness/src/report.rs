@@ -24,8 +24,8 @@ use crate::render::{fmt_num, section, table};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_engine::RungSamples;
 use finbench_serve::{
-    padded_batch_into, FlushCounts, GreeksSource, LoadMode, PeakReport, PeakSearchConfig,
-    PortfolioSource, PricerConfig, RequestSource, Scratch, ServeConfig, Server,
+    padded_batch_into, FlushCounts, GreeksSource, LoadMode, OptionScratch, PeakReport,
+    PeakSearchConfig, PortfolioSource, PricerConfig, RequestSource, ServeConfig, Server,
 };
 use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry as telemetry;
@@ -465,7 +465,7 @@ const ALLOC_ITERS: usize = 64;
 ///
 /// Two families per kernel: the historical *allocating* lane (fresh
 /// batch per iteration, the pre-`*_into` serve path) and a `_pooled`
-/// lane that reuses one [`Scratch`] across iterations the way a serve
+/// lane that reuses one [`OptionScratch`] across iterations the way a serve
 /// lane does at steady state. The pooled SOA lanes must report **0**
 /// allocs/iter ([`crate::gate::snapshot`]).
 fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
@@ -491,7 +491,7 @@ fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
         });
     };
     // A lane's steady state: the flush staged into one reused scratch.
-    let stage = |scratch: &mut Scratch, width: usize| {
+    let stage = |scratch: &mut OptionScratch, width: usize| {
         scratch.opts.clear();
         scratch.opts.extend_from_slice(&opts);
         scratch.stage(width);
@@ -509,7 +509,7 @@ fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
         // Pooled Black-Scholes: the steady-state serve price path (binomial
         // is excluded — its lattice kernel allocates internally by design).
         if kernel == "black_scholes" {
-            let mut scratch = Scratch::new();
+            let mut scratch = OptionScratch::new();
             lane("black_scholes_pooled", &rung.slug, &mut || {
                 stage(&mut scratch, rung.width);
                 rung.price(&mut scratch.soa);
@@ -526,7 +526,7 @@ fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
             std::hint::black_box(&greeks);
         });
         // Pooled greeks: the steady-state serve greeks path.
-        let mut scratch = Scratch::new();
+        let mut scratch = OptionScratch::new();
         lane("greeks_pooled", &rung.slug, &mut || {
             stage(&mut scratch, rung.width);
             scratch.greeks.resize(scratch.soa.len());
@@ -536,7 +536,7 @@ fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
     }
     // Pooled fused pass: prices + all ten greeks in one sweep over the
     // same reused scratch — the cheapest way to serve both planes.
-    let mut scratch = Scratch::new();
+    let mut scratch = OptionScratch::new();
     let fused = "advanced_fused_price_greeks_w_8";
     lane("fused_pooled", fused, &mut || {
         stage(&mut scratch, 8);

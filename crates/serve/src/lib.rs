@@ -33,7 +33,8 @@
 //! (W=8 → W=4 → scalar degradation ladder, every level bit-identical).
 //! [`PortfolioRequest`]s go further: one request **fans out** scenario
 //! chunks of a full-book revaluation across the live shards (riding
-//! spill, steal, and redrive like any work item) and a merge task
+//! spill, steal, and redrive like any work item), and the last chunk to
+//! land in the request's [`PortfolioFanIn`](portfolio::PortfolioFanIn)
 //! stitches the partial P&L tallies back into VaR / expected-shortfall
 //! summaries — bit-identical to a native single-threaded sweep, because
 //! scenario grids are split-invariant and revaluation is padded
@@ -70,8 +71,8 @@
 //! [`ServeConfig::respawn`] on, a killed shard's worker heals its own seat
 //! after a capped exponential backoff — no monitor thread — and reports
 //! per-seat MTTR; a kill's stranded
-//! work is redriven at-most-once to a live sibling with its response
-//! channel intact; deadline sheds are split first-attempt vs
+//! work is redriven at-most-once to a live sibling with its reply
+//! intact; deadline sheds are split first-attempt vs
 //! post-redrive; and [`loadgen`] can hedge slow closed-loop requests
 //! client-side ([`HedgePolicy`], first-response-wins on [`HEDGE_BIT`]).
 
@@ -97,10 +98,7 @@ pub use loadgen::{
     PeakSearchConfig, PeakStep, PortfolioSource, RequestSource, ShardLoad, HEDGE_BIT,
     MAX_WINDOW_TOTAL,
 };
-pub use portfolio::{
-    portfolio_ladder, PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkResponse,
-    PortfolioRung,
-};
+pub use portfolio::{portfolio_ladder, PortfolioChunkOut, PortfolioChunkRequest, PortfolioRung};
 pub use pricer::{padded_batch_into, servable_ladder, PricerConfig, ServingRung};
 pub use queue::AdmissionQueue;
 pub use request::{
@@ -108,4 +106,6 @@ pub use request::{
     PriceRequest, PriceResponse, Priced, Rejected, Response, ServeRequest, MAX_PORTFOLIO_PRICINGS,
 };
 pub use server::{KernelSnapshot, ServeConfig, ServeSnapshot, Server, ShardSnapshot};
-pub use workload::{GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload};
+pub use workload::{
+    GreeksWorkload, OptionScratch, PortfolioWorkload, PriceWorkload, ServeWorkload,
+};

@@ -1,8 +1,8 @@
 //! The portfolio serving ladder and its chunk wire format: one
-//! [`PortfolioRequest`](crate::request::PortfolioRequest) fans out into
-//! [`PortfolioChunkRequest`]s — contiguous scenario ranges of the same
-//! book — that ride the shared admission/shard plumbing like any other
-//! work item, and merge back into one response.
+//! [`PortfolioRequest`] fans out into [`PortfolioChunkRequest`]s —
+//! contiguous scenario ranges of the same book — that ride the shared
+//! admission/shard plumbing like any other work item, and land in one
+//! [`PortfolioFanIn`] that merges them back into one response.
 //!
 //! The chunk is the fan-out unit the router spills, siblings steal, and
 //! a killed shard redrives; correctness survives all three because the
@@ -24,9 +24,13 @@
 //! slice deterministically instead of shipping megabytes of state
 //! through the queue — the admission seam stays cheap, owned messages.
 
-use finbench_core::portfolio::{revalue_into, Book, RevalScratch, ScenarioGrid};
+use crate::ledger::Ledger;
+use crate::request::{PortfolioOut, PortfolioRequest, PortfolioResponse, Rejected, Response};
+use finbench_core::portfolio::{revalue_into, var_es, Book, RevalScratch, ScenarioGrid};
 use finbench_core::MarketParams;
-use std::time::{Duration, Instant};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 type RevalFn = Box<dyn Fn(&Book, &ScenarioGrid, &mut RevalScratch, &mut Vec<f64>) + Send + Sync>;
 
@@ -82,8 +86,6 @@ pub fn portfolio_ladder(market: MarketParams) -> Vec<PortfolioRung> {
 /// integers, reconstructed into book + grid slice on the executing shard.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PortfolioChunkRequest {
-    /// The parent request's correlation id (shared by all its chunks).
-    pub id: u64,
     /// Book + grid seed (the book is a pure function of `(positions,
     /// seed)`, the grid of `(scenarios, seed)`).
     pub seed: u64,
@@ -110,16 +112,119 @@ pub struct PortfolioChunkOut {
     pub pnl: Vec<f64>,
     /// Slug of the portfolio rung that revalued the chunk.
     pub rung: String,
-    /// How many chunks rode in the same micro-batch.
-    pub batch_len: usize,
-    /// Submit-to-scatter-back latency of this chunk.
-    pub latency: Duration,
 }
 
-/// The answer to one [`PortfolioChunkRequest`] (carrying the parent
-/// request's id), merged — never surfaced to clients — by the parent
-/// request's merge task.
-pub type PortfolioChunkResponse = crate::request::Response<PortfolioChunkOut>;
+/// One portfolio request's fan-in: every chunk envelope of the request
+/// holds it, and each chunk's one answer lands here — from the worker
+/// that computed it, or from the router that could not place it. The
+/// answer that leaves none owed merges the parts in scenario order,
+/// aggregates VaR/ES and sends the request's single response; a failed
+/// chunk fails the whole request with the first failure to land, so
+/// partial P&L distributions are never surfaced.
+pub struct PortfolioFanIn {
+    id: u64,
+    confidence: Vec<f64>,
+    submitted: Instant,
+    tx: Sender<PortfolioResponse>,
+    ledger: Arc<Ledger>,
+    landed: Mutex<Landed>,
+}
+
+/// What a fan-in has collected so far.
+#[derive(Default)]
+struct Landed {
+    /// Chunk answers still to land.
+    owed: usize,
+    parts: Vec<PortfolioChunkOut>,
+    /// The first failing chunk's rejection.
+    failed: Option<Rejected>,
+}
+
+impl PortfolioFanIn {
+    /// The fan-in of `req`, split into `chunks` chunks, answering on `tx`.
+    pub(crate) fn new(
+        req: &PortfolioRequest,
+        chunks: usize,
+        tx: &Sender<PortfolioResponse>,
+        ledger: &Arc<Ledger>,
+    ) -> Self {
+        let landed = Landed {
+            owed: chunks,
+            ..Landed::default()
+        };
+        Self {
+            id: req.id,
+            confidence: req.confidence.clone(),
+            submitted: Instant::now(),
+            tx: tx.clone(),
+            ledger: Arc::clone(ledger),
+            landed: Mutex::new(landed),
+        }
+    }
+
+    /// Land one chunk's answer; the last one owed answers the request.
+    pub(crate) fn land(&self, outcome: Result<PortfolioChunkOut, Rejected>) {
+        let mut landed = self.landed.lock().unwrap_or_else(|e| e.into_inner());
+        match outcome {
+            Ok(part) => landed.parts.push(part),
+            Err(reason) => {
+                landed.failed.get_or_insert(reason);
+            }
+        }
+        landed.owed -= 1;
+        if landed.owed > 0 {
+            return;
+        }
+        let Landed {
+            mut parts, failed, ..
+        } = std::mem::take(&mut *landed);
+        drop(landed);
+        let outcome = match failed {
+            Some(reason) => {
+                self.ledger.portfolio_failed.add(1);
+                Err(reason)
+            }
+            None => {
+                // Scenario order is the merge contract: chunks may have
+                // executed on any shard in any order, but `lo` restores
+                // the native sweep's layout, making the concatenation
+                // bit-identical to it.
+                parts.sort_by_key(|p| p.lo);
+                let pnl: Vec<f64> = parts.iter().flat_map(|p| &p.pnl).copied().collect();
+                let mut rungs: Vec<String> = parts.iter().map(|p| p.rung.clone()).collect();
+                rungs.sort();
+                rungs.dedup();
+                self.ledger.portfolio_merged.add(1);
+                Ok(PortfolioOut {
+                    risk: var_es(&pnl, &self.confidence),
+                    scenarios: pnl.len(),
+                    chunks: parts.len(),
+                    rungs,
+                    latency: self.submitted.elapsed(),
+                    pnl,
+                })
+            }
+        };
+        let id = self.id;
+        let _ = self.tx.send(Response { id, outcome });
+    }
+}
+
+impl Drop for PortfolioFanIn {
+    /// Every server path answers each chunk envelope exactly once, so a
+    /// fan-in dropped with answers still owed is a bug upstream: fail the
+    /// request instead of leaving its caller waiting forever.
+    fn drop(&mut self) {
+        let landed = self.landed.get_mut().unwrap_or_else(|e| e.into_inner());
+        if landed.owed > 0 {
+            // Land the failure as the one answer still owed.
+            landed.owed = 1;
+            self.land(Err(Rejected::Internal {
+                reason: "portfolio fan-in dropped with chunk answers owed".into(),
+            }));
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -59,8 +59,6 @@ type PriceFn = Box<dyn Fn(&mut OptionBatchSoa) + Send + Sync>;
 /// A resolved batch-safe pricer: one ladder rung, ready to price padded
 /// SOA batches.
 pub struct ServingRung {
-    /// Kernel the rung belongs to.
-    pub kernel: String,
     /// Ladder slug of the rung (reported on every [`Priced`](crate::request::Priced)).
     pub slug: String,
     /// SIMD width: batches are padded to a multiple of this.
@@ -143,7 +141,6 @@ pub fn servable(kernel: &str, slug: &str, cfg: &PricerConfig) -> Option<ServingR
         _ => return None,
     };
     Some(ServingRung {
-        kernel: kernel.to_string(),
         slug: slug.to_string(),
         width,
         price,

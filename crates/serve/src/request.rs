@@ -148,7 +148,7 @@ impl ServeRequest for PriceRequest {
         corrupt_contract(faults, &site, &mut self.s, &mut self.x, &mut self.t);
     }
     fn admit(self, door: Admitted<'_>, tx: &Sender<PriceResponse>) {
-        door.one(self.id, Work::Price(Envelope::new(self, tx)), tx);
+        door.one(Work::Price(Envelope::new(self, tx)));
     }
 }
 
@@ -203,7 +203,7 @@ impl ServeRequest for GreeksRequest {
         corrupt_contract(faults, "admit.greeks", s, x, t);
     }
     fn admit(self, door: Admitted<'_>, tx: &Sender<GreeksResponse>) {
-        door.one(self.id, Work::Greeks(Envelope::new(self, tx)), tx);
+        door.one(Work::Greeks(Envelope::new(self, tx)));
     }
 }
 

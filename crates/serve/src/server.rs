@@ -20,17 +20,24 @@
 //!     ▼                    busiest sibling (bit-invisible: any shard
 //!  catch_unwind(rung.price)        prices the same rung identically)
 //!     │ scatter-back │ panic ⇒ Rejected::Internal, breaker feeds back
-//!     └────► PriceResponse per request (mpsc) ◄─────┘
+//!     └────► one answer per envelope (its reply) ◄─────┘
 //! ```
 //!
 //! ## The shard boundary is a message-passing seam
 //!
 //! The router talks to a shard **only** through its [`AdmissionQueue`]
-//! (owned work messages in) and the per-request `mpsc` response channels
-//! carried inside each envelope (results out); shared-memory state is
-//! limited to monotonic telemetry tallies. A later PR can therefore move
-//! shards behind a socket/IPC transport by serializing `Work` at this
-//! seam without touching lane logic.
+//! (owned work messages in) and the reply carried inside each envelope
+//! (results out: a request's `mpsc` response channel, or a portfolio
+//! request's [`PortfolioFanIn`]); shared-memory state is limited to
+//! monotonic telemetry tallies. Shards could therefore move behind a
+//! socket/IPC transport by serializing `Work` at this seam without
+//! touching lane logic.
+//!
+//! A portfolio fan-out needs no thread of its own: its last chunk answer
+//! to land — on a worker, or on the router for a chunk it could not
+//! place — merges the parts and answers the request. The only threads a
+//! [`Server`] runs are its shard workers, and [`Server::shutdown`] joins
+//! them, so when it returns every admitted request has been answered.
 //!
 //! ## The worker loop is work-conserving
 //!
@@ -62,7 +69,7 @@
 //! A shard killed by the `serve.shard.<i>=kill` fault marks itself dead,
 //! closes its queue, and exits; the router stops routing to it. Work
 //! stranded in its lanes and queue is **redriven** once to a live
-//! sibling — the response channel rides inside the envelope, and padded
+//! sibling — the reply rides inside the envelope, and padded
 //! lane-wise batching makes the move bit-invisible, exactly like a
 //! steal. Each envelope carries a `redriven` flag, so a request caught
 //! in a *second* shard loss is answered [`Rejected::Internal`] instead
@@ -123,18 +130,15 @@
 use crate::batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 use crate::breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 use crate::ledger::{Ledger, PlaneSnapshot, Tallies};
-use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest, PortfolioChunkResponse};
+use crate::portfolio::{PortfolioChunkRequest, PortfolioFanIn};
 use crate::pricer::PricerConfig;
 use crate::queue::AdmissionQueue;
 use crate::request::{
-    GreeksRequest, GreeksResponse, PortfolioOut, PortfolioRequest, PortfolioResponse, Rejected,
-    Response, ServeRequest,
+    GreeksRequest, GreeksResponse, PortfolioRequest, PortfolioResponse, Rejected, Response,
+    ServeRequest,
 };
-use crate::workload::{
-    Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, Scratch, ServeWorkload,
-};
+use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
 use finbench_core::engine::registry;
-use finbench_core::portfolio::var_es;
 use finbench_engine::Engine;
 use finbench_faults::{FaultKind, Faults};
 use finbench_telemetry::{self as telemetry, Counter, Gauge, Histogram};
@@ -258,9 +262,10 @@ impl Work {
 /// request plane it runs ([`ServeWorkload`]): its degradation ladder
 /// (index 0 = planned serving rung, last = scalar reference), the level
 /// it currently serves at, its supervising breaker, and its reusable
-/// batch buffers. The flush target and [`Scratch`] are recycled across
-/// batches — grown to the largest flush seen, never shrunk — so
-/// steady-state batch execution allocates nothing.
+/// batch buffers. The flush target and the plane's
+/// [`Scratch`](ServeWorkload::Scratch) are recycled across batches —
+/// grown to the largest flush seen, never shrunk — so steady-state batch
+/// execution allocates nothing.
 struct Lane<W: ServeWorkload> {
     /// Lane key: the kernel name (telemetry `<key>`).
     key: String,
@@ -274,7 +279,7 @@ struct Lane<W: ServeWorkload> {
     /// The flushed batch being executed, reused across flushes.
     flush: Vec<Envelope<W>>,
     /// Reusable staging + output buffers for batch execution.
-    scratch: Scratch,
+    scratch: W::Scratch,
     /// Telemetry names and gauge handles, made once at lane construction
     /// so the hot path never builds or looks up a metric name.
     span_name: String,
@@ -621,8 +626,9 @@ struct Plane {
     queues: Vec<Arc<AdmissionQueue<Work>>>,
     /// Per-seat shared tallies + liveness, seat-index order.
     seats: Vec<Arc<ShardSeat>>,
-    /// The server-level half of the ledger (each seat holds its own).
-    ledger: Ledger,
+    /// The server-level half of the ledger (each seat holds its own);
+    /// portfolio fan-ins share it to count how their request ended.
+    ledger: Arc<Ledger>,
     /// True once shutdown started (distinguishes `ShuttingDown` from a
     /// dead-shard rejection). Shutdown closes the queues under this lock
     /// and a respawning worker reopens its queue under it, so no queue
@@ -691,7 +697,7 @@ impl Server {
                 .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
                 .collect(),
             seats: (0..n).map(|i| Arc::new(ShardSeat::new(i))).collect(),
-            ledger: Ledger::new(),
+            ledger: Arc::new(Ledger::new()),
             closing: Mutex::new(false),
             closed: Condvar::new(),
             config,
@@ -830,20 +836,6 @@ impl Server {
         self.submit_with(req, tx);
     }
 
-    /// The tail every admitted work item goes through — a price or greeks
-    /// request's one envelope, each chunk of a portfolio fan-out: route
-    /// it, or tally the `QueueFull` shed and hand back the typed rejection.
-    fn route_or_reject(&self, work: Work) -> Result<(), Rejected> {
-        // The unrouted work is dropped here, and its channel clone with
-        // it: whoever answers the rejection holds the caller's sender.
-        self.route(work).map_err(|(work, reason)| {
-            if matches!(reason, Rejected::QueueFull { .. }) {
-                work.tallies(&self.plane.ledger).shed_queue_full.add(1);
-            }
-            reason
-        })
-    }
-
     /// Current admission-queue depth, summed over all shards.
     pub fn queue_depth(&self) -> usize {
         self.plane.queues.iter().map(|q| q.len()).sum()
@@ -927,172 +919,54 @@ impl Drop for Server {
 /// The way into the queues for a request that passed admission-side
 /// validation. Only [`Server::submit_with`] makes one, so
 /// [`ServeRequest::admit`] cannot be reached with an unvalidated request.
+#[derive(Clone, Copy)]
 pub struct Admitted<'a>(&'a Server);
 
 impl Admitted<'_> {
-    /// Queue request `id` as the one work item it is; a routing failure
-    /// is answered on `tx` at once.
-    pub(crate) fn one<T>(self, id: u64, work: Work, tx: &Sender<Response<T>>) {
-        if let Err(reason) = self.0.route_or_reject(work) {
-            let _ = tx.send(Response {
-                id,
-                outcome: Err(reason),
-            });
+    /// The tail every admitted work item goes through — a price or greeks
+    /// request's one envelope, each chunk of a portfolio fan-out: route
+    /// it, or tally the `QueueFull` shed and answer the typed rejection
+    /// on the envelope's own reply.
+    pub(crate) fn one(self, work: Work) {
+        if let Err((work, reason)) = self.0.route(work) {
+            if matches!(reason, Rejected::QueueFull { .. }) {
+                work.tallies(&self.0.plane.ledger).shed_queue_full.add(1);
+            }
+            on_envelope!(work, env => env.answer(Err(reason)));
         }
     }
 
     /// Fan a portfolio request out: the scenario range is split into
     /// chunks routed across the live shards (each chunk spills, is
-    /// stolen, and is redriven like any work item), and a merge task
-    /// stitches the partial P&L tallies back into scenario order,
-    /// aggregates VaR/ES, and answers exactly once. Any chunk-level
-    /// rejection fails the whole request with the first failure's typed
-    /// reason — partial P&L distributions are never surfaced.
+    /// stolen, and is redriven like any work item), all answering into
+    /// one [`PortfolioFanIn`] that answers the request exactly once, on
+    /// whichever thread lands its last chunk.
     pub(crate) fn portfolio(self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
-        let id = req.id;
-        self.0.plane.ledger.portfolio_requests.add(1);
-        let submitted = Instant::now();
+        let server = self.0;
+        server.plane.ledger.portfolio_requests.add(1);
         // Chunk size: explicit, or a few chunks per shard so every live
         // worker sees fan-out (and work stealing has grains to move).
         let chunk = if req.chunk > 0 {
             req.chunk
         } else {
-            req.scenarios.div_ceil(self.0.shard_count() * 4).max(16)
+            req.scenarios.div_ceil(server.shard_count() * 4).max(16)
         }
         .min(req.scenarios)
         .max(1);
-        let (ctx_tx, ctx_rx) = mpsc::channel();
-        let mut expected = 0usize;
-        let mut route_err: Option<Rejected> = None;
-        let mut lo = 0;
-        while lo < req.scenarios {
-            let hi = (lo + chunk).min(req.scenarios);
+        let chunks = req.scenarios.div_ceil(chunk);
+        let fan_in = Arc::new(PortfolioFanIn::new(&req, chunks, tx, &server.plane.ledger));
+        for lo in (0..req.scenarios).step_by(chunk) {
             let chunk = PortfolioChunkRequest {
-                id,
                 seed: req.seed,
                 positions: req.positions,
                 scenarios: req.scenarios,
                 lo,
-                hi,
+                hi: (lo + chunk).min(req.scenarios),
                 deadline: req.deadline,
             };
-            // Every chunk carries the request's own submit time.
-            let env = Envelope {
-                req: chunk,
-                submitted,
-                redriven: false,
-                tx: ctx_tx.clone(),
-            };
-            // The merger only waits for successfully routed chunks.
-            match self.0.route_or_reject(Work::Portfolio(env)) {
-                Ok(()) => expected += 1,
-                Err(reason) => {
-                    route_err.get_or_insert(reason);
-                }
-            }
-            lo = hi;
-        }
-        drop(ctx_tx);
-        let tx = tx.clone();
-        let plane = Arc::clone(&self.0.plane);
-        let confidence = req.confidence;
-        let scenarios = req.scenarios;
-        // The merge runs on its own short-lived thread so submit returns
-        // immediately: the fan-out's latency belongs to the server, not
-        // the caller's submit path.
-        std::thread::Builder::new()
-            .name("finbench-portfolio-merge".into())
-            .spawn(move || {
-                merge_portfolio(
-                    id,
-                    scenarios,
-                    confidence,
-                    expected,
-                    route_err,
-                    ctx_rx,
-                    tx,
-                    submitted,
-                    &plane.ledger,
-                )
-            })
-            .expect("spawn portfolio merge task");
-    }
-}
-
-/// Merge one portfolio fan-out: collect every routed chunk's response,
-/// stitch partial P&L tallies back into scenario order, aggregate
-/// VaR/ES, and answer exactly once.
-///
-/// All `expected` chunk responses are drained even after a failure is
-/// seen — a merge task must never abandon a channel a shard is still
-/// scattering into — and the final outcome is either the full merged
-/// distribution or the *first* failure's typed reason.
-#[allow(clippy::too_many_arguments)]
-fn merge_portfolio(
-    id: u64,
-    scenarios: usize,
-    confidence: Vec<f64>,
-    expected: usize,
-    route_err: Option<Rejected>,
-    rx: Receiver<PortfolioChunkResponse>,
-    tx: Sender<PortfolioResponse>,
-    submitted: Instant,
-    ledger: &Ledger,
-) {
-    let mut parts: Vec<PortfolioChunkOut> = Vec::with_capacity(expected);
-    let mut first_err = route_err;
-    for _ in 0..expected {
-        match rx.recv() {
-            Ok(resp) => match resp.outcome {
-                Ok(part) => parts.push(part),
-                Err(reason) => {
-                    first_err.get_or_insert(reason);
-                }
-            },
-            Err(_) => {
-                // Every server path answers each envelope exactly once,
-                // so a closed channel with responses still owed is a bug
-                // upstream — fail the request instead of hanging forever.
-                first_err.get_or_insert(Rejected::Internal {
-                    reason: "portfolio chunk response channel closed early".into(),
-                });
-                break;
-            }
+            self.one(Work::Portfolio(Envelope::new(chunk, &fan_in)));
         }
     }
-    if let Some(reason) = first_err {
-        ledger.portfolio_failed.add(1);
-        let _ = tx.send(PortfolioResponse {
-            id,
-            outcome: Err(reason),
-        });
-        return;
-    }
-    // Scenario order is the merge contract: chunks may have executed on
-    // any shard in any order, but `lo` restores the native sweep's
-    // layout, making the concatenation bit-identical to it.
-    parts.sort_by_key(|p| p.lo);
-    let mut pnl = Vec::with_capacity(scenarios);
-    for p in &parts {
-        pnl.extend_from_slice(&p.pnl);
-    }
-    debug_assert_eq!(pnl.len(), scenarios, "chunks must tile the grid");
-    let risk = var_es(&pnl, &confidence);
-    let mut rungs: Vec<String> = parts.iter().map(|p| p.rung.clone()).collect();
-    rungs.sort();
-    rungs.dedup();
-    ledger.portfolio_merged.add(1);
-    let _ = tx.send(PortfolioResponse {
-        id,
-        outcome: Ok(PortfolioOut {
-            pnl,
-            risk,
-            scenarios,
-            chunks: parts.len(),
-            rungs,
-            latency: submitted.elapsed(),
-        }),
-    });
 }
 
 /// Everything one worker shard needs: its index and the plane (its own
@@ -1476,7 +1350,7 @@ fn make_lane<W: ServeWorkload>(key: &str, cx: &LaneCtx) -> Result<Lane<W>, Rejec
         breaker: Breaker::new(config.breaker),
         target,
         flush: Vec::new(),
-        scratch: Scratch::new(),
+        scratch: W::Scratch::default(),
         span_name: format!("serve.batch.{key}"),
         fault_site: format!("batch.{key}"),
         breaker_gauge: Gauge::named(format!("serve.breaker.{key}")),
@@ -1531,18 +1405,17 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Flush the lane's micro-batch and execute it: shed blown deadlines,
 /// gate on the breaker, stage the batch into the lane's reusable
-/// [`Scratch`], run the workload's kernel under `catch_unwind`, and
-/// scatter results back. Panics reject the in-flight batch and
-/// degrade/open the breaker; successes climb back. Written once,
-/// generically — every request plane runs through here. `reason` is the
-/// trigger that fired, tallied with the batch.
+/// [`Scratch`](ServeWorkload::Scratch), run the workload's kernel under
+/// `catch_unwind`, and scatter results back. Panics reject the in-flight
+/// batch and degrade/open the breaker; successes climb back. Written
+/// once, generically — every request plane runs through here. `reason`
+/// is the trigger that fired, tallied with the batch.
 ///
-/// The flush target, staging triples, padded SOA batch, and output
-/// sweep are all lane-owned and recycled, the batch span reuses the
-/// buffers of the record it evicts, and the seat's record is found by
-/// borrowed key, so a lane at steady state executes whole batches
-/// without allocating (each response's rung `String` and channel send
-/// are the caller's, not the lane's).
+/// The flush target and the scratch are lane-owned and recycled, the
+/// batch span reuses the buffers of the record it evicts, and the seat's
+/// record is found by borrowed key, so a lane at steady state executes
+/// whole batches without allocating (each response's rung `String` and
+/// reply are the caller's, not the lane's).
 fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneCtx) {
     let (ledger, seat, faults) = (&cx.plane.ledger, cx.seat, &cx.plane.faults);
     let tallies = ledger.of::<W>();
@@ -1588,13 +1461,11 @@ fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneC
     telemetry::set_attr("target", lane.target);
     telemetry::set_attr("degradation_level", level);
 
-    lane.scratch.begin_flush();
-    for env in &lane.flush {
-        lane.scratch.opts.push(W::contract(&env.req));
-        W::stage_extra(&env.req, &mut lane.scratch);
-    }
-    lane.scratch.stage(width);
-    telemetry::set_attr("padded", lane.scratch.soa.len());
+    W::stage(
+        &mut lane.scratch,
+        lane.flush.iter().map(|env| &env.req),
+        width,
+    );
 
     let outcome = {
         let Lane {
@@ -1849,6 +1720,56 @@ mod tests {
             assert_eq!(a[j].to_bits(), b[j].to_bits(), "scenario {j}");
             assert_eq!(a[j].to_bits(), c[j].to_bits(), "scenario {j}");
         }
+    }
+
+    #[test]
+    fn a_portfolio_request_is_answered_by_the_time_shutdown_returns() {
+        // No merge thread outlives the workers: the last chunk's worker
+        // answers the request, and shutdown joins every worker.
+        let server = Server::start(ServeConfig {
+            shards: 2,
+            ..quick_config()
+        });
+        let rx = server.submit(PortfolioRequest::new(4, 21, 16, 64).with_chunk(8));
+        server.shutdown();
+        let resp = rx.try_recv().expect("answered before shutdown returned");
+        assert_eq!(resp.outcome.expect("served").chunks, 8);
+        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn a_fan_out_partly_refused_is_answered_once_with_queue_full() {
+        // The lone worker sleeps out one stall before it first pops, so
+        // the first two of four chunks fill its two-slot queue and the
+        // router refuses the other two.
+        let config = ServeConfig {
+            queue_capacity: 2,
+            max_delay: Duration::from_millis(200),
+            ..quick_config()
+        };
+        let stall = FaultSpec::always("queue", FaultKind::StallQueue).limited(1);
+        let server = start_with(config, FaultPlan::new().with(stall));
+        let (tx, rx) = mpsc::channel();
+        server.submit_with(PortfolioRequest::new(5, 3, 8, 64).with_chunk(16), &tx);
+        drop(tx);
+        let got: Vec<PortfolioResponse> = rx.iter().collect();
+        assert_eq!(got.len(), 1, "exactly one terminal response");
+        assert!(
+            matches!(got[0].outcome, Err(Rejected::QueueFull { capacity: 2 })),
+            "{:?}",
+            got[0].outcome
+        );
+        let ledger = &server.plane.ledger;
+        let ends = [
+            &ledger.portfolio_requests,
+            &ledger.portfolio_failed,
+            &ledger.portfolio_merged,
+        ];
+        assert_eq!(ends.map(Counter::get), [1, 1, 0]);
+        let snap = server.shutdown();
+        let p = &snap.planes[PortfolioWorkload::PLANE];
+        assert_eq!((p.shed_queue_full, p.served), (2, 2), "{p:?}");
+        assert_eq!((p.internal, p.shed_deadline, p.rejected), (0, 0, 0));
     }
 
     #[test]

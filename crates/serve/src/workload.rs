@@ -1,63 +1,59 @@
 //! The [`ServeWorkload`] seam: one trait describing everything the
-//! sharded server needs to run a request plane — request and payload types,
-//! the servable degradation ladder, and how to execute a staged batch
-//! into reusable scratch buffers.
+//! sharded server needs to run a request plane — request, result and
+//! reply types, the lane's scratch, the servable degradation ladder, and
+//! how to stage and execute a flushed batch.
 //!
 //! `server.rs` writes its lane plumbing (micro-batching, deadline
 //! shedding, breaker supervision, degrade/promote, scatter-back) exactly
 //! once, generically over this trait; the pricing, greeks, and portfolio
-//! planes are the three implementations — the portfolio plane's unit of
-//! work is a scenario-range *chunk* of a fanned-out market-risk request,
-//! staged through [`ServeWorkload::stage_extra`] instead of the shared
-//! option-contract triple.
+//! planes are the three implementations. The portfolio plane's unit of
+//! work is a scenario-range *chunk* of a fanned-out market-risk request:
+//! its lane stages chunk descriptors, not option contracts, and each
+//! chunk answers into its request's [`PortfolioFanIn`] instead of a
+//! channel.
 //!
 //! ## Buffer ownership
 //!
-//! Each lane owns one [`Scratch`]: the staged `(s, x, t)` triples, the
-//! padded SOA batch, and the greeks output sweep. The lane stages into
-//! it, the workload's [`compute`](ServeWorkload::compute) fills it, and
-//! the lane scatters from it — buffers never cross threads and are
-//! recycled across flushes (grown to the largest batch seen, never
+//! Each lane owns one [`ServeWorkload::Scratch`]: an [`OptionScratch`]
+//! (staged `(s, x, t)` triples, the padded SOA batch, the greeks output
+//! sweep) for price and greeks, a [`PortfolioScratch`] for portfolio. The
+//! lane stages into it, the workload's [`compute`](ServeWorkload::compute)
+//! fills it, and the lane scatters from it — buffers never cross threads
+//! and are recycled across flushes (grown to the largest batch seen, never
 //! shrunk), so steady-state batch execution allocates nothing.
 
-use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest};
+use crate::portfolio::{PortfolioChunkOut, PortfolioChunkRequest, PortfolioFanIn};
 use crate::pricer::{self, padded_batch_into, PricerConfig, ServingRung};
-use crate::request::{GreeksOut, GreeksRequest, PriceRequest, Priced, Rejected, Response};
+use crate::request::{
+    GreeksOut, GreeksRequest, GreeksResponse, PriceRequest, PriceResponse, Priced, Rejected,
+    Response,
+};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_core::portfolio::{Book, RevalScratch, ScenarioConfig, ScenarioGrid};
 use finbench_core::OptionBatchSoa;
 use finbench_engine::Engine;
+use std::sync::mpsc::Sender;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reusable per-lane batch buffers: staged inputs, the padded SOA batch
-/// (inputs + price outputs), and the greeks output sweep. Capacities
-/// only ever grow, so a lane that has seen its largest flush stops
-/// allocating entirely — the zero-alloc steady state ci.sh gates.
+/// The price and greeks lanes' batch buffers: staged inputs, the padded
+/// SOA batch (inputs + price outputs), and the greeks output sweep.
+/// Capacities only ever grow, so a lane that has seen its largest flush
+/// stops allocating entirely — the zero-alloc steady state ci.sh gates.
 #[derive(Default)]
-pub struct Scratch {
+pub struct OptionScratch {
     /// Staged `(s, x, t)` triples for the flush being executed.
     pub opts: Vec<(f64, f64, f64)>,
     /// Padded SOA staging and price outputs.
     pub soa: OptionBatchSoa,
     /// Greeks outputs (resized on demand by the greeks workload).
     pub greeks: GreeksBatchSoa,
-    /// Portfolio chunk staging and revaluation buffers (used only by the
-    /// portfolio lane; empty everywhere else).
-    pub portfolio: PortfolioScratch,
 }
 
-impl Scratch {
+impl OptionScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reset the per-flush staging (the contract triples and any
-    /// plane-specific request state) before a new flush is staged.
-    /// Capacities are kept — this is a `clear`, not a drop.
-    pub fn begin_flush(&mut self) {
-        self.opts.clear();
-        self.portfolio.chunks.clear();
     }
 
     /// Pad the staged [`opts`](Self::opts) into the SOA batch at the
@@ -65,41 +61,48 @@ impl Scratch {
     pub fn stage(&mut self, width: usize) {
         padded_batch_into(&mut self.soa, &self.opts, width);
     }
+
+    /// Stage one flush's contracts, replacing the last flush's.
+    fn stage_contracts(&mut self, contracts: impl Iterator<Item = (f64, f64, f64)>, width: usize) {
+        self.opts.clear();
+        self.opts.extend(contracts);
+        self.stage(width);
+    }
 }
 
-/// The portfolio lane's staging and revaluation state inside [`Scratch`]:
-/// the chunk requests of the flush being executed (aligned index-for-index
-/// with the lane's flush vector), the cached book, and the reusable grid
-/// / revaluation / P&L buffers. The book cache is keyed by `(seed,
-/// positions)` — consecutive chunks of the same request (the common case:
-/// one fan-out fills a whole micro-batch) rebuild it once, and the other
-/// buffers only ever grow, so a warm lane revalues without allocating.
+/// The portfolio lane's scratch: the chunk requests of the flush being
+/// executed (aligned index-for-index with the lane's flush vector), the
+/// cached book, and the reusable grid / revaluation / P&L buffers. The
+/// book cache is keyed by `(seed, positions)` — consecutive chunks of the
+/// same request (the common case: one fan-out fills a whole micro-batch)
+/// rebuild it once, and the other buffers only ever grow, so a warm lane
+/// revalues without allocating.
 #[derive(Default)]
 pub struct PortfolioScratch {
     /// Chunk requests staged for this flush, in flush order.
-    pub(crate) chunks: Vec<PortfolioChunkRequest>,
+    chunks: Vec<PortfolioChunkRequest>,
     /// `(seed, positions)` of the cached [`book`](Self::book).
     book_key: Option<(u64, usize)>,
     book: Book,
     grid: ScenarioGrid,
     reval: RevalScratch,
-    /// Per-chunk revaluation output before it is appended to `pnl`.
-    tmp: Vec<f64>,
-    /// Concatenated per-scenario P&L across the flush's chunks.
-    pnl: Vec<f64>,
-    /// Per-chunk `(offset, len)` spans into [`pnl`](Self::pnl).
-    spans: Vec<(usize, usize)>,
+    /// Per-scenario P&L of each staged chunk, index-aligned with `chunks`.
+    pnl: Vec<Vec<f64>>,
 }
 
 /// One request plane the sharded server can run: how to key, ladder,
-/// batch-execute, and answer its requests. Implementations are stateless
-/// marker types; all state lives in the generic lane.
+/// stage, batch-execute, and answer its requests. Implementations are
+/// stateless marker types; all state lives in the generic lane.
 pub trait ServeWorkload: Sized + 'static {
     /// Validated request type carried through the admission queue.
     type Req: Send + 'static;
-    /// Per-request success payload, delivered on the envelope's channel
-    /// inside a [`Response`].
+    /// One request's computed result, handed to its [`Reply`](Self::Reply).
     type Out: Send + 'static;
+    /// Where an envelope's one terminal answer goes; every envelope of a
+    /// request holds a clone.
+    type Reply: Clone + Send + 'static;
+    /// The lane's reusable staging and output buffers.
+    type Scratch: Default;
     /// One rung of the servable degradation ladder.
     type Rung;
 
@@ -107,19 +110,8 @@ pub trait ServeWorkload: Sized + 'static {
     /// tallies sit in a server's ledger and in `ServeSnapshot::planes`.
     const PLANE: usize;
 
-    /// The request's correlation id, echoed on every response.
-    fn id(req: &Self::Req) -> u64;
     /// The request's optional completion deadline.
     fn deadline(req: &Self::Req) -> Option<Instant>;
-    /// The option contract `(s, x, t)` to stage into the SOA batch.
-    fn contract(req: &Self::Req) -> (f64, f64, f64);
-    /// Stage any plane-specific per-request state into the scratch —
-    /// called once per flushed request, in flush order, right after its
-    /// [`contract`](Self::contract) is staged (the flush has already
-    /// been deadline-shed, so staged state aligns index-for-index with
-    /// the batch that executes). Default: nothing; the portfolio plane
-    /// stages its chunk descriptors here.
-    fn stage_extra(_req: &Self::Req, _scratch: &mut Scratch) {}
     /// Lane key for this request — also the engine registry kernel the
     /// planner sizes the batch trigger from, and the `<key>` in the
     /// `serve.batch.<key>` / `serve.breaker.<key>` telemetry names.
@@ -137,21 +129,30 @@ pub trait ServeWorkload: Sized + 'static {
     /// The rung's SIMD width (batches are padded to a multiple of it).
     fn width(rung: &Self::Rung) -> usize;
 
-    /// Execute the staged batch in `scratch.soa`, writing results back
-    /// into the scratch buffers. Must not allocate at steady state.
-    fn compute(rung: &Self::Rung, scratch: &mut Scratch);
-    /// The `i`-th staged request's success payload, read back out of the
-    /// scratch buffers.
+    /// Stage a flush's requests — already deadline-shed, in flush order —
+    /// into the scratch for a rung `width` lanes wide, replacing the last
+    /// flush's. Must not allocate at steady state.
+    fn stage<'a>(
+        scratch: &mut Self::Scratch,
+        reqs: impl Iterator<Item = &'a Self::Req>,
+        width: usize,
+    );
+    /// Execute the staged batch, writing results back into the scratch.
+    /// Must not allocate at steady state.
+    fn compute(rung: &Self::Rung, scratch: &mut Self::Scratch);
+    /// The `i`-th staged request's result, read back out of the scratch.
     fn payload(
-        scratch: &Scratch,
+        scratch: &Self::Scratch,
         i: usize,
         slug: &str,
         batch_len: usize,
         latency: Duration,
     ) -> Self::Out;
+    /// Deliver `req`'s terminal answer to `reply`.
+    fn answer(req: &Self::Req, reply: &Self::Reply, outcome: Result<Self::Out, Rejected>);
 }
 
-/// One queued request of workload `W`, with its response channel.
+/// One queued request of workload `W`, with where its answer goes.
 pub(crate) struct Envelope<W: ServeWorkload> {
     pub(crate) req: W::Req,
     pub(crate) submitted: Instant,
@@ -160,17 +161,17 @@ pub(crate) struct Envelope<W: ServeWorkload> {
     /// loss rejects instead of re-routing again, so a request can never
     /// ping-pong between dying shards or be delivered twice.
     pub(crate) redriven: bool,
-    pub(crate) tx: std::sync::mpsc::Sender<Response<W::Out>>,
+    pub(crate) reply: W::Reply,
 }
 
 impl<W: ServeWorkload> Envelope<W> {
-    /// A first-attempt envelope submitted now, answering on `tx`.
-    pub(crate) fn new(req: W::Req, tx: &std::sync::mpsc::Sender<Response<W::Out>>) -> Self {
+    /// A first-attempt envelope submitted now, answering to `reply`.
+    pub(crate) fn new(req: W::Req, reply: &W::Reply) -> Self {
         Self {
             req,
             submitted: Instant::now(),
             redriven: false,
-            tx: tx.clone(),
+            reply: reply.clone(),
         }
     }
 
@@ -180,10 +181,7 @@ impl<W: ServeWorkload> Envelope<W> {
 
     /// Answer this request — its one terminal response.
     pub(crate) fn answer(&self, outcome: Result<W::Out, Rejected>) {
-        let _ = self.tx.send(Response {
-            id: W::id(&self.req),
-            outcome,
-        });
+        W::answer(&self.req, &self.reply, outcome);
     }
 }
 
@@ -193,18 +191,14 @@ pub struct PriceWorkload;
 impl ServeWorkload for PriceWorkload {
     type Req = PriceRequest;
     type Out = Priced;
+    type Reply = Sender<PriceResponse>;
+    type Scratch = OptionScratch;
     type Rung = ServingRung;
 
     const PLANE: usize = 0;
 
-    fn id(req: &PriceRequest) -> u64 {
-        req.id
-    }
     fn deadline(req: &PriceRequest) -> Option<Instant> {
         req.deadline
-    }
-    fn contract(req: &PriceRequest) -> (f64, f64, f64) {
-        (req.s, req.x, req.t)
     }
     fn lane_key(req: &PriceRequest) -> &str {
         &req.kernel
@@ -224,11 +218,18 @@ impl ServeWorkload for PriceWorkload {
         rung.width
     }
 
-    fn compute(rung: &ServingRung, scratch: &mut Scratch) {
+    fn stage<'a>(
+        scratch: &mut OptionScratch,
+        reqs: impl Iterator<Item = &'a PriceRequest>,
+        width: usize,
+    ) {
+        scratch.stage_contracts(reqs.map(|r| (r.s, r.x, r.t)), width);
+    }
+    fn compute(rung: &ServingRung, scratch: &mut OptionScratch) {
         rung.price(&mut scratch.soa);
     }
     fn payload(
-        scratch: &Scratch,
+        scratch: &OptionScratch,
         i: usize,
         slug: &str,
         batch_len: usize,
@@ -241,6 +242,10 @@ impl ServeWorkload for PriceWorkload {
             batch_len,
             latency,
         }
+    }
+    fn answer(req: &Self::Req, tx: &Self::Reply, out: Result<Self::Out, Rejected>) {
+        let id = req.id;
+        let _ = tx.send(Response { id, outcome: out });
     }
 }
 
@@ -255,18 +260,14 @@ pub struct GreeksWorkload;
 impl ServeWorkload for GreeksWorkload {
     type Req = GreeksRequest;
     type Out = GreeksOut;
+    type Reply = Sender<GreeksResponse>;
+    type Scratch = OptionScratch;
     type Rung = crate::greeks::GreeksRung;
 
     const PLANE: usize = 1;
 
-    fn id(req: &GreeksRequest) -> u64 {
-        req.id
-    }
     fn deadline(req: &GreeksRequest) -> Option<Instant> {
         req.deadline
-    }
-    fn contract(req: &GreeksRequest) -> (f64, f64, f64) {
-        (req.s, req.x, req.t)
     }
     fn lane_key(_req: &GreeksRequest) -> &str {
         GREEKS_LANE
@@ -287,12 +288,19 @@ impl ServeWorkload for GreeksWorkload {
         rung.width
     }
 
-    fn compute(rung: &crate::greeks::GreeksRung, scratch: &mut Scratch) {
+    fn stage<'a>(
+        scratch: &mut OptionScratch,
+        reqs: impl Iterator<Item = &'a GreeksRequest>,
+        width: usize,
+    ) {
+        scratch.stage_contracts(reqs.map(|r| (r.s, r.x, r.t)), width);
+    }
+    fn compute(rung: &crate::greeks::GreeksRung, scratch: &mut OptionScratch) {
         scratch.greeks.resize(scratch.soa.len());
         rung.compute(&scratch.soa, &mut scratch.greeks);
     }
     fn payload(
-        scratch: &Scratch,
+        scratch: &OptionScratch,
         i: usize,
         slug: &str,
         batch_len: usize,
@@ -306,6 +314,10 @@ impl ServeWorkload for GreeksWorkload {
             latency,
         }
     }
+    fn answer(req: &Self::Req, tx: &Self::Reply, out: Result<Self::Out, Rejected>) {
+        let id = req.id;
+        let _ = tx.send(Response { id, outcome: out });
+    }
 }
 
 /// Stats/telemetry key for the portfolio lane (also the registry kernel
@@ -314,34 +326,22 @@ pub(crate) const PORTFOLIO_LANE: &str = "portfolio";
 
 /// The portfolio plane ([`PortfolioChunkRequest`] →
 /// [`PortfolioChunkOut`]): scenario-range chunks of fanned-out
-/// market-risk requests, riding the same generic lane code. The staged
-/// SOA batch carries benign placeholder contracts — a chunk's real
-/// payload is its descriptor, staged through
-/// [`stage_extra`](ServeWorkload::stage_extra) and reconstructed into
-/// book + grid slice at compute time.
+/// market-risk requests, riding the same generic lane code. A chunk is
+/// staged as its descriptor and reconstructed into book + grid slice at
+/// compute time; its answer lands in the request's [`PortfolioFanIn`].
 pub struct PortfolioWorkload;
 
 impl ServeWorkload for PortfolioWorkload {
     type Req = PortfolioChunkRequest;
     type Out = PortfolioChunkOut;
+    type Reply = Arc<PortfolioFanIn>;
+    type Scratch = PortfolioScratch;
     type Rung = crate::portfolio::PortfolioRung;
 
     const PLANE: usize = 2;
 
-    fn id(req: &PortfolioChunkRequest) -> u64 {
-        req.id
-    }
     fn deadline(req: &PortfolioChunkRequest) -> Option<Instant> {
         req.deadline
-    }
-    fn contract(_req: &PortfolioChunkRequest) -> (f64, f64, f64) {
-        // Placeholder lanes: the portfolio compute never reads the SOA
-        // batch, but staging must stay uniform (and benign — never NaN)
-        // for the generic lane code.
-        (1.0, 1.0, 1.0)
-    }
-    fn stage_extra(req: &PortfolioChunkRequest, scratch: &mut Scratch) {
-        scratch.portfolio.chunks.push(*req);
     }
     fn lane_key(_req: &PortfolioChunkRequest) -> &str {
         PORTFOLIO_LANE
@@ -362,39 +362,42 @@ impl ServeWorkload for PortfolioWorkload {
         rung.width
     }
 
-    fn compute(rung: &crate::portfolio::PortfolioRung, scratch: &mut Scratch) {
-        let p = &mut scratch.portfolio;
-        p.pnl.clear();
-        p.spans.clear();
-        for k in 0..p.chunks.len() {
-            let c = p.chunks[k];
+    fn stage<'a>(
+        scratch: &mut PortfolioScratch,
+        reqs: impl Iterator<Item = &'a PortfolioChunkRequest>,
+        _width: usize,
+    ) {
+        scratch.chunks.clear();
+        scratch.chunks.extend(reqs.copied());
+    }
+    fn compute(rung: &crate::portfolio::PortfolioRung, p: &mut PortfolioScratch) {
+        // Grown, never shrunk: a warm lane reuses every chunk's buffer.
+        if p.pnl.len() < p.chunks.len() {
+            p.pnl.resize_with(p.chunks.len(), Vec::new);
+        }
+        for (c, pnl) in p.chunks.iter().zip(&mut p.pnl) {
             if p.book_key != Some((c.seed, c.positions)) {
                 p.book = Book::random(c.positions, c.seed);
                 p.book_key = Some((c.seed, c.positions));
             }
-            let cfg = ScenarioConfig::standard(c.scenarios, c.seed);
-            cfg.fill_grid(c.lo, c.hi, &mut p.grid);
-            rung.revalue(&p.book, &p.grid, &mut p.reval, &mut p.tmp);
-            let off = p.pnl.len();
-            p.pnl.extend_from_slice(&p.tmp);
-            p.spans.push((off, p.tmp.len()));
+            ScenarioConfig::standard(c.scenarios, c.seed).fill_grid(c.lo, c.hi, &mut p.grid);
+            rung.revalue(&p.book, &p.grid, &mut p.reval, pnl);
         }
     }
     fn payload(
-        scratch: &Scratch,
+        p: &PortfolioScratch,
         i: usize,
         slug: &str,
-        batch_len: usize,
-        latency: Duration,
+        _batch_len: usize,
+        _latency: Duration,
     ) -> PortfolioChunkOut {
-        let p = &scratch.portfolio;
-        let (off, len) = p.spans[i];
         PortfolioChunkOut {
             lo: p.chunks[i].lo,
-            pnl: p.pnl[off..off + len].to_vec(),
+            pnl: p.pnl[i].clone(),
             rung: slug.to_string(),
-            batch_len,
-            latency,
         }
+    }
+    fn answer(_: &Self::Req, fan_in: &Self::Reply, out: Result<Self::Out, Rejected>) {
+        fan_in.land(out);
     }
 }

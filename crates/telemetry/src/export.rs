@@ -1,4 +1,4 @@
-//! Exporters: human-readable span tree, JSON-lines, and CSV.
+//! Exporters: human-readable span tree and JSON-lines.
 //!
 //! All exporters read the span registry (the newest
 //! [`SPAN_RING_CAPACITY`](crate::SPAN_RING_CAPACITY) finished spans) and
@@ -165,45 +165,6 @@ pub fn render_tree() -> String {
     out
 }
 
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Serialize the finished spans as CSV (one row per span, attributes as a
-/// `k=v;k=v` column), followed by counter rows.
-pub fn to_csv() -> String {
-    let mut out = String::from("kind,id,parent,name,depth,dur_ns,attrs_or_value\n");
-    for rec in snapshot() {
-        let attrs = rec
-            .attrs
-            .iter()
-            .map(|(k, v)| format!("{k}={}", fmt_attr(v)))
-            .collect::<Vec<_>>()
-            .join(";");
-        let _ = writeln!(
-            out,
-            "span,{},{},{},{},{},{}",
-            rec.id,
-            rec.parent,
-            csv_escape(&rec.name),
-            rec.depth,
-            rec.dur_ns,
-            csv_escape(&attrs)
-        );
-    }
-    for (name, value) in counter_snapshot() {
-        let _ = writeln!(out, "counter,,,{},,,{}", csv_escape(&name), value);
-    }
-    for (name, value) in gauge_snapshot() {
-        let _ = writeln!(out, "gauge,,,{},,,{}", csv_escape(&name), value);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,12 +274,5 @@ mod tests {
             assert!(!names.is_empty(), "{kind}");
             assert_eq!(names, sorted, "{kind}: {names:?}");
         }
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        assert_eq!(csv_escape("plain"), "plain");
-        assert_eq!(csv_escape("a,b"), "\"a,b\"");
-        assert_eq!(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
     }
 }

@@ -1,18 +1,16 @@
 //! The `FINBENCH_LOG` runtime filter.
 //!
-//! Instrumentation falls into three signal classes — spans, counters (and
-//! gauges), and histograms — each of which can be toggled independently:
+//! Instrumentation falls into two signal classes — spans, and counters
+//! (with gauges) — each of which can be toggled independently:
 //!
 //! ```text
-//! FINBENCH_LOG=span,counter      # spans and counters, no histograms
+//! FINBENCH_LOG=span              # spans only, no counters or gauges
 //! FINBENCH_LOG=off               # everything disabled
 //! (unset)                        # everything enabled
 //! ```
 //!
 //! The filter is a single `AtomicU32` read with one relaxed load on every
-//! hot-path check; the environment is parsed once on first use. Building
-//! the crate with the `off` feature compiles every check to a constant
-//! `false`, removing the instrumentation entirely.
+//! hot-path check; the environment is parsed once on first use.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -23,15 +21,12 @@ pub enum Kind {
     Span,
     /// Counters and gauges.
     Counter,
-    /// Histograms.
-    Hist,
 }
 
 pub(crate) const BIT_SPAN: u32 = 1;
 pub(crate) const BIT_COUNTER: u32 = 2;
-pub(crate) const BIT_HIST: u32 = 4;
 const BIT_INIT: u32 = 1 << 31;
-const ALL: u32 = BIT_SPAN | BIT_COUNTER | BIT_HIST;
+const ALL: u32 = BIT_SPAN | BIT_COUNTER;
 
 static FILTER: AtomicU32 = AtomicU32::new(0);
 
@@ -51,7 +46,6 @@ fn parse(value: &str) -> u32 {
         match tok.trim().to_ascii_lowercase().as_str() {
             "span" | "spans" => bits |= BIT_SPAN,
             "counter" | "counters" | "gauge" | "gauges" => bits |= BIT_COUNTER,
-            "hist" | "hists" | "histogram" | "histograms" => bits |= BIT_HIST,
             "" => {}
             other => eprintln!("FINBENCH_LOG: ignoring unknown token {other:?}"),
         }
@@ -75,14 +69,10 @@ fn load() -> u32 {
 /// Is the given signal class enabled?
 #[inline]
 pub fn enabled(kind: Kind) -> bool {
-    if cfg!(feature = "off") {
-        return false;
-    }
     let bits = load();
     let bit = match kind {
         Kind::Span => BIT_SPAN,
         Kind::Counter => BIT_COUNTER,
-        Kind::Hist => BIT_HIST,
     };
     bits & bit != 0
 }
@@ -105,7 +95,7 @@ mod tests {
         assert_eq!(parse(""), ALL);
         assert_eq!(parse("span"), BIT_SPAN);
         assert_eq!(parse("span,counter"), BIT_SPAN | BIT_COUNTER);
-        assert_eq!(parse(" hist , spans "), BIT_HIST | BIT_SPAN);
+        assert_eq!(parse(" counters , spans "), ALL);
         assert_eq!(parse("bogus"), 0);
     }
 }

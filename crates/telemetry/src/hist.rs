@@ -88,11 +88,6 @@ impl Histogram {
         }
     }
 
-    /// Number of occupied buckets (diagnostic).
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len() + usize::from(self.underflow > 0)
-    }
-
     /// Estimate the `q`-quantile (`q` in `[0, 1]`) by walking the buckets
     /// and reporting the geometric midpoint of the bucket containing the
     /// target rank, clamped to the exact `[min, max]`. Underflow samples

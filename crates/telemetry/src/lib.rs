@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency tracing, metrics, and profiling for the finbench
 //! workspace. Everything lives in-process and in-memory; exporters turn
-//! the collected state into a human-readable tree, JSON lines, or CSV.
+//! the collected state into a human-readable tree or JSON lines.
 //!
 //! Four building blocks:
 //!
@@ -20,10 +20,9 @@
 //!   the process-wide one, which is how one component reads its share of
 //!   a name that several bump (see [`metrics`]).
 //! - **Histograms** ([`Histogram`]): streaming log-bucketed distribution
-//!   sketches for per-rep throughput samples — median/p95 instead of
-//!   only best-of.
-//! - **Exporters** ([`render_tree`], [`to_jsonl`], [`write_jsonl`],
-//!   [`to_csv`]): pull everything recorded so far out of the registries.
+//!   sketches (the serving plane's per-lane latency and occupancy).
+//! - **Exporters** ([`render_tree`], [`to_jsonl`], [`write_jsonl`]): pull
+//!   everything recorded so far out of the registries.
 //!
 //! Two measurement substrates ride along for the bench-report plane:
 //! [`cycles`] (fenced RDTSC timestamps with calibrated overhead
@@ -34,9 +33,7 @@
 //! Instrumentation cost is governed by the `FINBENCH_LOG` environment
 //! variable (see [`filter`]): every hot-path call first does one relaxed
 //! atomic load and returns immediately when its signal class is filtered
-//! out. Compiling with the `off` feature turns that check into a
-//! constant `false` so the optimizer removes the instrumentation
-//! entirely.
+//! out.
 
 pub mod alloc;
 pub mod cycles;
@@ -49,7 +46,7 @@ pub mod span;
 pub mod stats;
 
 pub use alloc::{alloc_stats, counting_allocator_active, AllocStats, CountingAlloc};
-pub use export::{render_tree, span_to_json, to_csv, to_jsonl, write_jsonl, JSONL_SCHEMA_VERSION};
+pub use export::{render_tree, span_to_json, to_jsonl, write_jsonl, JSONL_SCHEMA_VERSION};
 pub use filter::{enabled, set_filter, Kind};
 pub use hist::Histogram;
 pub use metrics::{
@@ -57,7 +54,6 @@ pub use metrics::{
     reset_metrics, Counter, Gauge,
 };
 pub use span::{
-    current_name, drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord,
-    SPAN_RING_CAPACITY,
+    drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord, SPAN_RING_CAPACITY,
 };
 pub use stats::{nearest_rank, nearest_rank_unsorted};

@@ -257,11 +257,6 @@ pub fn set_attr(key: &'static str, value: impl Into<AttrValue>) {
     });
 }
 
-/// Name of the calling thread's innermost open span, if any.
-pub fn current_name() -> Option<String> {
-    STACK.with(|stack| stack.borrow().last().map(|s| s.name.clone()))
-}
-
 /// Snapshot the finished spans the registry still holds (completion
 /// order: children precede their parent).
 pub fn snapshot() -> Vec<SpanRecord> {

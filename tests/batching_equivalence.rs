@@ -27,8 +27,8 @@ use finbench::faults::{FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::batcher::{BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 use finbench::serve::pricer::{self, padded_batch_into, PricerConfig};
 use finbench::serve::{
-    greeks_ladder, GreeksRequest, LoadMode, PortfolioRequest, PriceRequest, Scratch, ServeConfig,
-    ServeSnapshot, Server,
+    greeks_ladder, GreeksRequest, LoadMode, OptionScratch, PortfolioRequest, PriceRequest,
+    ServeConfig, ServeSnapshot, Server,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -463,7 +463,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     // The zero-allocation redesign's core contract: running flush after
-    // flush through ONE reused [`Scratch`] — dirty buffers, shrinking and
+    // flush through ONE reused [`OptionScratch`] — dirty buffers, shrinking and
     // growing batch sizes — yields prices and all ten greeks bit-identical
     // to staging every flush into freshly allocated buffers. And the fused
     // single-pass kernel (prices + greeks together) agrees with the two
@@ -476,7 +476,7 @@ proptest! {
     ) {
         let market = pricer_config().market;
         let width = [4usize, 8][width_pick];
-        let mut scratch = Scratch::new();
+        let mut scratch = OptionScratch::new();
         for opts in &rounds {
             // Oracle: fresh allocations for this flush, separate passes.
             let mut fresh = OptionBatchSoa::zeroed(0);

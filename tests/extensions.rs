@@ -78,26 +78,26 @@ fn lsm_tracks_lattice_across_moneyness() {
 
 #[test]
 fn batch_greeks_aggregate_sanity() {
-    use finbench::core::greeks::{greeks_soa_simd, OptionType};
+    // The served sweep: both contract sides per lane.
+    use finbench::core::greeks::{greeks_batch_simd, GreeksBatchSoa};
     use finbench::core::workload::{OptionBatchSoa, WorkloadRanges};
     let b = OptionBatchSoa::random(4096, 17, WorkloadRanges::default());
-    let mut delta = vec![0.0; b.len()];
-    let mut gamma = vec![0.0; b.len()];
-    let mut vega = vec![0.0; b.len()];
-    greeks_soa_simd::<8>(OptionType::Call, &b, M, &mut delta, &mut gamma, &mut vega);
+    let mut out = GreeksBatchSoa::zeroed(b.len());
+    greeks_batch_simd::<8>(&b, M, &mut out);
+    let (call, put) = (&out.call, &out.put);
     // Call deltas in [0,1], gamma/vega non-negative, all finite.
-    assert!(delta.iter().all(|d| (0.0..=1.0).contains(d)));
-    assert!(gamma.iter().all(|g| *g >= 0.0 && g.is_finite()));
-    assert!(vega.iter().all(|v| *v >= 0.0 && v.is_finite()));
+    assert!(call.delta.iter().all(|d| (0.0..=1.0).contains(d)));
+    assert!(call.gamma.iter().all(|g| *g >= 0.0 && g.is_finite()));
+    assert!(call.vega.iter().all(|v| *v >= 0.0 && v.is_finite()));
 
     // Put deltas are call deltas minus one, lane for lane.
-    let mut pdelta = vec![0.0; b.len()];
-    let mut pg = vec![0.0; b.len()];
-    let mut pv = vec![0.0; b.len()];
-    greeks_soa_simd::<8>(OptionType::Put, &b, M, &mut pdelta, &mut pg, &mut pv);
     for i in 0..b.len() {
-        assert!((delta[i] - pdelta[i] - 1.0).abs() < 1e-12, "i={i}");
-        assert_eq!(gamma[i].to_bits(), pg[i].to_bits(), "gamma parity i={i}");
+        assert!((call.delta[i] - put.delta[i] - 1.0).abs() < 1e-12, "i={i}");
+        assert_eq!(
+            call.gamma[i].to_bits(),
+            put.gamma[i].to_bits(),
+            "gamma parity i={i}"
+        );
     }
 }
 

@@ -18,7 +18,7 @@ use finbench::core::binomial;
 use finbench::core::black_scholes::{reference as bs_ref, soa, vml};
 use finbench::core::brownian_bridge::{simd as bridge_simd, BridgePlan};
 use finbench::core::engine::registry;
-use finbench::core::greeks::{self, GreeksBatchSoa, OptionType};
+use finbench::core::greeks::{self, GreeksBatchSoa};
 use finbench::core::monte_carlo::{reference as mc_ref, simd as mc_simd, GbmTerminal};
 use finbench::core::portfolio::{
     par_revalue, revalue_into, Book, RevalScratch, ScenarioConfig, ScenarioGrid,
@@ -224,8 +224,8 @@ proptest! {
         }
     }
 
-    /// Greeks: the three-greek SOA sweep, the ten-greek batch sweep at
-    /// W=1/4/8 and the fused price+greeks rung.
+    /// Greeks: the ten-greek batch sweep at W=1/4/8 and the fused
+    /// price+greeks rung.
     #[test]
     fn greeks_sweeps_are_tier_invariant(n in 0usize..70, seed in 0u64..1_000_000) {
         let base = batch_with_edges(n, seed);
@@ -250,19 +250,6 @@ proptest! {
             [prices(&b), all_greeks(&out)].concat()
         });
         prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
-        for kind in [OptionType::Call, OptionType::Put] {
-            for (label, sweep) in [
-                ("greeks_soa_simd::<4>", greeks::greeks_soa_simd::<4> as fn(_, &_, _, &mut _, &mut _, &mut _)),
-                ("greeks_soa_simd::<8>", greeks::greeks_soa_simd::<8>),
-            ] {
-                let bad = tier_mismatch(label, || {
-                    let (mut d, mut g, mut v) = (vec![0.0; len], vec![0.0; len], vec![0.0; len]);
-                    sweep(kind, &base, M, &mut d, &mut g, &mut v);
-                    [d, g, v].concat()
-                });
-                prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
-            }
-        }
     }
 
     /// Portfolio revaluation at W=1/4/8 (bump and P&L loops included) and

@@ -1,5 +1,5 @@
 //! The zero-allocation steady-state contract, asserted directly: once a
-//! serve lane's [`Scratch`] buffers have grown to the largest flush they
+//! serve lane's [`OptionScratch`] buffers have grown to the largest flush they
 //! will see, executing further batches — staging, padding, pricing,
 //! greeks, the fused price+greeks pass — performs **zero** heap
 //! allocations; and so does a portfolio chunk (scenario grid + full-book
@@ -23,7 +23,7 @@ use finbench::core::MarketParams;
 use finbench::engine::Engine;
 use finbench::parallel::available_parallelism;
 use finbench::serve::pricer::{self, PricerConfig};
-use finbench::serve::Scratch;
+use finbench::serve::OptionScratch;
 use finbench::telemetry::{self, Counter, Gauge};
 
 const M: MarketParams = MarketParams::PAPER;
@@ -44,7 +44,7 @@ fn steady_state_serve_batches_allocate_nothing() {
         telemetry::counting_allocator_active(),
         "counting allocator must be installed in this test binary"
     );
-    let mut scratch = Scratch::new();
+    let mut scratch = OptionScratch::new();
     // What a Black-Scholes lane on *this* host serves with: the planner's
     // pick walked down to the top servable rung.
     let served = pricer::resolve(
@@ -57,7 +57,7 @@ fn steady_state_serve_batches_allocate_nothing() {
     // Warmup: the largest flush this "lane" will see grows every buffer
     // to capacity; smaller and ragged flushes afterwards must reuse it.
     let sizes = [128usize, 37, 93, 128, 1, 64];
-    let run = |scratch: &mut Scratch, n: usize, round: usize| {
+    let run = |scratch: &mut OptionScratch, n: usize, round: usize| {
         scratch.opts.clear();
         for i in 0..n {
             scratch.opts.push(opt(round * 131 + i));
