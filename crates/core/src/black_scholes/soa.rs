@@ -3,6 +3,7 @@
 
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_math as fm;
+use finbench_math::norm::cnd_rational;
 use finbench_parallel::parallel_for_chunks2;
 use finbench_simd::math::{verf, vexp, vln, vnorm_cdf};
 use finbench_simd::{isa_fn, F64v, Lanes};
@@ -111,26 +112,52 @@ impl ShockedMarket {
     }
 }
 
+/// `(n, q)` with `Φ(d) = [d > 0] + exp(−d²/2) · n / q`: Φ's rational
+/// pair for `|d|`, its numerator negated where `d > 0`.
+#[inline(always)]
+fn cnd_excess<L: Lanes>(d: L) -> (L, L) {
+    let (num, den) = cnd_rational(d.abs());
+    (L::select(d.gt(L::splat(0.0)), -num, num), den)
+}
+
 /// The call leg of `price_vec_cnd` for a position whose `sqrt_t = √t`
 /// and `lsx = ln(s/x)` are already known, under one scenario's
-/// [`ShockedMarket`]: one `exp`, two `cnd` and the division by `σ√t`; no
-/// `ln`, no `s/x`, no root, and the put is never formed. This is the
-/// operation-count pass the paper's advanced level is, applied along the
-/// scenario axis of `crate::portfolio`, whose sweep is the `F64v<W>`
-/// instance; the `CountedF64` instance is the op-count audit of the machine
-/// model's portfolio descriptor, as [`super::price_single`] is for
-/// Black-Scholes.
+/// [`ShockedMarket`]; no `ln`, no `s/x`, no root, and the put is never
+/// formed. This is the operation-count pass the paper's advanced level is,
+/// applied along the scenario axis of `crate::portfolio`, whose sweep is
+/// the `F64v<W>` instance; the `CountedF64` instance is the op-count audit
+/// of the machine model's portfolio descriptor, as [`super::price_single`]
+/// is for Black-Scholes.
 ///
-/// The division could be a product of two reciprocals (`1/√t` per
+/// One Gaussian serves both `Φ`s: with `S' = s·b` and `K = x·e^(−rt)`,
+/// `S'·φ(d1) = K·φ(d2)`, so writing each `Φ(d)` as
+/// `[d > 0] + exp(−d²/2)·n/q` ([`cnd_excess`]) gives
+///
+/// `call = S'·[d1 > 0] − K·[d2 > 0] + S'·g1·(n1·q2 − n2·q1) / (q1·q2)`
+///
+/// with `g1 = exp(−d1²/2)`: two `exp` (the discount and `g1`), the division
+/// by `σ√t` and the one shared division, where two `cnd` cost two `exp`
+/// and two divisions of their own. Past 37σ a pair is `(0, 1)` before the
+/// products, so no lane's `q1·q2` overflows; NaN in, NaN out. The bits are
+/// not `S'·Φ(d1) − K·Φ(d2)`'s; within 1e-12 of [`super::price_single`]
+/// (`hoisted_call_edge_lanes_*`).
+///
+/// The division by `σ√t` could be a product of two reciprocals (`1/√t` per
 /// position, `1/σ` per scenario): three roundings for one, so other bits,
-/// and measured worth nothing while the divider is not the bottleneck —
+/// and measured worth nothing while the divider was not the bottleneck —
 /// see EXPERIMENTS.md.
 #[inline(always)]
 pub fn call_hoisted<L: Lanes>(s: L, x: L, t: L, sqrt_t: L, lsx: L, m: &ShockedMarket) -> L {
     let vol = sqrt_t * m.sigma;
     let d1 = (lsx + m.ln_bump + t * m.drift) / vol;
     let d2 = d1 - vol;
-    (s * m.bump) * d1.norm_cdf() - x * (-(t * m.r)).exp() * d2.norm_cdf()
+    let spot = s * m.bump;
+    let strike = x * (-(t * m.r)).exp();
+    let (n1, q1) = cnd_excess(d1);
+    let (n2, q2) = cnd_excess(d2);
+    let zero = L::splat(0.0);
+    let intrinsic = L::select(d1.gt(zero), spot, zero) - L::select(d2.gt(zero), strike, zero);
+    intrinsic + spot * (d1 * d1 * -0.5).exp() * ((n1 * q2 - n2 * q1) / (q1 * q2))
 }
 
 /// The advanced vector body: `cnd → erf` substitution
@@ -380,6 +407,61 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hoisted_call_edge_lanes_match_the_scalar_instance_and_the_closed_form() {
+        use finbench_math::norm::{CND_TAIL_FROM, CND_TAIL_NUM, CND_ZERO_FROM};
+        use finbench_math::{poly::polevl, SQRT_2PI};
+        let (spot, vol, rate) = (0.05, -0.1, 0.002);
+        let m = ShockedMarket::new(MarketParams::PAPER, spot, vol, rate);
+        let shocked = MarketParams {
+            r: MarketParams::PAPER.r + rate,
+            sigma: MarketParams::PAPER.sigma * (1.0 + vol),
+        };
+        // Lanes: d1 ≈ +12, −11 (far tail), +87, −85 (past 37), d1 > 0 ≥ d2,
+        // σ√t ≈ 3e-16 off the money (d ≈ 2e14) and at it, a NaN spot.
+        let s = [100.0, 50.0, 100.0, 10.0, 100.0, 101.0, 100.0, f64::NAN];
+        let x = [50.0, 100.0, 10.0, 100.0, 110.0, 100.0, 105.0, 100.0];
+        let t = [0.05, 0.05, 0.01, 0.01, 1.0, 1e-30, 1e-30, 1.0];
+        let at = |col: &[f64]| F64v::<8>::load(col, 0);
+        let sqrt_t = t.map(f64::sqrt);
+        let lsx = vln(at(&s) / at(&x)).to_array();
+        let call = call_hoisted(at(&s), at(&x), at(&t), at(&sqrt_t), at(&lsx), &m);
+
+        let d = |l: usize| {
+            let vol = sqrt_t[l] * m.sigma;
+            let d1 = (lsx[l] + m.ln_bump + t[l] * m.drift) / vol;
+            (d1, d1 - vol)
+        };
+        let far =
+            |lo: f64, hi: f64| (0..8).filter(move |&l| lo < d(l).0.abs() && d(l).0.abs() <= hi);
+        for (lo, hi) in [
+            (CND_TAIL_FROM, CND_ZERO_FROM),
+            (CND_ZERO_FROM, f64::INFINITY),
+        ] {
+            assert!(far(lo, hi).any(|l| d(l).0 > 0.0) && far(lo, hi).any(|l| d(l).0 < 0.0));
+        }
+        assert!((0..8).any(|l| d(l).0 > 0.0 && d(l).1 <= 0.0));
+        let tail_den = |d: f64| polevl(d.abs(), &CND_TAIL_NUM) * SQRT_2PI;
+        assert!((0..8).any(|l| (tail_den(d(l).0) * tail_den(d(l).1)).is_infinite()));
+
+        for l in 0..8 {
+            let twin = call_hoisted(s[l], x[l], t[l], sqrt_t[l], lsx[l], &m);
+            assert_eq!(call[l].to_bits(), twin.to_bits(), "lane {l}");
+            let want = super::super::price_single(s[l] * (1.0 + spot), x[l], t[l], shocked).0;
+            if s[l].is_nan() {
+                assert!(call[l].is_nan(), "lane {l}: {}", call[l]);
+                continue;
+            }
+            assert!(call[l].is_finite(), "lane {l} d {:?}: {}", d(l), call[l]);
+            assert!(
+                (call[l] - want).abs() <= 1e-12 * want.abs().max(1.0),
+                "lane {l} d {:?}: {} vs {want}",
+                d(l),
+                call[l]
+            );
         }
     }
 

@@ -25,8 +25,9 @@
 //!   P&L reads nothing else), what depends on the position alone
 //!   (`ln(s/x)`, `√t`) is computed once per book and what depends on the
 //!   scenario alone (`ln(1+spot)`, `r + σ²/2`) once per scenario, so a
-//!   (position, scenario) pair costs one `exp`, two `cnd` and the division
-//!   by `σ√t` — no `ln`, no `s/x`, no root.
+//!   (position, scenario) pair costs two `exp` (the discount and one
+//!   Gaussian serving both `Φ`), the division by `σ√t` and one division
+//!   shared by both of `Φ`'s rationals — no `ln`, no `s/x`, no root.
 //! * **Strided fixed-order reduction** — position `i`'s P&L term is added
 //!   to partial `i mod PAD_WIDTH` on every rung and the [`PAD_WIDTH`]
 //!   partials are combined lane 0 first, so every width (and every ISA

@@ -106,17 +106,20 @@ pub fn black_scholes(arch: &ArchSpec) -> Vec<Level> {
 /// a figure of the paper: the descriptor restates `core::portfolio`'s
 /// hoisted call-only body, the Black-Scholes *Basic* mix minus everything
 /// the scenario loop no longer does — the put leg (2 `cnd`), `ln(s/x)`,
-/// `s/x` and `√t` (once per position instead).
+/// `s/x` and `√t` (once per position instead) — with its two remaining
+/// `cnd` opened up: one Gaussian serves both (`S'·φ(d1) = K·φ(d2)`) and
+/// their two rationals share one division.
 pub fn portfolio_revaluation(arch: &ArchSpec) -> Vec<Level> {
-    // 1 exp + 2 cnd and the divide by σ√t; ~12 flops of d1/d2/call plus 3
-    // for qty·(call − base) into its partial sum. The staged book (8
-    // columns × 8 B per position, 16 KiB at 256 positions) stays in L1
-    // across scenarios: no DRAM bytes.
+    // 2 exp (the discount and the one Gaussian), no cnd, and 2 divides
+    // (by σ√t, and the shared one under both rationals). Flops: the two
+    // central rationals' Horner chains (degree 6 over degree 7, 26 each),
+    // ~23 of d1/d2/the call, and 3 for qty·(call − base) into its partial
+    // sum. The staged book (8 columns × 8 B per position, 16 KiB at 256
+    // positions) stays in L1 across scenarios: no DRAM bytes.
     let simd = LevelCost {
-        exps: 1.0,
-        heavies: 2.0,
-        slow_ops: 1.0,
-        ..LevelCost::flops_only(15.0, 0.0)
+        exps: 2.0,
+        slow_ops: 2.0,
+        ..LevelCost::flops_only(78.0, 0.0)
     };
     // Basic: the same body one position per step; the compiler vectorizes
     // the sweep about as far as it does the Black-Scholes reference loop.
@@ -459,10 +462,28 @@ mod tests {
                 model.flops
             );
         }
-        // The scenario loop does strictly less than one Black-Scholes pricing.
-        let bs = &black_scholes(&SNB_EP)[0].cost;
-        let ours = &portfolio_revaluation(&SNB_EP)[1].cost;
-        assert!(ours.heavies < bs.heavies && ours.slow_ops < bs.slow_ops && ours.flops < bs.flops);
+        // The scenario loop does strictly less than one Black-Scholes
+        // pricing: fewer transcendental calls and divides, and fewer modeled
+        // cycles at the same vectorization. Its flops are not comparable on
+        // their own: the Horner chains it counts sit inside Black-Scholes'
+        // four `cnd`.
+        for arch in [&SNB_EP, &KNC] {
+            let bs = &black_scholes(arch)[1].cost;
+            let ours = &portfolio_revaluation(arch)[1].cost;
+            assert!(
+                ours.exps + ours.heavies < bs.exps + bs.heavies,
+                "{}",
+                arch.name
+            );
+            assert!(ours.slow_ops < bs.slow_ops, "{}", arch.name);
+            assert!(
+                ours.cycles_per_item(arch) < bs.cycles_per_item(arch),
+                "{}: {} vs {} cycles",
+                arch.name,
+                ours.cycles_per_item(arch),
+                bs.cycles_per_item(arch)
+            );
+        }
     }
 
     #[test]

@@ -85,17 +85,55 @@ pub const CND_TAIL_DEN: [f64; 13] = [
     46080.0,
 ];
 
+/// `|x|` past which [`norm_cdf`] reads exactly 0 or 1: `Φ(−37)` is
+/// 5.7e-300, and [`cnd_rational`] answers `(0, 1)` there.
+pub const CND_ZERO_FROM: f64 = 37.0;
+
+/// Φ's rational for `ax = |x|`, as the pair `(num, den)` with
+/// `Φ(−ax) = exp(−x²/2) · num / den`: Hart's central pair below
+/// [`CND_TAIL_FROM`], the far-tail pair (`CND_TAIL_DEN`,
+/// `CND_TAIL_NUM · √(2π)`) from there to [`CND_ZERO_FROM`], and `(0, 1)`
+/// past it. NaN lanes get a NaN pair.
+///
+/// The pair is chosen per lane by select, *before* any division, so a
+/// caller divides once whichever rational a lane needs, and every `den`
+/// lies in [440, 7e20]: a product of two stays finite. A vector with no
+/// lane at or past 7.07σ returns the central pair without evaluating the
+/// tail; that skip is the compiler's to keep, though — where LLVM
+/// if-converts it (the AVX-512 portfolio sweep) the tail's two Horner
+/// chains and four selects run for every vector. The bits are the same
+/// either way, and either way there is no second division.
+///
+/// The far tail is the Laplace continued fraction for the Mills ratio,
+/// `Φ(−x) = φ(x) / (x + 1/(x + 2/(x + 3/(…))))`, at depth 12 as one
+/// rational. West (2005) truncates at depth 4, which is only ~1e-9
+/// accurate right at the 7.07 switch point; depth 12 brings the truncation
+/// error to ~1e-14 there and below 1e-15 past 9.
+#[inline(always)]
+pub fn cnd_rational<L: Lanes>(ax: L) -> (L, L) {
+    let num = polevl(ax, &CND_NUM);
+    let den = polevl(ax, &CND_DEN);
+    let in_central = ax.lt(L::splat(CND_TAIL_FROM));
+    if in_central.all() {
+        return (num, den);
+    }
+    let past = ax.gt(L::splat(CND_ZERO_FROM));
+    let tail_num = L::select(past, L::splat(0.0), polevl(ax, &CND_TAIL_DEN));
+    let tail_den = L::select(past, L::splat(1.0), polevl(ax, &CND_TAIL_NUM) * SQRT_2PI);
+    (
+        L::select(in_central, num, tail_num),
+        L::select(in_central, den, tail_den),
+    )
+}
+
 /// Cumulative distribution function of the standard normal, the paper's
 /// `cnd`, lane-wise; NaN in, NaN out.
 ///
-/// Hart/West evaluation, blended by mask rather than branched per lane:
-/// the central rational is computed for every lane, and the far-tail
-/// rational for every lane of a vector that has at least one lane past
-/// 7.07σ; a vector with none skips it, and the blend would have discarded
-/// all of its lanes, so the result has the same bits either way. Such
-/// vectors are not rare — 17 % of the W=8 vectors of the paper's
-/// Black-Scholes workload (DESIGN.md §2) — and cost two more Horner
-/// chains and one division.
+/// `exp(−x²/2) · num / den` over [`cnd_rational`]'s pair, mirrored for
+/// `x > 0`: one `exp` and one division per lane whichever rational it
+/// needs. Vectors with a lane past 7.07σ are not rare — 17 % of the W=8
+/// vectors of the paper's Black-Scholes workload (DESIGN.md §2) — and cost
+/// two more Horner chains and four selects.
 ///
 /// ```
 /// assert!((finbench_math::norm_cdf(0.0) - 0.5).abs() < 1e-15);
@@ -111,23 +149,9 @@ pub fn norm_cdf<L: Lanes>(x: L) -> L {
 /// that needs that Gaussian itself ([`inv_norm_cdf_polish`]'s Halley step).
 #[inline(always)]
 fn norm_cdf_given_gauss<L: Lanes>(x: L, ax: L, e: L) -> L {
-    let central = e * polevl(ax, &CND_NUM) / polevl(ax, &CND_DEN);
-    let in_central = ax.lt(L::splat(CND_TAIL_FROM));
-    let cum = if in_central.all() {
-        central
-    } else {
-        // Far tail: Laplace continued fraction for the Mills ratio,
-        // Phi(-x) = phi(x) / (x + 1/(x + 2/(x + 3/(...)))), depth 12 as one
-        // rational. West (2005) truncates at depth 4, which is only ~1e-9
-        // accurate right at the 7.07 switch point; depth 12 brings the
-        // truncation error to ~1e-14 there and below 1e-15 past 9.
-        let tail = e * polevl(ax, &CND_TAIL_DEN) / (polevl(ax, &CND_TAIL_NUM) * SQRT_2PI);
-        // NaN propagates; a select handing it back here left part of the
-        // central rational of `erf`'s vector instance unpacked.
-        L::select(in_central, central, tail)
-    };
-    // Past 37 sigma the tail underflows to exactly zero.
-    let cum = L::select(ax.gt(L::splat(37.0)), L::splat(0.0), cum);
+    let (num, den) = cnd_rational(ax);
+    // `e ≥ 0`, so a lane past 37σ reads `e · 0 / 1 = +0` exactly.
+    let cum = e * num / den;
     L::select(x.gt(L::splat(0.0)), L::splat(1.0) - cum, cum)
 }
 
@@ -494,6 +518,36 @@ mod tests {
             prev = cur;
             i += 1;
         }
+    }
+
+    #[test]
+    fn cdf_bits_are_pinned_on_a_dense_grid() {
+        // FNV-1a over the bits of Φ at 1 600 001 points spanning [-40, 40]:
+        // both tail seams, both 37σ clamps and the centre. The value is the
+        // checksum of the two-division form this body replaced, so every
+        // kernel that calls `norm_cdf` keeps its bits.
+        let n = 1_600_000u64;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for i in 0..=n {
+            let x = -40.0 + 80.0 * i as f64 / n as f64;
+            h = (h ^ norm_cdf(x).to_bits()).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(h, 0xff8e_60e7_644f_af00, "{h:#018x}");
+    }
+
+    #[test]
+    fn rational_pair_is_zero_over_one_past_the_clamp() {
+        for ax in [37.000_000_000_000_01, 40.0, 1e30, f64::INFINITY] {
+            assert_eq!(cnd_rational(ax), (0.0, 1.0), "{ax}");
+        }
+        // The largest `den` there is: the one at 37σ.
+        let (num, den) = cnd_rational(CND_ZERO_FROM);
+        assert!(
+            num > 0.0 && (6e20..7e20).contains(&den),
+            "{num:e} / {den:e}"
+        );
+        let (num, den) = cnd_rational(f64::NAN);
+        assert!(num.is_nan() && den.is_nan());
     }
 
     #[test]
