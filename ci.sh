@@ -63,6 +63,12 @@ if git grep -nE '0x(bf58_476d_1ce4_e5b9|BF58_476D_1CE4_E5B9)' -- crates/serve; t
   exit 1
 fi
 
+echo "==> source guard (one way to run a rung: no execution policy, one timing loop)"
+if git grep -nE 'ExecPolicy::Serial|fn workers|try_body|time_once|run_ladder_named|LadderRates' -- crates tests examples; then
+  echo "rungs take only their workload; Engine::run_ladder_samples times every ladder (a figure is one trial's best)" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2

@@ -120,7 +120,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Basic,
                 "Basic: scalar AOS reference",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.aos.clone(),
                         |b| reference::price_aos::<f64>(b, M),
@@ -132,7 +132,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Basic,
                 "Basic+: SIMD on AOS (gathers)",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.aos.clone(),
                         |b| reference::price_aos_simd_gather::<8>(b, M),
@@ -143,7 +143,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Intermediate,
                 "Intermediate: scalar SOA",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(w.soa.clone(), |b| soa::price_soa_scalar(b, M), soa_prices)
                 },
             )
@@ -151,7 +151,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Intermediate,
                 "Intermediate: SIMD SOA (W=4)",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.soa.clone(),
                         |b| soa::price_soa_simd::<4>(b, M),
@@ -163,7 +163,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Intermediate,
                 "Intermediate: SIMD SOA (W=8)",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.soa.clone(),
                         |b| soa::price_soa_simd::<8>(b, M),
@@ -175,7 +175,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: erf + parity (W=8)",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.soa.clone(),
                         |b| soa::price_soa_simd_erf_parity::<8>(b, M),
@@ -187,7 +187,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: VML-style batch",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     let ws = vml::VmlWorkspace::with_capacity(w.soa.len());
                     fn_body(
                         (w.soa.clone(), ws),
@@ -201,7 +201,7 @@ impl Kernel for BlackScholes {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced + own-pool threads",
-                |w: &BsWorkload, _p| {
+                |w: &BsWorkload| {
                     fn_body(
                         w.soa.clone(),
                         |b| soa::par_price_soa::<8>(b, M, 4096),
@@ -277,7 +277,7 @@ impl Kernel for Binomial {
             Rung::new(
                 OptLevel::Basic,
                 "Basic: scalar reference",
-                |w: &BinomialWorkload, _p| {
+                |w: &BinomialWorkload| {
                     let n = w.n_steps;
                     fn_body(
                         w.batch.clone(),
@@ -290,7 +290,7 @@ impl Kernel for Binomial {
             Rung::new(
                 OptLevel::Intermediate,
                 "Intermediate: SIMD across options (W=8)",
-                |w: &BinomialWorkload, _p| {
+                |w: &BinomialWorkload| {
                     let n = w.n_steps;
                     fn_body(
                         w.batch.clone(),
@@ -304,7 +304,7 @@ impl Kernel for Binomial {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: register tiling (W=8, TS=4)",
-                |w: &BinomialWorkload, _p| {
+                |w: &BinomialWorkload| {
                     let n = w.n_steps;
                     fn_body(
                         w.batch.clone(),
@@ -320,7 +320,7 @@ impl Kernel for Binomial {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: register tiling (W=8, TS=8)",
-                |w: &BinomialWorkload, _p| {
+                |w: &BinomialWorkload| {
                     let n = w.n_steps;
                     fn_body(
                         w.batch.clone(),
@@ -411,7 +411,7 @@ impl Kernel for BrownianBridge {
             Rung::new(
                 OptLevel::Basic,
                 "Basic: scalar depth-level",
-                |w: &BridgeWorkload, _p| {
+                |w: &BridgeWorkload| {
                     fn_body(
                         (w, vec![0.0; w.n_paths * w.plan.points()]),
                         |(w, buf)| {
@@ -425,7 +425,7 @@ impl Kernel for BrownianBridge {
             Rung::new(
                 OptLevel::Intermediate,
                 "Intermediate: SIMD across paths (W=8)",
-                |w: &BridgeWorkload, _p| {
+                |w: &BridgeWorkload| {
                     fn_body(
                         (w, vec![0.0; w.n_paths * w.plan.points()]),
                         |(w, buf)| {
@@ -445,7 +445,7 @@ impl Kernel for BrownianBridge {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: interleaved RNG (incl. RNG gen)",
-                |w: &BridgeWorkload, _p| {
+                |w: &BridgeWorkload| {
                     fn_body(
                         (w, vec![0.0; w.n_paths * w.plan.points()]),
                         |(w, buf)| {
@@ -462,7 +462,7 @@ impl Kernel for BrownianBridge {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: cache-to-cache fused (incl. RNG gen)",
-                |w: &BridgeWorkload, _p| {
+                |w: &BridgeWorkload| {
                     fn_body(
                         (w, vec![0.0; w.n_paths]),
                         |(w, stats)| {
@@ -549,7 +549,7 @@ impl Kernel for MonteCarlo {
             Rung::new(
                 OptLevel::Basic,
                 "Basic: scalar streamed RNG (paths/s)",
-                |w: &McWorkload, _p| {
+                |w: &McWorkload| {
                     fn_body(
                         (w, None),
                         |(w, sums)| {
@@ -564,7 +564,7 @@ impl Kernel for MonteCarlo {
             Rung::new(
                 OptLevel::Intermediate,
                 "SIMD streamed RNG (paths/s)",
-                |w: &McWorkload, _p| {
+                |w: &McWorkload| {
                     fn_body(
                         (w, None),
                         |(w, sums)| {
@@ -581,7 +581,7 @@ impl Kernel for MonteCarlo {
             Rung::new(
                 OptLevel::Advanced,
                 "SIMD computed RNG (paths/s)",
-                |w: &McWorkload, _p| {
+                |w: &McWorkload| {
                     fn_body(
                         (w, None),
                         |(w, sums)| {
@@ -599,7 +599,7 @@ impl Kernel for MonteCarlo {
             Rung::new(
                 OptLevel::Advanced,
                 "Antithetic variates (paths/s)",
-                |w: &McWorkload, _p| {
+                |w: &McWorkload| {
                     fn_body(
                         (w, None),
                         |(w, sums)| {
@@ -661,7 +661,7 @@ impl Kernel for CrankNicolson {
 
     fn ladder(&self) -> Vec<Rung<CnProblem>> {
         fn solve_rung(level: OptLevel, label: &'static str, kind: PsorKind) -> Rung<CnProblem> {
-            Rung::new(level, label, move |w: &CnProblem, _p| {
+            Rung::new(level, label, move |w: &CnProblem| {
                 fn_body(
                     (w.clone(), None::<CnSolution>),
                     move |(p, sol)| *sol = Some(p.solve(kind)),
@@ -753,7 +753,7 @@ impl Kernel for Rng {
             Rung::new(
                 OptLevel::Basic,
                 "uniform DP (MT19937-64)",
-                |w: &RngWorkload, _p| {
+                |w: &RngWorkload| {
                     fn_body(
                         (Mt19937_64::new(w.seed), vec![0.0; w.n]),
                         |(rng, buf)| fill_uniform(rng, buf),
@@ -765,7 +765,7 @@ impl Kernel for Rng {
             Rung::new(
                 OptLevel::Basic,
                 "uniform DP (Philox4x32)",
-                |w: &RngWorkload, _p| {
+                |w: &RngWorkload| {
                     fn_body(
                         (Philox4x32::new(w.seed), vec![0.0; w.n]),
                         |(rng, buf)| fill_uniform(rng, buf),
@@ -777,7 +777,7 @@ impl Kernel for Rng {
             Rung::new(
                 OptLevel::Intermediate,
                 "normal DP (ICDF)",
-                |w: &RngWorkload, _p| {
+                |w: &RngWorkload| {
                     fn_body(
                         (Mt19937_64::new(w.seed.wrapping_add(1)), vec![0.0; w.n]),
                         |(rng, buf)| fill_standard_normal_icdf(rng, buf),
@@ -790,7 +790,7 @@ impl Kernel for Rng {
             Rung::new(
                 OptLevel::Intermediate,
                 "normal DP (polar)",
-                |w: &RngWorkload, _p| {
+                |w: &RngWorkload| {
                     fn_body(
                         (Mt19937_64::new(w.seed.wrapping_add(2)), vec![0.0; w.n]),
                         |(rng, buf)| fill_standard_normal_polar(rng, buf),
@@ -879,7 +879,7 @@ impl Kernel for GreeksKernel {
             level: OptLevel,
             label: &'static str,
         ) -> Rung<GreeksWorkload> {
-            Rung::new(level, label, |w: &GreeksWorkload, _p| {
+            Rung::new(level, label, |w: &GreeksWorkload| {
                 fn_body(
                     (w, GreeksBatchSoa::zeroed(w.batch.len())),
                     |(w, out)| greeks_batch_simd::<W>(&w.batch, M, out),
@@ -891,7 +891,7 @@ impl Kernel for GreeksKernel {
             label: &'static str,
             est: fn(&GreeksWorkload, usize) -> Greeks,
         ) -> Rung<GreeksWorkload> {
-            Rung::new(OptLevel::Advanced, label, move |w: &GreeksWorkload, _p| {
+            Rung::new(OptLevel::Advanced, label, move |w: &GreeksWorkload| {
                 fn_body(
                     (w, Vec::<Greeks>::new()),
                     move |(w, out)| {
@@ -923,7 +923,7 @@ impl Kernel for GreeksKernel {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: fused price+greeks (W=8)",
-                |w: &GreeksWorkload, _p| {
+                |w: &GreeksWorkload| {
                     fn_body(
                         (w.batch.clone(), GreeksBatchSoa::zeroed(w.batch.len())),
                         |(batch, out)| crate::greeks::price_and_greeks_into::<8>(batch, M, out),
@@ -964,7 +964,7 @@ impl Kernel for GreeksKernel {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: MC pathwise (delta/vega)",
-                |w: &GreeksWorkload, _p| {
+                |w: &GreeksWorkload| {
                     fn_body(
                         (w, Vec::<McGreeks>::new()),
                         |(w, out)| {
@@ -989,7 +989,7 @@ impl Kernel for GreeksKernel {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: MC CRN finite difference",
-                |w: &GreeksWorkload, _p| {
+                |w: &GreeksWorkload| {
                     fn_body(
                         (w, Vec::<(McEstimate, McEstimate)>::new()),
                         |(w, out)| {
@@ -1088,7 +1088,7 @@ impl Kernel for PortfolioKernel {
             level: OptLevel,
             label: &'static str,
         ) -> Rung<PortfolioWorkload> {
-            Rung::new(level, label, |w: &PortfolioWorkload, _p| {
+            Rung::new(level, label, |w: &PortfolioWorkload| {
                 fn_body(
                     (w, RevalScratch::new(), Vec::new()),
                     |(w, scratch, pnl)| revalue_into::<W>(&w.book, M, &w.grid, scratch, pnl),
@@ -1114,7 +1114,7 @@ impl Kernel for PortfolioKernel {
             Rung::new(
                 OptLevel::Advanced,
                 "Advanced: chunk-parallel scenarios",
-                |w: &PortfolioWorkload, _p| {
+                |w: &PortfolioWorkload| {
                     fn_body(
                         (w, Vec::new()),
                         |(w, pnl)| par_revalue(&w.book, M, &w.cfg, 256, pnl),

@@ -1,7 +1,6 @@
 //! Basic-level Monte-Carlo kernel: the paper's Lis. 5, scalar path loop.
 
 use super::{GbmTerminal, PathSums};
-use crate::workload::MarketParams;
 use finbench_math::Real;
 use finbench_rng::{normal::fill_standard_normal_icdf, StreamFamily};
 use finbench_simd::isa_fn;
@@ -55,31 +54,11 @@ pub fn paths_computed(
     acc
 }
 
-/// Price a set of options against one shared normal stream (Lis. 5's
-/// outer loop with `STREAM == true`): returns one [`PathSums`] per option.
-pub fn price_option_set_streamed(
-    s: &[f64],
-    x: &[f64],
-    t: &[f64],
-    market: MarketParams,
-    randoms: &[f64],
-) -> Vec<PathSums> {
-    assert!(
-        s.len() == x.len() && x.len() == t.len(),
-        "ragged option arrays"
-    );
-    (0..s.len())
-        .map(|o| {
-            let g = GbmTerminal::new(t[o], market);
-            paths_streamed::<f64>(s[o], x[o], g, randoms)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::black_scholes::price_single;
+    use crate::workload::MarketParams;
     use finbench_rng::Mt19937_64;
 
     const M: MarketParams = MarketParams {
@@ -146,16 +125,6 @@ mod tests {
         assert_eq!(a, b);
         let c = paths_computed(100.0, 100.0, g, &fam, 4, 10_000);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn option_set_shares_the_stream() {
-        let randoms = normals(10_000, 2);
-        let sums =
-            price_option_set_streamed(&[100.0, 100.0], &[90.0, 110.0], &[1.0, 1.0], M, &randoms);
-        assert_eq!(sums.len(), 2);
-        // Same randoms: the lower strike call must dominate path-by-path.
-        assert!(sums[0].v0 > sums[1].v0);
     }
 
     #[test]

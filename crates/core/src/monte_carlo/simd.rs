@@ -176,22 +176,6 @@ isa_fn! {
     }
 }
 
-/// Price an option per Tab. II's "options/sec" definition: one option,
-/// `npath` paths, returning `(price, standard error)`.
-pub fn price_european_call_mc<const W: usize>(
-    s: f64,
-    x: f64,
-    t: f64,
-    market: crate::workload::MarketParams,
-    npath: usize,
-    seed: u64,
-) -> (f64, f64) {
-    let g = GbmTerminal::new(t, market);
-    let fam = StreamFamily::new(seed);
-    let sums = paths_computed_simd::<W>(s, x, g, &fam, 0, npath);
-    sums.price(market.r, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,15 +253,6 @@ mod tests {
         let anti = paths_antithetic::<8>(s, x, GbmTerminal::new(t, M), &randoms);
         let (p, se) = anti.price(M.r, t);
         assert!((p - bs).abs() < 4.0 * se, "{p} ± {se} vs {bs}");
-    }
-
-    #[test]
-    fn end_to_end_price_helper() {
-        let (s, x, t) = (100.0, 95.0, 2.0);
-        let (bs, _) = crate::black_scholes::price_single(s, x, t, M);
-        let (p, se) = price_european_call_mc::<8>(s, x, t, M, 262_144, 123);
-        assert!((p - bs).abs() < 4.0 * se, "{p} ± {se} vs {bs}");
-        assert!(se < 0.1);
     }
 
     #[test]

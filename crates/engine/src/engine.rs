@@ -9,12 +9,7 @@ use crate::planner::{Plan, Planner};
 use crate::registry::{AnyKernel, Registry};
 use crate::slug::min_secs;
 use crate::timing::{throughput_samples, Samples};
-use finbench_parallel::ExecPolicy;
 use finbench_telemetry as telemetry;
-
-/// A measured ladder: `(label, best items/s)` per rung, ladder order —
-/// the shape the harness bar charts consume.
-pub type LadderRates = Vec<(String, f64)>;
 
 /// One rung's merged measurement across the interleaved trials of
 /// [`Engine::run_ladder_samples`].
@@ -59,65 +54,34 @@ impl Engine {
         &self.registry
     }
 
-    /// The planner.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
     /// Plan one kernel by name; unknown names are a typed error, not a
     /// panic (the serving plane maps this into a `Rejected` response).
     pub fn plan(&self, name: &str) -> Result<Plan, EngineError> {
         self.planner.plan(self.registry.resolve(name)?)
     }
 
-    /// Measure every rung of `kernel`'s ladder on the build host.
+    /// Measure every rung of `kernel` on the build host, `trials` times
+    /// in interleaved order (rung 0..n, then rung 0..n again, ...),
+    /// merging each rung's per-rep samples across trials. Interleaving
+    /// spreads slow drift — thermal throttle, frequency steps, a neighbor
+    /// hogging the socket — across all rungs instead of biasing whichever
+    /// rung happened to run last, which is what makes the merged median
+    /// stable enough to gate on. A figure is one trial's
+    /// [`best`](Samples::best).
     ///
     /// Emits one `plan.<kernel>` span carrying the planner's decision
     /// (`chosen_rung`, `bound`, `predicted_rate`, `reason`) and one
-    /// `native.<kernel>.<slug>` span per rung carrying `label`, `level`,
-    /// `items`, the [`throughput_samples`] summary, and `pool_imbalance`
-    /// (1.0 unless a pool dispatch inside the body overwrites it).
-    pub fn run_ladder(&self, kernel: &dyn AnyKernel, quick: bool) -> LadderRates {
-        self.emit_plan_span(kernel);
-        let spec = WorkloadSpec::measure(quick);
-        let session = kernel.session(&spec);
-        let secs = min_secs(quick);
-        let items = session.items();
-        let mut out = Vec::new();
-        for (i, info) in kernel.rungs().iter().enumerate() {
-            let _g = telemetry::span(format!("native.{}.{}", kernel.name(), info.slug));
-            telemetry::set_attr("label", info.label);
-            telemetry::set_attr("level", info.level.as_str());
-            telemetry::set_attr("items", items);
-            telemetry::set_attr("pool_imbalance", 1.0);
-            let mut body = session.body(i, ExecPolicy::OwnPool(0));
-            let s = throughput_samples(items, secs, || body.step());
-            out.push((info.label.to_string(), s.best()));
-        }
-        out
-    }
-
-    /// [`run_ladder`](Self::run_ladder) by registry name; unknown names
-    /// are a typed error.
-    pub fn run_ladder_named(&self, name: &str, quick: bool) -> Result<LadderRates, EngineError> {
-        Ok(self.run_ladder(self.registry.resolve(name)?, quick))
-    }
-
-    /// Measure every rung of `kernel` `trials` times in interleaved order
-    /// (rung 0..n, then rung 0..n again, ...), merging each rung's per-rep
-    /// samples across trials. Interleaving spreads slow drift — thermal
-    /// throttle, frequency steps, a neighbor hogging the socket — across
-    /// all rungs instead of biasing whichever rung happened to run last,
-    /// which is what makes the merged median stable enough to gate on.
-    ///
-    /// One `bench.<kernel>.<slug>` span is opened per rung visit with the
-    /// usual [`throughput_samples`] summary attributes.
+    /// `native.<kernel>.<slug>` span per rung visit carrying `label`,
+    /// `level`, `items`, `trial`, the [`throughput_samples`] summary, and
+    /// `pool_imbalance` (1.0 unless a pool dispatch inside the body
+    /// overwrites it).
     pub fn run_ladder_samples(
         &self,
         kernel: &dyn AnyKernel,
         quick: bool,
         trials: usize,
     ) -> Vec<RungSamples> {
+        self.emit_plan_span(kernel);
         let spec = WorkloadSpec::measure(quick);
         let session = kernel.session(&spec);
         let secs = min_secs(quick);
@@ -126,10 +90,13 @@ impl Engine {
         let mut merged: Vec<Option<Samples>> = vec![None; rungs.len()];
         for trial in 0..trials.max(1) {
             for (i, info) in rungs.iter().enumerate() {
-                let _g = telemetry::span(format!("bench.{}.{}", kernel.name(), info.slug));
-                telemetry::set_attr("trial", trial);
+                let _g = telemetry::span(format!("native.{}.{}", kernel.name(), info.slug));
+                telemetry::set_attr("label", info.label);
+                telemetry::set_attr("level", info.level.as_str());
                 telemetry::set_attr("items", items);
-                let mut body = session.body(i, ExecPolicy::OwnPool(0));
+                telemetry::set_attr("trial", trial);
+                telemetry::set_attr("pool_imbalance", 1.0);
+                let mut body = session.prepare(i);
                 let s = throughput_samples(items, secs, || body.step());
                 match &mut merged[i] {
                     Some(acc) => acc.merge(&s),
@@ -179,7 +146,7 @@ impl Engine {
         let mut outputs: Vec<Option<Vec<f64>>> = vec![None; rungs.len()];
         let output_of = |idx: usize, outputs: &mut Vec<Option<Vec<f64>>>| -> Vec<f64> {
             if outputs[idx].is_none() {
-                let mut body = session.body(idx, ExecPolicy::Serial);
+                let mut body = session.prepare(idx);
                 body.step();
                 outputs[idx] = Some(body.output());
             }
@@ -274,13 +241,15 @@ mod tests {
     fn generic_ladder_loop_measures_every_rung() {
         telemetry::set_filter("all");
         let e = engine();
-        let rates = e.run_ladder_named("toy", true).unwrap();
-        assert_eq!(rates.len(), 2);
-        for (label, rate) in &rates {
-            assert!(rate.is_finite() && *rate > 0.0, "{label}: {rate}");
+        let rungs = e.run_ladder_samples(e.registry().resolve("toy").unwrap(), true, 1);
+        assert_eq!(rungs.len(), 2);
+        for r in &rungs {
+            let rate = r.samples.best();
+            assert!(rate.is_finite() && rate > 0.0, "{}: {rate}", r.label);
         }
-        // Spans: one plan span + one per rung, named from the slugs.
-        let spans = telemetry::drain();
+        // Spans: one plan span + one per rung, named from the slugs. No
+        // test in this binary drains the shared registry.
+        let spans = telemetry::snapshot();
         let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
         assert!(names.contains(&"plan.toy"), "{names:?}");
         assert!(names.contains(&"native.toy.basic_scalar"), "{names:?}");
@@ -303,15 +272,18 @@ mod tests {
             assert!(r.samples.median_cycles_per_item() >= 0.0);
             assert!(r.items > 0);
         }
-        // One bench span per rung per trial — but the registry is shared
-        // with concurrently running tests that drain it, so only assert
-        // the spans exist and never exceed the trial count.
+        // One rung span per rung per trial, each tagged with its trial
+        // (other tests in this binary add trial-0 visits of their own).
         let spans = telemetry::snapshot();
-        let visits = spans
+        let visits: Vec<_> = spans
             .iter()
-            .filter(|s| s.name == "bench.toy.basic_scalar")
-            .count();
-        assert!((1..=3).contains(&visits), "{visits}");
+            .filter(|s| s.name == "native.toy.basic_scalar")
+            .flat_map(|s| s.attrs.iter().filter(|(k, _)| *k == "trial"))
+            .collect();
+        for t in 0..3 {
+            let trial = ("trial", telemetry::AttrValue::Int(t));
+            assert!(visits.contains(&&trial), "{visits:?}");
+        }
     }
 
     #[test]
@@ -343,10 +315,6 @@ mod tests {
         assert_eq!(plan.kernel, "toy");
         assert!(matches!(
             e.plan("missing").unwrap_err(),
-            EngineError::UnknownKernel { .. }
-        ));
-        assert!(matches!(
-            e.run_ladder_named("missing", true).unwrap_err(),
             EngineError::UnknownKernel { .. }
         ));
     }

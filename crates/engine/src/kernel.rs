@@ -4,12 +4,11 @@
 //!
 //! The paper's structure is six kernels × three optimization levels
 //! (Basic/Intermediate/Advanced), each compared against a roofline bound.
-//! This module is that structure as a trait: one place to add kernel #7,
+//! This module is that structure as a trait: one place to add a kernel,
 //! and the harness, benchmarks, and machine model all pick it up.
 
 use finbench_machine::kernels::Level as CostedLevel;
 use finbench_machine::ArchSpec;
-use finbench_parallel::ExecPolicy;
 
 /// The paper's three optimization levels (§III-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -138,7 +137,7 @@ where
     Box::new(FnBody { state, step, out })
 }
 
-type MakeBody<W> = Box<dyn for<'w> Fn(&'w W, ExecPolicy) -> Box<dyn RungBody + 'w> + Send + Sync>;
+type MakeBody<W> = Box<dyn for<'w> Fn(&'w W) -> Box<dyn RungBody + 'w> + Send + Sync>;
 
 /// One rung of a kernel's optimization ladder: a labeled level plus the
 /// factory that prepares a runnable body over a workload.
@@ -168,7 +167,7 @@ impl<W> Rung<W> {
     /// tolerance, cost level 0, no staging/threading).
     pub fn new<F>(level: OptLevel, label: &'static str, make: F) -> Self
     where
-        F: for<'w> Fn(&'w W, ExecPolicy) -> Box<dyn RungBody + 'w> + Send + Sync + 'static,
+        F: for<'w> Fn(&'w W) -> Box<dyn RungBody + 'w> + Send + Sync + 'static,
     {
         Self {
             level,
@@ -213,8 +212,8 @@ impl<W> Rung<W> {
     }
 
     /// Prepare a runnable body over `workload`.
-    pub fn body<'w>(&self, workload: &'w W, policy: ExecPolicy) -> Box<dyn RungBody + 'w> {
-        (self.make)(workload, policy)
+    pub fn body<'w>(&self, workload: &'w W) -> Box<dyn RungBody + 'w> {
+        (self.make)(workload)
     }
 }
 
@@ -277,7 +276,7 @@ mod tests {
 
     #[test]
     fn rung_builder_sets_metadata() {
-        let r: Rung<()> = Rung::new(OptLevel::Advanced, "x", |_w, _p| {
+        let r: Rung<()> = Rung::new(OptLevel::Advanced, "x", |_w| {
             fn_body((), |_| {}, |_| vec![])
         })
         .check(Check::BitExact)

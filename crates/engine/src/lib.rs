@@ -1,6 +1,6 @@
 //! # finbench-engine — the unified pricing-engine plane
 //!
-//! Everything the paper's six kernels have in common, factored into one
+//! Everything the eight kernels have in common, factored into one
 //! crate: the [`Kernel`] trait (a named paper artifact with a typed
 //! workload, an optimization [ladder](Rung), and machine-model cost
 //! descriptors), the type-erased [`Registry`] the harness and CLI iterate,
@@ -10,11 +10,11 @@
 //! The dependency direction is deliberate: this crate knows nothing about
 //! the concrete kernels. `finbench-core` implements [`Kernel`] for each of
 //! them in thin adapters, and `finbench-harness` drives the lot through
-//! [`Engine::run_ladder`] — no per-kernel driver functions anywhere.
+//! [`Engine::run_ladder_samples`] — no per-kernel driver functions anywhere.
 //!
 //! ```text
-//!  finbench-machine ──► finbench-engine ◄── finbench-parallel
-//!        (cost model)        │    ▲              (ExecPolicy)
+//!  finbench-machine ──► finbench-engine
+//!        (cost model)        │    ▲
 //!                            ▼    │ implements Kernel
 //!                      finbench-core ◄── finbench-harness (drives Engine)
 //! ```
@@ -27,10 +27,10 @@ pub mod registry;
 pub mod slug;
 pub mod timing;
 
-pub use engine::{Engine, LadderRates, RungSamples};
+pub use engine::{Engine, RungSamples};
 pub use error::EngineError;
 pub use kernel::{fn_body, Check, Kernel, OptLevel, Rung, RungBody, WorkloadSpec};
 pub use planner::{Bound, Plan, Planner};
 pub use registry::{AnyKernel, LadderSession, Registry, RungInfo};
 pub use slug::{min_secs, slug};
-pub use timing::{throughput, throughput_samples, time_once, Samples};
+pub use timing::{throughput_samples, Samples};

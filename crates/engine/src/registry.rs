@@ -7,7 +7,6 @@ use crate::kernel::{Check, Kernel, OptLevel, Rung, RungBody, WorkloadSpec};
 use crate::slug::slug;
 use finbench_machine::kernels::Level as CostedLevel;
 use finbench_machine::ArchSpec;
-use finbench_parallel::ExecPolicy;
 
 /// Metadata of one ladder rung, with the workload type erased.
 #[derive(Debug, Clone)]
@@ -34,20 +33,18 @@ pub struct RungInfo {
 pub trait LadderSession {
     /// Items processed per rung step.
     fn items(&self) -> usize;
-    /// Number of rungs.
-    fn rung_count(&self) -> usize;
     /// Prepare a runnable body for rung `idx`.
     ///
     /// # Panics
-    /// If `idx` is out of range; see [`try_body`](Self::try_body) for the
-    /// non-panicking form.
-    fn body(&self, idx: usize, policy: ExecPolicy) -> Box<dyn RungBody + '_>;
+    /// If `idx` is out of range.
+    fn prepare(&self, idx: usize) -> Box<dyn RungBody + '_>;
 
-    /// Prepare a runnable body for rung `idx`, or `None` when `idx` is
-    /// past the end of the ladder — the serving plane's entry point, which
-    /// must never crash on a bad rung index.
-    fn try_body(&self, idx: usize, policy: ExecPolicy) -> Option<Box<dyn RungBody + '_>> {
-        (idx < self.rung_count()).then(|| self.body(idx, policy))
+    /// [`prepare`](Self::prepare) under its old name. The policy is
+    /// ignored — a rung's threading is a property of the rung — and the
+    /// argument is kept only because `benchmark/` calls this form and may
+    /// not change with the engine.
+    fn body(&self, idx: usize, _policy: finbench_parallel::ExecPolicy) -> Box<dyn RungBody + '_> {
+        self.prepare(idx)
     }
 }
 
@@ -61,11 +58,8 @@ impl<K: Kernel> LadderSession for SessionImpl<K> {
     fn items(&self) -> usize {
         self.items
     }
-    fn rung_count(&self) -> usize {
-        self.rungs.len()
-    }
-    fn body(&self, idx: usize, policy: ExecPolicy) -> Box<dyn RungBody + '_> {
-        self.rungs[idx].body(&self.workload, policy)
+    fn prepare(&self, idx: usize) -> Box<dyn RungBody + '_> {
+        self.rungs[idx].body(&self.workload)
     }
 }
 
@@ -299,7 +293,7 @@ pub(crate) mod tests {
         }
         fn ladder(&self) -> Vec<Rung<Vec<f64>>> {
             vec![
-                Rung::new(OptLevel::Basic, "Basic: scalar", |w: &Vec<f64>, _p| {
+                Rung::new(OptLevel::Basic, "Basic: scalar", |w: &Vec<f64>| {
                     fn_body(
                         (w, vec![0.0; w.len()]),
                         |(w, out)| {
@@ -311,23 +305,19 @@ pub(crate) mod tests {
                     )
                 })
                 .check(Check::None),
-                Rung::new(
-                    OptLevel::Advanced,
-                    "Advanced: pairwise",
-                    |w: &Vec<f64>, _p| {
-                        fn_body(
-                            (w, vec![0.0; w.len()]),
-                            |(w, out)| {
-                                for i in (0..w.len()).step_by(2) {
-                                    for j in i..(i + 2).min(w.len()) {
-                                        out[j] = w[j] + w[j];
-                                    }
+                Rung::new(OptLevel::Advanced, "Advanced: pairwise", |w: &Vec<f64>| {
+                    fn_body(
+                        (w, vec![0.0; w.len()]),
+                        |(w, out)| {
+                            for i in (0..w.len()).step_by(2) {
+                                for j in i..(i + 2).min(w.len()) {
+                                    out[j] = w[j] + w[j];
                                 }
-                            },
-                            |(_, out)| out.clone(),
-                        )
-                    },
-                )
+                            }
+                        },
+                        |(_, out)| out.clone(),
+                    )
+                })
                 .check(Check::BitExact)
                 .cost_level(1),
             ]
@@ -395,14 +385,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn try_body_rejects_out_of_range_rungs() {
-        let k = ToyKernel;
-        let session = AnyKernel::session(&k, &WorkloadSpec::validation(1, 8));
-        assert!(session.try_body(1, ExecPolicy::Serial).is_some());
-        assert!(session.try_body(2, ExecPolicy::Serial).is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate kernel name")]
     fn registry_rejects_duplicates() {
         let mut reg = Registry::new();
@@ -425,9 +407,8 @@ pub(crate) mod tests {
         let k = ToyKernel;
         let session = AnyKernel::session(&k, &WorkloadSpec::validation(3, 10));
         assert_eq!(session.items(), 10);
-        assert_eq!(session.rung_count(), 2);
-        let mut a = session.body(0, ExecPolicy::Serial);
-        let mut b = session.body(1, ExecPolicy::Serial);
+        let mut a = session.prepare(0);
+        let mut b = session.prepare(1);
         a.step();
         b.step();
         assert_eq!(a.output(), b.output());

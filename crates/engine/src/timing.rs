@@ -1,9 +1,9 @@
 //! Wall-clock throughput measurement for the native runs.
 //!
-//! [`throughput`] keeps the classic best-of contract; [`throughput_samples`]
-//! returns the full per-rep distribution as a [`Samples`] and attaches a
-//! summary (rep count, best/median/p95 rates) to the innermost open
-//! telemetry span.
+//! [`throughput_samples`] returns the full per-rep distribution as a
+//! [`Samples`] and attaches a summary (rep count, best/median/p95 rates)
+//! to the innermost open telemetry span; [`Samples::best`] is the classic
+//! best-of figure.
 
 use finbench_telemetry as telemetry;
 use std::time::Instant;
@@ -56,7 +56,8 @@ impl Samples {
         self.rates.len()
     }
 
-    /// Best (maximum) per-rep rate — what [`throughput`] reports.
+    /// Best (maximum) per-rep rate — the usual defense against scheduler
+    /// noise on a shared host.
     pub fn best(&self) -> f64 {
         self.rates.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
@@ -135,21 +136,6 @@ pub fn throughput_samples(items: usize, min_secs: f64, mut body: impl FnMut()) -
     s
 }
 
-/// Measure `items/second` for `body`, which processes `items` work units
-/// per call, and report the best per-call rate — the usual defense against
-/// scheduler noise on a shared host. See [`throughput_samples`] for the
-/// full distribution.
-pub fn throughput(items: usize, min_secs: f64, body: impl FnMut()) -> f64 {
-    throughput_samples(items, min_secs, body).best()
-}
-
-/// Measure a one-shot duration in seconds.
-pub fn time_once(body: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    body();
-    t0.elapsed().as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,25 +143,20 @@ mod tests {
     #[test]
     fn throughput_is_positive_and_sane() {
         let mut acc = 0u64;
-        let rate = throughput(1000, 0.01, || {
+        let rate = throughput_samples(1000, 0.01, || {
             for i in 0..1000u64 {
                 acc = acc.wrapping_add(i * i);
             }
-        });
+        })
+        .best();
         assert!(rate > 0.0);
         std::hint::black_box(acc);
     }
 
     #[test]
-    fn time_once_measures_something() {
-        let t = time_once(|| std::thread::sleep(std::time::Duration::from_millis(5)));
-        assert!(t >= 0.004, "{t}");
-    }
-
-    #[test]
     fn throughput_runs_at_least_twice() {
         let mut count = 0;
-        throughput(1, 0.0, || count += 1);
+        throughput_samples(1, 0.0, || count += 1);
         assert!(count >= 3); // warmup + >= 2 timed
     }
 

@@ -5,6 +5,7 @@ use crate::gate::{self, Verdict};
 use crate::native;
 use crate::render::{bar_chart, fmt_num, maybe_write_csv, section, table, to_csv};
 use crate::RunOptions;
+use finbench_engine::AnyKernel;
 use finbench_machine::{figures, KNC, SNB_EP};
 
 fn print_figure(fig: &figures::FigureSeries, opts: &RunOptions) {
@@ -42,23 +43,26 @@ fn print_native(title: &str, ladder: &[(String, f64)], unit: &str, opts: &RunOpt
     println!();
 }
 
-/// Measure and print the native ladder of every registered kernel whose
-/// paper artifact is `artifact` — the registry is the single source of
-/// truth for which kernels belong to which figure/table.
-fn print_native_for_artifact(artifact: &str, opts: &RunOptions) {
+/// Measure and print the native ladder of every registered kernel `keep`
+/// selects, one trial each, as best-of bars.
+fn print_native_ladders(opts: &RunOptions, keep: impl Fn(&dyn AnyKernel) -> bool) {
     let engine = native::engine();
-    for k in engine.registry().kernels() {
-        if k.artifact() != artifact {
-            continue;
-        }
-        print_native(
-            k.title(),
-            &engine.run_ladder(k, opts.quick),
-            k.unit(),
-            opts,
-            &format!("native_{}.csv", k.name()),
-        );
+    for k in engine.registry().kernels().filter(|&k| keep(k)) {
+        let rates: Vec<(String, f64)> = engine
+            .run_ladder_samples(k, opts.quick, 1)
+            .iter()
+            .map(|r| (r.label.to_string(), r.samples.best()))
+            .collect();
+        let csv = format!("native_{}.csv", k.name());
+        print_native(k.title(), &rates, k.unit(), opts, &csv);
     }
+}
+
+/// The native ladders of every kernel whose paper artifact is `artifact` —
+/// the registry is the single source of truth for which kernels belong to
+/// which figure/table.
+fn print_native_for_artifact(artifact: &str, opts: &RunOptions) {
+    print_native_ladders(opts, |k| k.artifact() == artifact);
 }
 
 /// Table I: system configuration and derived peaks.
@@ -157,7 +161,7 @@ pub fn fig5(opts: &RunOptions) {
 /// lives here.
 fn tile_depth_sweep(quick: bool) -> Vec<(String, f64)> {
     use finbench_core::binomial::tiled::reduce_tiled;
-    use finbench_engine::{min_secs, throughput};
+    use finbench_engine::{min_secs, throughput_samples};
     use finbench_simd::F64v;
 
     const N: usize = 1024;
@@ -169,10 +173,11 @@ fn tile_depth_sweep(quick: bool) -> Vec<(String, f64)> {
         ($($ts:literal),*) => {$(
             // Restoring the leaves is ~1 k vector copies against the
             // reduction's ~0.5 M node updates.
-            let rate = throughput(W, min_secs(quick), || {
+            let rate = throughput_samples(W, min_secs(quick), || {
                 call.copy_from_slice(&leaves);
                 std::hint::black_box(reduce_tiled::<W, $ts>(&mut call, N, 0.5002, 0.4988));
-            });
+            })
+            .best();
             out.push((format!("TS={}", $ts), rate));
         )*};
     }
@@ -426,21 +431,11 @@ pub fn audit(opts: &RunOptions) {
 pub fn native_all(opts: &RunOptions) {
     println!("{}", section("Native host measurements (all kernels)"));
     println!("  {}", finbench_simd::Isa::describe());
-    let engine = native::engine();
-    for k in engine.registry().kernels() {
-        if let Some(only) = &opts.only {
-            if !only.iter().any(|n| n == k.name()) {
-                continue;
-            }
-        }
-        print_native(
-            k.title(),
-            &engine.run_ladder(k, opts.quick),
-            k.unit(),
-            opts,
-            &format!("native_{}.csv", k.name()),
-        );
-    }
+    print_native_ladders(opts, |k| {
+        opts.only
+            .as_ref()
+            .is_none_or(|only| only.iter().any(|n| n == k.name()))
+    });
 }
 
 /// How a verdict reads in an experiment's closing lines.

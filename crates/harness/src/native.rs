@@ -7,18 +7,18 @@
 //! (SOA beats AOS, tiling beats plain SIMD, fused beats streamed) is the
 //! reproducible part and is what the integration tests assert.
 //!
-//! There are no per-kernel driver functions here: the seven kernels
+//! There are no per-kernel driver functions here: the eight kernels
 //! implement [`finbench_engine::Kernel`] in `finbench_core::engine`, and
 //! one shared [`Engine`] drives every ladder through the same generic
-//! loop — spans (`native.<kernel>.<slug>` with label, workload size,
-//! per-rep throughput summary, pool imbalance) and the planner's
-//! `plan.<kernel>` decision span come with it.
+//! loop, [`Engine::run_ladder_samples`] — spans (`native.<kernel>.<slug>`
+//! with label, workload size, trial, per-rep throughput summary, pool
+//! imbalance) and the planner's `plan.<kernel>` decision span come with it.
 
 use finbench_core::engine::registry;
-use finbench_engine::{Engine, LadderRates};
+use finbench_engine::Engine;
 use std::sync::OnceLock;
 
-/// The process-wide engine: the seven-kernel registry plus a planner for
+/// The process-wide engine: the eight-kernel registry plus a planner for
 /// the build host (honoring `FINBENCH_PLAN` overrides).
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
@@ -28,16 +28,6 @@ pub fn engine() -> &'static Engine {
 /// Registered kernel names, registration (paper-artifact) order.
 pub fn kernel_names() -> Vec<&'static str> {
     engine().registry().names()
-}
-
-/// Measure one kernel's full ladder by registry name.
-///
-/// # Panics
-/// If `name` is not a registered kernel (CLI validation happens earlier).
-pub fn ladder(name: &str, quick: bool) -> LadderRates {
-    engine()
-        .run_ladder_named(name, quick)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]
@@ -63,11 +53,17 @@ mod tests {
 
     #[test]
     fn all_ladders_produce_positive_rates() {
-        for name in kernel_names() {
-            let rates = ladder(name, true);
-            assert!(!rates.is_empty(), "{name}");
-            for (label, rate) in &rates {
-                assert!(rate.is_finite() && *rate > 0.0, "{name}/{label}: {rate}");
+        for k in engine().registry().kernels() {
+            let rungs = engine().run_ladder_samples(k, true, 1);
+            assert!(!rungs.is_empty(), "{}", k.name());
+            for r in &rungs {
+                let rate = r.samples.best();
+                assert!(
+                    rate.is_finite() && rate > 0.0,
+                    "{}/{}: {rate}",
+                    k.name(),
+                    r.label
+                );
             }
         }
     }

@@ -34,25 +34,14 @@ pub mod pool;
 
 pub use pool::{parallel_for_chunks, parallel_for_chunks2, parallel_map_reduce};
 
-/// Which execution backend a kernel driver should use.
+/// An execution policy no rung reads: a rung's threading is a property of
+/// the rung. Kept only as the ignored argument of the engine's
+/// `LadderSession::body`, which `benchmark/` calls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecPolicy {
-    /// Single-threaded; the reference for equivalence tests.
-    Serial,
     /// The crate's own chunk-dispenser pool with the given worker count
     /// (0 = one worker per available CPU).
     OwnPool(usize),
-}
-
-impl ExecPolicy {
-    /// Resolve the effective worker count for this policy.
-    pub fn workers(&self) -> usize {
-        match self {
-            ExecPolicy::Serial => 1,
-            ExecPolicy::OwnPool(0) => available_parallelism(),
-            ExecPolicy::OwnPool(n) => *n,
-        }
-    }
 }
 
 /// Number of CPUs the OS reports as available (≥ 1), **fixed at the first

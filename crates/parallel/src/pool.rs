@@ -11,6 +11,7 @@
 //! for any thread count or interleaving — the kernel equivalence tests
 //! rely on it.
 
+use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry::{self as telemetry, Counter, Gauge};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -58,7 +59,9 @@ fn record_dispatch(n_chunks: usize, workers: usize, per_worker: &[u64]) {
 /// Run `task(c)` exactly once for every `c` in `0..n_chunks` (≥ 1) on up
 /// to `workers` scoped threads pulling indices off one atomic counter.
 /// One worker — asked for, or all a single chunk can use — is a plain
-/// loop on the calling thread: no spawn, no allocation.
+/// loop on the calling thread: no spawn, no allocation. Spawned workers
+/// run under the caller's [`Isa::active`] tier, so a tier forced with
+/// [`dispatch_as`] reaches every chunk.
 fn dispatch(n_chunks: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
     let workers = workers.clamp(1, n_chunks);
     if workers == 1 {
@@ -69,6 +72,7 @@ fn dispatch(n_chunks: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
         return;
     }
     let next = AtomicUsize::new(0);
+    let tier = Isa::active();
     // One worker: pull indices until they run out, return how many it ran.
     let pull = || {
         std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
@@ -77,7 +81,8 @@ fn dispatch(n_chunks: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
             .count() as u64
     };
     let per_worker: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|_| s.spawn(pull)).collect();
+        let worker = || dispatch_as(tier, &pull);
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
         let join = |h: std::thread::ScopedJoinHandle<u64>| h.join().expect("pool worker panicked");
         handles.into_iter().map(join).collect()
     });
@@ -315,10 +320,14 @@ mod tests {
     }
 
     #[test]
-    fn exec_policy_workers() {
-        use crate::ExecPolicy;
-        assert_eq!(ExecPolicy::Serial.workers(), 1);
-        assert_eq!(ExecPolicy::OwnPool(3).workers(), 3);
-        assert!(ExecPolicy::OwnPool(0).workers() >= 1);
+    fn chunk_bodies_run_under_the_callers_isa_tier() {
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+            // 8 one-element chunks on 4 workers: spawned threads run most.
+            let mut seen = vec![None; 8];
+            dispatch_as(isa, || {
+                parallel_for_chunks(&mut seen, 1, 4, |_, c| c[0] = Some(Isa::active()));
+            });
+            assert!(seen.iter().all(|&t| t == Some(isa)), "{isa:?}: {seen:?}");
+        }
     }
 }

@@ -182,12 +182,14 @@ pub fn dispatch<Op: IsaOp>(op: Op) -> Op::Output {
 }
 
 /// Run `op` instantiated for `isa`, and force that tier on every
-/// [`dispatch`] `op` reaches on this thread (sweeps handed to pool
-/// workers dispatch on the workers' own threads and are not affected).
+/// [`dispatch`] `op` reaches on this thread (`finbench-parallel` runs
+/// its workers under the dispatching thread's tier, so pooled sweeps
+/// follow it too).
 /// A tier this host does not support falls back to [`Isa::Portable`].
 ///
-/// This is the only tier override, and it exists for tests and
-/// `bench-report`; production code calls [`dispatch`].
+/// This is the only tier override, and it exists for tests,
+/// `bench-report` and the pool's workers; production code calls
+/// [`dispatch`].
 pub fn dispatch_as<Op: IsaOp>(isa: Isa, op: Op) -> Op::Output {
     struct Restore(Option<Isa>);
     impl Drop for Restore {

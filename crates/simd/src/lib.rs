@@ -73,6 +73,3 @@ pub mod vec;
 pub use finbench_math::{LaneMask, Lanes};
 pub use isa::Isa;
 pub use vec::{F64v, F64vec4, F64vec8, Mask};
-
-/// The widest vector used anywhere in the suite (KNC width).
-pub const MAX_LANES: usize = 8;

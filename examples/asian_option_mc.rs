@@ -13,10 +13,10 @@
 //! ```
 
 use finbench::core::black_scholes::price_single;
+use finbench::core::brownian_bridge::payoffs::{asian_call, GbmPath};
 use finbench::core::brownian_bridge::{interleaved::simulate_fused, BridgePlan};
 use finbench::core::workload::MarketParams;
 use finbench::rng::StreamFamily;
-use finbench::simd::{F64v, Lanes};
 
 fn main() {
     let market = MarketParams {
@@ -32,22 +32,12 @@ fn main() {
     // Fused consumer: map each Wiener path to the Asian call payoff.
     // Lane-parallel: path[k] holds W(t_k) for 8 paths at once.
     let steps = plan.steps();
-    let dt = t / steps as f64;
-    let drift: Vec<f64> = (1..=steps)
-        .map(|kk| (market.r - 0.5 * market.sigma * market.sigma) * (kk as f64 * dt))
-        .collect();
+    let gbm = GbmPath::new(s0, market, t);
 
     let mut payoffs = vec![0.0; n_paths];
     let t0 = std::time::Instant::now();
     simulate_fused::<8>(&plan, &fam, n_paths, &mut payoffs, |path| {
-        // Average S over the monitoring dates, then the call payoff.
-        let mut avg = F64v::<8>::zero();
-        for (kk, w) in path[1..].iter().enumerate() {
-            let log_s = *w * market.sigma + drift[kk];
-            avg += finbench::simd::math::vexp(log_s) * s0;
-        }
-        avg *= 1.0 / steps as f64;
-        (avg - F64v::splat(k)).max(F64v::zero())
+        asian_call(gbm, k, path)
     });
     let elapsed = t0.elapsed().as_secs_f64();
 

@@ -472,10 +472,8 @@ fn every_registry_rung_validates_and_repeats_under_every_tier() {
     for kernel in engine.registry().kernels() {
         let session = kernel.session(&spec);
         for (rung, info) in kernel.rungs().iter().enumerate() {
-            // Pool-threaded rungs inherit their lanes' dispatch on other
-            // threads; the serial policy keeps this comparison on ours.
             let bad = tier_mismatch(&format!("{} rung {}", kernel.name(), info.slug), || {
-                let mut body = session.body(rung, finbench::parallel::ExecPolicy::Serial);
+                let mut body = session.prepare(rung);
                 body.step();
                 body.output()
             });
