@@ -69,6 +69,12 @@ if git grep -nE 'ExecPolicy::Serial|fn workers|try_body|time_once|run_ladder_nam
   exit 1
 fi
 
+echo "==> source guard (replace, don't fork: one twister, two normal fills, one tiled reduction, one streamed MC sweep)"
+if git grep -nwE 'Mt19937|sincos|fill_standard_normal_box_muller|fill_standard_normal_icdf_fast|reduce_tiled_fma|paths_streamed_parallel' -- crates tests examples; then
+  echo "no rung runs a second twister, normal transform, tiling or threaded MC sweep: Mt19937_64, the ICDF/polar fills, reduce_tiled and paths_streamed_simd are the ones" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2

@@ -19,7 +19,7 @@
 //! reference (asserted in tests).
 
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_simd::{isa_fn, F64v, Lanes};
+use finbench_simd::{isa_fn, F64v};
 
 isa_fn! {
     /// Tiled in-place reduction of a vector-of-options leaf array.
@@ -67,54 +67,6 @@ isa_fn! {
         for i in (1..=m).rev() {
             for j in 0..i {
                 call[j] = call[j + 1] * pu + call[j] * pd;
-            }
-        }
-        call[0]
-    }
-}
-
-isa_fn! {
-    /// FMA flavour of the tiled reduction: `m1.mul_add(pu, tile[j] * pd)`.
-    /// Not bit-identical to the reference (the fused multiply skips one
-    /// rounding), but one instruction shorter per node — the machine model
-    /// charges KNC's FMA units through this variant.
-    pub fn reduce_tiled_fma<const W: usize, const TS: usize>(
-        call: &mut [F64v<W>],
-        n: usize,
-        pu_by_df: f64,
-        pd_by_df: f64,
-    ) -> F64v<W> {
-        assert!(call.len() > n, "call buffer must hold n+1 nodes");
-        let pu = F64v::<W>::splat(pu_by_df);
-        let pd = F64v::<W>::splat(pd_by_df);
-
-        let mut m = n;
-        while m >= TS {
-            let mut tile = [F64v::<W>::zero(); TS];
-            tile[TS - 1] = call[0];
-            for i in 1..TS {
-                let mut m1 = call[i];
-                for j in ((TS - i)..TS).rev() {
-                    let m2 = m1.mul_add(pu, tile[j] * pd);
-                    tile[j] = m1;
-                    m1 = m2;
-                }
-                tile[TS - 1 - i] = m1;
-            }
-            for i in TS..=m {
-                let mut m1 = call[i];
-                for j in (0..TS).rev() {
-                    let m2 = m1.mul_add(pu, tile[j] * pd);
-                    tile[j] = m1;
-                    m1 = m2;
-                }
-                call[i - TS] = m1;
-            }
-            m -= TS;
-        }
-        for i in (1..=m).rev() {
-            for j in 0..i {
-                call[j] = call[j + 1].mul_add(pu, call[j] * pd);
             }
         }
         call[0]
@@ -183,19 +135,6 @@ mod tests {
             )*};
         }
         check_ts!(1, 2, 3, 4, 8, 16);
-    }
-
-    #[test]
-    fn fma_variant_close_to_exact() {
-        let n = 512;
-        let mut a = leaf_vec(n, 9);
-        let mut b = a.clone();
-        let ra = reduce_simd(&mut a, n, 0.5002, 0.4988);
-        let rb = reduce_tiled_fma::<4, 8>(&mut b, n, 0.5002, 0.4988);
-        for l in 0..4 {
-            let rel = ((ra[l] - rb[l]) / ra[l].max(1e-30)).abs();
-            assert!(rel < 1e-12, "lane {l}: {} vs {}", ra[l], rb[l]);
-        }
     }
 
     #[test]

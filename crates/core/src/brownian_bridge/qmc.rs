@@ -9,11 +9,15 @@
 //! payoffs (Glasserman ch. 5; the paper's ref. \[12\]).
 //!
 //! [`build_paths_qmc`] is the drop-in QMC counterpart of
-//! [`super::reference::build_paths`]; the tests demonstrate the
-//! convergence advantage on a geometric Asian option whose exact price is
-//! known in closed form.
+//! [`super::reference::build_paths`]. [`geometric_asian_exact`] and
+//! [`geometric_asian_price`] are the yardstick: a geometric Asian call
+//! whose exact price is known in closed form, so a path set's pricing
+//! error is measured, not estimated.
 
 use super::BridgePlan;
+use crate::black_scholes::price_single;
+use crate::workload::MarketParams;
+use finbench_math::{exp, ln};
 use finbench_rng::Halton;
 
 /// Build `n_paths` Wiener paths driven by consecutive Halton points
@@ -39,53 +43,60 @@ pub fn build_paths_qmc(plan: &BridgePlan, offset: u64, out: &mut [f64], n_paths:
     }
 }
 
+/// Closed-form price of the geometric Asian call struck at `k` on `s0`,
+/// monitored at the plan's `steps()` uniform dates over its horizon:
+/// Black-Scholes under the adjusted vol and drift.
+pub fn geometric_asian_exact(plan: &BridgePlan, s0: f64, k: f64, m: MarketParams) -> f64 {
+    let t = plan.horizon;
+    let nf = plan.steps() as f64;
+    let sig_g = m.sigma * ((nf + 1.0) * (2.0 * nf + 1.0) / (6.0 * nf * nf)).sqrt();
+    let mu_g = 0.5 * (m.r - 0.5 * m.sigma * m.sigma) * (nf + 1.0) / nf + 0.5 * sig_g * sig_g;
+    let m_g = MarketParams {
+        r: mu_g,
+        sigma: sig_g,
+    };
+    let (raw, _) = price_single(s0, k, t, m_g);
+    raw * exp((mu_g - m.r) * t)
+}
+
+/// Price the same geometric Asian call from a row-major `[path][point]`
+/// set of Wiener paths built on `plan` (by [`build_paths_qmc`] or
+/// [`super::reference::build_paths`]): the discounted mean payoff.
+pub fn geometric_asian_price(
+    paths: &[f64],
+    plan: &BridgePlan,
+    s0: f64,
+    k: f64,
+    m: MarketParams,
+) -> f64 {
+    let t = plan.horizon;
+    let points = plan.points();
+    let steps = plan.steps();
+    let dt = t / steps as f64;
+    let drift = m.r - 0.5 * m.sigma * m.sigma;
+    let n_paths = paths.len() / points;
+    let mut sum = 0.0;
+    for row in paths.chunks_exact(points) {
+        // Geometric mean of S over monitoring dates = exp(mean log S).
+        let mut mean_log = 0.0;
+        for (kk, w) in row[1..].iter().enumerate() {
+            mean_log += drift * ((kk + 1) as f64 * dt) + m.sigma * w;
+        }
+        mean_log = mean_log / steps as f64 + ln(s0);
+        sum += (exp(mean_log) - k).max(0.0);
+    }
+    exp(-m.r * t) * sum / n_paths as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::black_scholes::price_single;
-    use crate::workload::MarketParams;
-    use finbench_math::exp;
     use finbench_rng::{normal::fill_standard_normal_icdf, Mt19937_64};
 
     const M: MarketParams = MarketParams {
         r: 0.05,
         sigma: 0.2,
     };
-
-    /// Closed-form geometric-Asian call price (discrete monitoring on a
-    /// uniform grid): Black-Scholes under adjusted vol and drift.
-    fn geometric_asian_exact(s0: f64, k: f64, t: f64, steps: usize) -> f64 {
-        let nf = steps as f64;
-        let sig_g = M.sigma * ((nf + 1.0) * (2.0 * nf + 1.0) / (6.0 * nf * nf)).sqrt();
-        let mu_g = 0.5 * (M.r - 0.5 * M.sigma * M.sigma) * (nf + 1.0) / nf + 0.5 * sig_g * sig_g;
-        let m_g = MarketParams {
-            r: mu_g,
-            sigma: sig_g,
-        };
-        let (raw, _) = price_single(s0, k, t, m_g);
-        raw * exp((mu_g - M.r) * t)
-    }
-
-    /// Price the geometric Asian call from a set of Wiener paths.
-    fn price_from_paths(paths: &[f64], plan: &BridgePlan, s0: f64, k: f64, t: f64) -> f64 {
-        let points = plan.points();
-        let steps = plan.steps();
-        let dt = t / steps as f64;
-        let drift = M.r - 0.5 * M.sigma * M.sigma;
-        let n_paths = paths.len() / points;
-        let mut sum = 0.0;
-        for p in 0..n_paths {
-            let row = &paths[p * points..(p + 1) * points];
-            // Geometric mean of S over monitoring dates = exp(mean log S).
-            let mut mean_log = 0.0;
-            for (kk, w) in row[1..].iter().enumerate() {
-                mean_log += drift * ((kk + 1) as f64 * dt) + M.sigma * w;
-            }
-            mean_log = mean_log / steps as f64 + finbench_math::ln(s0);
-            sum += (exp(mean_log) - k).max(0.0);
-        }
-        exp(-M.r * t) * sum / n_paths as f64
-    }
 
     #[test]
     fn qmc_paths_have_brownian_marginals() {
@@ -109,14 +120,14 @@ mod tests {
     #[test]
     fn qmc_beats_mc_on_geometric_asian() {
         let plan = BridgePlan::new(6, 1.0);
-        let (s0, k, t) = (100.0, 100.0, 1.0);
-        let exact = geometric_asian_exact(s0, k, t, plan.steps());
+        let (s0, k) = (100.0, 100.0);
+        let exact = geometric_asian_exact(&plan, s0, k, M);
         let n_paths = 8192;
         let points = plan.points();
 
         let mut qmc_paths = vec![0.0; n_paths * points];
         build_paths_qmc(&plan, 0, &mut qmc_paths, n_paths);
-        let qmc_err = (price_from_paths(&qmc_paths, &plan, s0, k, t) - exact).abs();
+        let qmc_err = (geometric_asian_price(&qmc_paths, &plan, s0, k, M) - exact).abs();
 
         // Plain MC with the same path budget, averaged over a few seeds
         // so a lucky draw cannot flip the comparison.
@@ -129,7 +140,7 @@ mod tests {
             fill_standard_normal_icdf(&mut rng, &mut randoms);
             let mut paths = vec![0.0; n_paths * points];
             super::super::reference::build_paths::<f64>(&plan, &randoms, &mut paths, n_paths);
-            mc_err_sum += (price_from_paths(&paths, &plan, s0, k, t) - exact).abs();
+            mc_err_sum += (geometric_asian_price(&paths, &plan, s0, k, M) - exact).abs();
         }
         let mc_err = mc_err_sum / seeds.len() as f64;
 

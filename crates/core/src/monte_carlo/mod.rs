@@ -20,7 +20,7 @@
 //! Optimization ladder: the scalar reference ([`mod@reference`]) is the basic
 //! level (the paper notes autovectorization already handles the
 //! reduction); [`simd`] adds explicit `W`-wide lanes with dual unrolled
-//! accumulators and thread-parallel drivers; antithetic variates
+//! accumulators; antithetic variates
 //! ([`simd::paths_antithetic`]) extend the kernel with classic
 //! variance reduction; [`lsm`] extends simulation to American exercise
 //! via Longstaff-Schwartz least-squares regression.

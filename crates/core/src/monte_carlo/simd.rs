@@ -1,14 +1,13 @@
-//! SIMD + parallel Monte-Carlo kernels.
+//! SIMD Monte-Carlo kernels.
 //!
 //! The paper reaches peak Monte-Carlo throughput with only basic tools —
 //! inner-loop autovectorization (including the `v0`/`v1` reduction) and
 //! `#pragma unroll` to break the accumulator dependency chains. This
 //! module is the explicit form of exactly that: `W`-wide lanes with **two
-//! independent accumulator pairs** (the unroll), a thread-parallel path
-//! driver, and the antithetic-variates extension.
+//! independent accumulator pairs** (the unroll), plus the antithetic-variates
+//! extension.
 
 use super::{GbmTerminal, PathSums};
-use finbench_parallel::parallel_map_reduce;
 use finbench_rng::{normal::fill_standard_normal_icdf, StreamFamily};
 use finbench_simd::math::vexp;
 use finbench_simd::{isa_fn, F64v, Lanes};
@@ -101,27 +100,6 @@ pub fn paths_computed_simd<const W: usize>(
     acc
 }
 
-/// Thread-parallel streamed accumulation: the path range is split into
-/// chunks mapped across the pool; partials merge in chunk order, so the
-/// result is identical for any worker count.
-pub fn paths_streamed_parallel<const W: usize>(
-    s: f64,
-    x: f64,
-    g: GbmTerminal,
-    randoms: &[f64],
-    workers: usize,
-) -> PathSums {
-    const CHUNK: usize = 1 << 14;
-    parallel_map_reduce(
-        randoms.len(),
-        CHUNK,
-        workers,
-        |range| paths_streamed_simd::<W>(s, x, g, &randoms[range]),
-        PathSums::merge,
-        PathSums::default(),
-    )
-}
-
 isa_fn! {
     /// Antithetic variates: each normal `z` prices the pair `{z, −z}`,
     /// and the averaged pair payoff enters the estimator. Halves the variance
@@ -204,18 +182,6 @@ mod tests {
         assert_eq!(a.n, b.n);
         assert!(((a.v0 - b.v0) / a.v0).abs() < 1e-12, "{} vs {}", a.v0, b.v0);
         assert!(((a.v1 - b.v1) / a.v1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_matches_serial_bitwise() {
-        let randoms = normals(200_000, 9);
-        let g = GbmTerminal::new(0.5, M);
-        let serial = paths_streamed_parallel::<8>(95.0, 100.0, g, &randoms, 1);
-        for workers in [2, 4] {
-            let par = paths_streamed_parallel::<8>(95.0, 100.0, g, &randoms, workers);
-            assert_eq!(serial.v0.to_bits(), par.v0.to_bits(), "workers {workers}");
-            assert_eq!(serial.v1.to_bits(), par.v1.to_bits());
-        }
     }
 
     #[test]

@@ -254,53 +254,21 @@ pub fn ninja(opts: &RunOptions) {
 /// Extension: quasi-Monte-Carlo convergence through the Brownian bridge
 /// (geometric Asian call with a known closed form).
 pub fn qmc(opts: &RunOptions) {
-    use finbench_core::black_scholes::price_single;
-    use finbench_core::brownian_bridge::{qmc::build_paths_qmc, BridgePlan};
+    use finbench_core::brownian_bridge::qmc::{
+        build_paths_qmc, geometric_asian_exact, geometric_asian_price,
+    };
+    use finbench_core::brownian_bridge::BridgePlan;
     use finbench_core::workload::MarketParams;
-    use finbench_math::{exp, ln};
     use finbench_rng::{normal::fill_standard_normal_icdf, Mt19937_64};
 
     const M: MarketParams = MarketParams {
         r: 0.05,
         sigma: 0.2,
     };
-    let (s0, k, t) = (100.0, 100.0, 1.0);
-    let plan = BridgePlan::new(6, t);
-    let steps = plan.steps();
-
-    let exact = {
-        let nf = steps as f64;
-        let sig_g = M.sigma * ((nf + 1.0) * (2.0 * nf + 1.0) / (6.0 * nf * nf)).sqrt();
-        let mu_g = 0.5 * (M.r - 0.5 * M.sigma * M.sigma) * (nf + 1.0) / nf + 0.5 * sig_g * sig_g;
-        let (raw, _) = price_single(
-            s0,
-            k,
-            t,
-            MarketParams {
-                r: mu_g,
-                sigma: sig_g,
-            },
-        );
-        raw * exp((mu_g - M.r) * t)
-    };
-
-    let price_paths = |paths: &[f64]| {
-        let points = plan.points();
-        let dt = t / steps as f64;
-        let drift = M.r - 0.5 * M.sigma * M.sigma;
-        let n = paths.len() / points;
-        let mut sum = 0.0;
-        for p in 0..n {
-            let row = &paths[p * points..(p + 1) * points];
-            let mut mean_log = 0.0;
-            for (kk, w) in row[1..].iter().enumerate() {
-                mean_log += drift * ((kk + 1) as f64 * dt) + M.sigma * w;
-            }
-            mean_log = mean_log / steps as f64 + ln(s0);
-            sum += (exp(mean_log) - k).max(0.0);
-        }
-        exp(-M.r * t) * sum / n as f64
-    };
+    let (s0, k) = (100.0, 100.0);
+    let plan = BridgePlan::new(6, 1.0);
+    let exact = geometric_asian_exact(&plan, s0, k, M);
+    let price_paths = |paths: &[f64]| geometric_asian_price(paths, &plan, s0, k, M);
 
     println!(
         "{}",

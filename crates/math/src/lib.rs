@@ -16,7 +16,6 @@
 //!   (Hart 1968 rational approximation as popularized by West 2005).
 //! * [`fn@inv_norm_cdf`] — Acklam's rational initial guess polished with a
 //!   Halley step to near machine precision.
-//! * [`sincos`] — Cody-Waite-reduced Taylor kernels (for Box-Muller).
 //!
 //! `exp`, `ln`, `erf`, `norm_cdf` and `inv_norm_cdf` are each written
 //! **once**, over the [`Lanes`] trait;
@@ -39,13 +38,11 @@ pub mod log;
 pub mod norm;
 pub mod poly;
 pub mod real;
-pub mod trig;
 
 pub use counted::{counting, counting_expanded, CountedF64, OpCounts};
 pub use lanes::{LaneMask, Lanes};
 pub use norm::{inv_norm_cdf_acklam, norm_pdf};
 pub use real::Real;
-pub use trig::{cos, sin, sincos};
 
 /// `e^x`: the `f64` instance of [`exp::exp`].
 #[inline(always)]

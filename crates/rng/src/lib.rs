@@ -13,9 +13,9 @@
 //! recoverable from the paper. We preserve the two properties the
 //! benchmark actually exercises:
 //!
-//! * a Mersenne-twister base generator — [`Mt19937`] and [`Mt19937_64`]
-//!   implemented from scratch and validated against the canonical output
-//!   vectors for seed 5489;
+//! * a Mersenne-twister base generator — [`Mt19937_64`] implemented from
+//!   scratch and validated against the canonical output vector for seed
+//!   5489;
 //! * many provably independent parallel streams — [`Philox4x32`], a
 //!   counter-based generator (Salmon et al., SC 2011) where every
 //!   `(key, counter)` pair is an independent 128-bit block, exposed
@@ -34,7 +34,6 @@
 //! assert!(mean.abs() < 0.2);
 //! ```
 
-pub mod mt19937;
 pub mod mt19937_64;
 pub mod normal;
 pub mod philox;
@@ -43,7 +42,6 @@ pub mod splitmix;
 pub mod streams;
 pub mod uniform;
 
-pub use mt19937::Mt19937;
 pub use mt19937_64::Mt19937_64;
 pub use philox::Philox4x32;
 pub use quasi::Halton;

@@ -17,7 +17,7 @@
 
 use crate::uniform::{u64_to_f64_oo, u64_to_f64_symmetric};
 use crate::RngCore64;
-use finbench_math::{inv_norm_cdf_acklam, ln};
+use finbench_math::ln;
 use finbench_simd::batch::vd_inv_norm_cdf_in_place;
 use finbench_simd::isa_fn;
 
@@ -34,45 +34,6 @@ isa_fn! {
             rng.fill_with(block, u64_to_f64_oo);
             vd_inv_norm_cdf_in_place(block);
         }
-    }
-}
-
-isa_fn! {
-    /// Fill `out` via the *fast* inverse-CDF transform (Acklam without the
-    /// Halley polish, ~1.15e-9 relative): the right choice when the normals
-    /// feed a Monte-Carlo estimator whose own error is orders of magnitude
-    /// larger.
-    pub fn fill_standard_normal_icdf_fast<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-        crate::counters::NORMAL_DRAWS.add(out.len() as u64);
-        for slot in out {
-            *slot = inv_norm_cdf_acklam(rng.next_f64_open());
-        }
-    }
-}
-
-/// Fill `out` with standard normal variates via the classic Box-Muller
-/// transform: each pair of uniforms `(u1, u2)` yields
-/// `√(−2 ln u1)·(cos 2πu2, sin 2πu2)`. Branch-free (no rejection) like
-/// the inverse-CDF route, but costs a `ln`, a `sqrt` and a `sincos` per
-/// pair — the trade the paper's RNG discussion weighs against the ICDF.
-pub fn fill_standard_normal_box_muller<R: RngCore64>(rng: &mut R, out: &mut [f64]) {
-    const TWO_PI: f64 = 2.0 * std::f64::consts::PI;
-    crate::counters::NORMAL_DRAWS.add(out.len() as u64);
-    let mut i = 0;
-    while i + 1 < out.len() {
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        let radius = (-2.0 * ln(u1)).sqrt();
-        let (s, c) = finbench_math::sincos(TWO_PI * u2);
-        out[i] = radius * c;
-        out[i + 1] = radius * s;
-        i += 2;
-    }
-    if i < out.len() {
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        let radius = (-2.0 * ln(u1)).sqrt();
-        out[i] = radius * finbench_math::cos(TWO_PI * u2);
     }
 }
 
@@ -179,41 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn box_muller_moments_and_pair_structure() {
-        let mut rng = Mt19937_64::new(31415);
-        let mut buf = vec![0.0; 200_000];
-        fill_standard_normal_box_muller(&mut rng, &mut buf);
-        assert_standard_normal(&buf, "box-muller");
-        // Pairs (z0, z1) lie on circles of radius sqrt(-2 ln u1): both
-        // members share the radius, so z0^2 + z1^2 is chi-squared(2) =
-        // Exp(1/2) with mean 2.
-        let mean_r2: f64 = buf
-            .chunks_exact(2)
-            .map(|p| p[0] * p[0] + p[1] * p[1])
-            .sum::<f64>()
-            / (buf.len() / 2) as f64;
-        assert!((mean_r2 - 2.0).abs() < 0.03, "mean r^2 {mean_r2}");
-        // Odd-length fill works.
-        let mut odd = vec![0.0; 101];
-        fill_standard_normal_box_muller(&mut rng, &mut odd);
-        assert!(odd.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn box_muller_agrees_with_icdf_distributionally() {
-        let mut rng = Mt19937_64::new(9);
-        let mut a = vec![0.0; 100_000];
-        fill_standard_normal_icdf(&mut rng, &mut a);
-        let mut b = vec![0.0; 100_000];
-        fill_standard_normal_box_muller(&mut rng, &mut b);
-        for probe in [-1.5, -0.5, 0.0, 1.0, 2.0] {
-            let fa = a.iter().filter(|&&x| x <= probe).count() as f64 / a.len() as f64;
-            let fb = b.iter().filter(|&&x| x <= probe).count() as f64 / b.len() as f64;
-            assert!((fa - fb).abs() < 0.01, "probe {probe}");
-        }
-    }
-
-    #[test]
     fn polar_moments() {
         let mut rng = Mt19937_64::new(2027);
         let mut buf = vec![0.0; 200_000];
@@ -240,22 +166,6 @@ mod tests {
         }
         check(Mt19937_64::new(5), "mt19937-64");
         check(Philox4x32::new(5), "philox");
-    }
-
-    #[test]
-    fn fast_icdf_matches_accurate_icdf() {
-        let mut a = Mt19937_64::new(12);
-        let mut b = Mt19937_64::new(12);
-        let mut ya = vec![0.0; 50_000];
-        let mut yb = vec![0.0; 50_000];
-        fill_standard_normal_icdf(&mut a, &mut ya);
-        fill_standard_normal_icdf_fast(&mut b, &mut yb);
-        let mut max_err = 0.0f64;
-        for i in 0..ya.len() {
-            max_err = max_err.max((ya[i] - yb[i]).abs());
-        }
-        assert!(max_err < 1e-7, "max err {max_err}");
-        assert_standard_normal(&yb, "fast icdf");
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! cargo run --release --example qmc_convergence
 //! ```
 
-use finbench::core::black_scholes::price_single;
-use finbench::core::brownian_bridge::{qmc::build_paths_qmc, reference::build_paths, BridgePlan};
+use finbench::core::brownian_bridge::qmc::{
+    build_paths_qmc, geometric_asian_exact, geometric_asian_price,
+};
+use finbench::core::brownian_bridge::{reference::build_paths, BridgePlan};
 use finbench::core::workload::MarketParams;
-use finbench::math::{exp, ln};
 use finbench::rng::{normal::fill_standard_normal_icdf, Mt19937_64};
 
 const M: MarketParams = MarketParams {
@@ -22,44 +23,9 @@ const S0: f64 = 100.0;
 const K: f64 = 100.0;
 const T: f64 = 1.0;
 
-fn geometric_asian_exact(steps: usize) -> f64 {
-    let nf = steps as f64;
-    let sig_g = M.sigma * ((nf + 1.0) * (2.0 * nf + 1.0) / (6.0 * nf * nf)).sqrt();
-    let mu_g = 0.5 * (M.r - 0.5 * M.sigma * M.sigma) * (nf + 1.0) / nf + 0.5 * sig_g * sig_g;
-    let (raw, _) = price_single(
-        S0,
-        K,
-        T,
-        MarketParams {
-            r: mu_g,
-            sigma: sig_g,
-        },
-    );
-    raw * exp((mu_g - M.r) * T)
-}
-
-fn price_from_paths(paths: &[f64], plan: &BridgePlan) -> f64 {
-    let points = plan.points();
-    let steps = plan.steps();
-    let dt = T / steps as f64;
-    let drift = M.r - 0.5 * M.sigma * M.sigma;
-    let n_paths = paths.len() / points;
-    let mut sum = 0.0;
-    for p in 0..n_paths {
-        let row = &paths[p * points..(p + 1) * points];
-        let mut mean_log = 0.0;
-        for (kk, w) in row[1..].iter().enumerate() {
-            mean_log += drift * ((kk + 1) as f64 * dt) + M.sigma * w;
-        }
-        mean_log = mean_log / steps as f64 + ln(S0);
-        sum += (exp(mean_log) - K).max(0.0);
-    }
-    exp(-M.r * T) * sum / n_paths as f64
-}
-
 fn main() {
     let plan = BridgePlan::new(6, T); // 64 monitoring dates
-    let exact = geometric_asian_exact(plan.steps());
+    let exact = geometric_asian_exact(&plan, S0, K, M);
     println!("Geometric Asian call, 64 dates; exact price {exact:.6}\n");
     println!(
         "{:>9} {:>14} {:>14} {:>8}",
@@ -71,7 +37,7 @@ fn main() {
         let n = 1usize << exp2;
         let mut qmc_paths = vec![0.0; n * plan.points()];
         build_paths_qmc(&plan, 0, &mut qmc_paths, n);
-        let qmc_err = (price_from_paths(&qmc_paths, &plan) - exact).abs();
+        let qmc_err = (geometric_asian_price(&qmc_paths, &plan, S0, K, M) - exact).abs();
 
         // MC error averaged over 5 seeds (a single draw is too noisy to
         // display).
@@ -82,7 +48,7 @@ fn main() {
             fill_standard_normal_icdf(&mut rng, &mut randoms);
             let mut paths = vec![0.0; n * plan.points()];
             build_paths::<f64>(&plan, &randoms, &mut paths, n);
-            mc_err += (price_from_paths(&paths, &plan) - exact).abs();
+            mc_err += (geometric_asian_price(&paths, &plan, S0, K, M) - exact).abs();
         }
         mc_err /= 5.0;
 

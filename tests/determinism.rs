@@ -3,12 +3,9 @@
 
 use finbench::core::black_scholes::soa;
 use finbench::core::brownian_bridge::{interleaved, BridgePlan};
-use finbench::core::monte_carlo::{simd, GbmTerminal};
 use finbench::core::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
 use finbench::parallel::{parallel_for_chunks, parallel_map_reduce};
-use finbench::rng::{
-    normal::fill_standard_normal_icdf, Mt19937_64, Philox4x32, RngCore64, StreamFamily,
-};
+use finbench::rng::{Mt19937_64, Philox4x32, RngCore64, StreamFamily};
 
 const M: MarketParams = MarketParams::PAPER;
 
@@ -49,21 +46,6 @@ fn parallel_pricing_is_worker_count_invariant() {
     for i in 0..base.len() {
         assert_eq!(serial.call[i].to_bits(), par.call[i].to_bits(), "i={i}");
         assert_eq!(serial.put[i].to_bits(), par.put[i].to_bits(), "i={i}");
-    }
-}
-
-#[test]
-fn monte_carlo_parallel_reduction_is_schedule_invariant() {
-    let mut rng = Mt19937_64::new(11);
-    let mut randoms = vec![0.0; 300_000];
-    fill_standard_normal_icdf(&mut rng, &mut randoms);
-    let g = GbmTerminal::new(1.0, M);
-
-    let baseline = simd::paths_streamed_parallel::<8>(100.0, 105.0, g, &randoms, 1);
-    for workers in [2, 3, 5, 8] {
-        let run = simd::paths_streamed_parallel::<8>(100.0, 105.0, g, &randoms, workers);
-        assert_eq!(baseline.v0.to_bits(), run.v0.to_bits(), "workers {workers}");
-        assert_eq!(baseline.v1.to_bits(), run.v1.to_bits(), "workers {workers}");
     }
 }
 

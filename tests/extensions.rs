@@ -132,26 +132,3 @@ fn halton_bridge_and_streams_compose() {
     assert!((vq - 2.0).abs() < 0.05, "qmc var {vq}");
     assert!((vm - 2.0).abs() < 0.15, "mc var {vm}");
 }
-
-#[test]
-fn fast_icdf_is_statistically_indistinguishable_in_pricing() {
-    // Pricing with the fast Acklam transform must agree with the accurate
-    // one far inside the Monte-Carlo noise.
-    use finbench::core::monte_carlo::{reference::paths_streamed, GbmTerminal};
-    use finbench::rng::normal::{fill_standard_normal_icdf, fill_standard_normal_icdf_fast};
-    use finbench::rng::Mt19937_64;
-    let g = GbmTerminal::new(1.0, M);
-    let n = 100_000;
-
-    let mut a = vec![0.0; n];
-    fill_standard_normal_icdf(&mut Mt19937_64::new(5), &mut a);
-    let pa = paths_streamed::<f64>(100.0, 100.0, g, &a).price(M.r, 1.0).0;
-
-    let mut b = vec![0.0; n];
-    fill_standard_normal_icdf_fast(&mut Mt19937_64::new(5), &mut b);
-    let pb = paths_streamed::<f64>(100.0, 100.0, g, &b).price(M.r, 1.0).0;
-
-    // Same underlying uniforms: the two transforms differ by <= 1e-7 per
-    // draw, so the prices differ by far less than a cent.
-    assert!((pa - pb).abs() < 1e-4, "{pa} vs {pb}");
-}

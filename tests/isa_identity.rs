@@ -28,7 +28,7 @@ use finbench::engine::{Engine, WorkloadSpec};
 use finbench::math as fm;
 use finbench::math::exp::{EXP_OVERFLOW, EXP_UNDERFLOW};
 use finbench::math::norm::CND_TAIL_FROM;
-use finbench::rng::normal::{fill_standard_normal_icdf, fill_standard_normal_icdf_fast};
+use finbench::rng::normal::fill_standard_normal_icdf;
 use finbench::rng::{uniform, Mt19937_64, RngCore64, StreamFamily};
 use finbench::simd::batch;
 use finbench::simd::isa::{dispatch_as, Isa};
@@ -284,8 +284,8 @@ proptest! {
         prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
     }
 
-    /// Binomial: the scalar reference batch, the shared W=8 driver with the
-    /// plain and tiled reductions, and the FMA-form tiled reduction.
+    /// Binomial: the scalar reference batch and the shared W=8 driver with
+    /// the plain and tiled reductions.
     #[test]
     fn binomial_sweeps_are_tier_invariant(
         n in 0usize..20,
@@ -317,16 +317,6 @@ proptest! {
             });
             prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
         }
-        let crr = binomial::CrrParams::new(M, 1.25, steps);
-        let bad = tier_mismatch("reduce_tiled_fma::<8, 8>", || {
-            let mut leaves = vec![F64v::<8>::zero(); steps + 1];
-            let lanes = OptionBatchSoa::random(8, seed, WorkloadRanges::default());
-            binomial::fill_leaves_simd(&mut leaves, &lanes.s, &lanes.x, steps, &crr, true);
-            let root =
-                binomial::tiled::reduce_tiled_fma::<8, 8>(&mut leaves, steps, crr.pu_by_df, crr.pd_by_df);
-            root.to_array().to_vec()
-        });
-        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
     }
 
     /// Monte Carlo (streamed scalar, streamed SIMD, antithetic, computed
@@ -365,18 +355,12 @@ proptest! {
         });
         prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
 
-        type Fill = fn(&mut Mt19937_64, &mut [f64]);
-        for (label, fill) in [
-            ("fill_standard_normal_icdf", fill_standard_normal_icdf as Fill),
-            ("fill_standard_normal_icdf_fast", fill_standard_normal_icdf_fast),
-        ] {
-            let bad = tier_mismatch(label, || {
-                let mut out = vec![0.0; n];
-                fill(&mut Mt19937_64::new(seed), &mut out);
-                out
-            });
-            prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
-        }
+        let bad = tier_mismatch("fill_standard_normal_icdf", || {
+            let mut out = vec![0.0; n];
+            fill_standard_normal_icdf(&mut Mt19937_64::new(seed), &mut out);
+            out
+        });
+        prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
     }
 }
 
