@@ -34,11 +34,12 @@
 //!   paper's novel scheme (Fig. 7): the convergence loop is unrolled by
 //!   the vector width and `W` consecutive SOR iterations advance along a
 //!   skewed wavefront, lane `w` computing iteration `k+w+1` at position
-//!   `j−2w`; convergence is checked every `W` iterations.
+//!   `j−2w`; convergence is checked every `W` iterations. One dispatched
+//!   pass carries two `W = 8` registers, iterations `k+1 ..= k+16`.
 //! * **Advanced (data transform)** —
 //!   [`wavefront::psor_solve_wavefront_soa`]: the `B`/`G` arrays are
-//!   physically re-skewed per solve so each wavefront step reads unit
-//!   stride instead of stride-2 gathers.
+//!   physically re-skewed per time step, into buffers the solve owns, so
+//!   each wavefront step reads unit stride instead of stride-2 gathers.
 
 pub mod reference;
 pub mod wavefront;
@@ -156,6 +157,7 @@ impl CnProblem {
         intrinsic[m] = self.intrinsic_u(self.xmax);
         let mut b = vec![0.0; m + 1];
         let mut g = vec![0.0; m + 1];
+        let mut scratch = wavefront::WavefrontScratch::default();
 
         // Lis. 6 omega adaptation state.
         let mut omega = 1.0f64;
@@ -200,6 +202,7 @@ impl CnProblem {
                     omega,
                     self.american,
                     self.eps,
+                    &mut scratch,
                 ),
                 PsorKind::WavefrontSoa => wavefront::psor_solve_wavefront_soa::<8>(
                     &mut u,
@@ -212,6 +215,7 @@ impl CnProblem {
                     omega,
                     self.american,
                     self.eps,
+                    &mut scratch,
                 ),
             };
             total_iters += loops;

@@ -46,6 +46,14 @@
 //!   cache-resident block ([`batch::vd_inv_norm_cdf_in_place`]) it ran 2.5×
 //!   faster. Rare per-lane edge cases go behind a whole-vector branch, not
 //!   into the blend, or SLP leaves lanes of the hot path scalar.
+//! * **A vector carried across loop iterations stays a register only if the
+//!   step is straight-line code.** A closure called per step, or a branch on
+//!   a loop invariant inside it, left SLP with scalar loop-carried values
+//!   that every step rebuilt into vectors: the Crank-Nicolson wavefront pass
+//!   ran at 2–3× its dependency chain. Hoist the invariant into a `const`
+//!   generic and call `#[inline(always)]` functions, as
+//!   `crank_nicolson::wavefront` does; lanes move with
+//!   [`F64v::shift_up`], a register permute.
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other

@@ -108,6 +108,17 @@ impl<const N: usize> F64v<N> {
         }
     }
 
+    /// Whole-vector shift by one lane: lane `i` of the result is lane
+    /// `i − 1` of `self`, `first` enters lane 0 and lane `N − 1` drops out
+    /// — one register permute in a dispatched sweep, never a store and a
+    /// reload one lane over (which misses store forwarding).
+    #[inline(always)]
+    pub fn shift_up(self, first: f64) -> Self {
+        let mut out = [first; N];
+        out[1..].copy_from_slice(&self.0[..N - 1]);
+        Self(out)
+    }
+
     /// Copy of the lanes as a plain array.
     #[inline(always)]
     pub fn to_array(self) -> [f64; N] {
@@ -488,6 +499,32 @@ mod tests {
         let b = F64vec4::new([2.0, 4.0, 6.0, 0.0]);
         assert_eq!(a.max(b).to_array(), [2.0, 5.0, 6.0, 7.0]);
         assert_eq!(a.min(b).to_array(), [1.0, 4.0, 3.0, 0.0]);
+    }
+
+    fn shift_up_moves_every_lane_one_up<const N: usize>() {
+        let v = F64v::<N>::new(core::array::from_fn(|i| i as f64 + 1.0));
+        let got = v.shift_up(-7.5).to_array();
+        assert_eq!(got[0], -7.5, "N={N}");
+        for i in 1..N {
+            assert_eq!(got[i], i as f64, "N={N} lane {i}");
+        }
+        // N shifts push every original lane out.
+        let mut w = v;
+        for k in 0..N {
+            w = w.shift_up(-(k as f64));
+        }
+        assert_eq!(
+            w.to_array(),
+            core::array::from_fn(|i| -((N - 1 - i) as f64))
+        );
+    }
+
+    #[test]
+    fn shift_up_at_every_width() {
+        shift_up_moves_every_lane_one_up::<1>();
+        shift_up_moves_every_lane_one_up::<4>();
+        shift_up_moves_every_lane_one_up::<8>();
+        shift_up_moves_every_lane_one_up::<16>();
     }
 
     #[test]

@@ -29,6 +29,7 @@ black_scholes::soa::price_soa_simd_into
 portfolio::revalue_rows
 greeks::greeks_batch_simd
 brownian_bridge::simd::build_group_in_place
+crank_nicolson::wavefront::psor_pass
 mt19937_64::fill_block
 batch::inv_norm_cdf_guess
 batch::inv_norm_cdf_polish

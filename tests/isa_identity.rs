@@ -17,6 +17,7 @@
 use finbench::core::binomial;
 use finbench::core::black_scholes::{reference as bs_ref, soa, vml};
 use finbench::core::brownian_bridge::{simd as bridge_simd, BridgePlan};
+use finbench::core::crank_nicolson::{CnProblem, PsorKind};
 use finbench::core::engine::registry;
 use finbench::core::greeks::{self, GreeksBatchSoa};
 use finbench::core::monte_carlo::{reference as mc_ref, simd as mc_simd, GbmTerminal};
@@ -439,6 +440,35 @@ fn staged_sweeps_and_block_fills_are_tier_invariant() {
             out
         });
         assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+    }
+}
+
+/// Crank-Nicolson: both wavefront rungs' solves — every `u` bit and the
+/// iteration count — on the registry problem, the pinned r = 0.05 / σ = 0.2
+/// problem and a grid whose interior is shorter than one wavefront (so only
+/// the prologue/epilogue path runs), American and European.
+#[test]
+fn crank_nicolson_wavefront_solves_are_tier_invariant() {
+    let pinned = MarketParams {
+        r: 0.05,
+        sigma: 0.2,
+    };
+    for (market, n_points) in [(M, 256), (pinned, 256), (M, 20)] {
+        let mut p = CnProblem::paper(market, 1.0);
+        (p.n_points, p.n_steps) = (n_points, 100);
+        for american in [true, false] {
+            p.american = american;
+            for kind in [PsorKind::Wavefront, PsorKind::WavefrontSoa] {
+                let label = format!("{kind:?} {market:?} n={n_points} american={american}");
+                let bad = tier_mismatch(&label, || {
+                    let sol = p.solve(kind);
+                    let mut out = sol.u;
+                    out.push(sol.psor_iterations as f64);
+                    out
+                });
+                assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+            }
+        }
     }
 }
 
