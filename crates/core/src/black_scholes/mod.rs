@@ -6,11 +6,17 @@
 //! * **Basic** — [`reference::price_aos`]: the paper's Lis. 1, scalar loop
 //!   over an AOS batch, four `cnd` evaluations per option.
 //! * **Intermediate** — [`soa::price_soa_simd`]: AOS→SOA conversion plus
-//!   SIMD across options, one option per lane, vector `cnd`
+//!   SIMD across options, one option per lane, two registers per step
+//!   (the paper's manual unrolling), and the four `cnd` as two
+//!   `norm_cdf_pair`s — `Φ(d)` and `Φ(−d)` from one Gaussian, one rational
+//!   and one division, the bits of the four calls
 //!   ([`reference::price_aos_simd_gather`] shows the gather-bound AOS+SIMD
-//!   middle ground whose cost motivates the conversion).
+//!   middle ground whose cost motivates the conversion). The fastest rung
+//!   on an AVX-512 host.
 //! * **Advanced** — [`soa::price_soa_simd_erf_parity`]: `cnd → erf`
-//!   substitution and call/put parity, halving the transcendental count;
+//!   substitution and call/put parity, halving the transcendental count of
+//!   the paper's library; here `erf` is built on `cnd`, so the rung costs
+//!   more than the paired Intermediate one (see [`soa`]);
 //!   [`vml::price_soa_vml`] is the VML-style array-batch alternative with
 //!   its larger cache footprint.
 //!

@@ -53,27 +53,40 @@ isa_fn! {
 
         buf[0] = F64v::zero();
         buf[steps] = F64v::<W>::load(randoms, 0) * plan.last_sig;
-        let mut i = W;
-
-        for d in 0..plan.depth {
+        let mut zs = &randoms[W..steps * W];
+        let (spans, end) = buf.split_at_mut(steps);
+        for (d, ((w_l, w_r), sig)) in plan.w_l.iter().zip(&plan.w_r).zip(&plan.sig).enumerate() {
             let s = steps >> d;
-            let (w_l, w_r, sig) = (&plan.w_l[d], &plan.w_r[d], &plan.sig[d]);
-            for c in 0..(1usize << d) {
-                let z = F64v::<W>::load(randoms, i);
-                i += W;
-                buf[c * s + s / 2] = buf[c * s] * w_l[c] + buf[(c + 1) * s] * w_r[c] + z * sig[c];
+            let (level, rest) = zs.split_at(W << d);
+            zs = rest;
+            // Span `c` is `spans[c·s..(c + 1)·s]`: its left end at 0, its
+            // midpoint at s/2, its right end the next span's left end.
+            // Right to left, so that end is carried, not reloaded.
+            let mut right = end[0];
+            for (((span, z), (wl, wr)), sg) in spans
+                .chunks_exact_mut(s)
+                .zip(level.chunks_exact(W))
+                .zip(w_l.iter().zip(w_r))
+                .zip(sig)
+                .rev()
+            {
+                let left = span[0];
+                span[s / 2] = left * *wl + right * *wr + F64v::<W>::load(z, 0) * *sg;
+                right = left;
             }
         }
     }
 }
 
-/// Write a built `[point][lane]` group out as row-major `[lane][point]`.
-pub fn transpose_out<const W: usize>(buf: &[F64v<W>], out: &mut [f64]) {
-    let points = buf.len();
-    assert_eq!(out.len(), W * points, "output must hold W paths");
-    for (lane, row) in out.chunks_exact_mut(points).enumerate() {
-        for (slot, v) in row.iter_mut().zip(buf) {
-            *slot = v[lane];
+isa_fn! {
+    /// Write a built `[point][lane]` group out as row-major `[lane][point]`.
+    pub fn transpose_out<const W: usize>(buf: &[F64v<W>], out: &mut [f64]) {
+        let points = buf.len();
+        assert_eq!(out.len(), W * points, "output must hold W paths");
+        for (lane, row) in out.chunks_exact_mut(points).enumerate() {
+            for (slot, v) in row.iter_mut().zip(buf) {
+                *slot = v[lane];
+            }
         }
     }
 }
@@ -160,6 +173,79 @@ mod tests {
                 ref_out[i],
                 simd_out[i]
             );
+        }
+    }
+
+    /// The group build as it was before it iterated each level's slices:
+    /// every point, weight and random by index.
+    fn build_group_by_index<const W: usize>(
+        plan: &BridgePlan,
+        randoms: &[f64],
+        buf: &mut [F64v<W>],
+    ) {
+        let steps = plan.steps();
+        buf[0] = F64v::zero();
+        buf[steps] = F64v::<W>::load(randoms, 0) * plan.last_sig;
+        let mut i = W;
+        for d in 0..plan.depth {
+            let s = steps >> d;
+            let (w_l, w_r, sig) = (&plan.w_l[d], &plan.w_r[d], &plan.sig[d]);
+            for c in 0..(1usize << d) {
+                let z = F64v::<W>::load(randoms, i);
+                i += W;
+                buf[c * s + s / 2] = buf[c * s] * w_l[c] + buf[(c + 1) * s] * w_r[c] + z * sig[c];
+            }
+        }
+    }
+
+    fn check_build<const W: usize>(depth: usize, groups: usize) {
+        // A plan whose weights and deviations differ span by span, so a
+        // coefficient taken from the wrong span shows.
+        let mut plan = BridgePlan::new(depth, 1.7);
+        for d in 0..depth {
+            for c in 0..1 << d {
+                plan.w_l[d][c] += 0.01 * c as f64;
+                plan.w_r[d][c] -= 0.003 * c as f64;
+                plan.sig[d][c] *= 1.0 + 0.02 * c as f64;
+            }
+        }
+        let (per, points) = (plan.randoms_per_path(), plan.points());
+        let n_paths = groups * W;
+        let mut rng = Mt19937_64::new(depth as u64 * 1000 + groups as u64);
+        let mut randoms = vec![0.0; n_paths * per];
+        fill_standard_normal_icdf(&mut rng, &mut randoms);
+        let mut want = vec![0.0; n_paths * points];
+        let mut group = vec![F64v::<W>::zero(); points];
+        for (zs, rows) in randoms
+            .chunks_exact(per * W)
+            .zip(want.chunks_exact_mut(W * points))
+        {
+            build_group_by_index::<W>(&plan, zs, &mut group);
+            for (lane, row) in rows.chunks_exact_mut(points).enumerate() {
+                for (slot, v) in row.iter_mut().zip(&group) {
+                    *slot = v[lane];
+                }
+            }
+        }
+        let mut got = vec![0.0; n_paths * points];
+        build_paths_simd::<W>(&plan, &randoms, &mut got, n_paths);
+        for i in 0..want.len() {
+            assert_eq!(
+                want[i].to_bits(),
+                got[i].to_bits(),
+                "W={W} depth {depth}, {groups} groups, point {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn slice_build_has_the_bits_of_the_indexed_build() {
+        for groups in crate::black_scholes::soa::tests::LENGTHS {
+            check_build::<8>(6, groups);
+        }
+        for depth in 0..=8 {
+            check_build::<8>(depth, 3);
+            check_build::<4>(depth, 5);
         }
     }
 

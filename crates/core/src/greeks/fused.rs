@@ -5,10 +5,11 @@
 //! [`greeks_batch_simd`]) each recompute the shared Black-Scholes
 //! subexpressions and each stream `s/x/t` through the cache once. One
 //! fused pass shares `ln(s/x)`, `√t`, the common denominator, `d1`, the
-//! discount factor and `N(d1)` between the price and greeks formulas:
-//! per block it runs 1 `vln` + 1 `sqrt` + 2 `vexp` + 6 `vnorm_cdf`
-//! against the separate passes' 2 + 2 + 3 + 7, and reads the inputs
-//! once instead of twice.
+//! discount factor and `exp(−d1²/2)` between the price and greeks formulas
+//! (that Gaussian is the density and both halves of `N(±d1)`, and each
+//! `d2` gets one [`norm_cdf_pair`]): per block it runs 1 `ln` + 1 `sqrt` +
+//! 4 `exp` + 3 `cnd` rationals (one division each) against the separate
+//! passes' 2 + 2 + 6 + 4, and reads the inputs once instead of twice.
 //!
 //! **Equivalence contract.** Every output is bit-identical to the
 //! separate passes (the engine rung declares `Check::BitExact`):
@@ -33,13 +34,13 @@
 
 use super::GreeksBatchSoa;
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_simd::math::{vexp, vln, vnorm_cdf};
-use finbench_simd::{isa_fn, F64v, Lanes};
+use finbench_math::norm::{norm_cdf_pair, norm_cdf_pair_given_gauss};
+use finbench_simd::{isa_fn, paired_end, Block, F64v, Pair};
 
-/// One `W`-wide fused block at `offset`: prices into `batch.call/put`,
-/// all ten greeks into `out`.
+/// One fused block at `offset` (an `F64v<W>` or a [`Pair`] of them):
+/// prices into `batch.call/put`, all ten greeks into `out`.
 #[inline(always)]
-fn fused_lane_block<const W: usize>(
+fn fused_lane_block<L: Block>(
     batch: &mut OptionBatchSoa,
     m: MarketParams,
     out: &mut GreeksBatchSoa,
@@ -50,31 +51,32 @@ fn fused_lane_block<const W: usize>(
     let sig22 = sig * sig * 0.5;
     let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
 
-    let s = F64v::<W>::load(&batch.s, offset);
-    let x = F64v::<W>::load(&batch.x, offset);
-    let t = F64v::<W>::load(&batch.t, offset);
+    let s = L::load(&batch.s, offset);
+    let x = L::load(&batch.x, offset);
+    let t = L::load(&batch.t, offset);
 
     // Shared between the price and greeks formulas.
-    let qlog = vln(s / x);
+    let qlog = (s / x).ln();
     let sqrt_t = t.sqrt();
-    let denom = 1.0 / (sqrt_t * sig);
+    let denom = L::splat(1.0) / (sqrt_t * sig);
     let d1 = (qlog + t * (r + sig22)) * denom;
-    let disc = vexp(-(t * r));
+    let disc = (-(t * r)).exp();
     let x_disc = x * disc;
-    let nd1 = vnorm_cdf(d1);
+    let gauss1 = (d1 * d1 * -0.5).exp();
+    let (nd1, nmd1) = norm_cdf_pair_given_gauss(d1, gauss1);
 
     // Price side: its own d2 derivation (see module docs).
     let d2p = (qlog + t * (r - sig22)) * denom;
-    let call = s * nd1 - x_disc * vnorm_cdf(d2p);
-    let put = x_disc * vnorm_cdf(-d2p) - s * vnorm_cdf(-d1);
+    let (nd2p, nmd2p) = norm_cdf_pair(d2p);
+    let call = s * nd1 - x_disc * nd2p;
+    let put = x_disc * nmd2p - s * nmd1;
     call.store(&mut batch.call, offset);
     put.store(&mut batch.put, offset);
 
     // Greeks side: d2 as the greeks pass computes it.
     let d2g = d1 - sqrt_t * sig;
-    let pdf1 = vexp(d1 * d1 * -0.5) * inv_sqrt_2pi;
-    let nd2 = vnorm_cdf(d2g);
-    let nmd2 = vnorm_cdf(-d2g);
+    let pdf1 = gauss1 * inv_sqrt_2pi;
+    let (nd2, nmd2) = norm_cdf_pair(d2g);
     let gamma = pdf1 / (s * sig * sqrt_t);
     let vega = s * pdf1 * sqrt_t;
     let theta_carry = (s * pdf1 * (sig * -0.5)) / sqrt_t;
@@ -96,7 +98,8 @@ isa_fn! {
     /// into `batch.call`/`batch.put`, all five greeks for both sides into
     /// the caller-owned `out`. Allocation-free; bit-identical to running
     /// [`price_soa_simd::<W>`] and [`greeks_batch_simd::<W>`] separately,
-    /// for every `W` and every batch length.
+    /// for every `W` and every batch length. Steps as they do: two `W`-lane
+    /// registers at a time, one more `W` step, then the scalar tail.
     ///
     /// Break-even: fusing pays off once the batch no longer fits in L1/L2
     /// (one input sweep instead of two); below a few thousand options the
@@ -112,17 +115,21 @@ isa_fn! {
     ) {
         let n = batch.len();
         assert!(out.len() == n, "output sweep must match the batch");
-        let main = n - n % W;
+        let (pairs, main) = (paired_end::<W>(n), n - n % W);
         let mut i = 0;
+        while i < pairs {
+            fused_lane_block::<Pair<F64v<W>>>(batch, m, out, i);
+            i += 2 * W;
+        }
         while i < main {
-            fused_lane_block::<W>(batch, m, out, i);
+            fused_lane_block::<F64v<W>>(batch, m, out, i);
             i += W;
         }
         for j in main..n {
             let (c, p) = crate::black_scholes::price_single(batch.s[j], batch.x[j], batch.t[j], m);
             batch.call[j] = c;
             batch.put[j] = p;
-            super::greeks_lane_block::<1>(batch, m, out, j);
+            super::greeks_lane_block::<F64v<1>>(batch, m, out, j);
         }
     }
 }
@@ -131,7 +138,9 @@ isa_fn! {
 mod tests {
     use super::*;
     use crate::black_scholes::soa::price_soa_simd;
+    use crate::black_scholes::soa::tests::LENGTHS;
     use crate::greeks::greeks_batch_simd;
+    use crate::greeks::tests::assert_sweep_bits;
     use crate::workload::WorkloadRanges;
 
     const M: MarketParams = MarketParams {
@@ -152,16 +161,6 @@ mod tests {
         }
     }
 
-    fn assert_sweep_bits(a: &GreeksBatchSoa, b: &GreeksBatchSoa) {
-        for (side_a, side_b, side) in [(&a.call, &b.call, "call"), (&a.put, &b.put, "put")] {
-            assert_bits(&side_a.delta, &side_b.delta, &format!("{side} delta"));
-            assert_bits(&side_a.gamma, &side_b.gamma, &format!("{side} gamma"));
-            assert_bits(&side_a.vega, &side_b.vega, &format!("{side} vega"));
-            assert_bits(&side_a.theta, &side_b.theta, &format!("{side} theta"));
-            assert_bits(&side_a.rho, &side_b.rho, &format!("{side} rho"));
-        }
-    }
-
     fn check_against_separate_passes<const W: usize>(n: usize, seed: u64) {
         let base = OptionBatchSoa::random(n, seed, WorkloadRanges::default());
 
@@ -176,7 +175,7 @@ mod tests {
 
         assert_bits(&fused_batch.call, &price_batch.call, "call price");
         assert_bits(&fused_batch.put, &price_batch.put, "put price");
-        assert_sweep_bits(&fused_out, &greeks_out);
+        assert_sweep_bits(&fused_out, &greeks_out, "fused vs greeks pass");
     }
 
     #[test]
@@ -213,7 +212,41 @@ mod tests {
         price_and_greeks_into::<8>(&mut b8, M, &mut o8);
         assert_bits(&b1.call, &b8.call, "call price");
         assert_bits(&b1.put, &b8.put, "put price");
-        assert_sweep_bits(&o1, &o8);
+        assert_sweep_bits(&o1, &o8, "W=1 vs W=8");
+    }
+
+    /// [`price_and_greeks_into`] as it stepped before pairs: one `W`-lane
+    /// register per step, then the scalar tail.
+    fn one_register_per_step<const W: usize>(b: &mut OptionBatchSoa, out: &mut GreeksBatchSoa) {
+        let n = b.len();
+        let main = n - n % W;
+        for i in (0..main).step_by(W) {
+            fused_lane_block::<F64v<W>>(b, M, out, i);
+        }
+        for j in main..n {
+            (b.call[j], b.put[j]) = crate::black_scholes::price_single(b.s[j], b.x[j], b.t[j], M);
+            crate::greeks::greeks_lane_block::<F64v<1>>(b, M, out, j);
+        }
+    }
+
+    fn check_stepping<const W: usize>(n: usize) {
+        let base = OptionBatchSoa::random(n, 29 + n as u64, WorkloadRanges::default());
+        let (mut want, mut got) = (base.clone(), base.clone());
+        let mut want_out = GreeksBatchSoa::zeroed(n);
+        let mut got_out = GreeksBatchSoa::zeroed(n);
+        one_register_per_step::<W>(&mut want, &mut want_out);
+        price_and_greeks_into::<W>(&mut got, M, &mut got_out);
+        assert_bits(&want.call, &got.call, &format!("W={W} n={n} call price"));
+        assert_bits(&want.put, &got.put, &format!("W={W} n={n} put price"));
+        assert_sweep_bits(&want_out, &got_out, &format!("W={W} n={n}"));
+    }
+
+    #[test]
+    fn paired_fused_pass_has_the_bits_of_one_register_per_step() {
+        for n in LENGTHS {
+            check_stepping::<8>(n);
+            check_stepping::<4>(n);
+        }
     }
 
     #[test]

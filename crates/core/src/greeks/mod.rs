@@ -20,8 +20,9 @@ pub mod mc;
 pub use fused::price_and_greeks_into;
 
 use crate::workload::MarketParams;
+use finbench_math::norm::{norm_cdf_pair, norm_cdf_pair_given_gauss};
 use finbench_math::{exp, ln, norm_cdf, norm_pdf};
-use finbench_simd::isa_fn;
+use finbench_simd::{isa_fn, paired_end, Block, F64v, Pair};
 
 /// The five first-order sensitivities of a European option.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -225,35 +226,36 @@ impl GreeksBatchSoa {
     }
 }
 
-/// One `W`-wide block of the analytic sweep at `offset`. Factored out so
-/// the main loop and the scalar tail of [`greeks_batch_simd`] run the
-/// *same* lane arithmetic: the SIMD math routines are lane-wise, so every
-/// output element is bit-identical across vector widths.
+/// One block of the analytic sweep at `offset`: an `F64v<W>`, a [`Pair`]
+/// of them, or the width-one tail. Factored out so the paired steps, the
+/// single step and the tail of [`greeks_batch_simd`] run the *same* lane
+/// arithmetic: the lane math is lane-wise, so every output element is
+/// bit-identical across vector widths and step shapes.
 #[inline(always)]
-fn greeks_lane_block<const W: usize>(
+fn greeks_lane_block<L: Block>(
     batch: &crate::workload::OptionBatchSoa,
     m: MarketParams,
     out: &mut GreeksBatchSoa,
     offset: usize,
 ) {
-    use finbench_simd::math::{vexp, vln, vnorm_cdf};
-    use finbench_simd::{F64v, Lanes};
-
     let inv_sqrt_2pi = 1.0 / finbench_math::SQRT_2PI;
-    let s = F64v::<W>::load(&batch.s, offset);
-    let x = F64v::<W>::load(&batch.x, offset);
-    let t = F64v::<W>::load(&batch.t, offset);
+    let s = L::load(&batch.s, offset);
+    let x = L::load(&batch.x, offset);
+    let t = L::load(&batch.t, offset);
     let sqrt_t = t.sqrt();
-    let denom = 1.0 / (sqrt_t * m.sigma);
-    let d1 = (vln(s / x) + t * (m.r + 0.5 * m.sigma * m.sigma)) * denom;
+    let denom = L::splat(1.0) / (sqrt_t * m.sigma);
+    let d1 = ((s / x).ln() + t * (m.r + 0.5 * m.sigma * m.sigma)) * denom;
     let d2 = d1 - sqrt_t * m.sigma;
-    let pdf1 = vexp(d1 * d1 * -0.5) * inv_sqrt_2pi;
-    let nd1 = vnorm_cdf(d1);
-    let nd2 = vnorm_cdf(d2);
-    // N(−d2) through the same lane CDF (not 1 − N(d2)): keeps the deep
-    // tails accurate and the result independent of the vector width.
-    let nmd2 = vnorm_cdf(-d2);
-    let disc = vexp(t * -m.r);
+    // One Gaussian serves the density and N(d1): `d1·d1` and `|d1|·|d1|`
+    // round alike, so N(d1) has the bits of its own `cnd` call.
+    let gauss1 = (d1 * d1 * -0.5).exp();
+    let pdf1 = gauss1 * inv_sqrt_2pi;
+    let nd1 = norm_cdf_pair_given_gauss(d1, gauss1).0;
+    // N(−d2) is the pair's other half: both come from `Φ(−|d2|)`, as two
+    // `cnd` calls would, so whichever is a deep tail stays accurate (no
+    // `1 − N(d2)` cancellation) and the bits are the calls'.
+    let (nd2, nmd2) = norm_cdf_pair(d2);
+    let disc = (t * -m.r).exp();
 
     let gamma = pdf1 / (s * m.sigma * sqrt_t);
     let vega = s * pdf1 * sqrt_t;
@@ -274,8 +276,9 @@ fn greeks_lane_block<const W: usize>(
 
 isa_fn! {
     /// Analytic greeks for every option in the batch, all five sensitivities
-    /// for both contract sides, one option per SIMD lane. The tail past the
-    /// last full `W`-block goes through the same lane function at width 1,
+    /// for both contract sides, one option per SIMD lane: two `W`-lane
+    /// registers per step ([`Pair`]), one more `W` step, then the tail past
+    /// the last full `W`-block through the same lane function at width 1,
     /// so the full output is **bit-identical for every `W`** — the property
     /// the engine ladder declares as `Check::BitExact`.
     pub fn greeks_batch_simd<const W: usize>(
@@ -285,14 +288,18 @@ isa_fn! {
     ) {
         let n = batch.len();
         assert!(out.len() == n, "output sweep must match the batch");
-        let main = n - n % W;
+        let (pairs, main) = (paired_end::<W>(n), n - n % W);
         let mut i = 0;
+        while i < pairs {
+            greeks_lane_block::<Pair<F64v<W>>>(batch, m, out, i);
+            i += 2 * W;
+        }
         while i < main {
-            greeks_lane_block::<W>(batch, m, out, i);
+            greeks_lane_block::<F64v<W>>(batch, m, out, i);
             i += W;
         }
         for j in main..n {
-            greeks_lane_block::<1>(batch, m, out, j);
+            greeks_lane_block::<F64v<1>>(batch, m, out, j);
         }
     }
 }
@@ -477,20 +484,64 @@ mod tests {
         greeks_batch_simd::<1>(&b, M, &mut w1);
         greeks_batch_simd::<4>(&b, M, &mut w4);
         greeks_batch_simd::<8>(&b, M, &mut w8);
-        for (a, c) in [(&w1, &w4), (&w1, &w8)] {
-            for (side_a, side_c) in [(&a.call, &c.call), (&a.put, &c.put)] {
-                for (va, vc) in [
-                    (&side_a.delta, &side_c.delta),
-                    (&side_a.gamma, &side_c.gamma),
-                    (&side_a.vega, &side_c.vega),
-                    (&side_a.theta, &side_c.theta),
-                    (&side_a.rho, &side_c.rho),
-                ] {
-                    for i in 0..va.len() {
-                        assert_eq!(va[i].to_bits(), vc[i].to_bits(), "element {i}");
-                    }
+        assert_sweep_bits(&w1, &w4, "W=1 vs W=4");
+        assert_sweep_bits(&w1, &w8, "W=1 vs W=8");
+    }
+
+    /// Every column of two sweeps, bit for bit.
+    pub(super) fn assert_sweep_bits(a: &GreeksBatchSoa, b: &GreeksBatchSoa, label: &str) {
+        for (side_a, side_b, side) in [(&a.call, &b.call, "call"), (&a.put, &b.put, "put")] {
+            for (va, vb, name) in [
+                (&side_a.delta, &side_b.delta, "delta"),
+                (&side_a.gamma, &side_b.gamma, "gamma"),
+                (&side_a.vega, &side_b.vega, "vega"),
+                (&side_a.theta, &side_b.theta, "theta"),
+                (&side_a.rho, &side_b.rho, "rho"),
+            ] {
+                assert_eq!(va.len(), vb.len(), "{label} {side} {name} length");
+                for i in 0..va.len() {
+                    assert_eq!(
+                        va[i].to_bits(),
+                        vb[i].to_bits(),
+                        "{label} {side} {name} {i}: {} vs {}",
+                        va[i],
+                        vb[i]
+                    );
                 }
             }
+        }
+    }
+
+    /// [`greeks_batch_simd`] as it stepped before pairs: one `W`-lane
+    /// register per step, then the width-one tail.
+    fn one_register_per_step<const W: usize>(
+        b: &crate::workload::OptionBatchSoa,
+        m: MarketParams,
+        out: &mut GreeksBatchSoa,
+    ) {
+        let main = b.len() - b.len() % W;
+        for i in (0..main).step_by(W) {
+            greeks_lane_block::<F64v<W>>(b, m, out, i);
+        }
+        for j in main..b.len() {
+            greeks_lane_block::<F64v<1>>(b, m, out, j);
+        }
+    }
+
+    #[test]
+    fn paired_sweep_has_the_bits_of_one_register_per_step() {
+        use crate::black_scholes::soa::tests::LENGTHS;
+        use crate::workload::{OptionBatchSoa, WorkloadRanges};
+        for n in LENGTHS {
+            let b = OptionBatchSoa::random(n, 17 + n as u64, WorkloadRanges::default());
+            let mut want = GreeksBatchSoa::zeroed(n);
+            let mut got = GreeksBatchSoa::zeroed(n);
+            one_register_per_step::<8>(&b, M, &mut want);
+            greeks_batch_simd::<8>(&b, M, &mut got);
+            assert_sweep_bits(&want, &got, &format!("W=8 n={n}"));
+            one_register_per_step::<4>(&b, M, &mut want);
+            greeks_batch_simd::<4>(&b, M, &mut got);
+            assert_sweep_bits(&want, &got, &format!("W=4 n={n}"));
         }
     }
 

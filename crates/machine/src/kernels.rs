@@ -65,12 +65,26 @@ pub fn black_scholes(arch: &ArchSpec) -> Vec<Level> {
         overhead: if knc { 5.0 } else { 1.0 },
     };
 
-    // Intermediate: SOA layout, unit-stride SIMD, still the cnd form.
-    let intermediate = LevelCost {
+    // Intermediate: SOA layout, unit-stride SIMD, and the four cnd as two
+    // pairs (`norm_cdf_pair`: Φ(d) and Φ(−d) from one Gaussian, one
+    // rational and one division), so the rationals are flops: 1 ln,
+    // 3 exp (the discount and one Gaussian per |d|), 4 divides (S/X,
+    // 1/(σ√T) and one per pair) + 1 sqrt, and 80 flops — the two central
+    // rationals' Horner chains (degree 6 over degree 7, 26 each), 10 for
+    // the pairs' |d|, Gaussian arguments and complements, 18 for d1/d2
+    // and the prices. Audited against `soa::price_vec_cnd` at CountedF64.
+    let soa_simd = LevelCost {
         width_frac: 1.0,
         gather_lines: 0.0,
         overhead: 1.0,
         ..basic
+    };
+    let intermediate = LevelCost {
+        flops: 80.0,
+        exps: 3.0,
+        heavies: 1.0,
+        slow_ops: 5.0,
+        ..soa_simd
     };
 
     // Advanced: cnd -> erf (4 cnd -> 2 erf) + call/put parity; the VML
@@ -78,7 +92,7 @@ pub fn black_scholes(arch: &ArchSpec) -> Vec<Level> {
     let advanced = LevelCost {
         flops: 15.0,
         heavies: 3.0, // 2 erf + 1 ln
-        ..intermediate
+        ..soa_simd
     };
 
     vec![
@@ -431,6 +445,30 @@ mod tests {
             "counted {resid} vs model {}",
             model.flops
         );
+    }
+
+    #[test]
+    fn audit_black_scholes_intermediate_op_mix() {
+        use finbench_core::black_scholes::soa::price_vec_cnd;
+        let (_, c) = counting(|| {
+            price_vec_cnd(
+                CountedF64(100.0),
+                CountedF64(95.0),
+                CountedF64(1.0),
+                MarketParams::PAPER,
+            )
+        });
+        let resid = (c.adds + c.muls + c.maxs) as f64;
+        for arch in [&SNB_EP, &KNC] {
+            let model = &black_scholes(arch)[1].cost;
+            assert_eq!(c.exps as f64, model.exps, "{}", arch.name);
+            assert_eq!((c.cnds + c.logs) as f64, model.heavies, "{}", arch.name);
+            assert_eq!((c.sqrts + c.divs) as f64, model.slow_ops, "{}", arch.name);
+            assert_eq!(resid, model.flops, "{}", arch.name);
+        }
+        // The pairs halve the Gaussians and divisions the four `cnd` of the
+        // Basic form carry inside them: 4 exp + 4 div there, 2 + 2 here.
+        assert_eq!((c.cnds, c.exps, c.divs), (0, 3, 4));
     }
 
     #[test]

@@ -7,6 +7,9 @@
 //! a mask and a [`Lanes::select`], and a rare case (a subnormal `ln`, the
 //! far tail of `cnd`) sits behind a whole-vector `if mask.all()`, so the
 //! common path is straight-line code a vector instance packs.
+//!
+//! [`Pair`] steps two instances as one, op by op: a body that is one long
+//! dependency chain per vector gives the core two to overlap.
 
 use core::fmt::Debug;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub};
@@ -183,5 +186,128 @@ impl Lanes for f64 {
         // m in [1, 2); shift it into [sqrt(1/2), sqrt(2)).
         let big = m >= std::f64::consts::SQRT_2;
         (Self::select(big, m * 0.5, m), Self::select(big, e + 1.0, e))
+    }
+}
+
+/// Two `L`s stepped as one `Lanes` value: every operation runs on both
+/// halves, one after the other, so a body instantiated at `Pair<L>`
+/// interleaves two independent dependency chains op by op where two calls
+/// at `L` would run them one after the other. Lanes do not interact, so
+/// each half has the bits its own `L` call would; the whole-vector tests
+/// (`all`, `any`) span both halves, so a rare path runs for both or neither.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Pair<L>(pub L, pub L);
+
+macro_rules! pair_op {
+    ($trait:ident, $method:ident, $op:tt) => {
+        impl<L: Lanes> $trait for Pair<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $method(self, rhs: Self) -> Self {
+                Pair(self.0 $op rhs.0, self.1 $op rhs.1)
+            }
+        }
+        impl<L: Lanes> $trait<f64> for Pair<L> {
+            type Output = Self;
+            #[inline(always)]
+            fn $method(self, rhs: f64) -> Self {
+                Pair(self.0 $op rhs, self.1 $op rhs)
+            }
+        }
+    };
+}
+
+pair_op!(Add, add, +);
+pair_op!(Sub, sub, -);
+pair_op!(Mul, mul, *);
+pair_op!(Div, div, /);
+
+impl<L: Lanes> Neg for Pair<L> {
+    type Output = Self;
+    #[inline(always)]
+    fn neg(self) -> Self {
+        Pair(-self.0, -self.1)
+    }
+}
+
+impl<L: Lanes> AddAssign for Pair<L> {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: Self) {
+        *self = *self + rhs;
+    }
+}
+
+impl<L: Lanes> MulAssign for Pair<L> {
+    #[inline(always)]
+    fn mul_assign(&mut self, rhs: Self) {
+        *self = *self * rhs;
+    }
+}
+
+/// `&`, not `&&`, as every mask here: one test of both halves.
+impl<M: LaneMask> LaneMask for Pair<M> {
+    #[inline(always)]
+    fn all(self) -> bool {
+        self.0.all() & self.1.all()
+    }
+    #[inline(always)]
+    fn any(self) -> bool {
+        self.0.any() | self.1.any()
+    }
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        Pair(self.0.and(other.0), self.1.and(other.1))
+    }
+}
+
+/// Each method on both halves; the transcendentals are the crate's bodies
+/// at `Pair<L>` (the trait defaults), which is what interleaves them.
+impl<L: Lanes> Lanes for Pair<L> {
+    type Mask = Pair<L::Mask>;
+
+    #[inline(always)]
+    fn splat(x: f64) -> Self {
+        Pair(L::splat(x), L::splat(x))
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        Pair(self.0.mul_add(a.0, b.0), self.1.mul_add(a.1, b.1))
+    }
+    #[inline(always)]
+    fn floor(self) -> Self {
+        Pair(self.0.floor(), self.1.floor())
+    }
+    #[inline(always)]
+    fn abs(self) -> Self {
+        Pair(self.0.abs(), self.1.abs())
+    }
+    #[inline(always)]
+    fn sqrt(self) -> Self {
+        Pair(self.0.sqrt(), self.1.sqrt())
+    }
+    #[inline(always)]
+    fn max(self, other: Self) -> Self {
+        Pair(self.0.max(other.0), self.1.max(other.1))
+    }
+    #[inline(always)]
+    fn lt(self, other: Self) -> Self::Mask {
+        Pair(self.0.lt(other.0), self.1.lt(other.1))
+    }
+    #[inline(always)]
+    fn le(self, other: Self) -> Self::Mask {
+        Pair(self.0.le(other.0), self.1.le(other.1))
+    }
+    #[inline(always)]
+    fn select(mask: Self::Mask, a: Self, b: Self) -> Self {
+        Pair(L::select(mask.0, a.0, b.0), L::select(mask.1, a.1, b.1))
+    }
+    #[inline(always)]
+    fn pow2i(self) -> Self {
+        Pair(self.0.pow2i(), self.1.pow2i())
+    }
+    #[inline(always)]
+    fn frexp(self) -> (Self, Self) {
+        let ((m0, e0), (m1, e1)) = (self.0.frexp(), self.1.frexp());
+        (Pair(m0, m1), Pair(e0, e1))
     }
 }

@@ -40,7 +40,7 @@ pub mod poly;
 pub mod real;
 
 pub use counted::{counting, counting_expanded, CountedF64, OpCounts};
-pub use lanes::{LaneMask, Lanes};
+pub use lanes::{LaneMask, Lanes, Pair};
 pub use norm::{inv_norm_cdf_acklam, norm_pdf};
 pub use real::Real;
 

@@ -127,7 +127,7 @@ pub fn cnd_rational<L: Lanes>(ax: L) -> (L, L) {
 }
 
 /// Cumulative distribution function of the standard normal, the paper's
-/// `cnd`, lane-wise; NaN in, NaN out.
+/// `cnd`, lane-wise; NaN in, NaN out: the first half of [`norm_cdf_pair`].
 ///
 /// `exp(−x²/2) · num / den` over [`cnd_rational`]'s pair, mirrored for
 /// `x > 0`: one `exp` and one division per lane whichever rational it
@@ -141,18 +141,40 @@ pub fn cnd_rational<L: Lanes>(ax: L) -> (L, L) {
 /// ```
 #[inline(always)]
 pub fn norm_cdf<L: Lanes>(x: L) -> L {
-    let ax = x.abs();
-    norm_cdf_given_gauss(x, ax, (ax * ax * -0.5).exp())
+    norm_cdf_pair(x).0
 }
 
-/// [`norm_cdf`] of `x` given `ax = |x|` and `e = exp(−x²/2)`, for a caller
-/// that needs that Gaussian itself ([`inv_norm_cdf_polish`]'s Halley step).
+/// `(Φ(x), Φ(−x))`, lane-wise, for one `exp`, one rational and one
+/// division: both halves share `|x|`, its Gaussian and `cum = Φ(−|x|)`, and
+/// differ only in which of `cum` and `1 − cum` they pick. Each half has the
+/// bits of its own [`norm_cdf`] call (`±0` and NaN lanes read `cum` in
+/// both).
+///
+/// ```
+/// use finbench_math::norm::{norm_cdf, norm_cdf_pair};
+/// let (up, down) = norm_cdf_pair(1.5);
+/// assert_eq!((up.to_bits(), down.to_bits()), (norm_cdf(1.5).to_bits(), norm_cdf(-1.5).to_bits()));
+/// ```
 #[inline(always)]
-fn norm_cdf_given_gauss<L: Lanes>(x: L, ax: L, e: L) -> L {
-    let (num, den) = cnd_rational(ax);
+pub fn norm_cdf_pair<L: Lanes>(x: L) -> (L, L) {
+    let ax = x.abs();
+    norm_cdf_pair_given_gauss(x, (ax * ax * -0.5).exp())
+}
+
+/// [`norm_cdf_pair`] of `x` given `e = exp(−x²/2)`, for a caller that needs
+/// that Gaussian itself (the density in the Greeks sweeps,
+/// [`inv_norm_cdf_polish`]'s Halley step). `x·x` and `|x|·|x|` round to
+/// the same bits, so any finite or infinite `x` gets [`norm_cdf_pair`]'s.
+#[inline(always)]
+pub fn norm_cdf_pair_given_gauss<L: Lanes>(x: L, e: L) -> (L, L) {
+    let (num, den) = cnd_rational(x.abs());
     // `e ≥ 0`, so a lane past 37σ reads `e · 0 / 1 = +0` exactly.
     let cum = e * num / den;
-    L::select(x.gt(L::splat(0.0)), L::splat(1.0) - cum, cum)
+    let (zero, far) = (L::splat(0.0), L::splat(1.0) - cum);
+    (
+        L::select(x.gt(zero), far, cum),
+        L::select(x.lt(zero), far, cum),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -271,7 +293,7 @@ pub fn inv_norm_cdf_guess<L: Lanes>(p: L) -> L {
 pub fn inv_norm_cdf_polish<L: Lanes>(p: L, x: L) -> L {
     let ax = x.abs();
     let gauss = (ax * ax * -0.5).exp();
-    let e = norm_cdf_given_gauss(x, ax, gauss) - p;
+    let e = norm_cdf_pair_given_gauss(x, gauss).0 - p;
     let u = e / (gauss / SQRT_2PI);
     let polished = x - u / (x * 0.5 * u + 1.0);
     let y = L::select(ax.ge(L::splat(INV_NO_POLISH)), x, polished);

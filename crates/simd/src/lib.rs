@@ -54,6 +54,14 @@
 //!   generic and call `#[inline(always)]` functions, as
 //!   `crank_nicolson::wavefront` does; lanes move with
 //!   [`F64v::shift_up`], a register permute.
+//! * **A sweep whose step is one long chain steps two registers.** A
+//!   closed-form body (`ln`, `exp`, two `cnd` pairs: ~400 packed operations,
+//!   a dozen of them divides or roots) is one dependency chain per vector,
+//!   and the reorder buffer holds about one: latency, not the ports, sets
+//!   the rate. A [`Pair`] of `F64v<W>` is a [`Lanes`] value of `2W` lanes
+//!   whose every operation runs on both registers in turn, so one body at
+//!   `Pair` interleaves two chains op by op — the paper's manual unrolling.
+//!   [`Block`] is what a sweep loads and stores, one register or a pair.
 //! * [`F64vec4`]/[`F64vec8`] are the paper's two widths: 4 double lanes
 //!   (SNB-EP, 256-bit AVX) and 8 double lanes (KNC, 512-bit). Kernels are
 //!   generic over `N`, exactly as the paper swaps one class for the other
@@ -78,6 +86,6 @@ pub mod isa;
 pub mod math;
 pub mod vec;
 
-pub use finbench_math::{LaneMask, Lanes};
+pub use finbench_math::{LaneMask, Lanes, Pair};
 pub use isa::Isa;
-pub use vec::{F64v, F64vec4, F64vec8, Mask};
+pub use vec::{paired_end, Block, F64v, F64vec4, F64vec8, Mask};

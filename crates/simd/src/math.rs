@@ -199,6 +199,51 @@ mod tests {
     }
 
     #[test]
+    fn norm_cdf_pair_is_two_cnd_calls_bit_for_bit() {
+        use finbench_math::norm::{norm_cdf_pair, norm_cdf_pair_given_gauss};
+        use finbench_math::Pair;
+        let seam = CND_TAIL_FROM;
+        let mut xs = sweep(-40.0, 40.0, 4_000);
+        xs.extend([0.0, -0.0, NAN, INF, -INF, 37.0, 37.0f64.next_up()]);
+        xs.extend([seam.next_down(), seam, seam.next_up()]);
+        xs.extend([
+            -37.0,
+            (-37.0f64).next_up(),
+            -seam.next_down(),
+            -seam,
+            -seam.next_up(),
+        ]);
+        let neighbours = [0.3, NAN, 40.0, -8.0, seam, -37.5, INF, 1.0];
+        for &x in &xs {
+            let want = (fm::norm_cdf(x), fm::norm_cdf(-x));
+            let check = |got: (f64, f64), instance: &str| {
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits()),
+                    "{instance} at x={x:e}: {got:?}, two calls {want:?}"
+                );
+            };
+            check(norm_cdf_pair(x), "f64");
+            check(
+                norm_cdf_pair_given_gauss(x, fm::exp(x * x * -0.5)),
+                "f64 given x·x",
+            );
+            for lane in 0..8 {
+                let mut v = neighbours;
+                v[lane] = x;
+                let (up, down) = norm_cdf_pair(F64v(v));
+                check((up[lane], down[lane]), "F64v<8>");
+                let (up, down) = norm_cdf_pair(Pair(F64v(v), F64v(neighbours)));
+                check((up.0[lane], down.0[lane]), "Pair<F64v<8>>");
+                let mut v4 = [neighbours[0]; 4];
+                v4[lane % 4] = x;
+                let (up, down) = norm_cdf_pair(F64v(v4));
+                check((up[lane % 4], down[lane % 4]), "F64v<4>");
+            }
+        }
+    }
+
+    #[test]
     fn vnorm_cdf_tail_skip_never_changes_a_lane() {
         // A vector with no lane past the 7.07σ seam skips the tail rational,
         // one tail lane brings it back for all: the same bits either way.

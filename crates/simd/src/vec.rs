@@ -3,7 +3,7 @@
 use core::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
-use finbench_math::{LaneMask, Lanes};
+use finbench_math::{LaneMask, Lanes, Pair};
 
 /// An `N`-lane vector of `f64`, the Rust analog of the paper's
 /// `F64vec4`/`F64vec8` classes.
@@ -363,6 +363,54 @@ impl<const N: usize> Lanes for F64v<N> {
             (m[i], e[i]) = self.0[i].frexp();
         }
         (Self(m), Self(e))
+    }
+}
+
+/// A [`Lanes`] value a sweep moves to and from a column of doubles: one
+/// `F64v<N>` register, or a [`Pair`] of them stepped as `2N` lanes.
+pub trait Block: Lanes {
+    /// One lane per consecutive double of `src` from `offset`.
+    fn load(src: &[f64], offset: usize) -> Self;
+    /// The lanes to `dst` from `offset`.
+    fn store(self, dst: &mut [f64], offset: usize);
+}
+
+impl<const N: usize> Block for F64v<N> {
+    #[inline(always)]
+    fn load(src: &[f64], offset: usize) -> Self {
+        F64v::load(src, offset)
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f64], offset: usize) {
+        F64v::store(self, dst, offset)
+    }
+}
+
+/// Lanes `offset..offset + N` in the first register, the next `N` in the
+/// second.
+impl<const N: usize> Block for Pair<F64v<N>> {
+    #[inline(always)]
+    fn load(src: &[f64], offset: usize) -> Self {
+        Pair(F64v::load(src, offset), F64v::load(src, offset + N))
+    }
+    #[inline(always)]
+    fn store(self, dst: &mut [f64], offset: usize) {
+        self.0.store(dst, offset);
+        self.1.store(dst, offset + N);
+    }
+}
+
+/// Where a sweep over `n` lanes stops stepping [`Pair`]s of `F64v<W>`: `n`
+/// rounded down to a multiple of `2W`. From there it steps single
+/// registers up to `n − n % W`, then its scalar tail. At `W = 1` there are
+/// no pairs: a width-one sweep is a ladder's scalar rung and stays one
+/// lane per step.
+#[inline(always)]
+pub fn paired_end<const W: usize>(n: usize) -> usize {
+    if W > 1 {
+        n - n % (2 * W)
+    } else {
+        0
     }
 }
 

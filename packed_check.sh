@@ -26,6 +26,8 @@ bin="${1:-target/release/finbench}"
 gated='monte_carlo::simd::paths_streamed_simd
 monte_carlo::simd::paths_antithetic
 black_scholes::soa::price_soa_simd_into
+black_scholes::soa::price_soa_simd_erf_parity_into
+greeks::fused::price_and_greeks_into
 portfolio::revalue_rows
 greeks::greeks_batch_simd
 brownian_bridge::simd::build_group_in_place
