@@ -75,6 +75,12 @@ if git grep -nwE 'Mt19937|sincos|fill_standard_normal_box_muller|fill_standard_n
   exit 1
 fi
 
+echo "==> source guard (no extension nothing runs, no plan override, no threshold flag)"
+if git grep -nE 'trinomial|price_bermudan|up_and_out_call|up_and_in_call|lookback_call|with_slo|set_override|parse_overrides|BadOverride|FINBENCH_PLAN|--threshold' -- crates tests examples; then
+  echo "no rung, lane or example runs those pricers or builders; a plan depends only on the architecture and the kernel; bench-compare gates on DEFAULT_THRESHOLD_PCT" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2

@@ -61,53 +61,6 @@ pub fn price_american<R: Real>(
     value[0].into_f64()
 }
 
-/// Price a Bermudan option: exercise is allowed only at lattice levels
-/// that are multiples of `exercise_stride` (plus expiry). `stride == 1`
-/// recovers the American contract; `stride >= n` leaves only the terminal
-/// date and recovers the European one.
-pub fn price_bermudan(
-    s: f64,
-    x: f64,
-    t: f64,
-    market: MarketParams,
-    n: usize,
-    exercise_stride: usize,
-    is_call: bool,
-) -> f64 {
-    assert!(exercise_stride >= 1, "stride must be at least 1");
-    let crr = CrrParams::new(market, t, n);
-    let payoff = |price: f64| {
-        if is_call {
-            (price - x).max(0.0)
-        } else {
-            (x - price).max(0.0)
-        }
-    };
-
-    let mut price: Vec<f64> = Vec::with_capacity(n + 1);
-    let mut p = s * crr.d.powi(n as i32);
-    let u2 = crr.u * crr.u;
-    for _ in 0..=n {
-        price.push(p);
-        p *= u2;
-    }
-    let mut value: Vec<f64> = price.iter().map(|&p| payoff(p)).collect();
-
-    for i in (0..n).rev() {
-        let exercisable = i % exercise_stride == 0 && i > 0;
-        for j in 0..=i {
-            price[j] *= crr.u;
-            let cont = crr.pu_by_df * value[j + 1] + crr.pd_by_df * value[j];
-            value[j] = if exercisable {
-                cont.max(payoff(price[j]))
-            } else {
-                cont
-            };
-        }
-    }
-    value[0]
-}
-
 /// Early-exercise premium: American minus European price on the same
 /// lattice (guaranteed non-negative).
 pub fn early_exercise_premium(
@@ -209,34 +162,5 @@ mod tests {
         // Reduction is 3 flops + 1 mul (price update) + payoff (1 sub +
         // 1 max) + 1 clamp max per node => > 3*N(N+1)/2.
         assert!(counts.flops() as usize > 3 * 16 * 17 / 2);
-    }
-
-    #[test]
-    fn bermudan_sandwiched_between_european_and_american() {
-        let (s, x, t, n) = (100.0, 100.0, 1.0, 600);
-        let eur = crate::binomial::reference::price_european(s, x, t, M, n, false);
-        let amer = price_american::<f64>(s, x, t, M, n, false);
-        let mut prev = eur;
-        // More exercise dates (smaller stride) => weakly more valuable.
-        for stride in [600usize, 200, 50, 10, 1] {
-            let berm = price_bermudan(s, x, t, M, n, stride, false);
-            assert!(berm >= prev - 1e-10, "stride {stride}: {berm} < {prev}");
-            assert!(berm <= amer + 1e-10, "stride {stride}");
-            prev = berm;
-        }
-    }
-
-    #[test]
-    fn bermudan_stride_one_is_american() {
-        let berm = price_bermudan(95.0, 100.0, 1.5, M, 400, 1, false);
-        let amer = price_american::<f64>(95.0, 100.0, 1.5, M, 400, false);
-        assert!((berm - amer).abs() < 1e-12, "{berm} vs {amer}");
-    }
-
-    #[test]
-    fn bermudan_huge_stride_is_european() {
-        let berm = price_bermudan(95.0, 100.0, 1.5, M, 400, 10_000, false);
-        let eur = crate::binomial::reference::price_european(95.0, 100.0, 1.5, M, 400, false);
-        assert!((berm - eur).abs() < 1e-12, "{berm} vs {eur}");
     }
 }

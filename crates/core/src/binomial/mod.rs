@@ -17,15 +17,12 @@
 //!   the register file, so each `Call` element is loaded and stored once
 //!   per `TS` time steps instead of once per step.
 //! * [`american`] extends the lattice with early exercise (the case the
-//!   method exists for; the paper prices European for benchmark parity),
-//!   and [`trinomial`] adds the other lattice of the paper's Fig. 1
-//!   taxonomy as an ablation partner.
+//!   method exists for; the paper prices European for benchmark parity).
 
 pub mod american;
 pub mod reference;
 pub mod simd;
 pub mod tiled;
-pub mod trinomial;
 
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::{isa_fn, F64v, Lanes};

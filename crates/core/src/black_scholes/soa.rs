@@ -44,8 +44,8 @@ fn assert_into_shape(s: &[f64], x: &[f64], t: &[f64], call: &[f64], put: &[f64])
 
 isa_fn! {
     /// Scalar SOA sweep into caller-owned output slices — the allocation-free
-    /// form of [`price_soa_scalar`]; same arithmetic as the AOS reference,
-    /// unit-stride accesses.
+    /// form of [`price_soa_scalar`]: the AOS reference's closed form
+    /// ([`super::price_single`]) over unit-stride accesses.
     pub fn price_soa_scalar_into(
         s: &[f64],
         x: &[f64],
@@ -55,18 +55,8 @@ isa_fn! {
         market: MarketParams,
     ) {
         let n = assert_into_shape(s, x, t, call, put);
-        let r = market.r;
-        let sig = market.sigma;
-        let sig22 = sig * sig * 0.5;
         for i in 0..n {
-            let (s, x, t) = (s[i], x[i], t[i]);
-            let qlog = fm::ln(s / x);
-            let denom = 1.0 / (sig * t.sqrt());
-            let d1 = (qlog + (r + sig22) * t) * denom;
-            let d2 = (qlog + (r - sig22) * t) * denom;
-            let xexp = x * fm::exp(-(r * t));
-            call[i] = s * fm::norm_cdf(d1) - xexp * fm::norm_cdf(d2);
-            put[i] = xexp * fm::norm_cdf(-d2) - s * fm::norm_cdf(-d1);
+            (call[i], put[i]) = super::price_single(s[i], x[i], t[i], market);
         }
     }
 }
@@ -307,6 +297,7 @@ pub fn par_price_soa<const W: usize>(
 pub(crate) mod tests {
     use super::*;
     use crate::workload::WorkloadRanges;
+    use finbench_simd::isa::{dispatch_as, Isa};
     use finbench_simd::math::vln;
 
     fn batch(n: usize) -> OptionBatchSoa {
@@ -332,13 +323,38 @@ pub(crate) mod tests {
 
     #[test]
     fn soa_scalar_matches_aos_reference() {
-        let m = MarketParams::PAPER;
-        let mut soa = batch(501);
+        // Bit for bit under every supported ISA tier, on the quick registry
+        // workload (`WorkloadSpec::measure(true)`: seed 1, 20 000 options)
+        // and on edge contracts: deep in and out of the money, expiries next
+        // to zero.
+        let mut soa = OptionBatchSoa::random(20_000, 1, WorkloadRanges::default());
+        for (s, x, t) in [
+            (500.0, 1.0, 1.0),
+            (1.0, 500.0, 1.0),
+            (30.0, 1.0, 10.0),
+            (5.0, 100.0, 0.25),
+            (30.0, 30.0, 1e-12),
+            (30.0, 29.0, 1e-9),
+            (30.0, 31.0, 1e-6),
+            (100.0, 1.0, 1e-12),
+        ] {
+            soa.s.push(s);
+            soa.x.push(x);
+            soa.t.push(t);
+            soa.call.push(0.0);
+            soa.put.push(0.0);
+        }
         let mut aos = soa.to_aos();
-        price_soa_scalar(&mut soa, m);
-        crate::black_scholes::reference::price_aos::<f64>(&mut aos, m);
-        let aos_as_soa = aos.to_soa();
-        assert_close(&soa, &aos_as_soa, 1e-15, "scalar-vs-aos");
+        crate::black_scholes::reference::price_aos::<f64>(&mut aos, MarketParams::PAPER);
+        let bits = |b: &OptionBatchSoa| -> Vec<u64> {
+            b.call.iter().chain(&b.put).map(|v| v.to_bits()).collect()
+        };
+        let want = bits(&aos.to_soa());
+        for isa in Isa::ALL.into_iter().filter(|isa| isa.supported()) {
+            let mut got = soa.clone();
+            dispatch_as(isa, || price_soa_scalar(&mut got, MarketParams::PAPER));
+            assert!(bits(&got) == want, "{isa:?}: SOA scalar differs from AOS");
+        }
     }
 
     #[test]

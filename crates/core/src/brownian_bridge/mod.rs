@@ -24,7 +24,7 @@
 //!   fusing the consumer ("cache-to-cache").
 //! * **Extension** — [`qmc::build_paths_qmc`]: Halton-driven quasi-Monte
 //!   Carlo, exploiting the bridge's variance concentration; [`payoffs`]:
-//!   exotic path functionals (Asian, barrier, lookback) for the fused
+//!   the arithmetic-average Asian call, a path functional for the fused
 //!   consumer.
 
 pub mod interleaved;

@@ -41,13 +41,6 @@ impl GbmPath {
     }
 }
 
-/// Terminal call payoff `max(S_T − K, 0)`.
-pub fn european_call<const W: usize>(g: GbmPath, strike: f64, path: &[F64v<W>]) -> F64v<W> {
-    let steps = path.len() - 1;
-    let st = g.spot_at(path[steps], steps, steps);
-    (st - F64v::splat(strike)).max(F64v::zero())
-}
-
 /// Arithmetic-average Asian call payoff `max(mean(S) − K, 0)` over the
 /// non-origin monitoring dates.
 pub fn asian_call<const W: usize>(g: GbmPath, strike: f64, path: &[F64v<W>]) -> F64v<W> {
@@ -58,61 +51,6 @@ pub fn asian_call<const W: usize>(g: GbmPath, strike: f64, path: &[F64v<W>]) -> 
     }
     let avg = acc * (1.0 / steps as f64);
     (avg - F64v::splat(strike)).max(F64v::zero())
-}
-
-/// Up-and-out barrier call: the terminal call payoff, knocked out to zero
-/// on any lane whose running maximum touches `barrier` at a monitoring
-/// date.
-pub fn up_and_out_call<const W: usize>(
-    g: GbmPath,
-    strike: f64,
-    barrier: f64,
-    path: &[F64v<W>],
-) -> F64v<W> {
-    let steps = path.len() - 1;
-    // The knock decision must be taken in money space date-by-date (the
-    // drift term makes the spot a date-dependent transform of W).
-    let mut knocked = F64v::<W>::zero(); // 0 = alive, 1 = knocked out
-    let bar = F64v::<W>::splat(barrier);
-    for (k, w) in path[1..].iter().enumerate() {
-        let s = g.spot_at(*w, k + 1, steps);
-        knocked = s.ge(bar).select(F64v::splat(1.0), knocked);
-    }
-    let payoff = european_call(g, strike, path);
-    knocked.gt(F64v::zero()).select(F64v::zero(), payoff)
-}
-
-/// Up-and-in barrier call: pays the terminal call only if the barrier
-/// *was* touched. By construction `up_and_in + up_and_out = vanilla`
-/// path-by-path (in-out parity).
-pub fn up_and_in_call<const W: usize>(
-    g: GbmPath,
-    strike: f64,
-    barrier: f64,
-    path: &[F64v<W>],
-) -> F64v<W> {
-    let steps = path.len() - 1;
-    let mut knocked = F64v::<W>::zero();
-    let bar = F64v::<W>::splat(barrier);
-    for (k, w) in path[1..].iter().enumerate() {
-        let s = g.spot_at(*w, k + 1, steps);
-        knocked = s.ge(bar).select(F64v::splat(1.0), knocked);
-    }
-    let payoff = european_call(g, strike, path);
-    knocked.gt(F64v::zero()).select(payoff, F64v::zero())
-}
-
-/// Lookback (floating-strike) call: `S_T − min(S)` — always non-negative.
-pub fn lookback_call<const W: usize>(g: GbmPath, path: &[F64v<W>]) -> F64v<W> {
-    let steps = path.len() - 1;
-    let mut min_s = F64v::<W>::splat(f64::INFINITY);
-    for (k, w) in path[1..].iter().enumerate() {
-        min_s = min_s.min(g.spot_at(*w, k + 1, steps));
-    }
-    // Include the origin spot in the minimum.
-    min_s = min_s.min(F64v::splat(g.s0));
-    let st = g.spot_at(path[steps], steps, steps);
-    st - min_s
 }
 
 #[cfg(test)]
@@ -140,83 +78,30 @@ mod tests {
         disc * payoffs.iter().sum::<f64>() / N_PATHS as f64
     }
 
+    /// Terminal call payoff `max(S_T − K, 0)`: the bridge's endpoint
+    /// alone, so its price is the Black-Scholes call.
+    fn terminal_call(g: GbmPath, strike: f64, path: &[F64v<8>]) -> F64v<8> {
+        let steps = path.len() - 1;
+        (g.spot_at(path[steps], steps, steps) - F64v::splat(strike)).max(F64v::zero())
+    }
+
     #[test]
     fn terminal_payoff_matches_black_scholes() {
         let g = GbmPath::new(100.0, M, 1.0);
-        let mc = price(|p| european_call(g, 100.0, p));
+        let mc = price(|p| terminal_call(g, 100.0, p));
         let (bs, _) = crate::black_scholes::price_single(100.0, 100.0, 1.0, M);
         // se ~ 14/sqrt(65536) ~ 0.055.
         assert!((mc - bs).abs() < 0.25, "mc {mc} vs bs {bs}");
     }
 
     #[test]
-    fn in_out_parity_is_exact_path_by_path() {
-        let g = GbmPath::new(100.0, M, 1.0);
-        let barrier = 120.0;
-        let plan = BridgePlan::new(5, 1.0);
-        let fam = StreamFamily::new(5);
-        let n = 4096;
-        let mut vanilla = vec![0.0; n];
-        let mut out = vec![0.0; n];
-        let mut inn = vec![0.0; n];
-        simulate_fused::<8>(&plan, &fam, n, &mut vanilla, |p| european_call(g, 100.0, p));
-        simulate_fused::<8>(&plan, &fam, n, &mut out, |p| {
-            up_and_out_call(g, 100.0, barrier, p)
-        });
-        simulate_fused::<8>(&plan, &fam, n, &mut inn, |p| {
-            up_and_in_call(g, 100.0, barrier, p)
-        });
-        for i in 0..n {
-            assert!(
-                (out[i] + inn[i] - vanilla[i]).abs() < 1e-12,
-                "path {i}: {} + {} != {}",
-                out[i],
-                inn[i],
-                vanilla[i]
-            );
-        }
-    }
-
-    #[test]
-    fn knockout_price_below_vanilla_and_monotone_in_barrier() {
-        let g = GbmPath::new(100.0, M, 1.0);
-        let vanilla = price(|p| european_call(g, 100.0, p));
-        let mut prev = 0.0;
-        for barrier in [110.0, 130.0, 160.0, 250.0] {
-            let ko = price(|p| up_and_out_call(g, 100.0, barrier, p));
-            assert!(ko <= vanilla + 1e-12, "B={barrier}: {ko} > {vanilla}");
-            assert!(ko >= prev - 1e-9, "knockout must grow with the barrier");
-            prev = ko;
-        }
-        // A barrier far above any reachable spot is the vanilla.
-        let far = price(|p| up_and_out_call(g, 100.0, 1e6, p));
-        assert!((far - vanilla).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tight_barrier_kills_the_option() {
-        let g = GbmPath::new(100.0, M, 1.0);
-        // Barrier below the strike: any ITM path has necessarily touched.
-        let ko = price(|p| up_and_out_call(g, 100.0, 100.0, p));
-        assert!(ko.abs() < 1e-12, "{ko}");
-    }
-
-    #[test]
     fn asian_below_european() {
+        // Averaging lowers the variance of the underlying the call sees, so
+        // the Asian call is worth less than the European one.
         let g = GbmPath::new(100.0, M, 1.0);
         let asian = price(|p| asian_call(g, 100.0, p));
-        let euro = price(|p| european_call(g, 100.0, p));
+        let (euro, _) = crate::black_scholes::price_single(100.0, 100.0, 1.0, M);
         assert!(asian < euro, "asian {asian} vs euro {euro}");
         assert!(asian > 0.0);
-    }
-
-    #[test]
-    fn lookback_dominates_atm_call() {
-        // S_T - min(S) >= max(S_T - S_0, 0) path-by-path.
-        let g = GbmPath::new(100.0, M, 1.0);
-        let lb = price(|p| lookback_call(g, p));
-        let atm = price(|p| european_call(g, 100.0, p));
-        assert!(lb >= atm, "lookback {lb} vs atm {atm}");
-        assert!(lb > 0.0);
     }
 }

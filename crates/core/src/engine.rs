@@ -1342,9 +1342,5 @@ mod tests {
         let reg = registry();
         let plan = planner.plan(reg.get("black_scholes").unwrap()).unwrap();
         assert_ne!(plan.slug, "advanced_vml_style_batch", "{plan:?}");
-        assert!(
-            plan.reason.contains("skipped") || !plan.overridden,
-            "{plan:?}"
-        );
     }
 }

@@ -39,7 +39,7 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine planning for the build host (honors `FINBENCH_PLAN`).
+    /// An engine planning for the build host.
     pub fn new(registry: Registry) -> Self {
         Self::with_planner(registry, Planner::for_host())
     }
@@ -128,7 +128,6 @@ impl Engine {
                 telemetry::set_attr("cost_level", plan.cost_label);
                 telemetry::set_attr("bound", plan.bound.as_str());
                 telemetry::set_attr("predicted_rate", plan.predicted_rate);
-                telemetry::set_attr("overridden", u64::from(plan.overridden));
                 telemetry::set_attr("reason", plan.reason.as_str());
             }
             Err(e) => telemetry::set_attr("error", e.to_string()),

@@ -6,7 +6,7 @@
 //! serving loop cannot afford it — `finbench-serve` maps every variant
 //! into a typed `Rejected` response instead of taking the process down.
 
-/// Everything that can go wrong when resolving kernels, rungs, or plans
+/// Everything that can go wrong when resolving kernels or plans
 /// through the public `finbench-engine` surface.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
@@ -17,35 +17,10 @@ pub enum EngineError {
         /// Every registered kernel name, registration order.
         known: Vec<&'static str>,
     },
-    /// A rung slug that is not on the named kernel's ladder.
-    UnknownRung {
-        /// The kernel whose ladder was searched.
-        kernel: String,
-        /// The slug that failed to resolve.
-        slug: String,
-        /// Every slug the ladder does have, ladder order.
-        available: Vec<String>,
-    },
-    /// A rung index past the end of the named kernel's ladder.
-    RungOutOfRange {
-        /// The kernel whose ladder was indexed.
-        kernel: String,
-        /// The out-of-range index.
-        index: usize,
-        /// The ladder length.
-        len: usize,
-    },
     /// A kernel with no rungs (or no cost levels) cannot be planned.
     EmptyLadder {
         /// The offending kernel.
         kernel: String,
-    },
-    /// A malformed `FINBENCH_PLAN`-style override entry.
-    BadOverride {
-        /// The entry as written.
-        entry: String,
-        /// What was wrong with it.
-        reason: String,
     },
     /// An empty kernel-list operand (e.g. `--only ""` or `--only a,,b`).
     EmptyKernelList,
@@ -57,26 +32,8 @@ impl std::fmt::Display for EngineError {
             EngineError::UnknownKernel { name, known } => {
                 write!(f, "unknown kernel: {name} (kernels: {})", known.join(", "))
             }
-            EngineError::UnknownRung {
-                kernel,
-                slug,
-                available,
-            } => write!(
-                f,
-                "kernel {kernel}: no rung with slug {slug} (have: {})",
-                available.join(", ")
-            ),
-            EngineError::RungOutOfRange { kernel, index, len } => {
-                write!(
-                    f,
-                    "kernel {kernel}: rung index {index} out of range ({len} rungs)"
-                )
-            }
             EngineError::EmptyLadder { kernel } => {
                 write!(f, "kernel {kernel}: cannot plan an empty ladder")
-            }
-            EngineError::BadOverride { entry, reason } => {
-                write!(f, "bad override {entry:?}: {reason}")
             }
             EngineError::EmptyKernelList => {
                 write!(f, "expected a comma-separated list of kernel names")
@@ -101,16 +58,11 @@ mod tests {
         assert!(msg.contains("black_sholes"), "{msg}");
         assert!(msg.contains("black_scholes, rng"), "{msg}");
 
-        let e = EngineError::UnknownRung {
+        let msg = EngineError::EmptyLadder {
             kernel: "toy".into(),
-            slug: "nope".into(),
-            available: vec!["basic_scalar".into()],
-        };
-        let msg = e.to_string();
-        assert!(
-            msg.contains("nope") && msg.contains("basic_scalar"),
-            "{msg}"
-        );
+        }
+        .to_string();
+        assert!(msg.contains("toy"), "{msg}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Cost-model-driven plan selection: given a kernel's machine-model cost
 //! ladder, pick the rung the engine should run to serve traffic on a
-//! given architecture — with an explicit-override escape hatch.
+//! given architecture. The plan depends only on the architecture and
+//! the kernel: no environment variable or per-process setting changes it.
 //!
 //! The rules are the paper's own reasoning, mechanized:
 //!
@@ -14,13 +15,10 @@
 //!      (the paper's VML-vs-SVML discussion, §IV-A);
 //!    * skip **threaded** rungs when the architecture has a single core —
 //!      pool dispatch is pure overhead there.
-//! 3. `FINBENCH_PLAN=kernel=rung_slug,...` (or [`Planner::set_override`])
-//!    forces a specific rung regardless of the model.
 
 use crate::error::EngineError;
 use crate::registry::{AnyKernel, RungInfo};
 use finbench_machine::ArchSpec;
-use std::collections::BTreeMap;
 
 /// Which roofline binds the chosen level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,37 +65,23 @@ pub struct Plan {
     pub predicted_rate: f64,
     /// Human-readable rationale.
     pub reason: String,
-    /// True when an explicit override decided, not the model.
-    pub overridden: bool,
 }
 
 /// Picks one rung per kernel from the machine cost model.
 #[derive(Debug, Clone)]
 pub struct Planner {
     arch: ArchSpec,
-    overrides: BTreeMap<String, String>,
 }
 
 impl Planner {
-    /// Plan for `arch`, no overrides.
+    /// Plan for `arch`.
     pub fn new(arch: ArchSpec) -> Self {
-        Self {
-            arch,
-            overrides: BTreeMap::new(),
-        }
+        Self { arch }
     }
 
-    /// Plan for an approximation of the build host, honoring the
-    /// `FINBENCH_PLAN` environment escape hatch.
+    /// Plan for an approximation of the build host.
     pub fn for_host() -> Self {
-        let mut p = Self::new(finbench_machine::arch::host_spec());
-        if let Ok(spec) = std::env::var("FINBENCH_PLAN") {
-            // An unparseable override should surface at plan time, not
-            // crash experiment startup: parse errors leave the map empty
-            // and plan() reports cleanly for unknown slugs.
-            let _ = p.parse_overrides(&spec);
-        }
-        p
+        Self::new(finbench_machine::arch::host_spec())
     }
 
     /// The architecture plans are computed against.
@@ -105,69 +89,13 @@ impl Planner {
         &self.arch
     }
 
-    /// Force `kernel` to the rung whose slug is `rung_slug`.
-    pub fn set_override(&mut self, kernel: &str, rung_slug: &str) {
-        self.overrides
-            .insert(kernel.to_string(), rung_slug.to_string());
-    }
-
-    /// Parse a `kernel=rung_slug,kernel=rung_slug` override list (the
-    /// `FINBENCH_PLAN` grammar). Whitespace around entries is ignored.
-    pub fn parse_overrides(&mut self, spec: &str) -> Result<(), EngineError> {
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (kernel, rung) = entry
-                .split_once('=')
-                .ok_or_else(|| EngineError::BadOverride {
-                    entry: entry.to_string(),
-                    reason: "want kernel=rung_slug".into(),
-                })?;
-            let (kernel, rung) = (kernel.trim(), rung.trim());
-            if kernel.is_empty() || rung.is_empty() {
-                return Err(EngineError::BadOverride {
-                    entry: entry.to_string(),
-                    reason: "empty side".into(),
-                });
-            }
-            self.set_override(kernel, rung);
-        }
-        Ok(())
-    }
-
-    /// Plan one kernel. Errors when the ladder or cost ladder is empty, or
-    /// when an explicit override names a rung slug the kernel lacks.
+    /// Plan one kernel. Errors when the ladder or cost ladder is empty.
     pub fn plan(&self, kernel: &dyn AnyKernel) -> Result<Plan, EngineError> {
         let rungs = kernel.rungs();
         let costs = kernel.cost(&self.arch);
         if rungs.is_empty() || costs.is_empty() {
             return Err(EngineError::EmptyLadder {
                 kernel: kernel.name().to_string(),
-            });
-        }
-
-        if let Some(want) = self.overrides.get(kernel.name()) {
-            let idx = rungs.iter().position(|r| &r.slug == want).ok_or_else(|| {
-                EngineError::UnknownRung {
-                    kernel: kernel.name().to_string(),
-                    slug: want.clone(),
-                    available: rungs.iter().map(|r| r.slug.clone()).collect(),
-                }
-            })?;
-            let r = &rungs[idx];
-            let cost = &costs[r.cost_level.min(costs.len() - 1)];
-            return Ok(Plan {
-                kernel: kernel.name(),
-                rung: idx,
-                label: r.label,
-                slug: r.slug.clone(),
-                cost_label: cost.label,
-                bound: bound_of(&cost.cost, &self.arch),
-                predicted_rate: cost.cost.throughput(&self.arch),
-                reason: format!("explicit override ({want})"),
-                overridden: true,
             });
         }
 
@@ -230,7 +158,6 @@ impl Planner {
             bound,
             predicted_rate: rate,
             reason,
-            overridden: false,
         })
     }
 }
@@ -257,7 +184,6 @@ mod tests {
         assert_eq!(plan.rung, 1);
         assert_eq!(plan.label, "Advanced: pairwise");
         assert_eq!(plan.cost_label, "Advanced");
-        assert!(!plan.overridden);
         assert!(plan.predicted_rate > 0.0);
         assert!(plan.reason.contains("max modeled throughput"));
     }
@@ -270,43 +196,6 @@ mod tests {
             assert_eq!(plan.bound, Bound::Bandwidth);
             assert_eq!(plan.bound.to_string(), "bandwidth");
         }
-    }
-
-    #[test]
-    fn override_wins_over_model() {
-        let mut planner = Planner::new(SNB_EP);
-        planner.set_override("toy", "basic_scalar");
-        let plan = planner.plan(&ToyKernel).unwrap();
-        assert_eq!(plan.rung, 0);
-        assert!(plan.overridden);
-        assert!(plan.reason.contains("override"));
-    }
-
-    #[test]
-    fn unknown_override_slug_is_a_typed_error() {
-        let mut planner = Planner::new(SNB_EP);
-        planner.set_override("toy", "nonexistent_rung");
-        let err = planner.plan(&ToyKernel).unwrap_err();
-        assert!(
-            matches!(err, EngineError::UnknownRung { ref slug, .. } if slug == "nonexistent_rung"),
-            "{err:?}"
-        );
-        let msg = err.to_string();
-        assert!(msg.contains("nonexistent_rung"), "{msg}");
-        assert!(msg.contains("basic_scalar"), "lists valid slugs: {msg}");
-    }
-
-    #[test]
-    fn parse_overrides_grammar() {
-        let mut p = Planner::new(SNB_EP);
-        p.parse_overrides("toy=basic_scalar, other = some_rung ,")
-            .unwrap();
-        assert_eq!(p.overrides.len(), 2);
-        assert_eq!(p.overrides["toy"], "basic_scalar");
-        assert_eq!(p.overrides["other"], "some_rung");
-        assert!(p.parse_overrides("no_equals_sign").is_err());
-        assert!(p.parse_overrides("=rung").is_err());
-        assert!(p.parse_overrides("kernel=").is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! finbench serve-bench [FLAGS]            # serving-plane load benchmark
 //! ```
 
-use crate::report::{BenchCompareArgs, BenchReportOptions, CompareMode, DEFAULT_THRESHOLD_PCT};
+use crate::report::{BenchReportOptions, CompareMode};
 use crate::{RunOptions, EXPERIMENTS};
 
 /// A fully parsed command line: which experiments to run and with what
@@ -34,7 +34,7 @@ pub enum CliAction {
     /// Run the full bench sweep and write a `BENCH_<n>.json` snapshot.
     BenchReport(BenchReportOptions),
     /// Compare two snapshots (or self-test the gate on one).
-    BenchCompare(BenchCompareArgs),
+    BenchCompare(CompareMode),
     /// Render the gated-metric trajectory across every committed
     /// `BENCH_<n>.json` in a directory.
     BenchTrend {
@@ -58,8 +58,8 @@ pub fn usage_line() -> String {
          \x20 finbench portfolio-bench       portfolio market-risk benchmark (alias for `run portfolio_bench`)\n\
          \x20 finbench bench-report [--quick] [--trials N] [--out FILE]\n\
          \x20     run every kernel ladder + serve/greeks sweep, write BENCH_<n>.json\n\
-         \x20 finbench bench-compare OLD.json NEW.json [--threshold PCT]\n\
-         \x20 finbench bench-compare --self-test SNAP.json [--threshold PCT]\n\
+         \x20 finbench bench-compare OLD.json NEW.json\n\
+         \x20 finbench bench-compare --self-test SNAP.json\n\
          \x20     delta table between two snapshots; exit 1 on gated regressions\n\
          \x20 finbench bench-trend [DIR]\n\
          \x20     gated-metric trajectory across every BENCH_<n>.json in DIR (default .)\n\
@@ -233,20 +233,13 @@ fn parse_bench_report(args: &[String]) -> Result<CliAction, String> {
     Ok(CliAction::BenchReport(opts))
 }
 
-/// `bench-compare OLD NEW [--threshold PCT]` or
-/// `bench-compare --self-test SNAP [--threshold PCT]`.
+/// `bench-compare OLD NEW` or `bench-compare --self-test SNAP`; both
+/// gate on [`crate::report::DEFAULT_THRESHOLD_PCT`].
 fn parse_bench_compare(args: &[String]) -> Result<CliAction, String> {
-    let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
     let mut self_test = false;
     let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
-            "--threshold" => match it.next().map(|s| s.parse::<f64>()) {
-                Some(Ok(t)) if t.is_finite() && t >= 0.0 => threshold_pct = t,
-                Some(_) => return Err("--threshold requires a non-negative percent".into()),
-                None => return Err("--threshold requires a percent argument".into()),
-            },
             "--self-test" => self_test = true,
             "--help" | "-h" => return Ok(CliAction::Help),
             other if other.starts_with('-') => {
@@ -266,10 +259,7 @@ fn parse_bench_compare(args: &[String]) -> Result<CliAction, String> {
         (true, _) => return Err("bench-compare --self-test takes exactly one snapshot file".into()),
         (false, _) => return Err("bench-compare takes exactly two snapshot files".into()),
     };
-    Ok(CliAction::BenchCompare(BenchCompareArgs {
-        mode,
-        threshold_pct,
-    }))
+    Ok(CliAction::BenchCompare(mode))
 }
 
 /// `bench-trend [DIR]` — one optional directory operand (default `.`).
@@ -444,15 +434,14 @@ mod tests {
 
     #[test]
     fn bench_compare_parses_two_files_and_threshold() {
-        let a = parse_args(["bench-compare", "old.json", "new.json", "--threshold", "5"]);
+        // The noise threshold is the constant `DEFAULT_THRESHOLD_PCT`; no
+        // flag sets it.
+        let a = parse_args(["bench-compare", "old.json", "new.json"]);
         assert_eq!(
             a,
-            Ok(CliAction::BenchCompare(BenchCompareArgs {
-                mode: CompareMode::Files {
-                    old: "old.json".into(),
-                    new: "new.json".into(),
-                },
-                threshold_pct: 5.0,
+            Ok(CliAction::BenchCompare(CompareMode::Files {
+                old: "old.json".into(),
+                new: "new.json".into(),
             }))
         );
     }
@@ -462,11 +451,8 @@ mod tests {
         let a = parse_args(["bench-compare", "--self-test", "snap.json"]);
         assert_eq!(
             a,
-            Ok(CliAction::BenchCompare(BenchCompareArgs {
-                mode: CompareMode::SelfTest {
-                    snapshot: "snap.json".into(),
-                },
-                threshold_pct: DEFAULT_THRESHOLD_PCT,
+            Ok(CliAction::BenchCompare(CompareMode::SelfTest {
+                snapshot: "snap.json".into(),
             }))
         );
         assert!(parse_args(["bench-compare", "--self-test"]).is_err());
@@ -478,8 +464,6 @@ mod tests {
         assert!(parse_args(["bench-compare"]).is_err());
         assert!(parse_args(["bench-compare", "only_one.json"]).is_err());
         assert!(parse_args(["bench-compare", "a.json", "b.json", "c.json"]).is_err());
-        assert!(parse_args(["bench-compare", "a.json", "b.json", "--threshold"]).is_err());
-        assert!(parse_args(["bench-compare", "a.json", "b.json", "--threshold", "-3"]).is_err());
         assert!(parse_args(["bench-compare", "a.json", "b.json", "--frob"]).is_err());
     }
 

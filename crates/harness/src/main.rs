@@ -11,7 +11,7 @@
 //! ```
 
 use finbench_harness::cli::{parse_args, CliAction};
-use finbench_harness::report::{self, CompareMode};
+use finbench_harness::report::{self, CompareMode, DEFAULT_THRESHOLD_PCT};
 use finbench_harness::run_experiment;
 use finbench_telemetry as telemetry;
 
@@ -44,8 +44,8 @@ fn main() {
             }
             return;
         }
-        CliAction::BenchCompare(args) => {
-            std::process::exit(run_bench_compare(&args));
+        CliAction::BenchCompare(mode) => {
+            std::process::exit(run_bench_compare(&mode));
         }
         CliAction::BenchTrend { dir } => {
             match report::bench_trend(std::path::Path::new(&dir)) {
@@ -106,11 +106,11 @@ fn main() {
 /// `bench-compare` exit codes: 0 clean, 1 gated regressions (or a failed
 /// self-test), 2 on typed load/compare errors — the same code parse
 /// errors use, so CI can tell "slow" from "broken".
-fn run_bench_compare(args: &finbench_harness::report::BenchCompareArgs) -> i32 {
+fn run_bench_compare(mode: &CompareMode) -> i32 {
     use std::path::Path;
-    match &args.mode {
+    match mode {
         CompareMode::Files { old, new } => {
-            match report::bench_compare(Path::new(old), Path::new(new), args.threshold_pct) {
+            match report::bench_compare(Path::new(old), Path::new(new), DEFAULT_THRESHOLD_PCT) {
                 Ok(rep) => {
                     print!("{}", rep.render());
                     i32::from(rep.gated_regressions() > 0)
@@ -122,7 +122,7 @@ fn run_bench_compare(args: &finbench_harness::report::BenchCompareArgs) -> i32 {
             }
         }
         CompareMode::SelfTest { snapshot } => {
-            match report::gate_self_test(Path::new(snapshot), args.threshold_pct) {
+            match report::gate_self_test(Path::new(snapshot), DEFAULT_THRESHOLD_PCT) {
                 Ok((flagged, gated_total, rep)) => {
                     print!("{}", rep.render());
                     if flagged == gated_total && gated_total > 0 {

@@ -19,7 +19,7 @@ use finbench_engine::Engine;
 use std::sync::OnceLock;
 
 /// The process-wide engine: the eight-kernel registry plus a planner for
-/// the build host (honoring `FINBENCH_PLAN` overrides).
+/// the build host.
 pub fn engine() -> &'static Engine {
     static ENGINE: OnceLock<Engine> = OnceLock::new();
     ENGINE.get_or_init(|| Engine::new(registry()))

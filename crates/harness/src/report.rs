@@ -11,9 +11,9 @@
 //! PR compares against.
 //!
 //! `bench-compare` diffs two such snapshots into a per-metric delta table
-//! with a configurable noise threshold. Metrics are **gated** (a harmful
-//! move beyond the threshold fails CI: per-rung median rates on
-//! non-threaded rungs, serve shed counts, allocations/iter) or
+//! with a fixed noise threshold ([`DEFAULT_THRESHOLD_PCT`]). Metrics are
+//! **gated** (a harmful move beyond the threshold fails CI: per-rung median
+//! rates on non-threaded rungs, serve shed counts, allocations/iter) or
 //! **advisory** (reported, never fatal: latency percentiles, peak load,
 //! best-of rates, cycle counts, threaded rungs). `--self-test` degrades
 //! every gated metric of a snapshot synthetically and verifies the gate
@@ -24,7 +24,7 @@ use crate::render::{fmt_num, section, table};
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_engine::RungSamples;
 use finbench_serve::{
-    padded_batch_into, FlushCounts, GreeksSource, LoadMode, OptionScratch, PeakReport,
+    padded_batch_into, FlushCounts, GreeksSource, LoadMode, LoadReport, OptionScratch, PeakReport,
     PeakSearchConfig, PortfolioSource, PricerConfig, RequestSource, ServeConfig, Server,
 };
 use finbench_simd::isa::{dispatch_as, Isa};
@@ -38,7 +38,8 @@ use telemetry::json::{self, Json};
 /// rejects versions it doesn't know with a typed [`CompareError`].
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
-/// Default noise threshold for gated metrics, percent.
+/// Noise threshold for gated metrics, percent: the one `bench-compare`,
+/// its self-test and the gate's trajectory check use.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 
 /// Options for `bench-report`.
@@ -79,30 +80,14 @@ pub enum CompareMode {
     },
 }
 
-/// Parsed `bench-compare` arguments.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchCompareArgs {
-    /// Files or self-test.
-    pub mode: CompareMode,
-    /// Noise threshold for gated metrics, percent.
-    pub threshold_pct: f64,
-}
-
 // ---------------------------------------------------------------------------
 // bench-report
 // ---------------------------------------------------------------------------
 
 struct LaneStats {
-    lane: String,
     rung: String,
-    offered: usize,
-    served: usize,
-    shed: usize,
-    other_rejected: usize,
-    throughput_rps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
+    /// The closed-loop run: counts, throughput and latency percentiles.
+    closed: LoadReport,
     /// Mean requests (portfolio: chunks) per batch over the closed-loop run.
     batch_fill: f64,
     /// The closed-loop run's batches by flush trigger.
@@ -235,13 +220,13 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
         .iter()
         .map(|l| {
             vec![
-                l.lane.clone(),
-                l.served.to_string(),
-                l.shed.to_string(),
-                fmt_num(l.throughput_rps),
-                format!("{:.0}", l.p50_us),
-                format!("{:.0}", l.p95_us),
-                format!("{:.0}", l.p99_us),
+                l.closed.kernel.clone(),
+                l.closed.served.to_string(),
+                l.closed.total_shed().to_string(),
+                fmt_num(l.closed.throughput),
+                format!("{:.0}", l.closed.p50_us),
+                format!("{:.0}", l.closed.p95_us),
+                format!("{:.0}", l.closed.p99_us),
                 format!("{:.1}", l.batch_fill),
                 l.flushes.to_string(),
                 fmt_num(l.peak.sustained_hz()),
@@ -442,16 +427,8 @@ fn lane<S: RequestSource + ?Sized>(
         &peak_schedule(closed.throughput, quick),
     );
     LaneStats {
-        lane: closed.kernel.clone(),
         rung,
-        offered: closed.offered,
-        served: closed.served,
-        shed: closed.total_shed(),
-        other_rejected: closed.rejected_total() + closed.invalid_input + closed.internal,
-        throughput_rps: closed.throughput,
-        p50_us: closed.p50_us,
-        p95_us: closed.p95_us,
-        p99_us: closed.p99_us,
+        closed,
         batch_fill: snap.mean_batch_fill(),
         flushes: snap.total_flushes(),
         peak,
@@ -561,17 +538,19 @@ fn assemble_json(
     let lanes_json: Vec<Json> = lanes
         .iter()
         .map(|l| {
+            let c = &l.closed;
+            let other_rejected = c.rejected_total() + c.invalid_input + c.internal;
             Json::Obj(vec![
-                ("lane".into(), Json::Str(l.lane.clone())),
+                ("lane".into(), Json::Str(c.kernel.clone())),
                 ("rung".into(), Json::Str(l.rung.clone())),
-                ("offered".into(), Json::Num(l.offered as f64)),
-                ("served".into(), Json::Num(l.served as f64)),
-                ("shed".into(), Json::Num(l.shed as f64)),
-                ("other_rejected".into(), Json::Num(l.other_rejected as f64)),
-                ("throughput_rps".into(), Json::Num(l.throughput_rps)),
-                ("p50_us".into(), Json::Num(l.p50_us)),
-                ("p95_us".into(), Json::Num(l.p95_us)),
-                ("p99_us".into(), Json::Num(l.p99_us)),
+                ("offered".into(), Json::Num(c.offered as f64)),
+                ("served".into(), Json::Num(c.served as f64)),
+                ("shed".into(), Json::Num(c.total_shed() as f64)),
+                ("other_rejected".into(), Json::Num(other_rejected as f64)),
+                ("throughput_rps".into(), Json::Num(c.throughput)),
+                ("p50_us".into(), Json::Num(c.p50_us)),
+                ("p95_us".into(), Json::Num(c.p95_us)),
+                ("p99_us".into(), Json::Num(c.p99_us)),
                 ("batch_fill_mean".into(), Json::Num(l.batch_fill)),
                 ("flush_size".into(), Json::Num(l.flushes.size as f64)),
                 ("flush_delay".into(), Json::Num(l.flushes.delay as f64)),
@@ -655,9 +634,7 @@ impl HostFingerprint {
     pub fn current() -> Self {
         Self {
             cpu_model: cpu_model_string(),
-            logical_cores: std::thread::available_parallelism()
-                .map(|n| n.get() as u64)
-                .unwrap_or(0),
+            logical_cores: finbench_parallel::available_parallelism() as u64,
             tsc_ghz: telemetry::cycles::tsc_ghz(),
             isa: Isa::active().name().to_string(),
         }

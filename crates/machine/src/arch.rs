@@ -121,8 +121,8 @@ pub const SNB_EP: ArchSpec = ArchSpec {
 /// out-of-order AVX2-class core with SNB-EP's calibrated throughput
 /// constants and ~12 GB/s of STREAM bandwidth per core. The planner only
 /// needs the *relative* compute-vs-bandwidth classification, not absolute
-/// rates, so a nominal spec is sufficient — and `FINBENCH_PLAN` overrides
-/// it entirely when it guesses wrong.
+/// rates, so a nominal spec is sufficient. Where it guesses wrong, the fix
+/// is a measured per-device plan, not a hand-set override.
 pub fn host_spec() -> ArchSpec {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get() as u32)

@@ -125,12 +125,6 @@ impl PriceRequest {
             deadline: None,
         }
     }
-
-    /// Attach a deadline `slo` from now.
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.deadline = Some(Instant::now() + slo);
-        self
-    }
 }
 
 impl ServeRequest for PriceRequest {
@@ -179,12 +173,6 @@ impl GreeksRequest {
             t,
             deadline: None,
         }
-    }
-
-    /// Attach a deadline `slo` from now.
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.deadline = Some(Instant::now() + slo);
-        self
     }
 }
 
@@ -268,12 +256,6 @@ impl PortfolioRequest {
     /// Replace the confidence levels.
     pub fn with_confidence(mut self, confidence: Vec<f64>) -> Self {
         self.confidence = confidence;
-        self
-    }
-
-    /// Attach a deadline `slo` from now.
-    pub fn with_slo(mut self, slo: Duration) -> Self {
-        self.deadline = Some(Instant::now() + slo);
         self
     }
 }
@@ -483,14 +465,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slo_sets_a_future_deadline() {
-        let r = PriceRequest::new(7, "black_scholes", 30.0, 35.0, 1.0)
-            .with_slo(Duration::from_secs(3600));
-        assert!(r.deadline.unwrap() > Instant::now());
-        assert_eq!(r.id, 7);
-    }
-
-    #[test]
     fn rejections_render_their_reason() {
         let msgs = [
             Rejected::QueueFull { capacity: 8 }.to_string(),
@@ -545,8 +519,6 @@ mod tests {
                 other => panic!("expected InvalidInput, got {other:?}"),
             }
         }
-        let r = GreeksRequest::new(3, 30.0, 35.0, 1.0).with_slo(Duration::from_secs(3600));
-        assert!(r.deadline.unwrap() > Instant::now());
     }
 
     #[test]
@@ -580,11 +552,8 @@ mod tests {
                 other => panic!("expected InvalidInput, got {other:?}"),
             }
         }
-        let r = PortfolioRequest::new(3, 7, 64, 256)
-            .with_chunk(32)
-            .with_slo(Duration::from_secs(3600));
+        let r = PortfolioRequest::new(3, 7, 64, 256).with_chunk(32);
         assert_eq!(r.chunk, 32);
-        assert!(r.deadline.unwrap() > Instant::now());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Wiring tests for the engine plane over the *real* six-kernel registry:
-//! registry consistency (the CI gate), planner decisions per kernel, and
-//! the override escape hatch. The generic measure/validate machinery is
-//! unit-tested in `finbench-engine` against a toy kernel; here we check
-//! the production registry drives it correctly.
+//! registry consistency (the CI gate) and planner decisions per kernel. The
+//! generic measure/validate machinery is unit-tested in `finbench-engine`
+//! against a toy kernel; here we check the production registry drives it
+//! correctly.
 
 use finbench::core::engine::registry;
 use finbench::engine::{Check, Planner};
@@ -32,28 +32,9 @@ fn every_kernel_gets_a_valid_plan_on_every_arch() {
                 "{}: {plan:?}",
                 k.name()
             );
-            assert!(!plan.reason.is_empty() && !plan.overridden);
+            assert!(!plan.reason.is_empty());
         }
     }
-}
-
-#[test]
-fn plan_override_forces_a_specific_rung() {
-    let reg = registry();
-    let mut planner = Planner::new(SNB_EP);
-    planner.set_override("black_scholes", "intermediate_scalar_soa");
-    let plan = planner.plan(reg.get("black_scholes").unwrap()).unwrap();
-    assert_eq!(plan.slug, "intermediate_scalar_soa");
-    assert!(plan.overridden);
-
-    planner.set_override("black_scholes", "no_such_rung");
-    let err = planner.plan(reg.get("black_scholes").unwrap()).unwrap_err();
-    assert!(
-        matches!(err, finbench::engine::EngineError::UnknownRung { ref slug, .. }
-            if slug == "no_such_rung"),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("no_such_rung"), "{err}");
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! Integration tests for the beyond-the-paper extensions: every pricing
-//! engine in the repository cross-checked against every other on shared
-//! contracts, plus the exotic-payoff and quasi-Monte-Carlo machinery.
+//! Integration tests for the beyond-the-paper extensions that examples and
+//! experiments run: the American engines (binomial lattice, Crank-Nicolson
+//! PSOR, Longstaff-Schwartz) cross-checked on shared contracts, the served
+//! Greeks sweep, and the quasi-Monte-Carlo bridge.
 
-use finbench::core::binomial::{self, american, trinomial};
+use finbench::core::binomial::{self, american};
 use finbench::core::black_scholes::price_single;
 use finbench::core::crank_nicolson::{self, PsorKind};
 use finbench::core::monte_carlo::lsm;
@@ -15,18 +16,14 @@ const M: MarketParams = MarketParams {
 
 #[test]
 fn four_american_engines_agree() {
-    // Binomial, trinomial, Crank-Nicolson PSOR and Longstaff-Schwartz all
-    // price the same 1-year ATM American put.
+    // Binomial, Crank-Nicolson PSOR and Longstaff-Schwartz all price the
+    // same 1-year ATM American put. Three engines, not the four of the
+    // name: the fourth lattice ran in no rung, lane or example, so it went.
     let (s, k, t) = (100.0, 100.0, 1.0);
     let bin = american::price_american::<f64>(s, k, t, M, 2000, false);
-    let tri = trinomial::price_american(s, k, t, M, 1000, false);
     let cn = crank_nicolson::price_put(s, k, t, M, PsorKind::WavefrontSoa, true);
     let mc = lsm::price_american_put_lsm(s, k, t, M, 100_000, 50, 2026);
 
-    assert!(
-        (tri - bin).abs() < 0.01,
-        "trinomial {tri} vs binomial {bin}"
-    );
     assert!((cn - bin).abs() < 0.02, "cn {cn} vs binomial {bin}");
     assert!(
         (mc.price - bin).abs() < 4.0 * mc.std_error + 0.01 * bin,
@@ -38,28 +35,16 @@ fn four_american_engines_agree() {
 
 #[test]
 fn exercise_right_ordering_across_engines() {
-    // European <= Bermudan(quarterly) <= Bermudan(weekly) <= American,
-    // each relation on its natural engine.
+    // European <= American on the same lattice, and the closed-form
+    // European put below the Crank-Nicolson American one.
     let (s, k, t, n) = (95.0, 100.0, 1.0, 520);
     let eur = binomial::reference::price_european(s, k, t, M, n, false);
-    let quarterly = american::price_bermudan(s, k, t, M, n, n / 4, false);
-    let weekly = american::price_bermudan(s, k, t, M, n, n / 52, false);
     let amer = american::price_american::<f64>(s, k, t, M, n, false);
-    assert!(eur <= quarterly + 1e-10);
-    assert!(quarterly <= weekly + 1e-10);
-    assert!(weekly <= amer + 1e-10);
+    assert!(eur <= amer + 1e-10);
     assert!(amer > eur, "exercise right must carry value for an ITM put");
-}
-
-#[test]
-fn trinomial_and_binomial_agree_for_european() {
-    for (s, k, t) in [(100.0, 100.0, 1.0), (80.0, 100.0, 0.5), (120.0, 90.0, 2.0)] {
-        let (bs, _) = price_single(s, k, t, M);
-        let tri = trinomial::price_european(s, k, t, M, 800, true);
-        let bin = binomial::reference::price_european(s, k, t, M, 800, true);
-        assert!((tri - bs).abs() < 0.02, "tri {tri} vs bs {bs}");
-        assert!((tri - bin).abs() < 0.03, "tri {tri} vs bin {bin}");
-    }
+    let (_, bs_put) = price_single(s, k, t, M);
+    let cn = crank_nicolson::price_put(s, k, t, M, PsorKind::WavefrontSoa, true);
+    assert!(bs_put < cn, "European {bs_put} vs CN American {cn}");
 }
 
 #[test]
