@@ -34,10 +34,10 @@ for _ in $(seq 5); do
     --test batching_equivalence --test rejection_taxonomy
 done
 
-echo "==> source guard (no process-global fault registry or second ledger, no test locks, no by-name hot-path metrics)"
+echo "==> source guard (no process-global fault registry or second ledger, no test locks, no by-name metrics)"
 if git grep -nE 'faults_(lock|quiet)|test_support|PlanGuard|chaos_lock|install_from_env|faults::(install|disarm|armed|fire|report)|StatsInner|lock_stats|serial_lock|LaneCounters' -- crates tests examples ||
-  git grep -nE '(counter_add|gauge_set)\(' -- crates/serve/src/server.rs crates/rng/src crates/parallel/src crates/core/src crates/telemetry/src/span.rs; then
-  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock; the serving path, span ring, rng, pool and kernels count through handles, never by name" >&2
+  git grep -nE '(counter_add|gauge_set)\(' -- 'crates/*/src/*' ':!crates/telemetry/*'; then
+  echo "a fault plan and a metrics ledger belong to their Server: no global registry, no test lock; the product counts through handles, never by name (only benchmark/ times the by-name calls)" >&2
   exit 1
 fi
 
@@ -78,6 +78,12 @@ fi
 echo "==> source guard (no extension nothing runs, no plan override, no threshold flag)"
 if git grep -nE 'trinomial|price_bermudan|up_and_out_call|up_and_in_call|lookback_call|with_slo|set_override|parse_overrides|BadOverride|FINBENCH_PLAN|--threshold' -- crates tests examples; then
   echo "no rung, lane or example runs those pricers or builders; a plan depends only on the architecture and the kernel; bench-compare gates on DEFAULT_THRESHOLD_PCT" >&2
+  exit 1
+fi
+
+echo "==> source guard (telemetry always records and only counts up: no filter, no reset)"
+if git grep -nE 'FINBENCH_LOG|set_filter|reset_metrics|filter::|Kind::(Span|Counter)' -- crates tests examples; then
+  echo "every span, counter and gauge records; a reader takes counter_snapshot() before and after and reads the difference" >&2
   exit 1
 fi
 

@@ -238,7 +238,6 @@ mod tests {
 
     #[test]
     fn generic_ladder_loop_measures_every_rung() {
-        telemetry::set_filter("all");
         let e = engine();
         let rungs = e.run_ladder_samples(e.registry().resolve("toy").unwrap(), true, 1);
         assert_eq!(rungs.len(), 2);
@@ -257,7 +256,6 @@ mod tests {
 
     #[test]
     fn interleaved_trials_merge_per_rung_samples() {
-        telemetry::set_filter("all");
         let e = engine();
         let rungs = e.run_ladder_samples(e.registry().resolve("toy").unwrap(), true, 3);
         assert_eq!(rungs.len(), 2);

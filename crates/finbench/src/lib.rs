@@ -32,7 +32,7 @@
 //!   plans: panics, latency, input corruption, queue stalls, shard kills).
 //! * [`harness`] — the experiment drivers behind the `finbench` CLI.
 //! * [`telemetry`] — zero-dependency spans, counters, and histograms
-//!   wired through the pool, RNG, and harness (`FINBENCH_LOG` filter).
+//!   wired through the pool, RNG, serving plane and harness, always on.
 //!
 //! ## Quickstart
 //!

@@ -373,7 +373,7 @@ pub fn audit(opts: &RunOptions) {
         expanded.total_with_transcendentals() as f64 / n as f64
     );
     // Surface the mix through telemetry too: attributes on the enclosing
-    // experiment.audit span, per-op-class counters for the exporters.
+    // experiment.audit span, per option and as totals.
     let per_opt = |v: u64| v as f64 / n as f64;
     finbench_telemetry::set_attr("options_priced", n);
     finbench_telemetry::set_attr(
@@ -384,12 +384,9 @@ pub fn audit(opts: &RunOptions) {
         "ops_per_option_expanded",
         per_opt(expanded.total_with_transcendentals()),
     );
-    finbench_telemetry::counter_add("audit.bs.flops_expanded", expanded.flops());
-    finbench_telemetry::counter_add("audit.bs.transcendentals", expanded.transcendentals());
-    finbench_telemetry::counter_add(
-        "audit.bs.total_ops_expanded",
-        expanded.total_with_transcendentals(),
-    );
+    finbench_telemetry::set_attr("flops_expanded", expanded.flops());
+    finbench_telemetry::set_attr("transcendentals_expanded", expanded.transcendentals());
+    finbench_telemetry::set_attr("total_ops_expanded", expanded.total_with_transcendentals());
     println!("  (expansion tallies each transcendental's interior polynomial once,");
     println!("  nested calls charged as single ops; see finbench-math::counting_expanded)");
     let _ = opts;

@@ -61,13 +61,6 @@ fn main() {
         CliAction::Run(p) => p,
     };
 
-    // Spans must be recorded for the exporters to have anything to show;
-    // FINBENCH_LOG still overrides when the user sets it explicitly.
-    if (parsed.opts.json.is_some() || parsed.opts.report) && std::env::var("FINBENCH_LOG").is_err()
-    {
-        telemetry::set_filter("all");
-    }
-
     // The experiments' servers fire the FINBENCH_FAULTS plan, if any
     // (e.g. `FINBENCH_FAULTS=batch.black_scholes=panic@0.1`).
     match finbench_faults::Faults::from_env() {

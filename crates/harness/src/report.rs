@@ -107,12 +107,8 @@ struct AllocLane {
 /// Run the full bench sweep and write the snapshot; returns the path
 /// written. Errors are I/O only — measurement itself cannot fail.
 pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
-    // Counters/spans must be on for shed counters and rung summaries to
-    // record; an explicit FINBENCH_LOG still wins.
-    if std::env::var("FINBENCH_LOG").is_err() {
-        telemetry::set_filter("all");
-    }
-    telemetry::reset_metrics();
+    // Counters only count up: the snapshot carries what this sweep added.
+    let counters_before = telemetry::counter_snapshot();
     let quick = opts.quick;
     let trials = opts.effective_trials();
     let engine = native::engine();
@@ -283,14 +279,15 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
     }
 
     // 4. Shed/degradation counters accumulated by the sweep above.
-    let counters: Vec<(String, u64)> = telemetry::counter_snapshot()
-        .into_iter()
-        .filter(|(name, _)| {
-            ["serve.", "greeks.", "portfolio.", "loadgen."]
-                .iter()
-                .any(|p| name.starts_with(p))
-        })
-        .collect();
+    let counters: Vec<(String, u64)> =
+        counter_deltas(&counters_before, telemetry::counter_snapshot())
+            .into_iter()
+            .filter(|(name, _)| {
+                ["serve.", "greeks.", "portfolio.", "loadgen."]
+                    .iter()
+                    .any(|p| name.starts_with(p))
+            })
+            .collect();
 
     let doc = assemble_json(opts, trials, kernels_json, &lanes, &allocs, &counters);
     let path = match &opts.out {
@@ -524,6 +521,22 @@ fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
         finbench_core::greeks::price_and_greeks_into::<8>(soa, pricer.market, greeks);
         std::hint::black_box(&scratch.greeks);
     });
+    out
+}
+
+/// Each counter of `after` less its count in `before` (0 for a name
+/// first seen since), sorted by name: what the work between the two
+/// snapshots counted. A name the work did not touch reads 0.
+fn counter_deltas(before: &[(String, u64)], after: Vec<(String, u64)>) -> Vec<(String, u64)> {
+    let prior: BTreeMap<&str, u64> = before.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    let mut out: Vec<(String, u64)> = after
+        .into_iter()
+        .map(|(k, v)| {
+            let d = v - prior.get(k.as_str()).unwrap_or(&0);
+            (k, d)
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
     out
 }
 
@@ -1686,5 +1699,27 @@ mod tests {
         std::fs::write(dir.join("BENCH_10.json"), "{}").unwrap();
         std::fs::write(dir.join("BENCH_x.json"), "{}").unwrap();
         assert_eq!(next_bench_path(&dir), dir.join("BENCH_11.json"));
+    }
+
+    #[test]
+    fn counter_deltas_keep_only_what_the_sweep_counted() {
+        let named = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+            v.iter().map(|(k, n)| (k.to_string(), *n)).collect()
+        };
+        let before = named(&[("serve.shed", 5), ("serve.served", 40)]);
+        // Unsorted on purpose: the output is ordered by name regardless.
+        let after = named(&[
+            ("serve.shed", 5),
+            ("loadgen.hedges", 3),
+            ("serve.served", 52),
+        ]);
+        assert_eq!(
+            counter_deltas(&before, after),
+            named(&[
+                ("loadgen.hedges", 3),
+                ("serve.served", 12),
+                ("serve.shed", 0)
+            ])
+        );
     }
 }

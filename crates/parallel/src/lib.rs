@@ -27,8 +27,7 @@
 //! recorded as the `pool_imbalance` attribute on the caller's open span
 //! and the `pool.last_imbalance` gauge, plus `pool.chunks` /
 //! `pool.dispatches` counters — handles resolved once per process, so a
-//! dispatch never looks a name up. With `FINBENCH_LOG=off` a hook costs a
-//! relaxed load and at most the handle's own-cell add.
+//! dispatch never looks a name up and pays relaxed atomics only.
 
 pub mod pool;
 

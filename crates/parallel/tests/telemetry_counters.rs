@@ -1,14 +1,10 @@
-//! Counter atomicity under the pool, and imbalance reporting. Lives in
-//! its own integration-test binary because it pins the process-global
-//! telemetry filter.
+//! Counter atomicity under the pool, and imbalance reporting.
 
 use finbench_parallel::{parallel_for_chunks, parallel_map_reduce};
 use finbench_telemetry as telemetry;
 
 #[test]
 fn counters_are_exact_under_eight_workers() {
-    telemetry::set_filter("all");
-
     // 10_000 elements in chunks of 7 across 8 workers; every element adds
     // 1 to a shared counter. Any lost update breaks the exact total.
     const N: usize = 10_000;
@@ -29,7 +25,6 @@ fn counters_are_exact_under_eight_workers() {
 
 #[test]
 fn imbalance_attr_lands_on_open_span() {
-    telemetry::set_filter("all");
     {
         let _g = telemetry::span("par_test.dispatch");
         let mut data = vec![0u64; 4096];
@@ -59,7 +54,6 @@ fn imbalance_attr_lands_on_open_span() {
 
 #[test]
 fn map_reduce_counters_survive_contention() {
-    telemetry::set_filter("all");
     let total = parallel_map_reduce(
         5_000,
         13,

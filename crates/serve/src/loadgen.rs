@@ -38,9 +38,17 @@ use crate::request::{
 };
 use crate::server::{Server, ShardSnapshot};
 use finbench_rng::{RngCore64, SplitMix64};
-use finbench_telemetry as telemetry;
-use std::sync::mpsc;
+use finbench_telemetry::{self as telemetry, Counter};
+use std::sync::{mpsc, LazyLock};
 use std::time::{Duration, Instant};
+
+/// `loadgen.hedges` / `loadgen.hedge_wins`: counted once per [`drive`],
+/// from the finished tally its report reads too.
+static HEDGES: LazyLock<Counter> = LazyLock::new(|| Counter::named("loadgen.hedges"));
+static HEDGE_WINS: LazyLock<Counter> = LazyLock::new(|| Counter::named("loadgen.hedge_wins"));
+/// `loadgen.unmatched_response`: responses `match_sent` dropped.
+static UNMATCHED: LazyLock<Counter> =
+    LazyLock::new(|| Counter::named("loadgen.unmatched_response"));
 
 /// High bit of the request-id space, reserved to tag hedge copies. The
 /// load generators assign dense ids well below it, and the winner's id
@@ -354,9 +362,8 @@ pub fn drive<S: RequestSource + ?Sized>(
             (open_loop(server, source, rate_hz, total, seed, slo), 0, 0)
         }
     };
-    // Counted once, from the finished tally the report reads too.
-    telemetry::counter_add("loadgen.hedges", hedges as u64);
-    telemetry::counter_add("loadgen.hedge_wins", hedge_wins as u64);
+    HEDGES.add(hedges as u64);
+    HEDGE_WINS.add(hedge_wins as u64);
     Driven {
         label: source.label().to_string(),
         exchanges,
@@ -580,7 +587,7 @@ fn match_sent<R, T>(
         }
     }
     let unmatched = collected_len - matched.len();
-    telemetry::counter_add("loadgen.unmatched_response", unmatched as u64);
+    UNMATCHED.add(unmatched as u64);
     matched
 }
 

@@ -248,7 +248,6 @@ mod tests {
 
     #[test]
     fn jsonl_counters_and_gauges_come_out_sorted_by_name() {
-        crate::filter::set_filter("all");
         // Register deliberately out of alphabetical order.
         crate::metrics::counter_add("export_order_test.zz", 1);
         crate::metrics::counter_add("export_order_test.aa", 1);

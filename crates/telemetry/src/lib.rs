@@ -13,10 +13,10 @@
 //!   Finished spans land in a ring of [`SPAN_RING_CAPACITY`] records
 //!   (newest win, evictions counted in `telemetry.spans_dropped`).
 //! - **Counters and gauges**: named process-wide atomics, safe to bump
-//!   from worker threads. Cold call sites go by name ([`counter_add`],
-//!   [`gauge_set`]: a registry lock and a hash per call); a hot path
-//!   resolves a [`Counter`] / [`Gauge`] handle once and then pays relaxed
-//!   atomics only. A `Counter` also keeps the handle's *own* count beside
+//!   from worker threads. A call site resolves a [`Counter`] / [`Gauge`]
+//!   handle once and then pays relaxed atomics only (the by-name
+//!   [`counter_add`] / [`gauge_set`] pay a registry lock and a hash per
+//!   call). A `Counter` also keeps the handle's *own* count beside
 //!   the process-wide one, which is how one component reads its share of
 //!   a name that several bump (see [`metrics`]).
 //! - **Histograms** ([`Histogram`]): streaming log-bucketed distribution
@@ -30,15 +30,14 @@
 //! global allocator binaries may install to get allocations-per-iteration
 //! numbers).
 //!
-//! Instrumentation cost is governed by the `FINBENCH_LOG` environment
-//! variable (see [`filter`]): every hot-path call first does one relaxed
-//! atomic load and returns immediately when its signal class is filtered
-//! out.
+//! Everything always records: there is no switch that turns a signal off,
+//! and process-wide counters only count up, so a reader takes a
+//! [`counter_snapshot`] before and after the work it watches and reads the
+//! difference.
 
 pub mod alloc;
 pub mod cycles;
 pub mod export;
-pub mod filter;
 pub mod hist;
 pub mod json;
 pub mod metrics;
@@ -47,11 +46,10 @@ pub mod stats;
 
 pub use alloc::{alloc_stats, counting_allocator_active, AllocStats, CountingAlloc};
 pub use export::{render_tree, span_to_json, to_jsonl, write_jsonl, JSONL_SCHEMA_VERSION};
-pub use filter::{enabled, set_filter, Kind};
 pub use hist::Histogram;
 pub use metrics::{
-    counter_add, counter_snapshot, counter_value, gauge_set, gauge_snapshot, gauge_value,
-    reset_metrics, Counter, Gauge,
+    counter_add, counter_snapshot, counter_value, gauge_set, gauge_snapshot, gauge_value, Counter,
+    Gauge,
 };
 pub use span::{
     drain, set_attr, snapshot, span, AttrValue, SpanGuard, SpanRecord, SPAN_RING_CAPACITY,

@@ -1,24 +1,23 @@
-//! Named counters and gauges, by name and by handle.
+//! Named counters and gauges, by handle (and by name for the benchmark's
+//! probes).
 //!
-//! Values live in a process-wide registry keyed by name. A cold call
-//! site goes **by name** ([`counter_add`], [`gauge_set`]): lock the
-//! registry, hash the name, bump. A hot path holds a **handle**
-//! ([`Counter::named`], [`Gauge::named`]): the lookup is paid once, at
-//! the handle's first recorded event, and every later [`Counter::add`] /
-//! [`Gauge::set`] is a filter check plus relaxed atomics — no lock, no
-//! hash, no allocation.
+//! Values live in a process-wide registry keyed by name. A call site
+//! holds a **handle** ([`Counter::named`], [`Gauge::named`]): the lookup
+//! is paid once, at the handle's first recorded event, and every later
+//! [`Counter::add`] / [`Gauge::set`] is relaxed atomics — no lock, no
+//! hash, no allocation. The **by-name** calls ([`counter_add`],
+//! [`gauge_set`]) lock the registry and hash the name on every call.
 //!
 //! A [`Counter`] counts in two scopes. Its **own** cell
-//! ([`Counter::get`]) always counts and is untouched by [`reset_metrics`]
-//! and the filter: it is its component's ledger (one serving plane's
+//! ([`Counter::get`]) is its component's ledger (one serving plane's
 //! `internal`, one seat's steals). The **process-wide** cell of its name
 //! ([`counter_value`], the exporters) is the sum over every handle of
-//! that name plus the by-name adds, and obeys the [`crate::filter`] like
-//! every other signal. By either route a name enters the registry at its
-//! first recorded non-zero add, so an export lists what happened, not
-//! what could have.
+//! that name plus the by-name adds. Both only count up: nothing switches
+//! a counter off or sets it back to zero, so a reader that wants what one
+//! stretch of work counted takes the difference of two snapshots. By
+//! either route a name enters the registry at its first non-zero add, so
+//! an export lists what happened, not what could have.
 
-use crate::filter::{enabled, Kind};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -85,12 +84,12 @@ impl Counter {
         }
     }
 
-    /// Count `n` more: in the handle's own cell always, in the
-    /// process-wide cell of its name when counters are enabled.
+    /// Count `n` more, in the handle's own cell and in the process-wide
+    /// cell of its name.
     #[inline]
     pub fn add(&self, n: u64) {
         self.own.fetch_add(n, Ordering::Relaxed);
-        if n != 0 && enabled(Kind::Counter) {
+        if n != 0 {
             self.shared.cell(&COUNTERS).fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -111,19 +110,20 @@ impl Gauge {
         Self(Named(name.into(), OnceLock::new()))
     }
 
-    /// Set the gauge to `v` (a no-op while counters are filtered out).
+    /// Set the gauge to `v`.
     #[inline]
     pub fn set(&self, v: f64) {
-        if enabled(Kind::Counter) {
-            self.0.cell(&GAUGES).store(v.to_bits(), Ordering::Relaxed);
-        }
+        self.0.cell(&GAUGES).store(v.to_bits(), Ordering::Relaxed);
     }
 }
 
 /// Add `n` to the named counter (creating it at zero on first use).
+///
+/// Nothing in the product counts by name; this stays public only because
+/// `benchmark/` times it (`probes.rs`) and may not change with the crate.
 #[inline]
 pub fn counter_add(name: &str, n: u64) {
-    if enabled(Kind::Counter) && n != 0 {
+    if n != 0 {
         cell(&COUNTERS, name).fetch_add(n, Ordering::Relaxed);
     }
 }
@@ -134,11 +134,11 @@ pub fn counter_value(name: &str) -> u64 {
 }
 
 /// Set the named gauge to `v`.
+///
+/// Public for the same reason as [`counter_add`]: `benchmark/` times it.
 #[inline]
 pub fn gauge_set(name: &str, v: f64) {
-    if enabled(Kind::Counter) {
-        cell(&GAUGES, name).store(v.to_bits(), Ordering::Relaxed);
-    }
+    cell(&GAUGES, name).store(v.to_bits(), Ordering::Relaxed);
 }
 
 /// Current value of the named gauge (0.0 if never set).
@@ -157,33 +157,9 @@ pub fn gauge_snapshot() -> Vec<(String, f64)> {
     bits.map(|(name, v)| (name, f64::from_bits(v))).collect()
 }
 
-/// Zero every process-wide counter and gauge (they stay registered; a
-/// [`Counter`]'s own cell is not the registry's to reset).
-pub fn reset_metrics() {
-    for reg in [&COUNTERS, &GAUGES] {
-        for c in lock(reg).values() {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_reset() {
-        crate::filter::set_filter("all");
-        counter_add("metrics_test.a", 3);
-        counter_add("metrics_test.a", 4);
-        assert_eq!(counter_value("metrics_test.a"), 7);
-        gauge_set("metrics_test.g", 1.25);
-        assert_eq!(gauge_value("metrics_test.g"), 1.25);
-        reset_metrics();
-        assert_eq!(counter_value("metrics_test.a"), 0);
-        assert_eq!(gauge_value("metrics_test.g"), 0.0);
-        crate::filter::set_filter("all");
-    }
 
     #[test]
     fn unknown_names_read_zero() {

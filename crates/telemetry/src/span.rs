@@ -18,7 +18,6 @@
 //! [`AttrValue::Float`], a shared [`AttrValue::Str`]), a thread in that
 //! steady state opens, annotates and closes spans without allocating.
 
-use crate::filter::{enabled, Kind};
 use crate::metrics::Counter;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -176,12 +175,8 @@ fn epoch() -> Instant {
 }
 
 /// Open a span; it closes (and is recorded) when the returned guard drops.
-/// When spans are filtered out the guard is inert and nothing is recorded.
 #[must_use = "the span closes when the guard is dropped"]
 pub fn span(name: impl AsRef<str>) -> SpanGuard {
-    if !enabled(Kind::Span) {
-        return SpanGuard { active: false };
-    }
     let (mut name_buf, attrs) = SPARE
         .with(|spare| spare.borrow_mut().take())
         .unwrap_or_default();
@@ -203,19 +198,14 @@ pub fn span(name: impl AsRef<str>) -> SpanGuard {
             attrs,
         });
     });
-    SpanGuard { active: true }
+    SpanGuard(())
 }
 
 /// RAII guard returned by [`span`].
-pub struct SpanGuard {
-    active: bool,
-}
+pub struct SpanGuard(());
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
         let done = Instant::now();
         let Some(active) = STACK.with(|stack| stack.borrow_mut().pop()) else {
             return;
@@ -240,11 +230,8 @@ impl Drop for SpanGuard {
 }
 
 /// Upsert an attribute on the calling thread's innermost open span; a
-/// no-op when no span is open or spans are filtered out.
+/// no-op when no span is open.
 pub fn set_attr(key: &'static str, value: impl Into<AttrValue>) {
-    if !enabled(Kind::Span) {
-        return;
-    }
     let value = value.into();
     STACK.with(|stack| {
         if let Some(top) = stack.borrow_mut().last_mut() {
@@ -277,7 +264,6 @@ mod tests {
 
     #[test]
     fn nested_spans_link_and_order() {
-        crate::filter::set_filter("all");
         {
             let _a = span("span_test.outer");
             set_attr("k", 1i64);
@@ -311,7 +297,6 @@ mod tests {
 
     #[test]
     fn attrs_without_open_span_are_ignored() {
-        crate::filter::set_filter("all");
         set_attr("orphan", 1i64); // must not panic
     }
 }

@@ -15,7 +15,6 @@ fn registry_lock() -> MutexGuard<'static, ()> {
 #[test]
 fn spans_nest_export_and_round_trip() {
     let _registry = registry_lock();
-    telemetry::set_filter("all");
 
     {
         let _outer = telemetry::span("it.experiment");
@@ -82,7 +81,6 @@ fn spans_nest_export_and_round_trip() {
 #[test]
 fn write_jsonl_drains_registry_to_file() {
     let _registry = registry_lock();
-    telemetry::set_filter("all");
     {
         let _s = telemetry::span("it.file_span");
     }

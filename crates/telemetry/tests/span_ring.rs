@@ -6,7 +6,6 @@ use telemetry::SPAN_RING_CAPACITY;
 
 #[test]
 fn the_ring_keeps_the_newest_spans_and_counts_the_rest() {
-    telemetry::set_filter("all");
     const EXTRA: usize = 37;
     let total = SPAN_RING_CAPACITY + EXTRA;
     for i in 0..total {

@@ -22,7 +22,6 @@ fn span_memory_is_bounded_and_steady_state_batches_allocate_nothing_lane_side() 
         telemetry::counting_allocator_active(),
         "counting allocator must be installed in this test binary"
     );
-    telemetry::set_filter("all");
     let server = Server::start(ServeConfig {
         queue_capacity: 64,
         // Far beyond the test's patience: every flush below is the idle

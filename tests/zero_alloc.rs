@@ -121,10 +121,8 @@ fn steady_state_serve_batches_allocate_nothing() {
         "steady-state portfolio revaluation must not allocate"
     );
 
-    // The ledger's handles with every signal class enabled: the first
-    // recorded event finds the name's process-wide cell, every later one
-    // is a filter check and relaxed atomics.
-    telemetry::set_filter("all");
+    // The ledger's handles: the first recorded event finds the name's
+    // process-wide cell, every later one is relaxed atomics only.
     let (events, depth) = (
         Counter::named("zero_alloc.events"),
         Gauge::named("zero_alloc.depth"),
