@@ -28,8 +28,11 @@ done
 echo "==> serving-plane suites, 5x back to back at default parallelism"
 # No test here takes a lock (a fault plan and a ledger belong to their Server),
 # so one that only passed while a lock gave it the machine shows up on shared vCPUs.
+# The admission queue's tests run in release too: its wake protocol (signal only
+# a parked popper) races differently at -O.
 for _ in $(seq 5); do
   cargo test -q -p finbench-serve --lib
+  cargo test -q --release -p finbench-serve --lib queue::
   cargo test -q -p finbench --test chaos_equivalence --test supervision \
     --test batching_equivalence --test rejection_taxonomy
 done

@@ -15,14 +15,30 @@
 //!
 //! The queue is multi-producer *and* multi-consumer: every shard worker
 //! pops its own queue, and idle siblings [`steal_up_to`](AdmissionQueue::steal_up_to)
-//! from it. `try_push` still issues a single `notify_one` (waking more
-//! poppers than items would just burn wakeups), but a successful pop that
-//! leaves items behind re-notifies — so a notification that landed on a
-//! popper which was already awake (and therefore consumed two pushes'
-//! worth of signal) cascades to the next sleeper instead of stranding an
-//! item until some popper's timeout. [`close`](AdmissionQueue::close)
-//! broadcasts so every popper observes shutdown promptly.
-
+//! from it. The state counts its parked poppers (`waiters`), and a signal
+//! goes out only when one is parked: std's futex condvar makes a
+//! `futex_wake` syscall on every `notify_one`, parked popper or not, and a
+//! saturated shard, whose worker never parks, would pay two per request.
+//! `try_push` issues one `notify_one` when `waiters > 0` (waking more
+//! poppers than items would just burn wakeups), and a successful pop that
+//! leaves items behind passes the signal on under the same condition — so a
+//! notification that landed on a popper which was already awake cascades to
+//! the next sleeper instead of stranding an item until some popper's
+//! timeout. [`close`](AdmissionQueue::close) broadcasts unconditionally so
+//! every popper observes shutdown promptly.
+//!
+//! Skipping the signal loses no wakeup:
+//!
+//! - A popper counts itself while it still holds the lock, and `wait`
+//!   releases that lock atomically. So a pusher, which also holds the lock,
+//!   cannot miss a popper that is about to park: either the popper counted
+//!   itself first and the pusher signals, or the pusher's item is in the
+//!   deque before the popper looks.
+//! - A count can outlive its park: a woken or timed-out popper stays counted
+//!   until it has the lock back, so a signal may land on nobody. That
+//!   popper re-checks `items` before it parks again or returns `None` (a
+//!   timeout that raced a notify included), so a signal that lands on
+//!   nobody strands nothing.
 //!
 //! ## Poison recovery
 //!
@@ -30,9 +46,11 @@
 //! panic on *any* of those threads while holding the lock would poison it
 //! and — with naive `lock().unwrap()` — cascade that one failure into a
 //! panic on every thread that touches the queue afterwards. The state
-//! behind the lock (a `VecDeque` and a flag) has no invariant a panicking
-//! pusher can break mid-update, so every acquisition here recovers the
-//! guard from a poisoned lock instead of propagating.
+//! behind the lock (a `VecDeque`, a flag and the parked-popper count) has
+//! no invariant a panicking pusher can break mid-update, so every
+//! acquisition here recovers the guard from a poisoned lock instead of
+//! propagating. A popper whose wait comes back poisoned still takes the
+//! guard and uncounts itself, so the count survives poison.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -41,6 +59,9 @@ use std::time::{Duration, Instant};
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Poppers parked in (or just back from) a condvar wait: a push or a
+    /// cascade signals only when this is non-zero.
+    waiters: usize,
 }
 
 /// A bounded MPMC queue with reject-on-full semantics.
@@ -63,6 +84,7 @@ impl<T> AdmissionQueue<T> {
             state: Mutex::new(State {
                 items: VecDeque::new(),
                 closed: false,
+                waiters: 0,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -98,8 +120,11 @@ impl<T> AdmissionQueue<T> {
             return Err(item);
         }
         st.items.push_back(item);
+        let parked = st.waiters > 0;
         drop(st);
-        self.not_empty.notify_one();
+        if parked {
+            self.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -121,10 +146,10 @@ impl<T> AdmissionQueue<T> {
         let mut st = self.lock_state();
         loop {
             if let Some(item) = st.items.pop_front() {
-                // MPMC cascade: if items remain, another popper may be
-                // asleep having missed its notification (it raced us to
-                // the lock and lost). Pass the signal on.
-                if !st.items.is_empty() {
+                // MPMC cascade: if items remain and a popper is parked, it
+                // may have missed its notification (it raced us to the
+                // lock and lost). Pass the signal on.
+                if !st.items.is_empty() && st.waiters > 0 {
                     self.not_empty.notify_one();
                 }
                 return Some(item);
@@ -132,21 +157,30 @@ impl<T> AdmissionQueue<T> {
             if st.closed {
                 return None;
             }
-            // Poison from an unrelated panicked thread: take the guard
-            // back and keep serving.
-            st = match deadline {
-                None => self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner()),
+            let timeout = match deadline {
+                None => None,
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return None;
                     }
+                    Some(deadline - now)
+                }
+            };
+            // Counted under the lock that `wait` releases atomically; a
+            // poisoned wait (an unrelated panicked thread) still hands the
+            // guard back, so the count is undone on every path.
+            st.waiters += 1;
+            st = match timeout {
+                None => self.not_empty.wait(st).unwrap_or_else(|e| e.into_inner()),
+                Some(timeout) => {
                     self.not_empty
-                        .wait_timeout(st, deadline - now)
+                        .wait_timeout(st, timeout)
                         .unwrap_or_else(|e| e.into_inner())
                         .0
                 }
             };
+            st.waiters -= 1;
         }
     }
 
@@ -460,5 +494,116 @@ mod tests {
         got.sort_unstable();
         let want: Vec<u64> = (0..(PRODUCERS * PER_PRODUCER) as u64).collect();
         assert_eq!(got, want, "every item must come out exactly once");
+    }
+
+    /// Poll until `f` holds on the locked state (a parked popper counts
+    /// itself asynchronously), failing after 10 s instead of hanging.
+    fn poll_state<T>(q: &AdmissionQueue<T>, f: impl Fn(&State<T>) -> bool) {
+        let t0 = Instant::now();
+        while !f(&q.lock_state()) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "state never settled"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn the_parked_popper_count_returns_to_zero_on_every_path() {
+        // A leaked count would silently bring back a futex wake per push.
+        let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(4));
+        assert_eq!(q.lock_state().waiters, 0);
+
+        // A parked `pop_wait` counts once; the push that wakes it uncounts
+        // it (through a channel with a deadline: a skipped signal fails
+        // here instead of hanging).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let q2 = Arc::clone(&q);
+        std::thread::spawn(move || tx.send(q2.pop_wait()).unwrap());
+        poll_state(&q, |st| st.waiters == 1);
+        q.try_push(7).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(Some(7)));
+        assert_eq!(q.lock_state().waiters, 0);
+
+        // A `pop_timeout` that expires on an empty queue leaves no count.
+        assert_eq!(q.pop_timeout(Duration::from_millis(5)), None);
+        assert_eq!(q.lock_state().waiters, 0);
+
+        // `close` wakes two parked poppers; both uncount themselves.
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.pop_wait())
+            })
+            .collect();
+        poll_state(&q, |st| st.waiters == 2);
+        q.close();
+        for h in consumers {
+            assert_eq!(h.join().unwrap(), None);
+        }
+        assert_eq!(q.lock_state().waiters, 0);
+    }
+
+    #[test]
+    fn mpmc_stress_with_only_parking_poppers_loses_no_wakeup() {
+        // Unlike the `pop_timeout` stress above, these poppers never time
+        // out: a skipped signal that strands an item parks them for good.
+        // Every item must come out *before* the queue closes (close wakes
+        // everyone, so it would hide a lost wakeup), and it comes back
+        // through a channel with a deadline, so a lost wakeup fails the
+        // test instead of hanging it.
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 2_000;
+        const POPPERS: usize = 3;
+        const JOIN: Duration = Duration::from_secs(30);
+        let q: Arc<AdmissionQueue<u64>> = Arc::new(AdmissionQueue::new(16));
+
+        for p in 0..PRODUCERS {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                for i in 0..PER_PRODUCER {
+                    // Pause now and then so the poppers drain and park.
+                    if i % 64 == 0 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    let mut v = (p * PER_PRODUCER + i) as u64;
+                    while let Err(back) = q.try_push(v) {
+                        v = back;
+                        std::thread::yield_now();
+                    }
+                }
+            });
+        }
+        let (item_tx, item_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..POPPERS {
+            let q = Arc::clone(&q);
+            let (item_tx, done_tx) = (item_tx.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                while let Some(item) = q.pop_wait() {
+                    item_tx.send(item).unwrap();
+                }
+                done_tx.send(()).unwrap();
+            });
+        }
+
+        let mut got: Vec<u64> = (0..PRODUCERS * PER_PRODUCER)
+            .map(|_| {
+                item_rx
+                    .recv_timeout(JOIN)
+                    .expect("an item stranded: a wakeup was lost")
+            })
+            .collect();
+        q.close();
+        for _ in 0..POPPERS {
+            done_rx
+                .recv_timeout(JOIN)
+                .expect("a popper never saw close");
+        }
+        got.sort_unstable();
+        let want: Vec<u64> = (0..(PRODUCERS * PER_PRODUCER) as u64).collect();
+        assert_eq!(got, want, "every item must come out exactly once");
+        assert_eq!(q.lock_state().waiters, 0);
     }
 }
