@@ -50,6 +50,14 @@ if git grep -nE 'SupervisorPolicy|supervisor_loop|SupervisorCtx|finbench-serve-s
   exit 1
 fi
 
+echo "==> source guard (a shard decides, its driver waits: no clock read or sleep in the Shard, no sleep in server.rs's tests)"
+if git grep -nE 'Instant::now\(\)|thread::sleep' -- crates/serve/src/shard.rs ||
+  sed -n '/^mod tests {/,$p' crates/serve/src/server.rs | grep -n 'thread::sleep' ||
+  git grep -nE 'stall_then_kill|stalled_no_respawn|ShardCtx|LaneCtx' -- crates tests; then
+  echo "the Shard reads time only through its Clock and never sleeps; server.rs's tests step shards on a stepped clock instead of sleeping" >&2
+  exit 1
+fi
+
 echo "==> source guard (no merge thread: a portfolio fan-out joins where its last chunk lands)"
 if git grep -nE 'merge_portfolio|PortfolioChunkResponse|finbench-portfolio-merge|stage_extra' -- crates tests; then
   echo "chunks answer into their request's PortfolioFanIn; each plane stages its own scratch through ServeWorkload::stage" >&2

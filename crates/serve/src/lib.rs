@@ -89,12 +89,13 @@ pub mod queue;
 pub mod request;
 pub mod rung;
 pub mod server;
+mod shard;
 pub mod workload;
 
 pub use batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
 pub use breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 pub use greeks::{greeks_ladder, GreeksKernel, GreeksRung};
-pub use ledger::{PlaneSnapshot, Tallies, PLANES};
+pub use ledger::{PlaneSnapshot, PLANES};
 pub use loadgen::{
     drive, find_peak_sustained, last_sustained_hz, mix_seed, run_load, search_peak, window_total,
     Driven, Exchange, GreeksSource, HedgePolicy, LoadMode, LoadReport, OptionStream, PeakReport,

@@ -11,34 +11,25 @@
 //! or parks until a push or close notifies it
 //! ([`pop_wait`](AdmissionQueue::pop_wait)).
 //!
-//! ## MPMC wakeup discipline
+//! ## Wake-up discipline
 //!
-//! The queue is multi-producer *and* multi-consumer: every shard worker
-//! pops its own queue, and idle siblings [`steal_up_to`](AdmissionQueue::steal_up_to)
-//! from it. The state counts its parked poppers (`waiters`), and a signal
-//! goes out only when one is parked: std's futex condvar makes a
-//! `futex_wake` syscall on every `notify_one`, parked popper or not, and a
-//! saturated shard, whose worker never parks, would pay two per request.
-//! `try_push` issues one `notify_one` when `waiters > 0` (waking more
-//! poppers than items would just burn wakeups), and a successful pop that
-//! leaves items behind passes the signal on under the same condition — so a
-//! notification that landed on a popper which was already awake cascades to
-//! the next sleeper instead of stranding an item until some popper's
-//! timeout. [`close`](AdmissionQueue::close) broadcasts unconditionally so
-//! every popper observes shutdown promptly.
+//! A queue's only blocking popper is its own seat's driver: siblings and
+//! the kill path take items with [`steal_up_to`](AdmissionQueue::steal_up_to),
+//! which never waits. The state counts its parked poppers (`waiters`),
+//! and [`try_push`](AdmissionQueue::try_push) signals only when one is
+//! parked — std's futex condvar makes a `futex_wake` syscall on every
+//! `notify_one`, parked popper or not, and a saturated shard, whose
+//! driver never parks, would pay one per request.
+//! [`close`](AdmissionQueue::close) broadcasts unconditionally.
 //!
-//! Skipping the signal loses no wakeup:
-//!
-//! - A popper counts itself while it still holds the lock, and `wait`
-//!   releases that lock atomically. So a pusher, which also holds the lock,
-//!   cannot miss a popper that is about to park: either the popper counted
-//!   itself first and the pusher signals, or the pusher's item is in the
-//!   deque before the popper looks.
-//! - A count can outlive its park: a woken or timed-out popper stays counted
-//!   until it has the lock back, so a signal may land on nobody. That
-//!   popper re-checks `items` before it parks again or returns `None` (a
-//!   timeout that raced a notify included), so a signal that lands on
-//!   nobody strands nothing.
+//! No wake-up is lost. A popper counts itself under the lock, and std's
+//! futex condvar reads its sequence value before `wait` releases that
+//! lock, so a pusher that sees the count and signals after it is
+//! guaranteed to wake it; a pusher that took the lock first has its item
+//! in the deque before the popper looks. A count can outlive its park (a
+//! woken or timed-out popper stays counted until it has the lock back),
+//! so a signal may land on nobody; that popper re-checks `items` before
+//! it parks again or returns, so nothing is stranded.
 //!
 //! ## Poison recovery
 //!
@@ -59,8 +50,8 @@ use std::time::{Duration, Instant};
 struct State<T> {
     items: VecDeque<T>,
     closed: bool,
-    /// Poppers parked in (or just back from) a condvar wait: a push or a
-    /// cascade signals only when this is non-zero.
+    /// Poppers parked in (or just back from) a condvar wait: a push
+    /// signals only when this is non-zero.
     waiters: usize,
 }
 
@@ -146,12 +137,6 @@ impl<T> AdmissionQueue<T> {
         let mut st = self.lock_state();
         loop {
             if let Some(item) = st.items.pop_front() {
-                // MPMC cascade: if items remain and a popper is parked, it
-                // may have missed its notification (it raced us to the
-                // lock and lost). Pass the signal on.
-                if !st.items.is_empty() && st.waiters > 0 {
-                    self.not_empty.notify_one();
-                }
                 return Some(item);
             }
             if st.closed {
@@ -333,11 +318,9 @@ mod tests {
     #[test]
     fn a_burst_wakes_every_blocked_consumer_not_just_one() {
         // Two consumers block; one producer pushes two items back-to-back
-        // while holding no lock between pushes. Under the old
-        // single-`notify_one` discipline both notifications could land on
-        // the same consumer, stranding the second item until the other
-        // consumer's timeout. The pop-side cascade must deliver both well
-        // before the 5 s deadline.
+        // while holding no lock between pushes. Both consumers are still
+        // counted when the second push looks, so each push wakes one of
+        // them, well before the 5 s deadline.
         let q: Arc<AdmissionQueue<u32>> = Arc::new(AdmissionQueue::new(8));
         let consumers: Vec<_> = (0..2)
             .map(|_| {

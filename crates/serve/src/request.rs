@@ -12,7 +12,8 @@
 //! queue overflow, blown deadlines, and bad kernel names all come back as
 //! responses.
 
-use crate::server::{Admitted, Work};
+use crate::server::Admitted;
+use crate::shard::Work;
 use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
 use finbench_core::greeks::Greeks;
 use finbench_faults::{Corruption, FaultKind, Faults};

@@ -1,135 +1,61 @@
 //! The sharded pricing service: a front-end **router** that validates
-//! and distributes admission across `N` **worker shards**, each a thread
-//! owning its own bounded admission queue, per-kernel micro-batcher
-//! lanes, circuit breakers, and degradation ladders.
+//! and distributes admission across `N` **worker shards**, each a seat
+//! with its own bounded admission queue, per-kernel micro-batcher lanes,
+//! circuit breakers and degradation ladders (DESIGN.md §9 draws the
+//! request path, §10 the fault model).
 //!
-//! ```text
-//! submit() ──► validate ── invalid ⇒ Rejected::InvalidInput (synchronous)
-//!                   │
-//!                   ▼ route (round-robin over alive shards,
-//!                   │        spill to least-loaded before QueueFull)
-//!     ┌─────────────┼──────────────┐
-//!     ▼             ▼              ▼
-//!  shard 0       shard 1   …    shard N-1      (each: AdmissionQueue +
-//!     │ pop         │ pop          │ pop        worker thread)
-//!     ▼             ▼              ▼
-//!  per-kernel MicroBatcher lanes, one set per shard; a lane flushes
-//!     │                    when full, when its oldest request has waited
-//!     │                    `max_delay`, or when the queue has run dry
-//!     │ padded SOA batch   idle shards steal queued work from the
-//!     ▼                    busiest sibling (bit-invisible: any shard
-//!  catch_unwind(rung.price)        prices the same rung identically)
-//!     │ scatter-back │ panic ⇒ Rejected::Internal, breaker feeds back
-//!     └────► one answer per envelope (its reply) ◄─────┘
-//! ```
+//! The router talks to a shard only through its [`AdmissionQueue`] (work
+//! in) and the reply inside each envelope (answers out). What a seat's
+//! worker decides — admit, batch, flush, kill, respawn backoff — is a
+//! `Shard` (`shard.rs`), whose methods never block and read the time
+//! only through the clock they were built with. `shard_loop` is the
+//! seat's thread and the only code that waits: it pops the queue the way
+//! `Shard::next_wait` says, sleeps out a stall or latency fault, fires
+//! the kill site, steals, redrives and waits out a respawn. A running
+//! server builds its shards on `Instant::now`; a test steps a clock and
+//! the shards itself. [`Server::shutdown`] joins the drivers, so when it
+//! returns every admitted request has been answered.
 //!
-//! ## The shard boundary is a message-passing seam
-//!
-//! The router talks to a shard **only** through its [`AdmissionQueue`]
-//! (owned work messages in) and the reply carried inside each envelope
-//! (results out: a request's `mpsc` response channel, or a portfolio
-//! request's [`PortfolioFanIn`]); shared-memory state is limited to
-//! monotonic telemetry tallies. Shards could therefore move behind a
-//! socket/IPC transport by serializing `Work` at this seam without
-//! touching lane logic.
-//!
-//! A portfolio fan-out needs no thread of its own: its last chunk answer
-//! to land — on a worker, or on the router for a chunk it could not
-//! place — merges the parts and answers the request. The only threads a
-//! [`Server`] runs are its shard workers, and [`Server::shutdown`] joins
-//! them, so when it returns every admitted request has been answered.
-//!
-//! ## The worker loop is work-conserving
-//!
-//! A worker pops a request, admits it into its lane — a lane that
-//! reaches its size target executes on the spot — and then, if the
-//! queue is empty, executes every non-empty lane at once: no request
-//! waits on a timer while the worker has nothing else to do. Only a
-//! backlogged worker (its queue never empty when it looks) keeps
-//! accumulating, and there the size and delay triggers bound the batch
-//! and the wait. With its lanes empty a lone shard parks until a push or
-//! close notifies it; sharded workers wake every `max_delay` to look for
-//! work to steal. Every flush is tallied by reason (size / delay / idle
-//! / drain) in [`KernelSnapshot::flushes`].
-//!
-//! ## Cross-shard backpressure and work stealing
-//!
-//! Admission round-robins over *alive* shards; when the chosen shard's
-//! queue is full the router spills to the least-loaded alive shard and
-//! only answers [`Rejected::QueueFull`] once every alive shard is full.
-//! On the worker side an idle shard (its own queue empty at a steal
-//! poll) steals queued work from the back of the deepest sibling
-//! queue into its own same-kernel lanes. Both mechanisms are
-//! bit-invisible: batching is padded and lane-wise, so a request prices
-//! identically on whichever shard executes it (property-tested in
-//! `tests/batching_equivalence.rs`).
+//! The loop is work-conserving: a popped request joins its lane (a full
+//! lane executes at once), and whenever the queue is empty every
+//! non-empty lane executes, so no request waits on a timer while the
+//! worker has nothing else to do; only a backlogged worker accumulates,
+//! bounded by the size and delay triggers. With its lanes empty a lone
+//! shard parks until a push or close; sharded workers wake every
+//! `max_delay` to steal from the deepest sibling.
 //!
 //! ## Shard loss, redrive, and supervision
 //!
-//! A shard killed by the `serve.shard.<i>=kill` fault marks itself dead,
-//! closes its queue, and exits; the router stops routing to it. Work
-//! stranded in its lanes and queue is **redriven** once to a live
-//! sibling — the reply rides inside the envelope, and padded
-//! lane-wise batching makes the move bit-invisible, exactly like a
-//! steal. Each envelope carries a `redriven` flag, so a request caught
-//! in a *second* shard loss is answered [`Rejected::Internal`] instead
-//! of re-routed again: at most one redelivery per request, never a
-//! ping-pong and never a duplicate response. Requests whose deadline
-//! passed while stranded are shed (`shed_deadline` for first attempts,
-//! `shed_deadline_redrive` for already-redriven work), so a retry never
-//! serves a request its client has given up on.
+//! When the `serve.shard.<i>=kill` fault fires, `Shard::kill` marks the
+//! seat dead (the router stops routing to it), closes its queue, picks
+//! the respawn wait, and hands back what the incarnation held, oldest
+//! first. The seat's thread **redrives** each item once to a live
+//! sibling, reply intact; an envelope's `redriven` flag makes a second
+//! loss answer [`Rejected::Internal`] instead of re-routing, and work
+//! whose deadline passed is shed. With [`ServeConfig::respawn`] on (the
+//! default) it then waits out the backoff on the plane's closing signal,
+//! reopens the queue under the lock shutdown closes it under, and
+//! `Shard::respawned` records the MTTR and marks the seat alive.
 //!
-//! When [`ServeConfig::respawn`] is on (the default), the killed worker
-//! **heals its own seat**: no other thread watches it. It waits out a
-//! backoff, reopens its queue, marks the seat alive again and keeps
-//! serving with fresh lanes — full capacity comes back instead of
-//! shrinking for the rest of the process. The backoff is capped
-//! exponential: 1 ms, doubled (up to 250 ms) for a seat that dies within
-//! 50 ms of its last respawn, back to 1 ms for one that lived longer. The
-//! wait parks on the plane's closing signal, and shutdown closes the
-//! queues under the same lock the worker reopens its queue under, so a
-//! respawn never reopens a queue shutdown closed and shutdown never waits
-//! out a cooldown. Each recovery is counted (`serve.shard.<i>.respawns`)
-//! with its MTTR (kill → respawned-and-serving) recorded in the shard
-//! snapshot. Availability degrades during the outage window, correctness
-//! never does.
+//! ## Faults and telemetry
 //!
-//! ## Fault tolerance
-//!
-//! Every lane's batch execution runs under `catch_unwind`: a kernel
-//! panic answers the in-flight batch with [`Rejected::Internal`] and
-//! feeds the lane's [`Breaker`] instead of killing the dispatcher. A
-//! failing lane first **degrades down its servable rung ladder** (the
-//! paper's own equivalence ladder: a cheaper rung still prices
-//! bit-identically to itself, so fidelity of the contract survives —
-//! only throughput is sacrificed). Only when the bottom (scalar
-//! reference) rung keeps failing does the breaker open; reopening uses
-//! capped exponential backoff, and recovery probes half-open before
-//! closing. Sustained success promotes the lane back up one level at a
-//! time. Fault-injection hooks ([`finbench_faults`]) are compiled into
-//! the admit, queue, and batch paths and fire the [`Faults`] handle the
-//! server was started with ([`Server::start_with_faults`]; [`Server::start`]
-//! carries none) — invisible to every other server in the process.
-//!
-//! ## Telemetry: one ledger per server
-//!
-//! Every counted event is one [`Counter`] handle, made with its owner and
-//! bumped at one call site — no name is formatted or looked up on the
-//! request path. The `Plane`'s [`Ledger`] holds the per-plane `serve.*` /
-//! `greeks.*` / `portfolio.*` tallies and the server-level events; each
-//! `ShardSeat` its own steals, redrives, respawns, `serve.shard.<i>.*`
-//! gauges and — under a mutex only that seat's worker and `snapshot()`
-//! take — its record of every lane it has run; each lane its
-//! `serve.breaker.<kernel>` + `serve.degradation.<kernel>` gauges and
-//! `serve.batch.<kernel>` spans (allocation-free once the span ring is
-//! full — see [`finbench_telemetry::span`]). [`ServeSnapshot`] is a view
-//! over the handles' own cells, so two servers in one process read
-//! disjoint ledgers; the process-wide cells of the same names sum over
-//! them (see [`finbench_telemetry::metrics`]).
+//! A batch runs under `catch_unwind`: a panic answers it
+//! [`Rejected::Internal`] and feeds the lane's breaker, which walks the
+//! lane down its servable ladder and opens only at the bottom. Fault
+//! hooks fire the [`Faults`] handle the server was started with
+//! ([`Server::start_with_faults`]), in that server only. Every counted
+//! event is one [`Counter`] handle bumped at one call site: the
+//! [`Ledger`]'s per-plane and server-level tallies, each seat's steals,
+//! redrives and respawns, and — under a mutex only its driver and
+//! `snapshot()` take — the seat's record of each lane, whose handles
+//! count that lane's served requests, degraded batches, breaker opens and
+//! restarts for the kernel's view and the plane's at once.
+//! [`ServeSnapshot`] reads the handles' own cells, so two servers in one
+//! process read disjoint ledgers.
 
-use crate::batcher::{target_batch, BatchPolicy, FlushCounts, FlushReason, MicroBatcher};
-use crate::breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
-use crate::ledger::{Ledger, PlaneSnapshot, Tallies};
+use crate::batcher::FlushCounts;
+use crate::breaker::{BreakerPolicy, BreakerState};
+use crate::ledger::{LaneTallies, Ledger, PlaneSnapshot};
 use crate::portfolio::{PortfolioChunkRequest, PortfolioFanIn};
 use crate::pricer::PricerConfig;
 use crate::queue::AdmissionQueue;
@@ -137,15 +63,10 @@ use crate::request::{
     GreeksRequest, GreeksResponse, PortfolioRequest, PortfolioResponse, Rejected, Response,
     ServeRequest,
 };
-use crate::rung::Rung;
-use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
-use finbench_core::engine::registry;
-use finbench_engine::Engine;
+use crate::shard::{on_envelope, Shard, Work};
+use crate::workload::{Envelope, ServeWorkload};
 use finbench_faults::{FaultKind, Faults};
-use finbench_telemetry::{self as telemetry, Counter, Gauge, Histogram};
-use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use finbench_telemetry::{Counter, Gauge, Histogram};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -190,134 +111,22 @@ impl Default for ServeConfig {
     }
 }
 
-/// A killed seat's first wait before its worker respawns.
-const RESPAWN_COOLDOWN: Duration = Duration::from_millis(1);
-
-/// The cap on the doubling wait: a seat killed as fast as it comes back
-/// respawns once per this long, never in a hot loop.
-const RESPAWN_MAX_COOLDOWN: Duration = Duration::from_millis(250);
-
-/// A seat that lives this long after a respawn has healed: its next
-/// death waits [`RESPAWN_COOLDOWN`] again instead of twice its last wait.
-const RESPAWN_HEAL_AFTER: Duration = Duration::from_millis(50);
-
-/// One admitted unit of work: every request plane rides the same bounded
-/// queue, so backpressure is shared and admission order is global.
-pub(crate) enum Work {
-    Price(Envelope<PriceWorkload>),
-    Greeks(Envelope<GreeksWorkload>),
-    Portfolio(Envelope<PortfolioWorkload>),
-}
-
-/// Evaluate `$body` on the envelope `$work` holds, whichever plane's it
-/// is — the one place the three arms are spelled out.
-macro_rules! on_envelope {
-    ($work:expr, $env:ident => $body:expr) => {
-        match $work {
-            Work::Price($env) => $body,
-            Work::Greeks($env) => $body,
-            Work::Portfolio($env) => $body,
-        }
-    };
-}
-
-impl Work {
-    /// The request's absolute deadline — the end-to-end budget every
-    /// hop (admission wait, spill, steal, redrive, batch execution)
-    /// draws from, because it never moves once the client set it.
-    fn deadline(&self) -> Option<Instant> {
-        on_envelope!(self, env => env.deadline())
-    }
-
-    /// The tallies of the plane this item belongs to.
-    fn tallies<'a>(&self, ledger: &'a Ledger) -> &'a Tallies<Counter> {
-        fn of<'a, W: ServeWorkload>(_: &Envelope<W>, l: &'a Ledger) -> &'a Tallies<Counter> {
-            l.of::<W>()
-        }
-        on_envelope!(self, env => of(env, ledger))
-    }
-
-    /// True once this item has burned its single shard-loss redrive.
-    fn redriven(&self) -> bool {
-        on_envelope!(self, env => env.redriven)
-    }
-
-    fn mark_redriven(&mut self) {
-        on_envelope!(self, env => env.redriven = true)
-    }
-
-    /// Answer this item `Rejected::Internal` and tally it. The terminal
-    /// path for stranded work that cannot be redriven.
-    fn reject_internal(self, reason: &'static str, ledger: &Ledger) {
-        on_envelope!(self, env => reject_internal(&[env], &Cow::Borrowed(reason), ledger))
-    }
-
-    /// Shed this item `Rejected::DeadlineExceeded`, tallying into the
-    /// first-attempt or post-redrive bucket by its `redriven` flag.
-    fn shed_deadline(self, late_by: Duration, ledger: &Ledger) {
-        on_envelope!(self, env => shed_deadline(&env, late_by, ledger))
-    }
-}
-
-/// One lane's serving state inside the dispatcher, generic over the
-/// request plane it runs ([`ServeWorkload`]): its degradation ladder
-/// (index 0 = planned serving rung, last = scalar reference), the level
-/// it currently serves at, its supervising breaker, and its reusable
-/// batch buffers. The flush target and the plane's
-/// [`Scratch`](ServeWorkload::Scratch) are recycled across batches —
-/// grown to the largest flush seen, never shrunk — so steady-state batch
-/// execution allocates nothing.
-struct Lane<W: ServeWorkload> {
-    /// Lane key: the kernel name (telemetry `<key>`).
-    key: String,
-    /// Index of this lane's [`LaneRecord`] among its seat's.
-    record: usize,
-    ladder: Vec<Rung<W::Kernel>>,
-    level: usize,
-    breaker: Breaker,
-    batcher: MicroBatcher<Envelope<W>>,
-    target: usize,
-    /// The flushed batch being executed, reused across flushes.
-    flush: Vec<Envelope<W>>,
-    /// Reusable staging + output buffers for batch execution.
-    scratch: W::Scratch,
-    /// Telemetry names and gauge handles, made once at lane construction
-    /// so the hot path never builds or looks up a metric name.
-    span_name: String,
-    fault_site: String,
-    breaker_gauge: Gauge,
-    degradation_gauge: Gauge,
-    /// Breaker state and level as last pushed to the seat's record and
-    /// the gauges (`None` until the first batch): health is republished
-    /// only when it changes.
-    published: Option<(BreakerState, usize)>,
-}
-
-impl<W: ServeWorkload> Lane<W> {
-    fn at_bottom(&self) -> bool {
-        self.level + 1 >= self.ladder.len()
-    }
-}
-
-/// One seat's record of one lane: what cannot be a bare atomic. It lives
-/// on the [`ShardSeat`], so only that seat's worker and
-/// [`Server::snapshot`] ever take its lock, and a respawned worker
-/// continues the record its predecessor left.
+/// One lane's statistics as a snapshot merges them. `counts` holds what
+/// is not a handle; `breaker` and the percentiles are filled in by
+/// [`finish`](Self::finish).
 #[derive(Clone, Default)]
-struct LaneRecord {
-    /// The snapshot's counts and health as they stand; `breaker` and the
-    /// percentiles are filled in by [`finish`](Self::finish).
-    counts: KernelSnapshot,
-    breaker: BreakerState,
-    latency_us: Histogram,
-    occupancy: Histogram,
+pub(crate) struct LaneStats {
+    pub(crate) counts: KernelSnapshot,
+    pub(crate) breaker: BreakerState,
+    pub(crate) latency_us: Histogram,
+    pub(crate) occupancy: Histogram,
 }
 
-impl LaneRecord {
+impl LaneStats {
     /// Fold another seat's record of the same lane into this one: counts
     /// and histograms add up, health is the more degraded of the two.
-    fn merge(&mut self, other: &LaneRecord) {
-        let health = |r: &LaneRecord| (r.counts.degradation_level, r.breaker.as_gauge());
+    fn merge(&mut self, other: &LaneStats) {
+        let health = |r: &LaneStats| (r.counts.degradation_level, r.breaker.as_gauge());
         let worse = health(other) > health(self);
         let (c, o) = (&mut self.counts, &other.counts);
         c.served += o.served;
@@ -348,31 +157,51 @@ impl LaneRecord {
     }
 }
 
-/// One seat's half of the ledger, shared between the router and the
-/// seat's worker thread: monotonic tallies (handles where
-/// the event has a process-wide name, bare atomics where it has none),
-/// gauges, per-lane records, and the liveness flag — the only shared
-/// state crossing the router/shard seam besides the queue itself.
-struct ShardSeat {
+/// One seat's record of one lane, kept on the [`ShardSeat`] so that a
+/// respawned worker continues the record its predecessor left.
+pub(crate) struct LaneRecord {
+    /// The lane's plane, as a [`PLANES`](crate::ledger::PLANES) index.
+    plane: usize,
+    pub(crate) events: LaneTallies,
+    pub(crate) stats: LaneStats,
+}
+
+impl LaneRecord {
+    /// The record as it stands, its event counts read out of the handles.
+    fn read(&self) -> LaneStats {
+        let mut stats = self.stats.clone();
+        let (c, e) = (&mut stats.counts, &self.events);
+        c.served = e.served.get();
+        c.degraded_batches = e.degraded_batches.get();
+        c.breaker_open = e.breaker_open.get();
+        c.restarts = e.lane_restarts.get();
+        stats
+    }
+}
+
+/// One seat's half of the ledger, shared by the router, the seat's
+/// driver and `snapshot()`: monotonic tallies, gauges, lane records and
+/// the liveness flag.
+pub(crate) struct ShardSeat {
     /// False once the shard has been killed (fault) or exited.
-    dead: AtomicBool,
-    /// Work items the router successfully pushed to this shard.
+    pub(crate) dead: AtomicBool,
+    /// Work items the router pushed to this shard.
     submitted: AtomicU64,
     /// `serve.steals`: work items stolen from sibling queues while idle.
     stolen: Counter,
     /// `serve.respawns`, and the same event as `serve.shard.<i>.respawns`:
     /// times the seat's killed worker came back and served again.
-    respawns: Counter,
-    respawns_by_seat: Counter,
+    pub(crate) respawns: Counter,
+    pub(crate) respawns_by_seat: Counter,
     /// `serve.redriven`: stranded work items redriven to siblings on kill.
     redriven: Counter,
     /// Cumulative kill → respawned-and-serving time, nanoseconds
     /// (divide by `respawns` for mean MTTR).
-    mttr_nanos: AtomicU64,
+    pub(crate) mttr_nanos: AtomicU64,
     /// `serve.shard.<i>.alive` / `.queue_depth` / `.mttr_ms`.
-    alive_gauge: Gauge,
+    pub(crate) alive_gauge: Gauge,
     depth_gauge: Gauge,
-    mttr_gauge: Gauge,
+    pub(crate) mttr_gauge: Gauge,
     /// This seat's record of each lane it has run.
     records: Mutex<Vec<LaneRecord>>,
 }
@@ -400,27 +229,34 @@ impl ShardSeat {
 
     /// Poison is recovered from: the records are monotonic tallies with
     /// no cross-field invariant a panicking thread can break.
-    fn lock_records(&self) -> MutexGuard<'_, Vec<LaneRecord>> {
+    pub(crate) fn lock_records(&self) -> MutexGuard<'_, Vec<LaneRecord>> {
         self.records.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Index of this seat's record of lane `key`, opened on first use. A
-    /// respawned worker's lane finds its predecessor's record: the counts
-    /// carry on, and the health left in it is overwritten by the new
-    /// lane's first batch ([`publish_lane_health`]).
-    fn open_record(&self, key: &str, rung: &str, target_batch: usize) -> usize {
+    /// Index of this seat's record of workload `W`'s lane `key`, opened on
+    /// first use; a respawned worker's lane carries its predecessor's on.
+    pub(crate) fn open_record<W: ServeWorkload>(
+        &self,
+        key: &str,
+        rung: &str,
+        target_batch: usize,
+    ) -> usize {
         let mut records = self.lock_records();
-        if let Some(i) = records.iter().position(|r| r.counts.kernel == key) {
+        if let Some(i) = records.iter().position(|r| r.stats.counts.kernel == key) {
             return i;
         }
         records.push(LaneRecord {
-            counts: KernelSnapshot {
-                kernel: key.to_string(),
-                rung: rung.to_string(),
-                target_batch,
-                ..KernelSnapshot::default()
+            plane: W::PLANE,
+            events: LaneTallies::of::<W>(),
+            stats: LaneStats {
+                counts: KernelSnapshot {
+                    kernel: key.to_string(),
+                    rung: rung.to_string(),
+                    target_batch,
+                    ..KernelSnapshot::default()
+                },
+                ..LaneStats::default()
             },
-            ..LaneRecord::default()
         });
         records.len() - 1
     }
@@ -608,39 +444,53 @@ impl ServeSnapshot {
 /// flushed and answered).
 pub struct Server {
     plane: Arc<Plane>,
-    /// One worker thread per seat, for the server's lifetime: a killed
+    /// One driver thread per seat, for the server's lifetime: a killed
     /// worker respawns on its own thread.
     workers: Vec<JoinHandle<()>>,
     /// Round-robin admission cursor.
     rr: AtomicUsize,
 }
 
-/// What one server's router and workers share, behind one `Arc` — and
+/// What one server's router and drivers share, behind one `Arc` — and
 /// nothing outside that server sees, the fault plan included.
-struct Plane {
+pub(crate) struct Plane {
     /// Per-seat admission queues (the message seam), seat-index order.
     /// Each queue and seat keeps its own allocation: shards share no
     /// cache line through this struct.
-    queues: Vec<Arc<AdmissionQueue<Work>>>,
+    pub(crate) queues: Vec<Arc<AdmissionQueue<Work>>>,
     /// Per-seat shared tallies + liveness, seat-index order.
-    seats: Vec<Arc<ShardSeat>>,
+    pub(crate) seats: Vec<Arc<ShardSeat>>,
     /// The server-level half of the ledger (each seat holds its own);
     /// portfolio fan-ins share it to count how their request ended.
-    ledger: Arc<Ledger>,
-    /// True once shutdown started (distinguishes `ShuttingDown` from a
-    /// dead-shard rejection). Shutdown closes the queues under this lock
-    /// and a respawning worker reopens its queue under it, so no queue
-    /// is reopened after shutdown closed it.
+    pub(crate) ledger: Arc<Ledger>,
+    /// True once shutdown started. Shutdown closes the queues under this
+    /// lock and a respawning driver reopens its queue under it, so no
+    /// queue is reopened after shutdown closed it.
     closing: Mutex<bool>,
-    /// Signalled when `closing` is set: wakes workers waiting out a
-    /// respawn backoff.
+    /// Signalled when `closing` is set: wakes drivers in a backoff.
     closed: Condvar,
-    config: ServeConfig,
+    pub(crate) config: ServeConfig,
     /// The plan this server was started with ([`Server::start`]: none).
-    faults: Faults,
+    pub(crate) faults: Faults,
 }
 
 impl Plane {
+    /// `config.shards` empty seats and open queues, and a fresh ledger.
+    fn new(config: ServeConfig, faults: Faults) -> Self {
+        let n = config.shards.max(1);
+        Self {
+            queues: (0..n)
+                .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
+                .collect(),
+            seats: (0..n).map(|i| Arc::new(ShardSeat::new(i))).collect(),
+            ledger: Arc::new(Ledger::new()),
+            closing: Mutex::new(false),
+            closed: Condvar::new(),
+            config,
+            faults,
+        }
+    }
+
     fn lock_closing(&self) -> MutexGuard<'_, bool> {
         self.closing.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -650,7 +500,7 @@ impl Plane {
     }
 
     /// Start shutdown: set `closing`, close every queue, wake every
-    /// worker waiting out a respawn backoff. Idempotent.
+    /// driver waiting out a respawn backoff. Idempotent.
     fn close(&self) {
         let mut closing = self.lock_closing();
         *closing = true;
@@ -689,27 +539,13 @@ impl Server {
     /// [`start`](Self::start) a server whose admit, queue, batch and
     /// shard-kill sites fire `faults`, in this server only.
     pub fn start_with_faults(config: ServeConfig, faults: Faults) -> Self {
-        let n = config.shards.max(1);
-        let plane = Arc::new(Plane {
-            queues: (0..n)
-                .map(|_| Arc::new(AdmissionQueue::new(config.queue_capacity)))
-                .collect(),
-            seats: (0..n).map(|i| Arc::new(ShardSeat::new(i))).collect(),
-            ledger: Arc::new(Ledger::new()),
-            closing: Mutex::new(false),
-            closed: Condvar::new(),
-            config,
-            faults,
-        });
-        let workers = (0..n)
+        let plane = Arc::new(Plane::new(config, faults));
+        let workers = (0..plane.queues.len())
             .map(|index| {
-                let ctx = ShardCtx {
-                    index,
-                    plane: Arc::clone(&plane),
-                };
+                let plane = Arc::clone(&plane);
                 std::thread::Builder::new()
                     .name(format!("finbench-serve-{index}"))
-                    .spawn(move || shard_loop(ctx))
+                    .spawn(move || shard_loop(plane, index))
                     .expect("spawn shard worker")
             })
             .collect();
@@ -845,11 +681,12 @@ impl Server {
     }
 
     /// Point-in-time statistics: the ledger read out. Tallies are relaxed
-    /// loads; the seats' lane records are taken one seat at a time and
-    /// merged by lane key.
+    /// loads; the seats' lane records are taken one seat at a time, merged
+    /// by lane key, and their event handles added into their planes.
     pub fn snapshot(&self) -> ServeSnapshot {
         let plane = &*self.plane;
-        let mut lanes: Vec<LaneRecord> = Vec::new();
+        let mut planes = plane.ledger.snapshot();
+        let mut lanes: Vec<LaneStats> = Vec::new();
         let mut shards = Vec::with_capacity(plane.seats.len());
         for (i, seat) in plane.seats.iter().enumerate() {
             let records = seat.lock_records();
@@ -857,7 +694,7 @@ impl Server {
                 index: i,
                 alive: seat.alive(),
                 submitted: seat.submitted.load(Ordering::Relaxed),
-                served: records.iter().map(|r| r.counts.served).sum(),
+                served: records.iter().map(|r| r.events.served.get()).sum(),
                 stolen: seat.stolen.get(),
                 respawns: seat.respawns.get(),
                 redriven: seat.redriven.get(),
@@ -865,20 +702,21 @@ impl Server {
                 queue_depth: plane.queues[i].len(),
             });
             for r in records.iter() {
+                planes[r.plane].add_lane(&r.events);
+                let stats = r.read();
                 match lanes
                     .iter_mut()
-                    .find(|m| m.counts.kernel == r.counts.kernel)
+                    .find(|m| m.counts.kernel == stats.counts.kernel)
                 {
-                    Some(merged) => merged.merge(r),
-                    None => lanes.push(r.clone()),
+                    Some(merged) => merged.merge(&stats),
+                    None => lanes.push(stats),
                 }
             }
         }
         lanes.sort_by(|a, b| a.counts.kernel.cmp(&b.counts.kernel));
-        let planes = plane.ledger.snapshot();
         let sum = |pick: fn(&PlaneSnapshot) -> u64| planes.iter().map(pick).sum();
         ServeSnapshot {
-            kernels: lanes.into_iter().map(LaneRecord::finish).collect(),
+            kernels: lanes.into_iter().map(LaneStats::finish).collect(),
             shards,
             shed_queue_full: sum(|p| p.shed_queue_full),
             shed_deadline: sum(|p| p.shed_deadline),
@@ -890,9 +728,8 @@ impl Server {
         }
     }
 
-    /// Stop the plane: close the queues, then join the workers (each
-    /// drains its queue and lanes first). Idempotent (`shutdown` runs it,
-    /// then `Drop` runs it again on the same instance).
+    /// Stop the plane: close the queues, then join the drivers (each
+    /// drains its queue and lanes first). Idempotent.
     fn stop(&mut self) {
         self.plane.close();
         for h in self.workers.drain(..) {
@@ -921,24 +758,18 @@ impl Drop for Server {
 pub struct Admitted<'a>(&'a Server);
 
 impl Admitted<'_> {
-    /// The tail every admitted work item goes through — a price or greeks
-    /// request's one envelope, each chunk of a portfolio fan-out: route
-    /// it, or tally the `QueueFull` shed and answer the typed rejection
-    /// on the envelope's own reply.
+    /// Route one admitted work item — a request's envelope or a fan-out's
+    /// chunk — or answer the router's rejection on its own reply.
     pub(crate) fn one(self, work: Work) {
         if let Err((work, reason)) = self.0.route(work) {
-            if matches!(reason, Rejected::QueueFull { .. }) {
-                work.tallies(&self.0.plane.ledger).shed_queue_full.add(1);
-            }
-            on_envelope!(work, env => env.answer(Err(reason)));
+            let ledger = &self.0.plane.ledger;
+            on_envelope!(work, env => refuse(env, reason, ledger));
         }
     }
 
-    /// Fan a portfolio request out: the scenario range is split into
-    /// chunks routed across the live shards (each chunk spills, is
-    /// stolen, and is redriven like any work item), all answering into
-    /// one [`PortfolioFanIn`] that answers the request exactly once, on
-    /// whichever thread lands its last chunk.
+    /// Fan a portfolio request out: scenario-range chunks routed like any
+    /// work item, all answering into one [`PortfolioFanIn`] that answers
+    /// the request once, on whichever thread lands its last chunk.
     pub(crate) fn portfolio(self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
         let server = self.0;
         server.plane.ledger.portfolio_requests.add(1);
@@ -967,164 +798,42 @@ impl Admitted<'_> {
     }
 }
 
-/// Everything one worker shard needs: its index and the plane (its own
-/// queue and seat plus the siblings', for stealing and redrive). Moved
-/// into the worker thread.
-struct ShardCtx {
-    index: usize,
-    plane: Arc<Plane>,
+/// Answer `env` the router's rejection, tallying a `QueueFull` shed.
+fn refuse<W: ServeWorkload>(env: Envelope<W>, reason: Rejected, ledger: &Ledger) {
+    if matches!(reason, Rejected::QueueFull { .. }) {
+        ledger.of::<W>().shed_queue_full.add(1);
+    }
+    env.answer(Err(reason));
 }
 
 /// Most work items an idle shard steals from one sibling in one pass —
 /// enough to refill a micro-batch, small enough to keep the victim warm.
 const STEAL_MAX: usize = 64;
 
-/// Shortest steal poll of a sharded worker with nothing to do, whatever
-/// `max_delay` says — a zero `max_delay` must not spin the poll.
-const STEAL_POLL_FLOOR: Duration = Duration::from_micros(50);
-
-/// What lane code needs from its worker: the engine lanes resolve their
-/// ladders on, the plane (stats, config, faults), and the worker's seat.
-struct LaneCtx<'a> {
-    engine: &'a Engine,
-    plane: &'a Plane,
-    seat: &'a ShardSeat,
-}
-
-/// One worker's micro-batcher lanes, per request plane and lane key.
-#[derive(Default)]
-struct Lanes {
-    price: BTreeMap<String, Lane<PriceWorkload>>,
-    greeks: BTreeMap<String, Lane<GreeksWorkload>>,
-    portfolio: BTreeMap<String, Lane<PortfolioWorkload>>,
-}
-
-impl Lanes {
-    fn admit(&mut self, work: Work, cx: &LaneCtx) {
-        match work {
-            Work::Price(env) => admit(env, &mut self.price, cx),
-            Work::Greeks(env) => admit(env, &mut self.greeks, cx),
-            Work::Portfolio(env) => admit(env, &mut self.portfolio, cx),
-        }
-    }
-
-    /// True when any lane holds an unflushed request.
-    fn pending(&self) -> bool {
-        fn any<W: ServeWorkload>(lanes: &BTreeMap<String, Lane<W>>) -> bool {
-            lanes.values().any(|l| !l.batcher.is_empty())
-        }
-        any(&self.price) || any(&self.greeks) || any(&self.portfolio)
-    }
-
-    /// Execute every lane a trigger has fired for at `now`: the delay
-    /// trigger, and, when the worker's queue is `idle`, every lane that
-    /// holds anything (the size trigger fires at admission).
-    fn flush(&mut self, cx: &LaneCtx, now: Instant, idle: bool) {
-        fn each<W: ServeWorkload>(
-            lanes: &mut BTreeMap<String, Lane<W>>,
-            cx: &LaneCtx,
-            now: Instant,
-            idle: bool,
-        ) {
-            for lane in lanes.values_mut() {
-                if let Some(reason) = lane.batcher.trigger(now, idle) {
-                    execute(lane, reason, cx);
-                }
-            }
-        }
-        each(&mut self.price, cx, now, idle);
-        each(&mut self.greeks, cx, now, idle);
-        each(&mut self.portfolio, cx, now, idle);
-    }
-
-    /// Shutdown: execute whatever the lanes still hold.
-    fn drain(&mut self, cx: &LaneCtx) {
-        fn each<W: ServeWorkload>(lanes: &mut BTreeMap<String, Lane<W>>, cx: &LaneCtx) {
-            for lane in lanes.values_mut() {
-                if !lane.batcher.is_empty() {
-                    execute(lane, FlushReason::Drain, cx);
-                }
-            }
-        }
-        each(&mut self.price, cx);
-        each(&mut self.greeks, cx);
-        each(&mut self.portfolio, cx);
-    }
-
-    /// Kill: hand back everything the lanes hold, unexecuted.
-    fn strand(mut self) -> Vec<Work> {
-        fn each<W: ServeWorkload>(
-            lanes: &mut BTreeMap<String, Lane<W>>,
-            wrap: fn(Envelope<W>) -> Work,
-            out: &mut Vec<Work>,
-        ) {
-            for lane in lanes.values_mut() {
-                let Lane { batcher, flush, .. } = lane;
-                batcher.flush_into(flush);
-                out.extend(flush.drain(..).map(wrap));
-            }
-        }
-        let mut out = Vec::new();
-        each(&mut self.price, Work::Price, &mut out);
-        each(&mut self.greeks, Work::Greeks, &mut out);
-        each(&mut self.portfolio, Work::Portfolio, &mut out);
-        out
-    }
-}
-
-/// A seat's worker thread: one incarnation per pass, until shutdown
-/// drains it. A killed incarnation's work is redriven ([`kill_shard`]);
-/// with respawn on, the worker then waits out its backoff, reopens its
-/// queue and serves again with fresh lanes and the same engine, and the
-/// seat's ledger and lane records carry on.
-fn shard_loop(ctx: ShardCtx) {
-    let engine = Engine::new(registry());
-    let plane = &*ctx.plane;
-    let seat = &*plane.seats[ctx.index];
-    let cx = LaneCtx {
-        engine: &engine,
-        plane,
-        seat,
-    };
-    let mut cooldown = RESPAWN_COOLDOWN;
-    let mut respawned_at: Option<Instant> = None;
-    while let Some(killed_at) = incarnation(&ctx, &cx) {
-        if !plane.config.respawn {
+/// Seat `index`'s driver thread: its shard on the real clock, one
+/// incarnation per pass. A killed incarnation's work is redriven; with
+/// respawn on, it waits out the backoff, reopens the queue and
+/// serves again, and the seat's ledger and lane records carry on.
+fn shard_loop(plane: Arc<Plane>, index: usize) {
+    let mut shard = Shard::new(plane, index, Instant::now);
+    while serve(&mut shard) {
+        let stranded = shard.kill();
+        redrive(&shard, stranded);
+        let plane = &*shard.plane;
+        if !plane.config.respawn || !plane.reopen_after(index, shard.cooldown) {
             return;
         }
-        // A seat that dies on probation waits twice its last wait
-        // (capped); one that outlived probation starts over.
-        cooldown = match respawned_at {
-            Some(at) if killed_at.duration_since(at) < RESPAWN_HEAL_AFTER => {
-                (cooldown * 2).min(RESPAWN_MAX_COOLDOWN)
-            }
-            _ => RESPAWN_COOLDOWN,
-        };
-        if !plane.reopen_after(ctx.index, cooldown) {
-            return;
-        }
-        let mttr = killed_at.elapsed().as_nanos() as u64;
-        seat.mttr_nanos.fetch_add(mttr, Ordering::Relaxed);
-        seat.mttr_gauge.set(mttr as f64 / 1e6);
-        seat.respawns.add(1);
-        seat.respawns_by_seat.add(1);
-        seat.alive_gauge.set(1.0);
-        // Last: flipping liveness publishes the seat to the router.
-        seat.dead.store(false, Ordering::Release);
-        respawned_at = Some(Instant::now());
+        shard.respawned();
     }
 }
 
-/// Serve one incarnation of a seat's worker: until its queue is closed
-/// and drained (`None`), or until the kill fault fires (`Some(kill
-/// instant)`, once [`kill_shard`] has redriven what it held).
-fn incarnation(ctx: &ShardCtx, cx: &LaneCtx) -> Option<Instant> {
-    let plane = cx.plane;
+/// Drive one incarnation of `shard`: `false` once its queue is closed and
+/// it has drained, `true` when the kill fault fires.
+fn serve(shard: &mut Shard) -> bool {
+    let plane = Arc::clone(&shard.plane);
     let (queues, config, faults) = (&plane.queues, &plane.config, &plane.faults);
-    let (queue, seat) = (&*queues[ctx.index], cx.seat);
-    let mut lanes = Lanes::default();
-    let sharded = queues.len() > 1;
-    let kill_site = format!("serve.shard.{}", ctx.index);
+    let (queue, seat) = (&*queues[shard.index], &plane.seats[shard.index]);
+    let kill_site = format!("serve.shard.{}", shard.index);
     loop {
         // Fault injection: a stalled (or slowed) worker — its queue backs
         // up and spill/steal/shedding take over.
@@ -1138,65 +847,54 @@ fn incarnation(ctx: &ShardCtx, cx: &LaneCtx) -> Option<Instant> {
                     _ => {}
                 }
             }
-            // Shard-kill fault: this incarnation dies. Stranded work is
-            // redriven once to live siblings (or answered with typed
-            // rejections when it can't be). Availability degrades;
-            // correctness and the rest of the fleet do not.
+            // Shard-kill fault: this incarnation dies. Availability
+            // degrades; correctness and the rest of the fleet do not.
             if faults
                 .fire(&kill_site)
                 .iter()
                 .any(|k| matches!(k, FaultKind::Kill))
             {
-                return Some(kill_shard(ctx, lanes));
+                return true;
             }
         }
-        // The idle trigger empties the lanes whenever the queue is empty,
-        // so the worker normally waits with nothing batched: a lone shard
-        // parks until a push or close wakes it, a sharded one polls for
-        // work to steal. Lanes hold work here only while the queue keeps
-        // refilling — take the next request without waiting.
-        let popped = if lanes.pending() {
-            queue.pop_timeout(Duration::ZERO)
-        } else if sharded {
-            queue.pop_timeout(config.max_delay.max(STEAL_POLL_FLOOR))
-        } else {
-            queue.pop_wait()
+        let wait = shard.next_wait();
+        let popped = match wait {
+            Some(wait) => queue.pop_timeout(wait),
+            None => queue.pop_wait(),
         };
         match popped {
             Some(work) => {
                 seat.depth_gauge.set(queue.len() as f64);
                 let total: usize = queues.iter().map(|q| q.len()).sum();
                 plane.ledger.queue_depth.set(total as f64);
-                lanes.admit(work, cx);
+                shard.admit(work);
             }
             None if queue.is_closed() && queue.is_empty() => break,
-            None => {
-                // Nothing of our own: steal queued work from the deepest
-                // sibling queue (newest items, so the victim keeps its
-                // oldest, deadline-critical work).
-                if sharded && !lanes.pending() && queue.is_empty() {
-                    for work in steal_from_siblings(ctx, seat) {
-                        lanes.admit(work, cx);
-                    }
+            // A steal poll that found nothing of our own: take queued work
+            // from the deepest sibling.
+            None if wait > Some(Duration::ZERO) && queue.is_empty() => {
+                for work in steal(&plane, shard.index) {
+                    shard.admit(work);
                 }
             }
+            None => {}
         }
         // A closed queue ends the loop once it is drained; what the lanes
         // hold by then is the shutdown drain's, not an idle flush.
-        let idle = queue.is_empty() && !queue.is_closed();
-        lanes.flush(cx, Instant::now(), idle);
+        shard.flush(queue.is_empty() && !queue.is_closed());
     }
-    lanes.drain(cx);
-    None
+    shard.drain();
+    false
 }
 
-/// Steal up to [`STEAL_MAX`] work items from the deepest sibling queue.
-/// Stolen items land in this shard's own same-kernel lanes; padding and
-/// lane-wise rungs make the move bit-invisible to every response.
-fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
-    let queues = &ctx.plane.queues;
+/// Steal up to [`STEAL_MAX`] work items from the back of the deepest
+/// sibling queue: its newest, so the victim keeps its oldest,
+/// deadline-critical work. Padded lane-wise batching makes the move
+/// bit-invisible.
+fn steal(plane: &Plane, index: usize) -> Vec<Work> {
+    let queues = &plane.queues;
     let victim = (0..queues.len())
-        .filter(|&i| i != ctx.index)
+        .filter(|&i| i != index)
         .max_by_key(|&i| queues[i].len());
     let Some(victim) = victim else {
         return Vec::new();
@@ -1208,55 +906,22 @@ fn steal_from_siblings(ctx: &ShardCtx, seat: &ShardSeat) -> Vec<Work> {
         return Vec::new();
     }
     let stolen = queues[victim].steal_up_to((depth / 2).min(STEAL_MAX));
-    seat.stolen.add(stolen.len() as u64);
+    plane.seats[index].stolen.add(stolen.len() as u64);
     stolen
 }
 
-/// Tear one shard down under the kill fault: mark it dead (the router
-/// stops routing here), close its queue, and redrive everything pending
-/// — batched in lanes or still queued — to live siblings (see
-/// [`redrive_stranded`]). Returns the kill instant, where the seat's
-/// MTTR starts.
-fn kill_shard(ctx: &ShardCtx, lanes: Lanes) -> Instant {
-    let killed_at = Instant::now();
-    let index = ctx.index;
-    let queue = &ctx.plane.queues[index];
-    let seat = &ctx.plane.seats[index];
-    seat.dead.store(true, Ordering::Release);
-    queue.close();
-    ctx.plane.ledger.shard_kills.add(1);
-    seat.alive_gauge.set(0.0);
-    // Collect strandees oldest-first: lane batchers hold work admitted
-    // before anything still in the queue.
-    let mut stranded = lanes.strand();
-    stranded.extend(queue.steal_up_to(usize::MAX));
-    redrive_stranded(ctx, stranded);
-    killed_at
-}
-
-/// Redrive the stranded work of a killed shard to live siblings —
-/// response channels ride inside the envelopes, and padded lane-wise
-/// batching makes execution on the sibling bit-identical, so the move
-/// is invisible to clients.
-///
-/// At-most-once: every redriven envelope is flagged, and a flagged item
-/// stranded by a *second* kill is answered `Rejected::Internal` here
-/// instead of re-routed — no request is ever delivered to a worker more
-/// than twice, and since delivery consumes the envelope, each gets
-/// exactly one terminal response. Items whose end-to-end deadline has
-/// already passed are shed rather than retried (the budget spans
-/// admission wait, spill, steal, redrive, and execution because the
-/// deadline is one absolute instant). Like stolen work, redriven items
-/// do not bump the sibling's `submitted` tally — they were already
-/// counted against this seat.
-fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
+/// Redrive what killed `shard` stranded, each item to the live sibling
+/// with the shallowest queue, reply intact (bit-invisible, like a steal).
+/// At most once: an item stranded by a *second* kill is answered
+/// `Rejected::Internal` instead, so every request gets exactly one
+/// terminal response; one whose deadline passed (on the shard's clock)
+/// is shed. Redriven items stay counted as `submitted` at the killed seat.
+fn redrive(shard: &Shard, stranded: Vec<Work>) {
     if stranded.is_empty() {
         return;
     }
-    let index = ctx.index;
-    let plane = &*ctx.plane;
+    let (plane, index) = (&*shard.plane, shard.index);
     let (queues, seats, ledger) = (&plane.queues, &plane.seats, &plane.ledger);
-    let seat = &seats[index];
     // Live siblings in ascending queue-depth order, recomputed once per
     // kill (not per item: the kill path should finish fast so the seat
     // can respawn).
@@ -1264,7 +929,7 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
         .filter(|&i| i != index && seats[i].alive())
         .collect();
     order.sort_by_key(|&i| queues[i].len());
-    let now = Instant::now();
+    let now = shard.now();
     for mut work in stranded {
         if let Some(d) = work.deadline() {
             if now > d {
@@ -1272,16 +937,15 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
                 continue;
             }
         }
-        if work.redriven() {
+        if !work.mark_redriven() {
             work.reject_internal("shard killed; redrive budget exhausted", ledger);
             continue;
         }
-        work.mark_redriven();
         let mut item = Some(work);
         for &i in &order {
             match queues[i].try_push(item.take().expect("item present until placed")) {
                 Ok(()) => {
-                    seat.redriven.add(1);
+                    seats[index].redriven.add(1);
                     break;
                 }
                 Err(back) => item = Some(back),
@@ -1293,283 +957,18 @@ fn redrive_stranded(ctx: &ShardCtx, stranded: Vec<Work>) {
     }
 }
 
-/// Route one admitted envelope into its lane, resolving the lane on
-/// first use; bad kernels answer immediately with a typed rejection.
-fn admit<W: ServeWorkload>(env: Envelope<W>, lanes: &mut BTreeMap<String, Lane<W>>, cx: &LaneCtx) {
-    if !lanes.contains_key(W::lane_key(&env.req)) {
-        let key = W::lane_key(&env.req).to_string();
-        match make_lane::<W>(&key, cx) {
-            Ok(lane) => {
-                lanes.insert(key, lane);
-            }
-            Err(reason) => {
-                cx.plane.ledger.of::<W>().rejected.add(1);
-                env.answer(Err(reason));
-                return;
-            }
-        }
-    }
-    let lane = lanes
-        .get_mut(W::lane_key(&env.req))
-        .expect("lane just ensured");
-    lane.batcher.push(env, Instant::now());
-    if lane.batcher.full() {
-        execute(lane, FlushReason::Size, cx);
-    }
-}
-
-fn make_lane<W: ServeWorkload>(key: &str, cx: &LaneCtx) -> Result<Lane<W>, Rejected> {
-    let (engine, config) = (cx.engine, &cx.plane.config);
-    let ladder = W::ladder(engine, key, &config.pricer)?;
-    // Size the batch to what the planned rung can chew through in one
-    // delay window; the planner's predicted rate is per-item. A batch can
-    // never hold more than the queue can admit, so the cap is the tighter
-    // of `max_batch` and the queue capacity.
-    let predicted = engine
-        .plan(key)
-        .map(|p| p.predicted_rate)
-        .unwrap_or(f64::NAN);
-    let target = target_batch(
-        predicted,
-        config.max_delay,
-        ladder[0].width,
-        config.max_batch.min(config.queue_capacity),
-    );
-    Ok(Lane {
-        record: cx.seat.open_record(key, &ladder[0].slug, target),
-        batcher: MicroBatcher::new(BatchPolicy {
-            max_batch: target,
-            max_delay: config.max_delay,
-        }),
-        published: None,
-        ladder,
-        level: 0,
-        breaker: Breaker::new(config.breaker),
-        target,
-        flush: Vec::new(),
-        scratch: W::Scratch::default(),
-        span_name: format!("serve.batch.{key}"),
-        fault_site: format!("batch.{key}"),
-        breaker_gauge: Gauge::named(format!("serve.breaker.{key}")),
-        degradation_gauge: Gauge::named(format!("serve.degradation.{key}")),
-        key: key.to_string(),
-    })
-}
-
-/// Answer every envelope in `live` with `Rejected::Internal` and tally
-/// them. Borrowed reasons are cloned for free; owned (formatted) reasons
-/// pay one clone per envelope.
-// `&str` would defeat exactly that: it forces an owned clone per envelope.
-#[allow(clippy::ptr_arg)]
-fn reject_internal<W: ServeWorkload>(
-    live: &[Envelope<W>],
-    reason: &Cow<'static, str>,
-    ledger: &Ledger,
-) {
-    ledger.of::<W>().internal.add(live.len() as u64);
-    for env in live {
-        env.answer(Err(Rejected::Internal {
-            reason: reason.clone(),
-        }));
-    }
-}
-
-/// Shed `env` with `Rejected::DeadlineExceeded`. The deadline is
-/// absolute, so the one check behind this call enforces the end-to-end
-/// budget across admission wait, spill, steal, and redrive. Sheds of
-/// redriven work land in their own bucket: they tell the operator the
-/// retry arrived but the client's budget had already run out.
-fn shed_deadline<W: ServeWorkload>(env: &Envelope<W>, late_by: Duration, ledger: &Ledger) {
-    let tallies = ledger.of::<W>();
-    if env.redriven {
-        tallies.shed_deadline_redrive.add(1);
-    } else {
-        tallies.shed_deadline.add(1);
-    }
-    env.answer(Err(Rejected::DeadlineExceeded { late_by }));
-}
-
-/// Render a caught panic payload for the `Rejected::Internal` reason.
-fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Flush the lane's micro-batch and execute it: shed blown deadlines,
-/// gate on the breaker, stage the batch into the lane's reusable
-/// [`Scratch`](ServeWorkload::Scratch), run the workload's kernel under
-/// `catch_unwind`, and scatter results back. Panics reject the in-flight
-/// batch and degrade/open the breaker; successes climb back. Written
-/// once, generically — every request plane runs through here. `reason`
-/// is the trigger that fired, tallied with the batch.
-///
-/// The flush target and the scratch are lane-owned and recycled, the
-/// batch span reuses the buffers of the record it evicts, and the seat's
-/// record is found by borrowed key, so a lane at steady state executes
-/// whole batches without allocating (each response's rung `String` and
-/// reply are the caller's, not the lane's).
-fn execute<W: ServeWorkload>(lane: &mut Lane<W>, reason: FlushReason, cx: &LaneCtx) {
-    let (ledger, seat, faults) = (&cx.plane.ledger, cx.seat, &cx.plane.faults);
-    let tallies = ledger.of::<W>();
-    {
-        let Lane { batcher, flush, .. } = lane;
-        batcher.flush_into(flush);
-    }
-    let now = Instant::now();
-    lane.flush.retain(|env| match env.deadline() {
-        Some(d) if now > d => {
-            shed_deadline(env, now.duration_since(d), ledger);
-            false
-        }
-        _ => true,
-    });
-    if lane.flush.is_empty() {
-        return;
-    }
-
-    // The breaker gates the batch before any kernel work happens.
-    match lane.breaker.allow(now) {
-        Err(remaining) => {
-            let reason = format!("circuit open for {} (retry in {remaining:?})", lane.key);
-            reject_internal(&lane.flush, &Cow::Owned(reason), ledger);
-            lane.flush.clear();
-            publish_lane_health(lane, seat);
-            return;
-        }
-        Ok(Gate::Restarted) => {
-            // Supervised restart after the cooldown: count it and probe.
-            tallies.lane_restarts.add(1);
-            seat.lock_records()[lane.record].counts.restarts += 1;
-        }
-        Ok(Gate::Proceed | Gate::Probe) => {}
-    }
-
-    let level = lane.level;
-    let width = lane.ladder[level].width;
-
-    let span = telemetry::span(lane.span_name.as_str());
-    telemetry::set_attr("rung", Arc::clone(&lane.ladder[level].slug));
-    telemetry::set_attr("occupancy", lane.flush.len());
-    telemetry::set_attr("target", lane.target);
-    telemetry::set_attr("degradation_level", level);
-
-    W::stage(
-        &mut lane.scratch,
-        lane.flush.iter().map(|env| &env.req),
-        width,
-    );
-
-    let outcome = {
-        let Lane {
-            ladder,
-            scratch,
-            fault_site,
-            ..
-        } = lane;
-        let rung = &ladder[level];
-        catch_unwind(AssertUnwindSafe(|| {
-            // Fault injection for this batch: added latency and/or a
-            // panic, inside the unwind boundary so it exercises the real
-            // breaker.
-            if faults.armed() {
-                faults.fire_compute(fault_site);
-            }
-            W::compute(rung, scratch);
-        }))
-    };
-    let done = Instant::now();
-
-    match outcome {
-        Ok(()) => {
-            if lane.breaker.on_success() && lane.level > 0 {
-                // Sustained health: promote one level back toward the
-                // planned rung.
-                lane.level -= 1;
-                tallies.promotions.add(1);
-            }
-            let slug = &lane.ladder[level].slug;
-            let batch_len = lane.flush.len();
-            // The seat's own lock, held across the scatter: only a
-            // snapshot ever waits for it, and then sees whole batches.
-            let mut records = seat.lock_records();
-            let ks = &mut records[lane.record];
-            ks.counts.batches += 1;
-            ks.counts.served += batch_len as u64;
-            ks.counts.flushes.record(reason);
-            if level > 0 {
-                tallies.degraded_batches.add(1);
-                ks.counts.degraded_batches += 1;
-            }
-            ks.occupancy.record(batch_len as f64);
-            // Tally, and close the batch's span, before scattering: a
-            // client that holds its response must see both in the next
-            // snapshot (loadgen deltas rely on this ordering).
-            tallies.served.add(batch_len as u64);
-            drop(span);
-            for (i, env) in lane.flush.iter().enumerate() {
-                let latency = done.duration_since(env.submitted);
-                ks.latency_us.record(latency.as_secs_f64() * 1e6);
-                env.answer(Ok(W::payload(&lane.scratch, i, slug, batch_len, latency)));
-            }
-            drop(records);
-            lane.flush.clear();
-        }
-        Err(payload) => {
-            let reason = panic_reason(payload.as_ref());
-            telemetry::set_attr("panic", reason.as_str());
-            let at_bottom = lane.at_bottom();
-            match lane.breaker.on_failure(Instant::now(), at_bottom) {
-                FailureAction::Degrade => {
-                    lane.level += 1;
-                    tallies.degradations.add(1);
-                }
-                FailureAction::Opened => {
-                    tallies.breaker_open.add(1);
-                    seat.lock_records()[lane.record].counts.breaker_open += 1;
-                }
-                FailureAction::Tolerate => {}
-            }
-            drop(span);
-            reject_internal(
-                &lane.flush,
-                &Cow::Owned(format!("kernel panic: {reason}")),
-                ledger,
-            );
-            lane.flush.clear();
-        }
-    }
-    publish_lane_health(lane, seat);
-}
-
-/// Push the lane's breaker state and degradation level into its seat's
-/// record and the telemetry gauges — when they changed since the last
-/// push, which on a healthy lane is once.
-fn publish_lane_health<W: ServeWorkload>(lane: &mut Lane<W>, seat: &ShardSeat) {
-    let state = lane.breaker.state();
-    let health = Some((state, lane.level));
-    if lane.published == health {
-        return;
-    }
-    lane.published = health;
-    let ks = &mut seat.lock_records()[lane.record];
-    ks.breaker = state;
-    ks.counts.degradation_level = lane.level;
-    ks.counts.rung = lane.ladder[lane.level].slug.to_string();
-    lane.breaker_gauge.set(state.as_gauge());
-    lane.degradation_gauge.set(lane.level as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pricer;
     use crate::request::{PriceRequest, PriceResponse};
+    use crate::shard::{backoff, RESPAWN_COOLDOWN};
+    use crate::workload::PortfolioWorkload;
+    use finbench_core::engine::registry;
+    use finbench_engine::Engine;
     use finbench_faults::{self as faults, FaultPlan, FaultSpec};
+    use std::cell::Cell;
+    use std::fmt::Debug;
 
     fn quick_config() -> ServeConfig {
         ServeConfig {
@@ -1586,71 +985,158 @@ mod tests {
         }
     }
 
+    /// [`quick_config`] with `edit` applied.
+    fn quick(edit: impl FnOnce(&mut ServeConfig)) -> ServeConfig {
+        let mut config = quick_config();
+        edit(&mut config);
+        config
+    }
+
     fn start_with(config: ServeConfig, plan: FaultPlan) -> Server {
         Server::start_with_faults(config, Faults::new(plan))
     }
 
-    /// `shards` workers whose `queue=stall` lasts 200 ms — the window the
-    /// kill tests push work in — and that stay dead once killed.
-    fn stalled_no_respawn(shards: usize) -> ServeConfig {
-        ServeConfig {
-            shards,
-            max_delay: Duration::from_millis(200),
-            respawn: false,
-            ..quick_config()
+    /// Panic on batches of `kernel`'s lane, the first `fires` of them.
+    fn panics(kernel: &str, fires: u64) -> FaultPlan {
+        let site = format!("batch.{kernel}");
+        FaultPlan::new().with(FaultSpec::always(site, FaultKind::Panic).limited(fires))
+    }
+
+    fn bs(id: u64) -> PriceRequest {
+        PriceRequest::new(id, "black_scholes", 30.0, 35.0, 1.0)
+    }
+
+    /// `req`'s answer from a driven server, within ten seconds.
+    fn ask<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Rejected> {
+        let rx = server.submit(req);
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("answered")
+            .outcome
+    }
+
+    fn internal<T: Debug>(out: &Result<T, Rejected>) -> &str {
+        match out {
+            Err(Rejected::Internal { reason }) => reason,
+            other => panic!("expected Internal, got {other:?}"),
         }
     }
 
-    /// Every worker stalls, then those at `site` die.
-    fn stall_then_kill(site: &str) -> FaultPlan {
-        FaultPlan::new()
-            .with(FaultSpec::always("queue", FaultKind::StallQueue))
-            .with(FaultSpec::always(site, FaultKind::Kill))
+    fn bs_ladder() -> Vec<pricer::ServingRung> {
+        let engine = Engine::new(registry());
+        pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer).unwrap()
+    }
+
+    fn kernel<'a>(snap: &'a ServeSnapshot, name: &str) -> &'a KernelSnapshot {
+        snap.kernels
+            .iter()
+            .find(|k| k.kernel == name)
+            .unwrap_or_else(|| panic!("no {name} lane in {snap:?}"))
+    }
+
+    thread_local! {
+        /// The instant this test's shards read: every test runs on its
+        /// own thread, and time moves only when the test [`step`]s it.
+        static NOW: Cell<Option<Instant>> = const { Cell::new(None) };
+    }
+
+    fn stepped() -> Instant {
+        NOW.with(|now| {
+            let at = now.get().unwrap_or_else(Instant::now);
+            now.set(Some(at));
+            at
+        })
+    }
+
+    fn step(by: Duration) {
+        let at = stepped() + by;
+        NOW.with(|now| now.set(Some(at)));
+    }
+
+    /// A server on [`quick`] with no drivers: nothing pops its queues until the test
+    /// steps a seat's shard by hand, on the stepped clock.
+    fn undriven(edit: impl FnOnce(&mut ServeConfig)) -> Server {
+        let plane = Arc::new(Plane::new(quick(edit), Faults::none()));
+        let (workers, rr) = (Vec::new(), AtomicUsize::new(0));
+        Server { plane, workers, rr }
+    }
+
+    fn shard(server: &Server, index: usize) -> Shard {
+        Shard::new(Arc::clone(&server.plane), index, stepped)
+    }
+
+    /// Turn `shard` the way its driver does until its queue is empty:
+    /// pop, admit, flush — on idle once the queue has run dry.
+    fn run_dry(shard: &mut Shard) {
+        let queue = Arc::clone(&shard.plane.queues[shard.index]);
+        while let Some(work) = queue.pop_timeout(Duration::ZERO) {
+            shard.admit(work);
+            shard.flush(queue.is_empty());
+        }
+    }
+
+    /// Take the shard's next queued item into its lanes, unflushed.
+    fn admit_one(shard: &mut Shard) {
+        let work = shard.plane.queues[shard.index].pop_timeout(Duration::ZERO);
+        shard.admit(work.expect("a queued item"));
+    }
+
+    /// Push price requests `ids` straight into seat `i`'s queue, past the
+    /// router; their answers arrive on the returned channel.
+    fn queued(server: &Server, i: usize, ids: std::ops::Range<u64>) -> Receiver<PriceResponse> {
+        let (tx, rx) = mpsc::channel();
+        for id in ids {
+            let work = Work::Price(Envelope::new(bs(id), &tx));
+            let pushed = server.plane.queues[i].try_push(work).is_ok();
+            assert!(pushed, "queue {i} full");
+        }
+        rx
+    }
+
+    /// Kill `shard` and redrive what it stranded, as its driver does.
+    fn kill(shard: &mut Shard) {
+        let stranded = shard.kill();
+        redrive(shard, stranded);
+    }
+
+    fn ids<T>(got: &[Response<T>]) -> Vec<u64> {
+        got.iter().map(|r| r.id).collect()
     }
 
     #[test]
     fn prices_requests_and_echoes_ids() {
         let server = Server::start(quick_config());
-        let rx1 = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
+        let rx1 = server.submit(bs(1));
         let rx2 = server.submit(PriceRequest::new(2, "binomial", 30.0, 35.0, 1.0));
         let r1 = rx1.recv_timeout(Duration::from_secs(10)).unwrap();
         let r2 = rx2.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert_eq!(r1.id, 1);
-        assert_eq!(r2.id, 2);
-        let p1 = r1.outcome.unwrap();
-        let p2 = r2.outcome.unwrap();
+        assert_eq!((r1.id, r2.id), (1, 2));
+        let (p1, p2) = (r1.outcome.unwrap(), r2.outcome.unwrap());
         assert!(p1.call > 0.0 && p1.put > 0.0, "{p1:?}");
         assert!(p2.call > 0.0 && p2.put > 0.0, "{p2:?}");
         // Different engines, same option: prices agree loosely (binomial
         // converges to Black-Scholes).
         assert!((p1.call - p2.call).abs() < 0.5, "{p1:?} vs {p2:?}");
         let snap = server.shutdown();
-        assert_eq!(snap.total_shed(), 0);
-        assert_eq!(snap.kernels.len(), 2);
+        assert_eq!((snap.total_shed(), snap.kernels.len()), (0, 2));
         // Healthy run: breakers closed, nothing degraded or restarted.
         for k in &snap.kernels {
             assert_eq!(k.breaker, "closed");
-            assert_eq!(k.degradation_level, 0);
-            assert_eq!(k.degraded_batches, 0);
-            assert_eq!(k.restarts, 0);
+            let health = (k.degradation_level, k.degraded_batches, k.restarts);
+            assert_eq!(health, (0, 0, 0));
         }
-        assert_eq!(snap.internal, 0);
-        assert_eq!(snap.invalid_input, 0);
+        assert_eq!((snap.internal, snap.invalid_input), (0, 0));
     }
 
     #[test]
     fn portfolio_fan_out_merges_bit_identically_to_native() {
         use finbench_core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig};
-        let mut config = quick_config();
-        config.shards = 2;
+        let config = quick(|c| c.shards = 2);
         let server = Server::start(config);
         let rx = server.submit(PortfolioRequest::new(9, 42, 24, 96).with_chunk(16));
         let resp = rx.recv_timeout(Duration::from_secs(30)).unwrap();
         assert_eq!(resp.id, 9);
         let out = resp.outcome.unwrap();
-        assert_eq!(out.scenarios, 96);
-        assert_eq!(out.pnl.len(), 96);
-        assert_eq!(out.chunks, 6);
+        assert_eq!((out.scenarios, out.pnl.len(), out.chunks), (96, 96, 6));
         // Served on the planned (W=8) rung only — no degradation here.
         assert_eq!(out.rungs, ["intermediate_simd_revaluation_w_8"]);
         // Native replay of the same book + grid at the same rung.
@@ -1668,28 +1154,21 @@ mod tests {
         assert!(out.risk[1].var >= out.risk[0].var, "{:?}", out.risk);
         assert!(out.risk[0].es >= out.risk[0].var, "{:?}", out.risk);
         let snap = server.shutdown();
-        assert_eq!(snap.total_shed(), 0);
-        assert_eq!(snap.internal, 0);
+        assert_eq!((snap.total_shed(), snap.internal), (0, 0));
         assert!(snap.kernels.iter().any(|k| k.kernel == "portfolio"));
     }
 
     #[test]
     fn portfolio_rejects_invalid_requests_synchronously() {
         let server = Server::start(quick_config());
-        let rx = server.submit(PortfolioRequest::new(1, 7, 0, 64));
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome {
-            Err(Rejected::InvalidInput { reason }) => {
-                assert!(reason.contains("non-empty"), "{reason}");
-            }
+        match ask(&server, PortfolioRequest::new(1, 7, 0, 64)) {
+            Err(Rejected::InvalidInput { reason }) => assert!(reason.contains("non-empty")),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
-        let rx = server.submit(PortfolioRequest::new(2, 7, 16, 32).with_confidence(vec![2.0]));
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(5)).unwrap().outcome,
-            Err(Rejected::InvalidInput { .. })
-        ));
-        let snap = server.shutdown();
-        assert_eq!(snap.invalid_input, 2);
+        let req = PortfolioRequest::new(2, 7, 16, 32).with_confidence(vec![2.0]);
+        let out = ask(&server, req);
+        assert!(matches!(out, Err(Rejected::InvalidInput { .. })));
+        assert_eq!(server.shutdown().invalid_input, 2);
     }
 
     #[test]
@@ -1697,21 +1176,11 @@ mod tests {
         // Different fan-out shapes (chunk sizes, shard counts) must merge
         // to bit-identical P&L — the split-invariance contract end to end.
         let run = |shards: usize, chunk: usize| {
-            let mut config = quick_config();
-            config.shards = shards;
-            let server = Server::start(config);
-            let rx = server.submit(PortfolioRequest::new(1, 11, 16, 80).with_chunk(chunk));
-            let out = rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap()
-                .outcome
-                .unwrap();
-            server.shutdown();
-            out.pnl
+            let server = Server::start(quick(|c| c.shards = shards));
+            let req = PortfolioRequest::new(1, 11, 16, 80).with_chunk(chunk);
+            ask(&server, req).unwrap().pnl
         };
-        let a = run(1, 80);
-        let b = run(2, 13);
-        let c = run(3, 7);
+        let (a, b, c) = (run(1, 80), run(2, 13), run(3, 7));
         assert_eq!(a.len(), 80);
         for j in 0..80 {
             assert_eq!(a[j].to_bits(), b[j].to_bits(), "scenario {j}");
@@ -1723,10 +1192,7 @@ mod tests {
     fn a_portfolio_request_is_answered_by_the_time_shutdown_returns() {
         // No merge thread outlives the workers: the last chunk's worker
         // answers the request, and shutdown joins every worker.
-        let server = Server::start(ServeConfig {
-            shards: 2,
-            ..quick_config()
-        });
+        let server = Server::start(quick(|c| c.shards = 2));
         let rx = server.submit(PortfolioRequest::new(4, 21, 16, 64).with_chunk(8));
         server.shutdown();
         let resp = rx.try_recv().expect("answered before shutdown returned");
@@ -1736,31 +1202,23 @@ mod tests {
 
     #[test]
     fn a_fan_out_partly_refused_is_answered_once_with_queue_full() {
-        // The lone worker sleeps out one stall before it first pops, so
-        // the first two of four chunks fill its two-slot queue and the
-        // router refuses the other two.
-        let config = ServeConfig {
-            queue_capacity: 2,
-            max_delay: Duration::from_millis(200),
-            ..quick_config()
-        };
-        let stall = FaultSpec::always("queue", FaultKind::StallQueue).limited(1);
-        let server = start_with(config, FaultPlan::new().with(stall));
+        // Nothing pops while the four chunks are routed, so the first two
+        // fill the two-slot queue and the router refuses the other two.
+        let server = undriven(|c| c.queue_capacity = 2);
         let (tx, rx) = mpsc::channel();
         server.submit_with(PortfolioRequest::new(5, 3, 8, 64).with_chunk(16), &tx);
         drop(tx);
-        let got: Vec<PortfolioResponse> = rx.iter().collect();
+        assert_eq!(server.queue_depth(), 2);
+        run_dry(&mut shard(&server, 0));
+        let got: Vec<PortfolioResponse> = rx.try_iter().collect();
         assert_eq!(got.len(), 1, "exactly one terminal response");
-        assert!(
-            matches!(got[0].outcome, Err(Rejected::QueueFull { capacity: 2 })),
-            "{:?}",
-            got[0].outcome
-        );
-        let ledger = &server.plane.ledger;
+        let out = &got[0].outcome;
+        assert!(matches!(out, Err(Rejected::QueueFull { capacity: 2 })));
+        let l = &server.plane.ledger;
         let ends = [
-            &ledger.portfolio_requests,
-            &ledger.portfolio_failed,
-            &ledger.portfolio_merged,
+            &l.portfolio_requests,
+            &l.portfolio_failed,
+            &l.portfolio_merged,
         ];
         assert_eq!(ends.map(Counter::get), [1, 1, 0]);
         let snap = server.shutdown();
@@ -1782,80 +1240,66 @@ mod tests {
         assert_eq!(out.call.gamma.to_bits(), out.put.gamma.to_bits());
         assert_eq!(out.rung, "intermediate_simd_soa_greeks_w_8");
         let snap = server.shutdown();
-        let k = snap.kernels.iter().find(|k| k.kernel == "greeks").unwrap();
-        assert_eq!(k.served, 1);
-        assert_eq!(k.breaker, "closed");
+        let k = kernel(&snap, "greeks");
+        assert_eq!((k.served, k.breaker.as_str()), (1, "closed"));
         assert_eq!(snap.total_shed(), 0);
     }
 
     #[test]
     fn greeks_invalid_inputs_and_deadlines_get_typed_answers() {
         let server = Server::start(quick_config());
-        let rx = server.submit(GreeksRequest::new(1, f64::NAN, 35.0, 1.0));
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
-            Err(Rejected::InvalidInput { .. })
-        ));
+        let out = ask(&server, GreeksRequest::new(1, f64::NAN, 35.0, 1.0));
+        assert!(matches!(out, Err(Rejected::InvalidInput { .. })));
         let mut req = GreeksRequest::new(2, 30.0, 35.0, 1.0);
         req.deadline = Some(Instant::now() - Duration::from_millis(1));
-        let rx = server.submit(req);
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
-            Err(Rejected::DeadlineExceeded { .. })
-        ));
+        let out = ask(&server, req);
+        assert!(matches!(out, Err(Rejected::DeadlineExceeded { .. })));
         let snap = server.shutdown();
-        assert_eq!(snap.invalid_input, 1);
-        assert_eq!(snap.shed_deadline, 1);
+        assert_eq!((snap.invalid_input, snap.shed_deadline), (1, 1));
     }
 
     #[test]
     fn greeks_lane_survives_an_injected_panic_and_degrades() {
         faults::silence_injected_panics();
         // Panic on the first greeks batch only.
-        let panic = FaultSpec::always("batch.greeks", FaultKind::Panic).limited(1);
-        let server = start_with(quick_config(), FaultPlan::new().with(panic));
-        let rx = server.submit(GreeksRequest::new(1, 30.0, 35.0, 1.0));
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-            Err(Rejected::Internal { reason }) => {
-                assert!(reason.contains("injected panic"), "{reason}");
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
+        let server = start_with(quick_config(), panics("greeks", 1));
+        let out = ask(&server, GreeksRequest::new(1, 30.0, 35.0, 1.0));
+        assert!(internal(&out).contains("injected panic"), "{out:?}");
         // Still alive; the next request is served on a degraded rung that
         // answers bit-identically to the planned one.
-        let rx = server.submit(GreeksRequest::new(2, 30.0, 35.0, 1.0));
-        let out = rx
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap()
-            .outcome
+        let out = ask(&server, GreeksRequest::new(2, 30.0, 35.0, 1.0))
             .expect("greeks lane must keep serving after a caught panic");
         let (want_c, _) = crate::greeks::greeks_ladder(quick_config().pricer.market)[0]
             .compute_one(30.0, 35.0, 1.0);
         assert_eq!(out.call.delta.to_bits(), want_c.delta.to_bits());
         let snap = server.shutdown();
-        let k = snap.kernels.iter().find(|k| k.kernel == "greeks").unwrap();
+        let k = kernel(&snap, "greeks");
         assert!(k.degradation_level >= 1, "{k:?}");
         assert_eq!(snap.internal, 1);
+    }
+
+    /// Submit `n` price and `n` greeks requests interleaved: every one is
+    /// answered once, and served.
+    fn serves_mixed_load(server: &Server, n: u64) {
+        let (ptx, prx) = mpsc::channel();
+        let (gtx, grx) = mpsc::channel();
+        for i in 0..n {
+            server.submit_with(bs(i), &ptx);
+            server.submit_greeks_with(GreeksRequest::new(i, 25.0, 20.0, 0.5), &gtx);
+        }
+        drop((ptx, gtx));
+        let priced: Vec<PriceResponse> = prx.iter().collect();
+        let greeked: Vec<GreeksResponse> = grx.iter().collect();
+        assert_eq!((priced.len() as u64, greeked.len() as u64), (n, n));
+        assert!(priced.iter().all(PriceResponse::is_ok));
+        assert!(greeked.iter().all(|g| g.is_ok()));
     }
 
     #[test]
     fn mixed_price_and_greeks_load_shares_the_queue_without_cross_talk() {
         let server = Server::start(quick_config());
-        let (ptx, prx) = mpsc::channel();
-        let (gtx, grx) = mpsc::channel();
-        for i in 0..20u64 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &ptx);
-            server.submit_greeks_with(GreeksRequest::new(i, 25.0, 20.0, 0.5), &gtx);
-        }
-        drop(ptx);
-        drop(gtx);
-        let priced: Vec<PriceResponse> = prx.iter().collect();
-        let greeked: Vec<GreeksResponse> = grx.iter().collect();
+        serves_mixed_load(&server, 20);
         let snap = server.shutdown();
-        assert_eq!(priced.len(), 20);
-        assert_eq!(greeked.len(), 20);
-        assert!(priced.iter().all(PriceResponse::is_ok));
-        assert!(greeked.iter().all(|g| g.is_ok()));
         assert_eq!(snap.total_shed(), 0);
         let names: Vec<&str> = snap.kernels.iter().map(|k| k.kernel.as_str()).collect();
         assert!(names.contains(&"black_scholes") && names.contains(&"greeks"));
@@ -1864,18 +1308,14 @@ mod tests {
     #[test]
     fn bad_kernels_get_typed_rejections_not_panics() {
         let server = Server::start(quick_config());
-        let rx = server.submit(PriceRequest::new(9, "black_sholes", 30.0, 35.0, 1.0));
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-            Err(Rejected::UnknownKernel { reason }) => {
-                assert!(reason.contains("black_sholes"), "{reason}");
-            }
+        let typo = PriceRequest::new(9, "black_sholes", 30.0, 35.0, 1.0);
+        match ask(&server, typo) {
+            Err(Rejected::UnknownKernel { reason }) => assert!(reason.contains("black_sholes")),
             other => panic!("expected UnknownKernel, got {other:?}"),
         }
-        let rx = server.submit(PriceRequest::new(10, "rng", 30.0, 35.0, 1.0));
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
-            Err(Rejected::Unservable { .. })
-        ));
+        let rng = PriceRequest::new(10, "rng", 30.0, 35.0, 1.0);
+        let out = ask(&server, rng);
+        assert!(matches!(out, Err(Rejected::Unservable { .. })));
         assert_eq!(server.shutdown().rejected, 2);
     }
 
@@ -1888,11 +1328,8 @@ mod tests {
             (3, 30.0, 35.0, -1.0),
             (4, 0.0, 35.0, 1.0),
         ] {
-            let rx = server.submit(PriceRequest::new(id, "black_scholes", s, x, t));
-            match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-                Err(Rejected::InvalidInput { .. }) => {}
-                other => panic!("request {id}: expected InvalidInput, got {other:?}"),
-            }
+            let out = ask(&server, PriceRequest::new(id, "black_scholes", s, x, t));
+            assert!(matches!(out, Err(Rejected::InvalidInput { .. })), "{id}");
         }
         let snap = server.shutdown();
         assert_eq!(snap.invalid_input, 4);
@@ -1902,76 +1339,40 @@ mod tests {
 
     #[test]
     fn queue_overflow_is_a_synchronous_typed_rejection() {
-        // Capacity 1 and a server whose dispatcher is effectively stalled
-        // by a huge binomial batch, so pushes pile up.
-        let server = Server::start(ServeConfig {
-            queue_capacity: 1,
-            max_delay: Duration::from_millis(50),
-            ..quick_config()
-        });
+        // Capacity 1 and nothing popping: every request after the first is
+        // refused on the caller's thread.
+        let server = undriven(|c| c.queue_capacity = 1);
         let (tx, rx) = mpsc::channel();
-        // Flood: with capacity 1, at least one of these must be rejected
-        // synchronously (the dispatcher can't drain instantly).
         for i in 0..200 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+            server.submit_with(bs(i), &tx);
         }
         drop(tx);
-        let outcomes: Vec<PriceResponse> = rx.iter().collect();
+        run_dry(&mut shard(&server, 0));
+        let outcomes: Vec<PriceResponse> = rx.try_iter().collect();
         assert_eq!(outcomes.len(), 200, "every request got exactly one answer");
         let full = outcomes
             .iter()
             .filter(|r| matches!(r.outcome, Err(Rejected::QueueFull { capacity: 1 })))
             .count();
-        assert!(full > 0, "expected at least one QueueFull");
-        let snap = server.shutdown();
-        assert_eq!(snap.shed_queue_full as usize, full);
+        assert_eq!(full, 199);
+        assert_eq!(server.shutdown().shed_queue_full as usize, full);
     }
 
     #[test]
     fn expired_deadlines_shed_instead_of_pricing_late() {
         let server = Server::start(quick_config());
-        let mut req = PriceRequest::new(5, "black_scholes", 30.0, 35.0, 1.0);
+        let mut req = bs(5);
         // A deadline in the past: the dispatcher must shed it.
         req.deadline = Some(Instant::now() - Duration::from_millis(1));
-        let rx = server.submit(req);
-        assert!(matches!(
-            rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome,
-            Err(Rejected::DeadlineExceeded { .. })
-        ));
-        let snap = server.shutdown();
-        assert_eq!(snap.shed_deadline, 1);
-    }
-
-    /// A binomial tree deep enough that pricing one option keeps a worker
-    /// busy for milliseconds — the tests below use it to hold a worker in
-    /// `execute` while they act, instead of holding replies back on a
-    /// timer.
-    const DEEP_TREE: usize = 4096;
-
-    fn deep_tree_config() -> ServeConfig {
-        ServeConfig {
-            pricer: PricerConfig {
-                binomial_steps: DEEP_TREE,
-                ..PricerConfig::default()
-            },
-            ..quick_config()
-        }
-    }
-
-    fn kernel<'a>(snap: &'a ServeSnapshot, name: &str) -> &'a KernelSnapshot {
-        snap.kernels
-            .iter()
-            .find(|k| k.kernel == name)
-            .unwrap_or_else(|| panic!("no {name} lane in {snap:?}"))
+        let out = ask(&server, req);
+        assert!(matches!(out, Err(Rejected::DeadlineExceeded { .. })));
+        assert_eq!(server.shutdown().shed_deadline, 1);
     }
 
     #[test]
     fn a_lone_request_on_an_idle_server_does_not_wait_for_the_timer() {
-        let server = Server::start(ServeConfig {
-            max_delay: Duration::from_secs(10),
-            ..quick_config()
-        });
-        let rx = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
+        let server = Server::start(quick(|c| c.max_delay = Duration::from_secs(10)));
+        let rx = server.submit(bs(1));
         let priced = rx
             .recv_timeout(Duration::from_secs(1))
             .expect("answered long before max_delay")
@@ -1981,79 +1382,54 @@ mod tests {
         assert!(priced.latency < Duration::from_secs(1), "{priced:?}");
         let snap = server.shutdown();
         let k = kernel(&snap, "black_scholes");
-        assert_eq!(
-            k.flushes,
-            FlushCounts {
-                idle: 1,
-                ..FlushCounts::default()
-            }
-        );
-        assert_eq!(k.batches, 1);
+        assert_eq!((k.flushes.idle, k.flushes.total(), k.batches), (1, 1, 1));
     }
 
     #[test]
     fn shutdown_answers_everything_pending() {
-        let server = Server::start(deep_tree_config());
-        // Hold the worker in a deep-tree batch, then queue ten requests
-        // behind it and shut down while it is still pricing.
-        let deep = server.submit(PriceRequest::new(100, "binomial", 30.0, 35.0, 1.0));
-        let taken = Instant::now() + Duration::from_secs(10);
-        while server.queue_depth() > 0 {
-            assert!(Instant::now() < taken, "worker never took the request");
-            std::thread::yield_now();
-        }
+        // Ten requests are still queued when shutdown closes the queue;
+        // the seat's loop runs on.
+        let server = undriven(|_| {});
         let (tx, rx) = mpsc::channel();
         for i in 0..10 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+            server.submit_with(bs(i), &tx);
         }
-        let snap = server.shutdown();
         drop(tx);
+        server.plane.close();
+        let killed = serve(&mut shard(&server, 0));
+        assert!(!killed, "a closed queue ends the loop");
         // Everything still queued when the queue closed is priced, not
         // dropped or rejected — by the shutdown drain, since a closed
         // queue no longer counts as idle.
-        let got: Vec<PriceResponse> = rx.iter().collect();
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
-        assert!(deep.recv().unwrap().is_ok());
+        let snap = server.shutdown();
         let k = kernel(&snap, "black_scholes");
-        assert_eq!(k.served, 10);
-        assert_eq!(k.flushes.total(), k.batches);
-        assert!(k.flushes.drain >= 1, "{k:?}");
+        assert_eq!((k.served, k.flushes.total()), (10, k.batches));
+        assert_eq!(k.flushes.drain, 1, "{k:?}");
     }
 
     #[test]
     fn a_backlogged_worker_batches_up_to_the_size_trigger() {
-        // While the worker is held in a deep-tree batch its queue fills
-        // past the size target, so what it pops next flushes on
-        // size, and only the remainder on idle.
-        let server = Server::start(ServeConfig {
-            max_batch: 8,
-            ..deep_tree_config()
-        });
-        let warm = server.submit(PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0));
-        assert!(warm.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
-        let target = kernel(&server.snapshot(), "black_scholes").target_batch;
-        assert_eq!(target, 8);
-        let deep = server.submit(PriceRequest::new(100, "binomial", 30.0, 35.0, 1.0));
-        let taken = Instant::now() + Duration::from_secs(10);
-        while server.queue_depth() > 0 {
-            assert!(Instant::now() < taken, "worker never took the request");
-            std::thread::yield_now();
-        }
+        // The queue holds more than two size targets when the worker
+        // looks, so what it pops flushes on size, and only the remainder
+        // on idle.
+        let server = undriven(|c| c.max_batch = 8);
         let (tx, rx) = mpsc::channel();
-        let n = 2 * target as u64 + 1;
-        for i in 1..=n {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+        for i in 1..=17 {
+            server.submit_with(bs(i), &tx);
         }
         drop(tx);
-        let got: Vec<PriceResponse> = rx.iter().collect();
-        assert_eq!(got.len() as u64, n);
+        run_dry(&mut shard(&server, 0));
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
+        assert_eq!(got.len(), 17);
         assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
-        assert!(deep.recv().unwrap().is_ok());
         let snap = server.shutdown();
         let k = kernel(&snap, "black_scholes");
-        assert!(k.flushes.size >= 2, "{k:?}");
-        assert!(k.max_occupancy <= target as f64, "{k:?}");
+        assert_eq!(k.target_batch, 8);
+        assert_eq!((k.flushes.size, k.flushes.idle), (2, 1), "{k:?}");
+        assert!(k.max_occupancy <= 8.0, "{k:?}");
         assert_eq!(k.flushes.total(), k.batches);
     }
 
@@ -2061,23 +1437,12 @@ mod tests {
     fn a_kernel_panic_rejects_the_batch_and_degrades_instead_of_crashing() {
         faults::silence_injected_panics();
         // Panic on the first black_scholes batch only.
-        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic).limited(1);
-        let server = start_with(quick_config(), FaultPlan::new().with(panic));
-        let rx = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-            Err(Rejected::Internal { reason }) => {
-                assert!(reason.contains("injected panic"), "{reason}");
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
+        let server = start_with(quick_config(), panics("black_scholes", 1));
+        let out = ask(&server, bs(1));
+        assert!(internal(&out).contains("injected panic"), "{out:?}");
         // The server is still alive and prices the next request — on a
         // degraded rung (the panic pushed the lane one level down).
-        let rx = server.submit(PriceRequest::new(2, "black_scholes", 30.0, 35.0, 1.0));
-        let priced = rx
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap()
-            .outcome
-            .expect("server must keep serving after a caught panic");
+        let priced = ask(&server, bs(2)).expect("server must keep serving after a caught panic");
         assert!(priced.call > 0.0);
         let snap = server.shutdown();
         let k = &snap.kernels[0];
@@ -2090,47 +1455,24 @@ mod tests {
     #[test]
     fn a_lane_degraded_on_one_seat_is_not_reported_healthy_by_its_sibling() {
         faults::silence_injected_panics();
-        let config = ServeConfig {
-            shards: 2,
-            respawn: false,
-            ..quick_config()
-        };
-        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic).limited(1);
-        let server = start_with(config, FaultPlan::new().with(panic));
+        let config = quick(|c| (c.shards, c.respawn) = (2, false));
+        let server = start_with(config, panics("black_scholes", 1));
         // Answered one at a time, so round-robin places them on seats 0,
         // 1, 0 and nothing is stolen (a lone queued item never is): seat
         // 0 absorbs the panic and degrades, seat 1 serves at the planned
         // rung, seat 0 serves one level down.
-        let mut outcomes = (1..=3).map(|id| {
-            server
-                .submit(PriceRequest::new(id, "black_scholes", 30.0, 35.0, 1.0))
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap()
-                .outcome
-        });
-        let first = outcomes.next().unwrap();
+        let first = ask(&server, bs(1));
         assert!(matches!(first, Err(Rejected::Internal { .. })), "{first:?}");
-        let ladder = pricer::servable_ladder(
-            &Engine::new(registry()),
-            "black_scholes",
-            &quick_config().pricer,
-        )
-        .unwrap();
-        assert_eq!(outcomes.next().unwrap().unwrap().rung, *ladder[0].slug);
-        assert_eq!(outcomes.next().unwrap().unwrap().rung, *ladder[1].slug);
-        drop(outcomes);
+        let ladder = bs_ladder();
+        assert_eq!(ask(&server, bs(2)).unwrap().rung, *ladder[0].slug);
+        assert_eq!(ask(&server, bs(3)).unwrap().rung, *ladder[1].slug);
         let snap = server.shutdown();
-        assert_eq!(
-            snap.shards.iter().map(|s| s.served).collect::<Vec<_>>(),
-            [1, 1]
-        );
+        let served: Vec<u64> = snap.shards.iter().map(|s| s.served).collect();
+        assert_eq!(served, [1, 1]);
         // Health is the most degraded seat's, whichever published last;
         // counts are the sums over both seats' records.
         let k = kernel(&snap, "black_scholes");
-        assert_eq!(
-            (k.degradation_level, k.rung.as_str()),
-            (1, &*ladder[1].slug)
-        );
+        assert_eq!((k.degradation_level, &*k.rung), (1, &*ladder[1].slug));
         assert_eq!((k.served, k.batches, k.degraded_batches), (2, 2, 1));
         assert_eq!((snap.internal, snap.planes[0].degradations), (1, 1));
     }
@@ -2138,38 +1480,16 @@ mod tests {
     #[test]
     fn persistent_panics_walk_the_ladder_down_then_open_the_breaker() {
         faults::silence_injected_panics();
-        let config = ServeConfig {
-            breaker: BreakerPolicy {
-                open_after: 2,
-                cooldown: Duration::from_secs(30),
-                ..BreakerPolicy::default()
-            },
-            ..quick_config()
-        };
-        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic);
-        let server = start_with(config, FaultPlan::new().with(panic));
+        let cooldown = Duration::from_secs(30);
+        let config = quick(|c| (c.breaker.open_after, c.breaker.cooldown) = (2, cooldown));
+        let server = start_with(config, panics("black_scholes", u64::MAX));
         // Enough sequential batches to fall through every ladder level
         // and trip the breaker at the bottom: levels + open_after.
-        let ladder_len = {
-            let engine = Engine::new(registry());
-            pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer)
-                .unwrap()
-                .len()
-        };
+        let ladder_len = bs_ladder().len();
         let batches = ladder_len + 3;
         for i in 0..batches {
-            let rx = server.submit(PriceRequest::new(
-                i as u64,
-                "black_scholes",
-                30.0,
-                35.0,
-                1.0,
-            ));
-            let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            assert!(
-                matches!(resp.outcome, Err(Rejected::Internal { .. })),
-                "batch {i} should be rejected"
-            );
+            let out = ask(&server, bs(i as u64));
+            assert!(matches!(out, Err(Rejected::Internal { .. })), "batch {i}");
         }
         let snap = server.shutdown();
         let k = &snap.kernels[0];
@@ -2182,128 +1502,90 @@ mod tests {
     #[test]
     fn lane_restarts_after_cooldown_and_recovers_when_faults_stop() {
         faults::silence_injected_panics();
-        let ladder_len = {
-            let engine = Engine::new(registry());
-            pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer)
-                .unwrap()
-                .len()
-        };
-        let config = ServeConfig {
-            breaker: BreakerPolicy {
-                open_after: 1,
-                cooldown: Duration::from_millis(5),
-                promote_after: 2,
-                ..BreakerPolicy::default()
-            },
-            ..quick_config()
+        let ladder_len = bs_ladder().len();
+        let breaker = BreakerPolicy {
+            open_after: 1,
+            cooldown: Duration::from_millis(5),
+            promote_after: 2,
+            ..BreakerPolicy::default()
         };
         // One panic per ladder level: fall to the bottom and open the
         // breaker, and the faults stop there.
-        let panic = FaultSpec::always("batch.black_scholes", FaultKind::Panic);
-        let plan = FaultPlan::new().with(panic.limited(ladder_len as u64));
-        let server = start_with(config, plan);
+        let mut server = undriven(|c| c.breaker = breaker);
+        let plan = panics("black_scholes", ladder_len as u64);
+        Arc::get_mut(&mut server.plane).unwrap().faults = Faults::new(plan);
+        let mut s = shard(&server, 0);
+        let mut price = |id: u64| {
+            let rx = server.submit(bs(id));
+            run_dry(&mut s);
+            rx.try_recv().expect("answered").outcome
+        };
         for i in 0..ladder_len as u64 {
-            let rx = server.submit(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0));
-            let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            assert!(matches!(price(i), Err(Rejected::Internal { .. })));
         }
-        // Wait out the cooldown: the next batch is the half-open probe,
-        // which succeeds, closes the breaker, and serves.
-        std::thread::sleep(Duration::from_millis(10));
-        let rx = server.submit(PriceRequest::new(99, "black_scholes", 30.0, 35.0, 1.0));
-        let priced = rx
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap()
-            .outcome
-            .expect("probe batch should be served");
+        // Inside the cooldown the open breaker rejects without a probe.
+        step(Duration::from_millis(4));
+        assert!(internal(&price(98)).contains("circuit open"));
+        // Past it, the next batch is the half-open probe, which succeeds,
+        // closes the breaker, and serves.
+        step(Duration::from_millis(2));
+        let priced = price(99).expect("probe batch should be served");
         assert!(priced.call > 0.0);
         let snap = server.shutdown();
         let k = &snap.kernels[0];
-        assert!(k.restarts >= 1, "{k:?}");
-        assert_eq!(k.breaker, "closed");
-        assert!(snap.total_restarts() >= 1);
+        assert_eq!((k.restarts, k.breaker.as_str()), (1, "closed"), "{k:?}");
+        assert_eq!(snap.total_restarts(), 1);
+        assert_eq!(snap.planes[0].lane_restarts, 1);
     }
 
     #[test]
     fn corrupt_input_faults_are_caught_by_validation_not_priced() {
-        let plan = FaultPlan::new().with(FaultSpec::always(
-            "admit.black_scholes",
-            FaultKind::CorruptInput(finbench_faults::Corruption::NaN),
-        ));
+        let corrupt = FaultKind::CorruptInput(finbench_faults::Corruption::NaN);
+        let plan = FaultPlan::new().with(FaultSpec::always("admit.black_scholes", corrupt));
         let server = start_with(quick_config(), plan);
-        let rx = server.submit(PriceRequest::new(7, "black_scholes", 30.0, 35.0, 1.0));
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-            Err(Rejected::InvalidInput { reason }) => {
-                assert!(reason.contains("spot"), "{reason}");
-            }
+        match ask(&server, bs(7)) {
+            Err(Rejected::InvalidInput { reason }) => assert!(reason.contains("spot"), "{reason}"),
             other => panic!("expected InvalidInput, got {other:?}"),
         }
-        let snap = server.shutdown();
-        assert_eq!(snap.invalid_input, 1);
+        assert_eq!(server.shutdown().invalid_input, 1);
     }
 
     #[test]
     fn multi_shard_server_serves_everything_and_merges_telemetry() {
-        let server = Server::start(ServeConfig {
-            shards: 4,
-            ..quick_config()
-        });
+        let server = Server::start(quick(|c| c.shards = 4));
         assert_eq!(server.shard_count(), 4);
-        let (ptx, prx) = mpsc::channel();
-        let (gtx, grx) = mpsc::channel();
-        for i in 0..100u64 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &ptx);
-            server.submit_greeks_with(GreeksRequest::new(i, 25.0, 20.0, 0.5), &gtx);
-        }
-        drop(ptx);
-        drop(gtx);
-        let priced: Vec<PriceResponse> = prx.iter().collect();
-        let greeked: Vec<GreeksResponse> = grx.iter().collect();
-        assert_eq!(priced.len(), 100);
-        assert_eq!(greeked.len(), 100);
-        assert!(priced.iter().all(PriceResponse::is_ok));
-        assert!(greeked.iter().all(|g| g.is_ok()));
+        serves_mixed_load(&server, 100);
         let snap = server.shutdown();
-        assert_eq!(snap.shards.len(), 4);
-        assert_eq!(snap.alive_shards(), 4);
+        assert_eq!((snap.shards.len(), snap.alive_shards()), (4, 4));
         assert_eq!(snap.total_shed(), 0);
         // Every admitted request was routed to exactly one shard and
         // answered by exactly one shard (possibly a thief).
         let submitted: u64 = snap.shards.iter().map(|s| s.submitted).sum();
         let served: u64 = snap.shards.iter().map(|s| s.served).sum();
-        assert_eq!(submitted, 200);
-        assert_eq!(served, 200);
+        assert_eq!((submitted, served), (200, 200));
         // Round-robin admission: no shard was starved of submissions.
         assert!(snap.shards.iter().all(|s| s.submitted > 0), "{snap:?}");
     }
 
     #[test]
     fn router_spills_to_a_less_loaded_sibling_before_rejecting() {
-        // Stall both workers so pushed work stays queued long enough to
-        // observe routing decisions deterministically.
-        let config = ServeConfig {
-            shards: 2,
-            queue_capacity: 1,
-            max_delay: Duration::from_millis(300),
-            ..quick_config()
-        };
-        let stall = FaultSpec::always("queue", FaultKind::StallQueue);
-        let server = start_with(config, FaultPlan::new().with(stall));
-        // Occupy shard 0's queue directly (in-module backdoor), so the
-        // round-robin primary is full while shard 1 has room.
-        let (otx, orx) = mpsc::channel();
-        server.plane.queues[0]
-            .try_push(Work::Price(Envelope::new(
-                PriceRequest::new(0, "black_scholes", 30.0, 35.0, 1.0),
-                &otx,
-            )))
-            .unwrap_or_else(|_| panic!("occupant push must succeed"));
+        // Nothing pops: what the router places stays where it put it.
+        let server = undriven(|c| (c.shards, c.queue_capacity) = (2, 1));
+        // Occupy shard 0's queue directly, so the round-robin primary is
+        // full while shard 1 has room.
+        let occupant = queued(&server, 0, 0..1);
         server.rr.store(0, Ordering::Relaxed);
         // The router's primary (shard 0) is full: this must spill to
         // shard 1 and be served, not answer QueueFull.
-        let rx = server.submit(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
-        let resp = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let rx = server.submit(bs(1));
+        assert_eq!(server.plane.queues[1].len(), 1);
+        assert_eq!(server.plane.ledger.spills.get(), 1);
+        for i in 0..2 {
+            run_dry(&mut shard(&server, i));
+        }
+        let resp = rx.try_recv().unwrap();
         assert!(resp.is_ok(), "{:?}", resp.outcome);
-        let occupant = orx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let occupant = occupant.try_recv().unwrap();
         assert!(occupant.is_ok(), "{:?}", occupant.outcome);
         let snap = server.shutdown();
         // The spilled request is the only *routed* submission; the
@@ -2314,212 +1596,209 @@ mod tests {
 
     #[test]
     fn idle_shards_steal_queued_work_from_the_deepest_sibling() {
-        let server = Server::start(ServeConfig {
-            shards: 2,
-            ..deep_tree_config()
-        });
-        // Load shard 0's queue directly (in-module backdoor) so all depth
-        // sits on one shard: each wave is a deep-tree request that holds
-        // shard 0 in `execute` plus a run of cheap ones that queue up
-        // behind it. Idle shard 1 polls every `max_delay` and must steal.
-        let (tx, rx) = mpsc::channel();
-        let push = |id: u64, kernel: &str| {
-            server.plane.queues[0]
-                .try_push(Work::Price(Envelope::new(
-                    PriceRequest::new(id, kernel, 30.0, 35.0, 1.0),
-                    &tx,
-                )))
-                .is_ok()
-        };
-        let mut sent = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while server.snapshot().total_stolen() == 0 {
-            assert!(Instant::now() < deadline, "shard 1 never stole anything");
-            if server.plane.queues[0].is_empty() {
-                sent += usize::from(push(sent as u64, "binomial"));
-                for _ in 0..8 {
-                    sent += usize::from(push(sent as u64, "black_scholes"));
-                }
-            }
-            std::thread::yield_now();
+        let server = undriven(|c| c.shards = 2);
+        let rx = queued(&server, 0, 0..9);
+        // Shard 1 holds nothing on a sharded plane, so its driver polls;
+        // its own queue is empty, so it steals from the deepest sibling:
+        // half of it, from the back.
+        let mut thief = shard(&server, 1);
+        assert!(thief.next_wait() > Some(Duration::ZERO));
+        for work in steal(&server.plane, 1) {
+            thief.admit(work);
         }
-        drop(tx);
-        let got: Vec<PriceResponse> = rx.iter().collect();
-        assert_eq!(got.len(), sent, "every request got exactly one answer");
+        thief.flush(true);
+        run_dry(&mut shard(&server, 0));
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         assert!(got.iter().all(PriceResponse::is_ok));
+        // Every request got exactly one answer: the thief took the newest
+        // four, the victim kept its oldest.
+        assert_eq!(ids(&got), [5, 6, 7, 8, 0, 1, 2, 3, 4]);
+        // A lone queued item stays with its owner.
+        let _lone = queued(&server, 0, 9..10);
+        assert!(steal(&server.plane, 1).is_empty());
         let snap = server.shutdown();
-        assert_eq!(snap.shards[1].stolen, snap.total_stolen());
+        assert_eq!((snap.shards[1].stolen, snap.total_stolen()), (4, 4));
         let served: u64 = snap.shards.iter().map(|s| s.served).sum();
-        assert_eq!(served, sent as u64);
+        assert_eq!(served, 9);
     }
 
     #[test]
     fn a_killed_shard_degrades_availability_never_correctness() {
-        // Respawn off: this test pins down the *terminal* loss behavior
-        // (shard 0 would otherwise come back in service).
-        let config = ServeConfig {
-            shards: 2,
-            respawn: false,
-            ..quick_config()
-        };
-        let kill = FaultSpec::always("serve.shard.0", FaultKind::Kill);
-        let server = start_with(config, FaultPlan::new().with(kill));
-        // Shard 0 dies on its first loop iteration; wait for the router
-        // to see it.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.snapshot().shards[0].alive {
-            assert!(Instant::now() < deadline, "shard 0 never died");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        // Respawn off: this test pins down the *terminal* loss behavior.
+        let server = undriven(|c| (c.shards, c.respawn) = (2, false));
+        kill(&mut shard(&server, 0));
         let (tx, rx) = mpsc::channel();
         for i in 0..40u64 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+            server.submit_with(bs(i), &tx);
         }
         drop(tx);
-        let got: Vec<PriceResponse> = rx.iter().collect();
-        assert_eq!(got.len(), 40);
+        run_dry(&mut shard(&server, 1));
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         // Correctness never degrades: everything routed to the surviving
         // shard is served, nothing answers corrupt prices.
+        assert_eq!(got.len(), 40);
         assert!(got.iter().all(PriceResponse::is_ok));
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 1);
         assert!(!snap.shards[0].alive);
-        assert_eq!(snap.shards[1].submitted, 40);
-        assert_eq!(snap.shards[1].served, 40);
+        assert_eq!((snap.shards[1].submitted, snap.shards[1].served), (40, 40));
         assert!((snap.shards[1].availability() - 1.0).abs() < 1e-12);
     }
 
     #[test]
-    fn a_killed_shard_is_respawned_and_serves_again() {
-        // Kill shard 0 exactly once; with respawn on (the default) its
-        // worker must come back and serve in the same seat.
-        let config = ServeConfig {
-            shards: 2,
-            ..quick_config()
-        };
-        let kill = FaultSpec::always("serve.shard.0", FaultKind::Kill).limited(1);
-        let server = start_with(config, FaultPlan::new().with(kill));
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            let snap = server.snapshot();
-            if snap.shards[0].alive && snap.shards[0].respawns >= 1 {
-                break;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "shard 0 never respawned: {snap:?}"
-            );
-            std::thread::sleep(Duration::from_millis(1));
+    fn the_respawn_backoff_doubles_on_probation_and_starts_over_after_a_long_life() {
+        let ms = Duration::from_millis;
+        let t0 = stepped();
+        // The first kill waits the floor; each later one comes 10 ms into
+        // the seat's new life, inside probation, and doubles up to the cap.
+        let mut wait = backoff(RESPAWN_COOLDOWN, None, t0);
+        let mut respawned = t0 + wait;
+        let mut waits = vec![wait];
+        for _ in 0..9 {
+            let killed = respawned + ms(10);
+            wait = backoff(wait, Some(respawned), killed);
+            respawned = killed + wait;
+            waits.push(wait);
         }
+        let want = [1, 2, 4, 8, 16, 32, 64, 128, 250, 250].map(ms);
+        assert_eq!(waits, want);
+        // A seat that outlived probation starts over.
+        assert_eq!(backoff(wait, Some(respawned), respawned + ms(60)), ms(1));
+        assert_eq!(backoff(wait, Some(respawned), respawned + ms(50)), ms(1));
+        assert_eq!(backoff(wait, Some(respawned), respawned + ms(49)), ms(250));
+    }
+
+    #[test]
+    fn a_killed_shard_is_respawned_and_serves_again() {
+        let server = undriven(|c| c.shards = 2);
+        let mut s0 = shard(&server, 0);
+        kill(&mut s0);
+        assert!(!server.snapshot().shards[0].alive);
+        // The seat's thread waits out the backoff (here the clock steps over
+        // it), reopens the seat's queue, and the shard comes back.
+        let cooldown = s0.cooldown;
+        assert_eq!(cooldown, Duration::from_millis(1));
+        step(cooldown);
+        assert!(server.plane.reopen_after(0, Duration::ZERO));
+        s0.respawned();
         // Full capacity is restored: the router round-robins across both
         // seats again and everything is served.
         let (tx, rx) = mpsc::channel();
         for i in 0..40u64 {
-            server.submit_with(PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0), &tx);
+            server.submit_with(bs(i), &tx);
         }
         drop(tx);
-        let got: Vec<PriceResponse> = rx.iter().collect();
+        run_dry(&mut s0);
+        run_dry(&mut shard(&server, 1));
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         assert_eq!(got.len(), 40);
         assert!(got.iter().all(PriceResponse::is_ok));
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 2);
-        assert_eq!(snap.total_respawns(), 1);
-        assert_eq!(snap.shards[0].respawns, 1);
-        assert!(snap.shards[0].submitted > 0, "{snap:?}");
-        let mttr = snap.mean_mttr().expect("a respawn must record MTTR");
-        assert!(mttr > Duration::ZERO, "{mttr:?}");
-        assert_eq!(snap.shards[0].mttr, mttr);
+        assert_eq!((snap.total_respawns(), snap.shards[0].respawns), (1, 1));
+        assert_eq!(snap.shards[0].submitted, 20, "{snap:?}");
+        // MTTR runs from the kill to the respawn: the backoff.
+        assert_eq!(snap.mean_mttr(), Some(cooldown));
+        assert_eq!(snap.shards[0].mttr, cooldown);
     }
 
     #[test]
     fn stranded_work_is_redriven_to_a_live_sibling_with_its_channel_intact() {
-        // Stall runs *before* the kill check in each loop iteration, so
-        // both workers sleep through a max_delay-long window first. That
-        // window is the deterministic part: we push into shard 0's queue
-        // while it sleeps, it wakes, dies, and must redrive the queued
-        // work to shard 1 — which was also asleep, so it cannot have
-        // stolen anything first.
-        let server = start_with(stalled_no_respawn(2), stall_then_kill("serve.shard.0"));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..4u64 {
-            server.plane.queues[0]
-                .try_push(Work::Price(Envelope::new(
-                    PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
-                    &tx,
-                )))
-                .unwrap_or_else(|_| panic!("direct push must succeed"));
-        }
-        drop(tx);
-        // The original response channels must survive the redrive: every
-        // request is priced by shard 1 and answered exactly once.
-        let got: Vec<PriceResponse> = rx.iter().collect();
-        assert_eq!(
-            got.len(),
-            4,
-            "every stranded request got exactly one answer"
-        );
+        let server = undriven(|c| (c.shards, c.respawn) = (2, false));
+        let rx = queued(&server, 0, 0..4);
+        // Shard 0 batches two (its queue is not dry, so nothing flushes)
+        // and dies: it strands its lanes' two, then the two still queued.
+        let mut s0 = shard(&server, 0);
+        admit_one(&mut s0);
+        admit_one(&mut s0);
+        kill(&mut s0);
+        run_dry(&mut shard(&server, 1));
+        // The original response channels survive the redrive: every
+        // request is priced by shard 1 and answered exactly once, in the
+        // order it was admitted.
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         assert!(got.iter().all(PriceResponse::is_ok), "{got:?}");
-        let mut ids: Vec<u64> = got.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
+        assert_eq!(ids(&got), [0, 1, 2, 3]);
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 1);
-        assert_eq!(snap.total_redriven(), 4, "{snap:?}");
         // Redrives are attributed to the seat that lost them.
-        assert_eq!(snap.shards[0].redriven, 4);
-        assert_eq!(snap.shards[1].redriven, 0);
-        assert_eq!(snap.internal, 0);
-        assert_eq!(snap.shed_deadline_redrive, 0);
+        assert_eq!(snap.total_redriven(), 4, "{snap:?}");
+        assert_eq!((snap.shards[0].redriven, snap.shards[1].redriven), (4, 0));
+        assert_eq!((snap.internal, snap.shed_deadline_redrive), (0, 0));
     }
 
     #[test]
     fn stranded_work_with_no_live_sibling_is_rejected_not_dropped() {
-        let server = start_with(stalled_no_respawn(1), stall_then_kill("serve.shard.0"));
-        let (tx, rx) = mpsc::channel();
-        for i in 0..4u64 {
-            server.plane.queues[0]
-                .try_push(Work::Price(Envelope::new(
-                    PriceRequest::new(i, "black_scholes", 30.0, 35.0, 1.0),
-                    &tx,
-                )))
-                .unwrap_or_else(|_| panic!("direct push must succeed"));
-        }
-        drop(tx);
-        let got: Vec<PriceResponse> = rx.iter().collect();
+        let server = undriven(|c| c.respawn = false);
+        let rx = queued(&server, 0, 0..4);
+        kill(&mut shard(&server, 0));
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
         assert_eq!(got.len(), 4, "no silent drops even with nowhere to redrive");
         for r in &got {
-            match &r.outcome {
-                Err(Rejected::Internal { reason }) => {
-                    assert!(reason.contains("no live sibling"), "{reason}");
-                }
-                other => panic!("expected Internal, got {other:?}"),
-            }
+            assert!(internal(&r.outcome).contains("no live sibling"), "{r:?}");
         }
         // The router also answers (never hangs) once the fleet is empty.
-        let rx = server.submit(PriceRequest::new(99, "black_scholes", 30.0, 35.0, 1.0));
-        match rx.recv_timeout(Duration::from_secs(10)).unwrap().outcome {
-            Err(Rejected::Internal { reason }) => {
-                assert!(reason.contains("no alive shards"), "{reason}");
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
+        let out = server.submit(bs(99)).try_recv().unwrap().outcome;
+        assert!(internal(&out).contains("no alive shards"));
         let snap = server.shutdown();
         assert_eq!(snap.alive_shards(), 0);
         // The 4 stranded rejections are worker-side and tallied; the
         // router's answer is synchronous on the caller's thread.
-        assert_eq!(snap.internal, 4);
-        assert_eq!(snap.total_redriven(), 0);
+        assert_eq!((snap.internal, snap.total_redriven()), (4, 0));
     }
 
-    /// Submit `req` and collect until every sender is gone: exactly one
-    /// terminal response, whatever it is.
-    fn one_answer<R: ServeRequest>(server: &Server, req: R) -> Result<R::Out, Rejected> {
-        let (tx, rx) = mpsc::channel();
-        server.submit_with(req, &tx);
-        drop(tx);
-        let mut got: Vec<Response<R::Out>> = rx.iter().collect();
-        assert_eq!(got.len(), 1, "exactly one terminal response");
-        got.remove(0).outcome
+    #[test]
+    fn a_redriven_request_stranded_again_is_answered_once_with_internal() {
+        let server = undriven(|c| (c.shards, c.respawn) = (2, false));
+        let rx = queued(&server, 0, 0..4);
+        kill(&mut shard(&server, 0));
+        // Shard 1 batches two of the redriven requests, then dies too: a
+        // second loss answers instead of redriving again.
+        let mut s1 = shard(&server, 1);
+        admit_one(&mut s1);
+        admit_one(&mut s1);
+        kill(&mut s1);
+        let got: Vec<PriceResponse> = rx.try_iter().collect();
+        assert_eq!(ids(&got), [0, 1, 2, 3], "exactly one answer each");
+        for r in &got {
+            let reason = internal(&r.outcome);
+            assert_eq!(reason, "shard killed; redrive budget exhausted");
+        }
+        let snap = server.shutdown();
+        assert_eq!((snap.internal, snap.planes[0].internal), (4, 4));
+        assert_eq!((snap.shards[0].redriven, snap.shards[1].redriven), (4, 0));
+    }
+
+    #[test]
+    fn both_kill_orders_answer_every_admitted_request_exactly_once() {
+        for (first, second) in [(0, 1), (1, 0)] {
+            let server = undriven(|c| (c.shards, c.respawn) = (2, false));
+            let (tx, rx) = mpsc::channel();
+            // Round-robin: four requests queued on each seat, one of them
+            // batched.
+            for id in 0..8u64 {
+                server.submit_with(bs(id), &tx);
+            }
+            drop(tx);
+            let mut shards = [shard(&server, 0), shard(&server, 1)];
+            shards.iter_mut().for_each(admit_one);
+            kill(&mut shards[first]);
+            kill(&mut shards[second]);
+            // The first seat's four were redriven and stranded again; the
+            // second's own four had nowhere left to go.
+            let got: Vec<PriceResponse> = rx.try_iter().collect();
+            let mut answered = ids(&got);
+            answered.sort_unstable();
+            assert_eq!(answered, [0, 1, 2, 3, 4, 5, 6, 7], "{first}, {second}");
+            let twice = got
+                .iter()
+                .filter(|r| internal(&r.outcome).contains("exhausted"));
+            assert_eq!(twice.count(), 4, "order {first}, {second}");
+            let snap = server.shutdown();
+            assert_eq!(snap.internal, 8);
+            let redriven = (snap.shards[first].redriven, snap.shards[second].redriven);
+            assert_eq!(redriven, (4, 0));
+        }
     }
 
     /// `ShuttingDown` on one plane: a server that has begun to stop answers
@@ -2527,21 +1806,22 @@ mod tests {
     /// failure of the plane. (The counted rejections are driven through
     /// the public API, per plane, in `tests/rejection_taxonomy.rs`; this
     /// one needs the server's private fields.)
-    fn shutting_down<R: ServeRequest>(valid: R)
-    where
-        R::Out: std::fmt::Debug,
-    {
+    fn shutting_down<R: ServeRequest<Out: Debug>>(valid: R) {
         let server = Server::start(quick_config());
         server.plane.close();
-        let out = one_answer(&server, valid);
-        assert!(matches!(out, Err(Rejected::ShuttingDown)), "{out:?}");
+        let (tx, rx) = mpsc::channel();
+        server.submit_with(valid, &tx);
+        drop(tx);
+        let got: Vec<Response<R::Out>> = rx.iter().collect();
+        assert_eq!(got.len(), 1, "exactly one terminal response");
+        assert!(matches!(got[0].outcome, Err(Rejected::ShuttingDown)));
         let snap = server.shutdown();
         assert_eq!((snap.total_shed(), snap.internal, snap.rejected), (0, 0, 0));
     }
 
     #[test]
     fn every_plane_answers_shutting_down_once_and_counts_nothing() {
-        shutting_down(PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0));
+        shutting_down(bs(1));
         shutting_down(GreeksRequest::new(2, 30.0, 35.0, 1.0));
         shutting_down(PortfolioRequest::new(3, 7, 8, 16).with_chunk(16));
     }
