@@ -98,6 +98,12 @@ if git grep -nE 'FINBENCH_LOG|set_filter|reset_metrics|filter::|Kind::(Span|Coun
   exit 1
 fi
 
+echo "==> source guard (a fault plan is built in code; one spelling per command)"
+if git grep -nE 'FINBENCH_FAULTS|from_env|FaultPlan::parse|parse_duration|(serve|chaos|greeks|portfolio)-bench|--trials' -- crates tests examples; then
+  echo "a FaultPlan is built with FaultSpec's builders, never read from the environment; an experiment runs as \`finbench run <id>\`; bench-report's trial count is fixed by its mode" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2
@@ -128,7 +134,7 @@ echo "==> examples (quick mode)"
 cargo build --release --examples
 for ex in quickstart portfolio_pricing american_options asian_option_mc ninja_gap_report qmc_convergence; do
   echo "--> example: $ex"
-  FINBENCH_QUICK=1 cargo run --release -q --example "$ex" > /dev/null
+  cargo run --release -q --example "$ex" > /dev/null
 done
 
 echo "==> fmt, clippy"

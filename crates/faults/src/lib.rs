@@ -3,35 +3,38 @@
 //! Zero-dependency fault injection through an owned handle. Production
 //! code is sprinkled with named *sites* (`faults.fire("batch.black_scholes")`)
 //! that fire the [`Faults`] handle their owner was given; the
-//! [`FaultPlan`] behind it — built programmatically or parsed from the
-//! `FINBENCH_FAULTS` environment variable — decides which sites misbehave,
-//! how, and how often. There is no process-wide plan: a plan fires only
+//! [`FaultPlan`] behind it decides which sites misbehave, how, and how
+//! often. There is no process-wide plan: a plan fires only
 //! in the server started with its handle. Unarmed ([`Faults::none`]) a
 //! site costs an `Option::is_none` and nothing ever fires: injection
 //! hooks are compiled in always, armed only by whoever holds a plan.
 //!
-//! ## The `FINBENCH_FAULTS` grammar
+//! ## Building a plan
 //!
-//! Comma-separated entries, `site=kind[@rate][*max_fires][#seed]`:
+//! A plan is a list of [`FaultSpec`]s, built in code:
 //!
-//! ```text
-//! FINBENCH_FAULTS="batch=panic@0.1,admit=corrupt:nan@0.05#7,queue=stall@0.02"
-//! FINBENCH_FAULTS="serve.shard.0=kill@0.1*1#11"   # fires at most once
+//! ```
+//! use finbench_faults::{Corruption, FaultKind, FaultPlan, FaultSpec, Faults};
+//! let nan = FaultKind::CorruptInput(Corruption::NaN);
+//! let plan = FaultPlan::new()
+//!     .with(FaultSpec::at_rate("batch", FaultKind::Panic, 0.1))
+//!     .with(FaultSpec::at_rate("admit", nan, 0.05).seeded(7))
+//!     .with(FaultSpec::at_rate("serve.shard.0", FaultKind::Kill, 0.1).limited(1));
+//! assert!(Faults::new(plan).armed());
 //! ```
 //!
-//! * `site` — a dotted site name; an entry matches a call site when it is
+//! * site — a dotted site name; a spec matches a call site when it is
 //!   equal to it or a dotted prefix of it (`batch` matches
 //!   `batch.black_scholes`).
-//! * `kind` — `panic` | `latency:<dur>` (`100ns`, `250us`, `5ms`, `1s`) |
-//!   `corrupt:<nan|inf|neg>` | `stall` | `kill` (for killable components
-//!   such as serving shards: `serve.shard.<i>=kill`).
-//! * `@rate` — firing probability in `[0, 1]`; defaults to `1`.
-//! * `*max_fires` — firing budget: after the spec has fired this many
-//!   times it never fires again; defaults to unlimited. This is how a
-//!   rolling-kill chaos plan self-terminates against a server whose
-//!   killed shards respawn (`serve.shard.0=kill@0.1*1` kills seat 0
-//!   exactly once and then lets the respawned worker live).
-//! * `#seed` — per-entry SplitMix64 seed; defaults to `0x5EED`.
+//! * [`FaultKind`] — what happens when the spec fires.
+//! * rate — firing probability in `[0, 1]` ([`FaultSpec::at_rate`]);
+//!   [`FaultSpec::always`] fires on every matching call.
+//! * [`FaultSpec::limited`] — firing budget: after the spec has fired
+//!   this many times it never fires again; unlimited by default. This is
+//!   how a rolling-kill chaos plan self-terminates against a server whose
+//!   killed shards respawn (`serve.shard.0` killed at most once above,
+//!   after which the respawned worker lives).
+//! * [`FaultSpec::seeded`] — per-spec SplitMix64 seed; `0x5EED` by default.
 //!
 //! ## Determinism
 //!
@@ -86,33 +89,11 @@ pub enum FaultKind {
     CorruptInput(Corruption),
     /// Stall the consumer side of a queue for one scheduling window.
     StallQueue,
-    /// Kill the component at the site outright (e.g. a serving shard:
-    /// `serve.shard.<i>=kill`). The component answers everything it
+    /// Kill the component at the site outright (e.g. a serving shard at
+    /// `serve.shard.<i>`). The component answers everything it
     /// holds with typed rejections and exits — availability degrades,
     /// correctness must not.
     Kill,
-}
-
-impl std::fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultKind::Panic => write!(f, "panic"),
-            FaultKind::Latency(d) => {
-                // Sub-microsecond durations must render at full precision
-                // or `parse(to_string())` would truncate them.
-                if d.subsec_nanos() % 1000 == 0 {
-                    write!(f, "latency:{}us", d.as_micros())
-                } else {
-                    write!(f, "latency:{}ns", d.as_nanos())
-                }
-            }
-            FaultKind::CorruptInput(Corruption::NaN) => write!(f, "corrupt:nan"),
-            FaultKind::CorruptInput(Corruption::Inf) => write!(f, "corrupt:inf"),
-            FaultKind::CorruptInput(Corruption::Negative) => write!(f, "corrupt:neg"),
-            FaultKind::StallQueue => write!(f, "stall"),
-            FaultKind::Kill => write!(f, "kill"),
-        }
-    }
 }
 
 /// One fault: a site pattern, a kind, a firing rate, a firing budget,
@@ -179,16 +160,6 @@ impl FaultSpec {
     }
 }
 
-impl std::fmt::Display for FaultSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={}@{}", self.site, self.kind, self.rate)?;
-        if self.max_fires != u64::MAX {
-            write!(f, "*{}", self.max_fires)?;
-        }
-        write!(f, "#{}", self.seed)
-    }
-}
-
 const DEFAULT_SEED: u64 = 0x5EED;
 
 /// A set of faults to arm together.
@@ -211,139 +182,17 @@ impl FaultPlan {
         self
     }
 
-    /// Parse the `FINBENCH_FAULTS` grammar (see the crate docs).
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut plan = FaultPlan::new();
-        for entry in spec.split(',') {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            plan.specs.push(parse_entry(entry)?);
-        }
-        Ok(plan)
-    }
-
     /// True when the plan has no specs.
     pub fn is_empty(&self) -> bool {
         self.specs.is_empty()
     }
 }
 
-impl std::fmt::Display for FaultPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut first = true;
-        for s in &self.specs {
-            if !first {
-                write!(f, ",")?;
-            }
-            first = false;
-            write!(f, "{s}")?;
-        }
-        Ok(())
-    }
-}
-
-fn parse_entry(entry: &str) -> Result<FaultSpec, String> {
-    let (site, rest) = entry
-        .split_once('=')
-        .ok_or_else(|| format!("fault entry `{entry}`: want site=kind[@rate][*max][#seed]"))?;
-    let site = site.trim();
-    if site.is_empty() {
-        return Err(format!("fault entry `{entry}`: empty site"));
-    }
-    let (rest, seed) = match rest.rsplit_once('#') {
-        Some((r, s)) => (
-            r,
-            s.trim()
-                .parse::<u64>()
-                .map_err(|_| format!("fault entry `{entry}`: bad seed `{s}`"))?,
-        ),
-        None => (rest, DEFAULT_SEED),
-    };
-    // `*max_fires` sits between the rate and the seed; no kind or rate
-    // token contains `*`, so a reverse split is unambiguous.
-    let (rest, max_fires) = match rest.rsplit_once('*') {
-        Some((r, m)) => (
-            r,
-            m.trim()
-                .parse::<u64>()
-                .map_err(|_| format!("fault entry `{entry}`: bad max_fires `{m}`"))?,
-        ),
-        None => (rest, u64::MAX),
-    };
-    let (kind_str, rate) = match rest.rsplit_once('@') {
-        Some((k, r)) => {
-            let rate = r
-                .trim()
-                .parse::<f64>()
-                .map_err(|_| format!("fault entry `{entry}`: bad rate `{r}`"))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("fault entry `{entry}`: rate {rate} outside [0, 1]"));
-            }
-            (k, rate)
-        }
-        None => (rest, 1.0),
-    };
-    let kind = parse_kind(kind_str.trim())
-        .ok_or_else(|| format!("fault entry `{entry}`: unknown kind `{}`", kind_str.trim()))?;
-    Ok(FaultSpec {
-        site: site.to_string(),
-        kind,
-        rate,
-        max_fires,
-        seed,
-    })
-}
-
-fn parse_kind(s: &str) -> Option<FaultKind> {
-    match s {
-        "panic" => Some(FaultKind::Panic),
-        "stall" => Some(FaultKind::StallQueue),
-        "kill" => Some(FaultKind::Kill),
-        _ => {
-            if let Some(d) = s.strip_prefix("latency:") {
-                return parse_duration(d.trim()).map(FaultKind::Latency);
-            }
-            if let Some(c) = s.strip_prefix("corrupt:") {
-                return match c.trim() {
-                    "nan" => Some(FaultKind::CorruptInput(Corruption::NaN)),
-                    "inf" => Some(FaultKind::CorruptInput(Corruption::Inf)),
-                    "neg" => Some(FaultKind::CorruptInput(Corruption::Negative)),
-                    _ => None,
-                };
-            }
-            None
-        }
-    }
-}
-
-/// Parse `100ns` / `250us` / `5ms` / `2s` (also bare integers, read as µs).
-fn parse_duration(s: &str) -> Option<Duration> {
-    // `ns` must be peeled before the bare-`s` suffix below would swallow
-    // its trailing `s` and fail on the leftover `n`.
-    if let Some(n) = s.strip_suffix("ns") {
-        return n.trim().parse::<u64>().ok().map(Duration::from_nanos);
-    }
-    let (num, mul_us) = if let Some(n) = s.strip_suffix("us") {
-        (n, 1u64)
-    } else if let Some(n) = s.strip_suffix("ms") {
-        (n, 1_000)
-    } else if let Some(n) = s.strip_suffix('s') {
-        (n, 1_000_000)
-    } else {
-        (s, 1)
-    };
-    num.trim()
-        .parse::<u64>()
-        .ok()
-        .map(|v| Duration::from_micros(v.saturating_mul(mul_us)))
-}
-
 // ---------------------------------------------------------------------------
 // The handle
 // ---------------------------------------------------------------------------
 
+#[derive(Debug)]
 struct ActiveSpec {
     spec: FaultSpec,
     /// Monotonic decision index; decision n is `mix(seed + n·γ) < rate`.
@@ -366,9 +215,9 @@ fn unit_f64(bits: u64) -> f64 {
 
 /// An armed plan, or none: the decision streams and firing budgets of
 /// one [`FaultPlan`], owned by whoever asked for the faults. A clone
-/// *shares* them (the CLI hands one to every server of a run); a second
-/// [`Faults::new`] of the same plan starts its own.
-#[derive(Clone, Default)]
+/// *shares* them; a second [`Faults::new`] of the same plan starts its
+/// own.
+#[derive(Debug, Clone, Default)]
 pub struct Faults(Option<Arc<[ActiveSpec]>>);
 
 impl Faults {
@@ -386,15 +235,6 @@ impl Faults {
             fired: AtomicU64::new(0),
         };
         Self((!plan.is_empty()).then(|| plan.specs.into_iter().map(arm).collect()))
-    }
-
-    /// The plan in the `FINBENCH_FAULTS` environment variable; unarmed
-    /// when the variable is unset or holds no entry.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("FINBENCH_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec).map(Self::new),
-            Err(_) => Ok(Self::none()),
-        }
     }
 
     /// True when this handle carries a plan.
@@ -470,36 +310,10 @@ impl Faults {
         extra
     }
 
-    /// Per-spec firing tallies: `(spec, calls, fired)`, in plan order.
-    pub fn report(&self) -> Vec<(FaultSpec, u64, u64)> {
-        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
-        let tally = |a: &ActiveSpec| (a.spec.clone(), load(&a.calls), load(&a.fired));
-        self.specs().iter().map(tally).collect()
-    }
-
     /// Total faults fired through this handle and its clones.
     pub fn fired_total(&self) -> u64 {
         let fired = |a: &ActiveSpec| a.fired.load(Ordering::Relaxed);
         self.specs().iter().map(fired).sum()
-    }
-}
-
-/// The plan in the `FINBENCH_FAULTS` grammar (empty when unarmed).
-impl std::fmt::Debug for Faults {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let specs = self.specs().iter().map(|a| a.spec.clone()).collect();
-        write!(f, "Faults({})", FaultPlan { specs })
-    }
-}
-
-/// Equal when one is a clone of the other, or neither is armed.
-impl PartialEq for Faults {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.0, &other.0) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
     }
 }
 
@@ -534,90 +348,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn grammar_round_trips() {
-        let plan = FaultPlan::parse(
-            "batch=panic@0.1, admit.black_scholes=corrupt:nan@0.05#7,\
-             queue=stall, batch.binomial=latency:250us@0.5",
-        )
-        .unwrap();
-        assert_eq!(plan.specs.len(), 4);
-        assert_eq!(plan.specs[0].kind, FaultKind::Panic);
-        assert_eq!(plan.specs[0].rate, 0.1);
-        assert_eq!(plan.specs[0].seed, DEFAULT_SEED);
-        assert_eq!(plan.specs[1].kind, FaultKind::CorruptInput(Corruption::NaN));
-        assert_eq!(plan.specs[1].seed, 7);
-        assert_eq!(plan.specs[2].kind, FaultKind::StallQueue);
-        assert_eq!(plan.specs[2].rate, 1.0);
-        assert_eq!(
-            plan.specs[3].kind,
-            FaultKind::Latency(Duration::from_micros(250))
-        );
-        // Display re-parses to the same plan.
-        let again = FaultPlan::parse(&plan.to_string()).unwrap();
-        assert_eq!(again, plan);
-    }
-
-    #[test]
-    fn max_fires_caps_the_budget_and_round_trips() {
-        let plan = FaultPlan::parse("a=panic@1*2#5, b=kill@0.5*1").unwrap();
-        assert_eq!(plan.specs[0].max_fires, 2);
-        assert_eq!(plan.specs[1].max_fires, 1);
-        assert_eq!(plan.specs[1].kind, FaultKind::Kill);
-        assert_eq!(plan.specs[0].to_string(), "a=panic@1*2#5");
-        assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
-        // Unlimited specs keep the old rendering (no `*` token).
-        let unlimited = FaultSpec::always("a", FaultKind::Panic);
-        assert!(!unlimited.to_string().contains('*'));
-
-        let faults = Faults::new(plan);
+    fn limited_caps_the_budget() {
+        let spec = FaultSpec::always("a", FaultKind::Panic)
+            .seeded(5)
+            .limited(2);
+        assert_eq!((spec.max_fires, spec.seed, spec.rate), (2, 5, 1.0));
+        assert_eq!(FaultSpec::always("a", FaultKind::Panic).max_fires, u64::MAX);
+        let faults = Faults::new(FaultPlan::new().with(spec));
         let fired: usize = (0..50).map(|_| faults.fire("a").len()).sum();
         assert_eq!(fired, 2, "budget of 2 must cap an always-firing spec");
-        let rep = faults.report();
-        assert_eq!(rep[0].2, 2);
-        // Exhausted specs stop consuming decisions: calls froze when the
-        // budget ran out (2 firing calls consumed 2 decisions).
-        assert_eq!(rep[0].1, 2);
+        assert_eq!(faults.fired_total(), 2);
     }
 
     #[test]
-    fn grammar_rejects_bad_entries() {
-        for bad in [
-            "no_equals",
-            "site=",
-            "=panic",
-            "site=warble",
-            "site=panic@1.5",
-            "site=panic@x",
-            "site=latency:abc",
-            "site=corrupt:weird",
-            "site=panic#notanumber",
-            "site=panic*x",
-            "site=panic*-1",
-        ] {
-            assert!(FaultPlan::parse(bad).is_err(), "{bad} should not parse");
+    fn a_limited_spec_fires_on_the_first_firing_calls_of_the_unlimited_one() {
+        // An exhausted spec stops consuming decisions, so a budget of k
+        // keeps exactly the first k fires of the unlimited stream.
+        let spec = FaultSpec::at_rate("x", FaultKind::Panic, 0.3).seeded(42);
+        let run = |spec: FaultSpec| -> Vec<bool> {
+            let faults = Faults::new(FaultPlan::new().with(spec));
+            (0..300).map(|_| !faults.fire("x").is_empty()).collect()
+        };
+        let unlimited = run(spec.clone());
+        let firing: Vec<usize> = (0..300).filter(|&i| unlimited[i]).collect();
+        for k in [0, 1, 5, 17] {
+            let limited = run(spec.clone().limited(k as u64));
+            let fired: Vec<usize> = (0..300).filter(|&i| limited[i]).collect();
+            assert_eq!(fired, firing[..k], "limited to {k}");
         }
-        assert!(FaultPlan::parse("").unwrap().is_empty());
-        assert!(FaultPlan::parse(" , ,").unwrap().is_empty());
-    }
-
-    #[test]
-    fn durations_parse_all_units() {
-        assert_eq!(parse_duration("100ns"), Some(Duration::from_nanos(100)));
-        assert_eq!(parse_duration("250us"), Some(Duration::from_micros(250)));
-        assert_eq!(parse_duration("5ms"), Some(Duration::from_millis(5)));
-        assert_eq!(parse_duration("2s"), Some(Duration::from_secs(2)));
-        assert_eq!(parse_duration("42"), Some(Duration::from_micros(42)));
-        assert_eq!(parse_duration("nope"), None);
-    }
-
-    #[test]
-    fn sub_microsecond_latency_displays_at_full_precision() {
-        // Pre-fix, Display truncated 1500ns to `latency:1us` and the
-        // roundtrip silently changed the plan.
-        let spec = FaultSpec::always("batch", FaultKind::Latency(Duration::from_nanos(1500)));
-        assert_eq!(spec.to_string(), "batch=latency:1500ns@1#24301");
-        let plan = FaultPlan::new().with(spec);
-        assert_eq!(FaultPlan::parse(&plan.to_string()).unwrap(), plan);
     }
 
     #[test]
@@ -640,9 +398,7 @@ mod tests {
             assert!(!faults.armed());
             assert!(faults.fire("batch.black_scholes").is_empty());
             assert_eq!(faults.fire_compute("batch.black_scholes"), Duration::ZERO);
-            assert!(faults.report().is_empty());
             assert_eq!(faults.fired_total(), 0);
-            assert_eq!(faults, Faults::none());
         }
     }
 
@@ -656,21 +412,12 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(faults.fire("a"), vec![FaultKind::Panic]);
         }
-        let rep = faults.report();
-        assert_eq!(rep[0].2, 50);
-        assert_eq!(rep[1].1, 50, "rate-0 spec still evaluated");
-        assert_eq!(rep[1].2, 0, "rate-0 spec never fired");
+        assert_eq!(faults.fired_total(), 50, "only the rate-1 spec fired");
     }
 
     #[test]
     fn firing_sequence_is_deterministic_per_seed() {
-        let plan = FaultPlan::new().with(FaultSpec {
-            site: "x".into(),
-            kind: FaultKind::Panic,
-            rate: 0.3,
-            max_fires: u64::MAX,
-            seed: 99,
-        });
+        let plan = FaultPlan::new().with(FaultSpec::at_rate("x", FaultKind::Panic, 0.3).seeded(99));
         let run = |plan: &FaultPlan| -> Vec<bool> {
             let faults = Faults::new(plan.clone());
             (0..200).map(|_| !faults.fire("x").is_empty()).collect()
@@ -706,50 +453,6 @@ mod tests {
         assert!(Corruption::Negative.apply(-0.5) < 0.0);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
-        #[test]
-        fn display_reparses_to_the_same_plan(
-            site_idx in 0usize..4,
-            kind_idx in 0usize..7,
-            nanos in 0u64..5_000_000,
-            rate in 0.0f64..1.0,
-            max_idx in 0usize..4,
-            seed in 0u64..u64::MAX,
-        ) {
-            const SITES: [&str; 4] = ["batch", "admit.black_scholes", "queue.serve", "a.b.c"];
-            const MAXES: [u64; 4] = [u64::MAX, 1, 7, 1_000_000];
-            let kind = match kind_idx {
-                0 => FaultKind::Panic,
-                1 => FaultKind::Latency(Duration::from_nanos(nanos)),
-                2 => FaultKind::CorruptInput(Corruption::NaN),
-                3 => FaultKind::CorruptInput(Corruption::Inf),
-                4 => FaultKind::CorruptInput(Corruption::Negative),
-                5 => FaultKind::Kill,
-                _ => FaultKind::StallQueue,
-            };
-            let plan = FaultPlan::new().with(FaultSpec {
-                site: SITES[site_idx].to_string(),
-                kind,
-                rate,
-                max_fires: MAXES[max_idx],
-                seed,
-            });
-            let rendered = plan.to_string();
-            let reparsed = FaultPlan::parse(&rendered);
-            proptest::prop_assert!(reparsed.is_ok(), "`{rendered}` failed to parse");
-            proptest::prop_assert_eq!(reparsed.unwrap(), plan, "`{}` changed meaning", rendered);
-        }
-    }
-
-    #[test]
-    fn from_env_is_unarmed_without_the_variable() {
-        // The test runner does not set FINBENCH_FAULTS; guard anyway.
-        if std::env::var("FINBENCH_FAULTS").is_err() {
-            assert_eq!(Faults::from_env(), Ok(Faults::none()));
-        }
-    }
-
     #[test]
     fn handles_fired_from_interleaving_threads_each_replay_their_own_seed() {
         // The first 500 decisions of a fresh 30 % handle on `seed`, each
@@ -781,19 +484,15 @@ mod tests {
 
     #[test]
     fn a_clone_shares_the_budget_and_a_second_handle_gets_its_own() {
-        let plan = FaultPlan::parse("s=kill*1").unwrap();
+        let plan = FaultPlan::new().with(FaultSpec::always("s", FaultKind::Kill).limited(1));
         let kills = |f: &Faults| (0..10).map(|_| f.fire("s").len()).sum::<usize>();
         let first = Faults::new(plan.clone());
         let clone = first.clone();
-        assert_eq!(first, clone);
-        assert_eq!(kills(&first), 1, "`*1` fires once per handle");
+        assert_eq!(kills(&first), 1, "a budget of 1 fires once per handle");
         assert_eq!(kills(&clone), 0, "a clone draws on the same budget");
         assert_eq!((first.fired_total(), clone.fired_total()), (1, 1));
         let second = Faults::new(plan);
-        assert_ne!(first, second);
         assert_eq!(second.fired_total(), 0);
         assert_eq!(kills(&second), 1, "a second handle of the plan has its own");
-        assert_eq!(format!("{second:?}"), "Faults(s=kill@1*1#24301)");
-        assert_eq!(format!("{:?}", Faults::none()), "Faults()");
     }
 }

@@ -28,8 +28,9 @@
 //!   rungs, latency SLOs, synthetic load generation, and fault-tolerant
 //!   lane supervision (circuit breakers + graceful rung degradation).
 //! * [`faults`] — deterministic fault injection behind the chaos
-//!   experiments: an owned `Faults` handle per server (`FINBENCH_FAULTS`
-//!   plans: panics, latency, input corruption, queue stalls, shard kills).
+//!   experiments: an owned `Faults` handle per server, armed with a
+//!   `FaultPlan` built in code (panics, latency, input corruption, queue
+//!   stalls, shard kills).
 //! * [`harness`] — the experiment drivers behind the `finbench` CLI.
 //! * [`telemetry`] — zero-dependency spans, counters, and histograms
 //!   wired through the pool, RNG, serving plane and harness, always on.

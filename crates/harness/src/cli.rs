@@ -6,7 +6,6 @@
 //! ```text
 //! finbench run [EXPERIMENT ...] [FLAGS]   # run experiments
 //! finbench list                           # print experiment ids
-//! finbench serve-bench [FLAGS]            # serving-plane load benchmark
 //! ```
 
 use crate::report::{BenchReportOptions, CompareMode};
@@ -52,11 +51,7 @@ pub fn usage_line() -> String {
         "usage: finbench <COMMAND> [FLAGS]\n\
          \x20 finbench run [EXPERIMENT ...]  run experiments (`all` = every one)\n\
          \x20 finbench list                  print experiment ids\n\
-         \x20 finbench serve-bench           serving-plane load benchmark (alias for `run serve_bench`)\n\
-         \x20 finbench chaos-bench           fault-injection chaos benchmark (alias for `run chaos_bench`)\n\
-         \x20 finbench greeks-bench          greeks/risk workload benchmark (alias for `run greeks_bench`)\n\
-         \x20 finbench portfolio-bench       portfolio market-risk benchmark (alias for `run portfolio_bench`)\n\
-         \x20 finbench bench-report [--quick] [--trials N] [--out FILE]\n\
+         \x20 finbench bench-report [--quick] [--out FILE]\n\
          \x20     run every kernel ladder + serve/greeks sweep, write BENCH_<n>.json\n\
          \x20 finbench bench-compare OLD.json NEW.json\n\
          \x20 finbench bench-compare --self-test SNAP.json\n\
@@ -64,7 +59,7 @@ pub fn usage_line() -> String {
          \x20 finbench bench-trend [DIR]\n\
          \x20     gated-metric trajectory across every BENCH_<n>.json in DIR (default .)\n\
          \x20 finbench gate [--quick]\n\
-         \x20     the four *-bench experiments + bench-report in one process: one JSON verdict\n\
+         \x20     the four *_bench experiments + bench-report in one process: one JSON verdict\n\
          \x20     per line, exit 1 on a failed one that is not advisory\n\
          flags: [--quick] [--only KERNEL[,KERNEL...]] [--shards N] [--csv DIR] [--json FILE] [--report]\n\
          experiments: {} | all\n\
@@ -153,8 +148,8 @@ fn validate_ids(mut ids: Vec<String>) -> Result<Vec<String>, String> {
 /// Parse the argument list (without the program name).
 ///
 /// Rules:
-/// - The first token selects a subcommand (`run`, `list`, `serve-bench`,
-///   …); anything else is a usage error.
+/// - The first token selects a subcommand (`run`, `list`, `gate`, …);
+///   anything else is a usage error.
 /// - `--help`/`-h` short-circuits to [`CliAction::Help`] regardless of
 ///   other arguments.
 /// - `all` expands to every experiment id in paper order.
@@ -179,9 +174,6 @@ where
                 Ok(CliAction::List)
             }
         }
-        Some(sub @ ("serve-bench" | "chaos-bench" | "greeks-bench" | "portfolio-bench")) => {
-            parse_experiment_alias(sub, &args[1..])
-        }
         Some("bench-report") => parse_bench_report(&args[1..]),
         Some("bench-compare") => parse_bench_compare(&args[1..]),
         Some("bench-trend") => parse_bench_trend(&args[1..]),
@@ -192,24 +184,7 @@ where
     }
 }
 
-/// Shared grammar of the `*-bench` subcommands: flags only, mapping to
-/// the experiment of the same name (`serve-bench` runs `serve_bench`).
-fn parse_experiment_alias(sub: &str, args: &[String]) -> Result<CliAction, String> {
-    match collect(args)? {
-        Collected::Help => Ok(CliAction::Help),
-        Collected::Items(operands, opts) => {
-            if let Some(extra) = operands.first() {
-                return Err(format!("{sub} takes no experiment operands (got: {extra})"));
-            }
-            Ok(CliAction::Run(ParsedArgs {
-                ids: vec![sub.replace('-', "_")],
-                opts,
-            }))
-        }
-    }
-}
-
-/// `bench-report [--quick] [--trials N] [--out FILE]` — its flag set is
+/// `bench-report [--quick] [--out FILE]` — its flag set is
 /// disjoint from the experiment flags, so it has its own tiny loop.
 fn parse_bench_report(args: &[String]) -> Result<CliAction, String> {
     let mut opts = BenchReportOptions::default();
@@ -217,11 +192,6 @@ fn parse_bench_report(args: &[String]) -> Result<CliAction, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" | "-q" => opts.quick = true,
-            "--trials" => match it.next().map(|s| s.parse::<usize>()) {
-                Some(Ok(n)) if n > 0 => opts.trials = n,
-                Some(_) => return Err("--trials requires a positive integer".into()),
-                None => return Err("--trials requires a count argument".into()),
-            },
             "--out" => match it.next() {
                 Some(f) => opts.out = Some(f.clone()),
                 None => return Err("--out requires a file argument".into()),
@@ -328,6 +298,17 @@ mod tests {
         assert_eq!(p.opts.csv_dir.as_deref(), Some("out"));
         assert_eq!(p.opts.json, None);
         assert!(!p.opts.report);
+        for id in [
+            "serve_bench",
+            "chaos_bench",
+            "greeks_bench",
+            "portfolio_bench",
+        ] {
+            assert_eq!(run(&["run", id, "--quick"]).ids, [id]);
+            // `run <id>` is the one spelling; a dashed form is no command.
+            let err = parse_args([id.replace('_', "-")]).unwrap_err();
+            assert!(err.contains("unknown command"), "{id}: {err}");
+        }
     }
 
     #[test]
@@ -350,47 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_subcommand_maps_to_the_serve_bench_experiment() {
-        let p = run(&["serve-bench", "--quick"]);
-        assert_eq!(p.ids, ["serve_bench"]);
-        assert!(p.opts.quick);
-        // It takes flags, not experiment operands.
-        assert!(parse_args(["serve-bench", "fig4"]).is_err());
-    }
-
-    #[test]
-    fn chaos_bench_subcommand_maps_to_the_chaos_bench_experiment() {
-        let p = run(&["chaos-bench", "--quick"]);
-        assert_eq!(p.ids, ["chaos_bench"]);
-        assert!(p.opts.quick);
-        assert!(parse_args(["chaos-bench", "fig4"]).is_err());
-        // Also reachable through the plain run grammar.
-        assert_eq!(run(&["run", "chaos_bench"]).ids, ["chaos_bench"]);
-    }
-
-    #[test]
-    fn greeks_bench_subcommand_maps_to_the_greeks_bench_experiment() {
-        let p = run(&["greeks-bench", "--quick"]);
-        assert_eq!(p.ids, ["greeks_bench"]);
-        assert!(p.opts.quick);
-        assert!(parse_args(["greeks-bench", "fig4"]).is_err());
-        // Also reachable through the plain run grammar.
-        assert_eq!(run(&["run", "greeks_bench"]).ids, ["greeks_bench"]);
-    }
-
-    #[test]
-    fn portfolio_bench_subcommand_maps_to_the_portfolio_bench_experiment() {
-        let p = run(&["portfolio-bench", "--quick"]);
-        assert_eq!(p.ids, ["portfolio_bench"]);
-        assert!(p.opts.quick);
-        assert!(parse_args(["portfolio-bench", "fig4"]).is_err());
-        // Also reachable through the plain run grammar.
-        assert_eq!(run(&["run", "portfolio_bench"]).ids, ["portfolio_bench"]);
-    }
-
-    #[test]
     fn serve_bench_accepts_only_and_json() {
-        let p = run(&["serve-bench", "--only", "rng", "--json", "t.jsonl"]);
+        let p = run(&["run", "serve_bench", "--only", "rng", "--json", "t.jsonl"]);
         assert_eq!(p.ids, ["serve_bench"]);
         assert_eq!(p.opts.only, Some(vec!["rng".to_string()]));
         assert_eq!(p.opts.json.as_deref(), Some("t.jsonl"));
@@ -400,23 +342,15 @@ mod tests {
 
     #[test]
     fn bench_report_parses_flags() {
-        let a = parse_args([
-            "bench-report",
-            "--quick",
-            "--trials",
-            "2",
-            "--out",
-            "b.json",
-        ]);
+        let a = parse_args(["bench-report", "--quick", "--out", "b.json"]);
         assert_eq!(
             a,
             Ok(CliAction::BenchReport(BenchReportOptions {
                 quick: true,
-                trials: 2,
                 out: Some("b.json".into()),
             }))
         );
-        // Defaults: full mode, auto trials, auto-numbered output path.
+        // Defaults: full mode, auto-numbered output path.
         assert_eq!(
             parse_args(["bench-report"]),
             Ok(CliAction::BenchReport(BenchReportOptions::default()))
@@ -426,9 +360,6 @@ mod tests {
     #[test]
     fn bench_report_rejects_bad_input() {
         assert!(parse_args(["bench-report", "fig4"]).is_err());
-        assert!(parse_args(["bench-report", "--trials"]).is_err());
-        assert!(parse_args(["bench-report", "--trials", "0"]).is_err());
-        assert!(parse_args(["bench-report", "--trials", "many"]).is_err());
         assert!(parse_args(["bench-report", "--out"]).is_err());
     }
 
@@ -470,7 +401,6 @@ mod tests {
     #[test]
     fn usage_mentions_the_bench_subcommands() {
         let u = usage_line();
-        assert!(u.contains("serve-bench"), "{u}");
         assert!(!u.contains("deprecated"), "{u}");
         assert!(u.contains("bench-report"), "{u}");
         assert!(u.contains("bench-compare"), "{u}");
@@ -509,14 +439,14 @@ mod tests {
 
     #[test]
     fn shards_flag_parses_on_serve_bench() {
-        let p = run(&["serve-bench", "--shards", "4"]);
+        let p = run(&["run", "serve_bench", "--shards", "4"]);
         assert_eq!(p.ids, ["serve_bench"]);
         assert_eq!(p.opts.shards, Some(4));
         // Default: mode decides the sweep top.
-        assert_eq!(run(&["serve-bench"]).opts.shards, None);
-        assert!(parse_args(["serve-bench", "--shards"]).is_err());
-        assert!(parse_args(["serve-bench", "--shards", "0"]).is_err());
-        assert!(parse_args(["serve-bench", "--shards", "lots"]).is_err());
+        assert_eq!(run(&["run", "serve_bench"]).opts.shards, None);
+        assert!(parse_args(["run", "serve_bench", "--shards"]).is_err());
+        assert!(parse_args(["run", "serve_bench", "--shards", "0"]).is_err());
+        assert!(parse_args(["run", "serve_bench", "--shards", "lots"]).is_err());
     }
 
     // ---- the flat grammar is gone: a command word is required ----
@@ -567,7 +497,7 @@ mod tests {
         // Help wins even with other junk present, under any subcommand.
         assert_eq!(parse_args(["run", "--help"]), Ok(CliAction::Help));
         assert_eq!(parse_args(["run", "nosuch", "-h"]), Ok(CliAction::Help));
-        assert_eq!(parse_args(["serve-bench", "-h"]), Ok(CliAction::Help));
+        assert_eq!(parse_args(["bench-report", "-h"]), Ok(CliAction::Help));
     }
 
     #[test]

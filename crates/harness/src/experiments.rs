@@ -476,7 +476,7 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
 
     println!(
         "{}",
-        section("serve-bench — batched pricing-request plane (dynamic micro-batching)")
+        section("serve_bench — batched pricing-request plane (dynamic micro-batching)")
     );
     let default_kernels = ["black_scholes", "binomial"];
     let kernels: Vec<String> = match &opts.only {
@@ -534,7 +534,7 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
                 pricer,
                 ..ServeConfig::default()
             };
-            let server = Server::start_with_faults(config, opts.faults.clone());
+            let server = Server::start(config);
             let r = drive(&server, kernel.as_str(), mode, seed, None, hedge).report();
             let snap = server.shutdown();
             totals.add(&r);
@@ -668,7 +668,7 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
                 pricer,
                 ..ServeConfig::default()
             };
-            let server = Server::start_with_faults(config, opts.faults.clone());
+            let server = Server::start(config);
             let r = run_load(
                 &server,
                 "black_scholes",
@@ -757,7 +757,7 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
 /// availability must stay above the floor while the surviving shard
 /// keeps serving ([`gate::chaos`] has the bounds).
 pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
-    use finbench_faults::{self as faults, FaultPlan, Faults};
+    use finbench_faults::{self as faults, Corruption, FaultKind, FaultPlan, FaultSpec, Faults};
     use finbench_serve::{
         drive, pricer, BreakerPolicy, Exchange, HedgePolicy, LoadMode, PriceRequest, PricerConfig,
         ServeConfig, Server,
@@ -766,7 +766,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
 
     println!(
         "{}",
-        section("chaos-bench — fault-tolerant serving under injected faults")
+        section("chaos_bench — fault-tolerant serving under injected faults")
     );
     let kernel = "black_scholes";
     let load = LoadMode::Closed {
@@ -774,22 +774,40 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
         requests_per_client: if opts.quick { 150 } else { 800 },
     };
 
-    // The fault-plan matrix, in the FINBENCH_FAULTS grammar itself so the
-    // printed plans double as copy-paste chaos recipes.
-    let plans: &[(&str, &str)] = &[
-        ("baseline", ""),
-        ("panic 10%", "batch.black_scholes=panic@0.1"),
-        ("latency 250us/20%", "batch.black_scholes=latency:250us@0.2"),
-        ("corrupt 5%", "admit.black_scholes=corrupt:nan@0.05"),
-        ("queue stall 2%", "queue=stall@0.02"),
+    // The fault-plan matrix. Specs without `seeded` draw on the default
+    // seed (0x5EED).
+    let bs = |site: &str| format!("{site}.black_scholes");
+    let panic = |rate| FaultSpec::at_rate(bs("batch"), FaultKind::Panic, rate);
+    let corrupt = |c, rate| FaultSpec::at_rate(bs("admit"), FaultKind::CorruptInput(c), rate);
+    let stall = |rate| FaultSpec::at_rate("queue", FaultKind::StallQueue, rate);
+    let latency = FaultKind::Latency(Duration::from_micros(250));
+    let plans = [
+        ("baseline", FaultPlan::new()),
+        ("panic 10%", FaultPlan::new().with(panic(0.1))),
+        (
+            "latency 250us/20%",
+            FaultPlan::new().with(FaultSpec::at_rate(bs("batch"), latency, 0.2)),
+        ),
+        (
+            "corrupt 5%",
+            FaultPlan::new().with(corrupt(Corruption::NaN, 0.05)),
+        ),
+        ("queue stall 2%", FaultPlan::new().with(stall(0.02))),
         (
             "combined",
-            "batch.black_scholes=panic@0.1,admit.black_scholes=corrupt:inf@0.05,queue=stall@0.01",
+            FaultPlan::new()
+                .with(panic(0.1))
+                .with(corrupt(Corruption::Inf, 0.05))
+                .with(stall(0.01)),
         ),
         // Kill one of the two worker shards mid-run: the router stops
         // routing there, in-flight work on the dead shard answers
         // `Rejected::Internal`, and the surviving shard keeps serving.
-        ("shard kill", "serve.shard.1=kill@0.05#7"),
+        (
+            "shard kill",
+            FaultPlan::new()
+                .with(FaultSpec::at_rate("serve.shard.1", FaultKind::Kill, 0.05).seeded(7)),
+        ),
     ];
 
     let pricer_cfg = PricerConfig::default();
@@ -841,8 +859,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     let mut csv = String::from(
         "plan,offered,served,availability,invalid,internal,shed,degraded_batches,restarts,breaker_open,corrupted\n",
     );
-    for (label, plan_str) in plans {
-        let plan = FaultPlan::parse(plan_str).expect("matrix plans parse");
+    for (label, plan) in plans {
         // Two worker shards: every plan exercises the sharded router, and
         // the shard-kill plan has a survivor to fail over to. The matrix
         // pins down *terminal* shard loss (the shard-kill plan's
@@ -861,7 +878,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
         let opened: u64 = snap.kernels.iter().map(|k| k.breaker_open).sum();
         total_corrupted += corrupted;
         total_degraded += degraded;
-        if *label == "shard kill" {
+        if label == "shard kill" {
             kill_stats = Some((
                 avail,
                 snap.alive_shards(),
@@ -912,19 +929,22 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     maybe_write_csv(&opts.csv_dir, "chaos_bench.csv", &csv);
 
     // ---- rolling-kill panel: respawn, redrive, and hedging.
-    // Every shard of a 3-shard fleet is killed exactly once (`*1` caps
-    // the fault budget; staggered rates and seeds roll the kills through
+    // Every shard of a 3-shard fleet is killed exactly once (`limited(1)`
+    // caps the fault budget; staggered rates and seeds roll the kills through
     // the run instead of firing together). Each seat's worker must
     // respawn — MTTR is kill → respawned-and-serving — and a second,
     // fault-free drive afterwards proves the recovered fleet serves at
     // full availability. Phase 1 clients hedge: a request caught in a
     // kill/redrive window races a tagged second copy after 2ms.
-    let rolling_plan =
-        "serve.shard.0=kill@0.05*1#11,serve.shard.1=kill@0.01*1#12,serve.shard.2=kill@0.002*1#13";
-    let rolling_shards = 3usize;
+    let rolling_rates = [0.05, 0.01, 0.002];
+    let rolling_shards = rolling_rates.len();
     let (rolling_respawns, rolling_avail) = {
-        let plan = FaultPlan::parse(rolling_plan).expect("rolling-kill plan parses");
-        let kills = Faults::new(plan);
+        let kill_once = |(i, rate)| {
+            let kill = FaultSpec::at_rate(format!("serve.shard.{i}"), FaultKind::Kill, rate);
+            kill.seeded(11 + i).limited(1)
+        };
+        let specs = (0u64..).zip(rolling_rates).map(kill_once).collect();
+        let kills = Faults::new(FaultPlan { specs });
         let server = Server::start_with_faults(config(rolling_shards, true), kills.clone());
         let hedge = HedgePolicy {
             delay: Duration::from_millis(2),
@@ -948,14 +968,16 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
             );
             std::thread::sleep(Duration::from_millis(1));
         }
-        // Phase 2 is fault-free because every `*1` budget is spent: the
+        // Phase 2 is fault-free because every budget of one is spent: the
         // respawned fleet at full strength.
         assert_eq!(kills.fired_total(), rolling_shards as u64);
         let phase2 = drive(&server, kernel, load, 0xA077, None, None);
         let avail2 = phase2.report().availability();
         total_corrupted += corrupted1 + count_corrupted(&phase2.exchanges);
         let snap = server.shutdown();
-        println!("  rolling-kill plan: {rolling_plan}");
+        println!(
+            "  rolling-kill plan: shard i killed once at rates {rolling_rates:?}, seed 11 + i"
+        );
         println!(
             "  rolling-kill respawns: {} (MTTR mean {:.2}ms)",
             snap.total_respawns(),
@@ -1021,7 +1043,7 @@ pub fn greeks_bench(opts: &RunOptions) -> Vec<Verdict> {
 
     println!(
         "{}",
-        section("greeks-bench — risk workload plane (analytic / bump / Monte-Carlo)")
+        section("greeks_bench — risk workload plane (analytic / bump / Monte-Carlo)")
     );
 
     // (a) Native ladder throughput: all three estimator families, driven
@@ -1177,7 +1199,7 @@ pub fn greeks_bench(opts: &RunOptions) -> Vec<Verdict> {
         ..ServeConfig::default()
     };
     let oracle = greeks_ladder(cfg.pricer.market);
-    let server = Server::start_with_faults(cfg, opts.faults.clone());
+    let server = Server::start(cfg);
     let load = LoadMode::Closed {
         clients,
         requests_per_client: per_client,
@@ -1260,7 +1282,7 @@ pub fn portfolio_bench(opts: &RunOptions) -> Vec<Verdict> {
 
     println!(
         "{}",
-        section("portfolio-bench — market-risk plane (scenario grids -> VaR/ES)")
+        section("portfolio_bench — market-risk plane (scenario grids -> VaR/ES)")
     );
 
     // (a) Native ladder throughput: full-book revaluation driven through
@@ -1376,7 +1398,7 @@ pub fn portfolio_bench(opts: &RunOptions) -> Vec<Verdict> {
         shards: 2,
         ..ServeConfig::default()
     };
-    let server = Server::start_with_faults(config, opts.faults.clone());
+    let server = Server::start(config);
     let req = PortfolioRequest::new(1, SEED, replay_positions, scenarios).with_chunk(chunk);
     let resp = server.submit(req).recv().expect("portfolio response");
     let snapshot = server.shutdown();

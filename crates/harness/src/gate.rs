@@ -217,11 +217,7 @@ pub fn run(quick: bool) -> Result<Vec<Verdict>, Box<dyn Error>> {
 
     let fresh = std::env::temp_dir().join(format!("finbench_gate_{}.json", std::process::id()));
     let out = Some(fresh.display().to_string());
-    let opts = BenchReportOptions {
-        quick,
-        out,
-        ..BenchReportOptions::default()
-    };
+    let opts = BenchReportOptions { quick, out };
     let bench = (|| {
         report::bench_report(&opts)?;
         verdicts.extend(snapshot(&report::load_bench(&fresh)?));

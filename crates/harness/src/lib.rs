@@ -59,10 +59,6 @@ pub struct RunOptions {
     /// Top of the serving-plane shard sweep (`serve_bench`): shard counts
     /// double 1, 2, … up to this value (none = mode default).
     pub shards: Option<usize>,
-    /// The `FINBENCH_FAULTS` plan (unarmed when unset), cloned into every
-    /// server an experiment starts: one decision stream and budget per
-    /// run. `chaos_bench` arms its own plans.
-    pub faults: finbench_faults::Faults,
 }
 
 /// All experiment ids, in paper order (plus the op-count audit).

@@ -24,7 +24,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut parsed = match action {
+    let parsed = match action {
         CliAction::Help => {
             println!("{}", finbench_harness::cli::usage_line());
             return;
@@ -60,24 +60,6 @@ fn main() {
         CliAction::Gate { quick } => std::process::exit(finbench_harness::gate::main(quick)),
         CliAction::Run(p) => p,
     };
-
-    // The experiments' servers fire the FINBENCH_FAULTS plan, if any
-    // (e.g. `FINBENCH_FAULTS=batch.black_scholes=panic@0.1`).
-    match finbench_faults::Faults::from_env() {
-        Ok(faults) => {
-            if faults.armed() {
-                // Injected panics are expected and caught by the serving
-                // lanes; keep their backtraces off the console.
-                finbench_faults::silence_injected_panics();
-                eprintln!("fault plan armed from FINBENCH_FAULTS");
-            }
-            parsed.opts.faults = faults;
-        }
-        Err(msg) => {
-            eprintln!("error: FINBENCH_FAULTS: {msg}");
-            std::process::exit(2);
-        }
-    }
 
     for id in &parsed.ids {
         // Ids were validated by parse_args; a false here is a logic error.

@@ -47,20 +47,8 @@ pub const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
 pub struct BenchReportOptions {
     /// Shrink workloads and sweep sizes (CI-friendly).
     pub quick: bool,
-    /// Interleaved trials per kernel ladder (0 = auto: 2 quick, 3 full).
-    pub trials: usize,
     /// Output path (default: next free `BENCH_<n>.json` in the cwd).
     pub out: Option<String>,
-}
-
-impl BenchReportOptions {
-    fn effective_trials(&self) -> usize {
-        match self.trials {
-            0 if self.quick => 2,
-            0 => 3,
-            t => t,
-        }
-    }
 }
 
 /// How `bench-compare` was invoked.
@@ -110,7 +98,8 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
     // Counters only count up: the snapshot carries what this sweep added.
     let counters_before = telemetry::counter_snapshot();
     let quick = opts.quick;
-    let trials = opts.effective_trials();
+    // Interleaved trials per kernel ladder.
+    let trials = if quick { 2 } else { 3 };
     let engine = native::engine();
 
     println!(

@@ -90,14 +90,13 @@ fn scramble_tables(dim: usize, seed: u64) -> Vec<Vec<u32>> {
 ///
 /// [`Halton::new`] applies deterministic digit scrambling, which repairs
 /// the notorious cross-dimension correlations of the plain sequence in
-/// high dimensions (large prime bases produce long monotone digit runs);
-/// [`Halton::new_unscrambled`] gives the textbook sequence.
+/// high dimensions (large prime bases produce long monotone digit runs).
 #[derive(Debug, Clone)]
 pub struct Halton {
     dim: usize,
     next_index: u64,
-    /// Per-dimension digit permutations; `None` = plain Halton.
-    scramble: Option<Vec<Vec<u32>>>,
+    /// Per-dimension digit permutations.
+    scramble: Vec<Vec<u32>>,
 }
 
 impl Halton {
@@ -108,17 +107,7 @@ impl Halton {
         Self {
             dim,
             next_index: 0,
-            scramble: Some(scramble_tables(dim, 0x5EED_5EED_5EED_5EED)),
-        }
-    }
-
-    /// The textbook (unscrambled) Halton sequence.
-    pub fn new_unscrambled(dim: usize) -> Self {
-        assert!((1..=PRIMES.len()).contains(&dim), "supported dims: 1..=64");
-        Self {
-            dim,
-            next_index: 0,
-            scramble: None,
+            scramble: scramble_tables(dim, 0x5EED_5EED_5EED_5EED),
         }
     }
 
@@ -138,17 +127,8 @@ impl Halton {
         assert_eq!(out.len(), self.dim, "point buffer must match dim");
         let n = self.next_index + 1;
         self.next_index += 1;
-        match &self.scramble {
-            Some(tables) => {
-                for (d, slot) in out.iter_mut().enumerate() {
-                    *slot = radical_inverse_scrambled(n, PRIMES[d], &tables[d]);
-                }
-            }
-            None => {
-                for (d, slot) in out.iter_mut().enumerate() {
-                    *slot = radical_inverse(n, PRIMES[d]);
-                }
-            }
+        for (d, slot) in out.iter_mut().enumerate() {
+            *slot = radical_inverse_scrambled(n, PRIMES[d], &self.scramble[d]);
         }
     }
 

@@ -49,7 +49,7 @@
 //! [`loadgen`] adds closed- and open-loop synthetic load, written once
 //! over a [`RequestSource`] so every plane is driven, hedged, tallied and
 //! peak-searched by the same code; the harness exposes it as the
-//! `serve_bench` experiment (`finbench serve-bench`), with the greeks
+//! `serve_bench` experiment (`finbench run serve_bench`), with the greeks
 //! lane measured by `greeks_bench`.
 //!
 //! ## Fault tolerance

@@ -1,6 +1,6 @@
 //! The full paper regeneration in one shot: every modeled table and
 //! figure plus the native optimization ladders, equivalent to
-//! `finbench all --quick`.
+//! `finbench run all --quick`.
 //!
 //! ```text
 //! cargo run --release --example ninja_gap_report

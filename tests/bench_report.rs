@@ -28,7 +28,6 @@ fn snapshot_path() -> &'static PathBuf {
         let out = dir.join("BENCH_it.json");
         let opts = BenchReportOptions {
             quick: true,
-            trials: 1,
             out: Some(out.display().to_string()),
         };
         bench_report(&opts).expect("bench-report run")
