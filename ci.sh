@@ -12,8 +12,19 @@ cargo test -q --workspace
 echo "==> standalone benchmark runner (the one consumer outside the workspace)"
 # benchmark/ is its own package on path dependencies, so nothing above
 # compiles it; it must keep building against the serving plane's public API.
+# Its committed Cargo.lock is stale and cargo rewrites it on every build:
+# put the committed file back, so a run of this script leaves benchmark/
+# as it found it.
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+if ! cmp -s "$lock" benchmark/Cargo.lock; then
+  diff -u "$lock" benchmark/Cargo.lock || true
+  cp "$lock" benchmark/Cargo.lock
+  echo "--> cargo rewrote benchmark/Cargo.lock; the committed file is back in place (a benchmark change refreshes it: ROADMAP item 1(a))"
+fi
+rm -f "$lock"
 
 echo "==> telemetry tests, 20x back to back"
 # Two tests share the process-global span registry and one drains it; they
@@ -101,6 +112,12 @@ fi
 echo "==> source guard (a fault plan is built in code; one spelling per command)"
 if git grep -nE 'FINBENCH_FAULTS|from_env|FaultPlan::parse|parse_duration|(serve|chaos|greeks|portfolio)-bench|--trials' -- crates tests examples; then
   echo "a FaultPlan is built with FaultSpec's builders, never read from the environment; an experiment runs as \`finbench run <id>\`; bench-report's trial count is fixed by its mode" >&2
+  exit 1
+fi
+
+echo "==> source guard (a price request borrows its kernel name)"
+if git grep -nE 'kernel: (String|impl Into<String>)' -- crates/serve/src/request.rs; then
+  echo "PriceRequest::kernel is a Cow<'static, str>: a literal or registry name is built, queued and routed without allocating" >&2
   exit 1
 fi
 

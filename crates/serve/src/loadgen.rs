@@ -37,8 +37,10 @@ use crate::request::{
     GreeksRequest, PortfolioRequest, PriceRequest, Rejected, Response, ServeRequest,
 };
 use crate::server::{Server, ShardSnapshot};
+use finbench_core::engine::registry;
 use finbench_rng::{RngCore64, SplitMix64};
 use finbench_telemetry::{self as telemetry, Counter};
+use std::borrow::Cow;
 use std::sync::{mpsc, LazyLock};
 use std::time::{Duration, Instant};
 
@@ -231,7 +233,13 @@ pub trait RequestSource: Sync {
     fn request(&self, id: u64, deadline: Option<Instant>, stream: &mut OptionStream) -> Self::Req;
 }
 
-/// A registry kernel name is the price plane's source.
+/// The registry's kernel names, read once per process.
+static KERNEL_NAMES: LazyLock<Vec<&'static str>> = LazyLock::new(|| registry().names());
+
+/// A registry kernel name is the price plane's source. Each request
+/// borrows the registry's own `&'static str` for it, so building one
+/// allocates nothing; only a name the registry does not know is copied
+/// into every request, and the server rejects it.
 impl RequestSource for str {
     type Req = PriceRequest;
 
@@ -244,10 +252,14 @@ impl RequestSource for str {
         deadline: Option<Instant>,
         stream: &mut OptionStream,
     ) -> PriceRequest {
+        let kernel = match KERNEL_NAMES.iter().find(|&&name| name == self) {
+            Some(&name) => Cow::Borrowed(name),
+            None => Cow::Owned(self.to_owned()),
+        };
         let (s, x, t) = stream.next_option();
         PriceRequest {
             deadline,
-            ..PriceRequest::new(id, self, s, x, t)
+            ..PriceRequest::new(id, kernel, s, x, t)
         }
     }
 }

@@ -100,8 +100,10 @@ pub struct PriceRequest {
     /// the bit already set ([`Rejected::InvalidInput`]); un-hedged
     /// submission does not interpret the id and accepts any value.
     pub id: u64,
-    /// Registry kernel name (e.g. `black_scholes`, `binomial`).
-    pub kernel: String,
+    /// Registry kernel name (e.g. `black_scholes`, `binomial`): borrowed
+    /// for a literal or a registry name (`Kernel::name()` is
+    /// `&'static str`), owned otherwise.
+    pub kernel: Cow<'static, str>,
     /// Spot price of the underlying.
     pub s: f64,
     /// Strike price.
@@ -115,8 +117,10 @@ pub struct PriceRequest {
 }
 
 impl PriceRequest {
-    /// A request with no deadline.
-    pub fn new(id: u64, kernel: impl Into<String>, s: f64, x: f64, t: f64) -> Self {
+    /// A request with no deadline. A literal or a registry name costs
+    /// nothing: the request borrows it, and allocates only if `kernel` is
+    /// an owned `String`.
+    pub fn new(id: u64, kernel: impl Into<Cow<'static, str>>, s: f64, x: f64, t: f64) -> Self {
         Self {
             id,
             kernel: kernel.into(),

@@ -99,6 +99,28 @@ fn unknown_kernel_increments_the_rejected_counter_once() {
 }
 
 #[test]
+fn an_owned_kernel_name_is_served_or_rejected_like_a_borrowed_one() {
+    let server = Server::start(quick_config());
+    let owned = |name: &str| PriceRequest::new(1, name.to_owned(), 30.0, 35.0, 1.0);
+    let borrowed = recv(
+        &server,
+        PriceRequest::new(1, "black_scholes", 30.0, 35.0, 1.0),
+    );
+    let served = recv(&server, owned("black_scholes"));
+    assert_eq!(
+        served.as_ref().map(|p| (p.call, p.put)),
+        borrowed.as_ref().map(|p| (p.call, p.put)),
+        "an owned name prices on the same lane as the literal"
+    );
+    assert!(matches!(
+        recv(&server, owned("no_such_kernel")),
+        Err(Rejected::UnknownKernel { .. })
+    ));
+    let snap = server.shutdown();
+    assert_eq!((snap.planes[0].served, snap.planes[0].rejected), (2, 1));
+}
+
+#[test]
 fn unservable_kernel_increments_the_rejected_counter_once() {
     let server = Server::start(quick_config());
     // `rng` is registered but has no batch-safe serving rung.

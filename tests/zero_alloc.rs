@@ -5,7 +5,9 @@
 //! allocations; and so does a portfolio chunk (scenario grid + full-book
 //! revaluation) through a recycled grid and [`RevalScratch`]; and so do
 //! the serving ledger's metric handles with telemetry **on** — a counted
-//! event is atomics, never a name lookup.
+//! event is atomics, never a name lookup; and so does a price request
+//! named by a literal or a registry name, built by hand or by the load
+//! generator's kernel-name source.
 //!
 //! This binary holds exactly one test: the counting allocator (installed
 //! globally by `finbench_harness`) tallies process-wide, so sharing a
@@ -23,7 +25,7 @@ use finbench::core::MarketParams;
 use finbench::engine::Engine;
 use finbench::parallel::available_parallelism;
 use finbench::serve::pricer::{self, PricerConfig};
-use finbench::serve::OptionScratch;
+use finbench::serve::{OptionScratch, OptionStream, PriceRequest, RequestSource};
 use finbench::telemetry::{self, Counter, Gauge};
 
 const M: MarketParams = MarketParams::PAPER;
@@ -141,4 +143,24 @@ fn steady_state_serve_batches_allocate_nothing() {
         "metric handles must not allocate"
     );
     assert_eq!(events.get(), telemetry::counter_value("zero_alloc.events"));
+
+    // A price request borrows its kernel name: building, cloning and
+    // dropping one never touches the allocator, whether a caller writes the
+    // literal or the load generator resolves the name against the registry.
+    let mut stream = OptionStream::new(7);
+    std::hint::black_box("black_scholes".request(0, None, &mut stream));
+    let before = telemetry::alloc_stats();
+    for i in 0..10_000u64 {
+        let (s, x, t) = opt(i as usize);
+        let req = PriceRequest::new(i, "black_scholes", s, x, t);
+        std::hint::black_box(req.clone());
+        std::hint::black_box(req);
+        std::hint::black_box("black_scholes".request(i, None, &mut stream));
+    }
+    let d = telemetry::alloc_stats().since(before);
+    assert_eq!(
+        (d.allocs, d.bytes),
+        (0, 0),
+        "a price request named by a literal or registry name must not allocate"
+    );
 }
