@@ -115,6 +115,12 @@ if git grep -nE 'FINBENCH_FAULTS|from_env|FaultPlan::parse|parse_duration|(serve
   exit 1
 fi
 
+echo "==> source guard (a price lane's ladder is declared, not planned)"
+if git grep -nE 'fn servable\(|plan\.rung' -- crates/serve/src; then
+  echo "pricer::servable_ladder lists each kernel's batch-safe rungs, like greeks_ladder and portfolio_ladder: no slug allow-list, no walk down from the planned rung" >&2
+  exit 1
+fi
+
 echo "==> source guard (a price request borrows its kernel name)"
 if git grep -nE 'kernel: (String|impl Into<String>)' -- crates/serve/src/request.rs; then
   echo "PriceRequest::kernel is a Cow<'static, str>: a literal or registry name is built, queued and routed without allocating" >&2

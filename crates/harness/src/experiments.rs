@@ -508,10 +508,12 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
                 continue;
             }
         };
+        // The ladder is declared per kernel; the planner's pick is printed
+        // beside it only to show where the cost model would have gone.
         let plan = engine.plan(kernel).expect("kernel resolved above");
         println!(
-            "  [{kernel}] serving rung: {} (plan: {}, width {})",
-            rung.slug, plan.slug, rung.width
+            "  [{kernel}] serving rung: {} (ladder top, width {}; planner's pick: {})",
+            rung.slug, rung.width, plan.slug
         );
 
         let mut rows: Vec<Vec<String>> = Vec::new();

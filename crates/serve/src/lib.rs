@@ -4,8 +4,8 @@
 //! request-oriented service: callers submit typed [`PriceRequest`]s one
 //! option at a time; the server gathers them into dynamic micro-batches
 //! shaped like the SOA workloads the paper's kernels want, prices each
-//! batch on the [`Planner`](finbench_engine::Planner)-chosen ladder rung,
-//! and scatters per-request [`PriceResponse`]s back.
+//! batch on the top rung of the kernel's declared degradation ladder, and
+//! scatters per-request [`PriceResponse`]s back.
 //!
 //! The pipeline, stage by stage:
 //!
@@ -18,12 +18,13 @@
 //!    idle trigger that flushes as soon as the admission queue runs dry —
 //!    so a lightly loaded server answers at the system's latency, and the
 //!    timer only ever bounds a backlogged one.
-//! 3. **Pricing** ([`pricer`]) — the most advanced *batch-safe* rung at
-//!    or below the planned one, with batches padded to the SIMD width so
-//!    every request's price is bit-identical to pricing it alone
-//!    (verified by property tests). Every plane's degradation ladder is
-//!    a `Vec<`[`Rung`]`<K>>`: slug, width, and a batch body of the
-//!    plane's own signature.
+//! 3. **Pricing** ([`pricer`]) — each servable kernel's fixed list of
+//!    *batch-safe* rungs, most advanced first (Black-Scholes W=8 → W=8 →
+//!    W=4 → scalar; binomial's scalar reference), with batches padded to
+//!    the SIMD width so every request's price is bit-identical to pricing
+//!    it alone (verified by property tests). Every plane's degradation
+//!    ladder is a `Vec<`[`Rung`]`<K>>`: slug, width, and a batch body of
+//!    the plane's own signature.
 //! 4. **Scatter-back** ([`server`]) — one response per request, with
 //!    latency SLO enforcement ([`Rejected::DeadlineExceeded`]) and full
 //!    telemetry (queue-depth gauge, occupancy + latency histograms, shed

@@ -7,16 +7,16 @@
 //! batch neighbours — a micro-batch mixes unrelated requests, so any rung
 //! that couples lanes (e.g. the binomial SIMD rungs, which share one
 //! expiry grid per vector group) would change a request's answer based on
-//! who it happened to be batched with. The servable set is a curated
-//! allow-list over ladder slugs; [`resolve`] starts from the
-//! [`Planner`](finbench_engine::Planner)'s chosen rung and walks *down*
-//! the ladder to the most advanced servable one.
+//! who it happened to be batched with. Each servable kernel declares its
+//! degradation ladder as a fixed list of such rungs, most advanced first
+//! ([`servable_ladder`]), like the greeks and portfolio ladders: which
+//! rung a lane serves does not depend on the
+//! [`Planner`](finbench_engine::Planner)'s cost model.
 //!
 //! No *threaded* rung is servable: a shard worker is the serving plane's
 //! unit of parallelism and a micro-batch is a single pool chunk, so
 //! `advanced_own_pool_threads` could only compute the bits of
-//! `advanced_erf_parity_w_8`, which a lane serves when the planner (on
-//! two or more CPUs) picks the threaded rung.
+//! `advanced_erf_parity_w_8`, the top of the Black-Scholes ladder.
 //!
 //! ## Bit-exactness under batching
 //!
@@ -105,77 +105,65 @@ pub fn padded_batch_into(batch: &mut OptionBatchSoa, opts: &[(f64, f64, f64)], w
     }
 }
 
-/// The allow-list: a price [`Rung`] for `slug` if that rung prices each
-/// option independently of its batch neighbours. Public so the batching
-/// property tests can sweep the whole servable set, not just the rung
-/// the host planner picks.
-pub fn servable(kernel: &str, slug: &str, cfg: &PricerConfig) -> Option<ServingRung> {
-    let m = cfg.market;
-    let (width, price): (usize, Box<PriceKernel>) = match (kernel, slug) {
-        ("black_scholes", "basic_scalar_aos_reference")
-        | ("black_scholes", "intermediate_scalar_soa") => {
-            (1, Box::new(move |b| soa::price_soa_scalar(b, m)))
-        }
-        ("black_scholes", "intermediate_simd_soa_w_4") => {
-            (4, Box::new(move |b| soa::price_soa_simd::<4>(b, m)))
-        }
-        ("black_scholes", "intermediate_simd_soa_w_8") => {
-            (8, Box::new(move |b| soa::price_soa_simd::<8>(b, m)))
-        }
-        ("black_scholes", "advanced_erf_parity_w_8") => (
-            8,
-            Box::new(move |b| soa::price_soa_simd_erf_parity::<8>(b, m)),
-        ),
-        ("binomial", "basic_scalar_reference") => {
-            let n = cfg.binomial_steps.max(1);
-            (
-                1,
-                Box::new(move |b| binomial::reference::price_batch(b, m, n)),
-            )
-        }
-        _ => return None,
-    };
-    Some(Rung::new(slug, width, price))
+fn rung<const W: usize>(
+    slug: &str,
+    body: impl Fn(&mut OptionBatchSoa) + Send + Sync + 'static,
+) -> ServingRung {
+    Rung::new(slug, W, Box::new(body))
 }
 
-/// The full *degradation ladder* for `kernel`: every batch-safe rung at
-/// or below the planner's chosen one, most advanced first. Index 0 is
+/// The *degradation ladder* for `kernel`, most advanced first. Index 0 is
 /// the normal serving rung (what [`resolve`] returns); each subsequent
 /// entry is the next cheaper fallback the lane supervisor degrades to
-/// when the rung above keeps faulting, ending at the scalar reference.
-/// Every entry prices bit-identically to pricing alone on that same
-/// rung, so degradation trades throughput, never correctness.
+/// when the rung above keeps faulting, ending at a scalar rung. Every
+/// entry prices bit-identically to pricing alone on that same rung, so
+/// degradation trades throughput, never correctness.
+///
+/// Black-Scholes descends erf + parity (W=8) → SIMD SOA W=8 → W=4 →
+/// scalar SOA; binomial serves its scalar reference only. The engine
+/// only tells an unknown name ([`Rejected::UnknownKernel`]) from a
+/// registered kernel with no batch-safe rung ([`Rejected::Unservable`]).
 pub fn servable_ladder(
     engine: &Engine,
     kernel: &str,
     cfg: &PricerConfig,
 ) -> Result<Vec<ServingRung>, Rejected> {
-    let any = engine
-        .registry()
-        .resolve(kernel)
-        .map_err(|e| Rejected::UnknownKernel {
-            reason: e.to_string().into(),
-        })?;
-    let plan = engine.plan(kernel).map_err(|e| Rejected::UnknownKernel {
-        reason: e.to_string().into(),
-    })?;
-    let rungs = any.rungs();
-    let ladder: Vec<_> = (0..=plan.rung.min(rungs.len().saturating_sub(1)))
-        .rev()
-        .filter_map(|idx| servable(kernel, &rungs[idx].slug, cfg))
-        .collect();
-    if ladder.is_empty() {
-        Err(Rejected::Unservable {
-            kernel: kernel.to_string().into(),
-        })
-    } else {
-        Ok(ladder)
+    let m = cfg.market;
+    match kernel {
+        "black_scholes" => Ok(vec![
+            rung::<8>("advanced_erf_parity_w_8", move |b| {
+                soa::price_soa_simd_erf_parity::<8>(b, m)
+            }),
+            rung::<8>("intermediate_simd_soa_w_8", move |b| {
+                soa::price_soa_simd::<8>(b, m)
+            }),
+            rung::<4>("intermediate_simd_soa_w_4", move |b| {
+                soa::price_soa_simd::<4>(b, m)
+            }),
+            rung::<1>("intermediate_scalar_soa", move |b| {
+                soa::price_soa_scalar(b, m)
+            }),
+        ]),
+        "binomial" => {
+            let n = cfg.binomial_steps.max(1);
+            Ok(vec![rung::<1>("basic_scalar_reference", move |b| {
+                binomial::reference::price_batch(b, m, n)
+            })])
+        }
+        _ => Err(match engine.registry().resolve(kernel) {
+            Ok(_) => Rejected::Unservable {
+                kernel: kernel.to_string().into(),
+            },
+            Err(e) => Rejected::UnknownKernel {
+                reason: e.to_string().into(),
+            },
+        }),
     }
 }
 
-/// Resolve the serving rung for `kernel`: plan with the engine's cost
-/// model, then walk down the ladder from the planned rung to the most
-/// advanced batch-safe one. Engine errors map to typed rejections.
+/// Resolve the serving rung for `kernel`: the top of its
+/// [`servable_ladder`]. Unknown and unservable kernels are typed
+/// rejections.
 pub fn resolve(engine: &Engine, kernel: &str, cfg: &PricerConfig) -> Result<ServingRung, Rejected> {
     servable_ladder(engine, kernel, cfg).map(|mut l| l.remove(0))
 }
@@ -190,23 +178,9 @@ pub fn scalar_reference(s: f64, x: f64, t: f64, market: MarketParams) -> (f64, f
 mod tests {
     use super::*;
     use finbench_core::engine::registry;
-    use finbench_engine::{Engine, Planner};
-    use finbench_machine::SNB_EP;
 
     fn engine() -> Engine {
-        Engine::with_planner(registry(), Planner::new(SNB_EP))
-    }
-
-    #[test]
-    fn black_scholes_resolves_to_a_servable_rung_at_or_below_the_plan() {
-        let e = engine();
-        let cfg = PricerConfig::default();
-        let rung = resolve(&e, "black_scholes", &cfg).unwrap();
-        let plan = e.plan("black_scholes").unwrap();
-        let rungs = e.registry().resolve("black_scholes").unwrap().rungs();
-        let idx = rungs.iter().position(|r| r.slug == *rung.slug).unwrap();
-        assert!(idx <= plan.rung, "{} above plan {}", rung.slug, plan.slug);
-        assert!(rung.width >= 1);
+        Engine::new(registry())
     }
 
     #[test]
@@ -232,14 +206,6 @@ mod tests {
                 pair[0].slug,
                 pair[1].slug
             );
-        }
-        // Every level prices the same option consistently with the
-        // closed form (degradation preserves the equivalence contract).
-        let (want_c, want_p) = scalar_reference(30.0, 35.0, 2.0, cfg.market);
-        for rung in &ladder {
-            let (c, p) = rung.price_one(30.0, 35.0, 2.0);
-            assert!((c - want_c).abs() < 1e-9, "{}: {c} vs {want_c}", rung.slug);
-            assert!((p - want_p).abs() < 1e-9, "{}: {p} vs {want_p}", rung.slug);
         }
     }
 
@@ -308,7 +274,7 @@ mod tests {
 
     #[test]
     fn no_threaded_rung_is_servable_and_the_top_rung_prices_what_the_pooled_one_did() {
-        let e = engine(); // plans for 16 cores: the ladder starts at the top
+        let e = engine();
         let cfg = PricerConfig::default();
         for kernel in ["black_scholes", "binomial"] {
             let rungs = e.registry().resolve(kernel).unwrap().rungs();
@@ -331,20 +297,15 @@ mod tests {
 
     #[test]
     fn every_servable_black_scholes_rung_agrees_with_the_closed_form() {
-        let m = MarketParams::PAPER;
         let cfg = PricerConfig::default();
-        let (s, x, t) = (30.0, 35.0, 2.0);
-        let (want_c, want_p) = scalar_reference(s, x, t, m);
-        for slug in [
-            "intermediate_scalar_soa",
-            "intermediate_simd_soa_w_4",
-            "intermediate_simd_soa_w_8",
-            "advanced_erf_parity_w_8",
-        ] {
-            let rung = servable("black_scholes", slug, &cfg).unwrap();
-            let (c, p) = rung.price_one(s, x, t);
-            assert!((c - want_c).abs() < 1e-9, "{slug}: {c} vs {want_c}");
-            assert!((p - want_p).abs() < 1e-9, "{slug}: {p} vs {want_p}");
+        let ladder = servable_ladder(&engine(), "black_scholes", &cfg).unwrap();
+        for (s, x, t) in [(30.0, 35.0, 2.0), (25.0, 20.0, 0.5), (10.0, 90.0, 7.5)] {
+            let (want_c, want_p) = scalar_reference(s, x, t, cfg.market);
+            for rung in &ladder {
+                let (c, p) = rung.price_one(s, x, t);
+                assert!((c - want_c).abs() < 1e-9, "{}: {c} vs {want_c}", rung.slug);
+                assert!((p - want_p).abs() < 1e-9, "{}: {p} vs {want_p}", rung.slug);
+            }
         }
     }
 }

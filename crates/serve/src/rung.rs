@@ -40,15 +40,13 @@ mod tests {
     use crate::workload::{GREEKS_LANE, PORTFOLIO_LANE};
     use crate::{GreeksWorkload, PortfolioWorkload, PriceWorkload, PricerConfig, ServeWorkload};
     use finbench_core::engine::registry;
-    use finbench_engine::{Engine, Planner};
-    use finbench_machine::SNB_EP;
+    use finbench_engine::Engine;
 
     /// `W`'s ladder for `key` descends the engine's own ladder for that
     /// kernel — every slug a registry rung, indices strictly falling — and
     /// its widths, most advanced rung first.
     fn descending_widths<W: ServeWorkload>(key: &str) -> Vec<usize> {
-        // Plans for 16 cores: the price ladder starts at the top.
-        let engine = Engine::with_planner(registry(), Planner::new(SNB_EP));
+        let engine = Engine::new(registry());
         let ladder = W::ladder(&engine, key, &PricerConfig::default()).unwrap();
         let rungs = engine.registry().resolve(key).unwrap().rungs();
         let index = |slug: &str| {
@@ -73,8 +71,9 @@ mod tests {
         // Each ends on a scalar rung: the last-resort fallback.
         assert_eq!(
             descending_widths::<PriceWorkload>("black_scholes"),
-            [8, 8, 4, 1, 1]
+            [8, 8, 4, 1]
         );
+        assert_eq!(descending_widths::<PriceWorkload>("binomial"), [1]);
         assert_eq!(descending_widths::<GreeksWorkload>(GREEKS_LANE), [8, 4, 1]);
         assert_eq!(
             descending_widths::<PortfolioWorkload>(PORTFOLIO_LANE),

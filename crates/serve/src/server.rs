@@ -317,9 +317,9 @@ pub struct KernelSnapshot {
     pub batches: u64,
     /// The dispatched batches by flush trigger (`total()` = `batches`).
     pub flushes: FlushCounts,
-    /// Batches priced below the planned rung (degraded mode).
+    /// Batches priced below the ladder's top (degraded mode).
     pub degraded_batches: u64,
-    /// Current degradation level (0 = planned serving rung).
+    /// Current degradation level (0 = the ladder's top).
     pub degradation_level: usize,
     /// Supervised lane restarts (breaker Open → HalfOpen transitions).
     pub restarts: u64,
@@ -656,15 +656,15 @@ impl Server {
         req.admit(Admitted(self), tx);
     }
 
-    /// [`submit_with`](Self::submit_with) under its old per-plane name:
-    /// `benchmark/` and `tests/` call it, and neither may change with the
+    /// [`submit_with`](Self::submit_with) under its old per-plane name.
+    /// Its one caller is `benchmark/`, which may not change with the
     /// serving plane.
     pub fn submit_greeks_with(&self, req: GreeksRequest, tx: &Sender<GreeksResponse>) {
         self.submit_with(req, tx);
     }
 
-    /// [`submit_with`](Self::submit_with) under its old per-plane name:
-    /// `benchmark/` and `tests/` call it, and neither may change with the
+    /// [`submit_with`](Self::submit_with) under its old per-plane name.
+    /// Its one caller is `benchmark/`, which may not change with the
     /// serving plane.
     pub fn submit_portfolio_with(&self, req: PortfolioRequest, tx: &Sender<PortfolioResponse>) {
         self.submit_with(req, tx);
@@ -1285,7 +1285,7 @@ mod tests {
         let (gtx, grx) = mpsc::channel();
         for i in 0..n {
             server.submit_with(bs(i), &ptx);
-            server.submit_greeks_with(GreeksRequest::new(i, 25.0, 20.0, 0.5), &gtx);
+            server.submit_with(GreeksRequest::new(i, 25.0, 20.0, 0.5), &gtx);
         }
         drop((ptx, gtx));
         let priced: Vec<PriceResponse> = prx.iter().collect();

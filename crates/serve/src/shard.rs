@@ -86,8 +86,8 @@ impl Work {
     }
 }
 
-/// One lane of a shard: its degradation ladder (index 0 = planned rung,
-/// last = scalar reference), the level it serves at, its breaker, and
+/// One lane of a shard: its degradation ladder (index 0 = the top rung,
+/// last = a scalar one), the level it serves at, its breaker, and
 /// batch buffers recycled across flushes, so that a lane at steady state
 /// executes without allocating.
 struct Lane<W: ServeWorkload> {
@@ -487,7 +487,7 @@ fn execute<W: ServeWorkload>(
         Ok(()) => {
             if lane.breaker.on_success() && lane.level > 0 {
                 // Sustained health: promote one level back toward the
-                // planned rung.
+                // ladder's top.
                 lane.level -= 1;
                 tallies.promotions.add(1);
             }

@@ -46,21 +46,16 @@ fn pricer_config() -> PricerConfig {
     }
 }
 
-/// Every batch-safe (kernel, rung) pair, resolved independently of the
-/// host planner so the property covers the whole servable set, not just
-/// the rung planned for this machine.
+/// Every batch-safe (kernel, rung) pair: each servable kernel's whole
+/// degradation ladder, so the property covers every rung a lane can
+/// serve, not just the top one.
 fn servable_rungs() -> Vec<pricer::ServingRung> {
     let cfg = pricer_config();
     let engine = Engine::new(registry());
-    let mut out = Vec::new();
-    for kernel in ["black_scholes", "binomial"] {
-        let any = engine.registry().resolve(kernel).unwrap();
-        for info in any.rungs() {
-            if let Some(rung) = pricer::servable(kernel, &info.slug, &cfg) {
-                out.push(rung);
-            }
-        }
-    }
+    let out: Vec<_> = ["black_scholes", "binomial"]
+        .into_iter()
+        .flat_map(|kernel| pricer::servable_ladder(&engine, kernel, &cfg).unwrap())
+        .collect();
     assert!(out.len() >= 5, "servable set shrank: {}", out.len());
     out
 }
@@ -289,7 +284,7 @@ proptest! {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut responses = drive_paced(opts.len(), pace, &rx, |i| {
             let (s, x, t) = opts[i];
-            server.submit_greeks_with(GreeksRequest::new(i as u64, s, x, t), &tx);
+            server.submit_with(GreeksRequest::new(i as u64, s, x, t), &tx);
         });
         let snap = server.shutdown();
         prop_assert_eq!(snap.total_shed(), 0);
@@ -352,7 +347,7 @@ proptest! {
         let (tx, rx) = std::sync::mpsc::channel();
         let mut responses = drive_paced(books.len(), pace, &rx, |i| {
             let (positions, scenarios, chunk, seed) = books[i];
-            server.submit_portfolio_with(
+            server.submit_with(
                 PortfolioRequest::new(i as u64, seed, positions, scenarios).with_chunk(chunk),
                 &tx,
             );

@@ -4,7 +4,7 @@
 use finbench::core::black_scholes::soa;
 use finbench::core::brownian_bridge::{interleaved, BridgePlan};
 use finbench::core::workload::{MarketParams, OptionBatchSoa, WorkloadRanges};
-use finbench::parallel::{parallel_for_chunks, parallel_map_reduce};
+use finbench::parallel::parallel_for_chunks;
 use finbench::rng::{Mt19937_64, Philox4x32, RngCore64, StreamFamily};
 
 const M: MarketParams = MarketParams::PAPER;
@@ -81,26 +81,5 @@ fn own_pool_for_chunks_is_deterministic_in_output() {
             .map(|i| finbench::rng::SplitMix64::mix(i as u64))
             .collect();
         assert_eq!(v, want, "trial {trial}");
-    }
-}
-
-#[test]
-fn map_reduce_is_bitwise_stable_for_float_sums() {
-    let xs: Vec<f64> = (0..100_000)
-        .map(|i| ((i * 2654435761u64 as usize) % 1000) as f64 * 1e-3 + 1e-9)
-        .collect();
-    let sum = |workers: usize| {
-        parallel_map_reduce(
-            xs.len(),
-            128,
-            workers,
-            |r| xs[r].iter().sum::<f64>(),
-            |a, b| a + b,
-            0.0f64,
-        )
-    };
-    let want = sum(1);
-    for w in [2, 4, 16] {
-        assert_eq!(want.to_bits(), sum(w).to_bits(), "workers {w}");
     }
 }

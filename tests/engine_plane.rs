@@ -5,8 +5,9 @@
 //! correctly.
 
 use finbench::core::engine::registry;
-use finbench::engine::{Check, Planner};
-use finbench::machine::{arch::host_spec, KNC, SNB_EP};
+use finbench::engine::{Check, Engine, Planner};
+use finbench::machine::{arch::host_spec, ArchSpec, KNC, SNB_EP};
+use finbench::serve::pricer::{servable_ladder, PricerConfig};
 
 #[test]
 fn registry_consistency_holds_on_all_planning_archs() {
@@ -54,6 +55,51 @@ fn reference_rungs_are_baselines_and_checked_rungs_point_backwards() {
                     r.baseline
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn the_price_ladder_starts_at_or_below_every_black_scholes_plan() {
+    // The price ladder is declared, not planned: its top must not sit above
+    // what any planning arch picks, and no rung on it may be threaded or
+    // staging.
+    let one_core = ArchSpec {
+        cores_per_socket: 1,
+        stream_bw_gbs: 12.0,
+        ..host_spec()
+    };
+    let engine = Engine::new(registry());
+    for kernel in ["black_scholes", "binomial"] {
+        let k = engine.registry().resolve(kernel).unwrap();
+        let rungs = k.rungs();
+        let index = |slug: &str| {
+            rungs
+                .iter()
+                .position(|r| r.slug == slug)
+                .unwrap_or_else(|| panic!("{kernel}: {slug} is no registry rung"))
+        };
+        let ladder = servable_ladder(&engine, kernel, &PricerConfig::default()).unwrap();
+        for served in &ladder {
+            let info = &rungs[index(&served.slug)];
+            assert!(
+                !info.threaded && !info.staging,
+                "{kernel}: {} is threaded or staging",
+                served.slug
+            );
+        }
+        if kernel != "black_scholes" {
+            continue;
+        }
+        for arch in [SNB_EP, host_spec(), one_core] {
+            let plan = Planner::new(arch).plan(k).unwrap();
+            assert!(
+                plan.rung >= index(&ladder[0].slug),
+                "{}: plans {} below the ladder's top {}",
+                arch.name,
+                plan.slug,
+                ladder[0].slug
+            );
         }
     }
 }

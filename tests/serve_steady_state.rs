@@ -32,7 +32,7 @@ fn span_memory_is_bounded_and_steady_state_batches_allocate_nothing_lane_side() 
     });
     let (tx, rx) = mpsc::channel();
     let round_trip = |req: GreeksRequest| {
-        server.submit_greeks_with(req, &tx);
+        server.submit_with(req, &tx);
         let resp = rx.recv_timeout(Duration::from_secs(10)).expect("answered");
         let out = resp.outcome.expect("computed");
         assert_eq!(out.batch_len, 1);
