@@ -127,6 +127,12 @@ if git grep -nE 'kernel: (String|impl Into<String>)' -- crates/serve/src/request
   exit 1
 fi
 
+echo "==> source guard (BENCH_<n>.json is the kernel-ladder snapshot: no peak search, no alloc lanes, no counter section)"
+if git grep -nE 'search_peak|find_peak_sustained|PeakSearchConfig|PeakReport|PeakStep|last_sustained_hz|window_total|alloc_lanes|counter_deltas|abs_floor|peak_sustained_hz' -- crates tests examples; then
+  echo "bench-report writes the kernel ladders only: serve_bench / greeks_bench measure the serving plane, tests/zero_alloc.rs is the allocation gate, and a gated metric regresses past threshold% alone" >&2
+  exit 1
+fi
+
 echo "==> source guard (one math body: no generic or vector twin of a transcendental)"
 if git grep -nwE 'exp_r|ln_r|norm_cdf_r|erf_r|inv_norm_cdf_r|polevl_r|vpolevl' -- crates tests; then
   echo "exp, ln, norm_cdf, erf and inv_norm_cdf are written once, over finbench_math::Lanes" >&2

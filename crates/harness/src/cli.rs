@@ -52,7 +52,7 @@ pub fn usage_line() -> String {
          \x20 finbench run [EXPERIMENT ...]  run experiments (`all` = every one)\n\
          \x20 finbench list                  print experiment ids\n\
          \x20 finbench bench-report [--quick] [--out FILE]\n\
-         \x20     run every kernel ladder + serve/greeks sweep, write BENCH_<n>.json\n\
+         \x20     run every kernel ladder (active and portable tier), write BENCH_<n>.json\n\
          \x20 finbench bench-compare OLD.json NEW.json\n\
          \x20 finbench bench-compare --self-test SNAP.json\n\
          \x20     delta table between two snapshots; exit 1 on gated regressions\n\

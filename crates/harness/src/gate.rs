@@ -154,20 +154,15 @@ pub fn portfolio(replay_mismatches: Option<usize>, var_gap_in_half_widths: f64) 
     ]
 }
 
-/// What a snapshot must say on its own, named after its metric paths:
-/// every pooled (steady-state serve) lane allocates exactly nothing per
-/// batch; advisory, a SIMD-labelled rung is 1.5x its scalar sibling.
+/// What a snapshot says on its own, named after its metric paths: each
+/// SIMD-labelled rung is 1.5x its scalar sibling, advisory.
 pub fn snapshot(doc: &BenchDoc) -> Vec<Verdict> {
-    let judge = |m: &report::Metric| {
-        let gate = format!("bench.{}", m.path);
-        if m.path.starts_with("allocs.") && m.path.ends_with("_pooled.allocs_per_iter") {
-            return Some(Verdict::exactly(gate, m.value, 0.0));
-        }
-        let mut ratio = Verdict::at_least(gate, m.value, 1.5);
-        ratio.advisory = true;
-        m.path.starts_with("simd.").then_some(ratio)
+    let simd = doc.metrics.iter().filter(|m| m.path.starts_with("simd."));
+    let judge = |m: &report::Metric| Verdict {
+        advisory: true,
+        ..Verdict::at_least(format!("bench.{}", m.path), m.value, 1.5)
     };
-    doc.metrics.iter().filter_map(judge).collect()
+    simd.map(judge).collect()
 }
 
 /// The fresh snapshot at `fresh` against the latest committed
@@ -291,23 +286,20 @@ mod tests {
 
     #[test]
     fn only_a_hard_failure_changes_the_exit_code() {
-        let doc = |allocs: f64| {
-            let text = format!(
-                r#"{{"schema_version": 1, "quick": true, "serve": [], "kernels": [
-                    {{"name": "binomial", "rungs": [],
-                      "simd_vs_scalar": [{{"slug": "simd_w_8", "active": 1.0}}]}}],
-                "allocs": [{{"lane": "black_scholes", "allocs_per_iter": 5}},
-                           {{"lane": "black_scholes_pooled", "allocs_per_iter": {allocs}}}]}}"#
-            );
-            report::flatten(&json::parse(&text).unwrap(), "synthetic").unwrap()
-        };
-        let clean = snapshot(&doc(0.0));
-        assert_eq!(failed(&clean), ["bench.simd.binomial.simd_w_8.active"]);
-        assert!(clean[0].advisory && clean.len() == 2, "{clean:?}");
-        assert_eq!(exit_code(&clean), 0);
-        let allocating = snapshot(&doc(4.0));
-        let lane = "bench.allocs.black_scholes_pooled.allocs_per_iter";
-        assert!(failed(&allocating).contains(&lane), "{allocating:?}");
-        assert_eq!(exit_code(&allocating), 1);
+        // A schema-1 snapshot as committed up to BENCH_43: its allocating
+        // pooled lane yields no verdict.
+        let text = r#"{"schema_version": 1, "quick": true, "serve": [], "kernels": [
+                {"name": "binomial", "rungs": [],
+                 "simd_vs_scalar": [{"slug": "simd_w_8", "active": 1.0}]}],
+            "allocs": [{"lane": "black_scholes_pooled", "allocs_per_iter": 4}]}"#;
+        let doc = report::flatten(&json::parse(text).unwrap(), "synthetic").unwrap();
+        let advisory = snapshot(&doc);
+        assert_eq!(failed(&advisory), ["bench.simd.binomial.simd_w_8.active"]);
+        assert!(advisory[0].advisory && advisory.len() == 1, "{advisory:?}");
+        assert_eq!(exit_code(&advisory), 0);
+        let mut hard = advisory;
+        hard.extend(greeks(1e-5, 0, 1));
+        assert_eq!(failed(&hard).len(), 2, "{hard:?}");
+        assert_eq!(exit_code(&hard), 1);
     }
 }

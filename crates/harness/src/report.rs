@@ -1,37 +1,34 @@
 //! `finbench bench-report` / `bench-compare`: the machine-readable perf
 //! trajectory.
 //!
-//! `bench-report` runs the full engine registry (all kernels × all rungs
-//! through [`Engine::run_ladder_samples`]'s interleaved trials), a quick
-//! serve + greeks load sweep (closed-loop latency percentiles beside the
-//! batch fill and flush-trigger mix that explain them, plus an open-loop
-//! peak-sustainable-load search), and an allocations-per-batch
-//! measurement on the hot pricing paths, then writes one schema-versioned
-//! `BENCH_<n>.json` at the repo root — the trajectory point every future
-//! PR compares against.
+//! `bench-report` runs the full engine registry — every kernel × every
+//! rung through [`Engine::run_ladder_samples`]'s interleaved trials, once
+//! under the active ISA tier and once forced onto the portable
+//! instantiation — and writes one schema-versioned `BENCH_<n>.json` at
+//! the repo root: the kernel ladders, each SIMD-labelled rung's ratio
+//! over its scalar sibling, and the host fingerprint. That is the
+//! trajectory point every future PR compares against. The serving plane
+//! is measured elsewhere: `serve_bench` / `greeks_bench` in `finbench
+//! gate`, and the standalone `benchmark/` runner.
 //!
 //! `bench-compare` diffs two such snapshots into a per-metric delta table
 //! with a fixed noise threshold ([`DEFAULT_THRESHOLD_PCT`]). Metrics are
-//! **gated** (a harmful move beyond the threshold fails CI: per-rung median
-//! rates on non-threaded rungs, serve shed counts, allocations/iter) or
-//! **advisory** (reported, never fatal: latency percentiles, peak load,
-//! best-of rates, cycle counts, threaded rungs). `--self-test` degrades
-//! every gated metric of a snapshot synthetically and verifies the gate
-//! actually fires — the regression gate's own regression test.
+//! **gated** (a harmful move beyond the threshold fails CI: per-rung
+//! median rates on non-threaded rungs) or **advisory** (reported, never
+//! fatal: p95 and best-of rates, cycle counts, threaded rungs, SIMD
+//! ratios). `--self-test` degrades every gated metric of a snapshot
+//! synthetically and verifies the gate actually fires — the regression
+//! gate's own regression test.
+//!
+//! [`Engine::run_ladder_samples`]: finbench_engine::Engine::run_ladder_samples
 
 use crate::native;
 use crate::render::{fmt_num, section, table};
-use finbench_core::greeks::GreeksBatchSoa;
 use finbench_engine::RungSamples;
-use finbench_serve::{
-    padded_batch_into, FlushCounts, GreeksSource, LoadMode, LoadReport, OptionScratch, PeakReport,
-    PeakSearchConfig, PortfolioSource, PricerConfig, RequestSource, ServeConfig, Server,
-};
 use finbench_simd::isa::{dispatch_as, Isa};
 use finbench_telemetry as telemetry;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use telemetry::json::{self, Json};
 
 /// Schema version stamped into every `BENCH_<n>.json`; [`load_bench`]
@@ -72,31 +69,9 @@ pub enum CompareMode {
 // bench-report
 // ---------------------------------------------------------------------------
 
-struct LaneStats {
-    rung: String,
-    /// The closed-loop run: counts, throughput and latency percentiles.
-    closed: LoadReport,
-    /// Mean requests (portfolio: chunks) per batch over the closed-loop run.
-    batch_fill: f64,
-    /// The closed-loop run's batches by flush trigger.
-    flushes: FlushCounts,
-    peak: PeakReport,
-}
-
-struct AllocLane {
-    lane: String,
-    rung: String,
-    batch: usize,
-    iters: usize,
-    allocs_per_iter: f64,
-    bytes_per_iter: f64,
-}
-
-/// Run the full bench sweep and write the snapshot; returns the path
+/// Run every kernel ladder and write the snapshot; returns the path
 /// written. Errors are I/O only — measurement itself cannot fail.
 pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
-    // Counters only count up: the snapshot carries what this sweep added.
-    let counters_before = telemetry::counter_snapshot();
     let quick = opts.quick;
     // Interleaved trials per kernel ladder.
     let trials = if quick { 2 } else { 3 };
@@ -114,8 +89,7 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
 
     println!("  {}", Isa::describe());
 
-    // 1. Native ladders: every kernel × every rung, interleaved trials —
-    // and once more with every sweep forced onto the portable
+    // Every kernel × every rung, interleaved trials — and once more with every sweep forced onto the portable
     // instantiation, so the snapshot carries what the active tier bought.
     let active = Isa::active();
     let mut kernels_json = Vec::new();
@@ -172,113 +146,7 @@ pub fn bench_report(opts: &BenchReportOptions) -> Result<PathBuf, String> {
         )
     );
 
-    // 2. Serve + greeks lanes: closed-loop latency, open-loop peak.
-    let pricer = PricerConfig {
-        binomial_steps: if quick { 64 } else { 256 },
-        ..PricerConfig::default()
-    };
-    let per_client = if quick { 150 } else { 600 };
-    let price_rung = finbench_serve::pricer::resolve(engine, "black_scholes", &pricer)
-        .map(|r| r.slug.to_string())
-        .unwrap_or_default();
-    let greeks_rung = finbench_serve::greeks_ladder(pricer.market)[0]
-        .slug
-        .to_string();
-    let book_rung = finbench_serve::portfolio_ladder(pricer.market)[0]
-        .slug
-        .to_string();
-    // Each portfolio request fans a multi-chunk scenario sweep across the
-    // shards and merges VaR/ES back, so "one request" there is a thousand
-    // pricings — the lane's req/s is necessarily far below the others'.
-    let book = PortfolioSource {
-        positions: 16,
-        scenarios: 64,
-        chunk: 16,
-    };
-    let book_requests = if quick { 20 } else { 60 };
-    let lanes = vec![
-        lane("black_scholes", price_rung, (4, per_client), pricer, quick),
-        lane(&GreeksSource, greeks_rung, (4, per_client), pricer, quick),
-        lane(&book, book_rung, (2, book_requests), pricer, quick),
-    ];
-    let lane_rows: Vec<Vec<String>> = lanes
-        .iter()
-        .map(|l| {
-            vec![
-                l.closed.kernel.clone(),
-                l.closed.served.to_string(),
-                l.closed.total_shed().to_string(),
-                fmt_num(l.closed.throughput),
-                format!("{:.0}", l.closed.p50_us),
-                format!("{:.0}", l.closed.p95_us),
-                format!("{:.0}", l.closed.p99_us),
-                format!("{:.1}", l.batch_fill),
-                l.flushes.to_string(),
-                fmt_num(l.peak.sustained_hz()),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        table(
-            &[
-                "lane",
-                "served",
-                "shed",
-                "req/s",
-                "p50 µs",
-                "p95 µs",
-                "p99 µs",
-                "fill",
-                "flush s/d/i/dr %",
-                "peak req/s"
-            ],
-            &lane_rows
-        )
-    );
-    println!(
-        "  (fill = mean requests per batch; flush = % of the closed-loop run's batches cut by \
-         the size / delay / idle / shutdown-drain trigger)"
-    );
-
-    // 3. Allocations per batch iteration on the hot pricing paths (all
-    // servers above have shut down, so no other thread is allocating).
-    let allocs = alloc_lanes(pricer);
-    if telemetry::counting_allocator_active() {
-        let alloc_rows: Vec<Vec<String>> = allocs
-            .iter()
-            .map(|a| {
-                vec![
-                    a.lane.clone(),
-                    a.batch.to_string(),
-                    format!("{:.1}", a.allocs_per_iter),
-                    fmt_num(a.bytes_per_iter),
-                ]
-            })
-            .collect();
-        println!(
-            "{}",
-            table(
-                &["alloc lane", "batch", "allocs/iter", "bytes/iter"],
-                &alloc_rows
-            )
-        );
-    } else {
-        println!("  (counting allocator not installed; allocs/iter unavailable)");
-    }
-
-    // 4. Shed/degradation counters accumulated by the sweep above.
-    let counters: Vec<(String, u64)> =
-        counter_deltas(&counters_before, telemetry::counter_snapshot())
-            .into_iter()
-            .filter(|(name, _)| {
-                ["serve.", "greeks.", "portfolio.", "loadgen."]
-                    .iter()
-                    .any(|p| name.starts_with(p))
-            })
-            .collect();
-
-    let doc = assemble_json(opts, trials, kernels_json, &lanes, &allocs, &counters);
+    let doc = assemble_json(opts, trials, kernels_json);
     let path = match &opts.out {
         Some(p) => PathBuf::from(p),
         None => next_bench_path(Path::new(".")),
@@ -360,230 +228,7 @@ fn kernel_json(name: &str, unit: &str, rungs: &[RungSamples], ratios: &[SimdRati
     ])
 }
 
-fn serve_config(pricer: PricerConfig, queue_capacity: usize) -> ServeConfig {
-    ServeConfig {
-        queue_capacity,
-        max_delay: Duration::from_micros(500),
-        max_batch: 4096,
-        pricer,
-        ..ServeConfig::default()
-    }
-}
-
-fn peak_schedule(closed_rps: f64, quick: bool) -> PeakSearchConfig {
-    PeakSearchConfig {
-        // Start well under the closed-loop throughput so the first steps
-        // establish a sustained floor before the search rides into shed.
-        start_hz: (closed_rps * 0.25).max(200.0),
-        growth: 1.7,
-        max_steps: if quick { 5 } else { 8 },
-        window_secs: if quick { 0.12 } else { 0.3 },
-        seed: 0xBEA7,
-    }
-}
-
-/// Closed-loop latency + open-loop peak for one request plane: `clients`
-/// x `per_client` requests from `source` against a queue that covers
-/// them all, then a peak search seeded from that throughput. `rung` is
-/// the slug the plane is planned to serve on.
-fn lane<S: RequestSource + ?Sized>(
-    source: &S,
-    rung: String,
-    (clients, per_client): (usize, usize),
-    pricer: PricerConfig,
-    quick: bool,
-) -> LaneStats {
-    let server = Server::start(serve_config(pricer, clients * per_client));
-    let closed = finbench_serve::run_load(
-        &server,
-        source,
-        LoadMode::Closed {
-            clients,
-            requests_per_client: per_client,
-        },
-        0xC0FFEE,
-        None,
-    );
-    let snap = server.shutdown();
-    // Peak search against a realistically bounded queue: overload must
-    // shed, not buffer forever.
-    let peak = finbench_serve::find_peak_sustained(
-        || Server::start(serve_config(pricer, 256)),
-        source,
-        &peak_schedule(closed.throughput, quick),
-    );
-    LaneStats {
-        rung,
-        closed,
-        batch_fill: snap.mean_batch_fill(),
-        flushes: snap.total_flushes(),
-        peak,
-    }
-}
-
-const ALLOC_BATCH: usize = 128;
-const ALLOC_ITERS: usize = 64;
-
-/// Allocations per batch iteration on the hot pricing paths. Zeros mean
-/// either a genuinely allocation-free path or an uninstalled counting
-/// allocator — the snapshot records which via `alloc_counter_active`.
-///
-/// Two families per kernel: the historical *allocating* lane (fresh
-/// batch per iteration, the pre-`*_into` serve path) and a `_pooled`
-/// lane that reuses one [`OptionScratch`] across iterations the way a serve
-/// lane does at steady state. The pooled SOA lanes must report **0**
-/// allocs/iter ([`crate::gate::snapshot`]).
-fn alloc_lanes(pricer: PricerConfig) -> Vec<AllocLane> {
-    let mut stream = finbench_serve::OptionStream::new(0xA110C);
-    let opts: Vec<(f64, f64, f64)> = (0..ALLOC_BATCH).map(|_| stream.next_option()).collect();
-    let mut out = Vec::new();
-    let mut lane = |lane: &str, rung: &str, per_iter: &mut dyn FnMut()| {
-        for _ in 0..4 {
-            per_iter(); // warmup: lazy statics, pool spin-up
-        }
-        let before = telemetry::alloc_stats();
-        for _ in 0..ALLOC_ITERS {
-            per_iter();
-        }
-        let d = telemetry::alloc_stats().since(before);
-        out.push(AllocLane {
-            lane: lane.to_string(),
-            rung: rung.to_string(),
-            batch: ALLOC_BATCH,
-            iters: ALLOC_ITERS,
-            allocs_per_iter: d.allocs as f64 / ALLOC_ITERS as f64,
-            bytes_per_iter: d.bytes as f64 / ALLOC_ITERS as f64,
-        });
-    };
-    // A lane's steady state: the flush staged into one reused scratch.
-    let stage = |scratch: &mut OptionScratch, width: usize| {
-        scratch.opts.clear();
-        scratch.opts.extend_from_slice(&opts);
-        scratch.stage(width);
-    };
-    for kernel in ["black_scholes", "binomial"] {
-        let Ok(rung) = finbench_serve::pricer::resolve(native::engine(), kernel, &pricer) else {
-            continue;
-        };
-        lane(kernel, &rung.slug, &mut || {
-            let mut batch = finbench_core::OptionBatchSoa::zeroed(0);
-            padded_batch_into(&mut batch, &opts, rung.width);
-            rung.price(&mut batch);
-            std::hint::black_box(&batch);
-        });
-        // Pooled Black-Scholes: the steady-state serve price path (binomial
-        // is excluded — its lattice kernel allocates internally by design).
-        if kernel == "black_scholes" {
-            let mut scratch = OptionScratch::new();
-            lane("black_scholes_pooled", &rung.slug, &mut || {
-                stage(&mut scratch, rung.width);
-                rung.price(&mut scratch.soa);
-                std::hint::black_box(&scratch.soa);
-            });
-        }
-    }
-    if let Some(rung) = finbench_serve::greeks_ladder(pricer.market).first() {
-        lane("greeks", &rung.slug, &mut || {
-            let mut batch = finbench_core::OptionBatchSoa::zeroed(0);
-            padded_batch_into(&mut batch, &opts, rung.width);
-            let mut greeks = GreeksBatchSoa::zeroed(batch.len());
-            rung.compute(&batch, &mut greeks);
-            std::hint::black_box(&greeks);
-        });
-        // Pooled greeks: the steady-state serve greeks path.
-        let mut scratch = OptionScratch::new();
-        lane("greeks_pooled", &rung.slug, &mut || {
-            stage(&mut scratch, rung.width);
-            scratch.greeks.resize(scratch.soa.len());
-            rung.compute(&scratch.soa, &mut scratch.greeks);
-            std::hint::black_box(&scratch.greeks);
-        });
-    }
-    // Pooled fused pass: prices + all ten greeks in one sweep over the
-    // same reused scratch — the cheapest way to serve both planes.
-    let mut scratch = OptionScratch::new();
-    let fused = "advanced_fused_price_greeks_w_8";
-    lane("fused_pooled", fused, &mut || {
-        stage(&mut scratch, 8);
-        scratch.greeks.resize(scratch.soa.len());
-        let (soa, greeks) = (&mut scratch.soa, &mut scratch.greeks);
-        finbench_core::greeks::price_and_greeks_into::<8>(soa, pricer.market, greeks);
-        std::hint::black_box(&scratch.greeks);
-    });
-    out
-}
-
-/// Each counter of `after` less its count in `before` (0 for a name
-/// first seen since), sorted by name: what the work between the two
-/// snapshots counted. A name the work did not touch reads 0.
-fn counter_deltas(before: &[(String, u64)], after: Vec<(String, u64)>) -> Vec<(String, u64)> {
-    let prior: BTreeMap<&str, u64> = before.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let mut out: Vec<(String, u64)> = after
-        .into_iter()
-        .map(|(k, v)| {
-            let d = v - prior.get(k.as_str()).unwrap_or(&0);
-            (k, d)
-        })
-        .collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-fn assemble_json(
-    opts: &BenchReportOptions,
-    trials: usize,
-    kernels: Vec<Json>,
-    lanes: &[LaneStats],
-    allocs: &[AllocLane],
-    counters: &[(String, u64)],
-) -> Json {
-    let lanes_json: Vec<Json> = lanes
-        .iter()
-        .map(|l| {
-            let c = &l.closed;
-            let other_rejected = c.rejected_total() + c.invalid_input + c.internal;
-            Json::Obj(vec![
-                ("lane".into(), Json::Str(c.kernel.clone())),
-                ("rung".into(), Json::Str(l.rung.clone())),
-                ("offered".into(), Json::Num(c.offered as f64)),
-                ("served".into(), Json::Num(c.served as f64)),
-                ("shed".into(), Json::Num(c.total_shed() as f64)),
-                ("other_rejected".into(), Json::Num(other_rejected as f64)),
-                ("throughput_rps".into(), Json::Num(c.throughput)),
-                ("p50_us".into(), Json::Num(c.p50_us)),
-                ("p95_us".into(), Json::Num(c.p95_us)),
-                ("p99_us".into(), Json::Num(c.p99_us)),
-                ("batch_fill_mean".into(), Json::Num(l.batch_fill)),
-                ("flush_size".into(), Json::Num(l.flushes.size as f64)),
-                ("flush_delay".into(), Json::Num(l.flushes.delay as f64)),
-                ("flush_idle".into(), Json::Num(l.flushes.idle as f64)),
-                ("flush_drain".into(), Json::Num(l.flushes.drain as f64)),
-                ("peak_sustained_hz".into(), Json::Num(l.peak.sustained_hz())),
-                (
-                    "peak_last_attempted_hz".into(),
-                    Json::Num(l.peak.last_attempted_hz),
-                ),
-                ("peak_steps".into(), Json::Num(l.peak.steps.len() as f64)),
-            ])
-        })
-        .collect();
-    let allocs_json: Vec<Json> = allocs
-        .iter()
-        .map(|a| {
-            Json::Obj(vec![
-                ("lane".into(), Json::Str(a.lane.clone())),
-                ("rung".into(), Json::Str(a.rung.clone())),
-                ("batch".into(), Json::Num(a.batch as f64)),
-                ("iters".into(), Json::Num(a.iters as f64)),
-                ("allocs_per_iter".into(), Json::Num(a.allocs_per_iter)),
-                ("bytes_per_iter".into(), Json::Num(a.bytes_per_iter)),
-            ])
-        })
-        .collect();
-    let counters_json: Vec<(String, Json)> = counters
-        .iter()
-        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-        .collect();
+fn assemble_json(opts: &BenchReportOptions, trials: usize, kernels: Vec<Json>) -> Json {
     Json::Obj(vec![
         (
             "schema_version".into(),
@@ -601,15 +246,8 @@ fn assemble_json(
             "cycle_overhead".into(),
             Json::Num(telemetry::cycles::overhead_cycles()),
         ),
-        (
-            "alloc_counter_active".into(),
-            Json::Bool(telemetry::counting_allocator_active()),
-        ),
         ("host".into(), HostFingerprint::current().to_json()),
         ("kernels".into(), Json::Arr(kernels)),
-        ("serve".into(), Json::Arr(lanes_json)),
-        ("allocs".into(), Json::Arr(allocs_json)),
-        ("counters".into(), Json::Obj(counters_json)),
     ])
 }
 
@@ -774,10 +412,6 @@ pub struct Metric {
     pub gated: bool,
     /// Direction of "good".
     pub higher_is_better: bool,
-    /// Minimum harmful delta that counts, in metric units — lets
-    /// count-like metrics sitting at 0 gate on "any increase" while
-    /// ignoring float dust.
-    pub abs_floor: f64,
 }
 
 /// A loaded, flattened snapshot.
@@ -807,20 +441,12 @@ pub fn load_bench(path: &Path) -> Result<BenchDoc, CompareError> {
 }
 
 /// `obj[field]`, when it is a number, as the metric `{base}.{field}`.
-fn metric(
-    obj: &Json,
-    base: &str,
-    field: &str,
-    gated: bool,
-    higher: bool,
-    floor: f64,
-) -> Option<Metric> {
+fn metric(obj: &Json, base: &str, field: &str, gated: bool, higher: bool) -> Option<Metric> {
     Some(Metric {
         path: format!("{base}.{field}"),
         value: obj.get(field)?.as_f64()?,
         gated,
         higher_is_better: higher,
-        abs_floor: floor,
     })
 }
 
@@ -857,17 +483,15 @@ pub(crate) fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError>
             .unwrap_or(Isa::Portable.name())
             .to_string(),
     });
-    let mut metrics = Vec::new();
-
-    let arr = |key: &str| -> Result<&[Json], CompareError> {
-        match doc.get(key) {
-            Some(Json::Arr(items)) => Ok(items),
-            _ => Err(CompareError::Malformed {
-                path: label.to_string(),
-                what: format!("missing or non-array {key:?} section"),
-            }),
-        }
+    // Only the kernel ladders are metrics. Snapshots up to BENCH_43 also
+    // carry `serve`, `allocs` and `counters` sections; they are ignored.
+    let Some(Json::Arr(kernels)) = doc.get("kernels") else {
+        return Err(CompareError::Malformed {
+            path: label.to_string(),
+            what: "missing or non-array \"kernels\" section".to_string(),
+        });
     };
+    let mut metrics = Vec::new();
     let str_of = |obj: &Json, key: &str| -> Result<String, CompareError> {
         obj.get(key)
             .and_then(Json::as_str)
@@ -878,7 +502,7 @@ pub(crate) fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError>
             })
     };
 
-    for kernel in arr("kernels")? {
+    for kernel in kernels {
         let name = str_of(kernel, "name")?;
         let Some(Json::Arr(rungs)) = kernel.get("rungs") else {
             return Err(CompareError::Malformed {
@@ -891,7 +515,7 @@ pub(crate) fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError>
             let threaded = matches!(rung.get("threaded"), Some(Json::Bool(true)));
             let base = format!("native.{name}.{slug}");
             let mut push = |field: &str, gated: bool, higher: bool| {
-                metrics.extend(metric(rung, &base, field, gated, higher, 0.0));
+                metrics.extend(metric(rung, &base, field, gated, higher));
             };
             // Thread-pool rungs wobble with scheduler load; advisory.
             push("median_rate", !threaded, true);
@@ -904,66 +528,7 @@ pub(crate) fn flatten(doc: &Json, label: &str) -> Result<BenchDoc, CompareError>
         if let Some(Json::Arr(ratios)) = kernel.get("simd_vs_scalar") {
             for ratio in ratios {
                 let base = format!("simd.{name}.{}", str_of(ratio, "slug")?);
-                metrics.extend(metric(ratio, &base, "active", false, true, 0.0));
-            }
-        }
-    }
-
-    for lane in arr("serve")? {
-        let name = str_of(lane, "lane")?;
-        let base = format!("serve.{name}");
-        let mut push = |field: &str, gated: bool, higher: bool, floor: f64| {
-            metrics.extend(metric(lane, &base, field, gated, higher, floor));
-        };
-        // A closed-loop lane with ample queue must not shed at all: any
-        // increase (floor 0.5 ⇒ ≥ 1 whole request) is a gated regression.
-        push("shed", true, false, 0.5);
-        push("other_rejected", true, false, 0.5);
-        push("throughput_rps", false, true, 0.0);
-        push("p50_us", false, false, 0.0);
-        push("p95_us", false, false, 0.0);
-        push("p99_us", false, false, 0.0);
-        push("peak_sustained_hz", false, true, 0.0);
-    }
-
-    for lane in arr("allocs")? {
-        let name = str_of(lane, "lane")?;
-        let base = format!("allocs.{name}");
-        let mut push = |field: &str, gated: bool, floor: f64| {
-            metrics.extend(metric(lane, &base, field, gated, false, floor));
-        };
-        // Floor of 4 allocs/iter on the allocating lanes: the hot path
-        // gate triggers on real regressions (a new Vec per batch = +1.0),
-        // not allocator jitter around tiny counts. Pooled lanes promise
-        // exactly zero, so any allocation at all (≥ 1/iter) is gated.
-        let floor = if name.ends_with("_pooled") { 0.5 } else { 4.0 };
-        push("allocs_per_iter", true, floor);
-        push("bytes_per_iter", false, 0.0);
-    }
-
-    if let Some(Json::Obj(counters)) = doc.get("counters") {
-        for (name, v) in counters {
-            let Some(v) = v.as_f64() else { continue };
-            // Only failure-ish counters are comparable (advisory): raw
-            // served/offered totals scale with sweep size, not health.
-            let failure_ish = [
-                "shed",
-                "degraded",
-                "restart",
-                "internal",
-                "unmatched",
-                "rejected",
-            ]
-            .iter()
-            .any(|s| name.contains(s));
-            if failure_ish {
-                metrics.push(Metric {
-                    path: format!("counters.{name}"),
-                    value: v,
-                    gated: false,
-                    higher_is_better: false,
-                    abs_floor: 0.5,
-                });
+                metrics.extend(metric(ratio, &base, "active", false, true));
             }
         }
     }
@@ -1071,7 +636,7 @@ impl CompareReport {
 }
 
 /// Compare two flattened metric sets. A gated metric regresses when its
-/// harmful delta exceeds `max(threshold% × |old|, abs_floor)`.
+/// harmful delta exceeds `threshold% × |old|`.
 pub fn compare_metrics(old: &[Metric], new: &[Metric], threshold_pct: f64) -> CompareReport {
     let new_by_path: BTreeMap<&str, &Metric> = new.iter().map(|m| (m.path.as_str(), m)).collect();
     let old_paths: std::collections::BTreeSet<&str> = old.iter().map(|m| m.path.as_str()).collect();
@@ -1085,7 +650,7 @@ pub fn compare_metrics(old: &[Metric], new: &[Metric], threshold_pct: f64) -> Co
         } else {
             n.value - o.value
         };
-        let allowed = (threshold_pct / 100.0 * o.value.abs()).max(o.abs_floor);
+        let allowed = threshold_pct / 100.0 * o.value.abs();
         let pct = if o.value == 0.0 {
             f64::NAN
         } else {
@@ -1170,7 +735,7 @@ fn degrade(metrics: &[Metric], threshold_pct: f64) -> Vec<Metric> {
                 out.value = if m.higher_is_better {
                     m.value * (1.0 - rel)
                 } else {
-                    m.value * (1.0 + rel) + 2.0 * m.abs_floor + 1.0
+                    m.value * (1.0 + rel)
                 };
             }
             out
@@ -1254,11 +819,8 @@ pub fn bench_trend(dir: &Path) -> Result<String, CompareError> {
             };
             let delta = match prev {
                 Some(p) if p != 0.0 => format!("{:+.1}%", (m.value - p) / p.abs() * 100.0),
-                Some(p) => {
-                    // From an exact zero (e.g. shed counts) percentages
-                    // are meaningless; show the absolute move.
-                    format!("{:+}", m.value - p)
-                }
+                // From an exact zero a percentage is meaningless.
+                Some(p) => format!("{:+}", m.value - p),
                 None => "-".to_string(),
             };
             rows.push(vec![
@@ -1285,8 +847,9 @@ pub fn bench_trend(dir: &Path) -> Result<String, CompareError> {
 mod tests {
     use super::*;
 
-    /// A miniature but schema-complete snapshot document.
-    fn sample_doc(quick: bool, rate: f64, shed: f64, allocs: f64) -> String {
+    /// A miniature schema-1 snapshot document. Its `serve`, `allocs` and
+    /// `counters` sections are what snapshots up to BENCH_43 carried.
+    fn sample_doc(quick: bool, rate: f64) -> String {
         format!(
             r#"{{
               "schema_version": 1,
@@ -1296,17 +859,16 @@ mod tests {
                   {{"slug": "simd_w8", "threaded": false,
                     "median_rate": {rate}, "p95_rate": {rate}, "best_rate": {rate}, "median_cpi": 4.0}},
                   {{"slug": "threads", "threaded": true, "median_rate": 99.0}}
-                ]}}
+                ], "simd_vs_scalar": [{{"slug": "simd_w8", "sibling": "scalar", "active": 2.0}}]}}
               ],
               "serve": [
-                {{"lane": "black_scholes", "shed": {shed}, "other_rejected": 0,
-                  "throughput_rps": 1000.0, "p50_us": 50.0, "p95_us": 80.0, "p99_us": 120.0,
-                  "peak_sustained_hz": 2000.0}}
+                {{"lane": "black_scholes", "shed": 0, "other_rejected": 0,
+                  "throughput_rps": 1000.0, "p50_us": 50.0, "p95_us": 80.0, "p99_us": 120.0}}
               ],
               "allocs": [
-                {{"lane": "black_scholes", "allocs_per_iter": {allocs}, "bytes_per_iter": 4096.0}}
+                {{"lane": "black_scholes", "allocs_per_iter": 2.0, "bytes_per_iter": 4096.0}}
               ],
-              "counters": {{"serve.shed.queue_full": {shed}, "serve.served": 600}}
+              "counters": {{"serve.shed.queue_full": 0, "serve.served": 600}}
             }}"#
         )
     }
@@ -1321,7 +883,7 @@ mod tests {
 
     #[test]
     fn flatten_classifies_gated_and_advisory() {
-        let doc = json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap();
+        let doc = json::parse(&sample_doc(true, 100.0)).unwrap();
         let bench = flatten(&doc, "x").unwrap();
         assert!(bench.quick);
         let by_path: BTreeMap<&str, &Metric> =
@@ -1330,21 +892,21 @@ mod tests {
         assert!(!by_path["native.black_scholes.simd_w8.p95_rate"].gated);
         // Threaded rungs are advisory even on median.
         assert!(!by_path["native.black_scholes.threads.median_rate"].gated);
-        assert!(by_path["serve.black_scholes.shed"].gated);
-        assert!(!by_path["serve.black_scholes.p99_us"].gated);
-        assert!(by_path["allocs.black_scholes.allocs_per_iter"].gated);
-        // Only failure-ish counters flatten, advisory.
-        assert!(!by_path["counters.serve.shed.queue_full"].gated);
-        assert!(!by_path.contains_key("counters.serve.served"));
+        assert!(!by_path["simd.black_scholes.simd_w8.active"].gated);
+        // The serve, allocs and counters sections of older snapshots are
+        // not metrics: a snapshot flattens to its kernel ladders only.
+        assert!(
+            by_path
+                .keys()
+                .all(|p| p.starts_with("native.") || p.starts_with("simd.")),
+            "{:?}",
+            by_path.keys()
+        );
     }
 
     #[test]
     fn identical_snapshots_have_zero_gated_regressions() {
-        let a = load_bench(&write_tmp(
-            "ident_a.json",
-            &sample_doc(true, 100.0, 0.0, 2.0),
-        ))
-        .unwrap();
+        let a = load_bench(&write_tmp("ident_a.json", &sample_doc(true, 100.0))).unwrap();
         let report = compare_metrics(&a.metrics, &a.metrics, DEFAULT_THRESHOLD_PCT);
         assert_eq!(report.gated_regressions(), 0);
         assert!(report.added.is_empty() && report.removed.is_empty());
@@ -1353,32 +915,16 @@ mod tests {
 
     #[test]
     fn noise_inside_threshold_does_not_gate() {
-        let old = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "o",
-        )
-        .unwrap();
-        let new = flatten(
-            &json::parse(&sample_doc(true, 93.0, 0.0, 2.0)).unwrap(),
-            "n",
-        )
-        .unwrap();
+        let old = flatten(&json::parse(&sample_doc(true, 100.0)).unwrap(), "o").unwrap();
+        let new = flatten(&json::parse(&sample_doc(true, 93.0)).unwrap(), "n").unwrap();
         let report = compare_metrics(&old.metrics, &new.metrics, 10.0);
         assert_eq!(report.gated_regressions(), 0, "{report:?}");
     }
 
     #[test]
     fn rate_drop_past_threshold_gates() {
-        let old = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "o",
-        )
-        .unwrap();
-        let new = flatten(
-            &json::parse(&sample_doc(true, 80.0, 0.0, 2.0)).unwrap(),
-            "n",
-        )
-        .unwrap();
+        let old = flatten(&json::parse(&sample_doc(true, 100.0)).unwrap(), "o").unwrap();
+        let new = flatten(&json::parse(&sample_doc(true, 80.0)).unwrap(), "n").unwrap();
         let report = compare_metrics(&old.metrics, &new.metrics, 10.0);
         assert_eq!(report.gated_regressions(), 1);
         let bad = report.deltas.iter().find(|d| d.regressed).unwrap();
@@ -1387,57 +933,9 @@ mod tests {
     }
 
     #[test]
-    fn new_shed_gates_via_abs_floor_even_from_zero() {
-        let old = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "o",
-        )
-        .unwrap();
-        let new = flatten(
-            &json::parse(&sample_doc(true, 100.0, 3.0, 2.0)).unwrap(),
-            "n",
-        )
-        .unwrap();
-        let report = compare_metrics(&old.metrics, &new.metrics, 10.0);
-        assert!(report
-            .deltas
-            .iter()
-            .any(|d| d.path == "serve.black_scholes.shed" && d.regressed));
-    }
-
-    #[test]
-    fn alloc_jitter_under_floor_does_not_gate_but_real_growth_does() {
-        let old = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "o",
-        )
-        .unwrap();
-        // +3 allocs/iter is under the floor of 4: noise.
-        let small = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 5.0)).unwrap(),
-            "n",
-        )
-        .unwrap();
-        assert_eq!(
-            compare_metrics(&old.metrics, &small.metrics, 10.0).gated_regressions(),
-            0
-        );
-        // +40 allocs/iter is a real hot-path regression.
-        let big = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 42.0)).unwrap(),
-            "n",
-        )
-        .unwrap();
-        assert_eq!(
-            compare_metrics(&old.metrics, &big.metrics, 10.0).gated_regressions(),
-            1
-        );
-    }
-
-    #[test]
     fn unknown_schema_version_is_a_typed_error() {
-        let text = sample_doc(true, 100.0, 0.0, 2.0)
-            .replace("\"schema_version\": 1", "\"schema_version\": 99");
+        let text =
+            sample_doc(true, 100.0).replace("\"schema_version\": 1", "\"schema_version\": 99");
         let err = load_bench(&write_tmp("schema99.json", &text)).unwrap_err();
         assert!(
             matches!(err, CompareError::UnknownSchema { ref found, supported, .. }
@@ -1445,7 +943,7 @@ mod tests {
             "{err:?}"
         );
         // Missing entirely is also UnknownSchema, not a panic.
-        let text = sample_doc(true, 100.0, 0.0, 2.0).replace("\"schema_version\": 1,", "");
+        let text = sample_doc(true, 100.0).replace("\"schema_version\": 1,", "");
         let err = load_bench(&write_tmp("schema_none.json", &text)).unwrap_err();
         assert!(matches!(err, CompareError::UnknownSchema { ref found, .. } if found == "missing"));
     }
@@ -1462,8 +960,8 @@ mod tests {
 
     #[test]
     fn quick_vs_full_snapshots_refuse_to_compare() {
-        let q = write_tmp("mode_q.json", &sample_doc(true, 100.0, 0.0, 2.0));
-        let f = write_tmp("mode_f.json", &sample_doc(false, 100.0, 0.0, 2.0));
+        let q = write_tmp("mode_q.json", &sample_doc(true, 100.0));
+        let f = write_tmp("mode_f.json", &sample_doc(false, 100.0));
         let err = bench_compare(&q, &f, 10.0).unwrap_err();
         assert!(
             matches!(err, CompareError::Malformed { ref what, .. } if what.contains("mode mismatch")),
@@ -1474,7 +972,7 @@ mod tests {
 
     #[test]
     fn self_test_flags_every_gated_metric() {
-        let path = write_tmp("selftest.json", &sample_doc(true, 100.0, 0.0, 2.0));
+        let path = write_tmp("selftest.json", &sample_doc(true, 100.0));
         let (flagged, gated_total, report) = gate_self_test(&path, 10.0).unwrap();
         assert!(gated_total > 0);
         assert_eq!(flagged, gated_total, "{}", report.render());
@@ -1488,11 +986,7 @@ mod tests {
 
     #[test]
     fn added_and_removed_paths_are_reported_not_fatal() {
-        let old = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "o",
-        )
-        .unwrap();
+        let old = flatten(&json::parse(&sample_doc(true, 100.0)).unwrap(), "o").unwrap();
         let mut new = old.clone();
         new.metrics.remove(0);
         new.metrics.push(Metric {
@@ -1500,7 +994,6 @@ mod tests {
             value: 1.0,
             gated: true,
             higher_is_better: true,
-            abs_floor: 0.0,
         });
         let report = compare_metrics(&old.metrics, &new.metrics, 10.0);
         assert_eq!(report.removed.len(), 1);
@@ -1569,7 +1062,7 @@ mod tests {
     #[test]
     fn host_fingerprint_round_trips_and_detects_difference() {
         let doc = json::parse(&with_host(
-            &sample_doc(true, 100.0, 0.0, 2.0),
+            &sample_doc(true, 100.0),
             "Xeon E5-2670",
             32,
             2.6,
@@ -1597,7 +1090,7 @@ mod tests {
         dispatched.isa = "avx2+fma".into();
         assert!(host.differs_from(&dispatched));
         let round_trip = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0).replacen(
+            &json::parse(&sample_doc(true, 100.0).replacen(
                 "\"quick\":",
                 &format!("\"host\": {},\n\"quick\":", dispatched.to_json().to_json()),
                 1,
@@ -1608,11 +1101,7 @@ mod tests {
         .unwrap();
         assert_eq!(round_trip.host, Some(dispatched));
         // Pre-fingerprint snapshots load with no host at all.
-        let legacy = flatten(
-            &json::parse(&sample_doc(true, 100.0, 0.0, 2.0)).unwrap(),
-            "x",
-        )
-        .unwrap();
+        let legacy = flatten(&json::parse(&sample_doc(true, 100.0)).unwrap(), "x").unwrap();
         assert_eq!(legacy.host, None);
         // And the fingerprint of this machine is at least well-formed.
         let cur = HostFingerprint::current();
@@ -1624,11 +1113,11 @@ mod tests {
         // A 20% rate drop that would normally gate...
         let old = write_tmp(
             "fp_old.json",
-            &with_host(&sample_doc(true, 100.0, 0.0, 2.0), "Xeon E5-2670", 32, 2.6),
+            &with_host(&sample_doc(true, 100.0), "Xeon E5-2670", 32, 2.6),
         );
         let new_other_host = write_tmp(
             "fp_new_other.json",
-            &with_host(&sample_doc(true, 80.0, 0.0, 2.0), "Xeon Phi 7120", 244, 1.2),
+            &with_host(&sample_doc(true, 80.0), "Xeon Phi 7120", 244, 1.2),
         );
         let rep = bench_compare(&old, &new_other_host, 10.0).unwrap();
         assert_eq!(rep.gated_regressions(), 0, "{}", rep.render());
@@ -1638,14 +1127,14 @@ mod tests {
         // ...still gates on the same machine...
         let new_same_host = write_tmp(
             "fp_new_same.json",
-            &with_host(&sample_doc(true, 80.0, 0.0, 2.0), "Xeon E5-2670", 32, 2.6),
+            &with_host(&sample_doc(true, 80.0), "Xeon E5-2670", 32, 2.6),
         );
         let rep = bench_compare(&old, &new_same_host, 10.0).unwrap();
         assert_eq!(rep.gated_regressions(), 1);
         assert_eq!(rep.note, None);
         // ...and a missing baseline fingerprint keeps the gate armed, so
         // pre-fingerprint trajectory points don't lose their teeth.
-        let legacy_old = write_tmp("fp_legacy.json", &sample_doc(true, 100.0, 0.0, 2.0));
+        let legacy_old = write_tmp("fp_legacy.json", &sample_doc(true, 100.0));
         let rep = bench_compare(&legacy_old, &new_other_host, 10.0).unwrap();
         assert_eq!(rep.gated_regressions(), 1);
         assert_eq!(rep.note, None);
@@ -1660,9 +1149,9 @@ mod tests {
             bench_trend(&dir).is_err(),
             "empty dir must be a typed error"
         );
-        std::fs::write(dir.join("BENCH_1.json"), sample_doc(true, 100.0, 0.0, 2.0)).unwrap();
-        std::fs::write(dir.join("BENCH_2.json"), sample_doc(true, 110.0, 0.0, 2.0)).unwrap();
-        std::fs::write(dir.join("BENCH_10.json"), sample_doc(true, 99.0, 0.0, 2.0)).unwrap();
+        std::fs::write(dir.join("BENCH_1.json"), sample_doc(true, 100.0)).unwrap();
+        std::fs::write(dir.join("BENCH_2.json"), sample_doc(true, 110.0)).unwrap();
+        std::fs::write(dir.join("BENCH_10.json"), sample_doc(true, 99.0)).unwrap();
         let out = bench_trend(&dir).unwrap();
         assert!(out.contains("3 snapshots"), "{out}");
         assert!(
@@ -1672,7 +1161,7 @@ mod tests {
         assert!(out.contains("+10.0%"), "{out}");
         assert!(out.contains("-10.0%"), "{out}");
         // Advisory metrics stay out of the trend table.
-        assert!(!out.contains("p99_us"), "{out}");
+        assert!(!out.contains("p95_rate"), "{out}");
         // A broken snapshot is a typed error, not a panic.
         std::fs::write(dir.join("BENCH_11.json"), "{nope").unwrap();
         assert!(matches!(bench_trend(&dir), Err(CompareError::Parse { .. })));
@@ -1688,27 +1177,5 @@ mod tests {
         std::fs::write(dir.join("BENCH_10.json"), "{}").unwrap();
         std::fs::write(dir.join("BENCH_x.json"), "{}").unwrap();
         assert_eq!(next_bench_path(&dir), dir.join("BENCH_11.json"));
-    }
-
-    #[test]
-    fn counter_deltas_keep_only_what_the_sweep_counted() {
-        let named = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
-            v.iter().map(|(k, n)| (k.to_string(), *n)).collect()
-        };
-        let before = named(&[("serve.shed", 5), ("serve.served", 40)]);
-        // Unsorted on purpose: the output is ordered by name regardless.
-        let after = named(&[
-            ("serve.shed", 5),
-            ("loadgen.hedges", 3),
-            ("serve.served", 52),
-        ]);
-        assert_eq!(
-            counter_deltas(&before, after),
-            named(&[
-                ("loadgen.hedges", 3),
-                ("serve.served", 12),
-                ("serve.shed", 0)
-            ])
-        );
     }
 }

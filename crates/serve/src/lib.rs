@@ -48,8 +48,8 @@
 //! its validated request becomes queued work.
 //!
 //! [`loadgen`] adds closed- and open-loop synthetic load, written once
-//! over a [`RequestSource`] so every plane is driven, hedged, tallied and
-//! peak-searched by the same code; the harness exposes it as the
+//! over a [`RequestSource`] so every plane is driven, hedged and tallied
+//! by the same code; the harness exposes it as the
 //! `serve_bench` experiment (`finbench run serve_bench`), with the greeks
 //! lane measured by `greeks_bench`.
 //!
@@ -98,9 +98,8 @@ pub use breaker::{Breaker, BreakerPolicy, BreakerState, FailureAction, Gate};
 pub use greeks::{greeks_ladder, GreeksKernel, GreeksRung};
 pub use ledger::{PlaneSnapshot, PLANES};
 pub use loadgen::{
-    drive, find_peak_sustained, last_sustained_hz, mix_seed, run_load, search_peak, window_total,
-    Driven, Exchange, GreeksSource, HedgePolicy, LoadMode, LoadReport, OptionStream, PeakReport,
-    PeakSearchConfig, PeakStep, PortfolioSource, RequestSource, HEDGE_BIT, MAX_WINDOW_TOTAL,
+    drive, mix_seed, run_load, Driven, Exchange, GreeksSource, HedgePolicy, LoadMode, LoadReport,
+    OptionStream, PortfolioSource, RequestSource, HEDGE_BIT,
 };
 pub use portfolio::{
     portfolio_ladder, PortfolioChunkOut, PortfolioChunkRequest, PortfolioRung, RevalKernel,

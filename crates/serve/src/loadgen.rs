@@ -14,8 +14,8 @@
 //! price plane's source (`run_load(&server, "black_scholes", …)`),
 //! [`GreeksSource`] and [`PortfolioSource`] are the other planes'. One
 //! [`drive`] returns every `(request, response, round trip)` it saw;
-//! [`LoadReport`], [`PeakStep`] and the peak search are computed from
-//! that, and replay oracles read the same exchanges.
+//! [`LoadReport`] is computed from that, and replay oracles read the same
+//! exchanges.
 //!
 //! Request parameters are drawn from a seeded [`SplitMix64`] stream —
 //! client `c` of a run seeded `seed` draws from [`mix_seed`]`(seed, c)` —
@@ -154,17 +154,6 @@ impl LoadReport {
             0.0
         } else {
             self.served as f64 / self.offered as f64
-        }
-    }
-
-    /// This run as one step of a peak search at offered rate `rate_hz`.
-    pub fn peak_step(&self, rate_hz: f64) -> PeakStep {
-        PeakStep {
-            rate_hz,
-            offered: self.offered,
-            served: self.served,
-            shed: self.total_shed(),
-            other_rejected: self.rejected_total() + self.invalid_input + self.internal,
         }
     }
 }
@@ -655,161 +644,6 @@ impl<R: ServeRequest> Driven<R> {
     }
 }
 
-/// One step of a peak-sustainable-load search: the offered open-loop
-/// rate and what the serving plane did with it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PeakStep {
-    /// Offered arrival rate, requests/second.
-    pub rate_hz: f64,
-    /// Requests injected over the window.
-    pub offered: usize,
-    /// Requests priced.
-    pub served: usize,
-    /// Requests shed (queue-full + deadline).
-    pub shed: usize,
-    /// Requests answered with any other rejection (invalid input,
-    /// internal, shutdown).
-    pub other_rejected: usize,
-}
-
-impl PeakStep {
-    /// A step is *sustained* when every offered request was priced:
-    /// zero shed, zero other rejections, over the full window.
-    pub fn sustained(&self) -> bool {
-        self.shed == 0 && self.other_rejected == 0 && self.served == self.offered
-    }
-}
-
-/// The highest *sustained* rate among `steps` (0.0 when no step was
-/// sustained). This is what "peak sustainable load" means in
-/// `BENCH_<n>.json`: the last zero-shed step, **not** the last attempted
-/// one — a search that stops on its first shedding step would otherwise
-/// report a rate it just proved unsustainable.
-pub fn last_sustained_hz(steps: &[PeakStep]) -> f64 {
-    steps
-        .iter()
-        .rev()
-        .find(|s| s.sustained())
-        .map(|s| s.rate_hz)
-        .unwrap_or(0.0)
-}
-
-/// Peak-search schedule: geometric rate steps over fixed windows.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeakSearchConfig {
-    /// First offered rate, requests/second.
-    pub start_hz: f64,
-    /// Per-step rate multiplier (> 1).
-    pub growth: f64,
-    /// Maximum number of steps.
-    pub max_steps: usize,
-    /// Window length per step, seconds (arrivals = rate × window).
-    pub window_secs: f64,
-    /// Seed for the option-parameter stream (stepped per step).
-    pub seed: u64,
-}
-
-impl Default for PeakSearchConfig {
-    fn default() -> Self {
-        Self {
-            start_hz: 500.0,
-            growth: 1.6,
-            max_steps: 8,
-            window_secs: 0.2,
-            seed: 0xBEA7,
-        }
-    }
-}
-
-/// A finished peak search.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PeakReport {
-    /// Every step attempted, in order.
-    pub steps: Vec<PeakStep>,
-    /// The last rate the search offered (may well have shed).
-    pub last_attempted_hz: f64,
-}
-
-impl PeakReport {
-    /// Peak sustainable load: see [`last_sustained_hz`].
-    pub fn sustained_hz(&self) -> f64 {
-        last_sustained_hz(&self.steps)
-    }
-}
-
-/// Hard cap on arrivals per peak-search window. A degenerate config
-/// (`rate * window` overflowing, or non-finite) used to convert straight
-/// through `as usize`, allocating a send-timestamp vector for billions
-/// of arrivals; any window that would exceed this cap is almost
-/// certainly a config bug, not a real measurement.
-pub const MAX_WINDOW_TOTAL: usize = 1_000_000;
-
-/// Arrivals for one peak-search window: `rate_hz * window_secs`, clamped
-/// to `[32, MAX_WINDOW_TOTAL]`. Non-finite or non-positive products
-/// (NaN rate, infinite window, negative either) fall back to the floor
-/// instead of whatever `as usize` saturates them to.
-pub fn window_total(rate_hz: f64, window_secs: f64) -> usize {
-    let product = rate_hz * window_secs;
-    if !product.is_finite() || product <= 0.0 {
-        return 32;
-    }
-    if product >= MAX_WINDOW_TOTAL as f64 {
-        return MAX_WINDOW_TOTAL;
-    }
-    (product as usize).clamp(32, MAX_WINDOW_TOTAL)
-}
-
-/// Generic peak search: step the offered rate geometrically per
-/// [`PeakSearchConfig`], driving each step through `step(rate_hz, total,
-/// seed)`, stopping at the first step that wasn't sustained (or at
-/// `max_steps`).
-pub fn search_peak(
-    cfg: &PeakSearchConfig,
-    mut step: impl FnMut(f64, usize, u64) -> PeakStep,
-) -> PeakReport {
-    let mut steps = Vec::new();
-    let mut rate = cfg.start_hz.max(1.0);
-    let growth = cfg.growth.max(1.01);
-    let mut last_attempted_hz = 0.0;
-    for i in 0..cfg.max_steps {
-        let total = window_total(rate, cfg.window_secs);
-        let s = step(rate, total, mix_seed(cfg.seed, i as u64));
-        last_attempted_hz = rate;
-        let sustained = s.sustained();
-        steps.push(s);
-        if !sustained {
-            break;
-        }
-        rate *= growth;
-    }
-    PeakReport {
-        steps,
-        last_attempted_hz,
-    }
-}
-
-/// Search for the peak sustainable open-loop load from `source`.
-/// `make_server` builds a fresh server per step so queue state, breaker
-/// state, and latency histograms never leak across steps.
-pub fn find_peak_sustained<S: RequestSource + ?Sized>(
-    mut make_server: impl FnMut() -> Server,
-    source: &S,
-    cfg: &PeakSearchConfig,
-) -> PeakReport {
-    search_peak(cfg, |rate_hz, total, seed| {
-        let server = make_server();
-        let r = run_load(
-            &server,
-            source,
-            LoadMode::Open { rate_hz, total },
-            seed,
-            None,
-        );
-        server.shutdown();
-        r.peak_step(rate_hz)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1016,91 +850,6 @@ mod tests {
         assert!(telemetry::counter_value("loadgen.unmatched_response") >= before + 2);
     }
 
-    fn step(rate_hz: f64, offered: usize, served: usize) -> PeakStep {
-        PeakStep {
-            rate_hz,
-            offered,
-            served,
-            shed: offered - served,
-            other_rejected: 0,
-        }
-    }
-
-    #[test]
-    fn peak_reports_last_sustained_not_last_attempted() {
-        // The classic off-by-one this fixes: search stops at 400/s
-        // because 400/s shed, so the peak is 200/s.
-        let steps = vec![
-            step(100.0, 20, 20),
-            step(200.0, 40, 40),
-            step(400.0, 80, 61),
-        ];
-        assert_eq!(last_sustained_hz(&steps), 200.0);
-        let report = PeakReport {
-            steps,
-            last_attempted_hz: 400.0,
-        };
-        assert_eq!(report.sustained_hz(), 200.0);
-        assert_ne!(report.sustained_hz(), report.last_attempted_hz);
-    }
-
-    #[test]
-    fn peak_is_zero_when_nothing_was_sustained() {
-        assert_eq!(last_sustained_hz(&[]), 0.0);
-        assert_eq!(last_sustained_hz(&[step(100.0, 20, 10)]), 0.0);
-    }
-
-    #[test]
-    fn a_fully_served_window_with_other_rejections_is_not_sustained() {
-        let mut s = step(100.0, 20, 20);
-        s.other_rejected = 1;
-        assert!(!s.sustained());
-    }
-
-    #[test]
-    fn peak_search_stops_on_first_shedding_step() {
-        // A 1-slot queue sheds as soon as two arrivals land inside one
-        // batch execution, so the search ends there or at `max_steps`.
-        let cfg = PeakSearchConfig {
-            start_hz: 2_000.0,
-            growth: 2.0,
-            max_steps: 4,
-            window_secs: 0.05,
-            seed: 3,
-        };
-        let report = find_peak_sustained(|| quick_server(1), "black_scholes", &cfg);
-        assert!(!report.steps.is_empty());
-        assert!(report.last_attempted_hz > 0.0);
-        assert!(report.sustained_hz() <= report.last_attempted_hz);
-        // Every step before the last was sustained; the last either shed
-        // or the search ran out of steps.
-        for s in &report.steps[..report.steps.len() - 1] {
-            assert!(s.sustained(), "{s:?}");
-        }
-        if let Some(last) = report.steps.last() {
-            assert_eq!(
-                last.offered,
-                last.served + last.shed + last.other_rejected,
-                "{last:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn peak_search_with_ample_capacity_sustains_every_step() {
-        let cfg = PeakSearchConfig {
-            start_hz: 100.0,
-            growth: 1.5,
-            max_steps: 2,
-            window_secs: 0.05,
-            seed: 5,
-        };
-        let report = find_peak_sustained(|| quick_server(4096), "black_scholes", &cfg);
-        assert_eq!(report.steps.len(), 2);
-        assert!(report.steps.iter().all(PeakStep::sustained), "{report:?}");
-        assert_eq!(report.sustained_hz(), report.last_attempted_hz);
-    }
-
     fn open_loop_accounts<S: RequestSource + ?Sized>(server: &Server, source: &S) {
         let report = run_load(
             server,
@@ -1129,52 +878,6 @@ mod tests {
         open_loop_accounts(&server, &GreeksSource);
         open_loop_accounts(&server, &SMALL_BOOK);
         server.shutdown();
-    }
-
-    #[test]
-    fn window_total_clamps_degenerate_rates_and_windows() {
-        // The happy path rounds down and respects the floor.
-        assert_eq!(window_total(500.0, 0.2), 100);
-        assert_eq!(window_total(10.0, 0.2), 32, "floor at tiny products");
-        // Pre-fix, `(rate * window) as usize` at these inputs saturated
-        // to usize::MAX (or 0 for NaN), sizing a send-timestamp vector
-        // for billions of arrivals before the first request went out.
-        // Non-finite products fall to the floor (a config bug, not a
-        // measurement); huge-but-finite ones hit the explicit cap.
-        assert_eq!(window_total(f64::INFINITY, 0.2), 32);
-        assert_eq!(window_total(1e18, 1e18), MAX_WINDOW_TOTAL);
-        assert_eq!(window_total(1e9, 1.0), MAX_WINDOW_TOTAL);
-        assert_eq!(window_total(f64::NAN, 0.2), 32);
-        assert_eq!(window_total(500.0, f64::NAN), 32);
-        assert_eq!(window_total(-500.0, 0.2), 32);
-        assert_eq!(window_total(500.0, -0.2), 32);
-        assert_eq!(window_total(0.0, 0.0), 32);
-    }
-
-    #[test]
-    fn peak_search_survives_a_non_finite_schedule() {
-        // End-to-end regression for the search itself: an infinite
-        // window used to blow up sizing the arrival vector before any
-        // step ran. Now a non-finite schedule degrades to floor-sized
-        // windows and a huge finite one to the cap.
-        let run = |window_secs: f64| {
-            let cfg = PeakSearchConfig {
-                start_hz: 100.0,
-                growth: 1.5,
-                max_steps: 2,
-                window_secs,
-                seed: 9,
-            };
-            let mut totals = Vec::new();
-            let report = search_peak(&cfg, |rate_hz, total, _seed| {
-                totals.push(total);
-                step(rate_hz, total, total)
-            });
-            assert_eq!(report.steps.len(), 2);
-            totals
-        };
-        assert!(run(f64::INFINITY).iter().all(|&t| t == 32));
-        assert!(run(1e18).iter().all(|&t| t == MAX_WINDOW_TOTAL));
     }
 
     #[test]

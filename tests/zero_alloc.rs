@@ -13,19 +13,19 @@
 //! globally by `finbench_harness`) tallies process-wide, so sharing a
 //! process with concurrently running tests (cargo's default parallel
 //! test threads) would make the "no allocations happened" assertion
-//! meaningless. `finbench gate` additionally holds `bench-report`'s
-//! pooled alloc lanes to the same zero; this test is the fast,
-//! deterministic half of that gate.
+//! meaningless. It is the whole allocation gate for the served paths:
+//! the price lane's top rung, the greeks lane's top rung and the fused
+//! pass are each run here, through the scratch a lane reuses.
 
 use finbench::core::black_scholes::soa::par_price_soa;
 use finbench::core::engine::registry;
-use finbench::core::greeks::{greeks_batch_simd, price_and_greeks_into};
+use finbench::core::greeks::price_and_greeks_into;
 use finbench::core::portfolio::{revalue_into, Book, RevalScratch, ScenarioConfig, ScenarioGrid};
 use finbench::core::MarketParams;
 use finbench::engine::Engine;
 use finbench::parallel::available_parallelism;
 use finbench::serve::pricer::{self, PricerConfig};
-use finbench::serve::{OptionScratch, OptionStream, PriceRequest, RequestSource};
+use finbench::serve::{greeks_ladder, OptionScratch, OptionStream, PriceRequest, RequestSource};
 use finbench::telemetry::{self, Counter, Gauge};
 
 const M: MarketParams = MarketParams::PAPER;
@@ -55,6 +55,8 @@ fn steady_state_serve_batches_allocate_nothing() {
         &PricerConfig::default(),
     )
     .expect("black_scholes is servable");
+    // And what a greeks lane serves with: the top of its ladder.
+    let greeks = &greeks_ladder(M)[0];
 
     // Warmup: the largest flush this "lane" will see grows every buffer
     // to capacity; smaller and ragged flushes afterwards must reuse it.
@@ -66,10 +68,10 @@ fn steady_state_serve_batches_allocate_nothing() {
         }
         scratch.stage(8);
         scratch.greeks.resize(scratch.soa.len());
-        // The three steady-state serve paths: price sweep, greeks sweep,
-        // and the fused single pass.
+        // The three steady-state serve paths: price sweep, the greeks
+        // lane's rung, and the fused single pass.
         finbench::core::black_scholes::soa::price_soa_simd::<8>(&mut scratch.soa, M);
-        greeks_batch_simd::<8>(&scratch.soa, M, &mut scratch.greeks);
+        greeks.compute(&scratch.soa, &mut scratch.greeks);
         price_and_greeks_into::<8>(&mut scratch.soa, M, &mut scratch.greeks);
         std::hint::black_box(&scratch.greeks);
         // The served rung itself, and the pool under a batch that fits
