@@ -91,9 +91,9 @@ if git grep -nE 'ExecPolicy::Serial|fn workers|try_body|time_once|run_ladder_nam
   exit 1
 fi
 
-echo "==> source guard (replace, don't fork: one twister, two normal fills, one tiled reduction, one streamed MC sweep)"
-if git grep -nwE 'Mt19937|sincos|fill_standard_normal_box_muller|fill_standard_normal_icdf_fast|reduce_tiled_fma|paths_streamed_parallel' -- crates tests examples; then
-  echo "no rung runs a second twister, normal transform, tiling or threaded MC sweep: Mt19937_64, the ICDF/polar fills, reduce_tiled and paths_streamed_simd are the ones" >&2
+echo "==> source guard (replace, don't fork: one twister, two normal fills, one lattice body, one tiled reduction, one streamed MC sweep)"
+if git grep -nwE 'Mt19937|sincos|fill_standard_normal_box_muller|fill_standard_normal_icdf_fast|reduce_tiled_fma|paths_streamed_parallel|reduce_simd|fill_leaves_simd|uniform_expiry_batch' -- crates tests examples; then
+  echo "no rung runs a second twister, normal transform, lattice body, tiling or threaded MC sweep: Mt19937_64, the ICDF/polar fills, binomial fill_leaves/reference::reduce (generic over Lanes), reduce_tiled and paths_streamed_simd are the ones" >&2
   exit 1
 fi
 

@@ -32,11 +32,10 @@ pub fn price_american<R: Real>(
     // backwards (S_{i,j} = S_{i+1,j} · d since u·d = 1 ... S_{i,j} =
     // S·u^j·d^(i−j), so stepping i→i−1 multiplies by u).
     let mut price: Vec<R> = Vec::with_capacity(n + 1);
-    let mut p = s * crr.d.powi(n as i32);
-    let u2 = crr.u * crr.u;
+    let mut p = s * crr.d_pow_n;
     for _ in 0..=n {
         price.push(R::splat(p));
-        p *= u2;
+        p *= crr.u2;
     }
 
     let payoff = |price: R| {

@@ -18,6 +18,14 @@
 //!   per `TS` time steps instead of once per step.
 //! * [`american`] extends the lattice with early exercise (the case the
 //!   method exists for; the paper prices European for benchmark parity).
+//!
+//! The leaf fill ([`fill_leaves`]) and the plain recurrence
+//! ([`reference::reduce`]) are one body each, generic over [`Lanes`]: `f64`
+//! for the reference, `F64v<W>` for the vector rungs. Every lane carries its
+//! own lattice — the batch driver gathers each option's scalar
+//! [`CrrParams`] into the vector weights — so a lane performs exactly the
+//! reference's operations on its own expiry, and the vector rungs are
+//! bit-identical to [`reference::price_european`] on any batch.
 
 pub mod american;
 pub mod reference;
@@ -40,6 +48,10 @@ pub struct CrrParams {
     pub pd_by_df: f64,
     /// Time step `T/N`.
     pub dt: f64,
+    /// `d^N`: the lowest leaf's price over the spot.
+    pub d_pow_n: f64,
+    /// `u² = u/d`: the ratio of neighbouring leaf prices.
+    pub u2: f64,
 }
 
 impl CrrParams {
@@ -61,68 +73,44 @@ impl CrrParams {
             pu_by_df: p / a,
             pd_by_df: (1.0 - p) / a,
             dt,
+            d_pow_n: d.powi(n as i32),
+            u2: u * u,
         }
     }
 }
 
 /// Fill `out[j] = max(S·u^j·d^(N−j) − X, 0)` for a call (or the mirrored
-/// put payoff), for `j = 0..=n`.
+/// put payoff), for `j = 0..=n`; lane `l` of `out[j]` gets the leaf payoff
+/// of option `l`, from that option's `d^N` and `u²` ([`CrrParams`]).
 ///
 /// `u^j d^(n−j) = e^((2j−n)σ√Δt)` is built incrementally by repeated
 /// multiplication with `u² = u/d`.
 #[inline(always)]
-pub fn fill_leaves(out: &mut [f64], s: f64, x: f64, n: usize, crr: &CrrParams, is_call: bool) {
-    assert_eq!(out.len(), n + 1, "leaf buffer must hold n+1 nodes");
-    let mut price = s * crr.d.powi(n as i32);
-    let u2 = crr.u * crr.u;
+pub fn fill_leaves<R: Lanes>(out: &mut [R], s: R, x: R, d_pow_n: R, u2: R, is_call: bool) {
+    let mut price = s * d_pow_n;
     for slot in out.iter_mut() {
         *slot = if is_call {
-            (price - x).max(0.0)
+            (price - x).max(R::splat(0.0))
         } else {
-            (x - price).max(0.0)
-        };
-        price *= u2;
-    }
-}
-
-/// Vector-of-options leaf fill: lane `l` of `out[j]` gets the leaf payoff
-/// of option `l`.
-#[inline(always)]
-pub fn fill_leaves_simd<const W: usize>(
-    out: &mut [F64v<W>],
-    s: &[f64],
-    x: &[f64],
-    n: usize,
-    crr: &CrrParams,
-    is_call: bool,
-) {
-    assert_eq!(out.len(), n + 1);
-    assert!(s.len() >= W && x.len() >= W);
-    let mut price = F64v::<W>::load(s, 0) * crr.d.powi(n as i32);
-    let xv = F64v::<W>::load(x, 0);
-    let u2 = crr.u * crr.u;
-    for slot in out.iter_mut() {
-        *slot = if is_call {
-            (price - xv).max(F64v::zero())
-        } else {
-            (xv - price).max(F64v::zero())
+            (x - price).max(R::splat(0.0))
         };
         price *= u2;
     }
 }
 
 /// An in-place lattice reduction over a vector-of-options leaf array:
-/// `(call, n, pu_by_df, pd_by_df) → root`, lane `l` = option `l`.
-type ReduceFn<const W: usize> = fn(&mut [F64v<W>], usize, f64, f64) -> F64v<W>;
+/// `(call, n, pu_by_df, pd_by_df) → root`, lane `l` = option `l` with its
+/// own weights.
+type ReduceFn<const W: usize> = fn(&mut [F64v<W>], usize, F64v<W>, F64v<W>) -> F64v<W>;
 
 isa_fn! {
     /// Price a full batch `W` options per pass with the given lattice
     /// reduction — the one driver behind [`simd::price_batch_simd`] and
-    /// [`tiled::price_batch_tiled`]. All options share the expiry grid (`t`
-    /// is read per group from the first lane; the workload generators for
-    /// the binomial experiments use a uniform expiry, matching the paper's
-    /// fixed 1024/2048-step setup). The scalar reference handles any ragged
-    /// tail. `reduce` dispatches itself, so it is an ordinary call here.
+    /// [`tiled::price_batch_tiled`]. Each lane gets its own lattice: the
+    /// option's scalar [`CrrParams`] are gathered into the vector weights,
+    /// so any mix of expiries prices to the reference's bits. The scalar
+    /// reference handles any ragged tail. `reduce` dispatches itself, so it
+    /// is an ordinary call here.
     fn price_batch_groups<const W: usize>(
         batch: &mut OptionBatchSoa,
         market: MarketParams,
@@ -136,9 +124,13 @@ isa_fn! {
 
         let mut g = 0;
         while g < main {
-            let crr = CrrParams::new(market, batch.t[g], n);
-            fill_leaves_simd(&mut call, &batch.s[g..], &batch.x[g..], n, &crr, is_call);
-            let root = reduce(&mut call, n, crr.pu_by_df, crr.pd_by_df);
+            let crr: [CrrParams; W] =
+                core::array::from_fn(|l| CrrParams::new(market, batch.t[g + l], n));
+            let (s, x) = (F64v::load(&batch.s, g), F64v::load(&batch.x, g));
+            let (d_pow_n, u2) = (F64v(crr.map(|c| c.d_pow_n)), F64v(crr.map(|c| c.u2)));
+            fill_leaves(&mut call, s, x, d_pow_n, u2, is_call);
+            let (pu, pd) = (F64v(crr.map(|c| c.pu_by_df)), F64v(crr.map(|c| c.pd_by_df)));
+            let root = reduce(&mut call, n, pu, pd);
             let out = if is_call {
                 &mut batch.call
             } else {
@@ -185,7 +177,7 @@ mod tests {
     fn leaves_match_direct_formula() {
         let crr = CrrParams::new(MarketParams::PAPER, 2.0, 64);
         let mut buf = vec![0.0; 65];
-        fill_leaves(&mut buf, 100.0, 95.0, 64, &crr, true);
+        fill_leaves(&mut buf, 100.0, 95.0, crr.d_pow_n, crr.u2, true);
         for (j, &v) in buf.iter().enumerate() {
             let price = 100.0 * crr.u.powi(j as i32) * crr.d.powi(64 - j as i32);
             let want = (price - 95.0f64).max(0.0);
@@ -193,7 +185,7 @@ mod tests {
         }
         // Put leaves mirror.
         let mut put = vec![0.0; 65];
-        fill_leaves(&mut put, 100.0, 95.0, 64, &crr, false);
+        fill_leaves(&mut put, 100.0, 95.0, crr.d_pow_n, crr.u2, false);
         for j in 0..=64 {
             assert!(put[j] == 0.0 || buf[j] == 0.0, "payoffs overlap at {j}");
         }
@@ -201,16 +193,23 @@ mod tests {
 
     #[test]
     fn simd_leaves_match_scalar() {
-        let crr = CrrParams::new(MarketParams::PAPER, 1.5, 32);
+        // One expiry per lane: lane `l` of the vector fill has the bits of
+        // the scalar fill of option `l`.
         let s = [90.0, 100.0, 110.0, 120.0];
-        let x = [100.0; 4];
+        let crr = [0.25, 1.5, 3.0, 10.0].map(|t| CrrParams::new(MarketParams::PAPER, t, 32));
+        let (d_pow_n, u2) = (F64v(crr.map(|c| c.d_pow_n)), F64v(crr.map(|c| c.u2)));
         let mut v = vec![F64v::<4>::zero(); 33];
-        fill_leaves_simd(&mut v, &s, &x, 32, &crr, true);
+        fill_leaves(&mut v, F64v(s), F64v::splat(100.0), d_pow_n, u2, true);
         for lane in 0..4 {
             let mut scalar = vec![0.0; 33];
-            fill_leaves(&mut scalar, s[lane], x[lane], 32, &crr, true);
+            let c = crr[lane];
+            fill_leaves(&mut scalar, s[lane], 100.0, c.d_pow_n, c.u2, true);
             for j in 0..=32 {
-                assert!((v[j][lane] - scalar[j]).abs() < 1e-9, "lane {lane} j {j}");
+                assert_eq!(
+                    v[j][lane].to_bits(),
+                    scalar[j].to_bits(),
+                    "lane {lane} j {j}"
+                );
             }
         }
     }

@@ -2,11 +2,14 @@
 
 use super::{fill_leaves, CrrParams};
 use crate::workload::{MarketParams, OptionBatchSoa};
-use finbench_math::Real;
+use finbench_math::Lanes;
 use finbench_simd::isa_fn;
 
 /// Reduce a leaf array in place: after the call, `call[0]` holds the root
-/// (present) value. This is exactly the paper's inner two loops:
+/// (present) value. The one plain recurrence: `R = f64` is the reference,
+/// `R = F64v<W>` the SIMD rung (lane `l` weighted by option `l`'s own
+/// `pu`/`pd`) and the tiled reduction's remainder, `R = CountedF64` the
+/// flop audit. This is exactly the paper's inner two loops:
 ///
 /// ```c
 /// for(int i = N; i > 0; i--)
@@ -14,7 +17,7 @@ use finbench_simd::isa_fn;
 ///     Call[j] = puByDf*Call[j+1] + pdByDf*Call[j];
 /// ```
 #[inline(always)]
-pub fn reduce<R: Real>(call: &mut [R], n: usize, pu_by_df: R, pd_by_df: R) -> R {
+pub fn reduce<R: Lanes>(call: &mut [R], n: usize, pu_by_df: R, pd_by_df: R) -> R {
     assert!(call.len() > n, "call buffer must hold n+1 nodes");
     for i in (1..=n).rev() {
         for j in 0..i {
@@ -42,7 +45,7 @@ pub fn price_european(
 ) -> f64 {
     let crr = CrrParams::new(market, t, n);
     let mut call = vec![0.0f64; n + 1];
-    fill_leaves(&mut call, s, x, n, &crr, is_call);
+    fill_leaves(&mut call, s, x, crr.d_pow_n, crr.u2, is_call);
     reduce(&mut call, n, crr.pu_by_df, crr.pd_by_df)
 }
 
@@ -54,9 +57,10 @@ isa_fn! {
         let mut scratch = vec![0.0f64; n + 1];
         for i in 0..batch.len() {
             let crr = CrrParams::new(market, batch.t[i], n);
-            fill_leaves(&mut scratch, batch.s[i], batch.x[i], n, &crr, true);
+            let (s, x) = (batch.s[i], batch.x[i]);
+            fill_leaves(&mut scratch, s, x, crr.d_pow_n, crr.u2, true);
             batch.call[i] = reduce(&mut scratch, n, crr.pu_by_df, crr.pd_by_df);
-            fill_leaves(&mut scratch, batch.s[i], batch.x[i], n, &crr, false);
+            fill_leaves(&mut scratch, s, x, crr.d_pow_n, crr.u2, false);
             batch.put[i] = reduce(&mut scratch, n, crr.pu_by_df, crr.pd_by_df);
         }
     }

@@ -18,24 +18,24 @@
 //! as in Lis. 2 and the tiled result is **bit-identical** to the
 //! reference (asserted in tests).
 
+use super::reference::reduce;
 use crate::workload::{MarketParams, OptionBatchSoa};
 use finbench_simd::{isa_fn, F64v};
 
 isa_fn! {
-    /// Tiled in-place reduction of a vector-of-options leaf array.
+    /// Tiled in-place reduction of a vector-of-options leaf array; lane `l`
+    /// is weighted by its own `pu[l]`/`pd[l]`.
     ///
     /// `TS` is the tile depth (the paper tunes it to the register file; 4–16
     /// are sensible for 16–32 architectural vector registers).
     pub fn reduce_tiled<const W: usize, const TS: usize>(
         call: &mut [F64v<W>],
         n: usize,
-        pu_by_df: f64,
-        pd_by_df: f64,
+        pu: F64v<W>,
+        pd: F64v<W>,
     ) -> F64v<W> {
         assert!(call.len() > n, "call buffer must hold n+1 nodes");
         assert!(TS >= 1, "tile depth must be at least 1");
-        let pu = pu_by_df;
-        let pd = pd_by_df;
 
         let mut m = n;
         while m >= TS {
@@ -64,12 +64,7 @@ isa_fn! {
             m -= TS;
         }
         // Remainder (< TS steps) with the plain recurrence.
-        for i in (1..=m).rev() {
-            for j in 0..i {
-                call[j] = call[j + 1] * pu + call[j] * pd;
-            }
-        }
-        call[0]
+        reduce(call, m, pu, pd)
     }
 }
 
@@ -88,21 +83,24 @@ pub fn price_batch_tiled<const W: usize, const TS: usize>(
 mod tests {
     use super::*;
     use crate::binomial::reference;
-    use crate::binomial::simd::reduce_simd;
 
-    fn leaf_vec(n: usize, seed: u64) -> Vec<F64v<4>> {
-        // Deterministic pseudo-leaves; positive, payoff-like.
-        let mut out = Vec::with_capacity(n + 1);
+    /// Deterministic pseudo-values in `[0, scale)`, four lanes per vector.
+    fn draws(len: usize, seed: u64, scale: f64) -> Vec<F64v<4>> {
         let mut state = seed;
-        for _ in 0..=n {
-            let mut lanes = [0.0; 4];
-            for l in &mut lanes {
-                state = finbench_rng::SplitMix64::mix(state);
-                *l = (state >> 11) as f64 / (1u64 << 53) as f64 * 50.0;
-            }
-            out.push(F64v(lanes));
-        }
-        out
+        let mut draw = || {
+            state = finbench_rng::SplitMix64::mix(state);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * scale
+        };
+        (0..len)
+            .map(|_| F64v([draw(), draw(), draw(), draw()]))
+            .collect()
+    }
+
+    /// Positive, payoff-like leaves and one pair of weights per lane near ½.
+    fn leaves_and_weights(n: usize, seed: u64) -> (Vec<F64v<4>>, F64v<4>, F64v<4>) {
+        let w = draws(2, seed ^ 0x5eed, 0.01);
+        let half = F64v::splat(0.495);
+        (draws(n + 1, seed, 50.0), half + w[0], half + w[1])
     }
 
     #[test]
@@ -110,10 +108,10 @@ mod tests {
         // Sweep N across tile-boundary cases: multiples of TS, off-by-one,
         // N < TS, N == TS.
         for n in [1usize, 3, 4, 5, 7, 8, 16, 17, 31, 32, 33, 100, 255, 256] {
-            let mut a = leaf_vec(n, 42);
+            let (mut a, pu, pd) = leaves_and_weights(n, 42);
             let mut b = a.clone();
-            let ra = reduce_simd(&mut a, n, 0.5002, 0.4988);
-            let rb = reduce_tiled::<4, 4>(&mut b, n, 0.5002, 0.4988);
+            let ra = reference::reduce(&mut a, n, pu, pd);
+            let rb = reduce_tiled::<4, 4>(&mut b, n, pu, pd);
             for l in 0..4 {
                 assert_eq!(ra[l].to_bits(), rb[l].to_bits(), "n={n} lane={l}");
             }
@@ -123,12 +121,13 @@ mod tests {
     #[test]
     fn tile_depths_all_agree() {
         let n = 123;
-        let mut reference_buf = leaf_vec(n, 7);
-        let want = reduce_simd(&mut reference_buf, n, 0.497, 0.501);
+        let (mut reference_buf, pu, pd) = leaves_and_weights(n, 7);
+        let leaves = reference_buf.clone();
+        let want = reference::reduce(&mut reference_buf, n, pu, pd);
         macro_rules! check_ts {
             ($($ts:literal),*) => {$(
-                let mut buf = leaf_vec(n, 7);
-                let got = reduce_tiled::<4, $ts>(&mut buf, n, 0.497, 0.501);
+                let mut buf = leaves.clone();
+                let got = reduce_tiled::<4, $ts>(&mut buf, n, pu, pd);
                 for l in 0..4 {
                     assert_eq!(got[l].to_bits(), want[l].to_bits(), "TS={} lane={l}", $ts);
                 }
@@ -142,13 +141,10 @@ mod tests {
         use crate::workload::{OptionBatchSoa, WorkloadRanges};
         let m = crate::workload::MarketParams::PAPER;
         let mut b = OptionBatchSoa::random(19, 5, WorkloadRanges::default());
-        for t in &mut b.t {
-            *t = 2.0;
-        }
         let n = 200;
         price_batch_tiled::<8, 4>(&mut b, m, n, true);
         for i in 0..b.len() {
-            let want = reference::price_european(b.s[i], b.x[i], 2.0, m, n, true);
+            let want = reference::price_european(b.s[i], b.x[i], b.t[i], m, n, true);
             assert_eq!(b.call[i].to_bits(), want.to_bits(), "i={i}");
         }
     }
@@ -156,10 +152,10 @@ mod tests {
     #[test]
     fn n_smaller_than_tile_uses_remainder_path() {
         let n = 2;
-        let mut a = leaf_vec(n, 3);
+        let (mut a, pu, pd) = leaves_and_weights(n, 3);
         let mut b = a.clone();
-        let ra = reduce_simd(&mut a, n, 0.5, 0.5);
-        let rb = reduce_tiled::<4, 8>(&mut b, n, 0.5, 0.5);
+        let ra = reference::reduce(&mut a, n, pu, pd);
+        let rb = reduce_tiled::<4, 8>(&mut b, n, pu, pd);
         for l in 0..4 {
             assert_eq!(ra[l].to_bits(), rb[l].to_bits());
         }

@@ -226,7 +226,7 @@ impl Kernel for BlackScholes {
 /// Fig. 5: CRR binomial-tree pricing, register-tiled at the top level.
 pub struct Binomial;
 
-/// Uniform-expiry batch plus the tree depth.
+/// Mixed-expiry batch plus the tree depth.
 pub struct BinomialWorkload {
     batch: OptionBatchSoa,
     n_steps: usize,
@@ -249,21 +249,18 @@ impl Kernel for Binomial {
     }
 
     fn make_workload(&self, spec: &WorkloadSpec) -> BinomialWorkload {
-        // The SIMD drivers share one expiry grid per W-group; keep the
-        // paper's uniform t=1 workload (ragged tails are handled, but a
-        // multiple of W exercises the vector path everywhere).
+        // Every lane carries its own lattice, so expiries are drawn like
+        // every other kernel's; per-option work depends only on the tree
+        // depth. Ragged tails are handled, but a multiple of W exercises
+        // the vector path everywhere.
         let n_opts = round_up(
             spec.n_hint
                 .unwrap_or(if spec.quick { 16 } else { 64 })
                 .max(1),
             8,
         );
-        let mut batch = OptionBatchSoa::random(n_opts, spec.seed, WorkloadRanges::default());
-        for t in &mut batch.t {
-            *t = 1.0;
-        }
         BinomialWorkload {
-            batch,
+            batch: OptionBatchSoa::random(n_opts, spec.seed, WorkloadRanges::default()),
             n_steps: if spec.quick { 256 } else { 1024 },
         }
     }
@@ -299,7 +296,8 @@ impl Kernel for Binomial {
                     )
                 },
             )
-            .check(Check::Rel(1e-11))
+            // Each lane runs the reference's operations on its own lattice.
+            .check(Check::BitExact)
             .cost_level(1),
             Rung::new(
                 OptLevel::Advanced,

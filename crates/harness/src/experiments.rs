@@ -167,6 +167,7 @@ fn tile_depth_sweep(quick: bool) -> Vec<(String, f64)> {
     const N: usize = 1024;
     const W: usize = 8;
     let leaves: Vec<F64v<W>> = (0..=N).map(|j| F64v([j as f64 * 0.01; W])).collect();
+    let (pu, pd) = (F64v::splat(0.5002), F64v::splat(0.4988));
     let mut call = leaves.clone();
     let mut out = Vec::new();
     macro_rules! depth {
@@ -175,7 +176,7 @@ fn tile_depth_sweep(quick: bool) -> Vec<(String, f64)> {
             // reduction's ~0.5 M node updates.
             let rate = throughput_samples(W, min_secs(quick), || {
                 call.copy_from_slice(&leaves);
-                std::hint::black_box(reduce_tiled::<W, $ts>(&mut call, N, 0.5002, 0.4988));
+                std::hint::black_box(reduce_tiled::<W, $ts>(&mut call, N, pu, pd));
             })
             .best();
             out.push((format!("TS={}", $ts), rate));

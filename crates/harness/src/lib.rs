@@ -36,14 +36,6 @@ pub mod report;
 
 use finbench_telemetry as telemetry;
 
-/// Every harness process (the `finbench` binary and this crate's tests)
-/// allocates through the counting allocator, so the allocation tests
-/// (`tests/zero_alloc.rs`, `tests/serve_steady_state.rs`) count what the
-/// shipped binary would. The counters are two relaxed atomics per call —
-/// noise next to a real `malloc`.
-#[global_allocator]
-static COUNTING_ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
-
 /// Global run options.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunOptions {

@@ -5,13 +5,19 @@
 //!
 //! A rung is *servable* only if each option's price is independent of its
 //! batch neighbours — a micro-batch mixes unrelated requests, so any rung
-//! that couples lanes (e.g. the binomial SIMD rungs, which share one
-//! expiry grid per vector group) would change a request's answer based on
-//! who it happened to be batched with. Each servable kernel declares its
-//! degradation ladder as a fixed list of such rungs, most advanced first
-//! ([`servable_ladder`]), like the greeks and portfolio ladders: which
-//! rung a lane serves does not depend on the
-//! [`Planner`](finbench_engine::Planner)'s cost model.
+//! that couples lanes (e.g. one that draws from a shared `rng` stream)
+//! would change a request's answer based on who it happened to be batched
+//! with. Each servable kernel declares its degradation ladder as a fixed
+//! list of such rungs, most advanced first ([`servable_ladder`]), like the
+//! greeks and portfolio ladders: which rung a lane serves does not depend
+//! on the [`Planner`](finbench_engine::Planner)'s cost model.
+//!
+//! The binomial SIMD and tiled rungs are batch-safe (every lane carries its
+//! own lattice), yet binomial serves its scalar reference, for occupancy:
+//! at the serve default of 256 steps the scalar rung prices a call and a
+//! put in ≈ 13.6 µs, while an 8-lane tiled tree takes ≈ 24 µs, so a lone
+//! request padded to W = 8 needs ≈ 48 µs for its two trees — and a
+//! steady open-loop lane flushes about one binomial request per batch.
 //!
 //! No *threaded* rung is servable: a shard worker is the serving plane's
 //! unit of parallelism and a micro-batch is a single pool chunk, so
@@ -120,7 +126,9 @@ fn rung<const W: usize>(
 /// degradation trades throughput, never correctness.
 ///
 /// Black-Scholes descends erf + parity (W=8) → SIMD SOA W=8 → W=4 →
-/// scalar SOA; binomial serves its scalar reference only. The engine
+/// scalar SOA; binomial serves its scalar reference only: its vector rungs
+/// are batch-safe, but a near-empty batch padded to W = 8 runs ≈ 3.5×
+/// slower on them (see the module doc). The engine
 /// only tells an unknown name ([`Rejected::UnknownKernel`]) from a
 /// registered kernel with no batch-safe rung ([`Rejected::Unservable`]).
 pub fn servable_ladder(

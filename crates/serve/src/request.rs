@@ -357,7 +357,7 @@ pub enum Rejected {
         reason: Cow<'static, str>,
     },
     /// The kernel is registered but has no batch-safe serving rung (its
-    /// rungs couple requests within a batch, e.g. shared expiry grids).
+    /// rungs couple requests within a batch, e.g. `rng`'s shared streams).
     Unservable {
         /// The kernel that cannot be served.
         kernel: Cow<'static, str>,

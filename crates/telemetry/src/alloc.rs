@@ -3,9 +3,9 @@
 //! "allocations per batch iteration" for the hot pricing paths.
 //!
 //! The allocator forwards to [`System`] and adds two relaxed
-//! `fetch_add`s per call — cheap enough to leave installed permanently.
-//! Installation is the binary crate's choice (the `finbench` harness
-//! does it):
+//! `fetch_add`s per call. Installation is the binary crate's choice, and
+//! only the binaries that read the tallies make it (the allocation tests
+//! and the standalone benchmark runner; the `finbench` CLI does not):
 //!
 //! ```ignore
 //! #[global_allocator]

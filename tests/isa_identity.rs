@@ -285,38 +285,47 @@ proptest! {
         prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
     }
 
-    /// Binomial: the scalar reference batch and the shared W=8 driver with
-    /// the plain and tiled reductions.
+    /// Binomial: the scalar reference batch and the shared driver at W=4
+    /// and W=8 with the plain and tiled reductions, calls and puts, over
+    /// mixed expiries and ragged lengths. Every tier's bits are the
+    /// portable tier's, and every option's are `price_european`'s.
     #[test]
     fn binomial_sweeps_are_tier_invariant(
         n in 0usize..20,
         steps in 1usize..130,
         seed in 0u64..1_000_000,
     ) {
-        let mut base = batch_with_edges(n, seed);
-        // The SIMD drivers read one expiry per group of lanes.
-        base.t.fill(1.25);
-        type Sweep = fn(&mut OptionBatchSoa, MarketParams, usize);
-        let sweeps: [(&str, Sweep); 5] = [
-            ("reference::price_batch", binomial::reference::price_batch),
-            ("price_batch_simd::<8>", |b, m, n| binomial::simd::price_batch_simd::<8>(b, m, n, true)),
-            ("price_batch_tiled::<8, 4>", |b, m, n| {
-                binomial::tiled::price_batch_tiled::<8, 4>(b, m, n, true)
-            }),
-            ("price_batch_tiled::<8, 8> puts", |b, m, n| {
-                binomial::tiled::price_batch_tiled::<8, 8>(b, m, n, false)
-            }),
-            ("price_batch_tiled::<4, 8>", |b, m, n| {
-                binomial::tiled::price_batch_tiled::<4, 8>(b, m, n, true)
-            }),
+        let base = batch_with_edges(n, seed);
+        type Sweep = fn(&mut OptionBatchSoa, MarketParams, usize, bool);
+        let sweeps: [(&str, Sweep); 6] = [
+            ("reference::price_batch", |b, m, n, _| binomial::reference::price_batch(b, m, n)),
+            ("price_batch_simd::<4>", binomial::simd::price_batch_simd::<4>),
+            ("price_batch_simd::<8>", binomial::simd::price_batch_simd::<8>),
+            ("price_batch_tiled::<8, 4>", binomial::tiled::price_batch_tiled::<8, 4>),
+            ("price_batch_tiled::<8, 8>", binomial::tiled::price_batch_tiled::<8, 8>),
+            ("price_batch_tiled::<4, 8>", binomial::tiled::price_batch_tiled::<4, 8>),
         ];
+        let want: Vec<f64> = [true, false]
+            .into_iter()
+            .flat_map(|is_call| {
+                let b = &base;
+                (0..b.len()).map(move |i| {
+                    binomial::reference::price_european(b.s[i], b.x[i], b.t[i], M, steps, is_call)
+                })
+            })
+            .collect();
         for (label, sweep) in sweeps {
-            let bad = tier_mismatch(label, || {
+            let run = || {
                 let mut b = base.clone();
-                sweep(&mut b, M, steps);
+                sweep(&mut b, M, steps, true);
+                sweep(&mut b, M, steps, false);
                 prices(&b)
-            });
+            };
+            let bad = tier_mismatch(label, run);
             prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+            for (i, (g, w)) in run().iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{} element {}: {} vs {}", label, i, g, w);
+            }
         }
     }
 

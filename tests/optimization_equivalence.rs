@@ -43,28 +43,27 @@ proptest! {
 
 #[test]
 fn binomial_tiling_is_bit_exact_for_many_shapes() {
-    let mut batch = OptionBatchSoa::random(24, 5, WorkloadRanges::default());
-    for t in &mut batch.t {
-        *t = 1.25;
-    }
+    // Mixed expiries and a ragged length: every lane has its own lattice.
+    let batch = OptionBatchSoa::random(27, 5, WorkloadRanges::default());
+    type Driver = fn(&mut OptionBatchSoa, MarketParams, usize, bool);
+    let drivers: [(&str, Driver); 3] = [
+        ("SIMD", binomial::simd::price_batch_simd::<8>),
+        ("TS=4", binomial::tiled::price_batch_tiled::<8, 4>),
+        ("TS=16", binomial::tiled::price_batch_tiled::<8, 16>),
+    ];
     for n_steps in [63usize, 64, 65, 200, 511, 513] {
         let mut reference_b = batch.clone();
-        binomial::simd::price_batch_simd::<8>(&mut reference_b, M, n_steps, true);
-        let mut t4 = batch.clone();
-        binomial::tiled::price_batch_tiled::<8, 4>(&mut t4, M, n_steps, true);
-        let mut t16 = batch.clone();
-        binomial::tiled::price_batch_tiled::<8, 16>(&mut t16, M, n_steps, true);
-        for i in 0..batch.len() {
-            assert_eq!(
-                reference_b.call[i].to_bits(),
-                t4.call[i].to_bits(),
-                "TS=4 n={n_steps} i={i}"
-            );
-            assert_eq!(
-                reference_b.call[i].to_bits(),
-                t16.call[i].to_bits(),
-                "TS=16 n={n_steps} i={i}"
-            );
+        binomial::reference::price_batch(&mut reference_b, M, n_steps);
+        for (label, driver) in drivers {
+            let mut b = batch.clone();
+            driver(&mut b, M, n_steps, true);
+            for i in 0..batch.len() {
+                assert_eq!(
+                    reference_b.call[i].to_bits(),
+                    b.call[i].to_bits(),
+                    "{label} n={n_steps} i={i}"
+                );
+            }
         }
     }
 }

@@ -82,17 +82,23 @@ proptest! {
         let mut state = seed;
         let mut draw = || {
             state = finbench::rng::SplitMix64::mix(state);
-            (state >> 11) as f64 / (1u64 << 53) as f64 * 40.0
+            (state >> 11) as f64 / (1u64 << 53) as f64
         };
         let leaves: Vec<F64v<4>> = (0..=n)
-            .map(|_| F64v([draw(), draw(), draw(), draw()]))
+            .map(|_| F64v([draw(), draw(), draw(), draw()]) * 40.0)
             .collect();
+        // Per-lane weights near ½, as per-lane expiries give.
+        let pu = F64v([draw(), draw(), draw(), draw()]) * 0.01 + 0.495;
+        let pd = F64v([draw(), draw(), draw(), draw()]) * 0.01 + 0.495;
         let mut a = leaves.clone();
-        let ra = binomial::simd::reduce_simd(&mut a, n, 0.5012, 0.4979);
-        let mut b = leaves;
-        let rb = binomial::tiled::reduce_tiled::<4, 8>(&mut b, n, 0.5012, 0.4979);
+        let ra = binomial::reference::reduce(&mut a, n, pu, pd);
+        let mut b = leaves.clone();
+        let rb = binomial::tiled::reduce_tiled::<4, 8>(&mut b, n, pu, pd);
         for l in 0..4 {
-            prop_assert_eq!(ra[l].to_bits(), rb[l].to_bits());
+            let mut scalar: Vec<f64> = leaves.iter().map(|v| v[l]).collect();
+            let want = binomial::reference::reduce(&mut scalar, n, pu[l], pd[l]);
+            prop_assert_eq!(ra[l].to_bits(), want.to_bits());
+            prop_assert_eq!(rb[l].to_bits(), want.to_bits());
         }
     }
 

@@ -16,6 +16,9 @@ use finbench::telemetry::{self, SPAN_RING_CAPACITY};
 use std::sync::mpsc;
 use std::time::Duration;
 
+#[global_allocator]
+static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
+
 #[test]
 fn span_memory_is_bounded_and_steady_state_batches_allocate_nothing_lane_side() {
     assert!(

@@ -10,10 +10,9 @@
 //! generator's kernel-name source.
 //!
 //! This binary holds exactly one test: the counting allocator (installed
-//! globally by `finbench_harness`) tallies process-wide, so sharing a
-//! process with concurrently running tests (cargo's default parallel
-//! test threads) would make the "no allocations happened" assertion
-//! meaningless. It is the whole allocation gate for the served paths:
+//! below) tallies process-wide, so sharing a process with concurrently
+//! running tests (cargo's default parallel test threads) would make the
+//! "no allocations happened" assertion meaningless. It is the whole allocation gate for the served paths:
 //! the price lane's top rung, the greeks lane's top rung and the fused
 //! pass are each run here, through the scratch a lane reuses.
 
@@ -27,6 +26,9 @@ use finbench::parallel::available_parallelism;
 use finbench::serve::pricer::{self, PricerConfig};
 use finbench::serve::{greeks_ladder, OptionScratch, OptionStream, PriceRequest, RequestSource};
 use finbench::telemetry::{self, Counter, Gauge};
+
+#[global_allocator]
+static ALLOC: telemetry::CountingAlloc = telemetry::CountingAlloc;
 
 const M: MarketParams = MarketParams::PAPER;
 
