@@ -121,6 +121,21 @@ if git grep -nE 'fn servable\(|plan\.rung' -- crates/serve/src; then
   exit 1
 fi
 
+echo "==> source guard (a lane sizes its batch from its own last flush, not from a plan)"
+if git grep -nE 'plan\(|predicted_rate|Planner' -- crates/serve/src ||
+  git grep -n 'engine: &Engine' -- crates/serve/src/workload.rs; then
+  echo "the serving plane reads no machine model: target_batch sizes a lane from its last flush's items and elapsed time, and a workload's ladder resolves against a Registry" >&2
+  exit 1
+fi
+
+echo "==> perf trajectory (a [perf_opt] entry lands with its snapshot)"
+perf_pr=$(grep -oE '^- \*\*PR [0-9]+ \[perf_opt\]' CHANGES.md | grep -oE '[0-9]+' | sort -n | tail -1 || true)
+bench_pr=$(ls BENCH_*.json | grep -oE '[0-9]+' | sort -n | tail -1)
+if [[ -n $perf_pr && $perf_pr -gt $bench_pr ]]; then
+  echo "CHANGES.md's newest [perf_opt] entry is PR $perf_pr, but the newest snapshot is BENCH_$bench_pr.json: a perf change commits its BENCH_<n>.json" >&2
+  exit 1
+fi
+
 echo "==> source guard (a price request borrows its kernel name)"
 if git grep -nE 'kernel: (String|impl Into<String>)' -- crates/serve/src/request.rs; then
   echo "PriceRequest::kernel is a Cow<'static, str>: a literal or registry name is built, queued and routed without allocating" >&2

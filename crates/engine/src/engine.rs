@@ -31,8 +31,7 @@ pub struct RungSamples {
 }
 
 /// The unified pricing-engine plane: a kernel [`Registry`] plus the
-/// [`Planner`] that picks a serving rung per kernel from the machine cost
-/// model.
+/// [`Planner`] that picks a rung per kernel from the machine cost model.
 pub struct Engine {
     registry: Registry,
     planner: Planner,
@@ -55,7 +54,7 @@ impl Engine {
     }
 
     /// Plan one kernel by name; unknown names are a typed error, not a
-    /// panic (the serving plane maps this into a `Rejected` response).
+    /// panic.
     pub fn plan(&self, name: &str) -> Result<Plan, EngineError> {
         self.planner.plan(self.registry.resolve(name)?)
     }

@@ -5,7 +5,7 @@
 //! workload, an optimization [ladder](Rung), and machine-model cost
 //! descriptors), the type-erased [`Registry`] the harness and CLI iterate,
 //! the [`Engine`]'s generic measure/validate loops, and the cost-model
-//! driven [`Planner`] that picks a serving rung per kernel.
+//! driven [`Planner`] that picks a rung per kernel for the figures.
 //!
 //! The dependency direction is deliberate: this crate knows nothing about
 //! the concrete kernels. `finbench-core` implements [`Kernel`] for each of

@@ -1,7 +1,8 @@
 //! Cost-model-driven plan selection: given a kernel's machine-model cost
-//! ladder, pick the rung the engine should run to serve traffic on a
-//! given architecture. The plan depends only on the architecture and
-//! the kernel: no environment variable or per-process setting changes it.
+//! ladder, pick the rung the model ranks fastest on a given architecture
+//! (the figures report it; the serving plane reads no plan). The plan
+//! depends only on the architecture and the kernel: no environment
+//! variable or per-process setting changes it.
 //!
 //! The rules are the paper's own reasoning, mechanized:
 //!

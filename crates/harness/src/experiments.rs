@@ -497,24 +497,20 @@ pub fn serve_bench(opts: &RunOptions) -> Vec<Verdict> {
     };
     let open_secs = if opts.quick { 0.1 } else { 0.5 };
 
-    let engine = native::engine();
     let mut totals = LoadTotals::default();
     for kernel in &kernels {
         // Resolve the serving rung up front so unservable kernels are a
         // printed note, not a storm of per-request rejections.
-        let rung = match finbench_serve::pricer::resolve(engine, kernel, &pricer) {
+        let rung = match finbench_serve::pricer::resolve(native::engine(), kernel, &pricer) {
             Ok(r) => r,
             Err(reason) => {
                 println!("  {kernel}: not servable ({reason}); skipping");
                 continue;
             }
         };
-        // The ladder is declared per kernel; the planner's pick is printed
-        // beside it only to show where the cost model would have gone.
-        let plan = engine.plan(kernel).expect("kernel resolved above");
         println!(
-            "  [{kernel}] serving rung: {} (ladder top, width {}; planner's pick: {})",
-            rung.slug, rung.width, plan.slug
+            "  [{kernel}] serving rung: {} (ladder top, width {})",
+            rung.slug, rung.width
         );
 
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -816,7 +812,7 @@ pub fn chaos_bench(opts: &RunOptions) -> Vec<Verdict> {
     let pricer_cfg = PricerConfig::default();
     // The bit-exactness oracle: the whole servable ladder, so a response
     // served on a *degraded* rung is checked against that rung, solo.
-    let ladder = pricer::servable_ladder(native::engine(), kernel, &pricer_cfg)
+    let ladder = pricer::servable_ladder(native::engine().registry(), kernel, &pricer_cfg)
         .expect("black_scholes is servable");
 
     // Every Priced response must be bit-identical to solo pricing of the

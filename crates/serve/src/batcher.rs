@@ -5,8 +5,8 @@
 //! admitted requests. A batch flushes on whichever trigger fires first
 //! ([`MicroBatcher::trigger`] checks them in this order):
 //!
-//! * **size** — the pending set reaches the target batch size (chosen
-//!   from the planner's predicted rate, see [`target_batch`]),
+//! * **size** — the pending set reaches the target batch size (measured
+//!   on the lane's last flush, see [`target_batch`]),
 //! * **delay** — the oldest pending request has waited `max_delay`, or
 //! * **idle** — the worker's admission queue has run dry: nothing more
 //!   can join the batch without waiting for it, so waiting only adds
@@ -110,40 +110,31 @@ pub struct BatchPolicy {
     pub max_delay: Duration,
 }
 
-/// Pick the size trigger from the planner's predicted throughput: the
-/// batch a rung can chew through in one `max_delay` window, clamped to
-/// `[width, cap]` and rounded up to a multiple of the SIMD width (so a
-/// size-triggered flush needs no padding at all). The window is still
-/// `max_delay` with the idle trigger in place: the size trigger only
-/// matters to a backlogged worker, and a larger batch would hold that
-/// worker's other lanes past the wait `max_delay` promises them.
-pub fn target_batch(predicted_rate: f64, max_delay: Duration, width: usize, cap: usize) -> usize {
+/// Pick the size trigger from the lane's last flush: `items` requests
+/// took `elapsed`, so one `max_delay` window holds `max_delay × items ÷
+/// elapsed` of them (the cap when nothing was timed). Clamped to
+/// `[width, cap]` and rounded to a multiple of the SIMD width, so a
+/// size-triggered flush needs no padding. The window is still `max_delay`
+/// with the idle trigger in place: the size trigger only matters to a
+/// backlogged worker, and a larger batch would hold that worker's other
+/// lanes past the wait `max_delay` promises them.
+pub fn target_batch(
+    items: usize,
+    elapsed: Duration,
+    max_delay: Duration,
+    width: usize,
+    cap: usize,
+) -> usize {
     let width = width.max(1);
     let cap = cap.max(width);
-    let ideal = predicted_rate * max_delay.as_secs_f64();
-    let ideal = if ideal.is_nan() {
-        // A broken prediction (0/0, uninitialized model): the smallest
-        // legal batch keeps latency bounded while the planner recovers.
-        width
-    } else if ideal >= cap as f64 {
-        // Covers +inf: an absurdly fast prediction saturates at the cap
-        // instead of falling through a finiteness check to `width`.
-        cap
-    } else if ideal < 1.0 {
-        width
-    } else {
-        ideal.ceil() as usize
+    let ideal = match elapsed.as_nanos() {
+        0 => cap as u128,
+        ns => max_delay.as_nanos().saturating_mul(items as u128) / ns,
     };
-    let clamped = ideal.clamp(width, cap);
-    let rounded = clamped.div_ceil(width) * width;
-    // Rounding up to a lane multiple must never exceed the cap (the
-    // queue could not hold the batch); round down to the largest
-    // multiple that fits instead.
-    if rounded <= cap {
-        rounded
-    } else {
-        (cap / width) * width
-    }
+    let ideal = ideal.clamp(width as u128, cap as u128) as usize;
+    // Up to a lane multiple, but down where up would pass the cap: the
+    // queue could not hold that batch.
+    (ideal.div_ceil(width) * width).min(cap / width * width)
 }
 
 /// One kernel's pending micro-batch. Generic over the queued item so
@@ -173,6 +164,11 @@ impl<T> MicroBatcher<T> {
     /// The active policy.
     pub fn policy(&self) -> BatchPolicy {
         self.policy
+    }
+
+    /// Move the size trigger to `max_batch` (`>= 1`).
+    pub fn set_max_batch(&mut self, max_batch: usize) {
+        self.policy.max_batch = max_batch.max(1);
     }
 
     /// Pending request count.
@@ -313,6 +309,10 @@ mod tests {
         assert_eq!(b.trigger(late, true), Some(FlushReason::Size));
         b.flush();
         assert_eq!(b.trigger(late, true), None);
+        // A lane re-sized to one request fires size on its next arrival.
+        b.set_max_batch(0);
+        b.push(req(3), t0);
+        assert_eq!(b.trigger(t0, false), Some(FlushReason::Size));
     }
 
     #[test]
@@ -394,43 +394,46 @@ mod tests {
 
     #[test]
     fn target_batch_scales_with_rate_and_rounds_to_width() {
-        let d = Duration::from_millis(1);
-        // 1e6 items/s * 1ms = 1000 → rounded up to a multiple of 8.
-        assert_eq!(target_batch(1.0e6, d, 8, 4096), 1000usize.div_ceil(8) * 8);
-        // Slow rung: clamps up to the width.
-        assert_eq!(target_batch(100.0, d, 8, 4096), 8);
-        // Fast rung: clamps down to the cap (already a multiple).
-        assert_eq!(target_batch(1.0e12, d, 8, 4096), 4096);
-        // Degenerate inputs stay sane.
-        assert_eq!(target_batch(f64::NAN, d, 4, 64), 4);
-        assert_eq!(target_batch(0.0, d, 1, 1), 1);
+        let (d, us) = (Duration::from_millis(1), Duration::from_micros);
+        // 100 items in 100 µs: 1 000 fit in 1 ms, rounded up to a lane multiple.
+        assert_eq!(target_batch(100, us(100), d, 8, 4096), 1000);
+        assert_eq!(target_batch(99, us(100), d, 8, 4096), 992);
+        // A slow rung clamps up to the width, a fast one down to the cap.
+        assert_eq!(target_batch(1, d * 10, d, 8, 4096), 8);
+        assert_eq!(target_batch(4096, us(1), d, 8, 4096), 4096);
+        assert_eq!(target_batch(3, us(1), d, 1, 1), 1);
     }
 
     #[test]
-    fn target_batch_survives_degenerate_predictions() {
+    fn target_batch_survives_degenerate_measurements() {
         let d = Duration::from_millis(1);
-        // An infinite prediction saturates at the cap instead of
-        // collapsing to a single lane's width.
-        assert_eq!(target_batch(f64::INFINITY, d, 8, 4096), 4096);
-        // Negative or -inf predictions clamp up to one full lane.
-        assert_eq!(target_batch(f64::NEG_INFINITY, d, 8, 4096), 8);
-        assert_eq!(target_batch(-5.0e6, d, 8, 4096), 8);
-        // A zero-length delay window still yields a non-empty batch.
-        assert_eq!(target_batch(1.0e6, Duration::ZERO, 8, 4096), 8);
-        assert!(target_batch(f64::NAN, d, 8, 4096) >= 1);
+        // Nothing timed (a zero-length flush, or none yet): the cap.
+        assert_eq!(target_batch(100, Duration::ZERO, d, 8, 4096), 4096);
+        assert_eq!(target_batch(0, Duration::ZERO, d, 8, 4096), 4096);
+        // Nothing flushed, or a zero-length window: one full lane.
+        assert_eq!(target_batch(0, d, d, 8, 4096), 8);
+        assert_eq!(target_batch(100, d, Duration::ZERO, 8, 4096), 8);
+        // A ratio past u128 saturates at the cap instead of wrapping.
+        let huge = target_batch(usize::MAX, Duration::from_nanos(1), Duration::MAX, 8, 4096);
+        assert_eq!(huge, 4096);
+        // A zero width or cap still yields a non-empty batch.
+        assert_eq!(target_batch(5, d, d, 0, 0), 1);
     }
 
     #[test]
     fn target_batch_never_exceeds_the_cap() {
-        let d = Duration::from_millis(1);
+        let (d, us) = (Duration::from_millis(1), Duration::from_micros);
         // cap = 10 is not a lane multiple: rounding 10 up to 16 would
         // overflow the queue, so the target rounds down to 8 instead.
-        assert_eq!(target_batch(9.0e3, d, 8, 10), 8);
-        assert_eq!(target_batch(1.0e12, d, 8, 10), 8);
-        for rate in [0.0, 1.0, 1.0e3, 1.0e6, 1.0e9, f64::INFINITY] {
-            let t = target_batch(rate, d, 8, 100);
-            assert!((1..=100).contains(&t), "rate={rate}: target {t}");
-            assert_eq!(t % 8, 0, "rate={rate}: target {t} not a lane multiple");
+        assert_eq!(target_batch(9, us(1000), d, 8, 10), 8);
+        assert_eq!(target_batch(1000, us(1), d, 8, 10), 8);
+        assert_eq!(target_batch(1, Duration::ZERO, d, 8, 10), 8);
+        for items in [0, 1, 10, 1000, usize::MAX] {
+            for elapsed in [Duration::ZERO, us(1), d, Duration::MAX] {
+                let t = target_batch(items, elapsed, d, 8, 100);
+                let fits = (8..=100).contains(&t) && t.is_multiple_of(8);
+                assert!(fits, "{items} in {elapsed:?}: target {t}");
+            }
         }
     }
 }

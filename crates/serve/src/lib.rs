@@ -13,11 +13,11 @@
 //!    typed [`Rejected::QueueFull`] synchronously. Backpressure is
 //!    explicit, never a silent drop.
 //! 2. **Micro-batching** ([`batcher`]) — per-kernel accumulation with
-//!    three flush triggers: a size trigger derived from the planner's
-//!    predicted throughput, a `max_delay` bound on added latency, and an
-//!    idle trigger that flushes as soon as the admission queue runs dry —
-//!    so a lightly loaded server answers at the system's latency, and the
-//!    timer only ever bounds a backlogged one.
+//!    three flush triggers: a size trigger measured on the lane's last
+//!    flush, a `max_delay` bound on added latency, and an idle trigger
+//!    that flushes as soon as the admission queue runs dry — so a lightly
+//!    loaded server answers at the system's latency, and the timer only
+//!    ever bounds a backlogged one.
 //! 3. **Pricing** ([`pricer`]) — each servable kernel's fixed list of
 //!    *batch-safe* rungs, most advanced first (Black-Scholes W=8 → W=8 →
 //!    W=4 → scalar; binomial's scalar reference), with batches padded to

@@ -9,8 +9,8 @@
 //! would change a request's answer based on who it happened to be batched
 //! with. Each servable kernel declares its degradation ladder as a fixed
 //! list of such rungs, most advanced first ([`servable_ladder`]), like the
-//! greeks and portfolio ladders: which rung a lane serves does not depend
-//! on the [`Planner`](finbench_engine::Planner)'s cost model.
+//! greeks and portfolio ladders; a lane's size trigger is measured on the
+//! lane's last flush. No cost model enters the serving plane.
 //!
 //! The binomial SIMD and tiled rungs are batch-safe (every lane carries its
 //! own lattice), yet binomial serves its scalar reference, for occupancy:
@@ -40,7 +40,7 @@ use crate::rung::Rung;
 use finbench_core::binomial;
 use finbench_core::black_scholes::{self, soa};
 use finbench_core::{MarketParams, OptionBatchSoa};
-use finbench_engine::Engine;
+use finbench_engine::{Engine, Registry};
 
 /// Serving-side pricer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,11 +128,11 @@ fn rung<const W: usize>(
 /// Black-Scholes descends erf + parity (W=8) → SIMD SOA W=8 → W=4 →
 /// scalar SOA; binomial serves its scalar reference only: its vector rungs
 /// are batch-safe, but a near-empty batch padded to W = 8 runs ≈ 3.5×
-/// slower on them (see the module doc). The engine
+/// slower on them (see the module doc). The registry
 /// only tells an unknown name ([`Rejected::UnknownKernel`]) from a
 /// registered kernel with no batch-safe rung ([`Rejected::Unservable`]).
 pub fn servable_ladder(
-    engine: &Engine,
+    registry: &Registry,
     kernel: &str,
     cfg: &PricerConfig,
 ) -> Result<Vec<ServingRung>, Rejected> {
@@ -158,7 +158,7 @@ pub fn servable_ladder(
                 binomial::reference::price_batch(b, m, n)
             })])
         }
-        _ => Err(match engine.registry().resolve(kernel) {
+        _ => Err(match registry.resolve(kernel) {
             Ok(_) => Rejected::Unservable {
                 kernel: kernel.to_string().into(),
             },
@@ -173,7 +173,7 @@ pub fn servable_ladder(
 /// [`servable_ladder`]. Unknown and unservable kernels are typed
 /// rejections.
 pub fn resolve(engine: &Engine, kernel: &str, cfg: &PricerConfig) -> Result<ServingRung, Rejected> {
-    servable_ladder(engine, kernel, cfg).map(|mut l| l.remove(0))
+    servable_ladder(engine.registry(), kernel, cfg).map(|mut l| l.remove(0))
 }
 
 /// `price_single` reference for one option — used by tests to pin the
@@ -195,7 +195,7 @@ mod tests {
     fn degradation_ladder_descends_to_the_scalar_reference() {
         let e = engine();
         let cfg = PricerConfig::default();
-        let ladder = servable_ladder(&e, "black_scholes", &cfg).unwrap();
+        let ladder = servable_ladder(e.registry(), "black_scholes", &cfg).unwrap();
         assert!(ladder.len() >= 2, "need at least one fallback rung");
         // Index 0 is exactly what resolve() serves.
         assert_eq!(
@@ -286,7 +286,7 @@ mod tests {
         let cfg = PricerConfig::default();
         for kernel in ["black_scholes", "binomial"] {
             let rungs = e.registry().resolve(kernel).unwrap().rungs();
-            for served in servable_ladder(&e, kernel, &cfg).unwrap() {
+            for served in servable_ladder(e.registry(), kernel, &cfg).unwrap() {
                 let info = rungs.iter().find(|r| r.slug == *served.slug).unwrap();
                 assert!(!info.threaded, "{kernel}: {} is threaded", served.slug);
             }
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn every_servable_black_scholes_rung_agrees_with_the_closed_form() {
         let cfg = PricerConfig::default();
-        let ladder = servable_ladder(&engine(), "black_scholes", &cfg).unwrap();
+        let ladder = servable_ladder(&registry(), "black_scholes", &cfg).unwrap();
         for (s, x, t) in [(30.0, 35.0, 2.0), (25.0, 20.0, 0.5), (10.0, 90.0, 7.5)] {
             let (want_c, want_p) = scalar_reference(s, x, t, cfg.market);
             for rung in &ladder {

@@ -40,15 +40,14 @@ mod tests {
     use crate::workload::{GREEKS_LANE, PORTFOLIO_LANE};
     use crate::{GreeksWorkload, PortfolioWorkload, PriceWorkload, PricerConfig, ServeWorkload};
     use finbench_core::engine::registry;
-    use finbench_engine::Engine;
 
     /// `W`'s ladder for `key` descends the engine's own ladder for that
     /// kernel — every slug a registry rung, indices strictly falling — and
     /// its widths, most advanced rung first.
     fn descending_widths<W: ServeWorkload>(key: &str) -> Vec<usize> {
-        let engine = Engine::new(registry());
-        let ladder = W::ladder(&engine, key, &PricerConfig::default()).unwrap();
-        let rungs = engine.registry().resolve(key).unwrap().rungs();
+        let registry = registry();
+        let ladder = W::ladder(&registry, key, &PricerConfig::default()).unwrap();
+        let rungs = registry.resolve(key).unwrap().rungs();
         let index = |slug: &str| {
             rungs
                 .iter()

@@ -83,7 +83,8 @@ pub struct ServeConfig {
     /// only a backlogged worker reaches — a worker whose queue runs dry
     /// flushes at once. Also the sharded workers' steal-poll interval.
     pub max_delay: Duration,
-    /// Upper clamp for the planner-derived size trigger.
+    /// Upper clamp for the size trigger, which is measured on the lane's
+    /// last flush (and where a new lane starts).
     pub max_batch: usize,
     /// Worker shard count (`>= 1`; clamped up). One shard reproduces the
     /// original single-dispatcher plane exactly.
@@ -234,7 +235,8 @@ impl ShardSeat {
     }
 
     /// Index of this seat's record of workload `W`'s lane `key`, opened on
-    /// first use; a respawned worker's lane carries its predecessor's on.
+    /// first use; a respawned worker's lane carries its predecessor's on,
+    /// its size trigger back at `target_batch`.
     pub(crate) fn open_record<W: ServeWorkload>(
         &self,
         key: &str,
@@ -243,6 +245,7 @@ impl ShardSeat {
     ) -> usize {
         let mut records = self.lock_records();
         if let Some(i) = records.iter().position(|r| r.stats.counts.kernel == key) {
+            records[i].stats.counts.target_batch = target_batch;
             return i;
         }
         records.push(LaneRecord {
@@ -309,7 +312,9 @@ pub struct KernelSnapshot {
     /// than one shard, on the most degraded seat (as are
     /// `degradation_level` and `breaker`).
     pub rung: String,
-    /// Planner-derived size trigger.
+    /// Size trigger, measured on the lane's last flush (the cap before
+    /// the first) — with more than one shard, as the lowest-indexed seat
+    /// that has run the lane measured it.
     pub target_batch: usize,
     /// Requests priced.
     pub served: u64,
@@ -529,9 +534,8 @@ impl Plane {
 }
 
 impl Server {
-    /// Start a fault-free server over the workspace's kernel registry,
-    /// planning rungs for the build host: `config.shards` worker shards
-    /// behind one router.
+    /// Start a fault-free server over the workspace's kernel registry:
+    /// `config.shards` worker shards behind one router.
     pub fn start(config: ServeConfig) -> Self {
         Self::start_with_faults(config, Faults::none())
     }
@@ -960,12 +964,12 @@ fn redrive(shard: &Shard, stranded: Vec<Work>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batcher::target_batch;
     use crate::pricer;
     use crate::request::{PriceRequest, PriceResponse};
     use crate::shard::{backoff, RESPAWN_COOLDOWN};
     use crate::workload::PortfolioWorkload;
     use finbench_core::engine::registry;
-    use finbench_engine::Engine;
     use finbench_faults::{self as faults, FaultPlan, FaultSpec};
     use std::cell::Cell;
     use std::fmt::Debug;
@@ -1022,8 +1026,7 @@ mod tests {
     }
 
     fn bs_ladder() -> Vec<pricer::ServingRung> {
-        let engine = Engine::new(registry());
-        pricer::servable_ladder(&engine, "black_scholes", &quick_config().pricer).unwrap()
+        pricer::servable_ladder(&registry(), "black_scholes", &quick_config().pricer).unwrap()
     }
 
     fn kernel<'a>(snap: &'a ServeSnapshot, name: &str) -> &'a KernelSnapshot {
@@ -1050,6 +1053,16 @@ mod tests {
     fn step(by: Duration) {
         let at = stepped() + by;
         NOW.with(|now| now.set(Some(at)));
+    }
+
+    /// How far [`ticking`] steps the clock on every read.
+    const TICK: Duration = Duration::from_micros(10);
+
+    /// The stepped clock, stepped one [`TICK`] on every read: whatever
+    /// its compute took, a flush reads `done − now` as one tick.
+    fn ticking() -> Instant {
+        step(TICK);
+        stepped()
     }
 
     /// A server on [`quick`] with no drivers: nothing pops its queues until the test
@@ -1137,7 +1150,7 @@ mod tests {
         assert_eq!(resp.id, 9);
         let out = resp.outcome.unwrap();
         assert_eq!((out.scenarios, out.pnl.len(), out.chunks), (96, 96, 6));
-        // Served on the planned (W=8) rung only — no degradation here.
+        // Served on the top (W=8) rung only — no degradation here.
         assert_eq!(out.rungs, ["intermediate_simd_revaluation_w_8"]);
         // Native replay of the same book + grid at the same rung.
         let book = Book::random(24, 42);
@@ -1266,7 +1279,7 @@ mod tests {
         let out = ask(&server, GreeksRequest::new(1, 30.0, 35.0, 1.0));
         assert!(internal(&out).contains("injected panic"), "{out:?}");
         // Still alive; the next request is served on a degraded rung that
-        // answers bit-identically to the planned one.
+        // answers bit-identically to the top one.
         let out = ask(&server, GreeksRequest::new(2, 30.0, 35.0, 1.0))
             .expect("greeks lane must keep serving after a caught panic");
         let (want_c, _) = crate::greeks::greeks_ladder(quick_config().pricer.market)[0]
@@ -1434,6 +1447,31 @@ mod tests {
     }
 
     #[test]
+    fn a_backlogged_portfolio_lane_sizes_its_trigger_from_its_last_flush() {
+        // Twelve chunks queue. The worker takes them all into its lane
+        // (24 ticks, well inside max_delay) and flushes them in one batch
+        // once the queue runs dry, timed at one tick: one 1 ms window
+        // holds 1 200 chunks of that, not the 4 096 cap.
+        let max_delay = Duration::from_millis(1);
+        let server =
+            undriven(|c| (c.queue_capacity, c.max_batch, c.max_delay) = (4096, 4096, max_delay));
+        let (tx, rx) = mpsc::channel();
+        server.submit_with(PortfolioRequest::new(6, 3, 8, 96).with_chunk(8), &tx);
+        drop(tx);
+        let mut shard = Shard::new(Arc::clone(&server.plane), 0, ticking);
+        admit_one(&mut shard);
+        // A new lane starts at the cap: nothing is measured yet.
+        assert_eq!(kernel(&server.snapshot(), "portfolio").target_batch, 4096);
+        run_dry(&mut shard);
+        assert!(rx.try_recv().expect("answered").outcome.is_ok());
+        let snap = server.shutdown();
+        let k = kernel(&snap, "portfolio");
+        assert_eq!((k.batches, k.flushes.idle), (1, 1), "{k:?}");
+        assert_eq!(k.target_batch, target_batch(12, TICK, max_delay, 8, 4096));
+        assert_eq!(k.target_batch, 1200);
+    }
+
+    #[test]
     fn a_kernel_panic_rejects_the_batch_and_degrades_instead_of_crashing() {
         faults::silence_injected_panics();
         // Panic on the first black_scholes batch only.
@@ -1459,7 +1497,7 @@ mod tests {
         let server = start_with(config, panics("black_scholes", 1));
         // Answered one at a time, so round-robin places them on seats 0,
         // 1, 0 and nothing is stolen (a lone queued item never is): seat
-        // 0 absorbs the panic and degrades, seat 1 serves at the planned
+        // 0 absorbs the panic and degrades, seat 1 serves at the top
         // rung, seat 0 serves one level down.
         let first = ask(&server, bs(1));
         assert!(matches!(first, Err(Rejected::Internal { .. })), "{first:?}");

@@ -15,7 +15,7 @@ use crate::rung::Rung;
 use crate::server::{Plane, ShardSeat};
 use crate::workload::{Envelope, GreeksWorkload, PortfolioWorkload, PriceWorkload, ServeWorkload};
 use finbench_core::engine::registry;
-use finbench_engine::Engine;
+use finbench_engine::Registry;
 use finbench_telemetry::{self as telemetry, Gauge};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -98,8 +98,9 @@ struct Lane<W: ServeWorkload> {
     ladder: Vec<Rung<W::Kernel>>,
     level: usize,
     breaker: Breaker,
+    /// Its policy's `max_batch` is the lane's size trigger, re-sized
+    /// after every successful flush.
     batcher: MicroBatcher<Envelope<W>>,
-    target: usize,
     /// The flushed batch being executed, reused across flushes.
     flush: Vec<Envelope<W>>,
     /// Reusable staging + output buffers for batch execution.
@@ -142,9 +143,9 @@ pub(crate) struct Shard {
     pub(crate) index: usize,
     pub(crate) plane: Arc<Plane>,
     clock: Clock,
-    /// The engine lanes resolve their ladders on, kept across
+    /// The kernels lanes resolve their ladders against, kept across
     /// incarnations.
-    engine: Engine,
+    registry: Registry,
     lanes: Lanes,
     /// How long the last kill's seat waits before it respawns; when it
     /// died, and when it last came back.
@@ -160,7 +161,7 @@ impl Shard {
             index,
             plane,
             clock,
-            engine: Engine::new(registry()),
+            registry: registry(),
             lanes: Lanes::default(),
             cooldown: RESPAWN_COOLDOWN,
             killed_at: None,
@@ -229,34 +230,23 @@ impl Shard {
     }
 
     fn make_lane<W: ServeWorkload>(&self, key: &str) -> Result<Lane<W>, Rejected> {
-        let (engine, config) = (&self.engine, &self.plane.config);
-        let ladder = W::ladder(engine, key, &config.pricer)?;
-        // Size the batch to what the planned rung can chew through in one
-        // delay window; the planner's predicted rate is per-item. A batch
-        // can never hold more than the queue can admit, so the cap is the
-        // tighter of `max_batch` and the queue capacity.
-        let predicted = engine
-            .plan(key)
-            .map(|p| p.predicted_rate)
-            .unwrap_or(f64::NAN);
-        let target = target_batch(
-            predicted,
-            config.max_delay,
-            ladder[0].width,
-            config.max_batch.min(config.queue_capacity),
-        );
+        let config = &self.plane.config;
+        let ladder = W::ladder(&self.registry, key, &config.pricer)?;
+        // The lane starts at the cap, whatever the host; its first
+        // successful flush re-sizes it (see `execute`). A batch never
+        // holds more than the queue admits.
+        let cap = config.max_batch.min(config.queue_capacity);
         let seat = &self.plane.seats[self.index];
         Ok(Lane {
-            record: seat.open_record::<W>(key, &ladder[0].slug, target),
+            record: seat.open_record::<W>(key, &ladder[0].slug, cap),
             batcher: MicroBatcher::new(BatchPolicy {
-                max_batch: target,
+                max_batch: cap,
                 max_delay: config.max_delay,
             }),
             published: None,
             ladder,
             level: 0,
             breaker: Breaker::new(config.breaker),
-            target,
             flush: Vec::new(),
             scratch: W::Scratch::default(),
             span_name: format!("serve.batch.{key}"),
@@ -454,7 +444,7 @@ fn execute<W: ServeWorkload>(
     let span = telemetry::span(lane.span_name.as_str());
     telemetry::set_attr("rung", Arc::clone(&lane.ladder[level].slug));
     telemetry::set_attr("occupancy", lane.flush.len());
-    telemetry::set_attr("target", lane.target);
+    telemetry::set_attr("target", lane.batcher.policy().max_batch);
     telemetry::set_attr("degradation_level", level);
 
     W::stage(
@@ -493,10 +483,17 @@ fn execute<W: ServeWorkload>(
             }
             let slug = &lane.ladder[level].slug;
             let batch_len = lane.flush.len();
+            // Re-size the trigger to what this rung gets through in one
+            // `max_delay` window, timed on this flush.
+            let config = &plane.config;
+            let cap = config.max_batch.min(config.queue_capacity);
+            let target = target_batch(batch_len, done - now, config.max_delay, width, cap);
+            lane.batcher.set_max_batch(target);
             // The seat's own lock, held across the scatter: only a
             // snapshot ever waits for it, and then sees whole batches.
             let mut records = seat.lock_records();
             let r = &mut records[lane.record];
+            r.stats.counts.target_batch = target;
             r.stats.counts.batches += 1;
             r.stats.counts.flushes.record(reason);
             if level > 0 {

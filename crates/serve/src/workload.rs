@@ -34,7 +34,7 @@ use crate::rung::Rung;
 use finbench_core::greeks::GreeksBatchSoa;
 use finbench_core::portfolio::{Book, RevalScratch, ScenarioConfig, ScenarioGrid};
 use finbench_core::OptionBatchSoa;
-use finbench_engine::Engine;
+use finbench_engine::Registry;
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,15 +116,16 @@ pub trait ServeWorkload: Sized + 'static {
 
     /// The request's optional completion deadline.
     fn deadline(req: &Self::Req) -> Option<Instant>;
-    /// Lane key for this request — also the engine registry kernel the
-    /// planner sizes the batch trigger from, and the `<key>` in the
-    /// `serve.batch.<key>` / `serve.breaker.<key>` telemetry names.
+    /// Lane key for this request — also the registry kernel whose rungs
+    /// the lane serves (its size trigger is measured on the lane's last
+    /// flush), and the `<key>` in the `serve.batch.<key>` /
+    /// `serve.breaker.<key>` telemetry names.
     fn lane_key(req: &Self::Req) -> &str;
 
     /// The servable degradation ladder for `key`, most advanced first;
     /// a typed rejection when the key names no servable ladder.
     fn ladder(
-        engine: &Engine,
+        registry: &Registry,
         key: &str,
         config: &PricerConfig,
     ) -> Result<Vec<Rung<Self::Kernel>>, Rejected>;
@@ -205,11 +206,11 @@ impl ServeWorkload for PriceWorkload {
     }
 
     fn ladder(
-        engine: &Engine,
+        registry: &Registry,
         key: &str,
         config: &PricerConfig,
     ) -> Result<Vec<Rung<PriceKernel>>, Rejected> {
-        pricer::servable_ladder(engine, key, config)
+        pricer::servable_ladder(registry, key, config)
     }
 
     fn stage<'a>(
@@ -243,8 +244,8 @@ impl ServeWorkload for PriceWorkload {
     }
 }
 
-/// Stats/telemetry key for the greeks lane (also the registry kernel the
-/// planner sizes its batch trigger from).
+/// Stats/telemetry key for the greeks lane (its size trigger is measured
+/// on the lane's last flush).
 pub(crate) const GREEKS_LANE: &str = "greeks";
 
 /// The greeks plane (`GreeksRequest` → `GreeksOut`): all ten
@@ -268,7 +269,7 @@ impl ServeWorkload for GreeksWorkload {
     }
 
     fn ladder(
-        _engine: &Engine,
+        _registry: &Registry,
         _key: &str,
         config: &PricerConfig,
     ) -> Result<Vec<Rung<GreeksKernel>>, Rejected> {
@@ -308,8 +309,8 @@ impl ServeWorkload for GreeksWorkload {
     }
 }
 
-/// Stats/telemetry key for the portfolio lane (also the registry kernel
-/// the planner sizes its batch trigger from).
+/// Stats/telemetry key for the portfolio lane (its size trigger, in
+/// chunks, is measured on the lane's last flush).
 pub(crate) const PORTFOLIO_LANE: &str = "portfolio";
 
 /// The portfolio plane ([`PortfolioChunkRequest`] →
@@ -336,7 +337,7 @@ impl ServeWorkload for PortfolioWorkload {
     }
 
     fn ladder(
-        _engine: &Engine,
+        _registry: &Registry,
         _key: &str,
         config: &PricerConfig,
     ) -> Result<Vec<Rung<RevalKernel>>, Rejected> {

@@ -51,10 +51,10 @@ fn pricer_config() -> PricerConfig {
 /// serve, not just the top one.
 fn servable_rungs() -> Vec<pricer::ServingRung> {
     let cfg = pricer_config();
-    let engine = Engine::new(registry());
+    let registry = registry();
     let out: Vec<_> = ["black_scholes", "binomial"]
         .into_iter()
-        .flat_map(|kernel| pricer::servable_ladder(&engine, kernel, &cfg).unwrap())
+        .flat_map(|kernel| pricer::servable_ladder(&registry, kernel, &cfg).unwrap())
         .collect();
     assert!(out.len() >= 5, "servable set shrank: {}", out.len());
     out

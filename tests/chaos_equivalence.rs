@@ -34,8 +34,7 @@ fn pricer_config() -> PricerConfig {
 /// rung that priced them, which under chaos may be any ladder level, so
 /// the check looks up the *reported* slug.
 fn oracle_rungs(kernel: &str) -> Vec<ServingRung> {
-    let engine = Engine::new(registry());
-    pricer::servable_ladder(&engine, kernel, &pricer_config()).unwrap()
+    pricer::servable_ladder(&registry(), kernel, &pricer_config()).unwrap()
 }
 
 /// A random fault plan aimed at the serving plane's hook sites.

@@ -79,7 +79,7 @@ fn the_price_ladder_starts_at_or_below_every_black_scholes_plan() {
                 .position(|r| r.slug == slug)
                 .unwrap_or_else(|| panic!("{kernel}: {slug} is no registry rung"))
         };
-        let ladder = servable_ladder(&engine, kernel, &PricerConfig::default()).unwrap();
+        let ladder = servable_ladder(engine.registry(), kernel, &PricerConfig::default()).unwrap();
         for served in &ladder {
             let info = &rungs[index(&served.slug)];
             assert!(

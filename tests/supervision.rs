@@ -10,7 +10,6 @@
 //! the tests here run side by side.
 
 use finbench::core::engine::registry;
-use finbench::engine::Engine;
 use finbench::faults::{self, FaultKind, FaultPlan, FaultSpec, Faults};
 use finbench::serve::pricer::{self, PricerConfig, ServingRung};
 use finbench::serve::{mix_seed, BreakerPolicy, PriceRequest, Rejected, ServeConfig, Server};
@@ -32,8 +31,7 @@ fn pricer_config() -> PricerConfig {
 }
 
 fn oracle_rungs(kernel: &str) -> Vec<ServingRung> {
-    let engine = Engine::new(registry());
-    pricer::servable_ladder(&engine, kernel, &pricer_config()).unwrap()
+    pricer::servable_ladder(&registry(), kernel, &pricer_config()).unwrap()
 }
 
 fn healing_config(shards: usize, capacity: usize) -> ServeConfig {
